@@ -532,7 +532,7 @@ def mean_occurrence_asympt(d: int, n: float, v0: Sequence[int]) -> tuple[float, 
     from 1/x^2 by a relative O(x^2)."""
     _require_dim(d)
     coords = tuple(int(c) for c in v0)
-    if not is_primitive(coords, len(coords)):
+    if not is_primitive(coords, d):
         raise ValueError(f"v0 = {coords} is not primitive")
     mean = 1.0 / (theta_tilde(d, n) * sum(coords))
     return mean, mean * mean

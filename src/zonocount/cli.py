@@ -14,7 +14,7 @@ import math
 import sys
 from fractions import Fraction
 
-from . import asympt, exact, sampler, special
+from . import asympt, exact, primitives, sampler, special
 
 SCHEMA_VERSION = 1
 
@@ -88,16 +88,19 @@ def _load_zeros(args):
     return None
 
 
-def cmd_count(args) -> list[dict]:
-    import itertools
+def _finite(value, flag: str):
+    if value is not None and not math.isfinite(value):
+        raise ValueError(f"{flag} must be finite, got {value}")
+    return value
 
+
+def cmd_count(args) -> list[dict]:
     ns = _parse_range(args)
     table = exact.build_table(args.dim, (max(ns),) * args.dim)
     rows = []
     for n in ns:
         if args.cumulative:
-            z = sum(table.coefficient(e)
-                    for e in itertools.product(range(n + 1), repeat=args.dim))
+            z = table.data[(slice(n + 1),) * args.dim].sum()
         else:
             z = table.coefficient((n,) * args.dim)
         rows.append({"dim": args.dim, "n": n, "z_exact": z,
@@ -143,6 +146,7 @@ def cmd_moments(args) -> list[dict]:
 
 
 def cmd_asympt(args) -> list[dict]:
+    _finite(args.n, "--n")
     zeros = _load_zeros(args)
     est = asympt.estimate(args.dim, args.n, zeros, args.m)
     row = est.to_dict()
@@ -154,6 +158,7 @@ def cmd_asympt(args) -> list[dict]:
 
 
 def cmd_icrit(args) -> list[dict]:
+    _finite(args.n, "--n")
     zeros = _load_zeros(args)
     value = asympt.icrit(args.dim, args.n, zeros, args.m)
     lead = zeros[0] if zeros else None
@@ -168,8 +173,17 @@ def cmd_icrit(args) -> list[dict]:
 def cmd_sample(args) -> list[dict]:
     if (args.theta is None) == (args.n is None):
         raise ValueError("give exactly one of --n (saddle parameter) or --theta")
-    theta = args.theta if args.theta is not None else asympt.theta_tilde(args.dim, args.n)
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
+    if args.theta is not None:
+        theta = _finite(args.theta, "--theta")
+    else:
+        theta = asympt.theta_tilde(args.dim, _finite(args.n, "--n"))
     tracked = [_parse_class(t) for t in args.track or []]
+    for coords, j in tracked:
+        if len(coords) != args.dim or not primitives.is_primitive(coords, args.dim):
+            raise ValueError(f"--track {coords} is not a primitive vector in dim {args.dim}")
+        sampler.signed_representative(coords, j)  # rejects an out-of-range sign index
     rows = []
     first = None
     for s in sampler.iter_samples(args.dim, theta, args.cutoff, args.samples, args.seed):

@@ -6,25 +6,30 @@ The generating function over primitive nonnegative directions v,
 
 is expanded by dynamic programming on a dense table of arbitrary-precision
 integers: every sign class of v contributes one geometric factor, realized as
-a cumulative-sum pass T[e] += T[e-v] in ascending index order.  The table at
-bound n then holds [x^m] Zon_d for every m <= n simultaneously.
+a cumulative-sum pass T[e] += T[e-v] in ascending index order.  A pass runs
+as numpy slab adds over blocks of hyperplanes, so its Python-level cost is
+one call per block, not one per cell.  The table at bound n then holds
+[x^m] Zon_d for every m <= n simultaneously.
 
-Companion tables give exact first moments: marking generator presence with u
-(factor 1 + u x^v/(1-x^v)) yields the direction-count numerator, marking
-multiplicity with u^k (factor 1/(1-u x^v)) yields occurrence moments.  An
-independent depth-first multiset enumeration serves as the oracle for all of
-these on small boxes.
+Exact first moments are chain sums over that one table.  Marking generator
+presence with u (factor 1 + u x^v/(1-x^v)) and differentiating at u = 1
+multiplies Zon by the sum of x^v over sign classes, so the direction-count
+numerator is sum_v w_v Z[n - v].  Marking one class's multiplicity with u^k
+(factor 1/(1-u x^v0)) gives the occurrence numerators sum_k Z[n - k v0] and
+sum_k (2k-1) Z[n - k v0].  An independent depth-first multiset enumeration
+serves as the oracle for all of these on small boxes.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 from .primitives import enumerate_primitive, is_primitive
 
@@ -70,9 +75,13 @@ def _as_bound(dim: int, n) -> tuple[int, ...]:
 
 
 class CoeffTable:
-    """Dense table of coefficients of a d-variate series, indexed by e <= bound."""
+    """Dense table of coefficients of a d-variate series, indexed by e <= bound.
 
-    __slots__ = ("dim", "bound", "shape", "strides", "cells")
+    The coefficients are Python ints held in a numpy object array ``data`` of
+    shape bound + 1; ``cells`` is the same table as a flat row-major list.
+    """
+
+    __slots__ = ("dim", "bound", "shape", "data")
 
     def __init__(self, dim: int, bound, delta_at_origin: bool = True):
         self.bound = _as_bound(dim, bound)
@@ -84,82 +93,65 @@ class CoeffTable:
             raise MemoryBudgetError(
                 f"table of {size} cells (~{size * _BYTES_PER_CELL / 1e9:.2f} GB) exceeds "
                 f"budget {budget / 1e9:.2f} GB; raise {_MEMORY_ENV} to override")
-        strides = [1] * dim
-        for i in range(dim - 2, -1, -1):
-            strides[i] = strides[i + 1] * self.shape[i + 1]
-        self.strides = tuple(strides)
-        self.cells = [0] * size
+        self.data = np.zeros(self.shape, dtype=object)
         if delta_at_origin:
-            self.cells[0] = 1
+            self.data[(0,) * dim] = 1
 
-    def _flat(self, e: Sequence[int]) -> int:
-        if len(e) != self.dim:
-            raise ValueError(f"index has {len(e)} entries, expected {self.dim}")
-        idx = 0
-        for c, b, s in zip(e, self.bound, self.strides):
-            if not 0 <= c <= b:
-                raise ValueError(f"index {tuple(e)} outside bound {self.bound}")
-            idx += c * s
-        return idx
+    @property
+    def cells(self) -> list[int]:
+        return self.data.ravel().tolist()
 
     def coefficient(self, e) -> int:
         if isinstance(e, int):
             e = (e,) * self.dim
-        return self.cells[self._flat(e)]
+        if len(e) != self.dim:
+            raise ValueError(f"index has {len(e)} entries, expected {self.dim}")
+        if not all(0 <= c <= b for c, b in zip(e, self.bound)):
+            raise ValueError(f"index {tuple(e)} outside bound {self.bound}")
+        return self.data[tuple(e)]
 
     def total(self) -> int:
-        return sum(self.cells)
+        return self.data.sum()
 
     def copy(self) -> "CoeffTable":
         out = CoeffTable.__new__(CoeffTable)
-        out.dim, out.bound, out.shape, out.strides = self.dim, self.bound, self.shape, self.strides
-        out.cells = list(self.cells)
+        out.dim, out.bound, out.shape = self.dim, self.bound, self.shape
+        out.data = self.data.copy()
         return out
 
-    def _check_vector(self, v: Sequence[int]) -> tuple[int, ...]:
+    def _accumulate(self, src: np.ndarray, v: Sequence[int]) -> None:
+        """self[e] += src[e - v] for every e >= v, equal to the ascending
+        sequential recurrence even when src is self.data.
+
+        Along the axis a of largest v_a, blocks of v_a consecutive hyperplanes
+        are added one slab at a time in ascending order; a block reads only
+        hyperplanes below it, which are already final.
+        """
         vt = tuple(int(c) for c in v)
         if len(vt) != self.dim or any(c < 0 for c in vt) or not any(vt):
             raise ValueError(f"invalid pass vector {vt} for dim {self.dim}")
-        return vt
-
-    def _subbox(self, v: tuple[int, ...]):
-        """Flat offset of v and an iterator over flat row starts of {e >= v}."""
-        off = sum(c * s for c, s in zip(v, self.strides))
-        prefix_ranges = [range(c, b + 1) for c, b in zip(v[:-1], self.bound[:-1])]
-        strides = self.strides[:-1]
-
-        def bases():
-            for prefix in itertools.product(*prefix_ranges):
-                yield sum(p * s for p, s in zip(prefix, strides))
-
-        return off, bases
+        if any(c > b for c, b in zip(vt, self.bound)):
+            return  # no cell has e >= v
+        a = vt.index(max(vt))
+        step, top = vt[a], self.shape[a]
+        dst_idx = [slice(c, None) for c in vt]
+        src_idx = [slice(0, s - c) for c, s in zip(vt, self.shape)]
+        for lo in range(step, top, step):
+            hi = min(lo + step, top)
+            dst_idx[a], src_idx[a] = slice(lo, hi), slice(lo - step, hi - step)
+            block = self.data[tuple(dst_idx)]
+            np.add(block, src[tuple(src_idx)], out=block)
 
     def class_pass(self, v: Sequence[int]) -> None:
         """In place, multiply by the geometric factor of one sign class of v:
         T[e] += T[e - v] in ascending order."""
-        vt = self._check_vector(v)
-        if any(c > b for c, b in zip(vt, self.bound)):
-            return  # factor cannot touch any cell
-        off, bases = self._subbox(vt)
-        cells = self.cells
-        lo, hi = vt[-1], self.bound[-1]
-        for base in bases():
-            for j in range(base + lo, base + hi + 1):
-                cells[j] += cells[j - off]
+        self._accumulate(self.data, v)
 
     def shifted_add(self, src: "CoeffTable", v: Sequence[int]) -> None:
         """self[e] += src[e - v] (multiplication of src by x^v, accumulated)."""
         if src.bound != self.bound:
             raise ValueError("table bounds differ")
-        vt = self._check_vector(v)
-        if any(c > b for c, b in zip(vt, self.bound)):
-            return
-        off, bases = self._subbox(vt)
-        cells, other = self.cells, src.cells
-        lo, hi = vt[-1], self.bound[-1]
-        for base in bases():
-            for j in range(base + lo, base + hi + 1):
-                cells[j] += other[j - off]
+        self._accumulate(src.data, v)
 
     def dump_json(self, path) -> None:
         """Versioned checkpoint: {format, dim, bound, cells as decimal strings}."""
@@ -180,9 +172,9 @@ class CoeffTable:
             raise ValueError(f"unsupported checkpoint format {doc.get('format')!r}")
         out = cls(doc["dim"], doc["bound"], delta_at_origin=False)
         cells = [int(c) for c in doc["cells"]]
-        if len(cells) != len(out.cells):
+        if len(cells) != out.data.size:
             raise ValueError("checkpoint cell count does not match bound")
-        out.cells = cells
+        out.data = np.array(cells, dtype=object).reshape(out.shape)
         return out
 
 
@@ -241,19 +233,15 @@ class MomentPair:
 def diameter_numerators(dim: int, n: int) -> MomentPair:
     """Count and summed direction count (graph diameter) over zonotopes at n*1.
 
-    Companion DP: per sign class, Z <- Z/(1-x^v) then U <- U/(1-x^v) + x^v Z.
+    The direction-count numerator is sum over primitive v <= n of w_v Z[n - v].
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     bt = (n,) * dim
-    z = CoeffTable(dim, bt)
-    u = CoeffTable(dim, bt, delta_at_origin=False)
-    for pv in enumerate_primitive(dim, bt):
-        for _ in range(pv.weight):
-            z.class_pass(pv.coords)
-            u.class_pass(pv.coords)
-            u.shifted_add(z, pv.coords)
-    return MomentPair(count=z.coefficient(bt), weighted=u.coefficient(bt))
+    z = build_table(dim, bt)
+    weighted = sum(pv.weight * z.data[tuple(n - c for c in pv.coords)]
+                   for pv in enumerate_primitive(dim, bt))
+    return MomentPair(count=z.coefficient(bt), weighted=weighted)
 
 
 def diameter_moment(dim: int, n: int) -> Fraction:
@@ -265,8 +253,9 @@ def occurrence_numerators(dim: int, n: int, v0: Sequence[int]) -> MomentPair:
     """First and second moment numerators of the multiplicity of one sign class.
 
     The marked factor is geometric in u; its u-derivatives at u = 1 are
-    q/(1-q) Zon and (q/(1-q) + 2 q^2/(1-q)^2) Zon with q = x^v0, realized as
-    shift + cumulative passes on the full product table.
+    q/(1-q) Zon and (q/(1-q) + 2 q^2/(1-q)^2) Zon with q = x^v0, whose
+    coefficients at n are the chain sums sum_k Z[n - k v0] and
+    sum_k (2k-1) Z[n - k v0] over k >= 1.
     """
     bt = _as_bound(dim, n)
     v0t = tuple(int(c) for c in v0)
@@ -275,16 +264,12 @@ def occurrence_numerators(dim: int, n: int, v0: Sequence[int]) -> MomentPair:
     if any(c > b for c, b in zip(v0t, bt)):
         raise ValueError(f"v0 = {v0t} exceeds bound {bt}")
     z = build_table(dim, bt)
-    t1 = CoeffTable(dim, bt, delta_at_origin=False)
-    t1.shifted_add(z, v0t)
-    t1.class_pass(v0t)
-    t2 = CoeffTable(dim, bt, delta_at_origin=False)
-    t2.shifted_add(t1, v0t)
-    t2.class_pass(v0t)
+    kmax = min(b // c for b, c in zip(bt, v0t) if c)
+    chain = [z.data[tuple(b - k * c for b, c in zip(bt, v0t))] for k in range(1, kmax + 1)]
     return MomentPair(
         count=z.coefficient(bt),
-        weighted=t1.coefficient(bt),
-        weighted2=t1.coefficient(bt) + 2 * t2.coefficient(bt),
+        weighted=sum(chain),
+        weighted2=sum((2 * k - 1) * t for k, t in enumerate(chain, 1)),
     )
 
 

@@ -273,3 +273,7 @@ def test_mean_occurrence():
     assert abs(mean2 - mean / 2) < 1e-12
     with pytest.raises(ValueError):
         mean_occurrence_asympt(2, 1e4, (2, 2))
+    with pytest.raises(ValueError):  # a class from another dimension
+        mean_occurrence_asympt(2, 1e4, (1, 1, 1))
+    with pytest.raises(ValueError):
+        mean_occurrence_asympt(3, 1e4, (1, 1))

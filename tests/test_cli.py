@@ -133,6 +133,32 @@ def test_sample_theta_xor_n(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("--samples", "0", "--polygon-out", "poly.csv"), "--samples"),
+    (("--samples", "-3"), "--samples"),
+    (("--dim", "3", "--track", "1,1:5"), "--track"),
+    (("--track", "2,2:0"), "--track"),
+    (("--track", "1,1:1", "--track", "1,1:2"), "sign index"),
+])
+def test_sample_rejects_bad_samples_and_track(capsys, tmp_path, monkeypatch, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    dims = () if "--dim" in argv else ("--dim", "2")
+    code, out, err = run_cli(capsys, "sample", *dims, "--n", "50", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and flag in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "poly.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, flag", [
+    ("asympt", "--n"), ("icrit", "--n"), ("sample", "--n"), ("sample", "--theta"),
+])
+def test_float_inputs_must_be_finite(capsys, command, flag, value):
+    code, out, err = run_cli(capsys, command, "--dim", "2", f"{flag}={value}")
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} must be finite, got {float(value)}\n"
+
+
 def test_output_file(capsys, tmp_path):
     out_path = tmp_path / "rows.json"
     code, out, _ = run_cli(capsys, "count", "--dim", "1", "--n", "7",

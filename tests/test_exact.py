@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zonocount.exact as exact
 from zonocount import (
@@ -13,6 +15,7 @@ from zonocount import (
     build_table,
     diameter_moment,
     diameter_numerators,
+    enumerate_primitive,
     occurrence_moments,
     occurrence_numerators,
     zon_coefficient,
@@ -120,6 +123,40 @@ def test_brute_force_companions_match_marked_dp():
             opair = occurrence_numerators(2, n, v0)
             got = res.occurrence[(v0, 0)]
             assert got == (opair.weighted, opair.weighted2)
+    # d = 3 and a rectangular box, every primitive v0 <= box and every sign
+    # class; v0 = (0, 1) puts the pass axis (largest v0 coordinate) off the
+    # first axis
+    for dim, box in ((3, (1, 1, 1)), (3, (2, 2, 2)), (2, (4, 3))):
+        res = brute_force_count(dim, box)
+        if len(set(box)) == 1:
+            pair = diameter_numerators(dim, box[0])
+            assert (res.count, res.direction_count_sum) == (pair.count, pair.weighted)
+        for pv in enumerate_primitive(dim, box):
+            opair = occurrence_numerators(dim, box, pv.coords)
+            assert opair.count == res.count
+            for j in range(pv.weight):
+                assert res.occurrence[(pv.coords, j)] == (opair.weighted, opair.weighted2)
+
+
+# rectangular boxes whose brute-force enumeration stays well inside its budget
+_SMALL_BOXES = st.one_of(
+    st.tuples(st.integers(0, 5), st.integers(0, 5)),
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)).filter(
+        lambda box: sum(box) <= 6),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), box=_SMALL_BOXES)
+def test_dp_matches_brute_force_on_random_boxes(data, box):
+    dim = len(box)
+    table = build_table(dim, box)
+    count = brute_force_count(dim, box).count
+    assert table.coefficient(box) == count
+    sub = tuple(data.draw(st.integers(0, b)) for b in box)
+    assert table.coefficient(sub) == brute_force_count(dim, sub).count
+    perm = data.draw(st.permutations(box))
+    assert build_table(dim, perm).coefficient(tuple(perm)) == count
 
 
 def test_sign_classes_of_same_vector_are_exchangeable():
