@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
 """Closed-form constants and convergence of the estimate.
 
-Prints the constants (kappa_d, beta_d, ln alpha_d, Q_d) for d = 2..5 with the
-factored audit form of the Q coefficients, then compares the full estimate
-against exact counts in dimension 2 and shows the two independent assembly
-routes agreeing.
+Prints the constants (kappa_d, beta_d, ln alpha_d, Q_d) for d = 2..5, then
+compares the full estimate against exact counts in dimension 2 and shows the
+two independent assembly routes agreeing.
 """
 
 import math
@@ -19,12 +18,6 @@ for d in range(2, 6):
     print(f"  ln alpha_{d}   = {zc.alpha_ln(d):.12f}")
     for degree, coeff in zc.q_poly(d):
         print(f"  Q_{d}[X^{degree}]     = {coeff:.12f}")
-    for degree, factored in zc.q_poly_factored(d):
-        pieces = [f"{p}^({e})" for p, e in factored.primes]
-        if factored.pi_exp:
-            pieces.append(f"pi^({factored.pi_exp})")
-        pieces += [f"zeta({k})^({e})" for k, e in factored.zeta_exp]
-        print(f"    X^{degree} audit: {' * '.join(pieces)}")
 
 print("\n== kappa_d^(1/(d+1)) climbs toward 2 ==")
 for d in (2, 5, 10, 20, 30):

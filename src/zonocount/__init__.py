@@ -17,7 +17,6 @@ Layers:
 from .asympt import (
     AsympEstimate,
     RationalPoly,
-    SaddleData,
     WaveForm,
     alpha_ln,
     beta_exact,
@@ -27,7 +26,6 @@ from .asympt import (
     icrit_theta,
     icrit_wave_form,
     kappa,
-    kappa_factored,
     log_zon_univariate,
     mean_diameter_asympt,
     mean_occurrence_asympt,
@@ -35,9 +33,7 @@ from .asympt import (
     pi_d_apply,
     pi_d_zeta_at_zero,
     q_poly,
-    q_poly_factored,
     q_value,
-    saddle_theta,
     theta_tilde,
 )
 from .exact import (

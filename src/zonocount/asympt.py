@@ -15,7 +15,11 @@ non-trivial zeta zeros (residues 1/zeta'(rho) under the simple-zero
 hypothesis).  A second, independent assembly route goes through the
 univariate expansion of ln Zon_d(e^-theta) and the Gaussian saddle prefactor
 exp(d n theta)/sqrt((2 pi)^d det B); the two routes agree identically and are
-kept side by side as a regression sentinel.
+kept side by side as a regression sentinel.  They share kappa_d, the zeta
+values and the constant Pi_d[log(2pi) zeta - zeta'](0), which are checked on
+their own (the last through ln alpha_d), so their gap tests the assembly, not
+those inputs.  The leading-order moment forms (mean diameter, one sign
+class's multiplicity) close the module.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from .primitives import is_primitive
 from .special import (
     ZetaZero,
     ZeroVerificationError,
-    bernoulli,
     first_zero,
     gamma_complex,
     zeta_complex,
@@ -123,6 +126,17 @@ def beta_exact(d: int) -> Fraction:
     return Fraction(-1, 2 * (d + 1)) * (d * (d + 2) + 4 * pi_d_zeta_at_zero(d))
 
 
+@lru_cache(maxsize=None)
+def _pi_d_log_const(d: int) -> float:
+    """Pi_d[log(2pi) zeta - zeta'](0), shared by alpha_ln and log_zon_univariate."""
+    acc = 0.0
+    for delta, c in enumerate(pd_poly(d).coeffs):
+        if c == 0:
+            continue
+        acc += float(c) * (LOG_2PI * float(zeta_neg_int(delta)) - zeta_deriv_neg_int(delta))
+    return acc
+
+
 def alpha_ln(d: int) -> float:
     """ln alpha_d, the constant prefactor of the closed-form estimate:
 
@@ -132,12 +146,7 @@ def alpha_ln(d: int) -> float:
     _require_dim(d)
     expo = Fraction(d, 2 * (d + 1)) + Fraction(2, d + 1) * pi_d_zeta_at_zero(d)
     acc = float(expo) * math.log(kappa(d))
-    mixed = 0.0
-    for delta, c in enumerate(pd_poly(d).coeffs):
-        if c == 0:
-            continue
-        mixed += float(c) * (LOG_2PI * float(zeta_neg_int(delta)) - zeta_deriv_neg_int(delta))
-    return acc + 2 * mixed - 0.5 * d * LOG_2PI - 0.5 * math.log(d + 1)
+    return acc + 2 * _pi_d_log_const(d) - 0.5 * d * LOG_2PI - 0.5 * math.log(d + 1)
 
 
 def q_poly(d: int) -> list[tuple[int, float]]:
@@ -165,160 +174,6 @@ def q_value(d: int, n: float) -> float:
     """Q_d evaluated at X = n^(1/(d+1))."""
     x = float(n) ** (1.0 / (d + 1))
     return sum(coeff * x ** deg for deg, coeff in q_poly(d))
-
-
-# ---------------------------------------------------------------------------
-# Factored audit forms: every Q_d coefficient is a product of rational powers
-# of primes, pi, and zeta at odd integers.  Kept for table audits and debug
-# output; numeric evaluation elsewhere never routes through these.
-# ---------------------------------------------------------------------------
-
-
-def _factor_int(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-@dataclass(frozen=True)
-class FactoredReal:
-    """Product of rational powers of primes, pi, and zeta(odd k) values."""
-
-    primes: tuple[tuple[int, Fraction], ...]
-    pi_exp: Fraction
-    zeta_exp: tuple[tuple[int, Fraction], ...]
-
-    @classmethod
-    def from_fraction(cls, fr: Fraction) -> "FactoredReal":
-        if fr <= 0:
-            raise ValueError("factored form requires a positive rational")
-        exps: dict[int, Fraction] = {}
-        for p, e in _factor_int(fr.numerator).items():
-            exps[p] = exps.get(p, Fraction(0)) + e
-        for p, e in _factor_int(fr.denominator).items():
-            exps[p] = exps.get(p, Fraction(0)) - e
-        return cls(tuple(sorted(exps.items())), Fraction(0), ())
-
-    def mul(self, other: "FactoredReal") -> "FactoredReal":
-        pr = dict(self.primes)
-        for p, e in other.primes:
-            pr[p] = pr.get(p, Fraction(0)) + e
-        ze = dict(self.zeta_exp)
-        for k, e in other.zeta_exp:
-            ze[k] = ze.get(k, Fraction(0)) + e
-        return FactoredReal(
-            tuple(sorted((p, e) for p, e in pr.items() if e != 0)),
-            self.pi_exp + other.pi_exp,
-            tuple(sorted((k, e) for k, e in ze.items() if e != 0)),
-        )
-
-    def pow(self, expo: Fraction) -> "FactoredReal":
-        expo = Fraction(expo)
-        return FactoredReal(
-            tuple((p, e * expo) for p, e in self.primes),
-            self.pi_exp * expo,
-            tuple((k, e * expo) for k, e in self.zeta_exp),
-        )
-
-    def ln(self) -> float:
-        acc = sum(float(e) * math.log(p) for p, e in self.primes)
-        acc += float(self.pi_exp) * math.log(math.pi)
-        acc += sum(float(e) * math.log(zeta_real(k)) for k, e in self.zeta_exp)
-        return acc
-
-    def value(self) -> float:
-        return math.exp(self.ln())
-
-
-def zeta_even_factored(two_m: int) -> FactoredReal:
-    """zeta(2m) = (-1)^(m+1) B_{2m} (2 pi)^(2m) / (2 (2m)!) as rational * pi^(2m)."""
-    if two_m < 2 or two_m % 2:
-        raise ValueError("argument must be a positive even integer")
-    m = two_m // 2
-    rational = (-1) ** (m + 1) * bernoulli(two_m) * 2 ** two_m / (2 * math.factorial(two_m))
-    out = FactoredReal.from_fraction(rational)
-    return FactoredReal(out.primes, Fraction(two_m), ())
-
-
-def _zeta_ratio_factored(num_arg: int, den_arg: int) -> FactoredReal:
-    """zeta(num_arg)/zeta(den_arg) with consecutive integer args (one is even)."""
-    if num_arg % 2 == 0:
-        num = zeta_even_factored(num_arg)
-        den = FactoredReal((), Fraction(0), ((den_arg, Fraction(1)),))
-    else:
-        num = FactoredReal((), Fraction(0), ((num_arg, Fraction(1)),))
-        den = zeta_even_factored(den_arg)
-    return num.mul(den.pow(Fraction(-1)))
-
-
-def kappa_factored(d: int) -> FactoredReal:
-    """kappa_d as a product of prime/pi/zeta(odd) powers."""
-    _require_dim(d)
-    return FactoredReal.from_fraction(Fraction(2 ** (d - 1))).mul(
-        _zeta_ratio_factored(d + 1, d))
-
-
-def q_poly_factored(d: int) -> list[tuple[int, FactoredReal]]:
-    """Q_d coefficients in factored audit form, same order as q_poly."""
-    _require_dim(d)
-    kf = kappa_factored(d)
-    pd = pd_poly(d).coeffs
-    terms = [(d, FactoredReal.from_fraction(Fraction(d + 1)).mul(kf.pow(Fraction(1, d + 1))))]
-    for delta in range(d - 1, 1, -1):
-        c = pd[delta - 1]
-        if c == 0:
-            continue
-        base = FactoredReal.from_fraction(c * math.factorial(delta - 1))
-        term = base.mul(_zeta_ratio_factored(delta + 1, delta)).mul(
-            kf.pow(Fraction(-delta, d + 1)))
-        terms.append((delta, term))
-    return terms
-
-
-# ---------------------------------------------------------------------------
-# Saddle data
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SaddleData:
-    """Saddle parameter and the leading forms entering the Gaussian prefactor."""
-
-    theta: tuple[float, ...]
-    a_leading: tuple[float, ...]
-    detb_leading: float
-
-
-def saddle_theta(d: int, n: Sequence[int]) -> SaddleData:
-    """Solve the saddle-point equation at box n (componentwise >= 1):
-
-    theta_i = kappa^(1/(d+1)) (prod_j n_j)^(1/(d+1)) / n_i.
-
-    a_leading plugs theta back into the expected-endpoint leading form
-    kappa/(theta_i prod theta_j) (recovering n exactly), and detb_leading is
-    the leading determinant (d+1) kappa^d prod theta_k^-(d+2).
-    """
-    _require_dim(d)
-    if isinstance(n, int):
-        n = (n,) * d
-    nt = tuple(float(c) for c in n)
-    if len(nt) != d or any(c < 1 for c in nt):
-        raise ValueError(f"box entries must be >= 1, got {n}")
-    kap = kappa(d)
-    prod_n = math.prod(nt)
-    root = (kap * prod_n) ** (1.0 / (d + 1))
-    theta = tuple(root / ni for ni in nt)
-    prod_theta = math.prod(theta)
-    a_leading = tuple(kap / (t * prod_theta) for t in theta)
-    detb = (d + 1) * kap ** d * prod_theta ** (-(d + 2))
-    return SaddleData(theta=theta, a_leading=a_leading, detb_leading=detb)
 
 
 def theta_tilde(d: int, n: float) -> float:
@@ -488,12 +343,7 @@ def log_zon_univariate(d: int, theta: float, zeros: Sequence[ZetaZero] | None = 
             continue
         acc += (float(c) * zeta_real(delta + 2) * math.factorial(delta)
                 / (zeta_real(delta + 1) * theta ** (delta + 1)))
-    const = 0.0
-    for delta, c in enumerate(pd):
-        if c == 0:
-            continue
-        const += float(c) * (LOG_2PI * float(zeta_neg_int(delta)) - zeta_deriv_neg_int(delta))
-    acc += 2 * const + 2 * float(pi_d_zeta_at_zero(d)) * math.log(theta)
+    acc += 2 * _pi_d_log_const(d) + 2 * float(pi_d_zeta_at_zero(d)) * math.log(theta)
     acc += icrit_theta(d, theta, zeros, m)
     return acc
 

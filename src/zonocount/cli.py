@@ -9,6 +9,7 @@ nonzero on any mismatch.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -63,10 +64,11 @@ def _parse_range(args) -> list[int]:
     if args.n is not None:
         return [args.n]
     if args.n_range is not None:
-        lo, sep, hi = args.n_range.partition(":")
-        if not sep:
-            raise ValueError("--n-range expects MIN:MAX")
-        lo_i, hi_i = int(lo), int(hi)
+        lo, _, hi = args.n_range.partition(":")
+        try:
+            lo_i, hi_i = int(lo), int(hi)  # without a colon hi is "" and fails here
+        except ValueError:
+            raise ValueError(f"--n-range expects MIN:MAX, got {args.n_range!r}") from None
         if lo_i > hi_i:
             raise ValueError("--n-range expects MIN <= MAX")
         return list(range(lo_i, hi_i + 1))
@@ -74,12 +76,18 @@ def _parse_range(args) -> list[int]:
 
 
 def _parse_v0(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(","))
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise ValueError(f"--v0 expects V1,...,Vd, got {text!r}") from None
 
 
 def _parse_class(text: str) -> sampler.ClassId:
     coords, sep, idx = text.partition(":")
-    return (_parse_v0(coords), int(idx) if sep else 0)
+    try:
+        return (_parse_v0(coords), int(idx) if sep else 0)
+    except ValueError:
+        raise ValueError(f"--track expects V1,...,Vd[:SIGN], got {text!r}") from None
 
 
 def _load_zeros(args):
@@ -184,18 +192,10 @@ def cmd_sample(args) -> list[dict]:
         if len(coords) != args.dim or not primitives.is_primitive(coords, args.dim):
             raise ValueError(f"--track {coords} is not a primitive vector in dim {args.dim}")
         sampler.signed_representative(coords, j)  # rejects an out-of-range sign index
-    rows = []
-    first = None
-    for s in sampler.iter_samples(args.dim, theta, args.cutoff, args.samples, args.seed):
-        if first is None:
-            first = s
-        lookup = dict(s.entries)
-        row = {"seed": s.seed, "direction_count": s.direction_count}
-        for i, c in enumerate(s.endpoint):
-            row[f"endpoint_{i}"] = c
-        for coords, j in tracked:
-            row["omega_" + "_".join(map(str, coords)) + f"_c{j}"] = lookup.get((coords, j), 0)
-        rows.append(row)
+    samples = sampler.iter_samples(args.dim, theta, args.cutoff, args.samples, args.seed)
+    first = next(samples)
+    columns, values = sampler.sample_rows(args.dim, itertools.chain([first], samples), tracked)
+    rows = [dict(zip(columns, row)) for row in values]
     if args.polygon_out:
         sampler.write_polygon_csv(args.polygon_out, first)
     return rows

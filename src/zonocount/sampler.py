@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -280,20 +280,33 @@ def to_polygon(sample: ZonotopeSample) -> list[tuple[int, int]]:
     return verts
 
 
+def sample_rows(dim: int, samples: Iterable[ZonotopeSample],
+                tracked: Sequence[ClassId] = ()) -> tuple[list[str], Iterator[list[int]]]:
+    """Column names and, lazily, one row per sample: seed, direction count,
+    endpoint, tracked multiplicities (column omega_<v>_c<j> for class (v, j))."""
+    tracked_ids = [(tuple(c), int(j)) for c, j in tracked]
+    columns = (["seed", "direction_count"]
+               + [f"endpoint_{i}" for i in range(dim)]
+               + ["omega_" + "_".join(map(str, c)) + f"_c{j}" for c, j in tracked_ids])
+
+    def rows() -> Iterator[list[int]]:
+        for s in samples:
+            lookup = dict(s.entries)
+            yield [s.seed, s.direction_count, *s.endpoint,
+                   *(lookup.get(cid, 0) for cid in tracked_ids)]
+
+    return columns, rows()
+
+
 def write_sample_csv(path, dim: int, theta: float, cutoff: float, n_samples: int,
                      base_seed: int, tracked: Sequence[ClassId] = ()) -> None:
     """One row per sample: seed, direction count, endpoint, tracked multiplicities."""
-    tracked_ids = [(tuple(c), int(j)) for c, j in tracked]
-    header = (["seed", "direction_count"]
-              + [f"endpoint_{i}" for i in range(dim)]
-              + ["omega_" + "_".join(map(str, c)) + f"_c{j}" for c, j in tracked_ids])
+    columns, rows = sample_rows(dim, iter_samples(dim, theta, cutoff, n_samples, base_seed),
+                                tracked)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for s in iter_samples(dim, theta, cutoff, n_samples, base_seed):
-            lookup = dict(s.entries)
-            writer.writerow([s.seed, s.direction_count, *s.endpoint,
-                             *(lookup.get(cid, 0) for cid in tracked_ids)])
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 def write_polygon_csv(path, sample: ZonotopeSample) -> None:

@@ -15,16 +15,13 @@ from zonocount import (
     icrit,
     icrit_wave_form,
     kappa,
-    kappa_factored,
     mean_diameter_asympt,
     mean_occurrence_asympt,
     pd_poly,
     pi_d_apply,
     pi_d_zeta_at_zero,
     q_poly,
-    q_poly_factored,
     q_value,
-    saddle_theta,
     theta_tilde,
     zeta_complex,
     zeta_real,
@@ -96,6 +93,7 @@ def test_kappa_values():
         assert abs(kappa(d) - want) < 1e-12 * want
     with pytest.raises(ValueError):
         kappa(1)
+    assert abs(theta_tilde(2, 1000) - (KAPPA[2] / 1000) ** (1 / 3)) < 1e-15
 
 
 def test_kappa_root_increases_toward_two():
@@ -115,34 +113,6 @@ def test_beta_exact_values():
 def test_alpha_ln_regression():
     for d, want in ALPHA_LN.items():
         assert abs(alpha_ln(d) - want) < 1e-9
-
-
-def test_saddle_theta_cubic():
-    data = saddle_theta(2, (1000, 1000))
-    want = (KAPPA[2] / 1000) ** (1 / 3)
-    assert abs(data.theta[0] - want) < 1e-15
-    assert data.theta[0] == data.theta[1]
-    assert abs(theta_tilde(2, 1000) - want) < 1e-15
-
-
-def test_saddle_theta_rectangular_homogeneity():
-    data = saddle_theta(2, (100, 400))
-    assert abs(data.theta[0] / data.theta[1] - 4.0) < 1e-12
-
-
-def test_saddle_expected_endpoint_recovers_box():
-    for d, box in ((2, (10 ** 6, 10 ** 6)), (3, (500, 400, 300))):
-        data = saddle_theta(d, box)
-        for a, n in zip(data.a_leading, box):
-            assert abs(a / n - 1) < 1e-9
-    with pytest.raises(ValueError):
-        saddle_theta(2, (0, 5))
-
-
-def test_saddle_detb_positive_and_scales():
-    base = saddle_theta(2, (100, 100)).detb_leading
-    bigger = saddle_theta(2, (200, 200)).detb_leading
-    assert 0 < base < bigger
 
 
 def test_q_poly_values():
@@ -168,19 +138,6 @@ def test_q_coefficients_all_positive():
     for d in range(2, 13):
         assert all(c > 0 for _, c in q_poly(d))
         assert q_value(d, 1.0) > 0
-
-
-def test_q_poly_factored_matches_and_audits():
-    for d in (2, 3, 4, 5):
-        for (deg_f, fact), (deg_q, val) in zip(q_poly_factored(d), q_poly(d)):
-            assert deg_f == deg_q
-            assert abs(fact.value() - val) < 1e-12 * abs(val)
-    lead = q_poly_factored(2)[0][1]
-    assert dict(lead.primes) == {2: Fraction(2, 3), 3: Fraction(4, 3)}
-    assert lead.pi_exp == Fraction(-2, 3)
-    assert dict(lead.zeta_exp) == {3: Fraction(1, 3)}
-    kf = kappa_factored(2)
-    assert abs(kf.value() - KAPPA[2]) < 1e-13
 
 
 def test_icrit_wave_form():

@@ -139,6 +139,9 @@ def test_sample_theta_xor_n(capsys):
     (("--dim", "3", "--track", "1,1:5"), "--track"),
     (("--track", "2,2:0"), "--track"),
     (("--track", "1,1:1", "--track", "1,1:2"), "sign index"),
+    (("--track", "1,x:0"), "--track expects V1,...,Vd[:SIGN], got '1,x:0'"),
+    (("--track", "1,1:x"), "--track expects V1,...,Vd[:SIGN], got '1,1:x'"),
+    (("--track", ",1"), "--track expects V1,...,Vd[:SIGN], got ',1'"),
 ])
 def test_sample_rejects_bad_samples_and_track(capsys, tmp_path, monkeypatch, argv, flag):
     monkeypatch.chdir(tmp_path)
@@ -147,6 +150,18 @@ def test_sample_rejects_bad_samples_and_track(capsys, tmp_path, monkeypatch, arg
     assert code == 2 and out == ""
     assert err.startswith("error:") and flag in err and len(err.splitlines()) == 1
     assert not (tmp_path / "poly.csv").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("moments", "--dim", "2", "--n", "2", "--param", "occurrence", "--v0", "1,x"),
+     "--v0 expects V1,...,Vd, got '1,x'"),
+    (("count", "--dim", "2", "--n-range", "a:3"), "--n-range expects MIN:MAX, got 'a:3'"),
+    (("count", "--dim", "2", "--n-range", "5"), "--n-range expects MIN:MAX, got '5'"),
+])
+def test_malformed_integer_lists_name_the_flag(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

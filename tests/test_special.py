@@ -223,3 +223,66 @@ def test_zeros_file_rejects_bad_entries(tmp_path):
     out_of_range.write_text("150.0\n")
     with pytest.raises(ZeroVerificationError):
         load_zeros_file(out_of_range)
+
+
+# --- independent oracle: mpmath at 30 digits ----------------------------------
+
+
+@pytest.fixture
+def mp():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        yield mpmath.mp
+
+
+def _sample_points(seed: int, re_lo: float, re_hi: float, count: int = 40) -> list[complex]:
+    """Seeded points with re_lo <= Re s < re_hi and |Im s| <= 100, away from s = 1."""
+    rng = random.Random(seed)
+    points = []
+    while len(points) < count:
+        s = complex(rng.uniform(re_lo, re_hi), rng.uniform(-100.0, 100.0))
+        if re_lo <= s.real < re_hi and abs(s - 1) > 0.1:
+            points.append(s)
+    return points
+
+
+def test_zeta_real_vs_mpmath(mp):
+    for s in [*range(2, 14), 1.5, 2.5, 50]:
+        want = float(mp.zeta(s))
+        assert abs(zeta_real(s) - want) < 1e-14 * want, s
+
+
+def test_zeta_complex_vs_mpmath_euler_maclaurin_branch(mp):
+    # contract on Re s >= -1: absolute error below 1e-10
+    for s in _sample_points(101, -1.0, 4.0) + [complex(-1.0, 99.9), complex(0.5, 100.0)]:
+        want = complex(mp.zeta(mp.mpc(s.real, s.imag)))
+        assert abs(zeta_complex(s) - want) < 1e-10, s
+
+
+def test_zeta_complex_vs_mpmath_functional_equation_branch(mp):
+    # contract on Re s < -1: relative error below 1e-12 (|zeta| reaches ~1e5 here)
+    for s in _sample_points(102, -6.0, -1.0) + [complex(-3.5, 99.9)]:
+        want = complex(mp.zeta(mp.mpc(s.real, s.imag)))
+        assert abs(zeta_complex(s) - want) < 1e-12 * abs(want), s
+
+
+def test_zeta_deriv_complex_vs_mpmath(mp):
+    for s in _sample_points(103, 1e-3, 4.0):
+        want = complex(mp.zeta(mp.mpc(s.real, s.imag), derivative=1))
+        assert abs(zeta_deriv_complex(s) - want) < 1e-8, s
+
+
+def test_gamma_complex_vs_mpmath(mp):
+    for s in _sample_points(104, -10.0, 10.0):
+        want = complex(mp.gamma(mp.mpc(s.real, s.imag)))
+        assert abs(gamma_complex(s) - want) < 1e-12 * abs(want), s
+
+
+def test_zeta_deriv_neg_int_vs_mpmath(mp):
+    for k in range(13):
+        want = float(mp.zeta(-k, derivative=1))
+        assert abs(zeta_deriv_neg_int(k) - want) < 1e-14 * abs(want), k
+
+
+def test_first_zero_vs_mpmath(mp):
+    assert abs(first_zero().imag - float(mp.zetazero(1).imag)) < 1e-12
