@@ -56,7 +56,7 @@ from .primitives import (
     count_primitive_moebius,
     enumerate_primitive,
     is_primitive,
-    iter_primitive_l1,
+    primitive_l1_array,
 )
 from .sampler import (
     ClassSystem,

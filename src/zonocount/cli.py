@@ -9,7 +9,9 @@ nonzero on any mismatch.
 from __future__ import annotations
 
 import argparse
-import itertools
+import csv
+import functools
+import io
 import json
 import math
 import sys
@@ -42,14 +44,11 @@ def _emit(rows: list[dict], command: str, fmt: str, output) -> None:
         doc = {"schema_version": SCHEMA_VERSION, "command": command, "rows": rows}
         text = json.dumps(doc, indent=2) + "\n"
     else:
-        import io
-
         buf = io.StringIO()
         if rows:
-            cols = list(rows[0].keys())
-            buf.write(",".join(cols) + "\n")
-            for row in rows:
-                buf.write(",".join(str(row[c]) for c in cols) + "\n")
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(rows[0].keys())
+            writer.writerows(row.values() for row in rows)
         text = buf.getvalue()
     if output:
         with open(output, "w", encoding="utf-8") as fh:
@@ -192,11 +191,11 @@ def cmd_sample(args) -> list[dict]:
         if len(coords) != args.dim or not primitives.is_primitive(coords, args.dim):
             raise ValueError(f"--track {coords} is not a primitive vector in dim {args.dim}")
         sampler.signed_representative(coords, j)  # rejects an out-of-range sign index
-    samples = sampler.iter_samples(args.dim, theta, args.cutoff, args.samples, args.seed)
-    first = next(samples)
-    columns, values = sampler.sample_rows(args.dim, itertools.chain([first], samples), tracked)
+    values = sampler.sample_rows(args.dim, theta, args.cutoff, args.samples, args.seed, tracked)
+    columns = next(values)
     rows = [dict(zip(columns, row)) for row in values]
     if args.polygon_out:
+        first = sampler.boltzmann_sample(args.dim, theta, args.cutoff, args.seed)
         sampler.write_polygon_csv(args.polygon_out, first)
     return rows
 
@@ -259,12 +258,13 @@ def _poly_recursion_holds(d: int) -> bool:
     return tuple(rhs) == pd2
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zonocount",
         description="Exact counts, asymptotic estimates, and random sampling of "
                     "lattice zonotopes inscribed in [0,n]^d.",
-        epilog="Environment: ZONOCOUNT_MEMORY_BUDGET overrides the ~2 GB table guard (bytes).",
+        epilog="Environment: ZONOCOUNT_MEMORY_BUDGET overrides the ~2 GB memory guard (bytes).",
     )
     parser.add_argument("--self-test", action="store_true",
                         help="run the embedded golden suite and exit")

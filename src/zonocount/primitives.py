@@ -2,8 +2,9 @@
 
 These index the factors of the zonotope generating function: a vector v with
 d(v) nonzero coordinates carries 2^(d(v)-1) sign classes, so its factor weight
-is 2^(d(v)-1).  Enumeration is streamed in lexicographic order; the Moebius
-sieve count is the independent cross-check,
+is 2^(d(v)-1).  Enumeration is in lexicographic order: streamed over a box
+for the exact DP, and as one numpy array over an l1 ball for the sampler.  The
+Moebius sieve count is the independent cross-check,
 
     #primitive <= b  =  sum_{k>=1} mu(k) (prod_i (floor(b_i/k) + 1) - 1).
 """
@@ -15,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class PrimVec:
@@ -23,18 +26,6 @@ class PrimVec:
     coords: tuple[int, ...]
     nonzero_count: int
     weight: int
-
-    @classmethod
-    def from_coords(cls, coords: Sequence[int]) -> "PrimVec":
-        v = tuple(int(c) for c in coords)
-        if not is_primitive(v, len(v)):
-            raise ValueError(f"{v} is not a primitive nonnegative vector")
-        nz = sum(1 for c in v if c)
-        return cls(coords=v, nonzero_count=nz, weight=1 << (nz - 1))
-
-    @property
-    def l1(self) -> int:
-        return sum(self.coords)
 
 
 def _validate_vector(v: Sequence[int], dim: int) -> tuple[int, ...]:
@@ -67,32 +58,31 @@ def enumerate_primitive(dim: int, bound: Sequence[int]) -> Iterator[PrimVec]:
             yield PrimVec(coords=v, nonzero_count=nz, weight=1 << (nz - 1))
 
 
-def iter_primitive_l1(dim: int, l1_max: int) -> Iterator[PrimVec]:
-    """Stream primitive vectors with ||v||_1 <= l1_max, lex ascending.
+def _concat_aranges(lengths: np.ndarray) -> np.ndarray:
+    """arange(n) for each n in lengths, concatenated."""
+    starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return np.arange(starts.size, dtype=np.int64) - starts
 
-    Same contract as enumerate_primitive but pruned by the 1-norm; the sampler
-    visits classes through this (box enumeration would be wasteful in d >= 3).
+
+def primitive_l1_array(dim: int, l1_max: int) -> np.ndarray:
+    """Primitive vectors with ||v||_1 <= l1_max as rows of an int64 array, lex ascending.
+
+    Same order as enumerate_primitive but pruned by the 1-norm; the sampler
+    visits classes through this.  The lattice simplex is built one coordinate
+    at a time (each prefix repeated once per value its next coordinate can
+    take), so memory scales with C(l1_max + d, d), not with the cube.
     """
     if dim < 1:
         raise ValueError("dimension must be >= 1")
     if l1_max < 0:
         raise ValueError("l1_max must be >= 0")
-    prefix = [0] * dim
-
-    def rec(i: int, budget: int, g: int) -> Iterator[PrimVec]:
-        if i == dim - 1:
-            for x in range(budget + 1):
-                if math.gcd(g, x) == 1:
-                    prefix[i] = x
-                    v = tuple(prefix)
-                    nz = sum(1 for c in v if c)
-                    yield PrimVec(coords=v, nonzero_count=nz, weight=1 << (nz - 1))
-            return
-        for x in range(budget + 1):
-            prefix[i] = x
-            yield from rec(i + 1, budget - x, math.gcd(g, x))
-
-    yield from rec(0, l1_max, 0)
+    rows = np.zeros((1, 0), dtype=np.int64)
+    budget = np.array([l1_max], dtype=np.int64)
+    for _ in range(dim):
+        col = _concat_aranges(budget + 1)
+        rows = np.column_stack([np.repeat(rows, budget + 1, axis=0), col])
+        budget = np.repeat(budget, budget + 1) - col
+    return rows[np.gcd.reduce(rows, axis=1) == 1]
 
 
 def _mobius_upto(n: int) -> list[int]:

@@ -8,6 +8,11 @@ sign-pattern index), draws K by inversion, K = floor(ln U / ln q_v), with one
 uniform per class, and keeps the classes with K >= 1.  The visit order and
 the one-uniform-per-class stream are part of the reproducibility contract;
 PRNG is numpy's PCG64 (period 2^128), one generator per sample seed.
+
+A class system is stored as numpy arrays only (folded vector, sign index,
+1-norm, ln q_v, q_v per class).  A draw is the vector of multiplicities in
+visit order; rows and statistics read it directly, and only boltzmann_sample
+turns it into (class, multiplicity) entries.
 """
 
 from __future__ import annotations
@@ -15,12 +20,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .asympt import pd_poly
-from .primitives import iter_primitive_l1
+from .exact import MemoryBudgetError, _memory_budget
+from .primitives import _concat_aranges, primitive_l1_array
 
 ClassId = tuple[tuple[int, ...], int]
 
@@ -44,7 +50,11 @@ def signed_representative(coords: Sequence[int], sign_idx: int) -> tuple[int, ..
 
 
 class ClassSystem:
-    """All sign classes with q_v >= cutoff at parameter theta, in visit order."""
+    """All sign classes with q_v >= cutoff at parameter theta, in visit order.
+
+    Class i is the folded vector coords[i] with sign-pattern index sign[i];
+    l1, log_q and q are its 1-norm, ln q_v and q_v.
+    """
 
     def __init__(self, dim: int, theta: float, cutoff: float):
         if theta <= 0:
@@ -55,30 +65,37 @@ class ClassSystem:
         self.theta = float(theta)
         self.cutoff = float(cutoff)
         l1_max = int(math.log(1.0 / cutoff) / theta)
-        ids: list[ClassId] = []
-        coords_rows: list[tuple[int, ...]] = []
-        l1s: list[int] = []
-        for pv in iter_primitive_l1(dim, l1_max):
-            q = math.exp(-theta * pv.l1)
-            if q < cutoff:
-                continue
-            for j in range(pv.weight):
-                ids.append((pv.coords, j))
-                coords_rows.append(pv.coords)
-                l1s.append(pv.l1)
-        self.class_ids = ids
-        self.ncls = len(ids)
-        self.coords = np.array(coords_rows, dtype=np.int64).reshape(self.ncls, dim)
-        self.l1 = np.array(l1s, dtype=np.int64)
+        # coords, sign, l1, log_q and q: d + 4 words per class, at most
+        # 2^(d-1) classes per lattice point of the simplex ||v||_1 <= l1_max
+        need = math.comb(l1_max + dim, dim) * 2 ** (dim - 1) * 8 * (dim + 4)
+        budget = _memory_budget()
+        if need > budget:
+            raise MemoryBudgetError(
+                f"class system of 1-norm radius {l1_max} in dim {dim} "
+                f"(~{need / 1e9:.3g} GB) exceeds budget {budget / 1e9:.3g} GB")
+        kept = np.array([math.exp(-theta * n) >= cutoff for n in range(l1_max + 1)])
+        vecs = primitive_l1_array(dim, l1_max)
+        vecs = vecs[kept[vecs.sum(axis=1)]]
+        weight = 1 << (np.count_nonzero(vecs, axis=1) - 1)
+        self.coords = np.repeat(vecs, weight, axis=0)
+        self.sign = _concat_aranges(weight)
+        self.ncls = len(self.sign)
+        self.l1 = self.coords.sum(axis=1)
         self.log_q = -self.theta * self.l1.astype(np.float64)
         self.q = np.exp(self.log_q)
         self.l1_max = l1_max
 
+    @property
+    def class_ids(self) -> list[ClassId]:
+        return list(zip(map(tuple, self.coords.tolist()), self.sign.tolist()))
+
     def index_of(self, class_id: ClassId) -> int:
-        try:
-            return self.class_ids.index((tuple(class_id[0]), int(class_id[1])))
-        except ValueError:
-            raise KeyError(f"class {class_id} not within cutoff") from None
+        coords, j = class_id
+        if len(coords) == self.dim:
+            hit = np.flatnonzero((self.coords == coords).all(axis=1) & (self.sign == j))
+            if hit.size:
+                return int(hit[0])
+        raise KeyError(f"class {class_id} not within cutoff")
 
 
 _SYSTEM_CACHE: dict[tuple[int, float, float], ClassSystem] = {}
@@ -115,24 +132,26 @@ class ZonotopeSample:
         return 0
 
 
+def _multiplicities(sys: ClassSystem, seed: int) -> np.ndarray:
+    """K for every class in visit order: one uniform each from default_rng(seed)."""
+    u = np.random.default_rng(seed).random(sys.ncls)
+    np.log(np.maximum(u, _TINY_UNIFORM, out=u), out=u)  # in place: one buffer per draw
+    return np.floor(np.divide(u, sys.log_q, out=u), out=u).astype(np.int64)
+
+
 def boltzmann_sample(dim: int, theta: float, cutoff: float = 1e-12, seed: int = 0,
                      system: ClassSystem | None = None) -> ZonotopeSample:
     """Draw one zonotope; deterministic for fixed (dim, theta, cutoff, seed)."""
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
     sys = system if system is not None else class_system(dim, theta, cutoff)
-    rng = np.random.default_rng(seed)
-    u = np.maximum(rng.random(sys.ncls), _TINY_UNIFORM)
-    mult = np.floor(np.log(u) / sys.log_q).astype(np.int64)
-    idx = np.nonzero(mult > 0)[0]
-    entries = tuple((sys.class_ids[i], int(mult[i])) for i in idx)
-    if idx.size:
-        endpoint = tuple(int(x) for x in mult[idx] @ sys.coords[idx])
-    else:
-        endpoint = (0,) * dim
+    mult = _multiplicities(sys, seed)
+    idx = np.flatnonzero(mult > 0)
+    entries = tuple(((tuple(c), j), k) for c, j, k in zip(
+        sys.coords[idx].tolist(), sys.sign[idx].tolist(), mult[idx].tolist()))
     return ZonotopeSample(
-        dim=dim, theta=sys.theta, cutoff=sys.cutoff, seed=seed,
-        entries=entries, endpoint=endpoint, direction_count=len(entries),
+        dim=dim, theta=sys.theta, cutoff=sys.cutoff, seed=seed, entries=entries,
+        endpoint=tuple((mult[idx] @ sys.coords[idx]).tolist()), direction_count=len(entries),
     )
 
 
@@ -213,19 +232,11 @@ def sample_stats(dim: int, theta: float, cutoff: float, n_samples: int,
         raise ValueError("need at least one sample")
     sys = class_system(dim, theta, cutoff)
     tracked_ids = [(tuple(c), int(j)) for c, j in tracked]
-    for cid in tracked_ids:
-        sys.index_of(cid)  # validates membership
-    dirs = np.empty(n_samples, dtype=np.float64)
-    ends = np.empty((n_samples, dim), dtype=np.float64)
-    omegas = np.zeros((n_samples, len(tracked_ids)), dtype=np.float64)
-    for i in range(n_samples):
-        s = boltzmann_sample(dim, theta, cutoff, base_seed + i, system=sys)
-        dirs[i] = s.direction_count
-        ends[i] = s.endpoint
-        if tracked_ids:
-            lookup = dict(s.entries)
-            for j, cid in enumerate(tracked_ids):
-                omegas[i, j] = lookup.get(cid, 0)
+    qs = [float(sys.q[sys.index_of(cid)]) for cid in tracked_ids]  # KeyError beyond cutoff
+    rows = sample_rows(dim, theta, cutoff, n_samples, base_seed, tracked_ids)
+    next(rows)  # header
+    data = np.array(list(rows), dtype=np.float64)
+    dirs, ends, omegas = data[:, 1], data[:, 2:2 + dim], data[:, 2 + dim:]
     ddof = 1 if n_samples > 1 else 0
     tracked_out = {}
     for j, cid in enumerate(tracked_ids):
@@ -233,7 +244,7 @@ def sample_stats(dim: int, theta: float, cutoff: float, n_samples: int,
         var = float(col.var(ddof=ddof))
         tracked_out[cid] = TrackedClassStats(
             class_id=cid,
-            q=float(sys.q[sys.index_of(cid)]),
+            q=qs[j],
             mean=float(col.mean()),
             variance=var,
             stderr=math.sqrt(var / n_samples),
@@ -280,33 +291,34 @@ def to_polygon(sample: ZonotopeSample) -> list[tuple[int, int]]:
     return verts
 
 
-def sample_rows(dim: int, samples: Iterable[ZonotopeSample],
-                tracked: Sequence[ClassId] = ()) -> tuple[list[str], Iterator[list[int]]]:
-    """Column names and, lazily, one row per sample: seed, direction count,
-    endpoint, tracked multiplicities (column omega_<v>_c<j> for class (v, j))."""
+def sample_rows(dim: int, theta: float, cutoff: float, n_samples: int, base_seed: int,
+                tracked: Sequence[ClassId] = ()) -> Iterator[list]:
+    """Header row, then one row per seed base_seed, base_seed+1, ...: seed,
+    direction count, endpoint, tracked multiplicities (column omega_<v>_c<j>
+    for class (v, j); 0 for a class beyond the cutoff)."""
+    sys = class_system(dim, theta, cutoff)
     tracked_ids = [(tuple(c), int(j)) for c, j in tracked]
-    columns = (["seed", "direction_count"]
-               + [f"endpoint_{i}" for i in range(dim)]
-               + ["omega_" + "_".join(map(str, c)) + f"_c{j}" for c, j in tracked_ids])
-
-    def rows() -> Iterator[list[int]]:
-        for s in samples:
-            lookup = dict(s.entries)
-            yield [s.seed, s.direction_count, *s.endpoint,
-                   *(lookup.get(cid, 0) for cid in tracked_ids)]
-
-    return columns, rows()
+    yield (["seed", "direction_count"]
+           + [f"endpoint_{i}" for i in range(dim)]
+           + ["omega_" + "_".join(map(str, c)) + f"_c{j}" for c, j in tracked_ids])
+    pos = []
+    for cid in tracked_ids:
+        try:
+            pos.append(sys.index_of(cid))
+        except KeyError:
+            pos.append(None)
+    for seed in range(base_seed, base_seed + n_samples):
+        mult = _multiplicities(sys, seed)
+        idx = np.flatnonzero(mult > 0)
+        yield [seed, idx.size, *(mult[idx] @ sys.coords[idx]).tolist(),
+               *(0 if p is None else int(mult[p]) for p in pos)]
 
 
 def write_sample_csv(path, dim: int, theta: float, cutoff: float, n_samples: int,
                      base_seed: int, tracked: Sequence[ClassId] = ()) -> None:
     """One row per sample: seed, direction count, endpoint, tracked multiplicities."""
-    columns, rows = sample_rows(dim, iter_samples(dim, theta, cutoff, n_samples, base_seed),
-                                tracked)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(rows)
+        csv.writer(fh).writerows(sample_rows(dim, theta, cutoff, n_samples, base_seed, tracked))
 
 
 def write_polygon_csv(path, sample: ZonotopeSample) -> None:

@@ -1,6 +1,11 @@
+import csv
+import io
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from zonocount.cli import COMPARE_COLUMNS, main, run_self_test
 
@@ -189,6 +194,13 @@ def test_memory_guard_surfaces_as_error(capsys, monkeypatch):
     assert code == 2 and "budget" in err
 
 
+def test_class_budget_surfaces_as_error(capsys):
+    code, out, err = run_cli(capsys, "sample", "--dim", "2", "--theta", "1e-9")
+    assert code == 2 and out == ""
+    assert err.startswith("error: class system of 1-norm radius 27631021115 in dim 2")
+    assert "exceeds budget" in err and len(err.splitlines()) == 1
+
+
 def test_unknown_flag_is_hard_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count", "--dim", "2", "--n", "1", "--frobnicate"])
@@ -218,3 +230,47 @@ def test_big_integers_emitted_as_strings(capsys):
     from fractions import Fraction
 
     assert _fmt(Fraction(4, 3)) == "4/3"
+
+
+def _vector(dim, hi):
+    return st.tuples(*[st.integers(0, hi)] * dim).filter(lambda v: math.gcd(*v) == 1)
+
+
+def _joined(v):
+    return ",".join(map(str, v))
+
+
+@st.composite
+def _small_runs(draw):
+    kind = draw(st.sampled_from(["count", "moments", "sample"]))
+    if kind == "count":
+        dim = draw(st.integers(1, 3))
+        argv = ["count", "--dim", dim, "--n-range", f"1:{draw(st.integers(1, 8 // dim))}"]
+        return argv + draw(st.sampled_from([[], ["--cumulative"]]))
+    if kind == "moments":
+        dim, n = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+        argv = ["moments", "--dim", dim, "--n", n]
+        if draw(st.booleans()):
+            return argv + ["--param", "diameter"]
+        return argv + ["--param", "occurrence", "--v0", _joined(draw(_vector(dim, n)))]
+    dim = draw(st.integers(1, 3))
+    argv = ["sample", "--dim", dim, "--theta", draw(st.sampled_from([0.3, 0.8, 2.0])),
+            "--cutoff", "1e-3", "--samples", draw(st.integers(1, 4)),
+            "--seed", draw(st.integers(0, 50))]
+    for v in draw(st.lists(_vector(dim, 3), min_size=1, max_size=2)):
+        argv += ["--track", f"{_joined(v)}:0"]
+    return argv
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_small_runs())
+@example(argv=["moments", "--dim", 2, "--n", 3, "--param", "occurrence", "--v0", "1,1"])
+def test_json_and_csv_rows_agree(capsys, argv):
+    argv = [str(a) for a in argv]
+    code, out_json, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    code, out_csv, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    want = [{k: str(v) for k, v in row.items()} for row in json.loads(out_json)["rows"]]
+    assert list(csv.DictReader(io.StringIO(out_csv))) == want

@@ -3,11 +3,10 @@ import itertools
 import pytest
 
 from zonocount import (
-    PrimVec,
     count_primitive_moebius,
     enumerate_primitive,
     is_primitive,
-    iter_primitive_l1,
+    primitive_l1_array,
 )
 
 
@@ -97,16 +96,10 @@ def test_weight_sum_over_interior_vectors():
         assert sum(pv.weight for pv in interior) == 2 ** (dim - 1) * len(interior)
 
 
-def test_iter_primitive_l1_matches_box_filter():
-    for dim, l1 in ((2, 9), (3, 6)):
-        via_l1 = [pv.coords for pv in iter_primitive_l1(dim, l1)]
+def test_primitive_l1_array_matches_box_filter():
+    for dim, l1 in ((1, 0), (1, 7), (2, 0), (2, 9), (3, 6), (4, 0), (4, 5)):
+        via_l1 = primitive_l1_array(dim, l1)
+        assert via_l1.shape == (len(via_l1), dim)
         via_box = [pv.coords for pv in enumerate_primitive(dim, (l1,) * dim)
                    if sum(pv.coords) <= l1]
-        assert via_l1 == via_box
-
-
-def test_primvec_from_coords():
-    pv = PrimVec.from_coords((2, 1, 0))
-    assert pv.nonzero_count == 2 and pv.weight == 2 and pv.l1 == 3
-    with pytest.raises(ValueError):
-        PrimVec.from_coords((2, 2))
+        assert [tuple(v) for v in via_l1.tolist()] == via_box

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from zonocount import (
+    ClassSystem,
+    MemoryBudgetError,
     boltzmann_sample,
     class_system,
     expected_directions_truncated,
@@ -213,6 +215,8 @@ def test_validation_errors():
         sample_stats(2, 1.0, 1e-6, 0, 0)
     with pytest.raises(KeyError):
         sample_stats(2, 1.0, 1e-3, 2, 0, tracked=[((40, 1), 0)])
+    with pytest.raises(MemoryBudgetError):
+        ClassSystem(2, 1e-9, 1e-12)
 
 
 def test_csv_outputs(tmp_path):

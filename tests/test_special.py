@@ -94,10 +94,10 @@ def test_zeta_deriv_neg_odd_vs_finite_difference():
         assert abs(zeta_deriv_neg_int(k) - fd) < 1e-7
 
 
-def test_zeta_complex_matches_real_axis():
+def test_zeta_complex_matches_real_axis(mp):
     s = 1.1
     while s <= 30:
-        assert abs(zeta_complex(complex(s, 0)) - zeta_real(s)) < 1e-12
+        assert abs(zeta_complex(complex(s, 0)) - float(mp.zeta(s))) < 1e-12, s
         s += 1.3
 
 
@@ -286,3 +286,13 @@ def test_zeta_deriv_neg_int_vs_mpmath(mp):
 
 def test_first_zero_vs_mpmath(mp):
     assert abs(first_zero().imag - float(mp.zetazero(1).imag)) < 1e-12
+
+
+def test_zeros_2_to_29_refined_from_two_decimals_vs_mpmath(mp):
+    # zero 30 (t = 101.3) lies beyond the configured |Im s| <= 100
+    for k in range(2, 30):
+        rho = mp.zetazero(k)
+        zero = refine_zero(round(float(rho.imag), 2))
+        assert abs(zero.imag - float(rho.imag)) < 1e-12, k
+        want = complex(mp.zeta(rho, derivative=1))
+        assert abs(zero.zeta_deriv - want) < 1e-10 * abs(want), k
