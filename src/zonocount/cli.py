@@ -107,7 +107,7 @@ def cmd_count(args) -> list[dict]:
     rows = []
     for n in ns:
         if args.cumulative:
-            z = table.data[(slice(n + 1),) * args.dim].sum()
+            z = table.total((n,) * args.dim)
         else:
             z = table.coefficient((n,) * args.dim)
         rows.append({"dim": args.dim, "n": n, "z_exact": z,

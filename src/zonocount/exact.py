@@ -4,12 +4,22 @@ The generating function over primitive nonnegative directions v,
 
     Zon_d(x) = prod_v (1 - x^v)^(-2^(d(v)-1)),
 
-is expanded by dynamic programming on a dense table of arbitrary-precision
+is expanded by dynamic programming on a dense table of multi-precision
 integers: every sign class of v contributes one geometric factor, realized as
 a cumulative-sum pass T[e] += T[e-v] in ascending index order.  A pass runs
 as numpy slab adds over blocks of hyperplanes, so its Python-level cost is
 one call per block, not one per cell.  The table at bound n then holds
 [x^m] Zon_d for every m <= n simultaneously.
+
+The table is one uint64 array of shape (k, *(n + 1)): cell e holds
+sum_i data[i][e] << 32 i, with 32-bit limb payloads and lazy carries.  A
+ceiling bounds every entry.  A pass whose chain length is s (at most s + 1
+entries summed into one) first normalizes if (s + 1) * ceiling would reach
+2^64 (carry = data >> 32, data &= 2^32 - 1, data[1:] += carry[:-1], with a
+new limb when the top one carries), which leaves every entry below 2^33, then
+multiplies the ceiling by s + 1.  The sum identity holds whether or not the
+limbs are normalized, so one np.add per slab covers all k limbs and no
+per-block carry is needed.
 
 Exact first moments are chain sums over that one table.  Marking generator
 presence with u (factor 1 + u x^v/(1-x^v)) and differentiating at u = 1
@@ -36,8 +46,11 @@ from .primitives import enumerate_primitive, is_primitive
 CHECKPOINT_FORMAT = 1
 
 _DEFAULT_MEMORY_BUDGET = 2 * 1024 ** 3
-_BYTES_PER_CELL = 48  # small-int CPython object + list slot, rough
 _MEMORY_ENV = "ZONOCOUNT_MEMORY_BUDGET"
+
+# Payload bits of one limb.  A uint64 entry may hold up to 2 * _LIMB_BITS bits
+# before its carry is pushed into the limb above.
+_LIMB_BITS = 32
 
 _BRUTE_NODE_BUDGET = 10 ** 7
 
@@ -75,83 +88,150 @@ def _as_bound(dim: int, n) -> tuple[int, ...]:
 
 
 class CoeffTable:
-    """Dense table of coefficients of a d-variate series, indexed by e <= bound.
+    """Dense table of nonnegative coefficients of a d-variate series, indexed by e <= bound.
 
-    The coefficients are Python ints held in a numpy object array ``data`` of
-    shape bound + 1; ``cells`` is the same table as a flat row-major list.
+    ``data`` holds the coefficients as uint64 limbs with lazy carries, shape
+    (k, *(bound + 1)) (see the module docstring); ``ceiling`` bounds every
+    entry.  Values become Python ints only where they are read
+    (``coefficient``, ``total``, ``cells``, the checkpoint).
     """
 
-    __slots__ = ("dim", "bound", "shape", "data")
+    __slots__ = ("dim", "bound", "shape", "data", "ceiling", "_plan")
 
     def __init__(self, dim: int, bound, delta_at_origin: bool = True):
         self.bound = _as_bound(dim, bound)
         self.dim = dim
         self.shape = tuple(b + 1 for b in self.bound)
-        size = math.prod(self.shape)
-        budget = _memory_budget()
-        if size * _BYTES_PER_CELL > budget:
-            raise MemoryBudgetError(
-                f"table of {size} cells (~{size * _BYTES_PER_CELL / 1e9:.2f} GB) exceeds "
-                f"budget {budget / 1e9:.2f} GB; raise {_MEMORY_ENV} to override")
-        self.data = np.zeros(self.shape, dtype=object)
+        # a pass multiplies the ceiling by at most max(shape); one normalization
+        # must leave room for that below 2^(2 * _LIMB_BITS)
+        if max(self.shape) > 1 << (_LIMB_BITS - 1):
+            raise ValueError(f"bound entries must be below 2^{_LIMB_BITS - 1}, got {self.bound}")
+        self._check_memory(1)
+        self.data = np.zeros((1, *self.shape), dtype=np.uint64)
+        self.ceiling = 0
         if delta_at_origin:
-            self.data[(0,) * dim] = 1
+            self.data[(0,) * (dim + 1)] = 1
+            self.ceiling = 1
+        self._plan = None
 
-    @property
-    def cells(self) -> list[int]:
-        return self.data.ravel().tolist()
+    def _check_memory(self, limbs: int) -> None:
+        """Budget for `limbs` limbs plus the normalization temporary of the same size."""
+        size = math.prod(self.shape)
+        need = 2 * 8 * limbs * size
+        budget = _memory_budget()
+        if need > budget:
+            raise MemoryBudgetError(
+                f"table of {size} cells in {limbs} limbs (~{need / 1e9:.2f} GB with its "
+                f"carry buffer) exceeds budget {budget / 1e9:.2f} GB; raise {_MEMORY_ENV} "
+                f"to override")
 
-    def coefficient(self, e) -> int:
+    def _normalize(self) -> None:
+        """Push every entry's carry into the limb above, adding a limb if the top one
+        carries.  Values are unchanged; afterwards every entry is below 2^(_LIMB_BITS + 1)."""
+        mask = (1 << _LIMB_BITS) - 1
+        if (self.data[-1] >> _LIMB_BITS).any():
+            self._add_limb()
+        carry = self.data >> _LIMB_BITS
+        self.data &= mask
+        self.data[1:] += carry[:-1]
+        self.ceiling = mask + (self.ceiling >> _LIMB_BITS)
+
+    def _add_limb(self) -> None:
+        self._check_memory(len(self.data) + 1)
+        self.data = np.concatenate([self.data, np.zeros((1, *self.shape), np.uint64)])
+
+    def _read(self, index: tuple) -> list[int]:
+        """Python ints at `index` over the cell axes (ints, slices or index arrays), flat."""
+        limbs = self.data[(slice(None), *index)].reshape(len(self.data), -1)
+        values = limbs[-1].tolist()
+        for row in limbs[-2::-1]:
+            values = [(hi << _LIMB_BITS) + lo for hi, lo in zip(values, row.tolist())]
+        return values
+
+    def _index(self, e) -> tuple[int, ...]:
         if isinstance(e, int):
             e = (e,) * self.dim
         if len(e) != self.dim:
             raise ValueError(f"index has {len(e)} entries, expected {self.dim}")
         if not all(0 <= c <= b for c, b in zip(e, self.bound)):
             raise ValueError(f"index {tuple(e)} outside bound {self.bound}")
-        return self.data[tuple(e)]
+        return tuple(int(c) for c in e)
 
-    def total(self) -> int:
-        return self.data.sum()
+    @property
+    def cells(self) -> list[int]:
+        """Every coefficient, flat in row-major order."""
+        return self._read(())
 
-    def copy(self) -> "CoeffTable":
-        out = CoeffTable.__new__(CoeffTable)
-        out.dim, out.bound, out.shape = self.dim, self.bound, self.shape
-        out.data = self.data.copy()
-        return out
+    def coefficient(self, e) -> int:
+        return self._read(self._index(e))[0]
 
-    def _accumulate(self, src: np.ndarray, v: Sequence[int]) -> None:
-        """self[e] += src[e - v] for every e >= v, equal to the ascending
-        sequential recurrence even when src is self.data.
+    def total(self, upto=None) -> int:
+        """Sum of the coefficients at e <= upto; the whole table by default."""
+        box = self.bound if upto is None else self._index(upto)
+        sub = self.data[(slice(None), *(slice(c + 1) for c in box))]
+        return sum(sum(limb.ravel().tolist()) << (_LIMB_BITS * i) for i, limb in enumerate(sub))
+
+    def _pass_plan(self, v: Sequence[int]) -> tuple[int, list]:
+        """Chain length s = min_i floor(b_i / v_i) and the slab blocks of a pass of v.
 
         Along the axis a of largest v_a, blocks of v_a consecutive hyperplanes
-        are added one slab at a time in ascending order; a block reads only
-        hyperplanes below it, which are already final.
+        are added one slab (all limbs) at a time in ascending order; a block
+        reads only hyperplanes below it, which are already final.  The plan of
+        the last vector is kept, so the passes of its sign classes share it.
         """
-        vt = tuple(int(c) for c in v)
-        if len(vt) != self.dim or any(c < 0 for c in vt) or not any(vt):
-            raise ValueError(f"invalid pass vector {vt} for dim {self.dim}")
-        if any(c > b for c, b in zip(vt, self.bound)):
-            return  # no cell has e >= v
-        a = vt.index(max(vt))
-        step, top = vt[a], self.shape[a]
-        dst_idx = [slice(c, None) for c in vt]
-        src_idx = [slice(0, s - c) for c, s in zip(vt, self.shape)]
-        for lo in range(step, top, step):
-            hi = min(lo + step, top)
-            dst_idx[a], src_idx[a] = slice(lo, hi), slice(lo - step, hi - step)
-            block = self.data[tuple(dst_idx)]
-            np.add(block, src[tuple(src_idx)], out=block)
+        key = tuple(v)
+        if self._plan is None or self._plan[0] != key:
+            vt = tuple(int(c) for c in key)
+            if len(vt) != self.dim or any(c < 0 for c in vt) or not any(vt):
+                raise ValueError(f"invalid pass vector {vt} for dim {self.dim}")
+            s = min(b // c for b, c in zip(self.bound, vt) if c)
+            a = vt.index(max(vt))
+            step, top = vt[a], self.shape[a] if s else 0  # s = 0: no cell has e >= v
+            dst = [slice(None)] + [slice(c, None) for c in vt]
+            src = [slice(None)] + [slice(0, n - c) for c, n in zip(vt, self.shape)]
+            blocks = []
+            for lo in range(step, top, step):
+                hi = min(lo + step, top)
+                dst[a + 1], src[a + 1] = slice(lo, hi), slice(lo - step, hi - step)
+                blocks.append((tuple(dst), tuple(src)))
+            self._plan = (key, s, blocks)
+        return self._plan[1], self._plan[2]
+
+    @staticmethod
+    def _accumulate(out: np.ndarray, src: np.ndarray, blocks: list) -> None:
+        """out[e] += src[e - v] over the blocks of a plan, equal to the ascending
+        sequential recurrence even when src is out."""
+        for dst_idx, src_idx in blocks:
+            block = out[dst_idx]
+            np.add(block, src[src_idx], out=block)
 
     def class_pass(self, v: Sequence[int]) -> None:
         """In place, multiply by the geometric factor of one sign class of v:
         T[e] += T[e - v] in ascending order."""
-        self._accumulate(self.data, v)
+        s, blocks = self._pass_plan(v)
+        if blocks:
+            # an entry becomes a sum of at most s + 1 entries
+            if (s + 1) * self.ceiling >= 1 << (2 * _LIMB_BITS):
+                self._normalize()
+            self.ceiling *= s + 1
+            self._accumulate(self.data, self.data, blocks)
 
     def shifted_add(self, src: "CoeffTable", v: Sequence[int]) -> None:
         """self[e] += src[e - v] (multiplication of src by x^v, accumulated)."""
         if src.bound != self.bound:
             raise ValueError("table bounds differ")
-        self._accumulate(src.data, v)
+        if src is self:
+            return self.class_pass(v)
+        _, blocks = self._pass_plan(v)
+        if not blocks:
+            return
+        if self.ceiling + src.ceiling >= 1 << (2 * _LIMB_BITS):
+            self._normalize()
+            src._normalize()
+        while len(self.data) < len(src.data):
+            self._add_limb()
+        self.ceiling += src.ceiling
+        self._accumulate(self.data[:len(src.data)], src.data, blocks)
 
     def dump_json(self, path) -> None:
         """Versioned checkpoint: {format, dim, bound, cells as decimal strings}."""
@@ -172,10 +252,25 @@ class CoeffTable:
             raise ValueError(f"unsupported checkpoint format {doc.get('format')!r}")
         out = cls(doc["dim"], doc["bound"], delta_at_origin=False)
         cells = [int(c) for c in doc["cells"]]
-        if len(cells) != out.data.size:
+        if len(cells) != math.prod(out.shape):
             raise ValueError("checkpoint cell count does not match bound")
-        out.data = np.array(cells, dtype=object).reshape(out.shape)
+        if min(cells) < 0:
+            raise ValueError("checkpoint cells must be >= 0")
+        limbs = max(1, -(-max(cells).bit_length() // _LIMB_BITS))
+        out._check_memory(limbs)
+        mask = (1 << _LIMB_BITS) - 1
+        out.data = np.array([[(c >> (_LIMB_BITS * i)) & mask for c in cells]
+                             for i in range(limbs)], dtype=np.uint64).reshape(limbs, *out.shape)
+        out.ceiling = int(out.data.max())
         return out
+
+
+def _build(dim: int, bound: tuple[int, ...], vecs) -> CoeffTable:
+    table = CoeffTable(dim, bound)
+    for pv in vecs:
+        for _ in range(pv.weight):
+            table.class_pass(pv.coords)
+    return table
 
 
 def build_table(dim: int, bound, reverse: bool = False) -> CoeffTable:
@@ -185,14 +280,10 @@ def build_table(dim: int, bound, reverse: bool = False) -> CoeffTable:
     in tests); each vector receives weight-many passes, one per sign class.
     """
     bt = _as_bound(dim, bound)
-    table = CoeffTable(dim, bt)
     vecs = enumerate_primitive(dim, bt)
     if reverse:
         vecs = reversed(list(vecs))
-    for pv in vecs:
-        for _ in range(pv.weight):
-            table.class_pass(pv.coords)
-    return table
+    return _build(dim, bt, vecs)
 
 
 def zon_coefficient(dim: int, n) -> int:
@@ -238,9 +329,10 @@ def diameter_numerators(dim: int, n: int) -> MomentPair:
     if n < 1:
         raise ValueError("n must be >= 1")
     bt = (n,) * dim
-    z = build_table(dim, bt)
-    weighted = sum(pv.weight * z.data[tuple(n - c for c in pv.coords)]
-                   for pv in enumerate_primitive(dim, bt))
+    vecs = list(enumerate_primitive(dim, bt))
+    z = _build(dim, bt, vecs)
+    ends = n - np.array([pv.coords for pv in vecs]).T
+    weighted = sum(pv.weight * t for pv, t in zip(vecs, z._read(tuple(ends))))
     return MomentPair(count=z.coefficient(bt), weighted=weighted)
 
 
@@ -264,8 +356,8 @@ def occurrence_numerators(dim: int, n: int, v0: Sequence[int]) -> MomentPair:
     if any(c > b for c, b in zip(v0t, bt)):
         raise ValueError(f"v0 = {v0t} exceeds bound {bt}")
     z = build_table(dim, bt)
-    kmax = min(b // c for b, c in zip(bt, v0t) if c)
-    chain = [z.data[tuple(b - k * c for b, c in zip(bt, v0t))] for k in range(1, kmax + 1)]
+    ks = np.arange(1, min(b // c for b, c in zip(bt, v0t) if c) + 1)
+    chain = z._read(tuple(b - ks * c for b, c in zip(bt, v0t)))
     return MomentPair(
         count=z.coefficient(bt),
         weighted=sum(chain),

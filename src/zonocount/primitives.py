@@ -76,6 +76,8 @@ def primitive_l1_array(dim: int, l1_max: int) -> np.ndarray:
         raise ValueError("dimension must be >= 1")
     if l1_max < 0:
         raise ValueError("l1_max must be >= 0")
+    if dim == 1:  # only v = (1) is primitive; skip the segment 0..l1_max
+        return np.ones((min(l1_max, 1), 1), dtype=np.int64)
     rows = np.zeros((1, 0), dtype=np.int64)
     budget = np.array([l1_max], dtype=np.int64)
     for _ in range(dim):

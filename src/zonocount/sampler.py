@@ -73,9 +73,11 @@ class ClassSystem:
             raise MemoryBudgetError(
                 f"class system of 1-norm radius {l1_max} in dim {dim} "
                 f"(~{need / 1e9:.3g} GB) exceeds budget {budget / 1e9:.3g} GB")
-        kept = np.array([math.exp(-theta * n) >= cutoff for n in range(l1_max + 1)])
         vecs = primitive_l1_array(dim, l1_max)
-        vecs = vecs[kept[vecs.sum(axis=1)]]
+        norms = vecs.sum(axis=1)
+        # only the norms that occur need the rounding check (at d = 1 that is one)
+        kept = np.array([math.exp(-theta * n) >= cutoff for n in range(norms.max(initial=0) + 1)])
+        vecs = vecs[kept[norms]]
         weight = 1 << (np.count_nonzero(vecs, axis=1) - 1)
         self.coords = np.repeat(vecs, weight, axis=0)
         self.sign = _concat_aranges(weight)

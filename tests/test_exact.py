@@ -1,6 +1,9 @@
 import itertools
+import os
+import tempfile
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -216,3 +219,87 @@ def test_origin_cell_stays_one():
     table = build_table(3, (2, 2, 2))
     assert table.coefficient((0, 0, 0)) == 1
     assert all(c >= 0 for c in table.cells)
+
+
+def test_values_beyond_64_bits():
+    # literal values of the object-array engine, from perfbench/reference.json
+    table2 = build_table(2, (96, 96))
+    assert [table2.coefficient(n) for n in range(90, 97)] == [
+        220285231182218252503981616,
+        360244002747875996850167840,
+        588126162205402947945825624,
+        958554485137630093969825328,
+        1559716375128071910402014009,
+        2533767168352189741949580867,
+        4109505002571426705064100093,
+    ]
+    assert table2.total() == 85763282630056585410722185807
+    table3 = build_table(3, (16, 16, 16))
+    assert table3.coefficient(16) == 8025783523648366
+    assert table3.total() == 64626986972025350
+
+
+def _narrow_limbs(monkeypatch):
+    # 4-bit limbs: entries stay below 2^8, so small boxes already carry and add limbs
+    monkeypatch.setattr(exact, "_LIMB_BITS", 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), box=_SMALL_BOXES)
+def test_narrow_limbs_match_brute_force(data, box):
+    dim = len(box)
+    wide = build_table(dim, box)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _narrow_limbs(monkeypatch)
+        narrow = CoeffTable(dim, box)
+        for pv in enumerate_primitive(dim, box):
+            for _ in range(pv.weight):
+                narrow.class_pass(pv.coords)
+                assert int(narrow.data.max()) <= narrow.ceiling < 1 << 8
+        assert narrow.coefficient(box) == brute_force_count(dim, box).count
+        assert narrow.cells == wide.cells
+        sub = tuple(data.draw(st.integers(0, b)) for b in box)
+        inside = itertools.product(*(range(c + 1) for c in sub))
+        assert narrow.total(sub) == sum(wide.coefficient(e) for e in inside)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "table.json")
+            narrow.dump_json(path)
+            loaded = CoeffTable.load_json(path)
+        assert loaded.cells == wide.cells
+        assert int(loaded.data.max()) < 1 << 4
+
+
+def _saturated(limbs):
+    # every entry at 255, the most an 8-bit word of 4-bit limbs holds
+    table = CoeffTable(1, (3,), delta_at_origin=False)
+    table.data = np.full((limbs, 4), 255, dtype=np.uint64)
+    table.ceiling = 255
+    return table
+
+
+def test_narrow_limbs_normalize_at_the_word_limit(monkeypatch):
+    _narrow_limbs(monkeypatch)
+    value = 255 + (255 << 4)
+    table = _saturated(2)
+    table.class_pass((1,))  # 4 * 255 overflows the word: carry first, out of the top limb too
+    assert len(table.data) == 3
+    assert int(table.data.max()) <= table.ceiling < 1 << 8
+    assert table.cells == [value * (j + 1) for j in range(4)]
+    # shifted_add of a wider table: both normalize, the narrower one gains limbs
+    shifted = _saturated(1)
+    shifted.shifted_add(_saturated(2), (1,))
+    assert int(shifted.data.max()) <= shifted.ceiling < 1 << 8
+    assert shifted.cells == [255] + [255 + value] * 3
+
+
+def test_narrow_limbs_grow_and_guard(monkeypatch):
+    _narrow_limbs(monkeypatch)
+    table = build_table(2, (5, 5))
+    assert len(table.data) >= 2  # z_2(5, 5) = 331 does not fit one 8-bit word
+    assert table.coefficient(5) == 331
+    # one limb fits the budget, the second does not: the guard names the limb count
+    monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", str(2 * 8 * 36 * 2 - 1))
+    with pytest.raises(MemoryBudgetError, match="2 limbs"):
+        build_table(2, (5, 5))
+    with pytest.raises(ValueError):
+        CoeffTable(1, (8,))  # a pass of (1) could outgrow one normalization

@@ -103,3 +103,6 @@ def test_primitive_l1_array_matches_box_filter():
         via_box = [pv.coords for pv in enumerate_primitive(dim, (l1,) * dim)
                    if sum(pv.coords) <= l1]
         assert [tuple(v) for v in via_l1.tolist()] == via_box
+    # d = 1 at a sampler-sized radius: the one primitive vector, without the segment
+    big = primitive_l1_array(1, 10 ** 9)
+    assert big.tolist() == [[1]] and big.dtype == "int64"
