@@ -84,7 +84,10 @@ def primitive_l1_array(dim: int, l1_max: int) -> np.ndarray:
         col = _concat_aranges(budget + 1)
         rows = np.column_stack([np.repeat(rows, budget + 1, axis=0), col])
         budget = np.repeat(budget, budget + 1) - col
-    return rows[np.gcd.reduce(rows, axis=1) == 1]
+    g = np.gcd(rows[:, 0], rows[:, 1])
+    for k in range(2, dim):  # column by column: about twice as fast as np.gcd.reduce(axis=1)
+        np.gcd(g, rows[:, k], out=g)
+    return rows[g == 1]
 
 
 def _mobius_upto(n: int) -> list[int]:

@@ -10,9 +10,12 @@ the one-uniform-per-class stream are part of the reproducibility contract;
 PRNG is numpy's PCG64 (period 2^128), one generator per sample seed.
 
 A class system is stored as numpy arrays only (folded vector, sign index,
-1-norm, ln q_v, q_v per class).  A draw is the vector of multiplicities in
-visit order; rows and statistics read it directly, and only boltzmann_sample
-turns it into (class, multiplicity) entries.
+ln q_v, q_v and the filter bound q_v (1 + 1e-9) per class).  A draw still
+takes all the uniforms, but inverts only those at most the filter bound: the
+others give K = 0 under the same formula (see _draw).  It returns the visit
+positions with K >= 1 and their multiplicities; rows and statistics read
+them directly, and only boltzmann_sample turns them into (class,
+multiplicity) entries.
 """
 
 from __future__ import annotations
@@ -31,6 +34,10 @@ from .primitives import _concat_aranges, primitive_l1_array
 ClassId = tuple[tuple[int, ...], int]
 
 _TINY_UNIFORM = 1e-300
+# Filter margin of a draw.  A uniform u a few ulps above q_v can still give
+# K = 1, since ln u / ln q_v rounds to 1; beyond q_v (1 + 1e-9) the ratio is
+# at most 1 - 1e-9/745 (|ln q_v| <= 745 for a double), so K = 0.
+_Q_MARGIN = 1 + 1e-9
 
 
 def signed_representative(coords: Sequence[int], sign_idx: int) -> tuple[int, ...]:
@@ -53,7 +60,9 @@ class ClassSystem:
     """All sign classes with q_v >= cutoff at parameter theta, in visit order.
 
     Class i is the folded vector coords[i] with sign-pattern index sign[i];
-    l1, log_q and q are its 1-norm, ln q_v and q_v.
+    log_q and q are its ln q_v and q_v, and q_hi is q_v (1 + 1e-9), the
+    bound beyond which a uniform gives K = 0.  The rows of coords are lex
+    ascending and sign runs 0, 1, ... within each vector.
     """
 
     def __init__(self, dim: int, theta: float, cutoff: float):
@@ -65,7 +74,7 @@ class ClassSystem:
         self.theta = float(theta)
         self.cutoff = float(cutoff)
         l1_max = int(math.log(1.0 / cutoff) / theta)
-        # coords, sign, l1, log_q and q: d + 4 words per class, at most
+        # coords, sign, log_q, q and q_hi: d + 4 words per class, at most
         # 2^(d-1) classes per lattice point of the simplex ||v||_1 <= l1_max
         need = math.comb(l1_max + dim, dim) * 2 ** (dim - 1) * 8 * (dim + 4)
         budget = _memory_budget()
@@ -82,9 +91,9 @@ class ClassSystem:
         self.coords = np.repeat(vecs, weight, axis=0)
         self.sign = _concat_aranges(weight)
         self.ncls = len(self.sign)
-        self.l1 = self.coords.sum(axis=1)
-        self.log_q = -self.theta * self.l1.astype(np.float64)
+        self.log_q = -self.theta * self.coords.sum(axis=1).astype(np.float64)
         self.q = np.exp(self.log_q)
+        self.q_hi = self.q * _Q_MARGIN
         self.l1_max = l1_max
 
     @property
@@ -92,11 +101,16 @@ class ClassSystem:
         return list(zip(map(tuple, self.coords.tolist()), self.sign.tolist()))
 
     def index_of(self, class_id: ClassId) -> int:
+        """Visit position of a class: one binary search per coordinate."""
         coords, j = class_id
         if len(coords) == self.dim:
-            hit = np.flatnonzero((self.coords == coords).all(axis=1) & (self.sign == j))
-            if hit.size:
-                return int(hit[0])
+            lo, hi = 0, self.ncls
+            for col, c in enumerate(coords):
+                column = self.coords[lo:hi, col]
+                lo, hi = (lo + int(np.searchsorted(column, c, "left")),
+                          lo + int(np.searchsorted(column, c, "right")))
+            if j in range(hi - lo):  # the vector's classes are lo, lo + 1, ..., hi - 1
+                return lo + int(j)
         raise KeyError(f"class {class_id} not within cutoff")
 
 
@@ -134,11 +148,19 @@ class ZonotopeSample:
         return 0
 
 
-def _multiplicities(sys: ClassSystem, seed: int) -> np.ndarray:
-    """K for every class in visit order: one uniform each from default_rng(seed)."""
+def _draw(sys: ClassSystem, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Visit positions with K >= 1, ascending, and their K.
+
+    One uniform per class from default_rng(seed), in visit order; K is
+    floor(ln max(u, 1e-300) / ln q_v), evaluated only where u <= q_hi.
+    """
     u = np.random.default_rng(seed).random(sys.ncls)
-    np.log(np.maximum(u, _TINY_UNIFORM, out=u), out=u)  # in place: one buffer per draw
-    return np.floor(np.divide(u, sys.log_q, out=u), out=u).astype(np.int64)
+    pos = np.flatnonzero(u <= sys.q_hi)
+    x = u[pos]
+    np.log(np.maximum(x, _TINY_UNIFORM, out=x), out=x)
+    k = np.floor(np.divide(x, sys.log_q[pos], out=x), out=x).astype(np.int64)
+    hit = k > 0
+    return pos[hit], k[hit]
 
 
 def boltzmann_sample(dim: int, theta: float, cutoff: float = 1e-12, seed: int = 0,
@@ -147,13 +169,13 @@ def boltzmann_sample(dim: int, theta: float, cutoff: float = 1e-12, seed: int = 
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
     sys = system if system is not None else class_system(dim, theta, cutoff)
-    mult = _multiplicities(sys, seed)
-    idx = np.flatnonzero(mult > 0)
-    entries = tuple(((tuple(c), j), k) for c, j, k in zip(
-        sys.coords[idx].tolist(), sys.sign[idx].tolist(), mult[idx].tolist()))
+    pos, k = _draw(sys, seed)
+    coords = sys.coords[pos]
+    entries = tuple(((tuple(c), j), m) for c, j, m in zip(
+        coords.tolist(), sys.sign[pos].tolist(), k.tolist()))
     return ZonotopeSample(
         dim=dim, theta=sys.theta, cutoff=sys.cutoff, seed=seed, entries=entries,
-        endpoint=tuple((mult[idx] @ sys.coords[idx]).tolist()), direction_count=len(entries),
+        endpoint=tuple((k @ coords).tolist()), direction_count=len(entries),
     )
 
 
@@ -186,12 +208,15 @@ def truncation_bias_estimate(dim: int, theta: float, cutoff: float) -> float:
     P_d(n) counts all integer vectors of 1-norm n with their sign-class
     weights, so this bounds the primitive-only discarded mass from above.
     """
-    sys = class_system(dim, theta, cutoff)
-    poly = pd_poly(dim)
+    return _truncation_bias(class_system(dim, theta, cutoff))
+
+
+def _truncation_bias(sys: ClassSystem) -> float:
+    poly = pd_poly(sys.dim)
     acc = 0.0
     n = sys.l1_max + 1
     while True:
-        term = float(poly(float(n))) * math.exp(-theta * n)
+        term = float(poly(float(n))) * math.exp(-sys.theta * n)
         acc += term
         n += 1
         if term < 1e-22 * (acc + 1e-300) or n > sys.l1_max + 200000:
@@ -234,10 +259,8 @@ def sample_stats(dim: int, theta: float, cutoff: float, n_samples: int,
         raise ValueError("need at least one sample")
     sys = class_system(dim, theta, cutoff)
     tracked_ids = [(tuple(c), int(j)) for c, j in tracked]
-    qs = [float(sys.q[sys.index_of(cid)]) for cid in tracked_ids]  # KeyError beyond cutoff
-    rows = sample_rows(dim, theta, cutoff, n_samples, base_seed, tracked_ids)
-    next(rows)  # header
-    data = np.array(list(rows), dtype=np.float64)
+    pos = [sys.index_of(cid) for cid in tracked_ids]  # KeyError beyond cutoff
+    data = np.array(list(_rows(sys, n_samples, base_seed, pos)), dtype=np.float64)
     dirs, ends, omegas = data[:, 1], data[:, 2:2 + dim], data[:, 2 + dim:]
     ddof = 1 if n_samples > 1 else 0
     tracked_out = {}
@@ -246,7 +269,7 @@ def sample_stats(dim: int, theta: float, cutoff: float, n_samples: int,
         var = float(col.var(ddof=ddof))
         tracked_out[cid] = TrackedClassStats(
             class_id=cid,
-            q=qs[j],
+            q=float(sys.q[pos[j]]),
             mean=float(col.mean()),
             variance=var,
             stderr=math.sqrt(var / n_samples),
@@ -262,8 +285,8 @@ def sample_stats(dim: int, theta: float, cutoff: float, n_samples: int,
         endpoint_mean=tuple(float(x) for x in ends.mean(axis=0)),
         endpoint_variance=tuple(float(x) for x in evar),
         endpoint_stderr=tuple(math.sqrt(float(x) / n_samples) for x in evar),
-        expected_directions=expected_directions_truncated(dim, theta, cutoff),
-        bias_estimate=truncation_bias_estimate(dim, theta, cutoff),
+        expected_directions=float(sys.q.sum()),
+        bias_estimate=_truncation_bias(sys),
         tracked=tracked_out,
     )
 
@@ -309,11 +332,24 @@ def sample_rows(dim: int, theta: float, cutoff: float, n_samples: int, base_seed
             pos.append(sys.index_of(cid))
         except KeyError:
             pos.append(None)
+    yield from _rows(sys, n_samples, base_seed, pos)
+
+
+def _rows(sys: ClassSystem, n_samples: int, base_seed: int,
+          tracked_pos: Sequence[int | None]) -> Iterator[list]:
+    """sample_rows without the header; tracked classes given by visit position."""
     for seed in range(base_seed, base_seed + n_samples):
-        mult = _multiplicities(sys, seed)
-        idx = np.flatnonzero(mult > 0)
-        yield [seed, idx.size, *(mult[idx] @ sys.coords[idx]).tolist(),
-               *(0 if p is None else int(mult[p]) for p in pos)]
+        pos, k = _draw(sys, seed)
+        yield [seed, pos.size, *(k @ sys.coords[pos]).tolist(),
+               *(_multiplicity_at(pos, k, p) for p in tracked_pos)]
+
+
+def _multiplicity_at(pos: np.ndarray, k: np.ndarray, p: int | None) -> int:
+    """K of the class at visit position p in a draw (pos, k); 0 if not drawn."""
+    if p is None:
+        return 0
+    i = int(np.searchsorted(pos, p))
+    return int(k[i]) if i < pos.size and pos[i] == p else 0
 
 
 def write_sample_csv(path, dim: int, theta: float, cutoff: float, n_samples: int,

@@ -19,6 +19,7 @@ from zonocount import (
     write_polygon_csv,
     write_sample_csv,
 )
+from zonocount.sampler import _draw
 
 THETA_1E4 = theta_tilde(2, 1e4)  # 0.052674712735566642
 
@@ -246,3 +247,72 @@ def test_numpy_rng_contract():
     mult = np.floor(np.log(u) / sys.log_q).astype(np.int64)
     want = tuple((sys.class_ids[i], int(mult[i])) for i in np.nonzero(mult > 0)[0])
     assert boltzmann_sample(2, 1.2, 1e-3, seed=5).entries == want
+
+
+def _dense_multiplicities(sys, u):
+    # the inversion formula over every class, as the draw was first written
+    return np.floor(np.log(np.maximum(u, 1e-300)) / sys.log_q).astype(np.int64)
+
+
+# dims 1-4, cutoffs from 0.5 down to 1e-300 (|ln q| up to about 690)
+DRAW_SYSTEMS = [(1, math.log(2), 0.4), (2, 0.05, 0.5), (2, 1.2, 1e-3), (2, 3.0, 1e-300),
+                (3, 0.9, 1e-6), (3, 20.0, 1e-300), (4, 0.8, 1e-4), (4, 100.0, 1e-300)]
+
+
+def test_sparse_draw_matches_dense_formula():
+    for dim, theta, cutoff in DRAW_SYSTEMS:
+        sys = class_system(dim, theta, cutoff)
+        for seed in range(200):
+            mult = _dense_multiplicities(sys, np.random.default_rng(seed).random(sys.ncls))
+            pos, k = _draw(sys, seed)
+            want = np.flatnonzero(mult > 0)
+            assert np.array_equal(pos, want) and np.array_equal(k, mult[want]), (dim, theta, seed)
+
+
+class _FixedUniforms:
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        assert n == self.u.size
+        return self.u.copy()
+
+
+def test_sparse_draw_at_uniforms_ulps_around_q(monkeypatch):
+    # u a few ulps above q can still give K = 1: a plain u <= q filter would drop it
+    above_q_hits = 0
+    for dim, theta, cutoff in DRAW_SYSTEMS:
+        sys = class_system(dim, theta, cutoff)
+        for ulps in range(-40, 41):
+            u = np.minimum((sys.q.view(np.int64) + ulps).view(np.float64), np.nextafter(1.0, 0.0))
+            mult = _dense_multiplicities(sys, u)
+            monkeypatch.setattr(np.random, "default_rng", lambda seed, u=u: _FixedUniforms(u))
+            pos, k = _draw(sys, 0)
+            want = np.flatnonzero(mult > 0)
+            assert np.array_equal(pos, want) and np.array_equal(k, mult[want]), (dim, theta, ulps)
+            above_q_hits += np.count_nonzero(mult[u > sys.q] > 0)
+    assert above_q_hits > 0
+
+
+def test_index_of_every_class_and_misses():
+    for dim, theta, cutoff in [(1, math.log(2), 0.4), (2, 1.2, 1e-3), (3, 0.9, 1e-3), (4, 0.8, 1e-3)]:
+        sys = class_system(dim, theta, cutoff)
+        for i, cid in enumerate(sys.class_ids):
+            assert sys.index_of(cid) == i
+    sys = class_system(2, 1.2, 1e-3)  # l1_max = 5
+    for bad in [((1,), 0), ((1, 1, 1), 0),      # wrong length
+                ((2, 2), 0), ((0, 0), 0),       # not primitive
+                ((5, 1), 0), ((40, 1), 0),      # beyond the cutoff
+                ((-1, 1), 0), ((1, -1), 0),     # negative coordinate
+                ((1, 1), 2), ((1, 0), 1), ((1, 1), -1)]:  # sign index out of range
+        with pytest.raises(KeyError):
+            sys.index_of(bad)
+
+
+def test_class_system_memory_contract():
+    # the arrays stay within the d + 4 words per class that the class budget charges
+    for dim, theta, cutoff in DRAW_SYSTEMS + [(2, THETA_1E4, 1e-12)]:
+        sys = ClassSystem(dim, theta, cutoff)
+        held = sum(a.nbytes for a in vars(sys).values() if isinstance(a, np.ndarray))
+        assert held <= sys.ncls * 8 * (dim + 4)
+        assert sys.ncls <= math.comb(sys.l1_max + dim, dim) * 2 ** (dim - 1)
