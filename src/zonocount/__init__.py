@@ -2,8 +2,9 @@
 
 Layers:
 
-* ``primitives`` — primitive directions of the nonnegative orthant and their
-  sign-class weights (the index set of the generating function).
+* ``primitives`` — primitive directions of the nonnegative orthant as numpy
+  rows and their sign classes in visit order (the index set of the
+  generating function, shared by the exact DP, its oracle and the sampler).
 * ``exact`` — arbitrary-precision coefficient extraction (counts and exact
   first moments), plus an independent brute-force oracle.
 * ``special`` — Riemann zeta / gamma numerics and refined zeta zeros.
@@ -52,11 +53,12 @@ from .exact import (
     zon_cumulative,
 )
 from .primitives import (
-    PrimVec,
+    count_classes_moebius,
     count_primitive_moebius,
-    enumerate_primitive,
     is_primitive,
-    primitive_l1_array,
+    primitive_array,
+    sign_classes,
+    signed_representative,
 )
 from .sampler import (
     ClassSystem,
@@ -68,7 +70,6 @@ from .sampler import (
     expected_endpoint_truncated,
     iter_samples,
     sample_stats,
-    signed_representative,
     to_polygon,
     truncation_bias_estimate,
     write_polygon_csv,

@@ -190,7 +190,7 @@ def cmd_sample(args) -> list[dict]:
     for coords, j in tracked:
         if len(coords) != args.dim or not primitives.is_primitive(coords, args.dim):
             raise ValueError(f"--track {coords} is not a primitive vector in dim {args.dim}")
-        sampler.signed_representative(coords, j)  # rejects an out-of-range sign index
+        primitives.signed_representative(coords, j)  # rejects an out-of-range sign index
     values = sampler.sample_rows(args.dim, theta, args.cutoff, args.samples, args.seed, tracked)
     columns = next(values)
     rows = [dict(zip(columns, row)) for row in values]

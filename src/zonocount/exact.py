@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .primitives import enumerate_primitive, is_primitive
+from .primitives import count_classes_moebius, is_primitive, primitive_array, sign_classes
 
 CHECKPOINT_FORMAT = 1
 
@@ -265,11 +265,10 @@ class CoeffTable:
         return out
 
 
-def _build(dim: int, bound: tuple[int, ...], vecs) -> CoeffTable:
-    table = CoeffTable(dim, bound)
-    for pv in vecs:
-        for _ in range(pv.weight):
-            table.class_pass(pv.coords)
+def _build(table: CoeffTable, coords: np.ndarray) -> CoeffTable:
+    """One class pass per row of coords, in row order."""
+    for v in coords:  # row by row: a list of every row would hold ~100 bytes per class
+        table.class_pass(v.tolist())
     return table
 
 
@@ -277,13 +276,12 @@ def build_table(dim: int, bound, reverse: bool = False) -> CoeffTable:
     """DP table of Zon_d coefficients over {e <= bound}.
 
     Factor order is lexicographic in v (reverse only exercises commutativity
-    in tests); each vector receives weight-many passes, one per sign class.
+    in tests); each vector receives one pass per sign class.
     """
     bt = _as_bound(dim, bound)
-    vecs = enumerate_primitive(dim, bt)
-    if reverse:
-        vecs = reversed(list(vecs))
-    return _build(dim, bt, vecs)
+    table = CoeffTable(dim, bt)  # its memory guard runs before the box is enumerated
+    vecs = primitive_array(dim, bt, sum(bt))
+    return _build(table, sign_classes(vecs[::-1] if reverse else vecs)[0])
 
 
 def zon_coefficient(dim: int, n) -> int:
@@ -324,16 +322,15 @@ class MomentPair:
 def diameter_numerators(dim: int, n: int) -> MomentPair:
     """Count and summed direction count (graph diameter) over zonotopes at n*1.
 
-    The direction-count numerator is sum over primitive v <= n of w_v Z[n - v].
+    The direction-count numerator is sum over primitive v <= n of w_v Z[n - v],
+    that is one term Z[n - v] per sign class.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    bt = (n,) * dim
-    vecs = list(enumerate_primitive(dim, bt))
-    z = _build(dim, bt, vecs)
-    ends = n - np.array([pv.coords for pv in vecs]).T
-    weighted = sum(pv.weight * t for pv, t in zip(vecs, z._read(tuple(ends))))
-    return MomentPair(count=z.coefficient(bt), weighted=weighted)
+    table = CoeffTable(dim, (n,) * dim)  # memory guard first, as in build_table
+    coords, _ = sign_classes(primitive_array(dim, table.bound, dim * n))
+    z = _build(table, coords)
+    return MomentPair(count=z.coefficient(n), weighted=sum(z._read(tuple(n - coords.T))))
 
 
 def diameter_moment(dim: int, n: int) -> Fraction:
@@ -387,19 +384,17 @@ def brute_force_count(dim: int, n) -> BruteForceResult:
     class, the total and squared-total multiplicity across all zonotopes.
     """
     bt = _as_bound(dim, n)
-    classes: list[tuple[tuple[int, ...], int]] = []
-    for pv in enumerate_primitive(dim, bt):
-        for j in range(pv.weight):
-            classes.append((pv.coords, j))
+    # The search visits at least one node per cell e <= bound (the paths through
+    # the unit vectors) and one per class (the path that skips them all), so a
+    # box with more of either cannot finish: refuse it before enumerating.  The
+    # cells go first, which also keeps the Moebius sieve below the budget.
+    if (math.prod(b + 1 for b in bt) > _BRUTE_NODE_BUDGET
+            or count_classes_moebius(dim, bt) > _BRUTE_NODE_BUDGET):
+        raise EnumerationBudgetError(
+            f"box {bt} needs more than {_BRUTE_NODE_BUDGET} nodes; oracle is for small boxes")
+    coords, sign = sign_classes(primitive_array(dim, bt, sum(bt)))
+    classes = list(zip(map(tuple, coords.tolist()), sign.tolist()))
     ncls = len(classes)
-    # coordinate support of the class suffix, for dead-end pruning
-    suffix_support = [0] * (ncls + 1)
-    for i in range(ncls - 1, -1, -1):
-        mask = suffix_support[i + 1]
-        for axis, c in enumerate(classes[i][0]):
-            if c:
-                mask |= 1 << axis
-        suffix_support[i] = mask
 
     occurrence = {cls: [0, 0] for cls in classes}
     state = {"count": 0, "dirsum": 0, "nodes": 0}
@@ -420,12 +415,6 @@ def brute_force_count(dim: int, n) -> BruteForceResult:
             return
         if i == ncls:
             return
-        mask = 0
-        for axis, r in enumerate(rem):
-            if r:
-                mask |= 1 << axis
-        if mask & ~suffix_support[i]:
-            return  # some leftover coordinate can never be consumed
         coords = classes[i][0]
         kmax = min((r // c for r, c in zip(rem, coords) if c), default=0)
         rec(i + 1, rem)

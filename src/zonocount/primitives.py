@@ -1,31 +1,26 @@
-"""Primitive integer vectors in the nonnegative orthant.
+"""Primitive integer vectors in the nonnegative orthant and their sign classes.
 
 These index the factors of the zonotope generating function: a vector v with
 d(v) nonzero coordinates carries 2^(d(v)-1) sign classes, so its factor weight
-is 2^(d(v)-1).  Enumeration is in lexicographic order: streamed over a box
-for the exact DP, and as one numpy array over an l1 ball for the sampler.  The
-Moebius sieve count is the independent cross-check,
+is 2^(d(v)-1).  One numpy enumerator serves every engine: the primitive
+vectors of a box, cut by a 1-norm ball, as lexicographically ascending rows
+(the exact DP and its oracle use the whole box, the sampler an l1 ball), and
+one expansion turns them into sign classes in visit order.  The Moebius sieve
+counts are the independent cross-check,
 
-    #primitive <= b  =  sum_{k>=1} mu(k) (prod_i (floor(b_i/k) + 1) - 1).
+    #primitive <= b  =  sum_{k>=1} mu(k) (prod_i (floor(b_i/k) + 1) - 1),
+    #classes   <= b  =  sum_{k>=1} mu(k) (prod_i (2 floor(b_i/k) + 1) - 1) / 2,
+
+the second because the sign classes of v <= b are the primitive vectors of
+the symmetric box [-b, b] up to sign.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class PrimVec:
-    """A primitive direction in the nonnegative orthant with its class weight."""
-
-    coords: tuple[int, ...]
-    nonzero_count: int
-    weight: int
 
 
 def _validate_vector(v: Sequence[int], dim: int) -> tuple[int, ...]:
@@ -45,49 +40,63 @@ def is_primitive(v: Sequence[int], dim: int) -> bool:
     return math.gcd(*vt) == 1
 
 
-def enumerate_primitive(dim: int, bound: Sequence[int]) -> Iterator[PrimVec]:
-    """Stream every primitive vector v <= bound componentwise, lex ascending.
-
-    The order is part of the reproducibility contract for the coefficient DP
-    and the sampler; consumers must not rely on materializing the sequence.
-    """
-    bt = _validate_vector(bound, dim)
-    for v in itertools.product(*(range(b + 1) for b in bt)):
-        if math.gcd(*v) == 1:
-            nz = sum(1 for c in v if c)
-            yield PrimVec(coords=v, nonzero_count=nz, weight=1 << (nz - 1))
-
-
 def _concat_aranges(lengths: np.ndarray) -> np.ndarray:
     """arange(n) for each n in lengths, concatenated."""
     starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
     return np.arange(starts.size, dtype=np.int64) - starts
 
 
-def primitive_l1_array(dim: int, l1_max: int) -> np.ndarray:
-    """Primitive vectors with ||v||_1 <= l1_max as rows of an int64 array, lex ascending.
+def primitive_array(dim: int, bound: Sequence[int], l1_max: int) -> np.ndarray:
+    """Primitive v <= bound with ||v||_1 <= l1_max as rows of an int64 array, lex ascending.
 
-    Same order as enumerate_primitive but pruned by the 1-norm; the sampler
-    visits classes through this.  The lattice simplex is built one coordinate
-    at a time (each prefix repeated once per value its next coordinate can
-    take), so memory scales with C(l1_max + d, d), not with the cube.
+    The order is part of the reproducibility contract of the coefficient DP
+    and the sampler.  The lattice points are built one coordinate at a time
+    (each prefix repeated once per value its next coordinate can take, up to
+    min(remaining norm, b_i)), so memory scales with the points of the box
+    inside the ball, not with the cube of the larger of the two.
     """
-    if dim < 1:
-        raise ValueError("dimension must be >= 1")
+    bt = _validate_vector(bound, dim)
     if l1_max < 0:
         raise ValueError("l1_max must be >= 0")
-    if dim == 1:  # only v = (1) is primitive; skip the segment 0..l1_max
-        return np.ones((min(l1_max, 1), 1), dtype=np.int64)
+    if dim == 1:  # only v = (1) is primitive; skip the segment 0..b
+        return np.ones((min(l1_max, bt[0], 1), 1), dtype=np.int64)
     rows = np.zeros((1, 0), dtype=np.int64)
     budget = np.array([l1_max], dtype=np.int64)
-    for _ in range(dim):
-        col = _concat_aranges(budget + 1)
-        rows = np.column_stack([np.repeat(rows, budget + 1, axis=0), col])
-        budget = np.repeat(budget, budget + 1) - col
+    for b in bt:
+        span = np.minimum(budget, b) + 1
+        col = _concat_aranges(span)
+        rows = np.column_stack([np.repeat(rows, span, axis=0), col])
+        budget = np.repeat(budget, span) - col
     g = np.gcd(rows[:, 0], rows[:, 1])
     for k in range(2, dim):  # column by column: about twice as fast as np.gcd.reduce(axis=1)
         np.gcd(g, rows[:, k], out=g)
     return rows[g == 1]
+
+
+def sign_classes(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sign classes of primitive rows vecs, in visit order, as (coords, sign).
+
+    Row v of vecs becomes its 2^(d(v)-1) classes: coords repeats v that many
+    times and sign runs 0, 1, ... along them (see signed_representative).
+    """
+    weight = 1 << (np.count_nonzero(vecs, axis=1) - 1)
+    return np.repeat(vecs, weight, axis=0), _concat_aranges(weight)
+
+
+def signed_representative(coords: Sequence[int], sign_idx: int) -> tuple[int, ...]:
+    """Signed vector of a sign class: first nonzero coordinate kept positive,
+    remaining nonzero coordinates flipped according to the bits of sign_idx."""
+    coords = tuple(coords)
+    nz = [i for i, c in enumerate(coords) if c]
+    if not nz:
+        raise ValueError("zero vector has no sign classes")
+    if not 0 <= sign_idx < 1 << (len(nz) - 1):
+        raise ValueError(f"sign index {sign_idx} out of range for {coords}")
+    out = list(coords)
+    for bit, pos in enumerate(nz[1:]):
+        if sign_idx >> bit & 1:
+            out[pos] = -out[pos]
+    return tuple(out)
 
 
 def _mobius_upto(n: int) -> list[int]:
@@ -112,19 +121,19 @@ def _mobius_upto(n: int) -> list[int]:
     return mu
 
 
+def _moebius_sum(bt: tuple[int, ...], side) -> int:
+    """sum_{k>=1} mu(k) (prod_i side(floor(b_i/k)) - 1)."""
+    bmax = max(bt)
+    mu = _mobius_upto(bmax)
+    return sum(mu[k] * (math.prod(side(b // k) for b in bt) - 1)
+               for k in range(1, bmax + 1) if mu[k])
+
+
 def count_primitive_moebius(dim: int, bound: Sequence[int]) -> int:
     """Moebius-sieve count of primitive vectors <= bound (enumeration oracle)."""
-    bt = _validate_vector(bound, dim)
-    bmax = max(bt)
-    if bmax == 0:
-        return 0
-    mu = _mobius_upto(bmax)
-    total = 0
-    for k in range(1, bmax + 1):
-        if mu[k] == 0:
-            continue
-        box = 1
-        for b in bt:
-            box *= b // k + 1
-        total += mu[k] * (box - 1)
-    return total
+    return _moebius_sum(_validate_vector(bound, dim), lambda m: m + 1)
+
+
+def count_classes_moebius(dim: int, bound: Sequence[int]) -> int:
+    """Moebius-sieve count of the sign classes of primitive vectors <= bound."""
+    return _moebius_sum(_validate_vector(bound, dim), lambda m: 2 * m + 1) // 2

@@ -29,7 +29,7 @@ import numpy as np
 
 from .asympt import pd_poly
 from .exact import MemoryBudgetError, _memory_budget
-from .primitives import _concat_aranges, primitive_l1_array
+from .primitives import primitive_array, sign_classes, signed_representative
 
 ClassId = tuple[tuple[int, ...], int]
 
@@ -38,22 +38,6 @@ _TINY_UNIFORM = 1e-300
 # K = 1, since ln u / ln q_v rounds to 1; beyond q_v (1 + 1e-9) the ratio is
 # at most 1 - 1e-9/745 (|ln q_v| <= 745 for a double), so K = 0.
 _Q_MARGIN = 1 + 1e-9
-
-
-def signed_representative(coords: Sequence[int], sign_idx: int) -> tuple[int, ...]:
-    """Signed vector of a sign class: first nonzero coordinate kept positive,
-    remaining nonzero coordinates flipped according to the bits of sign_idx."""
-    coords = tuple(coords)
-    nz = [i for i, c in enumerate(coords) if c]
-    if not nz:
-        raise ValueError("zero vector has no sign classes")
-    if not 0 <= sign_idx < 1 << (len(nz) - 1):
-        raise ValueError(f"sign index {sign_idx} out of range for {coords}")
-    out = list(coords)
-    for bit, pos in enumerate(nz[1:]):
-        if sign_idx >> bit & 1:
-            out[pos] = -out[pos]
-    return tuple(out)
 
 
 class ClassSystem:
@@ -73,7 +57,11 @@ class ClassSystem:
         self.dim = dim
         self.theta = float(theta)
         self.cutoff = float(cutoff)
-        l1_max = int(math.log(1.0 / cutoff) / theta)
+        radius = math.log(1.0 / cutoff) / theta
+        if not math.isfinite(radius):
+            raise ValueError(f"cutoff {cutoff} at theta {theta} gives a 1-norm radius "
+                             f"that is not finite")
+        l1_max = int(radius)
         # coords, sign, log_q, q and q_hi: d + 4 words per class, at most
         # 2^(d-1) classes per lattice point of the simplex ||v||_1 <= l1_max
         need = math.comb(l1_max + dim, dim) * 2 ** (dim - 1) * 8 * (dim + 4)
@@ -82,14 +70,13 @@ class ClassSystem:
             raise MemoryBudgetError(
                 f"class system of 1-norm radius {l1_max} in dim {dim} "
                 f"(~{need / 1e9:.3g} GB) exceeds budget {budget / 1e9:.3g} GB")
-        vecs = primitive_l1_array(dim, l1_max)
+        vecs = primitive_array(dim, (l1_max,) * dim, l1_max)
         norms = vecs.sum(axis=1)
         # only the norms that occur need the rounding check (at d = 1 that is one)
         kept = np.array([math.exp(-theta * n) >= cutoff for n in range(norms.max(initial=0) + 1)])
-        vecs = vecs[kept[norms]]
-        weight = 1 << (np.count_nonzero(vecs, axis=1) - 1)
-        self.coords = np.repeat(vecs, weight, axis=0)
-        self.sign = _concat_aranges(weight)
+        vecs = vecs[kept[norms]]  # rebound first: the unfiltered rows are freed before the expansion
+        self.coords, self.sign = sign_classes(vecs)
+        del vecs, norms, kept  # freed before the per-class floats: a lower heap high-water mark
         self.ncls = len(self.sign)
         self.log_q = -self.theta * self.coords.sum(axis=1).astype(np.float64)
         self.q = np.exp(self.log_q)
@@ -212,11 +199,15 @@ def truncation_bias_estimate(dim: int, theta: float, cutoff: float) -> float:
 
 
 def _truncation_bias(sys: ClassSystem) -> float:
-    poly = pd_poly(sys.dim)
+    # P_d by Horner in float, highest coefficient first
+    coeffs = [float(c) for c in reversed(pd_poly(sys.dim).coeffs)]
     acc = 0.0
     n = sys.l1_max + 1
     while True:
-        term = float(poly(float(n))) * math.exp(-sys.theta * n)
+        x, p = float(n), 0.0
+        for c in coeffs:
+            p = p * x + c
+        term = p * math.exp(-sys.theta * n)
         acc += term
         n += 1
         if term < 1e-22 * (acc + 1e-300) or n > sys.l1_max + 200000:

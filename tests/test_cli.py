@@ -201,6 +201,23 @@ def test_class_budget_surfaces_as_error(capsys):
     assert "exceeds budget" in err and len(err.splitlines()) == 1
 
 
+def test_diameter_memory_guard_fails_fast(capsys):
+    # the table guard refuses before the box of primitive vectors is built
+    code, out, err = run_cli(capsys, "moments", "--dim", "2", "--n", "100000",
+                             "--param", "diameter")
+    assert code == 2 and out == ""
+    assert err.startswith("error: table of") and "exceeds budget" in err
+
+
+@pytest.mark.parametrize("flags", [("--theta", "0.5", "--cutoff", "1e-320"),
+                                   ("--theta", "1e-310")])
+def test_infinite_class_radius_is_error(capsys, flags):
+    code, out, err = run_cli(capsys, "sample", "--dim", "2", *flags)
+    assert code == 2 and out == ""
+    assert err.startswith("error: cutoff") and "not finite" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_unknown_flag_is_hard_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count", "--dim", "2", "--n", "1", "--frobnicate"])

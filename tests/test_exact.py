@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import tempfile
 from fractions import Fraction
@@ -18,9 +19,10 @@ from zonocount import (
     build_table,
     diameter_moment,
     diameter_numerators,
-    enumerate_primitive,
     occurrence_moments,
     occurrence_numerators,
+    primitive_array,
+    sign_classes,
     zon_coefficient,
     zon_cumulative,
 )
@@ -134,11 +136,11 @@ def test_brute_force_companions_match_marked_dp():
         if len(set(box)) == 1:
             pair = diameter_numerators(dim, box[0])
             assert (res.count, res.direction_count_sum) == (pair.count, pair.weighted)
-        for pv in enumerate_primitive(dim, box):
-            opair = occurrence_numerators(dim, box, pv.coords)
+        coords, sign = sign_classes(primitive_array(dim, box, sum(box)))
+        for v, j in zip(map(tuple, coords.tolist()), sign.tolist()):
+            opair = occurrence_numerators(dim, box, v)
             assert opair.count == res.count
-            for j in range(pv.weight):
-                assert res.occurrence[(pv.coords, j)] == (opair.weighted, opair.weighted2)
+            assert res.occurrence[(v, j)] == (opair.weighted, opair.weighted2)
 
 
 # rectangular boxes whose brute-force enumeration stays well inside its budget
@@ -191,10 +193,47 @@ def test_memory_guard(monkeypatch):
         CoeffTable(2, (2, 2))
 
 
+def test_memory_guard_runs_before_enumeration(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerated a box the table guard refuses")
+
+    monkeypatch.setattr(exact, "primitive_array", refuse)
+    big = (10 ** 5, 10 ** 5)
+    with pytest.raises(MemoryBudgetError):
+        build_table(2, big)
+    with pytest.raises(MemoryBudgetError):
+        build_table(2, big, reverse=True)
+    with pytest.raises(MemoryBudgetError):
+        diameter_numerators(2, big[0])
+    with pytest.raises(MemoryBudgetError):
+        occurrence_numerators(2, big, (1, 1))
+
+
 def test_brute_force_node_budget(monkeypatch):
+    # (3, 3) has 16 cells and 16 classes: it passes the up-front bound and is
+    # stopped by the node count during the search
     monkeypatch.setattr(exact, "_BRUTE_NODE_BUDGET", 50)
     with pytest.raises(EnumerationBudgetError):
         brute_force_count(2, (3, 3))
+
+
+def test_brute_force_refuses_large_boxes_up_front(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerated a box the node bound refuses")
+
+    monkeypatch.setattr(exact, "primitive_array", refuse)
+    # (3000, 3000): 9.0e6 cells and 5.5e6 primitive vectors, but 1.09e7 classes
+    # (10**9, 0): one class, but 10**9 + 1 cells
+    for dim, box in ((2, (3000, 3000)), (2, (10 ** 9, 0)), (3, (300, 300, 300)),
+                     (2, (10 ** 5, 10 ** 5))):
+        with pytest.raises(EnumerationBudgetError, match="needs more than"):
+            brute_force_count(dim, box)
+    monkeypatch.undo()
+    # the bound is sound: the search visits more nodes than classes and cells
+    for dim, box in ((2, (3, 3)), (2, (6, 0)), (2, (5, 2)), (3, (1, 2, 1)), (3, (2, 0, 2))):
+        res = brute_force_count(dim, box)
+        assert res.nodes > exact.count_classes_moebius(dim, box)
+        assert res.nodes >= math.prod(b + 1 for b in box)
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -252,10 +291,9 @@ def test_narrow_limbs_match_brute_force(data, box):
     with pytest.MonkeyPatch.context() as monkeypatch:
         _narrow_limbs(monkeypatch)
         narrow = CoeffTable(dim, box)
-        for pv in enumerate_primitive(dim, box):
-            for _ in range(pv.weight):
-                narrow.class_pass(pv.coords)
-                assert int(narrow.data.max()) <= narrow.ceiling < 1 << 8
+        for v in sign_classes(primitive_array(dim, box, sum(box)))[0].tolist():
+            narrow.class_pass(v)
+            assert int(narrow.data.max()) <= narrow.ceiling < 1 << 8
         assert narrow.coefficient(box) == brute_force_count(dim, box).count
         assert narrow.cells == wide.cells
         sub = tuple(data.draw(st.integers(0, b)) for b in box)

@@ -1,17 +1,20 @@
 import itertools
+import math
 
 import pytest
 
 from zonocount import (
+    count_classes_moebius,
     count_primitive_moebius,
-    enumerate_primitive,
     is_primitive,
-    primitive_l1_array,
+    primitive_array,
+    sign_classes,
+    signed_representative,
 )
 
 
 def coords_list(dim, bound):
-    return [pv.coords for pv in enumerate_primitive(dim, bound)]
+    return [tuple(v) for v in primitive_array(dim, bound, sum(bound)).tolist()]
 
 
 def test_is_primitive_examples():
@@ -33,15 +36,20 @@ def test_is_primitive_validation():
 
 
 def test_enumerate_unit_box():
-    got = list(enumerate_primitive(2, (1, 1)))
-    assert [pv.coords for pv in got] == [(0, 1), (1, 0), (1, 1)]
-    assert [pv.weight for pv in got] == [1, 1, 2]
-    assert [pv.nonzero_count for pv in got] == [1, 1, 2]
+    vecs = primitive_array(2, (1, 1), 2)
+    assert vecs.dtype == "int64" and vecs.shape == (3, 2)
+    assert vecs.tolist() == [[0, 1], [1, 0], [1, 1]]
+    coords, sign = sign_classes(vecs)
+    assert coords.tolist() == [[0, 1], [1, 0], [1, 1], [1, 1]]
+    assert sign.tolist() == [0, 0, 0, 1]
 
 
 def test_enumerate_dim1():
-    got = list(enumerate_primitive(1, (5,)))
-    assert [(pv.coords, pv.weight) for pv in got] == [((1,), 1)]
+    assert primitive_array(1, (5,), 5).tolist() == [[1]]
+    assert primitive_array(1, (0,), 5).shape == (0, 1)
+    assert primitive_array(1, (5,), 0).shape == (0, 1)
+    coords, sign = sign_classes(primitive_array(1, (5,), 5))
+    assert (coords.tolist(), sign.tolist()) == ([[1]], [0])
 
 
 def test_enumerate_two_two():
@@ -49,10 +57,15 @@ def test_enumerate_two_two():
     assert got == [(0, 1), (1, 0), (1, 1), (1, 2), (2, 1)]
 
 
-def test_enumeration_is_streaming():
-    it = enumerate_primitive(2, (100, 100))
-    assert hasattr(it, "__next__")
-    assert next(it).coords == (0, 1)
+def test_enumerate_validation():
+    with pytest.raises(ValueError):
+        primitive_array(2, (1, 2, 3), 6)
+    with pytest.raises(ValueError):
+        primitive_array(2, (-1, 2), 6)
+    with pytest.raises(ValueError):
+        primitive_array(2, (1, 2), -1)
+    with pytest.raises(ValueError):
+        primitive_array(0, (), 1)
 
 
 def test_lexicographic_order():
@@ -63,16 +76,25 @@ def test_lexicographic_order():
 
 
 def test_weights_match_nonzero_count():
-    for pv in enumerate_primitive(3, (3, 3, 3)):
-        nz = sum(1 for c in pv.coords if c)
-        assert pv.nonzero_count == nz
-        assert pv.weight == 2 ** (nz - 1)
+    vecs = primitive_array(3, (3, 3, 3), 9)
+    coords, sign = sign_classes(vecs)
+    expected = [(tuple(v), j) for v in vecs.tolist()
+                for j in range(2 ** (sum(1 for c in v if c) - 1))]
+    assert list(zip(map(tuple, coords.tolist()), sign.tolist())) == expected
+    # each class has its own signed vector, and a vector's classes are its sign
+    # patterns up to an overall sign
+    signed = {signed_representative(c, j) for c, j in expected}
+    assert len(signed) == len(expected)
+    assert all(tuple(-c for c in w) not in signed for w in signed)
 
 
 def test_moebius_examples():
     assert count_primitive_moebius(2, (2, 2)) == 5
     assert count_primitive_moebius(2, (0, 0)) == 0
     assert count_primitive_moebius(3, (1, 1, 1)) == 7
+    assert count_classes_moebius(2, (1, 1)) == 4
+    assert count_classes_moebius(2, (0, 0)) == 0
+    assert count_classes_moebius(3, (1, 1, 1)) == 13
 
 
 def test_moebius_matches_enumeration_dim1_dim2():
@@ -88,21 +110,32 @@ def test_moebius_matches_enumeration_dim3():
         assert count_primitive_moebius(3, bound) == len(coords_list(3, bound))
 
 
+def test_class_count_matches_expansion():
+    for dim, top in ((1, 8), (2, 8), (3, 5), (4, 3)):
+        for bound in itertools.product(range(top + 1), repeat=dim):
+            coords, sign = sign_classes(primitive_array(dim, bound, sum(bound)))
+            assert count_classes_moebius(dim, bound) == len(coords) == len(sign)
+
+
 def test_weight_sum_over_interior_vectors():
     # all-positive vectors have weight 2^(d-1), so the weighted count collapses
     for dim, m in ((2, 5), (3, 4)):
-        interior = [pv for pv in enumerate_primitive(dim, (m,) * dim)
-                    if all(c > 0 for c in pv.coords)]
-        assert sum(pv.weight for pv in interior) == 2 ** (dim - 1) * len(interior)
+        vecs = primitive_array(dim, (m,) * dim, dim * m)
+        interior = vecs[(vecs > 0).all(axis=1)]
+        assert len(sign_classes(interior)[0]) == 2 ** (dim - 1) * len(interior)
 
 
-def test_primitive_l1_array_matches_box_filter():
-    for dim, l1 in ((1, 0), (1, 7), (2, 0), (2, 9), (3, 6), (4, 0), (4, 5)):
-        via_l1 = primitive_l1_array(dim, l1)
+def test_l1_cut_matches_box_filter():
+    # the l1 cut against a plain filter of the whole box, on balls and on boxes
+    # that stick out of the ball
+    for dim, bound, l1 in ((1, (7,), 0), (1, (7,), 7), (2, (0, 0), 0), (2, (9, 9), 9),
+                           (3, (6, 6, 6), 6), (4, (0, 0, 0, 0), 0), (4, (5, 5, 5, 5), 5),
+                           (2, (3, 8), 6), (3, (2, 5, 1), 4), (3, (4, 4, 4), 20)):
+        via_l1 = primitive_array(dim, bound, l1)
         assert via_l1.shape == (len(via_l1), dim)
-        via_box = [pv.coords for pv in enumerate_primitive(dim, (l1,) * dim)
-                   if sum(pv.coords) <= l1]
+        via_box = [v for v in itertools.product(*(range(b + 1) for b in bound))
+                   if sum(v) <= l1 and math.gcd(*v) == 1]
         assert [tuple(v) for v in via_l1.tolist()] == via_box
     # d = 1 at a sampler-sized radius: the one primitive vector, without the segment
-    big = primitive_l1_array(1, 10 ** 9)
+    big = primitive_array(1, (10 ** 9,), 10 ** 9)
     assert big.tolist() == [[1]] and big.dtype == "int64"

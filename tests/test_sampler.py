@@ -158,6 +158,28 @@ def test_truncation_bias_is_negligible_at_default_cutoff():
     assert bias < 1e-3 * expected_directions_truncated(2, THETA_1E4, 1e-12)
 
 
+@pytest.mark.parametrize("dim, theta, cutoff", [(1, 0.01, 1e-12), (2, THETA_1E4, 1e-12),
+                                                (2, 0.3, 0.5), (3, 0.3, 1e-12), (4, 0.5, 1e-9)])
+def test_truncation_bias_matches_mpmath_shell_sum(dim, theta, cutoff):
+    # P_d(n) = half the integer vectors of 1-norm n, counted by support size k
+    # (independent of pd_poly); the shell sum runs in 40-digit arithmetic
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        radius = int(mpmath.floor(mpmath.log(1 / mpmath.mpf(cutoff)) / theta))
+        assert class_system(dim, theta, cutoff).l1_max == radius
+        acc, n = mpmath.mpf(0), radius + 1
+        while True:
+            p_n = sum(2 ** k * math.comb(dim, k) * math.comb(n - 1, k - 1)
+                      for k in range(1, dim + 1)) // 2
+            term = p_n * mpmath.exp(-theta * mpmath.mpf(n))
+            acc += term
+            if term < mpmath.mpf(10) ** -30 * acc:
+                break
+            n += 1
+        want = float(acc)
+    assert truncation_bias_estimate(dim, theta, cutoff) == pytest.approx(want, rel=1e-11)
+
+
 def test_polygon_unit_square():
     sys_theta, cutoff = 1.0, 0.2
     s = boltzmann_sample(2, sys_theta, cutoff, seed=0)
