@@ -53,6 +53,7 @@ from .exact import (
     zon_cumulative,
 )
 from .primitives import (
+    class_weights,
     count_classes_moebius,
     count_primitive_moebius,
     is_primitive,

@@ -5,21 +5,28 @@ The generating function over primitive nonnegative directions v,
     Zon_d(x) = prod_v (1 - x^v)^(-2^(d(v)-1)),
 
 is expanded by dynamic programming on a dense table of multi-precision
-integers: every sign class of v contributes one geometric factor, realized as
-a cumulative-sum pass T[e] += T[e-v] in ascending index order.  A pass runs
-as numpy slab adds over blocks of hyperplanes, so its Python-level cost is
-one call per block, not one per cell.  The table at bound n then holds
-[x^m] Zon_d for every m <= n simultaneously.
+integers, one pass per primitive vector v for the factor of all w_v =
+2^(d(v)-1) of its sign classes.  Let s = min_i floor(n_i / v_i) be the
+chain length of v in the box.  When s = 1 (2v leaves the box: three in four
+vectors at d=2 n=96, nine in ten at d=4 n=6) the factor truncates to
+1 + w_v x^v, and the pass is one slab add T[e] += T[e-v] << log2(w_v) over
+every cell e >= v.  When s >= 2 it runs w_v cumulative-sum passes
+T[e] += T[e-v] in ascending index order, as numpy slab adds over blocks of
+hyperplanes, so its Python-level cost is one call per block, not one per
+cell.  The table at bound n then holds [x^m] Zon_d for every m <= n
+simultaneously.
 
 The table is one uint64 array of shape (k, *(n + 1)): cell e holds
 sum_i data[i][e] << 32 i, with 32-bit limb payloads and lazy carries.  A
-ceiling bounds every entry.  A pass whose chain length is s (at most s + 1
-entries summed into one) first normalizes if (s + 1) * ceiling would reach
-2^64 (carry = data >> 32, data &= 2^32 - 1, data[1:] += carry[:-1], with a
-new limb when the top one carries), which leaves every entry below 2^33, then
-multiplies the ceiling by s + 1.  The sum identity holds whether or not the
-limbs are normalized, so one np.add per slab covers all k limbs and no
-per-block carry is needed.
+ceiling bounds every entry.  A cumulative pass of chain length s (at most
+s + 1 entries summed into one) grows entries by the factor s + 1, a one-step
+pass by 1 + w_v.  Before either the table normalizes if factor * ceiling
+would reach 2^64 (carry = data >> 32, data &= 2^32 - 1, data[1:] +=
+carry[:-1], with a new limb when the top one carries), which leaves every
+entry below 2^33, then multiplies the ceiling by the factor.  The sum
+identity holds whether or not the limbs are normalized, and multiplying
+every limb by w_v multiplies the value by w_v, so one np.add per slab covers
+all k limbs and no per-block carry is needed.
 
 Exact first moments are chain sums over that one table.  Marking generator
 presence with u (factor 1 + u x^v/(1-x^v)) and differentiating at u = 1
@@ -34,19 +41,25 @@ from __future__ import annotations
 
 import json
 import math
-import os
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .primitives import count_classes_moebius, is_primitive, primitive_array, sign_classes
+from .primitives import (
+    _MEMORY_ENV,
+    MemoryBudgetError,
+    _memory_budget,
+    class_weights,
+    count_classes_moebius,
+    is_primitive,
+    primitive_array,
+    sign_classes,
+)
 
 CHECKPOINT_FORMAT = 1
-
-_DEFAULT_MEMORY_BUDGET = 2 * 1024 ** 3
-_MEMORY_ENV = "ZONOCOUNT_MEMORY_BUDGET"
 
 # Payload bits of one limb.  A uint64 entry may hold up to 2 * _LIMB_BITS bits
 # before its carry is pushed into the limb above.
@@ -55,22 +68,8 @@ _LIMB_BITS = 32
 _BRUTE_NODE_BUDGET = 10 ** 7
 
 
-class MemoryBudgetError(RuntimeError):
-    """Requested table would exceed the configured memory budget."""
-
-
 class EnumerationBudgetError(RuntimeError):
     """Brute-force enumeration exceeded its node budget (oracle is for small boxes)."""
-
-
-def _memory_budget() -> int:
-    raw = os.environ.get(_MEMORY_ENV)
-    if raw is None:
-        return _DEFAULT_MEMORY_BUDGET
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{_MEMORY_ENV} must be an integer byte count, got {raw!r}") from exc
 
 
 def _as_bound(dim: int, n) -> tuple[int, ...]:
@@ -96,23 +95,25 @@ class CoeffTable:
     (``coefficient``, ``total``, ``cells``, the checkpoint).
     """
 
-    __slots__ = ("dim", "bound", "shape", "data", "ceiling", "_plan")
+    __slots__ = ("dim", "bound", "shape", "data", "ceiling")
 
     def __init__(self, dim: int, bound, delta_at_origin: bool = True):
         self.bound = _as_bound(dim, bound)
         self.dim = dim
         self.shape = tuple(b + 1 for b in self.bound)
-        # a pass multiplies the ceiling by at most max(shape); one normalization
-        # must leave room for that below 2^(2 * _LIMB_BITS)
-        if max(self.shape) > 1 << (_LIMB_BITS - 1):
-            raise ValueError(f"bound entries must be below 2^{_LIMB_BITS - 1}, got {self.bound}")
+        # one step of a pass multiplies the ceiling by s + 1 <= max(shape), a
+        # one-step pass by 1 + 2^(d-1); one normalization must leave room for
+        # either below 2^(2 * _LIMB_BITS)
+        growth = max(*self.shape, 1 + (1 << (dim - 1)))
+        if growth > 1 << (_LIMB_BITS - 1):
+            raise ValueError(f"a pass over bound {self.bound} in dim {dim} may grow entries "
+                             f"{growth}-fold, above the limit 2^{_LIMB_BITS - 1}")
         self._check_memory(1)
         self.data = np.zeros((1, *self.shape), dtype=np.uint64)
         self.ceiling = 0
         if delta_at_origin:
             self.data[(0,) * (dim + 1)] = 1
             self.ceiling = 1
-        self._plan = None
 
     def _check_memory(self, limbs: int) -> None:
         """Budget for `limbs` limbs plus the normalization temporary of the same size."""
@@ -171,59 +172,64 @@ class CoeffTable:
         sub = self.data[(slice(None), *(slice(c + 1) for c in box))]
         return sum(sum(limb.ravel().tolist()) << (_LIMB_BITS * i) for i, limb in enumerate(sub))
 
-    def _pass_plan(self, v: Sequence[int]) -> tuple[int, list]:
-        """Chain length s = min_i floor(b_i / v_i) and the slab blocks of a pass of v.
+    def _shift(self, v: Sequence[int]) -> tuple[tuple[int, ...], int, list, list]:
+        """v as ints, its chain length s = min_i floor(b_i / v_i), and the index
+        lists (limb axis first) of the cells e >= v and of their sources e - v."""
+        vt = tuple(int(c) for c in v)
+        if len(vt) != self.dim or any(c < 0 for c in vt) or not any(vt):
+            raise ValueError(f"invalid pass vector {vt} for dim {self.dim}")
+        dst = [slice(None)] + [slice(c, None) for c in vt]
+        src = [slice(None)] + [slice(0, n - c) for c, n in zip(vt, self.shape)]
+        return vt, min(b // c for b, c in zip(self.bound, vt) if c), dst, src
 
-        Along the axis a of largest v_a, blocks of v_a consecutive hyperplanes
-        are added one slab (all limbs) at a time in ascending order; a block
-        reads only hyperplanes below it, which are already final.  The plan of
-        the last vector is kept, so the passes of its sign classes share it.
+    def _grow(self, factor: int) -> None:
+        """Let every entry grow to `factor` times the ceiling, normalizing first
+        if that could reach 2^(2 * _LIMB_BITS)."""
+        if factor * self.ceiling >= 1 << (2 * _LIMB_BITS):
+            self._normalize()
+        self.ceiling *= factor
+
+    def class_pass(self, v: Sequence[int], w: int) -> None:
+        """In place, multiply by (1 - x^v)^(-w), the factor of the w = 2^(d(v)-1)
+        sign classes of v.
+
+        With chain length s = 1 (2v outside the box) the factor truncates to
+        1 + w x^v and no target cell is also a source, so the pass is one slab
+        add over all limbs of the sources shifted left by log2(w).  Otherwise it
+        runs w times T[e] += T[e - v] in ascending order: along the axis a of
+        largest v_a, blocks of v_a consecutive hyperplanes are added one slab at
+        a time, and a block reads only hyperplanes below it, which are final.
         """
-        key = tuple(v)
-        if self._plan is None or self._plan[0] != key:
-            vt = tuple(int(c) for c in key)
-            if len(vt) != self.dim or any(c < 0 for c in vt) or not any(vt):
-                raise ValueError(f"invalid pass vector {vt} for dim {self.dim}")
-            s = min(b // c for b, c in zip(self.bound, vt) if c)
+        w = operator.index(w)
+        if w < 1 or w & (w - 1) or w > 1 << (self.dim - 1):
+            raise ValueError(f"class weight {w} is not a power of two up to 2^{self.dim - 1}")
+        vt, s, dst, src = self._shift(v)
+        if s == 1:
+            self._grow(1 + w)
+            view = self.data[tuple(dst)]
+            np.add(view, self.data[tuple(src)] << (w.bit_length() - 1), out=view)
+        elif s:
             a = vt.index(max(vt))
-            step, top = vt[a], self.shape[a] if s else 0  # s = 0: no cell has e >= v
-            dst = [slice(None)] + [slice(c, None) for c in vt]
-            src = [slice(None)] + [slice(0, n - c) for c, n in zip(vt, self.shape)]
+            step, top = vt[a], self.shape[a]
             blocks = []
             for lo in range(step, top, step):
                 hi = min(lo + step, top)
                 dst[a + 1], src[a + 1] = slice(lo, hi), slice(lo - step, hi - step)
                 blocks.append((tuple(dst), tuple(src)))
-            self._plan = (key, s, blocks)
-        return self._plan[1], self._plan[2]
-
-    @staticmethod
-    def _accumulate(out: np.ndarray, src: np.ndarray, blocks: list) -> None:
-        """out[e] += src[e - v] over the blocks of a plan, equal to the ascending
-        sequential recurrence even when src is out."""
-        for dst_idx, src_idx in blocks:
-            block = out[dst_idx]
-            np.add(block, src[src_idx], out=block)
-
-    def class_pass(self, v: Sequence[int]) -> None:
-        """In place, multiply by the geometric factor of one sign class of v:
-        T[e] += T[e - v] in ascending order."""
-        s, blocks = self._pass_plan(v)
-        if blocks:
-            # an entry becomes a sum of at most s + 1 entries
-            if (s + 1) * self.ceiling >= 1 << (2 * _LIMB_BITS):
-                self._normalize()
-            self.ceiling *= s + 1
-            self._accumulate(self.data, self.data, blocks)
+            for _ in range(w):
+                self._grow(s + 1)  # an entry becomes a sum of at most s + 1 entries
+                for dst_idx, src_idx in blocks:
+                    block = self.data[dst_idx]
+                    np.add(block, self.data[src_idx], out=block)
 
     def shifted_add(self, src: "CoeffTable", v: Sequence[int]) -> None:
         """self[e] += src[e - v] (multiplication of src by x^v, accumulated)."""
         if src.bound != self.bound:
             raise ValueError("table bounds differ")
         if src is self:
-            return self.class_pass(v)
-        _, blocks = self._pass_plan(v)
-        if not blocks:
+            return self.class_pass(v, 1)
+        _, s, dst_idx, src_idx = self._shift(v)
+        if not s:
             return
         if self.ceiling + src.ceiling >= 1 << (2 * _LIMB_BITS):
             self._normalize()
@@ -231,7 +237,9 @@ class CoeffTable:
         while len(self.data) < len(src.data):
             self._add_limb()
         self.ceiling += src.ceiling
-        self._accumulate(self.data[:len(src.data)], src.data, blocks)
+        dst_idx[0] = slice(len(src.data))
+        view = self.data[tuple(dst_idx)]
+        np.add(view, src.data[tuple(src_idx)], out=view)  # src is another table: one slab
 
     def dump_json(self, path) -> None:
         """Versioned checkpoint: {format, dim, bound, cells as decimal strings}."""
@@ -265,10 +273,12 @@ class CoeffTable:
         return out
 
 
-def _build(table: CoeffTable, coords: np.ndarray) -> CoeffTable:
-    """One class pass per row of coords, in row order."""
-    for v in coords:  # row by row: a list of every row would hold ~100 bytes per class
-        table.class_pass(v.tolist())
+def _build(table: CoeffTable, vecs: np.ndarray) -> CoeffTable:
+    """One pass per primitive row v of vecs, in row order, applying the factor
+    (1 - x^v)^(-w_v) of all its sign classes at once."""
+    # row by row: a list of every row would hold ~100 bytes per vector
+    for v, w in zip(vecs, class_weights(vecs).tolist()):
+        table.class_pass(v.tolist(), w)
     return table
 
 
@@ -276,12 +286,14 @@ def build_table(dim: int, bound, reverse: bool = False) -> CoeffTable:
     """DP table of Zon_d coefficients over {e <= bound}.
 
     Factor order is lexicographic in v (reverse only exercises commutativity
-    in tests); each vector receives one pass per sign class.
+    in tests).  Each vector receives one pass for its w_v = 2^(d(v)-1) sign
+    classes: a single shifted slab add when 2v leaves the box, else w_v
+    cumulative passes on one block plan (CoeffTable.class_pass).
     """
     bt = _as_bound(dim, bound)
     table = CoeffTable(dim, bt)  # its memory guard runs before the box is enumerated
     vecs = primitive_array(dim, bt, sum(bt))
-    return _build(table, sign_classes(vecs[::-1] if reverse else vecs)[0])
+    return _build(table, vecs[::-1] if reverse else vecs)
 
 
 def zon_coefficient(dim: int, n) -> int:
@@ -328,9 +340,10 @@ def diameter_numerators(dim: int, n: int) -> MomentPair:
     if n < 1:
         raise ValueError("n must be >= 1")
     table = CoeffTable(dim, (n,) * dim)  # memory guard first, as in build_table
-    coords, _ = sign_classes(primitive_array(dim, table.bound, dim * n))
-    z = _build(table, coords)
-    return MomentPair(count=z.coefficient(n), weighted=sum(z._read(tuple(n - coords.T))))
+    vecs = primitive_array(dim, table.bound, dim * n)
+    z = _build(table, vecs)
+    terms = zip(class_weights(vecs).tolist(), z._read(tuple(n - vecs.T)))
+    return MomentPair(count=z.coefficient(n), weighted=sum(w * t for w, t in terms))
 
 
 def diameter_moment(dim: int, n: int) -> Fraction:
@@ -397,38 +410,40 @@ def brute_force_count(dim: int, n) -> BruteForceResult:
     ncls = len(classes)
 
     occurrence = {cls: [0, 0] for cls in classes}
-    state = {"count": 0, "dirsum": 0, "nodes": 0}
+    count = dirsum = nodes = 0
     used: list[tuple[tuple[tuple[int, ...], int], int]] = []
-
-    def rec(i: int, rem: tuple[int, ...]) -> None:
-        state["nodes"] += 1
-        if state["nodes"] > _BRUTE_NODE_BUDGET:
+    # explicit-stack preorder: (class index, remainder, length of the parent's
+    # path in used, the (class, multiplicity) this node adds to it or None)
+    stack = [(0, bt, 0, None)]
+    while stack:
+        i, rem, depth, item = stack.pop()
+        del used[depth:]
+        if item is not None:
+            used.append(item)
+        nodes += 1
+        if nodes > _BRUTE_NODE_BUDGET:
             raise EnumerationBudgetError(
                 f"exceeded {_BRUTE_NODE_BUDGET} nodes at box {bt}; oracle is for small boxes")
         if not any(rem):
-            state["count"] += 1
-            state["dirsum"] += len(used)
+            count += 1
+            dirsum += len(used)
             for cls, k in used:
                 tally = occurrence[cls]
                 tally[0] += k
                 tally[1] += k * k
-            return
+            continue
         if i == ncls:
-            return
-        coords = classes[i][0]
-        kmax = min((r // c for r, c in zip(rem, coords) if c), default=0)
-        rec(i + 1, rem)
-        cur = rem
+            continue
+        cls = classes[i]
+        kmax = min((r // c for r, c in zip(rem, cls[0]) if c), default=0)
+        children = [(i + 1, rem, len(used), None)]
         for k in range(1, kmax + 1):
-            cur = tuple(r - c for r, c in zip(cur, coords))
-            used.append((classes[i], k))
-            rec(i + 1, cur)
-            used.pop()
-
-    rec(0, bt)
+            rem = tuple(r - c for r, c in zip(rem, cls[0]))
+            children.append((i + 1, rem, len(used), (cls, k)))
+        stack.extend(reversed(children))  # popped in ascending multiplicity
     return BruteForceResult(
-        count=state["count"],
-        direction_count_sum=state["dirsum"],
+        count=count,
+        direction_count_sum=dirsum,
         occurrence={cls: tuple(t) for cls, t in occurrence.items()},
-        nodes=state["nodes"],
+        nodes=nodes,
     )

@@ -18,9 +18,27 @@ the symmetric box [-b, b] up to sign.
 from __future__ import annotations
 
 import math
+import os
 from typing import Sequence
 
 import numpy as np
+
+_DEFAULT_MEMORY_BUDGET = 2 * 1024 ** 3
+_MEMORY_ENV = "ZONOCOUNT_MEMORY_BUDGET"
+
+
+class MemoryBudgetError(RuntimeError):
+    """Requested array would exceed the configured memory budget."""
+
+
+def _memory_budget() -> int:
+    raw = os.environ.get(_MEMORY_ENV)
+    if raw is None:
+        return _DEFAULT_MEMORY_BUDGET
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise ValueError(f"{_MEMORY_ENV} must be an integer byte count, got {raw!r}") from exc
 
 
 def _validate_vector(v: Sequence[int], dim: int) -> tuple[int, ...]:
@@ -73,13 +91,18 @@ def primitive_array(dim: int, bound: Sequence[int], l1_max: int) -> np.ndarray:
     return rows[g == 1]
 
 
+def class_weights(vecs: np.ndarray) -> np.ndarray:
+    """The factor weight w_v = 2^(d(v)-1) of each primitive row: its number of sign classes."""
+    return 1 << (np.count_nonzero(vecs, axis=1) - 1)
+
+
 def sign_classes(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The sign classes of primitive rows vecs, in visit order, as (coords, sign).
 
     Row v of vecs becomes its 2^(d(v)-1) classes: coords repeats v that many
     times and sign runs 0, 1, ... along them (see signed_representative).
     """
-    weight = 1 << (np.count_nonzero(vecs, axis=1) - 1)
+    weight = class_weights(vecs)
     return np.repeat(vecs, weight, axis=0), _concat_aranges(weight)
 
 
@@ -99,34 +122,46 @@ def signed_representative(coords: Sequence[int], sign_idx: int) -> tuple[int, ..
     return tuple(out)
 
 
-def _mobius_upto(n: int) -> list[int]:
-    """mu(0..n) by sieve."""
-    mu = [1] * (n + 1)
-    if n >= 0:
-        mu[0] = 0
-    primes = []
-    is_comp = [False] * (n + 1)
-    for i in range(2, n + 1):
-        if not is_comp[i]:
-            primes.append(i)
-            mu[i] = -1
-        for p in primes:
-            if i * p > n:
-                break
-            is_comp[i * p] = True
-            if i % p == 0:
-                mu[i * p] = 0
-                break
-            mu[i * p] = -mu[i]
+def _mobius_upto(n: int) -> np.ndarray:
+    """mu(0..n) as int8, by sieving with the primes up to sqrt(n).
+
+    rest[k] is k divided once by each such prime p | k; for squarefree k what
+    is left is 1 or the one prime factor of k above sqrt(n), which flips mu.
+    """
+    rest_type = np.min_scalar_type(n)
+    need = (n + 1) * (2 + rest_type.itemsize)  # mu, rest and the rest > 1 mask
+    budget = _memory_budget()
+    if need > budget:
+        raise MemoryBudgetError(
+            f"Moebius sieve up to {n} (~{need / 1e9:.3g} GB) exceeds budget "
+            f"{budget / 1e9:.3g} GB; raise {_MEMORY_ENV} to override")
+    mu = np.ones(n + 1, dtype=np.int8)
+    mu[0] = 0
+    rest = np.arange(n + 1, dtype=rest_type)
+    for p in range(2, math.isqrt(n) + 1):
+        if rest[p] == p:  # p is prime: no smaller prime has divided it
+            mu[::p] *= -1
+            mu[::p * p] = 0
+            rest[::p] //= p
+    np.negative(mu, out=mu, where=rest > 1)
     return mu
 
 
 def _moebius_sum(bt: tuple[int, ...], side) -> int:
-    """sum_{k>=1} mu(k) (prod_i side(floor(b_i/k)) - 1)."""
+    """sum_{k>=1} mu(k) (prod_i side(floor(b_i/k)) - 1).
+
+    The sum runs over the blocks of k on which every floor(b_i/k) is
+    constant, O(d sqrt(max b)) of them, each weighted by its sum of mu (a
+    difference of Mertens values).
+    """
     bmax = max(bt)
     mu = _mobius_upto(bmax)
-    return sum(mu[k] * (math.prod(side(b // k) for b in bt) - 1)
-               for k in range(1, bmax + 1) if mu[k])
+    total, k = 0, 1
+    while k <= bmax:
+        hi = min(b // (b // k) for b in bt if b >= k)
+        total += int(mu[k:hi + 1].sum()) * (math.prod(side(b // k) for b in bt) - 1)
+        k = hi + 1
+    return total
 
 
 def count_primitive_moebius(dim: int, bound: Sequence[int]) -> int:

@@ -28,8 +28,13 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .asympt import pd_poly
-from .exact import MemoryBudgetError, _memory_budget
-from .primitives import primitive_array, sign_classes, signed_representative
+from .primitives import (
+    MemoryBudgetError,
+    _memory_budget,
+    primitive_array,
+    sign_classes,
+    signed_representative,
+)
 
 ClassId = tuple[tuple[int, ...], int]
 

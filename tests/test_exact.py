@@ -17,6 +17,7 @@ from zonocount import (
     MomentPair,
     brute_force_count,
     build_table,
+    class_weights,
     diameter_moment,
     diameter_numerators,
     occurrence_moments,
@@ -215,6 +216,20 @@ def test_brute_force_node_budget(monkeypatch):
     monkeypatch.setattr(exact, "_BRUTE_NODE_BUDGET", 50)
     with pytest.raises(EnumerationBudgetError):
         brute_force_count(2, (3, 3))
+    # 1,112 classes: a search one frame deep per class would hit the recursion
+    # limit before the node budget
+    monkeypatch.setattr(exact, "_BRUTE_NODE_BUDGET", 10 ** 5)
+    with pytest.raises(EnumerationBudgetError, match="exceeded"):
+        brute_force_count(2, (30, 30))
+
+
+def test_brute_force_visits_the_same_nodes():
+    # pinned count, direction sum and node count: the visit order is part of the oracle
+    for dim, box, want in ((2, (3, 3), (34, 84, 932)), (2, (4, 3), (59, 155, 2153)),
+                           (3, (2, 2, 2), (170, 464, 10893)), (3, (1, 2, 3), (114, 297, 7376)),
+                           (4, (1, 1, 1, 1), (49, 104, 1817))):
+        res = brute_force_count(dim, box)
+        assert (res.count, res.direction_count_sum, res.nodes) == want
 
 
 def test_brute_force_refuses_large_boxes_up_front(monkeypatch):
@@ -291,8 +306,9 @@ def test_narrow_limbs_match_brute_force(data, box):
     with pytest.MonkeyPatch.context() as monkeypatch:
         _narrow_limbs(monkeypatch)
         narrow = CoeffTable(dim, box)
-        for v in sign_classes(primitive_array(dim, box, sum(box)))[0].tolist():
-            narrow.class_pass(v)
+        vecs = primitive_array(dim, box, sum(box))
+        for v, w in zip(vecs.tolist(), class_weights(vecs).tolist()):
+            narrow.class_pass(v, w)
             assert int(narrow.data.max()) <= narrow.ceiling < 1 << 8
         assert narrow.coefficient(box) == brute_force_count(dim, box).count
         assert narrow.cells == wide.cells
@@ -307,10 +323,10 @@ def test_narrow_limbs_match_brute_force(data, box):
         assert int(loaded.data.max()) < 1 << 4
 
 
-def _saturated(limbs):
+def _saturated(limbs, bound=(3,)):
     # every entry at 255, the most an 8-bit word of 4-bit limbs holds
-    table = CoeffTable(1, (3,), delta_at_origin=False)
-    table.data = np.full((limbs, 4), 255, dtype=np.uint64)
+    table = CoeffTable(len(bound), bound, delta_at_origin=False)
+    table.data = np.full((limbs, *(b + 1 for b in bound)), 255, dtype=np.uint64)
     table.ceiling = 255
     return table
 
@@ -319,10 +335,17 @@ def test_narrow_limbs_normalize_at_the_word_limit(monkeypatch):
     _narrow_limbs(monkeypatch)
     value = 255 + (255 << 4)
     table = _saturated(2)
-    table.class_pass((1,))  # 4 * 255 overflows the word: carry first, out of the top limb too
+    table.class_pass((1,), 1)  # 4 * 255 overflows the word: carry first, out of the top limb too
     assert len(table.data) == 3
     assert int(table.data.max()) <= table.ceiling < 1 << 8
     assert table.cells == [value * (j + 1) for j in range(4)]
+    # a one-step pass of weight 2: (1 + 2) * 255 overflows, and the top limb carries
+    table = _saturated(1, (1, 1))
+    table.class_pass((1, 1), 2)
+    assert len(table.data) == 2
+    assert table.ceiling == 3 * (15 + 15)  # one factor 1 + w on the normalized ceiling
+    assert int(table.data.max()) <= table.ceiling < 1 << 8
+    assert table.cells == [255, 255, 255, 3 * 255]
     # shifted_add of a wider table: both normalize, the narrower one gains limbs
     shifted = _saturated(1)
     shifted.shifted_add(_saturated(2), (1,))
@@ -341,3 +364,77 @@ def test_narrow_limbs_grow_and_guard(monkeypatch):
         build_table(2, (5, 5))
     with pytest.raises(ValueError):
         CoeffTable(1, (8,))  # a pass of (1) could outgrow one normalization
+
+
+def test_limb_guard_leaves_room_for_one_step_passes(monkeypatch):
+    # at d = 4 a one-step pass grows entries (1 + 2^3)-fold, one more than 4-bit
+    # limbs allow after a normalization, even on a box whose chains are short
+    _narrow_limbs(monkeypatch)
+    CoeffTable(3, (2, 2, 2))
+    with pytest.raises(ValueError, match=r"9-fold, above the limit 2\^3"):
+        CoeffTable(4, (1, 1, 1, 1))
+    monkeypatch.setattr(exact, "_LIMB_BITS", 5)
+    CoeffTable(4, (1, 1, 1, 1))
+    with pytest.raises(ValueError, match=r"17-fold, above the limit 2\^4"):
+        CoeffTable(5, (1,) * 5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), box=st.lists(st.integers(0, 3), min_size=1, max_size=4).map(tuple),
+       narrow=st.booleans(), full=st.booleans())
+def test_weighted_pass_equals_repeated_class_passes(data, box, narrow, full):
+    # a random table, possibly saturated at its ceiling, and a random primitive
+    # v: inside the box with a long chain, with chain length 1, or outside
+    dim = len(box)
+    v = data.draw(st.tuples(*[st.integers(0, 3)] * dim).filter(lambda u: math.gcd(*u) == 1))
+    w = 1 << (sum(1 for c in v if c) - 1)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        if narrow:
+            monkeypatch.setattr(exact, "_LIMB_BITS", 4 if dim <= 3 else 5)
+        word = 1 << (2 * exact._LIMB_BITS)
+        ceiling = data.draw(st.integers(0, word - 1))
+        shape = (data.draw(st.integers(1, 2)), *(b + 1 for b in box))
+        if full:
+            fill = np.full(shape, ceiling, dtype=np.uint64)
+        else:
+            rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+            fill = rng.integers(0, ceiling, size=shape, dtype=np.uint64, endpoint=True)
+        fused, single = CoeffTable(dim, box), CoeffTable(dim, box)
+        for table in (fused, single):
+            table.data, table.ceiling = fill.copy(), ceiling
+        fused.class_pass(v, w)
+        assert int(fused.data.max()) <= fused.ceiling < word
+        for _ in range(w):
+            single.class_pass(v, 1)
+            assert int(single.data.max()) <= single.ceiling < word
+        assert fused.cells == single.cells
+
+
+def test_class_pass_checks_its_weight():
+    table = CoeffTable(3, (2, 2, 2))
+    for w in (0, 3, 8):
+        with pytest.raises(ValueError, match="power of two"):
+            table.class_pass((1, 1, 1), w)
+    with pytest.raises(TypeError):
+        table.class_pass((1, 1, 1), 2.0)
+    table.class_pass((1, 1, 1), np.int64(4))  # numpy ints as from class_weights
+    # (1 - x^v)^(-4) = 1 + 4 x^v + C(5, 2) x^2v + ...
+    assert [table.coefficient((k, k, k)) for k in range(3)] == [1, 4, 10]
+
+
+def test_build_table_makes_one_pass_per_vector(monkeypatch):
+    calls = []
+    real = CoeffTable.class_pass
+
+    def spy(self, v, w):
+        calls.append((tuple(v), w))
+        return real(self, v, w)
+
+    monkeypatch.setattr(CoeffTable, "class_pass", spy)
+    for dim, box in ((2, (5, 3)), (3, (2, 2, 2)), (4, (1, 2, 1, 1))):
+        for reverse in (False, True):
+            calls.clear()
+            build_table(dim, box, reverse=reverse)
+            vecs = primitive_array(dim, box, sum(box))
+            want = list(zip(map(tuple, vecs.tolist()), class_weights(vecs).tolist()))
+            assert calls == (want[::-1] if reverse else want)

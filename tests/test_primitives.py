@@ -3,7 +3,10 @@ import math
 
 import pytest
 
+import zonocount.primitives as primitives
 from zonocount import (
+    MemoryBudgetError,
+    class_weights,
     count_classes_moebius,
     count_primitive_moebius,
     is_primitive,
@@ -77,6 +80,8 @@ def test_lexicographic_order():
 
 def test_weights_match_nonzero_count():
     vecs = primitive_array(3, (3, 3, 3), 9)
+    assert class_weights(vecs).tolist() == [2 ** (sum(1 for c in v if c) - 1)
+                                            for v in vecs.tolist()]
     coords, sign = sign_classes(vecs)
     expected = [(tuple(v), j) for v in vecs.tolist()
                 for j in range(2 ** (sum(1 for c in v if c) - 1))]
@@ -108,6 +113,33 @@ def test_moebius_matches_enumeration_dim1_dim2():
 def test_moebius_matches_enumeration_dim3():
     for bound in itertools.product(range(9), repeat=3):
         assert count_primitive_moebius(3, bound) == len(coords_list(3, bound))
+
+
+def test_moebius_blocks_on_larger_boxes():
+    # boxes whose floor(b_i / k) stay constant over long runs of k
+    for bound in ((200, 37), (97, 0), (60, 45, 7), (12, 9, 10, 11)):
+        assert count_primitive_moebius(len(bound), bound) == len(coords_list(len(bound), bound))
+
+    def mu(k):
+        out, p = 1, 2
+        while p * p <= k:
+            if k % p == 0:
+                k //= p
+                if k % p == 0:
+                    return 0
+                out = -out
+            p += 1
+        return -out if k > 1 else out
+
+    assert primitives._mobius_upto(3000).tolist() == [0] + [mu(k) for k in range(1, 3001)]
+
+
+def test_moebius_sieve_over_budget_raises(monkeypatch):
+    monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", str(10 ** 6))
+    assert count_primitive_moebius(2, (10 ** 5, 3)) == count_primitive_moebius(2, (3, 10 ** 5))
+    for count in (count_primitive_moebius, count_classes_moebius):
+        with pytest.raises(MemoryBudgetError, match="Moebius sieve up to 1000000"):
+            count(2, (10 ** 6, 0))
 
 
 def test_class_count_matches_expansion():
