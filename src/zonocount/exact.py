@@ -5,28 +5,43 @@ The generating function over primitive nonnegative directions v,
     Zon_d(x) = prod_v (1 - x^v)^(-2^(d(v)-1)),
 
 is expanded by dynamic programming on a dense table of multi-precision
-integers, one pass per primitive vector v for the factor of all w_v =
-2^(d(v)-1) of its sign classes.  Let s = min_i floor(n_i / v_i) be the
-chain length of v in the box.  When s = 1 (2v leaves the box: three in four
-vectors at d=2 n=96, nine in ten at d=4 n=6) the factor truncates to
-1 + w_v x^v, and the pass is one slab add T[e] += T[e-v] << log2(w_v) over
-every cell e >= v.  When s >= 2 it runs w_v cumulative-sum passes
+integers.  Let s = min_i floor(n_i / v_i) be the chain length of a primitive
+vector v in the box, and w_v = 2^(d(v)-1) its number of sign classes.  When
+s >= 2 the factor (1 - x^v)^(-w_v) is applied as w_v cumulative-sum passes
 T[e] += T[e-v] in ascending index order, as numpy slab adds over blocks of
 hyperplanes, so its Python-level cost is one call per block, not one per
-cell.  The table at bound n then holds [x^m] Zon_d for every m <= n
-simultaneously.
+cell.  These passes run first; factors commute and truncation to the box is a
+ring map, so the order does not change the result.  The table at bound n then
+holds [x^m] Zon_d for every m <= n simultaneously.
+
+When s = 1 (2v leaves the box: three in four vectors at d=2 n=96, nine in
+ten at d=4 n=6) the factor truncates to 1 + w_v x^v.  Group a holds the
+vectors whose first axis with 2 v_a > n_a is a; any two of them sum past the
+box on that axis, so every cross term vanishes and the group's whole factor
+is 1 + sum_{v in G_a} w_v x^v.  Its sources (hyperplanes below the smallest
+v_a) and targets are disjoint.  For each k = v_a the sources of hyperplanes
+0..n_a - k, as float64 rows over the other axes, times the Toeplitz
+(block-Toeplitz for d >= 3) matrix of the kernel sum_u w_(k,u) y^u are one
+matrix product (numpy @, BLAS), added to hyperplanes k..n_a.
 
 The table is one uint64 array of shape (k, *(n + 1)): cell e holds
 sum_i data[i][e] << 32 i, with 32-bit limb payloads and lazy carries.  A
 ceiling bounds every entry.  A cumulative pass of chain length s (at most
-s + 1 entries summed into one) grows entries by the factor s + 1, a one-step
-pass by 1 + w_v.  Before either the table normalizes if factor * ceiling
-would reach 2^64 (carry = data >> 32, data &= 2^32 - 1, data[1:] +=
-carry[:-1], with a new limb when the top one carries), which leaves every
-entry below 2^33, then multiplies the ceiling by the factor.  The sum
-identity holds whether or not the limbs are normalized, and multiplying
-every limb by w_v multiplies the value by w_v, so one np.add per slab covers
-all k limbs and no per-block carry is needed.
+s + 1 entries summed into one) grows entries by the factor s + 1; before it
+the table normalizes if factor * ceiling would reach 2^64 (carry = data >>
+32, data &= 2^32 - 1, data[1:] += carry[:-1], with a new limb when the top
+one carries), which leaves every entry below 2^33, then multiplies the
+ceiling by the factor.  The sum identity holds whether or not the limbs are
+normalized, so one np.add per slab covers all k limbs and no per-block carry
+is needed.  A group product is exact because every partial sum is an integer
+below 2^53: each limb is multiplied on its own, and the table normalizes
+first when the ceiling times the group weight 1 + sum w_v would reach 2^53
+(or 2^64, the word); a group still heavier than that after a normalization
+is summed in batches.  The products are summed in float64 and converted to
+uint64, then added limb by limb when the ceiling leaves room for them, else
+(narrow limbs) folded back through a carry chain into one digit below 2^32
+per limb.  Either way the ceiling invariant holds at any limb width, and the
+result is the same bits whatever order BLAS sums in.
 
 Exact first moments are chain sums over that one table.  Marking generator
 presence with u (factor 1 + u x^v/(1-x^v)) and differentiating at u = 1
@@ -65,6 +80,10 @@ CHECKPOINT_FORMAT = 1
 # before its carry is pushed into the limb above.
 _LIMB_BITS = 32
 
+# float64 holds every integer below this exactly; one-step group products
+# keep every partial sum below it
+_FLOAT_EXACT = 1 << 53
+
 _BRUTE_NODE_BUDGET = 10 ** 7
 
 
@@ -102,8 +121,9 @@ class CoeffTable:
         self.dim = dim
         self.shape = tuple(b + 1 for b in self.bound)
         # one step of a pass multiplies the ceiling by s + 1 <= max(shape), a
-        # one-step pass by 1 + 2^(d-1); one normalization must leave room for
-        # either below 2^(2 * _LIMB_BITS)
+        # one-step pass of one vector by 1 + 2^(d-1); one normalization must
+        # leave room for either below 2^(2 * _LIMB_BITS) (a larger one-step
+        # group may instead carry its products through the limbs, see _fold)
         growth = max(*self.shape, 1 + (1 << (dim - 1)))
         if growth > 1 << (_LIMB_BITS - 1):
             raise ValueError(f"a pass over bound {self.bound} in dim {dim} may grow entries "
@@ -115,16 +135,18 @@ class CoeffTable:
             self.data[(0,) * (dim + 1)] = 1
             self.ceiling = 1
 
-    def _check_memory(self, limbs: int) -> None:
-        """Budget for `limbs` limbs plus the normalization temporary of the same size."""
+    def _check_memory(self, limbs: int, staging: int = 0) -> None:
+        """Budget for `limbs` limbs plus the normalization temporary of the same
+        size, plus `staging` bytes of one-step group buffers."""
         size = math.prod(self.shape)
-        need = 2 * 8 * limbs * size
+        need = 2 * 8 * limbs * size + staging
         budget = _memory_budget()
         if need > budget:
+            extra = " and one-step staging" if staging else ""
             raise MemoryBudgetError(
                 f"table of {size} cells in {limbs} limbs (~{need / 1e9:.2f} GB with its "
-                f"carry buffer) exceeds budget {budget / 1e9:.2f} GB; raise {_MEMORY_ENV} "
-                f"to override")
+                f"carry buffer{extra}) exceeds budget {budget / 1e9:.2f} GB; raise "
+                f"{_MEMORY_ENV} to override")
 
     def _normalize(self) -> None:
         """Push every entry's carry into the limb above, adding a limb if the top one
@@ -172,15 +194,12 @@ class CoeffTable:
         sub = self.data[(slice(None), *(slice(c + 1) for c in box))]
         return sum(sum(limb.ravel().tolist()) << (_LIMB_BITS * i) for i, limb in enumerate(sub))
 
-    def _shift(self, v: Sequence[int]) -> tuple[tuple[int, ...], int, list, list]:
-        """v as ints, its chain length s = min_i floor(b_i / v_i), and the index
-        lists (limb axis first) of the cells e >= v and of their sources e - v."""
-        vt = tuple(int(c) for c in v)
-        if len(vt) != self.dim or any(c < 0 for c in vt) or not any(vt):
+    def _vector(self, v: Sequence[int]) -> tuple[int, ...]:
+        """v as a tuple of ints, checked to be a nonzero pass vector of this table."""
+        vt = tuple(map(int, v))
+        if len(vt) != self.dim or min(vt) < 0 or not any(vt):
             raise ValueError(f"invalid pass vector {vt} for dim {self.dim}")
-        dst = [slice(None)] + [slice(c, None) for c in vt]
-        src = [slice(None)] + [slice(0, n - c) for c, n in zip(vt, self.shape)]
-        return vt, min(b // c for b, c in zip(self.bound, vt) if c), dst, src
+        return vt
 
     def _grow(self, factor: int) -> None:
         """Let every entry grow to `factor` times the ceiling, normalizing first
@@ -194,33 +213,142 @@ class CoeffTable:
         sign classes of v.
 
         With chain length s = 1 (2v outside the box) the factor truncates to
-        1 + w x^v and no target cell is also a source, so the pass is one slab
-        add over all limbs of the sources shifted left by log2(w).  Otherwise it
-        runs w times T[e] += T[e - v] in ascending order: along the axis a of
+        1 + w x^v: a one-step group of one vector (see _one_step).  Otherwise
+        it runs w times T[e] += T[e - v] in ascending order: along the axis a of
         largest v_a, blocks of v_a consecutive hyperplanes are added one slab at
         a time, and a block reads only hyperplanes below it, which are final.
         """
         w = operator.index(w)
         if w < 1 or w & (w - 1) or w > 1 << (self.dim - 1):
             raise ValueError(f"class weight {w} is not a power of two up to 2^{self.dim - 1}")
-        vt, s, dst, src = self._shift(v)
+        vt = self._vector(v)
+        s = min([b // c for b, c in zip(self.bound, vt) if c])
         if s == 1:
-            self._grow(1 + w)
-            view = self.data[tuple(dst)]
-            np.add(view, self.data[tuple(src)] << (w.bit_length() - 1), out=view)
+            a = next(i for i, (c, b) in enumerate(zip(vt, self.bound)) if 2 * c > b)
+            self._one_step(a, np.array([vt]), np.array([w]))
         elif s:
-            a = vt.index(max(vt))
-            step, top = vt[a], self.shape[a]
-            blocks = []
-            for lo in range(step, top, step):
-                hi = min(lo + step, top)
-                dst[a + 1], src[a + 1] = slice(lo, hi), slice(lo - step, hi - step)
-                blocks.append((tuple(dst), tuple(src)))
-            for _ in range(w):
-                self._grow(s + 1)  # an entry becomes a sum of at most s + 1 entries
-                for dst_idx, src_idx in blocks:
-                    block = self.data[dst_idx]
-                    np.add(block, self.data[src_idx], out=block)
+            self._cumulate(vt, w, s)
+
+    def _cumulate(self, vt: tuple[int, ...], w: int, s: int) -> None:
+        """w times T[e] += T[e - v] for v = vt of chain length s >= 2 (class_pass)."""
+        a = vt.index(max(vt))
+        step, top = vt[a], self.shape[a]
+        dst = [slice(None), *[slice(c, None) for c in vt]]
+        src = [slice(None), *[slice(n - c) for c, n in zip(vt, self.shape)]]
+        blocks = []
+        for lo in range(step, top, step):
+            hi = min(lo + step, top)
+            dst[a + 1], src[a + 1] = slice(lo, hi), slice(lo - step, hi - step)
+            blocks.append((tuple(dst), tuple(src)))
+        for _ in range(w):
+            self._grow(s + 1)  # an entry becomes a sum of at most s + 1 entries
+            for dst_idx, src_idx in blocks:
+                block = self.data[dst_idx]
+                np.add(block, self.data[src_idx], out=block)
+
+    def _one_step(self, a: int, vecs: np.ndarray, weights: np.ndarray) -> None:
+        """In place, multiply by 1 + sum_v w_v x^v over the rows v of vecs, which
+        lie in the box and all have 2 v_a > n_a (group a, module docstring).
+
+        Per k = v_a, the sources in hyperplanes 0..n_a - k times the Toeplitz
+        matrix of the kernel sum_u w_(k,u) y^u over the other axes is one
+        float64 matrix product; the products of a batch are summed in a float64
+        buffer, exact while the batch weight times the ceiling stays below 2^53,
+        and folded into hyperplanes k..n_a (_fold).  Sources and targets are
+        disjoint, so the sources are staged once.
+        """
+        top = self.shape[a]
+        lo = top // 2 + top % 2  # every k = v_a > n_a / 2 is at least this
+        rows = top - lo  # target hyperplanes lo..n_a, source hyperplanes 0..n_a - lo
+        other = self.shape[:a] + self.shape[a + 1:] or (1,)
+        m = math.prod(other)
+        at = vecs[:, a] - lo
+        sums = [int(x) for x in np.bincount(at, weights, rows).tolist()]  # weight per k
+        if (1 + sum(sums)) * self.ceiling >= min(1 << (2 * _LIMB_BITS), _FLOAT_EXACT):
+            self._normalize()
+        scale = max(self.ceiling, 1)  # bounds every source entry until the group ends
+        if max(sums) * scale >= _FLOAT_EXACT:
+            raise ValueError(f"a one-step group over bound {self.bound} sums {max(sums)} "
+                             f"terms per cell, too many for exact float64 products")
+        limbs = len(self.data)
+        # The matrix of k is block upper triangular (u >= 0), so the block
+        # columns whose first other coordinate is below c read only the block
+        # rows below c: for d >= 3 two pieces, split along the first other
+        # axis, skip a quarter of the products and halve the matrix held at
+        # once.  At d = 2 the matrix is at most (n + 1)^2 and stays whole.
+        inner = m // other[0]
+        cut = other[0] // 2 if inner > 1 else 0
+        pieces = [(c0, c1) for c0, c1 in ((0, cut), (cut, other[0])) if c0 < c1]
+        pad = tuple(2 * n - 1 for n in other)
+        # the kernels, the larger piece, the staged sources, their sums, one
+        # product and the sums as uint64
+        self._check_memory(limbs, 8 * (rows * math.prod(pad) + m * (m - cut * inner)
+                                       + 4 * rows * limbs * m))
+        # kern[k - lo] holds w_(k,u) at u + other - 1, so the matrix of k, with
+        # entry w_(k, q - r) in row r and column q, is a strided view of it
+        kern = np.zeros((rows, *pad))
+        kern[(at, *[vecs[:, i] + (self.shape[i] - 1) for i in range(self.dim) if i != a])] = weights
+        step = kern.strides[1:]
+        matrices = np.ndarray((rows, *other, *other), kern.dtype, kern,
+                              offset=sum((n - 1) * t for n, t in zip(other, step)),
+                              strides=kern.strides[:1] + tuple(-t for t in step) + step)
+        whole = (slice(None),) * (len(other) - 1)
+        perm = (a + 1, 0, *range(1, a + 1), *range(a + 2, self.dim + 1))
+        src = np.ascontiguousarray(self.data.transpose(perm)[:rows], dtype=np.float64)
+        src = src.reshape(rows * limbs, m)
+        acc = np.zeros((rows * limbs, m))
+        batch = 0
+        for j, wk in enumerate(sums):
+            if not wk:
+                continue
+            # past 2^20 terms per cell after a normalization with 32-bit limbs
+            # (about d=2 n=1300, d=3 n=86, d=4 n=23)
+            if (batch + wk) * scale >= _FLOAT_EXACT:
+                self._fold(perm, lo, acc, batch * scale)
+                acc[:] = 0
+                batch = 0
+            for c0, c1 in pieces:
+                # a copy in C order for d >= 3; at d = 2 matmul copies the view
+                toeplitz = matrices[(j, slice(c1), *whole, slice(c0, c1))].reshape(
+                    c1 * inner, (c1 - c0) * inner)
+                product = src[:(rows - j) * limbs, :c1 * inner] @ toeplitz
+                acc[j * limbs:, c0 * inner:c1 * inner] += product
+                del toeplitz, product  # the next ones are allocated before these names are rebound
+            batch += wk
+        self._fold(perm, lo, acc, batch * scale)
+
+    def _fold(self, perm: tuple, lo: int, acc: np.ndarray, grow: int) -> None:
+        """Add the sums acc (exact integers below 2^53, limb-major per hyperplane,
+        each at most `grow`) to the cells from hyperplane lo of axis perm[0] - 1 on.
+
+        When the ceiling leaves room for `grow`, after a normalization if need
+        be, each sum is added to its own limb.  Otherwise (narrow limbs) the
+        sums are carried into digits below 2^_LIMB_BITS, one per limb, so the
+        ceiling grows by 2^_LIMB_BITS - 1 only.
+        """
+        word = 1 << (2 * _LIMB_BITS)
+        if self.ceiling + grow >= word:
+            self._normalize()
+        view = self.data.transpose(perm)[lo:]
+        sums = acc.astype(np.uint64).reshape(len(view), -1, *view.shape[2:])
+        limbs = sums.shape[1]
+        if self.ceiling + grow < word:
+            view[:, :limbs] += sums
+            self.ceiling += grow
+            return
+        mask = (1 << _LIMB_BITS) - 1
+        carry = sums[:, 0]
+        i = 0
+        while i < limbs or carry.any():
+            if i == len(self.data):
+                self._add_limb()
+                view = self.data.transpose(perm)[lo:]
+            view[:, i] += carry & mask
+            carry = carry >> _LIMB_BITS
+            i += 1
+            if i < limbs:
+                carry += sums[:, i]
+        self.ceiling += mask
 
     def shifted_add(self, src: "CoeffTable", v: Sequence[int]) -> None:
         """self[e] += src[e - v] (multiplication of src by x^v, accumulated)."""
@@ -228,8 +356,8 @@ class CoeffTable:
             raise ValueError("table bounds differ")
         if src is self:
             return self.class_pass(v, 1)
-        _, s, dst_idx, src_idx = self._shift(v)
-        if not s:
+        vt = self._vector(v)
+        if any(c > b for c, b in zip(vt, self.bound)):
             return
         if self.ceiling + src.ceiling >= 1 << (2 * _LIMB_BITS):
             self._normalize()
@@ -237,9 +365,9 @@ class CoeffTable:
         while len(self.data) < len(src.data):
             self._add_limb()
         self.ceiling += src.ceiling
-        dst_idx[0] = slice(len(src.data))
-        view = self.data[tuple(dst_idx)]
-        np.add(view, src.data[tuple(src_idx)], out=view)  # src is another table: one slab
+        view = self.data[(slice(len(src.data)), *[slice(c, None) for c in vt])]
+        np.add(view, src.data[(slice(None), *[slice(n - c) for c, n in zip(vt, self.shape)])],
+               out=view)  # src is another table: one slab
 
     def dump_json(self, path) -> None:
         """Versioned checkpoint: {format, dim, bound, cells as decimal strings}."""
@@ -274,11 +402,24 @@ class CoeffTable:
 
 
 def _build(table: CoeffTable, vecs: np.ndarray) -> CoeffTable:
-    """One pass per primitive row v of vecs, in row order, applying the factor
-    (1 - x^v)^(-w_v) of all its sign classes at once."""
+    """Multiply the table by the factor (1 - x^v)^(-w_v) of every primitive row
+    v of vecs: class_pass for the rows with 2v inside the box, in row order,
+    then one group product per axis a for the rest, grouped by the first axis
+    with 2 v_a > n_a."""
+    weights = class_weights(vecs)
+    over = 2 * vecs > np.array(table.bound)  # the axes along which 2v leaves the box
+    # the group axis of each row, dim for the rows with 2v inside the box;
+    # a stable sort keeps the row order within each group
+    group = np.where(over.any(axis=1), over.argmax(axis=1), table.dim)
+    order = group.argsort(kind="stable")
+    ends = np.bincount(group, minlength=table.dim + 1).cumsum().tolist()
+    vecs, weights = vecs[order], weights[order]
     # row by row: a list of every row would hold ~100 bytes per vector
-    for v, w in zip(vecs, class_weights(vecs).tolist()):
+    for v, w in zip(vecs[ends[-2]:], weights[ends[-2]:].tolist()):
         table.class_pass(v.tolist(), w)
+    for a, (lo, hi) in enumerate(zip([0] + ends, ends[:-1])):
+        if lo < hi:
+            table._one_step(a, vecs[lo:hi], weights[lo:hi])
     return table
 
 
@@ -286,9 +427,10 @@ def build_table(dim: int, bound, reverse: bool = False) -> CoeffTable:
     """DP table of Zon_d coefficients over {e <= bound}.
 
     Factor order is lexicographic in v (reverse only exercises commutativity
-    in tests).  Each vector receives one pass for its w_v = 2^(d(v)-1) sign
-    classes: a single shifted slab add when 2v leaves the box, else w_v
-    cumulative passes on one block plan (CoeffTable.class_pass).
+    in tests).  Each vector is applied once for its w_v = 2^(d(v)-1) sign
+    classes: w_v cumulative passes on one block plan when 2v fits in the box
+    (CoeffTable.class_pass), else as part of its axis group's product (see
+    _build).
     """
     bt = _as_bound(dim, bound)
     table = CoeffTable(dim, bt)  # its memory guard runs before the box is enumerated

@@ -1,12 +1,14 @@
 import itertools
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import zonocount.exact as exact
@@ -189,6 +191,11 @@ def test_memory_guard(monkeypatch):
     monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", "1000")
     with pytest.raises(MemoryBudgetError):
         CoeffTable(2, (10, 10))
+    # the table and its carry buffer fit, the staging of a one-step group does not
+    monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", str(2 * 8 * 11 * 11))
+    CoeffTable(2, (10, 10))
+    with pytest.raises(MemoryBudgetError, match="staging"):
+        build_table(2, (10, 10))
     monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", "not-a-number")
     with pytest.raises(ValueError):
         CoeffTable(2, (2, 2))
@@ -298,6 +305,18 @@ def _narrow_limbs(monkeypatch):
     monkeypatch.setattr(exact, "_LIMB_BITS", 4)
 
 
+def _checked_steps(monkeypatch, check):
+    # run check(table) after every class_pass and every group product
+    for name in ("class_pass", "_one_step"):
+        real = getattr(CoeffTable, name)
+
+        def step(self, *args, _real=real):
+            _real(self, *args)
+            check(self)
+
+        monkeypatch.setattr(CoeffTable, name, step)
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), box=_SMALL_BOXES)
 def test_narrow_limbs_match_brute_force(data, box):
@@ -305,11 +324,12 @@ def test_narrow_limbs_match_brute_force(data, box):
     wide = build_table(dim, box)
     with pytest.MonkeyPatch.context() as monkeypatch:
         _narrow_limbs(monkeypatch)
-        narrow = CoeffTable(dim, box)
-        vecs = primitive_array(dim, box, sum(box))
-        for v, w in zip(vecs.tolist(), class_weights(vecs).tolist()):
-            narrow.class_pass(v, w)
-            assert int(narrow.data.max()) <= narrow.ceiling < 1 << 8
+
+        def check(table):
+            assert int(table.data.max()) <= table.ceiling < 1 << 8
+
+        _checked_steps(monkeypatch, check)
+        narrow = exact._build(CoeffTable(dim, box), primitive_array(dim, box, sum(box)))
         assert narrow.coefficient(box) == brute_force_count(dim, box).count
         assert narrow.cells == wide.cells
         sub = tuple(data.draw(st.integers(0, b)) for b in box)
@@ -410,6 +430,126 @@ def test_weighted_pass_equals_repeated_class_passes(data, box, narrow, full):
         assert fused.cells == single.cells
 
 
+def _values(table):
+    # the cells as an object array of Python ints, shaped like the box
+    return np.array(table.cells, dtype=object).reshape(table.shape)
+
+
+def _group(box, a):
+    # the primitive vectors whose first axis with 2 v_i > n_i is a
+    vecs = primitive_array(len(box), box, sum(box))
+    over = 2 * vecs > np.array(box)
+    return vecs[over.any(axis=1) & (over.argmax(axis=1) == a)]
+
+
+def _slab_adds(values, vecs, weights):
+    # the reference: one slab add T[e] += w T[e - v] per vector, in sequence
+    for v, w in zip(vecs.tolist(), weights.tolist()):
+        dst = tuple(slice(c, None) for c in v)
+        src = tuple(slice(0, n - c) for c, n in zip(v, values.shape))
+        values[dst] += w * values[src]
+    return values
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), box=st.lists(st.integers(0, 4), min_size=2, max_size=4).map(tuple),
+       narrow=st.booleans(), full=st.booleans(), batched=st.booleans())
+def test_group_product_equals_sequential_slab_adds(data, box, narrow, full, batched):
+    # a random or saturated table of 1-3 limbs, and a random subset of one axis
+    # group; batched takes the whole group and lowers the exact-float limit so
+    # that the products are summed and folded in several batches
+    dim = len(box)
+    a = data.draw(st.sampled_from([i for i, b in enumerate(box) if b] or [0]))
+    group = _group(box, a)
+    if not batched:
+        keep = data.draw(st.lists(st.booleans(), min_size=len(group), max_size=len(group)))
+        group = group[np.array(keep, dtype=bool)] if len(group) else group
+    vecs = group
+    assume(len(vecs))
+    weights = class_weights(vecs)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        if narrow:
+            monkeypatch.setattr(exact, "_LIMB_BITS", 4 if dim <= 3 else 5)
+        if batched:
+            heaviest = max(int(weights[vecs[:, a] == k].sum()) for k in vecs[:, a].tolist())
+            monkeypatch.setattr(exact, "_FLOAT_EXACT", heaviest << (exact._LIMB_BITS + 1))
+        word = 1 << (2 * exact._LIMB_BITS)
+        ceiling = data.draw(st.integers(0, word - 1))
+        shape = (data.draw(st.integers(1, 3)), *(b + 1 for b in box))
+        if full:
+            fill = np.full(shape, ceiling, dtype=np.uint64)
+        else:
+            rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+            fill = rng.integers(0, ceiling, size=shape, dtype=np.uint64, endpoint=True)
+        table = CoeffTable(dim, box)
+        table.data, table.ceiling = fill, ceiling
+        want = _slab_adds(_values(table), vecs, weights)
+        table._one_step(a, vecs, weights)
+        assert int(table.data.max()) <= table.ceiling < word
+        assert table.cells == want.ravel().tolist()
+
+
+def test_group_product_normalizes_at_2_pow_53():
+    # group 0 of (1, 1) is (1, 0) and (1, 1), of weights 1 and 2: the group
+    # weight 1 + 3 times a ceiling of 2^51 reaches 2^53, one below does not
+    vecs = _group((1, 1), 0)
+    assert vecs.tolist() == [[1, 0], [1, 1]]
+    for ceiling, limbs in ((2 ** 51 - 1, 1), (2 ** 51, 2)):
+        table = CoeffTable(2, (1, 1))
+        table.data = np.full((1, 2, 2), ceiling, dtype=np.uint64)
+        table.ceiling = ceiling
+        want = _slab_adds(_values(table), vecs, class_weights(vecs))
+        table._one_step(0, vecs, class_weights(vecs))
+        assert len(table.data) == limbs  # 2^51 normalizes first, carrying into a new limb
+        assert int(table.data.max()) <= table.ceiling < 1 << 64
+        assert table.cells == want.ravel().tolist() == [ceiling, ceiling, 2 * ceiling, 4 * ceiling]
+
+
+def test_group_product_folds_in_batches(monkeypatch):
+    # with the exact-float limit lowered to 2^8, group 0 of (5, 5) (weights 8,
+    # 6 and 8 at v_0 = 3, 4, 5) is summed in two or three batches; a fold that
+    # would outgrow the 8-bit word of 4-bit limbs normalizes first
+    _narrow_limbs(monkeypatch)
+    monkeypatch.setattr(exact, "_FLOAT_EXACT", 1 << 8)
+    folds = []
+    real = CoeffTable._fold
+    monkeypatch.setattr(CoeffTable, "_fold", lambda self, *args: folds.append(real(self, *args)))
+    vecs = _group((5, 5), 0)
+    for fill, batches in ((40, 2), (255, 3)):
+        folds.clear()
+        table = CoeffTable(2, (5, 5))
+        table.data = np.full((1, 6, 6), fill, dtype=np.uint64)
+        table.ceiling = fill
+        want = _slab_adds(_values(table), vecs, class_weights(vecs))
+        table._one_step(0, vecs, class_weights(vecs))
+        assert len(folds) == batches
+        assert int(table.data.max()) <= table.ceiling < 1 << 8
+        assert table.cells == want.ravel().tolist()
+
+
+_BLAS_SCRIPT = """
+import hashlib
+from zonocount import build_table
+for dim, n in ((2, 64), (3, 12)):
+    print(hashlib.sha256(repr(build_table(dim, (n,) * dim).cells).encode()).hexdigest())
+"""
+
+
+def test_cells_do_not_depend_on_blas_threads():
+    # every partial sum of a group product is an integer below 2^53, so the
+    # order BLAS sums in cannot change a bit
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _BLAS_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout.split())
+    assert len(out[0]) == 2
+    assert out[0] == out[1]
+
+
 def test_class_pass_checks_its_weight():
     table = CoeffTable(3, (2, 2, 2))
     for w in (0, 3, 8):
@@ -423,18 +563,35 @@ def test_class_pass_checks_its_weight():
 
 
 def test_build_table_makes_one_pass_per_vector(monkeypatch):
-    calls = []
-    real = CoeffTable.class_pass
+    # every primitive vector is applied exactly once: by class_pass when 2v
+    # fits in the box, else in the group product of the first axis a with
+    # 2 v_a > n_a, in the order build_table visits them
+    calls, groups = [], []
+    real_pass, real_group = CoeffTable.class_pass, CoeffTable._one_step
 
-    def spy(self, v, w):
+    def spy_pass(self, v, w):
         calls.append((tuple(v), w))
-        return real(self, v, w)
+        return real_pass(self, v, w)
 
-    monkeypatch.setattr(CoeffTable, "class_pass", spy)
+    def spy_group(self, a, vecs, weights):
+        groups.append((a, list(zip(map(tuple, vecs.tolist()), weights.tolist()))))
+        return real_group(self, a, vecs, weights)
+
+    monkeypatch.setattr(CoeffTable, "class_pass", spy_pass)
+    monkeypatch.setattr(CoeffTable, "_one_step", spy_group)
     for dim, box in ((2, (5, 3)), (3, (2, 2, 2)), (4, (1, 2, 1, 1))):
         for reverse in (False, True):
             calls.clear()
+            groups.clear()
             build_table(dim, box, reverse=reverse)
             vecs = primitive_array(dim, box, sum(box))
             want = list(zip(map(tuple, vecs.tolist()), class_weights(vecs).tolist()))
-            assert calls == (want[::-1] if reverse else want)
+            if reverse:
+                want.reverse()
+            axis = {v: next((i for i, (c, b) in enumerate(zip(v, box)) if 2 * c > b), None)
+                    for v, _ in want}
+            assert calls == [(v, w) for v, w in want if axis[v] is None]
+            assert groups == [(a, [(v, w) for v, w in want if axis[v] == a])
+                              for a in range(dim) if a in axis.values()]
+            handled = calls + [member for _, members in groups for member in members]
+            assert sorted(handled) == sorted(want)
