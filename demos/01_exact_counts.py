@@ -46,9 +46,3 @@ print("== three dimensions ==")
 table3 = zc.build_table(3, (3, 3, 3))
 for n in range(4):
     print(f"z_3({n}) = {table3.coefficient((n, n, n))}")
-
-print()
-print("checkpointing the 2D table to zon2_table.json (versioned format)")
-table.dump_json("zon2_table.json")
-reloaded = zc.CoeffTable.load_json("zon2_table.json")
-print("reload intact:", reloaded.cells == table.cells)

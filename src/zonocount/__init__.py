@@ -69,7 +69,6 @@ from .sampler import (
     class_system,
     expected_directions_truncated,
     expected_endpoint_truncated,
-    iter_samples,
     sample_stats,
     to_polygon,
     truncation_bias_estimate,

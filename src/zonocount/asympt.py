@@ -56,16 +56,6 @@ class RationalPoly:
         if len(self.coeffs) > 1 and self.coeffs[-1] == 0:
             raise ValueError("trailing coefficient must be nonzero")
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        acc = x * 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
 
 @lru_cache(maxsize=None)
 def pd_poly(d: int) -> RationalPoly:
@@ -247,11 +237,6 @@ class WaveForm:
     frequency: float
     scale: float
     half_power: float
-
-    def value(self, n: float) -> float:
-        mod = n ** self.half_power
-        phase = self.frequency * math.log(self.scale * n)
-        return mod * (self.amp_cos * math.cos(phase) + self.amp_sin * math.sin(phase))
 
 
 def icrit_wave_form(d: int, zero: ZetaZero | None = None) -> WaveForm:

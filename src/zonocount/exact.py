@@ -54,7 +54,6 @@ serves as the oracle for all of these on small boxes.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -73,8 +72,6 @@ from .primitives import (
     primitive_array,
     sign_classes,
 )
-
-CHECKPOINT_FORMAT = 1
 
 # Payload bits of one limb.  A uint64 entry may hold up to 2 * _LIMB_BITS bits
 # before its carry is pushed into the limb above.
@@ -111,12 +108,12 @@ class CoeffTable:
     ``data`` holds the coefficients as uint64 limbs with lazy carries, shape
     (k, *(bound + 1)) (see the module docstring); ``ceiling`` bounds every
     entry.  Values become Python ints only where they are read
-    (``coefficient``, ``total``, ``cells``, the checkpoint).
+    (``coefficient``, ``total``, ``cells``).
     """
 
     __slots__ = ("dim", "bound", "shape", "data", "ceiling")
 
-    def __init__(self, dim: int, bound, delta_at_origin: bool = True):
+    def __init__(self, dim: int, bound):
         self.bound = _as_bound(dim, bound)
         self.dim = dim
         self.shape = tuple(b + 1 for b in self.bound)
@@ -130,10 +127,8 @@ class CoeffTable:
                              f"{growth}-fold, above the limit 2^{_LIMB_BITS - 1}")
         self._check_memory(1)
         self.data = np.zeros((1, *self.shape), dtype=np.uint64)
-        self.ceiling = 0
-        if delta_at_origin:
-            self.data[(0,) * (dim + 1)] = 1
-            self.ceiling = 1
+        self.data[(0,) * (dim + 1)] = 1
+        self.ceiling = 1
 
     def _check_memory(self, limbs: int, staging: int = 0) -> None:
         """Budget for `limbs` limbs plus the normalization temporary of the same
@@ -369,37 +364,6 @@ class CoeffTable:
         np.add(view, src.data[(slice(None), *[slice(n - c) for c, n in zip(vt, self.shape)])],
                out=view)  # src is another table: one slab
 
-    def dump_json(self, path) -> None:
-        """Versioned checkpoint: {format, dim, bound, cells as decimal strings}."""
-        doc = {
-            "format": CHECKPOINT_FORMAT,
-            "dim": self.dim,
-            "bound": list(self.bound),
-            "cells": [str(c) for c in self.cells],
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-
-    @classmethod
-    def load_json(cls, path) -> "CoeffTable":
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if doc.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(f"unsupported checkpoint format {doc.get('format')!r}")
-        out = cls(doc["dim"], doc["bound"], delta_at_origin=False)
-        cells = [int(c) for c in doc["cells"]]
-        if len(cells) != math.prod(out.shape):
-            raise ValueError("checkpoint cell count does not match bound")
-        if min(cells) < 0:
-            raise ValueError("checkpoint cells must be >= 0")
-        limbs = max(1, -(-max(cells).bit_length() // _LIMB_BITS))
-        out._check_memory(limbs)
-        mask = (1 << _LIMB_BITS) - 1
-        out.data = np.array([[(c >> (_LIMB_BITS * i)) & mask for c in cells]
-                             for i in range(limbs)], dtype=np.uint64).reshape(limbs, *out.shape)
-        out.ceiling = int(out.data.max())
-        return out
-
 
 def _build(table: CoeffTable, vecs: np.ndarray) -> CoeffTable:
     """Multiply the table by the factor (1 - x^v)^(-w_v) of every primitive row
@@ -423,19 +387,18 @@ def _build(table: CoeffTable, vecs: np.ndarray) -> CoeffTable:
     return table
 
 
-def build_table(dim: int, bound, reverse: bool = False) -> CoeffTable:
+def build_table(dim: int, bound) -> CoeffTable:
     """DP table of Zon_d coefficients over {e <= bound}.
 
-    Factor order is lexicographic in v (reverse only exercises commutativity
-    in tests).  Each vector is applied once for its w_v = 2^(d(v)-1) sign
-    classes: w_v cumulative passes on one block plan when 2v fits in the box
-    (CoeffTable.class_pass), else as part of its axis group's product (see
-    _build).
+    Factor order is lexicographic in v.  Each vector is applied once for its
+    w_v = 2^(d(v)-1) sign classes: w_v cumulative passes on one block plan
+    when 2v fits in the box (CoeffTable.class_pass), else as part of its axis
+    group's product (see _build).
     """
     bt = _as_bound(dim, bound)
     table = CoeffTable(dim, bt)  # its memory guard runs before the box is enumerated
     vecs = primitive_array(dim, bt, sum(bt))
-    return _build(table, vecs[::-1] if reverse else vecs)
+    return _build(table, vecs)
 
 
 def zon_coefficient(dim: int, n) -> int:

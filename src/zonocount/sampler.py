@@ -72,9 +72,11 @@ class ClassSystem:
         need = math.comb(l1_max + dim, dim) * 2 ** (dim - 1) * 8 * (dim + 4)
         budget = _memory_budget()
         if need > budget:
+            # past 1e308 need has no float: give its size as a power of ten
+            size = f"{need / 1e9:.3g}" if need < 1e308 else f"1e{math.log10(need) - 9:.0f}"
             raise MemoryBudgetError(
                 f"class system of 1-norm radius {l1_max} in dim {dim} "
-                f"(~{need / 1e9:.3g} GB) exceeds budget {budget / 1e9:.3g} GB")
+                f"(~{size} GB) exceeds budget {budget / 1e9:.3g} GB")
         vecs = primitive_array(dim, (l1_max,) * dim, l1_max)
         norms = vecs.sum(axis=1)
         # only the norms that occur need the rounding check (at d = 1 that is one)
@@ -87,10 +89,6 @@ class ClassSystem:
         self.q = np.exp(self.log_q)
         self.q_hi = self.q * _Q_MARGIN
         self.l1_max = l1_max
-
-    @property
-    def class_ids(self) -> list[ClassId]:
-        return list(zip(map(tuple, self.coords.tolist()), self.sign.tolist()))
 
     def index_of(self, class_id: ClassId) -> int:
         """Visit position of a class: one binary search per coordinate."""
@@ -132,13 +130,6 @@ class ZonotopeSample:
     endpoint: tuple[int, ...]
     direction_count: int
 
-    def multiplicity(self, class_id: ClassId) -> int:
-        cid = (tuple(class_id[0]), int(class_id[1]))
-        for entry_id, mult in self.entries:
-            if entry_id == cid:
-                return mult
-        return 0
-
 
 def _draw(sys: ClassSystem, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Visit positions with K >= 1, ascending, and their K.
@@ -169,14 +160,6 @@ def boltzmann_sample(dim: int, theta: float, cutoff: float = 1e-12, seed: int = 
         dim=dim, theta=sys.theta, cutoff=sys.cutoff, seed=seed, entries=entries,
         endpoint=tuple((k @ coords).tolist()), direction_count=len(entries),
     )
-
-
-def iter_samples(dim: int, theta: float, cutoff: float, n_samples: int,
-                 base_seed: int) -> Iterator[ZonotopeSample]:
-    """Samples with seeds base_seed, base_seed+1, ... (independent streams)."""
-    sys = class_system(dim, theta, cutoff)
-    for i in range(n_samples):
-        yield boltzmann_sample(dim, theta, cutoff, base_seed + i, system=sys)
 
 
 def expected_directions_truncated(dim: int, theta: float, cutoff: float) -> float:

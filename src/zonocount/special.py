@@ -156,7 +156,13 @@ def gamma_complex(s: complex) -> complex:
     for i in range(1, 9):
         x += _LANCZOS_COEF[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * x
+    try:
+        value = math.sqrt(2 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * x
+    except OverflowError:
+        value = math.inf
+    if not cmath.isfinite(value):  # t^(z + 1/2) leaves the float range near Re s = 142
+        raise SpecialFunctionError(f"gamma overflows at s = {s}")
+    return value
 
 
 def zeta_complex(s: complex) -> complex:

@@ -149,15 +149,20 @@ def test_icrit_wave_form():
         assert abs(wave.frequency - t1 / (d + 1)) < 1e-12
         assert abs(wave.scale - 1 / kappa(d)) < 1e-12
         assert wave.half_power == 0.5 / (d + 1)
+        # the printed fields give icrit at m = 1:
+        # amp_cos n^half_power cos(frequency ln(scale n)) + amp_sin (...) sin(...)
+        for n in (10.0, 1e3, 1e6, 1e8, 1e9):
+            phase = wave.frequency * math.log(wave.scale * n)
+            value = n ** wave.half_power * (wave.amp_cos * math.cos(phase)
+                                            + wave.amp_sin * math.sin(phase))
+            assert abs(icrit(d, n) - value) < 1e-12 * max(1e-10, abs(value))
 
 
 def test_icrit_regression_and_wave_consistency():
     for d, want in ICRIT_1E6.items():
         got = icrit(d, 1e6)
         assert abs(got - want) < 1e-5 * abs(want)
-        wave = icrit_wave_form(d)
-        for n in (10.0, 1e3, 1e6, 1e9):
-            assert abs(icrit(d, n) - wave.value(n)) < 1e-12 * max(1e-10, abs(wave.value(n)))
+    # consistency with the wave form's fields: test_icrit_wave_form
 
 
 def test_icrit_envelope_bounded():

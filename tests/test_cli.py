@@ -201,6 +201,21 @@ def test_class_budget_surfaces_as_error(capsys):
     assert "exceeds budget" in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("dim, theta", [(2, "1e-160"), (3, "1e-110")])
+def test_class_budget_past_float_range_is_error(capsys, dim, theta):
+    # the class system needs more than 1e308 bytes: the message still formats
+    code, out, err = run_cli(capsys, "sample", "--dim", str(dim), "--theta", theta)
+    assert code == 2 and out == ""
+    assert err.startswith("error: class system of 1-norm radius") and "exceeds budget" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_icrit_gamma_overflow_is_error(capsys):
+    code, out, err = run_cli(capsys, "icrit", "--dim", "150", "--n", "1e6")
+    assert code == 2 and out == ""
+    assert err.startswith("error: gamma overflows") and len(err.splitlines()) == 1
+
+
 def test_diameter_memory_guard_fails_fast(capsys):
     # the table guard refuses before the box of primitive vectors is built
     code, out, err = run_cli(capsys, "moments", "--dim", "2", "--n", "100000",

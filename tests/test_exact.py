@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-import tempfile
 from fractions import Fraction
 
 import numpy as np
@@ -63,7 +62,9 @@ def test_symmetry_under_coordinate_permutation():
 
 def test_factor_order_independence():
     for dim, bound in ((2, (4, 4)), (3, (2, 2, 2))):
-        assert build_table(dim, bound).cells == build_table(dim, bound, reverse=True).cells
+        vecs = primitive_array(dim, bound, sum(bound))
+        reversed_table = exact._build(CoeffTable(dim, bound), vecs[::-1])
+        assert build_table(dim, bound).cells == reversed_table.cells
 
 
 def test_cumulative():
@@ -210,8 +211,6 @@ def test_memory_guard_runs_before_enumeration(monkeypatch):
     with pytest.raises(MemoryBudgetError):
         build_table(2, big)
     with pytest.raises(MemoryBudgetError):
-        build_table(2, big, reverse=True)
-    with pytest.raises(MemoryBudgetError):
         diameter_numerators(2, big[0])
     with pytest.raises(MemoryBudgetError):
         occurrence_numerators(2, big, (1, 1))
@@ -256,24 +255,6 @@ def test_brute_force_refuses_large_boxes_up_front(monkeypatch):
         res = brute_force_count(dim, box)
         assert res.nodes > exact.count_classes_moebius(dim, box)
         assert res.nodes >= math.prod(b + 1 for b in box)
-
-
-def test_checkpoint_round_trip(tmp_path):
-    table = build_table(2, (3, 4))
-    path = tmp_path / "table.json"
-    table.dump_json(path)
-    loaded = CoeffTable.load_json(path)
-    assert loaded.bound == table.bound
-    assert loaded.cells == table.cells
-    # wrong version is refused
-    import json
-
-    doc = json.loads(path.read_text())
-    doc["format"] = 99
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
-    with pytest.raises(ValueError):
-        CoeffTable.load_json(bad)
 
 
 def test_origin_cell_stays_one():
@@ -335,17 +316,11 @@ def test_narrow_limbs_match_brute_force(data, box):
         sub = tuple(data.draw(st.integers(0, b)) for b in box)
         inside = itertools.product(*(range(c + 1) for c in sub))
         assert narrow.total(sub) == sum(wide.coefficient(e) for e in inside)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "table.json")
-            narrow.dump_json(path)
-            loaded = CoeffTable.load_json(path)
-        assert loaded.cells == wide.cells
-        assert int(loaded.data.max()) < 1 << 4
 
 
 def _saturated(limbs, bound=(3,)):
     # every entry at 255, the most an 8-bit word of 4-bit limbs holds
-    table = CoeffTable(len(bound), bound, delta_at_origin=False)
+    table = CoeffTable(len(bound), bound)
     table.data = np.full((limbs, *(b + 1 for b in bound)), 255, dtype=np.uint64)
     table.ceiling = 255
     return table
@@ -580,14 +555,16 @@ def test_build_table_makes_one_pass_per_vector(monkeypatch):
     monkeypatch.setattr(CoeffTable, "class_pass", spy_pass)
     monkeypatch.setattr(CoeffTable, "_one_step", spy_group)
     for dim, box in ((2, (5, 3)), (3, (2, 2, 2)), (4, (1, 2, 1, 1))):
+        vecs = primitive_array(dim, box, sum(box))
         for reverse in (False, True):
             calls.clear()
             groups.clear()
-            build_table(dim, box, reverse=reverse)
-            vecs = primitive_array(dim, box, sum(box))
-            want = list(zip(map(tuple, vecs.tolist()), class_weights(vecs).tolist()))
             if reverse:
-                want.reverse()
+                vecs = vecs[::-1]
+                exact._build(CoeffTable(dim, box), vecs)
+            else:
+                build_table(dim, box)
+            want = list(zip(map(tuple, vecs.tolist()), class_weights(vecs).tolist()))
             axis = {v: next((i for i, (c, b) in enumerate(zip(v, box)) if 2 * c > b), None)
                     for v, _ in want}
             assert calls == [(v, w) for v, w in want if axis[v] is None]

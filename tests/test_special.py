@@ -167,6 +167,19 @@ def test_gamma_poles():
             gamma_complex(s)
 
 
+def test_gamma_overflow_is_named_error():
+    # Gamma(140) ~ 9.6e238 is still finite; from about Re s = 142 the
+    # Lanczos power t^(s - 1/2) leaves the float range (an OverflowError or a
+    # non-finite product)
+    assert cmath.isfinite(gamma_complex(140))
+    for s in (142.21536, 150, complex(171.5, 10), 300, -200.5):
+        with pytest.raises(SpecialFunctionError, match="overflows"):
+            gamma_complex(s)
+    # zeta's functional equation reaches it at Re s <= -142
+    with pytest.raises(SpecialFunctionError):
+        zeta_complex(complex(-149.5, 14.13))
+
+
 def _stirling_lngamma(s: complex) -> complex:
     out = (s - 0.5) * cmath.log(s) - s + 0.5 * math.log(2 * math.pi)
     out += 1 / (12 * s) - 1 / (360 * s ** 3) + 1 / (1260 * s ** 5)
