@@ -61,24 +61,18 @@ class RationalPoly:
 def pd_poly(d: int) -> RationalPoly:
     """P_d with exact coefficients; degree d-1, leading coefficient 2^(d-1)/(d-1)!.
 
-    Satisfies P_{d+2} = (2X/(d+1)) P_{d+1} + P_d with P_1 = 1, P_2 = 2X, and
-    carries only terms of parity d-1.
+    Built by the recursion P_{k+1} = (2X/k) P_k + P_{k-1} from P_0 = 0 and
+    P_1 = 1, in O(d^2) operations; only terms of parity d-1 occur.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    coeffs = [Fraction(0)] * d
-    for delta in range(1, d + 1):
-        poly = [Fraction(1)]
-        for k in range(1, delta):
-            nxt = [Fraction(0)] * (len(poly) + 1)
-            for i, c in enumerate(poly):
-                nxt[i + 1] += c
-                nxt[i] -= k * c
-            poly = nxt
-        scale = Fraction(math.comb(d, delta) * 2 ** (delta - 1), math.factorial(delta - 1))
-        for i, c in enumerate(poly):
-            coeffs[i] += scale * c
-    return RationalPoly(tuple(coeffs))
+    prev, cur = [Fraction(0)], [Fraction(1)]
+    for k in range(1, d):
+        nxt = [Fraction(0)] + [Fraction(2, k) * c for c in cur]
+        for i, c in enumerate(prev):
+            nxt[i] += c
+        prev, cur = cur, nxt
+    return RationalPoly(tuple(cur))
 
 
 def pi_d_apply(d: int, f: Callable[[complex], complex], s: complex) -> complex:
@@ -119,12 +113,7 @@ def beta_exact(d: int) -> Fraction:
 @lru_cache(maxsize=None)
 def _pi_d_log_const(d: int) -> float:
     """Pi_d[log(2pi) zeta - zeta'](0), shared by alpha_ln and log_zon_univariate."""
-    acc = 0.0
-    for delta, c in enumerate(pd_poly(d).coeffs):
-        if c == 0:
-            continue
-        acc += float(c) * (LOG_2PI * float(zeta_neg_int(delta)) - zeta_deriv_neg_int(delta))
-    return acc
+    return pi_d_apply(d, lambda s: LOG_2PI * float(zeta_neg_int(-s)) - zeta_deriv_neg_int(-s), 0)
 
 
 def alpha_ln(d: int) -> float:

@@ -63,9 +63,10 @@ from typing import Sequence
 import numpy as np
 
 from .primitives import (
-    _MEMORY_ENV,
     MemoryBudgetError,
-    _memory_budget,
+    _approx,
+    _charge,
+    _validate_vector,
     class_weights,
     count_classes_moebius,
     is_primitive,
@@ -88,20 +89,6 @@ class EnumerationBudgetError(RuntimeError):
     """Brute-force enumeration exceeded its node budget (oracle is for small boxes)."""
 
 
-def _as_bound(dim: int, n) -> tuple[int, ...]:
-    if dim < 1:
-        raise ValueError("dimension must be >= 1")
-    if isinstance(n, int):
-        bound = (n,) * dim
-    else:
-        bound = tuple(int(c) for c in n)
-    if len(bound) != dim:
-        raise ValueError(f"expected {dim} bound entries, got {len(bound)}")
-    if any(b < 0 for b in bound):
-        raise ValueError(f"bound entries must be >= 0, got {bound}")
-    return bound
-
-
 class CoeffTable:
     """Dense table of nonnegative coefficients of a d-variate series, indexed by e <= bound.
 
@@ -114,14 +101,12 @@ class CoeffTable:
     __slots__ = ("dim", "bound", "shape", "data", "ceiling")
 
     def __init__(self, dim: int, bound):
-        self.bound = _as_bound(dim, bound)
+        self.bound = _validate_vector(bound, dim)
         self.dim = dim
         self.shape = tuple(b + 1 for b in self.bound)
-        # one step of a pass multiplies the ceiling by s + 1 <= max(shape), a
-        # one-step pass of one vector by 1 + 2^(d-1); one normalization must
-        # leave room for either below 2^(2 * _LIMB_BITS) (a larger one-step
-        # group may instead carry its products through the limbs, see _fold)
-        growth = max(*self.shape, 1 + (1 << (dim - 1)))
+        # one step of a pass multiplies the ceiling by s + 1 <= max(shape); one
+        # normalization must leave room for it below 2^(2 * _LIMB_BITS)
+        growth = max(self.shape)
         if growth > 1 << (_LIMB_BITS - 1):
             raise ValueError(f"a pass over bound {self.bound} in dim {dim} may grow entries "
                              f"{growth}-fold, above the limit 2^{_LIMB_BITS - 1}")
@@ -134,14 +119,9 @@ class CoeffTable:
         """Budget for `limbs` limbs plus the normalization temporary of the same
         size, plus `staging` bytes of one-step group buffers."""
         size = math.prod(self.shape)
-        need = 2 * 8 * limbs * size + staging
-        budget = _memory_budget()
-        if need > budget:
-            extra = " and one-step staging" if staging else ""
-            raise MemoryBudgetError(
-                f"table of {size} cells in {limbs} limbs (~{need / 1e9:.2f} GB with its "
-                f"carry buffer{extra}) exceeds budget {budget / 1e9:.2f} GB; raise "
-                f"{_MEMORY_ENV} to override")
+        extra = " and one-step staging" if staging else ""
+        _charge(2 * 8 * limbs * size + staging,
+                f"table of {_approx(size)} cells in {limbs} limbs with its carry buffer{extra}")
 
     def _normalize(self) -> None:
         """Push every entry's carry into the limb above, adding a limb if the top one
@@ -191,9 +171,9 @@ class CoeffTable:
 
     def _vector(self, v: Sequence[int]) -> tuple[int, ...]:
         """v as a tuple of ints, checked to be a nonzero pass vector of this table."""
-        vt = tuple(map(int, v))
-        if len(vt) != self.dim or min(vt) < 0 or not any(vt):
-            raise ValueError(f"invalid pass vector {vt} for dim {self.dim}")
+        vt = _validate_vector(v, self.dim)
+        if not any(vt):
+            raise ValueError(f"pass vector {vt} is zero")
         return vt
 
     def _grow(self, factor: int) -> None:
@@ -207,9 +187,7 @@ class CoeffTable:
         """In place, multiply by (1 - x^v)^(-w), the factor of the w = 2^(d(v)-1)
         sign classes of v.
 
-        With chain length s = 1 (2v outside the box) the factor truncates to
-        1 + w x^v: a one-step group of one vector (see _one_step).  Otherwise
-        it runs w times T[e] += T[e - v] in ascending order: along the axis a of
+        It runs w times T[e] += T[e - v] in ascending order: along the axis a of
         largest v_a, blocks of v_a consecutive hyperplanes are added one slab at
         a time, and a block reads only hyperplanes below it, which are final.
         """
@@ -218,14 +196,11 @@ class CoeffTable:
             raise ValueError(f"class weight {w} is not a power of two up to 2^{self.dim - 1}")
         vt = self._vector(v)
         s = min([b // c for b, c in zip(self.bound, vt) if c])
-        if s == 1:
-            a = next(i for i, (c, b) in enumerate(zip(vt, self.bound)) if 2 * c > b)
-            self._one_step(a, np.array([vt]), np.array([w]))
-        elif s:
+        if s:
             self._cumulate(vt, w, s)
 
     def _cumulate(self, vt: tuple[int, ...], w: int, s: int) -> None:
-        """w times T[e] += T[e - v] for v = vt of chain length s >= 2 (class_pass)."""
+        """w times T[e] += T[e - v] for v = vt of chain length s >= 1 (class_pass)."""
         a = vt.index(max(vt))
         step, top = vt[a], self.shape[a]
         dst = [slice(None), *[slice(c, None) for c in vt]]
@@ -395,7 +370,7 @@ def build_table(dim: int, bound) -> CoeffTable:
     when 2v fits in the box (CoeffTable.class_pass), else as part of its axis
     group's product (see _build).
     """
-    bt = _as_bound(dim, bound)
+    bt = _validate_vector(bound, dim)
     table = CoeffTable(dim, bt)  # its memory guard runs before the box is enumerated
     vecs = primitive_array(dim, bt, sum(bt))
     return _build(table, vecs)
@@ -403,7 +378,7 @@ def build_table(dim: int, bound) -> CoeffTable:
 
 def zon_coefficient(dim: int, n) -> int:
     """Exact number of lattice zonotopes with bounding box exactly n (comp.-wise)."""
-    bt = _as_bound(dim, n)
+    bt = _validate_vector(n, dim)
     return build_table(dim, bt).coefficient(bt)
 
 
@@ -464,7 +439,7 @@ def occurrence_numerators(dim: int, n: int, v0: Sequence[int]) -> MomentPair:
     coefficients at n are the chain sums sum_k Z[n - k v0] and
     sum_k (2k-1) Z[n - k v0] over k >= 1.
     """
-    bt = _as_bound(dim, n)
+    bt = _validate_vector(n, dim)
     v0t = tuple(int(c) for c in v0)
     if not is_primitive(v0t, dim):
         raise ValueError(f"v0 = {v0t} is not primitive")
@@ -501,7 +476,7 @@ def brute_force_count(dim: int, n) -> BruteForceResult:
     Independent of the DP route; guarded at 10^7 nodes.  Tallies, per sign
     class, the total and squared-total multiplicity across all zonotopes.
     """
-    bt = _as_bound(dim, n)
+    bt = _validate_vector(n, dim)
     # The search visits at least one node per cell e <= bound (the paths through
     # the unit vectors) and one per class (the path that skips them all), so a
     # box with more of either cannot finish: refuse it before enumerating.  The

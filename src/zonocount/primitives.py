@@ -31,20 +31,30 @@ class MemoryBudgetError(RuntimeError):
     """Requested array would exceed the configured memory budget."""
 
 
-def _memory_budget() -> int:
+def _approx(x: int, exp10: int = 0) -> str:
+    """x / 10^exp10 to three significant digits, past the float range as a power of ten."""
+    if x < 1e308:
+        return f"{x / 10 ** exp10:.3g}"
+    return f"1e+{math.log10(x) - exp10:.0f}"
+
+
+def _charge(need: int, what: str) -> None:
+    """Raise MemoryBudgetError naming `what` if `need` bytes exceed the budget."""
     raw = os.environ.get(_MEMORY_ENV)
-    if raw is None:
-        return _DEFAULT_MEMORY_BUDGET
     try:
-        return int(raw)
+        budget = _DEFAULT_MEMORY_BUDGET if raw is None else int(raw)
     except ValueError as exc:
         raise ValueError(f"{_MEMORY_ENV} must be an integer byte count, got {raw!r}") from exc
+    if need > budget:
+        raise MemoryBudgetError(f"{what} (~{_approx(need, 9)} GB) exceeds budget "
+                                f"{_approx(budget, 9)} GB; raise {_MEMORY_ENV} to override")
 
 
-def _validate_vector(v: Sequence[int], dim: int) -> tuple[int, ...]:
+def _validate_vector(v: Sequence[int] | int, dim: int) -> tuple[int, ...]:
+    """v as a tuple of dim ints >= 0; an int n stands for (n,) * dim."""
     if dim < 1:
         raise ValueError("dimension must be >= 1")
-    vt = tuple(int(c) for c in v)
+    vt = (v,) * dim if isinstance(v, int) else tuple(int(c) for c in v)
     if len(vt) != dim:
         raise ValueError(f"expected {dim} coordinates, got {len(vt)}")
     if any(c < 0 for c in vt):
@@ -129,12 +139,8 @@ def _mobius_upto(n: int) -> np.ndarray:
     is left is 1 or the one prime factor of k above sqrt(n), which flips mu.
     """
     rest_type = np.min_scalar_type(n)
-    need = (n + 1) * (2 + rest_type.itemsize)  # mu, rest and the rest > 1 mask
-    budget = _memory_budget()
-    if need > budget:
-        raise MemoryBudgetError(
-            f"Moebius sieve up to {n} (~{need / 1e9:.3g} GB) exceeds budget "
-            f"{budget / 1e9:.3g} GB; raise {_MEMORY_ENV} to override")
+    # mu, rest and the rest > 1 mask
+    _charge((n + 1) * (2 + rest_type.itemsize), f"Moebius sieve up to {n}")
     mu = np.ones(n + 1, dtype=np.int8)
     mu[0] = 0
     rest = np.arange(n + 1, dtype=rest_type)

@@ -29,8 +29,7 @@ import numpy as np
 
 from .asympt import pd_poly
 from .primitives import (
-    MemoryBudgetError,
-    _memory_budget,
+    _charge,
     primitive_array,
     sign_classes,
     signed_representative,
@@ -69,14 +68,8 @@ class ClassSystem:
         l1_max = int(radius)
         # coords, sign, log_q, q and q_hi: d + 4 words per class, at most
         # 2^(d-1) classes per lattice point of the simplex ||v||_1 <= l1_max
-        need = math.comb(l1_max + dim, dim) * 2 ** (dim - 1) * 8 * (dim + 4)
-        budget = _memory_budget()
-        if need > budget:
-            # past 1e308 need has no float: give its size as a power of ten
-            size = f"{need / 1e9:.3g}" if need < 1e308 else f"1e{math.log10(need) - 9:.0f}"
-            raise MemoryBudgetError(
-                f"class system of 1-norm radius {l1_max} in dim {dim} "
-                f"(~{size} GB) exceeds budget {budget / 1e9:.3g} GB")
+        _charge(math.comb(l1_max + dim, dim) * 2 ** (dim - 1) * 8 * (dim + 4),
+                f"class system of 1-norm radius {l1_max} in dim {dim}")
         vecs = primitive_array(dim, (l1_max,) * dim, l1_max)
         norms = vecs.sum(axis=1)
         # only the norms that occur need the rounding check (at d = 1 that is one)

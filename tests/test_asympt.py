@@ -49,6 +49,29 @@ def test_pd_poly_small_cases():
         pd_poly(0)
 
 
+def _pd_binomial_sum(d):
+    # the defining sum over delta of C(d, delta) 2^(delta-1) prod_{k<delta} (X - k) / (delta-1)!
+    coeffs = [Fraction(0)] * d
+    for delta in range(1, d + 1):
+        poly = [Fraction(1)]
+        for k in range(1, delta):
+            nxt = [Fraction(0)] * (len(poly) + 1)
+            for i, c in enumerate(poly):
+                nxt[i + 1] += c
+                nxt[i] -= k * c
+            poly = nxt
+        scale = Fraction(math.comb(d, delta) * 2 ** (delta - 1), math.factorial(delta - 1))
+        for i, c in enumerate(poly):
+            coeffs[i] += scale * c
+    return tuple(coeffs)
+
+
+def test_pd_poly_matches_binomial_sum():
+    # pd_poly runs the recursion; the definition is the independent oracle
+    for d in range(1, 13):
+        assert pd_poly(d).coeffs == _pd_binomial_sum(d), d
+
+
 def test_pd_poly_recursion():
     for d in range(1, 13):
         pd, pd1, pd2 = pd_poly(d).coeffs, pd_poly(d + 1).coeffs, pd_poly(d + 2).coeffs

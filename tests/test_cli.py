@@ -2,12 +2,13 @@ import csv
 import io
 import json
 import math
+import re
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from zonocount.cli import COMPARE_COLUMNS, main, run_self_test
+from zonocount.cli import COMPARE_COLUMNS, _fmt, main, run_self_test
 
 
 def run_cli(capsys, *argv):
@@ -55,9 +56,23 @@ def test_compare_header_schema_golden(capsys):
     assert all(r < 0.05 for r in rel_errs)
 
 
-def test_compare_dim_guard(capsys):
-    code, _, err = run_cli(capsys, "compare", "--dim", "4", "--n-range", "1:2")
-    assert code == 2 and "dim 2 or 3" in err
+def test_compare_dim_guard(capsys, monkeypatch):
+    # any d >= 2: at d = 4 the exact column is ln of count's z
+    code, out, _ = run_cli(capsys, "compare", "--dim", "4", "--n-range", "1:3")
+    assert code == 0
+    ln_z = [row["ln_z_exact"] for row in json.loads(out)["rows"]]
+    code, out, _ = run_cli(capsys, "count", "--dim", "4", "--n-range", "1:3")
+    assert code == 0
+    assert ln_z == [_fmt(math.log(int(row["z_exact"]))) for row in json.loads(out)["rows"]]
+    # the table's memory budget and the estimate's d >= 2 still bound it
+    monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", "1000")
+    code, out, err = run_cli(capsys, "compare", "--dim", "4", "--n-range", "1:3")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    monkeypatch.delenv("ZONOCOUNT_MEMORY_BUDGET")
+    # refused before the table is built, which here would take seconds
+    code, _, err = run_cli(capsys, "compare", "--dim", "1", "--n-range", "1:2000000")
+    assert code == 2 and err.startswith("error:") and "dim >= 2" in err
 
 
 def test_moments_diameter(capsys):
@@ -208,6 +223,21 @@ def test_class_budget_past_float_range_is_error(capsys, dim, theta):
     assert code == 2 and out == ""
     assert err.startswith("error: class system of 1-norm radius") and "exceeds budget" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--dim", "40", "--n", "1000000000"),
+    ("count", "--dim", "31", "--n", "1000000000"),
+    ("count", "--dim", "33", "--n", "1"),
+    ("moments", "--dim", "40", "--n", "1", "--param", "diameter"),
+])
+def test_oversized_table_names_the_budget(capsys, monkeypatch, argv):
+    # sizes past the float range still format, and no cell count is printed in full
+    monkeypatch.delenv("ZONOCOUNT_MEMORY_BUDGET", raising=False)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "exceeds budget" in err
+    assert len(err.splitlines()) == 1 and not re.search(r"\d{21}", err)
 
 
 def test_icrit_gamma_overflow_is_error(capsys):

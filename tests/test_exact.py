@@ -334,11 +334,11 @@ def test_narrow_limbs_normalize_at_the_word_limit(monkeypatch):
     assert len(table.data) == 3
     assert int(table.data.max()) <= table.ceiling < 1 << 8
     assert table.cells == [value * (j + 1) for j in range(4)]
-    # a one-step pass of weight 2: (1 + 2) * 255 overflows, and the top limb carries
+    # chain length 1, weight 2: 2 * 255 overflows, and the top limb carries
     table = _saturated(1, (1, 1))
     table.class_pass((1, 1), 2)
     assert len(table.data) == 2
-    assert table.ceiling == 3 * (15 + 15)  # one factor 1 + w on the normalized ceiling
+    assert table.ceiling == 4 * (15 + 15)  # two cumulative steps on the normalized ceiling
     assert int(table.data.max()) <= table.ceiling < 1 << 8
     assert table.cells == [255, 255, 255, 3 * 255]
     # shifted_add of a wider table: both normalize, the narrower one gains limbs
@@ -361,17 +361,21 @@ def test_narrow_limbs_grow_and_guard(monkeypatch):
         CoeffTable(1, (8,))  # a pass of (1) could outgrow one normalization
 
 
-def test_limb_guard_leaves_room_for_one_step_passes(monkeypatch):
-    # at d = 4 a one-step pass grows entries (1 + 2^3)-fold, one more than 4-bit
-    # limbs allow after a normalization, even on a box whose chains are short
+def test_limb_guard_admits_dim_4_with_narrow_limbs(monkeypatch):
+    # the guard bounds only the chain growth max(n_i + 1): at d = 4 the group
+    # products of weight up to 2^3 carry through the 4-bit limbs instead
+    boxes = ((1, 1, 1, 1), (2, 1, 1, 1), (2, 2, 1, 1))
+    wide = [build_table(4, box).cells for box in boxes]
     _narrow_limbs(monkeypatch)
-    CoeffTable(3, (2, 2, 2))
-    with pytest.raises(ValueError, match=r"9-fold, above the limit 2\^3"):
-        CoeffTable(4, (1, 1, 1, 1))
-    monkeypatch.setattr(exact, "_LIMB_BITS", 5)
-    CoeffTable(4, (1, 1, 1, 1))
-    with pytest.raises(ValueError, match=r"17-fold, above the limit 2\^4"):
-        CoeffTable(5, (1,) * 5)
+
+    def check(table):
+        assert int(table.data.max()) <= table.ceiling < 1 << 8
+
+    _checked_steps(monkeypatch, check)
+    for box, cells in zip(boxes, wide):
+        narrow = build_table(4, box)
+        assert narrow.cells == cells, box
+        assert narrow.coefficient(box) == brute_force_count(4, box).count, box
 
 
 @settings(max_examples=150, deadline=None)
