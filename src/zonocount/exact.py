@@ -35,13 +35,13 @@ ceiling by the factor.  The sum identity holds whether or not the limbs are
 normalized, so one np.add per slab covers all k limbs and no per-block carry
 is needed.  A group product is exact because every partial sum is an integer
 below 2^53: each limb is multiplied on its own, and the table normalizes
-first when the ceiling times the group weight 1 + sum w_v would reach 2^53
-(or 2^64, the word); a group still heavier than that after a normalization
-is summed in batches.  The products are summed in float64 and converted to
-uint64, then added limb by limb when the ceiling leaves room for them, else
-(narrow limbs) folded back through a carry chain into one digit below 2^32
-per limb.  Either way the ceiling invariant holds at any limb width, and the
-result is the same bits whatever order BLAS sums in.
+first when the ceiling times the group weight 1 + sum w_v would reach 2^53;
+a group still heavier than that after a normalization is summed in
+batches.  The products are summed in float64, converted to uint64 and added
+limb by limb, after a normalization if the ceiling would reach 2^64.  That
+one add always fits, because 2^33 + 2^53 < 2^64: a normalization leaves the
+ceiling below 2^33 and a batch adds less than 2^53.  The result is the same
+bits whatever order BLAS sums in.
 
 Exact first moments are chain sums over that one table.  Marking generator
 presence with u (factor 1 + u x^v/(1-x^v)) and differentiating at u = 1
@@ -234,7 +234,7 @@ class CoeffTable:
         m = math.prod(other)
         at = vecs[:, a] - lo
         sums = [int(x) for x in np.bincount(at, weights, rows).tolist()]  # weight per k
-        if (1 + sum(sums)) * self.ceiling >= min(1 << (2 * _LIMB_BITS), _FLOAT_EXACT):
+        if (1 + sum(sums)) * self.ceiling >= _FLOAT_EXACT:
             self._normalize()
         scale = max(self.ceiling, 1)  # bounds every source entry until the group ends
         if max(sums) * scale >= _FLOAT_EXACT:
@@ -289,55 +289,33 @@ class CoeffTable:
 
     def _fold(self, perm: tuple, lo: int, acc: np.ndarray, grow: int) -> None:
         """Add the sums acc (exact integers below 2^53, limb-major per hyperplane,
-        each at most `grow`) to the cells from hyperplane lo of axis perm[0] - 1 on.
-
-        When the ceiling leaves room for `grow`, after a normalization if need
-        be, each sum is added to its own limb.  Otherwise (narrow limbs) the
-        sums are carried into digits below 2^_LIMB_BITS, one per limb, so the
-        ceiling grows by 2^_LIMB_BITS - 1 only.
-        """
-        word = 1 << (2 * _LIMB_BITS)
-        if self.ceiling + grow >= word:
+        each at most `grow`) to the cells from hyperplane lo of axis perm[0] - 1 on,
+        each sum to its own limb, normalizing first if the ceiling would reach 2^64."""
+        if self.ceiling + grow >= 1 << (2 * _LIMB_BITS):
             self._normalize()
         view = self.data.transpose(perm)[lo:]
         sums = acc.astype(np.uint64).reshape(len(view), -1, *view.shape[2:])
-        limbs = sums.shape[1]
-        if self.ceiling + grow < word:
-            view[:, :limbs] += sums
-            self.ceiling += grow
-            return
-        mask = (1 << _LIMB_BITS) - 1
-        carry = sums[:, 0]
-        i = 0
-        while i < limbs or carry.any():
-            if i == len(self.data):
-                self._add_limb()
-                view = self.data.transpose(perm)[lo:]
-            view[:, i] += carry & mask
-            carry = carry >> _LIMB_BITS
-            i += 1
-            if i < limbs:
-                carry += sums[:, i]
-        self.ceiling += mask
+        view[:, :sums.shape[1]] += sums
+        self.ceiling += grow
 
     def shifted_add(self, src: "CoeffTable", v: Sequence[int]) -> None:
         """self[e] += src[e - v] (multiplication of src by x^v, accumulated)."""
         if src.bound != self.bound:
             raise ValueError("table bounds differ")
-        if src is self:
-            return self.class_pass(v, 1)
         vt = self._vector(v)
         if any(c > b for c, b in zip(vt, self.bound)):
             return
         if self.ceiling + src.ceiling >= 1 << (2 * _LIMB_BITS):
             self._normalize()
-            src._normalize()
+            if src is not self:
+                src._normalize()
         while len(self.data) < len(src.data):
             self._add_limb()
         self.ceiling += src.ceiling
         view = self.data[(slice(len(src.data)), *[slice(c, None) for c in vt])]
+        # one slab; numpy buffers the read when src is self and the slabs overlap
         np.add(view, src.data[(slice(None), *[slice(n - c) for c, n in zip(vt, self.shape)])],
-               out=view)  # src is another table: one slab
+               out=view)
 
 
 def _build(table: CoeffTable, vecs: np.ndarray) -> CoeffTable:

@@ -43,8 +43,10 @@ def _charge(need: int, what: str) -> None:
     raw = os.environ.get(_MEMORY_ENV)
     try:
         budget = _DEFAULT_MEMORY_BUDGET if raw is None else int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{_MEMORY_ENV} must be an integer byte count, got {raw!r}") from exc
+    except ValueError:
+        budget = 0  # refused below, as a budget under one byte is
+    if budget < 1:
+        raise ValueError(f"{_MEMORY_ENV} must be a positive integer byte count, got {raw!r}")
     if need > budget:
         raise MemoryBudgetError(f"{what} (~{_approx(need, 9)} GB) exceeds budget "
                                 f"{_approx(budget, 9)} GB; raise {_MEMORY_ENV} to override")

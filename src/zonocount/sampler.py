@@ -29,6 +29,7 @@ import numpy as np
 
 from .asympt import pd_poly
 from .primitives import (
+    _approx,
     _charge,
     primitive_array,
     sign_classes,
@@ -69,7 +70,7 @@ class ClassSystem:
         # coords, sign, log_q, q and q_hi: d + 4 words per class, at most
         # 2^(d-1) classes per lattice point of the simplex ||v||_1 <= l1_max
         _charge(math.comb(l1_max + dim, dim) * 2 ** (dim - 1) * 8 * (dim + 4),
-                f"class system of 1-norm radius {l1_max} in dim {dim}")
+                f"class system of 1-norm radius {_approx(l1_max)} in dim {dim}")
         vecs = primitive_array(dim, (l1_max,) * dim, l1_max)
         norms = vecs.sum(axis=1)
         # only the norms that occur need the rounding check (at d = 1 that is one)
@@ -139,12 +140,12 @@ def _draw(sys: ClassSystem, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return pos[hit], k[hit]
 
 
-def boltzmann_sample(dim: int, theta: float, cutoff: float = 1e-12, seed: int = 0,
-                     system: ClassSystem | None = None) -> ZonotopeSample:
+def boltzmann_sample(dim: int, theta: float, cutoff: float = 1e-12,
+                     seed: int = 0) -> ZonotopeSample:
     """Draw one zonotope; deterministic for fixed (dim, theta, cutoff, seed)."""
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
-    sys = system if system is not None else class_system(dim, theta, cutoff)
+    sys = class_system(dim, theta, cutoff)
     pos, k = _draw(sys, seed)
     coords = sys.coords[pos]
     entries = tuple(((tuple(c), j), m) for c, j, m in zip(

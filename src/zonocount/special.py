@@ -157,10 +157,10 @@ def gamma_complex(s: complex) -> complex:
         x += _LANCZOS_COEF[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
     try:
-        value = math.sqrt(2 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * x
+        value = math.sqrt(2 * math.pi) * cmath.exp((z + 0.5) * cmath.log(t) - t) * x
     except OverflowError:
         value = math.inf
-    if not cmath.isfinite(value):  # t^(z + 1/2) leaves the float range near Re s = 142
+    if not cmath.isfinite(value):  # Gamma(s) leaves the float range near Re s = 171.6
         raise SpecialFunctionError(f"gamma overflows at s = {s}")
     return value
 

@@ -210,10 +210,13 @@ def test_memory_guard_surfaces_as_error(capsys, monkeypatch):
 
 
 def test_class_budget_surfaces_as_error(capsys):
-    code, out, err = run_cli(capsys, "sample", "--dim", "2", "--theta", "1e-9")
-    assert code == 2 and out == ""
-    assert err.startswith("error: class system of 1-norm radius 27631021115 in dim 2")
-    assert "exceeds budget" in err and len(err.splitlines()) == 1
+    # the radius is rounded like the sizes: at theta 1e-160 it has 162 digits
+    for theta, radius in (("1e-9", "2.76e+10"), ("1e-160", "2.76e+161")):
+        code, out, err = run_cli(capsys, "sample", "--dim", "2", "--theta", theta)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: class system of 1-norm radius {radius} in dim 2")
+        assert "exceeds budget" in err and len(err.splitlines()) == 1
+        assert not re.search(r"\d{21}", err)
 
 
 @pytest.mark.parametrize("dim, theta", [(2, "1e-160"), (3, "1e-110")])
@@ -241,7 +244,7 @@ def test_oversized_table_names_the_budget(capsys, monkeypatch, argv):
 
 
 def test_icrit_gamma_overflow_is_error(capsys):
-    code, out, err = run_cli(capsys, "icrit", "--dim", "150", "--n", "1e6")
+    code, out, err = run_cli(capsys, "icrit", "--dim", "180", "--n", "1e6")
     assert code == 2 and out == ""
     assert err.startswith("error: gamma overflows") and len(err.splitlines()) == 1
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import zonocount.exact as exact
@@ -281,137 +281,184 @@ def test_values_beyond_64_bits():
     assert table3.total() == 64626986972025350
 
 
-def _narrow_limbs(monkeypatch):
-    # 4-bit limbs: entries stay below 2^8, so small boxes already carry and add limbs
-    monkeypatch.setattr(exact, "_LIMB_BITS", 4)
-
-
-def _checked_steps(monkeypatch, check):
-    # run check(table) after every class_pass and every group product
-    for name in ("class_pass", "_one_step"):
-        real = getattr(CoeffTable, name)
-
-        def step(self, *args, _real=real):
-            _real(self, *args)
-            check(self)
-
-        monkeypatch.setattr(CoeffTable, name, step)
-
-
-@settings(max_examples=40, deadline=None)
-@given(data=st.data(), box=_SMALL_BOXES)
-def test_narrow_limbs_match_brute_force(data, box):
-    dim = len(box)
-    wide = build_table(dim, box)
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        _narrow_limbs(monkeypatch)
-
-        def check(table):
-            assert int(table.data.max()) <= table.ceiling < 1 << 8
-
-        _checked_steps(monkeypatch, check)
-        narrow = exact._build(CoeffTable(dim, box), primitive_array(dim, box, sum(box)))
-        assert narrow.coefficient(box) == brute_force_count(dim, box).count
-        assert narrow.cells == wide.cells
-        sub = tuple(data.draw(st.integers(0, b)) for b in box)
-        inside = itertools.product(*(range(c + 1) for c in sub))
-        assert narrow.total(sub) == sum(wide.coefficient(e) for e in inside)
-
-
-def _saturated(limbs, bound=(3,)):
-    # every entry at 255, the most an 8-bit word of 4-bit limbs holds
-    table = CoeffTable(len(bound), bound)
-    table.data = np.full((limbs, *(b + 1 for b in bound)), 255, dtype=np.uint64)
-    table.ceiling = 255
-    return table
-
-
-def test_narrow_limbs_normalize_at_the_word_limit(monkeypatch):
-    _narrow_limbs(monkeypatch)
-    value = 255 + (255 << 4)
-    table = _saturated(2)
-    table.class_pass((1,), 1)  # 4 * 255 overflows the word: carry first, out of the top limb too
-    assert len(table.data) == 3
-    assert int(table.data.max()) <= table.ceiling < 1 << 8
-    assert table.cells == [value * (j + 1) for j in range(4)]
-    # chain length 1, weight 2: 2 * 255 overflows, and the top limb carries
-    table = _saturated(1, (1, 1))
-    table.class_pass((1, 1), 2)
-    assert len(table.data) == 2
-    assert table.ceiling == 4 * (15 + 15)  # two cumulative steps on the normalized ceiling
-    assert int(table.data.max()) <= table.ceiling < 1 << 8
-    assert table.cells == [255, 255, 255, 3 * 255]
-    # shifted_add of a wider table: both normalize, the narrower one gains limbs
-    shifted = _saturated(1)
-    shifted.shifted_add(_saturated(2), (1,))
-    assert int(shifted.data.max()) <= shifted.ceiling < 1 << 8
-    assert shifted.cells == [255] + [255 + value] * 3
-
-
-def test_narrow_limbs_grow_and_guard(monkeypatch):
-    _narrow_limbs(monkeypatch)
-    table = build_table(2, (5, 5))
-    assert len(table.data) >= 2  # z_2(5, 5) = 331 does not fit one 8-bit word
-    assert table.coefficient(5) == 331
-    # one limb fits the budget, the second does not: the guard names the limb count
-    monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", str(2 * 8 * 36 * 2 - 1))
-    with pytest.raises(MemoryBudgetError, match="2 limbs"):
-        build_table(2, (5, 5))
-    with pytest.raises(ValueError):
-        CoeffTable(1, (8,))  # a pass of (1) could outgrow one normalization
-
-
-def test_limb_guard_admits_dim_4_with_narrow_limbs(monkeypatch):
-    # the guard bounds only the chain growth max(n_i + 1): at d = 4 the group
-    # products of weight up to 2^3 carry through the 4-bit limbs instead
-    boxes = ((1, 1, 1, 1), (2, 1, 1, 1), (2, 2, 1, 1))
-    wide = [build_table(4, box).cells for box in boxes]
-    _narrow_limbs(monkeypatch)
-
-    def check(table):
-        assert int(table.data.max()) <= table.ceiling < 1 << 8
-
-    _checked_steps(monkeypatch, check)
-    for box, cells in zip(boxes, wide):
-        narrow = build_table(4, box)
-        assert narrow.cells == cells, box
-        assert narrow.coefficient(box) == brute_force_count(4, box).count, box
-
-
-@settings(max_examples=150, deadline=None)
-@given(data=st.data(), box=st.lists(st.integers(0, 3), min_size=1, max_size=4).map(tuple),
-       narrow=st.booleans(), full=st.booleans())
-def test_weighted_pass_equals_repeated_class_passes(data, box, narrow, full):
-    # a random table, possibly saturated at its ceiling, and a random primitive
-    # v: inside the box with a long chain, with chain length 1, or outside
-    dim = len(box)
-    v = data.draw(st.tuples(*[st.integers(0, 3)] * dim).filter(lambda u: math.gcd(*u) == 1))
-    w = 1 << (sum(1 for c in v if c) - 1)
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        if narrow:
-            monkeypatch.setattr(exact, "_LIMB_BITS", 4 if dim <= 3 else 5)
-        word = 1 << (2 * exact._LIMB_BITS)
-        ceiling = data.draw(st.integers(0, word - 1))
-        shape = (data.draw(st.integers(1, 2)), *(b + 1 for b in box))
-        if full:
-            fill = np.full(shape, ceiling, dtype=np.uint64)
-        else:
-            rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-            fill = rng.integers(0, ceiling, size=shape, dtype=np.uint64, endpoint=True)
-        fused, single = CoeffTable(dim, box), CoeffTable(dim, box)
-        for table in (fused, single):
-            table.data, table.ceiling = fill.copy(), ceiling
-        fused.class_pass(v, w)
-        assert int(fused.data.max()) <= fused.ceiling < word
-        for _ in range(w):
-            single.class_pass(v, 1)
-            assert int(single.data.max()) <= single.ceiling < word
-        assert fused.cells == single.cells
+_WORD = 1 << 64
 
 
 def _values(table):
     # the cells as an object array of Python ints, shaped like the box
     return np.array(table.cells, dtype=object).reshape(table.shape)
+
+
+def _resaturate(table):
+    # move value from each limb into the one below as far as that entry stays
+    # below 2^64, so the cells keep their values, and claim the loosest ceiling:
+    # the next class_pass or group product must normalize first
+    data = table.data
+    for i in range(len(data) - 1, 0, -1):
+        moved = np.minimum(data[i], ~data[i - 1] >> 32)
+        data[i] -= moved
+        data[i - 1] += moved << 32
+    table.ceiling = _WORD - 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(box=_SMALL_BOXES.filter(any), limbs=st.integers(1, 2), seed=st.integers(0, 2 ** 32 - 1))
+@example(box=(1, 1, 1, 1), limbs=1, seed=0)
+@example(box=(2, 1, 1, 1), limbs=2, seed=1)
+@example(box=(2, 2, 1, 1), limbs=1, seed=2)
+def test_narrow_limbs_match_brute_force(box, limbs, seed):
+    # _build from a table of random entries up to 2^64 - 1 at the ceiling
+    # 2^64 - 1, re-saturated after every step, so that each step normalizes,
+    # carries and adds limbs; the cells must equal the Python-int product of
+    # the start table with Zon_d
+    dim = len(box)
+    table = CoeffTable(dim, box)
+    table.data = np.random.default_rng(seed).integers(
+        0, _WORD - 1, size=(limbs, *table.shape), dtype=np.uint64, endpoint=True)
+    table.ceiling = _WORD - 1
+    fill = _values(table)
+    normalized = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        real_normalize = CoeffTable._normalize
+
+        def normalize(self):
+            normalized.append(self)
+            real_normalize(self)
+
+        def check(table):
+            assert normalized, "a step did not normalize"
+            normalized.clear()
+            assert int(table.data.max()) <= table.ceiling < _WORD
+            _resaturate(table)
+
+        monkeypatch.setattr(CoeffTable, "_normalize", normalize)
+        for name in ("class_pass", "_one_step"):
+            real = getattr(CoeffTable, name)
+
+            def step(self, *args, _real=real):
+                _real(self, *args)
+                check(self)
+
+            monkeypatch.setattr(CoeffTable, name, step)
+        exact._build(table, primitive_array(dim, box, sum(box)))
+    assert len(table.data) > limbs
+    zon = _values(build_table(dim, box))
+    assert zon[box] == brute_force_count(dim, box).count
+    want = np.zeros_like(fill)
+    for f in itertools.product(*(range(b + 1) for b in box)):
+        head = tuple(slice(b - c + 1) for c, b in zip(f, box))
+        want[tuple(slice(c, None) for c in f)] += fill[f] * zon[head]
+    assert table.cells == want.ravel().tolist()
+    half = tuple(b // 2 for b in box)
+    assert table.total(half) == want[tuple(slice(c + 1) for c in half)].sum()
+
+
+def _saturated(limbs, bound=(3,)):
+    # every entry at 2^64 - 1, the most a uint64 word holds
+    table = CoeffTable(len(bound), bound)
+    table.data = np.full((limbs, *(b + 1 for b in bound)), _WORD - 1, dtype=np.uint64)
+    table.ceiling = _WORD - 1
+    return table
+
+
+def _random_fill(data, shape, full):
+    # a ceiling below 2^64 and entries up to it: all at it when full, else random
+    ceiling = data.draw(st.integers(0, _WORD - 1))
+    if full:
+        return np.full(shape, ceiling, dtype=np.uint64), ceiling
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    return rng.integers(0, ceiling, size=shape, dtype=np.uint64, endpoint=True), ceiling
+
+
+def test_narrow_limbs_normalize_at_the_word_limit():
+    top = _WORD - 1
+    value = top + (top << 32)
+    table = _saturated(2)
+    table.class_pass((1,), 1)  # 4 * top overflows the word: carry first, out of the top limb too
+    assert len(table.data) == 3
+    assert int(table.data.max()) <= table.ceiling < _WORD
+    assert table.cells == [value * (j + 1) for j in range(4)]
+    # chain length 1, weight 2: 2 * top overflows, and the top limb carries
+    table = _saturated(1, (1, 1))
+    table.class_pass((1, 1), 2)
+    assert len(table.data) == 2
+    assert table.ceiling == 4 * (2 ** 33 - 2)  # two cumulative steps on the normalized ceiling
+    assert int(table.data.max()) <= table.ceiling < _WORD
+    assert table.cells == [top, top, top, 3 * top]
+    # shifted_add of a wider table: both normalize, the narrower one gains limbs
+    shifted = _saturated(1)
+    shifted.shifted_add(_saturated(2), (1,))
+    assert int(shifted.data.max()) <= shifted.ceiling < _WORD
+    assert shifted.cells == [top] + [top + value] * 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), box=st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple),
+       full=st.booleans())
+def test_shifted_add_of_itself_equals_adding_a_copy(data, box, full):
+    # self[e] += self[e - v] reads the cells as they were before the add, not
+    # the cumulative pass (1 - x^v)^(-1); v may leave the box
+    dim = len(box)
+    v = data.draw(st.tuples(*[st.integers(0, 4)] * dim).filter(any))
+    table, copy, want = (CoeffTable(dim, box) for _ in range(3))
+    limbs = data.draw(st.integers(1, 2))
+    table.data, table.ceiling = _random_fill(data, (limbs, *table.shape), full)
+    for other in (copy, want):
+        other.data, other.ceiling = table.data.copy(), table.ceiling
+    want.shifted_add(copy, v)
+    table.shifted_add(table, v)
+    assert int(table.data.max()) <= table.ceiling < _WORD
+    assert table.cells == want.cells
+
+
+def test_narrow_limbs_grow_and_guard(monkeypatch):
+    assert len(build_table(2, (16, 16)).data) == 1
+    table = build_table(2, (24, 24))
+    assert len(table.data) == 2
+    assert table.coefficient(24) == zon_coefficient(2, (24, 24))
+    # one limb fits the budget, the second does not: the guard names the limb count
+    monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", str(2 * 8 * 25 * 25 * 2 - 1))
+    with pytest.raises(MemoryBudgetError, match="2 limbs"):
+        build_table(2, (24, 24))
+    monkeypatch.delenv("ZONOCOUNT_MEMORY_BUDGET")
+
+    def refuse(*args):
+        raise AssertionError("charged a table the limb guard refuses")
+
+    # a pass of (1) could outgrow one normalization: refused before the memory
+    # charge and the allocation
+    monkeypatch.setattr(CoeffTable, "_check_memory", refuse)
+    with pytest.raises(ValueError, match="2\\^31"):
+        CoeffTable(1, (1 << 31,))
+
+
+def test_limb_width_leaves_room_for_every_fold():
+    # a normalization leaves the ceiling below 2^(L+1) and a fold adds less
+    # than _FLOAT_EXACT, so one add per limb never reaches the word
+    width = exact._LIMB_BITS
+    assert (1 << (width + 1)) + exact._FLOAT_EXACT < 1 << (2 * width)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), box=st.lists(st.integers(0, 3), min_size=1, max_size=4).map(tuple),
+       full=st.booleans())
+def test_weighted_pass_equals_repeated_class_passes(data, box, full):
+    # a random table, possibly saturated at its ceiling, and a random primitive
+    # v: inside the box with a long chain, with chain length 1, or outside
+    dim = len(box)
+    v = data.draw(st.tuples(*[st.integers(0, 3)] * dim).filter(lambda u: math.gcd(*u) == 1))
+    w = 1 << (sum(1 for c in v if c) - 1)
+    fused, single = CoeffTable(dim, box), CoeffTable(dim, box)
+    limbs = data.draw(st.integers(1, 2))
+    fill, ceiling = _random_fill(data, (limbs, *fused.shape), full)
+    for table in (fused, single):
+        table.data, table.ceiling = fill.copy(), ceiling
+    fused.class_pass(v, w)
+    assert int(fused.data.max()) <= fused.ceiling < _WORD
+    for _ in range(w):
+        single.class_pass(v, 1)
+        assert int(single.data.max()) <= single.ceiling < _WORD
+    assert fused.cells == single.cells
 
 
 def _group(box, a):
@@ -432,8 +479,8 @@ def _slab_adds(values, vecs, weights):
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), box=st.lists(st.integers(0, 4), min_size=2, max_size=4).map(tuple),
-       narrow=st.booleans(), full=st.booleans(), batched=st.booleans())
-def test_group_product_equals_sequential_slab_adds(data, box, narrow, full, batched):
+       full=st.booleans(), batched=st.booleans())
+def test_group_product_equals_sequential_slab_adds(data, box, full, batched):
     # a random or saturated table of 1-3 limbs, and a random subset of one axis
     # group; batched takes the whole group and lowers the exact-float limit so
     # that the products are summed and folded in several batches
@@ -446,26 +493,17 @@ def test_group_product_equals_sequential_slab_adds(data, box, narrow, full, batc
     vecs = group
     assume(len(vecs))
     weights = class_weights(vecs)
+    table = CoeffTable(dim, box)
+    limbs = data.draw(st.integers(1, 3))
+    table.data, table.ceiling = _random_fill(data, (limbs, *table.shape), full)
+    want = _slab_adds(_values(table), vecs, weights)
     with pytest.MonkeyPatch.context() as monkeypatch:
-        if narrow:
-            monkeypatch.setattr(exact, "_LIMB_BITS", 4 if dim <= 3 else 5)
         if batched:
             heaviest = max(int(weights[vecs[:, a] == k].sum()) for k in vecs[:, a].tolist())
             monkeypatch.setattr(exact, "_FLOAT_EXACT", heaviest << (exact._LIMB_BITS + 1))
-        word = 1 << (2 * exact._LIMB_BITS)
-        ceiling = data.draw(st.integers(0, word - 1))
-        shape = (data.draw(st.integers(1, 3)), *(b + 1 for b in box))
-        if full:
-            fill = np.full(shape, ceiling, dtype=np.uint64)
-        else:
-            rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-            fill = rng.integers(0, ceiling, size=shape, dtype=np.uint64, endpoint=True)
-        table = CoeffTable(dim, box)
-        table.data, table.ceiling = fill, ceiling
-        want = _slab_adds(_values(table), vecs, weights)
         table._one_step(a, vecs, weights)
-        assert int(table.data.max()) <= table.ceiling < word
-        assert table.cells == want.ravel().tolist()
+    assert int(table.data.max()) <= table.ceiling < _WORD
+    assert table.cells == want.ravel().tolist()
 
 
 def test_group_product_normalizes_at_2_pow_53():
@@ -485,16 +523,15 @@ def test_group_product_normalizes_at_2_pow_53():
 
 
 def test_group_product_folds_in_batches(monkeypatch):
-    # with the exact-float limit lowered to 2^8, group 0 of (5, 5) (weights 8,
-    # 6 and 8 at v_0 = 3, 4, 5) is summed in two or three batches; a fold that
-    # would outgrow the 8-bit word of 4-bit limbs normalizes first
-    _narrow_limbs(monkeypatch)
-    monkeypatch.setattr(exact, "_FLOAT_EXACT", 1 << 8)
+    # with the exact-float limit lowered to 2^36, group 0 of (5, 5) (weights 8,
+    # 6 and 8 at v_0 = 3, 4, 5) normalizes first and is summed in two batches
+    # at the normalized ceiling 2^32 - 1, or in three at 2^33 - 2
+    monkeypatch.setattr(exact, "_FLOAT_EXACT", 1 << 36)
     folds = []
     real = CoeffTable._fold
     monkeypatch.setattr(CoeffTable, "_fold", lambda self, *args: folds.append(real(self, *args)))
     vecs = _group((5, 5), 0)
-    for fill, batches in ((40, 2), (255, 3)):
+    for fill, batches in ((2 ** 32 - 1, 2), (_WORD - 1, 3)):
         folds.clear()
         table = CoeffTable(2, (5, 5))
         table.data = np.full((1, 6, 6), fill, dtype=np.uint64)
@@ -502,8 +539,22 @@ def test_group_product_folds_in_batches(monkeypatch):
         want = _slab_adds(_values(table), vecs, class_weights(vecs))
         table._one_step(0, vecs, class_weights(vecs))
         assert len(folds) == batches
-        assert int(table.data.max()) <= table.ceiling < 1 << 8
+        assert int(table.data.max()) <= table.ceiling < _WORD
         assert table.cells == want.ravel().tolist()
+    # a fold that would reach the word normalizes first: group 0 of (1, 1) has
+    # weight 3, and with the limit above (1 + 3) * 2^62 tiny entries under the
+    # loose ceiling 2^62 are neither normalized up front nor batched, so the
+    # one fold of 3 * 2^62 would take the ceiling to 2^64
+    monkeypatch.setattr(exact, "_FLOAT_EXACT", 1 << 65)
+    vecs = _group((1, 1), 0)
+    folds.clear()
+    table = CoeffTable(2, (1, 1))
+    table.data = np.full((1, 2, 2), 5, dtype=np.uint64)
+    table.ceiling = 1 << 62
+    table._one_step(0, vecs, class_weights(vecs))
+    assert len(folds) == 1
+    assert table.ceiling == (2 ** 32 - 1 + 2 ** 30) + 3 * 2 ** 62 < _WORD
+    assert table.cells == [5, 5, 10, 20]
 
 
 _BLAS_SCRIPT = """

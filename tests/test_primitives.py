@@ -142,6 +142,18 @@ def test_moebius_sieve_over_budget_raises(monkeypatch):
             count(2, (10 ** 6, 0))
 
 
+def test_memory_budget_must_be_positive(monkeypatch):
+    # a budget below one byte would refuse every allocation: it is named as invalid instead
+    for raw in ("0", "-5", "not-a-number"):
+        monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", raw)
+        with pytest.raises(ValueError, match=f"ZONOCOUNT_MEMORY_BUDGET must be .* {raw!r}"):
+            primitives._charge(1, "one byte")
+    monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", "1")
+    primitives._charge(1, "one byte")
+    with pytest.raises(MemoryBudgetError, match="two bytes"):
+        primitives._charge(2, "two bytes")
+
+
 def test_class_count_matches_expansion():
     for dim, top in ((1, 8), (2, 8), (3, 5), (4, 3)):
         for bound in itertools.product(range(top + 1), repeat=dim):

@@ -167,17 +167,23 @@ def test_gamma_poles():
             gamma_complex(s)
 
 
-def test_gamma_overflow_is_named_error():
-    # Gamma(140) ~ 9.6e238 is still finite; from about Re s = 142 the
-    # Lanczos power t^(s - 1/2) leaves the float range (an OverflowError or a
-    # non-finite product)
-    assert cmath.isfinite(gamma_complex(140))
-    for s in (142.21536, 150, complex(171.5, 10), 300, -200.5):
+def test_gamma_overflow_is_named_error(mp):
+    # the Lanczos power and e^(-t) are taken as one exp, so Gamma stays finite
+    # until its value leaves the float range near s = 171.6, not near Re s = 142
+    # where t^(s - 1/2) alone overflowed.  The exponent reaches about 900 in
+    # size there, and exp turns its rounding error into a relative one: about
+    # 1000 ulps
+    for s in (140, 142.21536, 150, complex(150.5, -14.13), complex(170.5, 3),
+              complex(171.5, 10)):
+        want = complex(mp.gamma(mp.mpc(complex(s).real, complex(s).imag)))
+        assert abs(gamma_complex(s) - want) < 1000 * 2 ** -52 * abs(want), s
+    for s in (172, complex(175, 10), 300, -200.5):
         with pytest.raises(SpecialFunctionError, match="overflows"):
             gamma_complex(s)
-    # zeta's functional equation reaches it at Re s <= -142
-    with pytest.raises(SpecialFunctionError):
-        zeta_complex(complex(-149.5, 14.13))
+    # zeta's functional equation reaches Gamma(1 - s) at Re s <= -1
+    s = complex(-149.5, 14.13)
+    want = complex(mp.zeta(mp.mpc(s.real, s.imag)))
+    assert abs(zeta_complex(s) - want) < 1e-12 * abs(want)
 
 
 def _stirling_lngamma(s: complex) -> complex:
