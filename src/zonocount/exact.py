@@ -31,17 +31,15 @@ s + 1 entries summed into one) grows entries by the factor s + 1; before it
 the table normalizes if factor * ceiling would reach 2^64 (carry = data >>
 32, data &= 2^32 - 1, data[1:] += carry[:-1], with a new limb when the top
 one carries), which leaves every entry below 2^33, then multiplies the
-ceiling by the factor.  The sum identity holds whether or not the limbs are
+ceiling by the factor; no factor may exceed 2^31, so that product stays
+below 2^64.  The sum identity holds whether or not the limbs are
 normalized, so one np.add per slab covers all k limbs and no per-block carry
-is needed.  A group product is exact because every partial sum is an integer
-below 2^53: each limb is multiplied on its own, and the table normalizes
-first when the ceiling times the group weight 1 + sum w_v would reach 2^53;
-a group still heavier than that after a normalization is summed in
-batches.  The products are summed in float64, converted to uint64 and added
-limb by limb, after a normalization if the ceiling would reach 2^64.  That
-one add always fits, because 2^33 + 2^53 < 2^64: a normalization leaves the
-ceiling below 2^33 and a batch adds less than 2^53.  The result is the same
-bits whatever order BLAS sums in.
+is needed.  A group product is exact from two facts.  Each float64 product is
+an exact integer, whatever order BLAS sums in: each limb is multiplied on its
+own, and the table normalizes first when the ceiling times the largest weight
+of one k would reach 2^53.  The products are summed in uint64 and added limb
+by limb, and the group grows entries at most (1 + sum w_v)-fold, which goes
+through the same normalize-and-multiply step as a cumulative pass.
 
 Exact first moments are chain sums over that one table.  Marking generator
 presence with u (factor 1 + u x^v/(1-x^v)) and differentiating at u = 1
@@ -78,8 +76,8 @@ from .primitives import (
 # before its carry is pushed into the limb above.
 _LIMB_BITS = 32
 
-# float64 holds every integer below this exactly; one-step group products
-# keep every partial sum below it
+# float64 holds every integer below this exactly; each one-step group product
+# stays below it
 _FLOAT_EXACT = 1 << 53
 
 _BRUTE_NODE_BUDGET = 10 ** 7
@@ -147,13 +145,10 @@ class CoeffTable:
         return values
 
     def _index(self, e) -> tuple[int, ...]:
-        if isinstance(e, int):
-            e = (e,) * self.dim
-        if len(e) != self.dim:
-            raise ValueError(f"index has {len(e)} entries, expected {self.dim}")
-        if not all(0 <= c <= b for c, b in zip(e, self.bound)):
-            raise ValueError(f"index {tuple(e)} outside bound {self.bound}")
-        return tuple(int(c) for c in e)
+        et = _validate_vector(e, self.dim)
+        if any(c > b for c, b in zip(et, self.bound)):
+            raise ValueError(f"index {et} outside bound {self.bound}")
+        return et
 
     @property
     def cells(self) -> list[int]:
@@ -179,6 +174,9 @@ class CoeffTable:
     def _grow(self, factor: int) -> None:
         """Let every entry grow to `factor` times the ceiling, normalizing first
         if that could reach 2^(2 * _LIMB_BITS)."""
+        if factor > 1 << (_LIMB_BITS - 1):
+            raise ValueError(f"a step over bound {self.bound} may grow entries "
+                             f"{factor}-fold, above the limit 2^{_LIMB_BITS - 1}")
         if factor * self.ceiling >= 1 << (2 * _LIMB_BITS):
             self._normalize()
         self.ceiling *= factor
@@ -222,10 +220,11 @@ class CoeffTable:
 
         Per k = v_a, the sources in hyperplanes 0..n_a - k times the Toeplitz
         matrix of the kernel sum_u w_(k,u) y^u over the other axes is one
-        float64 matrix product; the products of a batch are summed in a float64
-        buffer, exact while the batch weight times the ceiling stays below 2^53,
-        and folded into hyperplanes k..n_a (_fold).  Sources and targets are
-        disjoint, so the sources are staged once.
+        float64 matrix product, exact because the ceiling times the weight of
+        k stays below 2^53.  The products are summed in a uint64 buffer and
+        added to hyperplanes k..n_a; the group grows entries at most
+        (1 + sum w_v)-fold (_grow).  Sources and targets are disjoint, so the
+        sources are staged once.
         """
         top = self.shape[a]
         lo = top // 2 + top % 2  # every k = v_a > n_a / 2 is at least this
@@ -234,12 +233,12 @@ class CoeffTable:
         m = math.prod(other)
         at = vecs[:, a] - lo
         sums = [int(x) for x in np.bincount(at, weights, rows).tolist()]  # weight per k
-        if (1 + sum(sums)) * self.ceiling >= _FLOAT_EXACT:
+        if max(sums) * self.ceiling >= _FLOAT_EXACT:
             self._normalize()
-        scale = max(self.ceiling, 1)  # bounds every source entry until the group ends
-        if max(sums) * scale >= _FLOAT_EXACT:
-            raise ValueError(f"a one-step group over bound {self.bound} sums {max(sums)} "
-                             f"terms per cell, too many for exact float64 products")
+            if max(sums) * self.ceiling >= _FLOAT_EXACT:
+                raise ValueError(f"a one-step group over bound {self.bound} sums {max(sums)} "
+                                 f"terms per cell, too many for exact float64 products")
+        self._grow(1 + sum(sums))  # a normalization here only lowers the sources' bound
         limbs = len(self.data)
         # The matrix of k is block upper triangular (u >= 0), so the block
         # columns whose first other coordinate is below c read only the block
@@ -250,10 +249,9 @@ class CoeffTable:
         cut = other[0] // 2 if inner > 1 else 0
         pieces = [(c0, c1) for c0, c1 in ((0, cut), (cut, other[0])) if c0 < c1]
         pad = tuple(2 * n - 1 for n in other)
-        # the kernels, the larger piece, the staged sources, their sums, one
-        # product and the sums as uint64
+        # the kernels, the larger piece, the staged sources, their sums and one product
         self._check_memory(limbs, 8 * (rows * math.prod(pad) + m * (m - cut * inner)
-                                       + 4 * rows * limbs * m))
+                                       + 3 * rows * limbs * m))
         # kern[k - lo] holds w_(k,u) at u + other - 1, so the matrix of k, with
         # entry w_(k, q - r) in row r and column q, is a strided view of it
         kern = np.zeros((rows, *pad))
@@ -264,39 +262,22 @@ class CoeffTable:
                               strides=kern.strides[:1] + tuple(-t for t in step) + step)
         whole = (slice(None),) * (len(other) - 1)
         perm = (a + 1, 0, *range(1, a + 1), *range(a + 2, self.dim + 1))
-        src = np.ascontiguousarray(self.data.transpose(perm)[:rows], dtype=np.float64)
-        src = src.reshape(rows * limbs, m)
-        acc = np.zeros((rows * limbs, m))
-        batch = 0
+        view = self.data.transpose(perm)
+        src = np.ascontiguousarray(view[:rows], dtype=np.float64).reshape(rows * limbs, m)
+        acc = np.zeros((rows * limbs, m), dtype=np.uint64)
         for j, wk in enumerate(sums):
             if not wk:
                 continue
-            # past 2^20 terms per cell after a normalization with 32-bit limbs
-            # (about d=2 n=1300, d=3 n=86, d=4 n=23)
-            if (batch + wk) * scale >= _FLOAT_EXACT:
-                self._fold(perm, lo, acc, batch * scale)
-                acc[:] = 0
-                batch = 0
             for c0, c1 in pieces:
                 # a copy in C order for d >= 3; at d = 2 matmul copies the view
                 toeplitz = matrices[(j, slice(c1), *whole, slice(c0, c1))].reshape(
                     c1 * inner, (c1 - c0) * inner)
                 product = src[:(rows - j) * limbs, :c1 * inner] @ toeplitz
-                acc[j * limbs:, c0 * inner:c1 * inner] += product
+                block = acc[j * limbs:, c0 * inner:c1 * inner]
+                np.add(block, product, out=block, dtype=np.uint64, casting="unsafe")
                 del toeplitz, product  # the next ones are allocated before these names are rebound
-            batch += wk
-        self._fold(perm, lo, acc, batch * scale)
-
-    def _fold(self, perm: tuple, lo: int, acc: np.ndarray, grow: int) -> None:
-        """Add the sums acc (exact integers below 2^53, limb-major per hyperplane,
-        each at most `grow`) to the cells from hyperplane lo of axis perm[0] - 1 on,
-        each sum to its own limb, normalizing first if the ceiling would reach 2^64."""
-        if self.ceiling + grow >= 1 << (2 * _LIMB_BITS):
-            self._normalize()
-        view = self.data.transpose(perm)[lo:]
-        sums = acc.astype(np.uint64).reshape(len(view), -1, *view.shape[2:])
-        view[:, :sums.shape[1]] += sums
-        self.ceiling += grow
+        view = view[lo:]
+        view += acc.reshape(view.shape)
 
     def shifted_add(self, src: "CoeffTable", v: Sequence[int]) -> None:
         """self[e] += src[e - v] (multiplication of src by x^v, accumulated)."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -143,21 +143,38 @@ _LANCZOS_COEF = [
 ]
 
 
+def _log_sin_pi(s: complex) -> complex:
+    """A logarithm of sin(pi s); past |Im s| = 1 from the dominant exponential,
+    since sin(pi s) itself overflows from about |Im s| = 226."""
+    if s.imag < -1:
+        return _log_sin_pi(s.conjugate()).conjugate()
+    if s.imag <= 1:
+        return cmath.log(cmath.sin(math.pi * s))
+    # sin(pi s) = (i/2) e^(-i pi s) (1 - e^(2 i pi s)), with |e^(2 i pi s)| < e^(-2 pi)
+    return (complex(-math.log(2), math.pi / 2) - 1j * math.pi * s
+            + cmath.log(1 - cmath.exp(2j * math.pi * s)))
+
+
 def gamma_complex(s: complex) -> complex:
     """Gamma(s) on the complex plane via Lanczos (g=7), reflection for Re s < 1/2."""
     s = complex(s)
     if s.imag == 0.0 and s.real <= 0.0 and s.real == int(s.real):
         raise SpecialFunctionError(f"gamma pole at s = {s.real:g}")
-    if s.real < 0.5:
-        # Gamma(s) Gamma(1-s) = pi / sin(pi s)
-        return math.pi / (cmath.sin(math.pi * s) * gamma_complex(1 - s))
-    z = s - 1
+    reflect = s.real < 0.5
+    z = -s if reflect else s - 1  # the Lanczos sum gives Gamma(z + 1)
     x = complex(_LANCZOS_COEF[0], 0.0)
     for i in range(1, 9):
         x += _LANCZOS_COEF[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
+    log_power = (z + 0.5) * cmath.log(t) - t
     try:
-        value = math.sqrt(2 * math.pi) * cmath.exp((z + 0.5) * cmath.log(t) - t) * x
+        if reflect:
+            # Gamma(s) Gamma(1-s) = pi / sin(pi s), in logs so that neither
+            # Gamma(1-s) nor sin(pi s) overflows on its own
+            value = cmath.exp(0.5 * math.log(math.pi / 2) - _log_sin_pi(s) - log_power
+                              - cmath.log(x))
+        else:
+            value = math.sqrt(2 * math.pi) * cmath.exp(log_power) * x
     except OverflowError:
         value = math.inf
     if not cmath.isfinite(value):  # Gamma(s) leaves the float range near Re s = 171.6
@@ -230,10 +247,24 @@ def zeta_deriv_neg_int(k: int) -> float:
 
 @dataclass(frozen=True)
 class ZetaZero:
-    """A non-trivial zero 1/2 + i*imag with its cached zeta'(rho) (simple-zero hypothesis)."""
+    """A non-trivial zero 1/2 + i*imag with its zeta'(rho) (simple-zero hypothesis).
+
+    Made from the ordinate alone, it checks itself once: ZeroVerificationError
+    unless |zeta(rho)| < 1e-8 and zeta'(rho) != 0.
+    """
 
     imag: float
-    zeta_deriv: complex
+    zeta_deriv: complex = field(init=False)
+
+    def __post_init__(self):
+        residual = abs(zeta_complex(self.rho))
+        if residual >= _ZERO_RESIDUAL:
+            raise ZeroVerificationError(
+                f"no zero at t = {self.imag:g}: |zeta(1/2 + it)| = {residual:.3e}")
+        deriv = zeta_deriv_complex(self.rho)
+        if deriv == 0:
+            raise ZeroVerificationError(f"zero at t = {self.imag:.6f} appears non-simple")
+        object.__setattr__(self, "zeta_deriv", deriv)
 
     @property
     def rho(self) -> complex:
@@ -245,28 +276,23 @@ FIRST_ZERO_GUESS = 14.1347
 _ZERO_RESIDUAL = 1e-8
 _FILE_RESIDUAL = 1e-6
 
+# Newton steps refine_zero takes at most
+_REFINE_STEPS = 60
 
-def refine_zero(t_guess: float, max_iter: int = 60) -> ZetaZero:
+
+def refine_zero(t_guess: float) -> ZetaZero:
     """Polish a zero ordinate by Newton iteration on t -> zeta(1/2 + it).
 
     Raises ZeroVerificationError unless |zeta| < 1e-8 at the refined point.
     """
     t = float(t_guess)
-    for _ in range(max_iter):
+    for _ in range(_REFINE_STEPS):
         s = complex(0.5, t)
         step = (zeta_complex(s) / (1j * zeta_deriv_complex(s))).real
         t -= step
         if abs(step) < 1e-13:
             break
-    s = complex(0.5, t)
-    residual = abs(zeta_complex(s))
-    if residual >= _ZERO_RESIDUAL:
-        raise ZeroVerificationError(
-            f"refinement from t = {t_guess:g} stalled: |zeta| = {residual:.3e}")
-    deriv = zeta_deriv_complex(s)
-    if deriv == 0:
-        raise ZeroVerificationError(f"zero at t = {t:.6f} appears non-simple")
-    return ZetaZero(imag=t, zeta_deriv=deriv)
+    return ZetaZero(t)
 
 
 @lru_cache(maxsize=1)

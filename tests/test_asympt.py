@@ -210,8 +210,8 @@ def test_icrit_multiple_zeros_and_validation():
         icrit(2, 1e6, [z1], m=2)
     with pytest.raises(ValueError):
         icrit(2, 1e6, [], m=1)
-    with pytest.raises(ZeroVerificationError):
-        icrit(2, 1e6, [ZetaZero(imag=10.0, zeta_deriv=1 + 0j)], m=1)
+    with pytest.raises(ZeroVerificationError):  # a zero checks itself when it is made
+        ZetaZero(imag=10.0)
 
 
 def test_estimate_components():

@@ -84,6 +84,19 @@ def test_validation_errors():
         zon_coefficient(0, ())
 
 
+def test_table_index_checks():
+    # one box check for bounds and indices; the index alone is checked against the bound
+    table = build_table(2, (3, 2))
+    assert table.coefficient(2) == table.coefficient((2, 2)) == zon_coefficient(2, (2, 2))
+    assert table.total((3, 2)) == table.total()
+    for e, message in (((1,), "expected 2 coordinates"), ((-1, 1), "must be >= 0"),
+                       ((1, 3), "outside bound"), (3, "outside bound")):
+        with pytest.raises(ValueError, match=message):
+            table.coefficient(e)
+        with pytest.raises(ValueError, match=message):
+            table.total(e)
+
+
 def test_diameter_moment_examples():
     assert diameter_moment(2, 1) == Fraction(4, 3)
     assert diameter_moment(2, 2) == Fraction(2)
@@ -432,11 +445,11 @@ def test_narrow_limbs_grow_and_guard(monkeypatch):
         CoeffTable(1, (1 << 31,))
 
 
-def test_limb_width_leaves_room_for_every_fold():
-    # a normalization leaves the ceiling below 2^(L+1) and a fold adds less
-    # than _FLOAT_EXACT, so one add per limb never reaches the word
+def test_limb_width_leaves_room_for_every_growth():
+    # a normalization leaves the ceiling below 2^(L+1), and _grow accepts no
+    # factor above 2^31, so the grown ceiling never reaches the word
     width = exact._LIMB_BITS
-    assert (1 << (width + 1)) + exact._FLOAT_EXACT < 1 << (2 * width)
+    assert (1 << (width + 1)) << 31 <= 1 << (2 * width)
 
 
 @settings(max_examples=150, deadline=None)
@@ -479,15 +492,15 @@ def _slab_adds(values, vecs, weights):
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), box=st.lists(st.integers(0, 4), min_size=2, max_size=4).map(tuple),
-       full=st.booleans(), batched=st.booleans())
-def test_group_product_equals_sequential_slab_adds(data, box, full, batched):
+       full=st.booleans(), past_limit=st.booleans())
+def test_group_product_equals_sequential_slab_adds(data, box, full, past_limit):
     # a random or saturated table of 1-3 limbs, and a random subset of one axis
-    # group; batched takes the whole group and lowers the exact-float limit so
-    # that the products are summed and folded in several batches
+    # group; past_limit takes the whole group and lowers the exact-float limit
+    # so that each product stays below it but the sums across k go beyond it
     dim = len(box)
     a = data.draw(st.sampled_from([i for i, b in enumerate(box) if b] or [0]))
     group = _group(box, a)
-    if not batched:
+    if not past_limit:
         keep = data.draw(st.lists(st.booleans(), min_size=len(group), max_size=len(group)))
         group = group[np.array(keep, dtype=bool)] if len(group) else group
     vecs = group
@@ -498,7 +511,7 @@ def test_group_product_equals_sequential_slab_adds(data, box, full, batched):
     table.data, table.ceiling = _random_fill(data, (limbs, *table.shape), full)
     want = _slab_adds(_values(table), vecs, weights)
     with pytest.MonkeyPatch.context() as monkeypatch:
-        if batched:
+        if past_limit:
             heaviest = max(int(weights[vecs[:, a] == k].sum()) for k in vecs[:, a].tolist())
             monkeypatch.setattr(exact, "_FLOAT_EXACT", heaviest << (exact._LIMB_BITS + 1))
         table._one_step(a, vecs, weights)
@@ -507,54 +520,71 @@ def test_group_product_equals_sequential_slab_adds(data, box, full, batched):
 
 
 def test_group_product_normalizes_at_2_pow_53():
-    # group 0 of (1, 1) is (1, 0) and (1, 1), of weights 1 and 2: the group
-    # weight 1 + 3 times a ceiling of 2^51 reaches 2^53, one below does not
+    # group 0 of (1, 1) is (1, 0) and (1, 1), of weights 1 and 2, both at k = 1:
+    # a ceiling of ceil(2^53 / 3) makes the product of k reach 2^53, one below
+    # does not
     vecs = _group((1, 1), 0)
     assert vecs.tolist() == [[1, 0], [1, 1]]
-    for ceiling, limbs in ((2 ** 51 - 1, 1), (2 ** 51, 2)):
+    edge = -(-(2 ** 53) // 3)
+    for ceiling, limbs in ((edge - 1, 1), (edge, 2)):
         table = CoeffTable(2, (1, 1))
         table.data = np.full((1, 2, 2), ceiling, dtype=np.uint64)
         table.ceiling = ceiling
         want = _slab_adds(_values(table), vecs, class_weights(vecs))
         table._one_step(0, vecs, class_weights(vecs))
-        assert len(table.data) == limbs  # 2^51 normalizes first, carrying into a new limb
-        assert int(table.data.max()) <= table.ceiling < 1 << 64
+        assert len(table.data) == limbs  # the edge normalizes first, carrying into a new limb
+        assert int(table.data.max()) <= table.ceiling < _WORD
         assert table.cells == want.ravel().tolist() == [ceiling, ceiling, 2 * ceiling, 4 * ceiling]
 
 
-def test_group_product_folds_in_batches(monkeypatch):
-    # with the exact-float limit lowered to 2^36, group 0 of (5, 5) (weights 8,
-    # 6 and 8 at v_0 = 3, 4, 5) normalizes first and is summed in two batches
-    # at the normalized ceiling 2^32 - 1, or in three at 2^33 - 2
-    monkeypatch.setattr(exact, "_FLOAT_EXACT", 1 << 36)
-    folds = []
-    real = CoeffTable._fold
-    monkeypatch.setattr(CoeffTable, "_fold", lambda self, *args: folds.append(real(self, *args)))
+def test_group_product_sums_in_uint64(monkeypatch):
+    # group 0 of (5, 5) has weights 8, 6 and 8 at k = v_0 = 3, 4, 5: it
+    # normalizes only when a product of k could reach the exact-float limit,
+    # and sums the products in uint64 whatever the limit
+    normalized = []
+    real_normalize = CoeffTable._normalize
+
+    def normalize(self):
+        normalized.append(self)
+        real_normalize(self)
+
+    monkeypatch.setattr(CoeffTable, "_normalize", normalize)
     vecs = _group((5, 5), 0)
-    for fill, batches in ((2 ** 32 - 1, 2), (_WORD - 1, 3)):
-        folds.clear()
+    assert np.bincount(vecs[:, 0], class_weights(vecs)).tolist() == [0, 0, 0, 8, 6, 8]
+    # at the limit 2^36, 8 * (2^32 - 1) fits and 8 * (2^64 - 1) does not; at
+    # 2^53, 8 * (2^51 + 1) does not, though 23 * (2^51 + 1) fits the word, and
+    # 8 * (2^50 - 1) fits but a cell sums 22 * (2^50 - 1) > 2^53, beyond what
+    # float64 holds exactly
+    for limit, fill, normalizes in ((1 << 36, 2 ** 32 - 1, 0), (1 << 36, _WORD - 1, 1),
+                                    (1 << 53, 2 ** 51 + 1, 1), (1 << 53, 2 ** 50 - 1, 0)):
+        monkeypatch.setattr(exact, "_FLOAT_EXACT", limit)
+        normalized.clear()
         table = CoeffTable(2, (5, 5))
         table.data = np.full((1, 6, 6), fill, dtype=np.uint64)
         table.ceiling = fill
         want = _slab_adds(_values(table), vecs, class_weights(vecs))
         table._one_step(0, vecs, class_weights(vecs))
-        assert len(folds) == batches
+        assert len(normalized) == normalizes
         assert int(table.data.max()) <= table.ceiling < _WORD
         assert table.cells == want.ravel().tolist()
-    # a fold that would reach the word normalizes first: group 0 of (1, 1) has
-    # weight 3, and with the limit above (1 + 3) * 2^62 tiny entries under the
-    # loose ceiling 2^62 are neither normalized up front nor batched, so the
-    # one fold of 3 * 2^62 would take the ceiling to 2^64
+    assert 22 * fill > 1 << 53 and max(table.cells) == 23 * fill
+    # the group grows the ceiling through _grow: with the limit above 2^64,
+    # tiny entries under the loose ceiling 2^62 are not normalized for the
+    # products, but the weight-3 group 0 of (1, 1) would take the ceiling to
+    # 4 * 2^62, so _grow normalizes first
     monkeypatch.setattr(exact, "_FLOAT_EXACT", 1 << 65)
     vecs = _group((1, 1), 0)
-    folds.clear()
+    normalized.clear()
     table = CoeffTable(2, (1, 1))
     table.data = np.full((1, 2, 2), 5, dtype=np.uint64)
     table.ceiling = 1 << 62
     table._one_step(0, vecs, class_weights(vecs))
-    assert len(folds) == 1
-    assert table.ceiling == (2 ** 32 - 1 + 2 ** 30) + 3 * 2 ** 62 < _WORD
+    assert len(normalized) == 1
+    assert table.ceiling == 4 * (2 ** 32 - 1 + 2 ** 30) < _WORD
     assert table.cells == [5, 5, 10, 20]
+    # no growth factor beyond what one normalization leaves room for
+    with pytest.raises(ValueError, match="2\\^31"):
+        table._grow((1 << 31) + 1)
 
 
 _BLAS_SCRIPT = """

@@ -1,13 +1,16 @@
 import cmath
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+import zonocount.special as special
 from zonocount import (
     SpecialFunctionError,
     ZeroVerificationError,
+    ZetaZero,
     bernoulli,
     first_zero,
     gamma_complex,
@@ -177,13 +180,33 @@ def test_gamma_overflow_is_named_error(mp):
               complex(171.5, 10)):
         want = complex(mp.gamma(mp.mpc(complex(s).real, complex(s).imag)))
         assert abs(gamma_complex(s) - want) < 1000 * 2 ** -52 * abs(want), s
-    for s in (172, complex(175, 10), 300, -200.5):
-        with pytest.raises(SpecialFunctionError, match="overflows"):
+    # on the reflection side only Gamma itself can overflow, near its poles,
+    # and the error names the caller's s
+    for s in (172, complex(175, 10), 300, 1e-310, -1e-310):
+        with pytest.raises(SpecialFunctionError, match=re.escape(f"overflows at s = {complex(s)}")):
             gamma_complex(s)
     # zeta's functional equation reaches Gamma(1 - s) at Re s <= -1
     s = complex(-149.5, 14.13)
     want = complex(mp.zeta(mp.mpc(s.real, s.imag)))
     assert abs(zeta_complex(s) - want) < 1e-12 * abs(want)
+
+
+def test_gamma_reflection_in_log_space_vs_mpmath(mp):
+    # pi / (sin(pi s) Gamma(1 - s)) taken as one exp: Gamma(1 - s) leaves the
+    # float range at Re s < -171 and sin(pi s) at |Im s| > 226, though Gamma(s)
+    # does not.  The exponent reaches about 700 in size, so exp turns its
+    # rounding error into a relative one of about 1e-13
+    for s in (-171.5, complex(0.4, 230), complex(0.4, 300), complex(-3, 250), -150.5,
+              complex(-40.3, -80), complex(0.2, 14.13)):
+        want = complex(mp.gamma(mp.mpc(complex(s).real, complex(s).imag)))
+        assert abs(gamma_complex(s) - want) < 1e-12 * abs(want), s
+    # a subnormal value keeps fewer bits
+    s = complex(-171.5, 2)
+    want = complex(mp.gamma(mp.mpc(s.real, s.imag)))
+    assert abs(gamma_complex(s) - want) < 1e-10 * abs(want)
+    # below the float range: -0, as mpmath rounds it
+    assert complex(mp.gamma(-200.5)).real == gamma_complex(-200.5).real == 0
+    assert math.copysign(1, gamma_complex(-200.5).real) == -1
 
 
 def _stirling_lngamma(s: complex) -> complex:
@@ -209,9 +232,22 @@ def test_first_zero_refinement():
     assert abs(abs(z.zeta_deriv) - 0.79316043335650612) < 1e-9
 
 
-def test_refine_zero_rejects_non_zero_region():
+def test_refine_zero_rejects_non_zero_region(monkeypatch):
+    monkeypatch.setattr(special, "_REFINE_STEPS", 3)
     with pytest.raises(ZeroVerificationError):
-        refine_zero(3.0, max_iter=3)
+        refine_zero(3.0)
+
+
+def test_zeta_zero_checks_itself():
+    # made from the ordinate alone: the residual is checked and zeta'(rho)
+    # computed once, so a caller cannot attach a wrong derivative
+    z = first_zero()
+    assert ZetaZero(z.imag) == z
+    assert abs(ZetaZero(RHO1_T).zeta_deriv - ZETA_DERIV_RHO1) < 1e-9
+    with pytest.raises(TypeError):
+        ZetaZero(imag=z.imag, zeta_deriv=1 + 0j)
+    with pytest.raises(ZeroVerificationError, match="no zero at t = 10"):
+        ZetaZero(10.0)
 
 
 def test_zeros_file_round_trip(tmp_path):
