@@ -47,8 +47,8 @@ with open("zeros.txt", "w", encoding="utf-8") as fh:
     fh.write("# first two ordinates on the critical line\n")
     fh.write("14.134725141734693790\n21.022039638771555\n")
 zeros = zc.load_zeros_file("zeros.txt")
-one = zc.icrit(2, 1e6, zeros, m=1)
-two = zc.icrit(2, 1e6, zeros, m=2)
+one = zc.icrit(2, 1e6, zeros[:1])
+two = zc.icrit(2, 1e6, zeros[:2])
 print(f"d=2, n=1e6: m=1 term {one:.6e}, adding the second zero shifts it by "
       f"{abs(two - one) / abs(one):.2e} relative")
 

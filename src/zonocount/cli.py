@@ -89,10 +89,11 @@ def _parse_class(text: str) -> sampler.ClassId:
         raise ValueError(f"--track expects V1,...,Vd[:SIGN], got {text!r}") from None
 
 
-def _load_zeros(args):
-    if getattr(args, "zeros", None):
-        return special.load_zeros_file(args.zeros)
-    return None
+def _load_zeros(args) -> list[special.ZetaZero]:
+    zeros = special.load_zeros_file(args.zeros) if args.zeros else [special.first_zero()]
+    if zeros and not 1 <= args.m <= len(zeros):  # asympt refuses an empty list by name
+        raise ValueError(f"m = {args.m} outside 1..{len(zeros)}")
+    return zeros[:args.m]
 
 
 def _finite(value, flag: str):
@@ -110,8 +111,7 @@ def cmd_count(args) -> list[dict]:
             z = table.total((n,) * args.dim)
         else:
             z = table.coefficient((n,) * args.dim)
-        rows.append({"dim": args.dim, "n": n, "z_exact": z,
-                     "ln_z": math.log(z) if z > 0 else float("-inf")})
+        rows.append({"dim": args.dim, "n": n, "z_exact": z, "ln_z": math.log(z)})
     return rows
 
 
@@ -125,7 +125,7 @@ def cmd_compare(args) -> list[dict]:
     for n in ns:
         z = table.coefficient((n,) * args.dim)
         ln_z = math.log(z)
-        est = asympt.estimate(args.dim, n, zeros, args.m)
+        est = asympt.estimate(args.dim, n, zeros)
         rows.append({
             "n": n,
             "ln_z_exact": ln_z,
@@ -155,9 +155,9 @@ def cmd_moments(args) -> list[dict]:
 def cmd_asympt(args) -> list[dict]:
     _finite(args.n, "--n")
     zeros = _load_zeros(args)
-    est = asympt.estimate(args.dim, args.n, zeros, args.m)
+    est = asympt.estimate(args.dim, args.n, zeros)
     row = est.to_dict()
-    saddle = asympt.estimate_saddle_form(args.dim, args.n, zeros, args.m)
+    saddle = asympt.estimate_saddle_form(args.dim, args.n, zeros)
     row["ln_z_hat_saddle_form"] = saddle
     row["assembly_diff"] = est.ln_z_hat - saddle
     row["mean_diameter"] = asympt.mean_diameter_asympt(args.dim, args.n)
@@ -167,9 +167,8 @@ def cmd_asympt(args) -> list[dict]:
 def cmd_icrit(args) -> list[dict]:
     _finite(args.n, "--n")
     zeros = _load_zeros(args)
-    value = asympt.icrit(args.dim, args.n, zeros, args.m)
-    lead = zeros[0] if zeros else None
-    wave = asympt.icrit_wave_form(args.dim, lead)
+    value = asympt.icrit(args.dim, args.n, zeros)
+    wave = asympt.icrit_wave_form(args.dim, zeros[0])
     return [{
         "dim": args.dim, "n": args.n, "m": args.m, "icrit": value,
         "amp_cos": wave.amp_cos, "amp_sin": wave.amp_sin,
@@ -339,11 +338,11 @@ def main(argv=None) -> int:
         parser.error("a subcommand is required (or --self-test)")
     try:
         rows = _HANDLERS[args.command](args)
+        _emit(rows, args.command, args.format, args.output)
     except (ValueError, KeyError, OSError, exact.MemoryBudgetError,
             exact.EnumerationBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(rows, args.command, args.format, args.output)
     return 0
 
 

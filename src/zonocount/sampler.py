@@ -131,6 +131,8 @@ def _draw(sys: ClassSystem, seed: int) -> tuple[np.ndarray, np.ndarray]:
     One uniform per class from default_rng(seed), in visit order; K is
     floor(ln max(u, 1e-300) / ln q_v), evaluated only where u <= q_hi.
     """
+    if seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
     u = np.random.default_rng(seed).random(sys.ncls)
     pos = np.flatnonzero(u <= sys.q_hi)
     x = u[pos]
@@ -143,8 +145,6 @@ def _draw(sys: ClassSystem, seed: int) -> tuple[np.ndarray, np.ndarray]:
 def boltzmann_sample(dim: int, theta: float, cutoff: float = 1e-12,
                      seed: int = 0) -> ZonotopeSample:
     """Draw one zonotope; deterministic for fixed (dim, theta, cutoff, seed)."""
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
     sys = class_system(dim, theta, cutoff)
     pos, k = _draw(sys, seed)
     coords = sys.coords[pos]

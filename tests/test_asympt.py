@@ -203,13 +203,11 @@ def test_icrit_multiple_zeros_and_validation():
     from zonocount import refine_zero
 
     z2 = refine_zero(21.022039638771555)
-    one = icrit(2, 1e6, [z1, z2], m=1)
-    two = icrit(2, 1e6, [z1, z2], m=2)
+    one = icrit(2, 1e6, [z1])
+    two = icrit(2, 1e6, [z1, z2])
     assert abs(two - one) < 1e-3 * abs(one)
     with pytest.raises(ValueError):
-        icrit(2, 1e6, [z1], m=2)
-    with pytest.raises(ValueError):
-        icrit(2, 1e6, [], m=1)
+        icrit(2, 1e6, [])
     with pytest.raises(ZeroVerificationError):  # a zero checks itself when it is made
         ZetaZero(imag=10.0)
 

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import time
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -203,6 +204,15 @@ def test_output_file(capsys, tmp_path):
     assert doc["rows"][0]["z_exact"] == 1
 
 
+@pytest.mark.parametrize("name", ["missing/rows.json", ""])
+def test_unwritable_output_is_error(capsys, tmp_path, name):
+    # a missing parent directory, then a directory as the target
+    code, out, err = run_cli(capsys, "count", "--dim", "2", "--n", "3",
+                             "--output", str(tmp_path / name))
+    assert code == 2 and out == ""
+    assert err.startswith("error: [Errno") and len(err.splitlines()) == 1
+
+
 def test_memory_guard_surfaces_as_error(capsys, monkeypatch):
     monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", "1000")
     code, _, err = run_cli(capsys, "count", "--dim", "2", "--n", "50")
@@ -244,9 +254,41 @@ def test_oversized_table_names_the_budget(capsys, monkeypatch, argv):
 
 
 def test_icrit_gamma_overflow_is_error(capsys):
-    code, out, err = run_cli(capsys, "icrit", "--dim", "180", "--n", "1e6")
+    code, out, err = run_cli(capsys, "icrit", "--dim", "173", "--n", "1e6")
     assert code == 2 and out == ""
     assert err.startswith("error: gamma overflows") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    *((cmd, "--dim", d, "--n", "1e6") for cmd in ("icrit", "asympt")
+      for d in ("180", "1100", "2000")),
+    ("sample", "--dim", "1100", "--n", "10"),
+])
+def test_large_dim_is_refused_fast(capsys, argv):
+    # refused before pd_poly's O(d^2) rational work and kappa's 2^(d-1)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: gamma overflows for d = {argv[2]}:")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8])
+@pytest.mark.parametrize("n", ["5e307", "1e308", "1.7e308"])
+def test_asympt_finite_near_float_max(capsys, dim, n):
+    # d n theta must not overflow where n theta = O(n^(d/(d+1))) is finite
+    code, out, err = run_cli(capsys, "asympt", "--dim", str(dim), "--n", n)
+    assert code == 0 and not err
+    row = json.loads(out)["rows"][0]
+    assert all(math.isfinite(v) for v in row.values() if isinstance(v, float))
+    assert abs(row["assembly_diff"]) < 1e-9 * abs(row["ln_z_hat"])
+
+
+def test_negative_seed_is_error(capsys):
+    code, out, err = run_cli(capsys, "sample", "--dim", "2", "--n", "100", "--seed", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: seed must be a nonnegative integer\n"
 
 
 def test_diameter_memory_guard_fails_fast(capsys):

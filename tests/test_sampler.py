@@ -228,6 +228,14 @@ def test_polygon_dim_guard():
         to_polygon(s3)
 
 
+def test_negative_seed_is_named():
+    # one check in _draw serves boltzmann_sample, sample_rows and sample_stats
+    for draw in (lambda: boltzmann_sample(2, 1.0, 1e-6, seed=-1),
+                 lambda: sample_stats(2, 1.0, 1e-6, 3, base_seed=-2)):
+        with pytest.raises(ValueError, match="^seed must be a nonnegative integer$"):
+            draw()
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         class_system(2, -1.0, 1e-6)
