@@ -3,8 +3,8 @@
 Layers:
 
 * ``primitives`` — primitive directions of the nonnegative orthant as numpy
-  rows and their sign classes in visit order (the index set of the
-  generating function, shared by the exact DP, its oracle and the sampler).
+  rows and their sign-class weights (the index set of the generating
+  function, shared by the exact DP, its oracle and the sampler).
 * ``exact`` — arbitrary-precision coefficient extraction (counts and exact
   first moments), plus an independent brute-force oracle.
 * ``special`` — Riemann zeta / gamma numerics and refined zeta zeros.
@@ -58,7 +58,6 @@ from .primitives import (
     count_primitive_moebius,
     is_primitive,
     primitive_array,
-    sign_classes,
     signed_representative,
 )
 from .sampler import (

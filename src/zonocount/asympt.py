@@ -121,6 +121,9 @@ def beta_exact(d: int) -> Fraction:
 @lru_cache(maxsize=None)
 def _pi_d_log_const(d: int) -> float:
     """Pi_d[log(2pi) zeta - zeta'](0), shared by alpha_ln and log_zon_univariate."""
+    if d > 171:  # zeta'(1 - d) takes (d - 1)! as a float, as log_zon_univariate does
+        raise ValueError(f"(d - 1)! leaves the float range for d = {d}: ln alpha_d and "
+                         f"the saddle form need d <= 171")
     return pi_d_apply(d, lambda s: LOG_2PI * float(zeta_neg_int(-s)) - zeta_deriv_neg_int(-s), 0)
 
 
@@ -297,6 +300,7 @@ def log_zon_univariate(d: int, theta: float,
     _require_dim(d)
     if theta <= 0:
         raise ValueError("theta must be positive")
+    const = 2 * _pi_d_log_const(d)  # first: it refuses the d whose (d - 1)! overflows below
     pd = pd_poly(d).coeffs
     acc = 0.0
     for delta in range(1, d):
@@ -305,7 +309,7 @@ def log_zon_univariate(d: int, theta: float,
             continue
         acc += (float(c) * zeta_real(delta + 2) * math.factorial(delta)
                 / (zeta_real(delta + 1) * theta ** (delta + 1)))
-    acc += 2 * _pi_d_log_const(d) + 2 * float(pi_d_zeta_at_zero(d)) * math.log(theta)
+    acc += const + 2 * float(pi_d_zeta_at_zero(d)) * math.log(theta)
     acc += icrit_theta(d, theta, zeros)
     return acc
 

@@ -69,7 +69,6 @@ from .primitives import (
     count_classes_moebius,
     is_primitive,
     primitive_array,
-    sign_classes,
 )
 
 # Payload bits of one limb.  A uint64 entry may hold up to 2 * _LIMB_BITS bits
@@ -444,8 +443,9 @@ def brute_force_count(dim: int, n) -> BruteForceResult:
             or count_classes_moebius(dim, bt) > _BRUTE_NODE_BUDGET):
         raise EnumerationBudgetError(
             f"box {bt} needs more than {_BRUTE_NODE_BUDGET} nodes; oracle is for small boxes")
-    coords, sign = sign_classes(primitive_array(dim, bt, sum(bt)))
-    classes = list(zip(map(tuple, coords.tolist()), sign.tolist()))
+    vecs = primitive_array(dim, bt, sum(bt))
+    classes = [(tuple(v), j) for v, w in zip(vecs.tolist(), class_weights(vecs).tolist())
+               for j in range(w)]
     ncls = len(classes)
 
     occurrence = {cls: [0, 0] for cls in classes}

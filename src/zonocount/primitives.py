@@ -4,9 +4,9 @@ These index the factors of the zonotope generating function: a vector v with
 d(v) nonzero coordinates carries 2^(d(v)-1) sign classes, so its factor weight
 is 2^(d(v)-1).  One numpy enumerator serves every engine: the primitive
 vectors of a box, cut by a 1-norm ball, as lexicographically ascending rows
-(the exact DP and its oracle use the whole box, the sampler an l1 ball), and
-one expansion turns them into sign classes in visit order.  The Moebius sieve
-counts are the independent cross-check,
+(the exact DP and its oracle use the whole box, the sampler an l1 ball); the
+classes of a row are its sign-pattern indices 0 .. 2^(d(v)-1) - 1, visited
+row by row.  The Moebius sieve counts are the independent cross-check,
 
     #primitive <= b  =  sum_{k>=1} mu(k) (prod_i (floor(b_i/k) + 1) - 1),
     #classes   <= b  =  sum_{k>=1} mu(k) (prod_i (2 floor(b_i/k) + 1) - 1) / 2,
@@ -106,16 +106,6 @@ def primitive_array(dim: int, bound: Sequence[int], l1_max: int) -> np.ndarray:
 def class_weights(vecs: np.ndarray) -> np.ndarray:
     """The factor weight w_v = 2^(d(v)-1) of each primitive row: its number of sign classes."""
     return 1 << (np.count_nonzero(vecs, axis=1) - 1)
-
-
-def sign_classes(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sign classes of primitive rows vecs, in visit order, as (coords, sign).
-
-    Row v of vecs becomes its 2^(d(v)-1) classes: coords repeats v that many
-    times and sign runs 0, 1, ... along them (see signed_representative).
-    """
-    weight = class_weights(vecs)
-    return np.repeat(vecs, weight, axis=0), _concat_aranges(weight)
 
 
 def signed_representative(coords: Sequence[int], sign_idx: int) -> tuple[int, ...]:

@@ -9,13 +9,14 @@ uniform per class, and keeps the classes with K >= 1.  The visit order and
 the one-uniform-per-class stream are part of the reproducibility contract;
 PRNG is numpy's PCG64 (period 2^128), one generator per sample seed.
 
-A class system is stored as numpy arrays only (folded vector, sign index,
-ln q_v, q_v and the filter bound q_v (1 + 1e-9) per class).  A draw still
-takes all the uniforms, but inverts only those at most the filter bound: the
-others give K = 0 under the same formula (see _draw).  It returns the visit
-positions with K >= 1 and their multiplicities; rows and statistics read
-them directly, and only boltzmann_sample turns them into (class,
-multiplicity) entries.
+A class system stores each kept primitive vector once (the vector, ln q_v,
+q_v and the visit position of its first class); the filter bound
+q_v (1 + 1e-9) is the one per-class array.  A draw still takes all the
+uniforms, but inverts only those at most the filter bound: the others give
+K = 0 under the same formula (see _draw).  It returns the visit positions
+with K >= 1, their vectors' rows and their multiplicities; rows and
+statistics read them directly, and only boltzmann_sample turns them into
+(class, multiplicity) entries.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from .asympt import pd_poly
 from .primitives import (
     _approx,
     _charge,
+    class_weights,
     primitive_array,
-    sign_classes,
     signed_representative,
 )
 
@@ -48,10 +49,11 @@ _Q_MARGIN = 1 + 1e-9
 class ClassSystem:
     """All sign classes with q_v >= cutoff at parameter theta, in visit order.
 
-    Class i is the folded vector coords[i] with sign-pattern index sign[i];
-    log_q and q are its ln q_v and q_v, and q_hi is q_v (1 + 1e-9), the
-    bound beyond which a uniform gives K = 0.  The rows of coords are lex
-    ascending and sign runs 0, 1, ... within each vector.
+    Each kept primitive vector is one row: vecs holds them lex ascending,
+    log_q and q their ln q_v and q_v.  The classes of row r are the visit
+    positions first[r], first[r] + 1, ..., first[r + 1] - 1, with sign-pattern
+    index 0, 1, ...; first ends with ncls.  q_hi, the only per-class array, is
+    q_v (1 + 1e-9), the bound beyond which a uniform gives K = 0.
     """
 
     def __init__(self, dim: int, theta: float, cutoff: float):
@@ -67,34 +69,38 @@ class ClassSystem:
             raise ValueError(f"cutoff {cutoff} at theta {theta} gives a 1-norm radius "
                              f"that is not finite")
         l1_max = int(radius)
-        # coords, sign, log_q, q and q_hi: d + 4 words per class, at most
-        # 2^(d-1) classes per lattice point of the simplex ||v||_1 <= l1_max
+        # d + 4 words for each of the at most 2^(d-1) classes per lattice point
+        # of the simplex ||v||_1 <= l1_max: a bound on the transient of the
+        # enumeration below (about 2d + 4 words per lattice point), which
+        # exceeds the arrays kept (one word per class, d + 3 per vector)
         _charge(math.comb(l1_max + dim, dim) * 2 ** (dim - 1) * 8 * (dim + 4),
                 f"class system of 1-norm radius {_approx(l1_max)} in dim {dim}")
         vecs = primitive_array(dim, (l1_max,) * dim, l1_max)
         norms = vecs.sum(axis=1)
         # only the norms that occur need the rounding check (at d = 1 that is one)
         kept = np.array([math.exp(-theta * n) >= cutoff for n in range(norms.max(initial=0) + 1)])
-        vecs = vecs[kept[norms]]  # rebound first: the unfiltered rows are freed before the expansion
-        self.coords, self.sign = sign_classes(vecs)
-        del vecs, norms, kept  # freed before the per-class floats: a lower heap high-water mark
-        self.ncls = len(self.sign)
-        self.log_q = -self.theta * self.coords.sum(axis=1).astype(np.float64)
+        self.vecs = vecs[kept[norms]]
+        del vecs, norms, kept  # the unfiltered rows are freed before the per-class array
+        weight = class_weights(self.vecs)
+        self.first = np.concatenate(([0], np.cumsum(weight)))
+        self.ncls = int(self.first[-1])
+        self.log_q = -self.theta * self.vecs.sum(axis=1).astype(np.float64)
         self.q = np.exp(self.log_q)
-        self.q_hi = self.q * _Q_MARGIN
+        self.q_hi = np.repeat(self.q * _Q_MARGIN, weight)
         self.l1_max = l1_max
 
     def index_of(self, class_id: ClassId) -> int:
         """Visit position of a class: one binary search per coordinate."""
         coords, j = class_id
         if len(coords) == self.dim:
-            lo, hi = 0, self.ncls
+            lo, hi = 0, len(self.vecs)
             for col, c in enumerate(coords):
-                column = self.coords[lo:hi, col]
+                column = self.vecs[lo:hi, col]
                 lo, hi = (lo + int(np.searchsorted(column, c, "left")),
                           lo + int(np.searchsorted(column, c, "right")))
-            if j in range(hi - lo):  # the vector's classes are lo, lo + 1, ..., hi - 1
-                return lo + int(j)
+            # rows lo..hi-1 are the vector, if kept; it has first[hi] - first[lo] classes
+            if j in range(self.first[hi] - self.first[lo]):
+                return int(self.first[lo]) + int(j)
         raise KeyError(f"class {class_id} not within cutoff")
 
 
@@ -125,8 +131,8 @@ class ZonotopeSample:
     direction_count: int
 
 
-def _draw(sys: ClassSystem, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Visit positions with K >= 1, ascending, and their K.
+def _draw(sys: ClassSystem, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Visit positions with K >= 1, ascending, their vectors' rows and their K.
 
     One uniform per class from default_rng(seed), in visit order; K is
     floor(ln max(u, 1e-300) / ln q_v), evaluated only where u <= q_hi.
@@ -135,21 +141,22 @@ def _draw(sys: ClassSystem, seed: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("seed must be a nonnegative integer")
     u = np.random.default_rng(seed).random(sys.ncls)
     pos = np.flatnonzero(u <= sys.q_hi)
+    row = np.searchsorted(sys.first, pos, "right") - 1
     x = u[pos]
     np.log(np.maximum(x, _TINY_UNIFORM, out=x), out=x)
-    k = np.floor(np.divide(x, sys.log_q[pos], out=x), out=x).astype(np.int64)
+    k = np.floor(np.divide(x, sys.log_q[row], out=x), out=x).astype(np.int64)
     hit = k > 0
-    return pos[hit], k[hit]
+    return pos[hit], row[hit], k[hit]
 
 
 def boltzmann_sample(dim: int, theta: float, cutoff: float = 1e-12,
                      seed: int = 0) -> ZonotopeSample:
     """Draw one zonotope; deterministic for fixed (dim, theta, cutoff, seed)."""
     sys = class_system(dim, theta, cutoff)
-    pos, k = _draw(sys, seed)
-    coords = sys.coords[pos]
+    pos, row, k = _draw(sys, seed)
+    coords = sys.vecs[row]
     entries = tuple(((tuple(c), j), m) for c, j, m in zip(
-        coords.tolist(), sys.sign[pos].tolist(), k.tolist()))
+        coords.tolist(), (pos - sys.first[row]).tolist(), k.tolist()))
     return ZonotopeSample(
         dim=dim, theta=sys.theta, cutoff=sys.cutoff, seed=seed, entries=entries,
         endpoint=tuple((k @ coords).tolist()), direction_count=len(entries),
@@ -159,15 +166,16 @@ def boltzmann_sample(dim: int, theta: float, cutoff: float = 1e-12,
 def expected_directions_truncated(dim: int, theta: float, cutoff: float) -> float:
     """Exact expected number of used directions over the kept classes:
     sum of q_v (each class is used with probability q_v)."""
-    return float(class_system(dim, theta, cutoff).q.sum())
+    sys = class_system(dim, theta, cutoff)
+    return float(np.diff(sys.first) @ sys.q)
 
 
 def expected_endpoint_truncated(dim: int, theta: float, cutoff: float) -> tuple[float, ...]:
     """Exact expected bounding box over the kept classes:
     component i is sum_v v_i q_v/(1-q_v) (geometric means per class)."""
     sys = class_system(dim, theta, cutoff)
-    weights = sys.q / (1.0 - sys.q)
-    return tuple(float(x) for x in weights @ sys.coords)
+    weights = np.diff(sys.first) * (sys.q / (1.0 - sys.q))
+    return tuple(float(x) for x in weights @ sys.vecs)
 
 
 def truncation_bias_estimate(dim: int, theta: float, cutoff: float) -> float:
@@ -181,19 +189,18 @@ def truncation_bias_estimate(dim: int, theta: float, cutoff: float) -> float:
 
 
 def _truncation_bias(sys: ClassSystem) -> float:
-    # P_d by Horner in float, highest coefficient first
-    coeffs = [float(c) for c in reversed(pd_poly(sys.dim).coeffs)]
+    # Newton's forward series of P_d from N = l1_max + 1, with x = e^-theta:
+    # sum_{n >= N} P_d(n) x^n = x^N sum_{k<d} Delta^k P_d(N) x^k / (1 - x)^(k+1).
+    # Delta^k P_d(N) >= 0 for N >= 1, so no term cancels another.
+    n0 = sys.l1_max + 1
+    coeffs = pd_poly(sys.dim).coeffs
+    diffs = [sum(c * n ** i for i, c in enumerate(coeffs)) for n in range(n0, n0 + sys.dim)]
+    one_minus_x = -math.expm1(-sys.theta)
     acc = 0.0
-    n = sys.l1_max + 1
-    while True:
-        x, p = float(n), 0.0
-        for c in coeffs:
-            p = p * x + c
-        term = p * math.exp(-sys.theta * n)
-        acc += term
-        n += 1
-        if term < 1e-22 * (acc + 1e-300) or n > sys.l1_max + 200000:
-            return acc
+    for k in range(sys.dim):
+        acc += float(diffs[0]) * math.exp(-sys.theta * (n0 + k)) / one_minus_x ** (k + 1)
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return acc
 
 
 @dataclass(frozen=True)
@@ -233,6 +240,7 @@ def sample_stats(dim: int, theta: float, cutoff: float, n_samples: int,
     sys = class_system(dim, theta, cutoff)
     tracked_ids = [(tuple(c), int(j)) for c, j in tracked]
     pos = [sys.index_of(cid) for cid in tracked_ids]  # KeyError beyond cutoff
+    q = sys.q[np.searchsorted(sys.first, pos, "right") - 1]
     data = np.array(list(_rows(sys, n_samples, base_seed, pos)), dtype=np.float64)
     dirs, ends, omegas = data[:, 1], data[:, 2:2 + dim], data[:, 2 + dim:]
     ddof = 1 if n_samples > 1 else 0
@@ -242,7 +250,7 @@ def sample_stats(dim: int, theta: float, cutoff: float, n_samples: int,
         var = float(col.var(ddof=ddof))
         tracked_out[cid] = TrackedClassStats(
             class_id=cid,
-            q=float(sys.q[pos[j]]),
+            q=float(q[j]),
             mean=float(col.mean()),
             variance=var,
             stderr=math.sqrt(var / n_samples),
@@ -258,7 +266,7 @@ def sample_stats(dim: int, theta: float, cutoff: float, n_samples: int,
         endpoint_mean=tuple(float(x) for x in ends.mean(axis=0)),
         endpoint_variance=tuple(float(x) for x in evar),
         endpoint_stderr=tuple(math.sqrt(float(x) / n_samples) for x in evar),
-        expected_directions=float(sys.q.sum()),
+        expected_directions=float(np.diff(sys.first) @ sys.q),
         bias_estimate=_truncation_bias(sys),
         tracked=tracked_out,
     )
@@ -312,8 +320,8 @@ def _rows(sys: ClassSystem, n_samples: int, base_seed: int,
           tracked_pos: Sequence[int | None]) -> Iterator[list]:
     """sample_rows without the header; tracked classes given by visit position."""
     for seed in range(base_seed, base_seed + n_samples):
-        pos, k = _draw(sys, seed)
-        yield [seed, pos.size, *(k @ sys.coords[pos]).tolist(),
+        pos, row, k = _draw(sys, seed)
+        yield [seed, pos.size, *(k @ sys.vecs[row]).tolist(),
                *(_multiplicity_at(pos, k, p) for p in tracked_pos)]
 
 

@@ -24,8 +24,6 @@ from functools import lru_cache
 
 EULER_GAMMA = 0.5772156649015328606
 
-BERNOULLI_LIMIT = 64
-
 # Imaginary parts beyond this would need a larger Euler-Maclaurin cutoff than
 # the configured N = 1.3*|Im s| growth is tuned for.
 IM_RANGE = 100.0
@@ -49,8 +47,6 @@ def bernoulli(m: int) -> Fraction:
     """
     if m < 0:
         raise SpecialFunctionError("Bernoulli index must be >= 0")
-    if m > BERNOULLI_LIMIT:
-        raise SpecialFunctionError(f"Bernoulli table limited to m <= {BERNOULLI_LIMIT}")
     if m == 0:
         return Fraction(1)
     if m >= 3 and m % 2 == 1:

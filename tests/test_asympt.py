@@ -212,6 +212,21 @@ def test_icrit_multiple_zeros_and_validation():
         ZetaZero(imag=10.0)
 
 
+@pytest.mark.parametrize("n", [10, 1e6, 1e300])
+def test_estimate_for_every_accepted_dim(n):
+    # zeta(-k) takes B_(k+1) for any k, so both routes serve d >= 65; at d = 172
+    # (d - 1)! leaves the float range and both refuse d by name
+    for d in [*range(2, 172, 13), 64, 65, 171]:
+        est = estimate(d, n)
+        saddle = estimate_saddle_form(d, n)
+        parts = (est.ln_alpha, est.beta_ln_n, est.q_value, est.icrit, est.ln_z_hat, saddle)
+        assert all(math.isfinite(x) for x in parts), d
+        assert abs(est.ln_z_hat - saddle) < 1e-9 * abs(est.ln_z_hat), d
+    for route in (estimate, estimate_saddle_form):
+        with pytest.raises(ValueError, match="for d = 172: "):
+            route(172, n)
+
+
 def test_estimate_components():
     est = estimate(2, 1e6)
     assert abs(est.q_value - Q_LEAD[2] * 1e4) < 1e-8 * est.q_value

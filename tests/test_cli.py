@@ -274,7 +274,15 @@ def test_large_dim_is_refused_fast(capsys, argv):
     assert len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("dim", [2, 3, 4, 8])
+def test_asympt_factorial_overflow_is_error(capsys):
+    # I_crit still has a value at d = 172, the estimate's (d - 1)! does not
+    code, out, err = run_cli(capsys, "asympt", "--dim", "172", "--n", "1e6")
+    assert code == 2 and out == ""
+    assert err.startswith("error: (d - 1)! leaves the float range for d = 172:")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8, 65, 100])
 @pytest.mark.parametrize("n", ["5e307", "1e308", "1.7e308"])
 def test_asympt_finite_near_float_max(capsys, dim, n):
     # d n theta must not overflow where n theta = O(n^(d/(d+1))) is finite

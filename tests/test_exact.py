@@ -24,7 +24,6 @@ from zonocount import (
     occurrence_moments,
     occurrence_numerators,
     primitive_array,
-    sign_classes,
     zon_coefficient,
     zon_cumulative,
 )
@@ -153,8 +152,11 @@ def test_brute_force_companions_match_marked_dp():
         if len(set(box)) == 1:
             pair = diameter_numerators(dim, box[0])
             assert (res.count, res.direction_count_sum) == (pair.count, pair.weighted)
-        coords, sign = sign_classes(primitive_array(dim, box, sum(box)))
-        for v, j in zip(map(tuple, coords.tolist()), sign.tolist()):
+        # the sign classes of the box, enumerated without the library
+        classes = [(v, j) for v in itertools.product(*(range(b + 1) for b in box))
+                   if math.gcd(*v) == 1 for j in range(2 ** (sum(map(bool, v)) - 1))]
+        assert sorted(res.occurrence) == classes
+        for v, j in classes:
             opair = occurrence_numerators(dim, box, v)
             assert opair.count == res.count
             assert res.occurrence[(v, j)] == (opair.weighted, opair.weighted2)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,8 +9,10 @@ from zonocount import (
     MemoryBudgetError,
     boltzmann_sample,
     class_system,
+    class_weights,
     expected_directions_truncated,
     expected_endpoint_truncated,
+    primitive_array,
     sample_stats,
     signed_representative,
     theta_tilde,
@@ -23,8 +26,18 @@ from zonocount.sampler import _draw, sample_rows
 THETA_1E4 = theta_tilde(2, 1e4)  # 0.052674712735566642
 
 
-def _class_list(sys):
-    return list(zip(map(tuple, sys.coords.tolist()), sys.sign.tolist()))
+def _class_list(dim, theta, cutoff):
+    # the kept sign classes in visit order, enumerated without the library: the
+    # primitive v >= 0 with e^(-theta ||v||_1) >= cutoff, lex ascending, each
+    # followed by its sign-pattern indices 0 .. 2^(nnz - 1) - 1
+    radius = int(math.log(1 / cutoff) / theta)
+    return [(v, j) for v in itertools.product(range(radius + 1), repeat=dim)
+            if sum(v) <= radius and math.gcd(*v) == 1 and math.exp(-theta * sum(v)) >= cutoff
+            for j in range(2 ** (sum(map(bool, v)) - 1))]
+
+
+def _per_class(sys, per_vector):
+    return np.repeat(per_vector, np.diff(sys.first))
 
 
 def test_signed_representative():
@@ -41,7 +54,8 @@ def test_signed_representative():
 def test_class_order_and_weights():
     sys = class_system(2, 1.0, 1e-3)
     # lex on folded vector, then sign index
-    ids = _class_list(sys)
+    ids = _class_list(2, 1.0, 1e-3)
+    assert [sys.index_of(cid) for cid in ids] == list(range(sys.ncls))
     assert ids == sorted(ids)
     assert ids[0] == ((0, 1), 0)
     interior = [(c, j) for c, j in ids if all(x > 0 for x in c)]
@@ -110,8 +124,7 @@ def test_tracked_multiplicity_is_geometric():
     cutoff = 0.5
     cid = ((1, 1), 0)
     n = 10 ** 5
-    sys = class_system(2, THETA_1E4, cutoff)
-    q = sys.q[sys.index_of(cid)]
+    q = math.exp(-THETA_1E4 * 2)
     counts = {}
     rows = sample_rows(2, THETA_1E4, cutoff, n, base_seed=2024, tracked=[cid])
     next(rows)  # header
@@ -159,17 +172,21 @@ def test_truncation_bias_is_negligible_at_default_cutoff():
     assert bias < 1e-3 * expected_directions_truncated(2, THETA_1E4, 1e-12)
 
 
-@pytest.mark.parametrize("dim, theta, cutoff", [(1, 0.01, 1e-12), (2, THETA_1E4, 1e-12),
+@pytest.mark.parametrize("dim, theta, cutoff", [(1, 0.01, 1e-12), (1, 1e-6, 1e-12),
+                                                (1, 1e-5, 1e-12), (2, THETA_1E4, 1e-12),
                                                 (2, 0.3, 0.5), (3, 0.3, 1e-12), (4, 0.5, 1e-9)])
 def test_truncation_bias_matches_mpmath_shell_sum(dim, theta, cutoff):
     # P_d(n) = half the integer vectors of 1-norm n, counted by support size k
-    # (independent of pd_poly); the shell sum runs in 40-digit arithmetic
+    # (independent of pd_poly); the shell sum runs in 40-digit arithmetic.  At
+    # d = 1, P_1 = 1 and the sum is geometric: e^(-theta N) / (1 - e^(-theta))
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         radius = int(mpmath.floor(mpmath.log(1 / mpmath.mpf(cutoff)) / theta))
         assert class_system(dim, theta, cutoff).l1_max == radius
         acc, n = mpmath.mpf(0), radius + 1
-        while True:
+        if dim == 1:
+            acc = mpmath.exp(-theta * mpmath.mpf(n)) / (1 - mpmath.exp(-mpmath.mpf(theta)))
+        while dim > 1:
             p_n = sum(2 ** k * math.comb(dim, k) * math.comb(n - 1, k - 1)
                       for k in range(1, dim + 1)) // 2
             term = p_n * mpmath.exp(-theta * mpmath.mpf(n))
@@ -179,6 +196,21 @@ def test_truncation_bias_matches_mpmath_shell_sum(dim, theta, cutoff):
             n += 1
         want = float(acc)
     assert truncation_bias_estimate(dim, theta, cutoff) == pytest.approx(want, rel=1e-11)
+
+
+@pytest.mark.parametrize("dim, theta, cutoff", [(1, 0.5, 0.9), (2, 1.2, 1e-3),
+                                                (2, 0.3, 0.5), (3, 0.9, 1e-3)])
+def test_truncation_bias_bounds_discarded_primitive_mass(dim, theta, cutoff):
+    # sum of w_v q_v over the primitive v with l1_max < ||v||_1 <= R; past R
+    # the P_d shell sum, which bounds the rest, is below e^-100 * poly(R) / theta^d
+    l1_max = class_system(dim, theta, cutoff).l1_max
+    radius = l1_max + math.ceil(100 / theta)
+    vecs = primitive_array(dim, (radius,) * dim, radius)
+    norms = vecs.sum(axis=1)
+    shell = norms > l1_max
+    discarded = float(class_weights(vecs[shell]) @ np.exp(-theta * norms[shell]))
+    assert discarded > 0
+    assert truncation_bias_estimate(dim, theta, cutoff) >= discarded
 
 
 def test_polygon_unit_square():
@@ -271,19 +303,22 @@ def test_csv_outputs(tmp_path):
 
 
 def test_numpy_rng_contract():
-    # one uniform per class, consumed in class order: reproduce by hand
-    sys = class_system(2, 1.2, 1e-3)
-    rng = np.random.default_rng(5)
-    u = np.maximum(rng.random(sys.ncls), 1e-300)
-    mult = np.floor(np.log(u) / sys.log_q).astype(np.int64)
-    ids = _class_list(sys)
-    want = tuple((ids[i], int(mult[i])) for i in np.nonzero(mult > 0)[0])
-    assert boltzmann_sample(2, 1.2, 1e-3, seed=5).entries == want
+    # one uniform per class, consumed in class order: reproduce by hand, with
+    # the classes and their ln q_v from the library-free enumeration
+    for dim, theta, cutoff in DRAW_SYSTEMS:
+        ids = _class_list(dim, theta, cutoff)
+        log_q = np.array([-theta * sum(v) for v, _ in ids], dtype=np.float64)
+        for seed in range(5):
+            u = np.maximum(np.random.default_rng(seed).random(len(ids)), 1e-300)
+            mult = np.floor(np.log(u) / log_q).astype(np.int64)
+            want = tuple((ids[i], int(mult[i])) for i in np.nonzero(mult > 0)[0])
+            assert boltzmann_sample(dim, theta, cutoff, seed).entries == want, (dim, theta, seed)
 
 
 def _dense_multiplicities(sys, u):
     # the inversion formula over every class, as the draw was first written
-    return np.floor(np.log(np.maximum(u, 1e-300)) / sys.log_q).astype(np.int64)
+    log_q = _per_class(sys, sys.log_q)
+    return np.floor(np.log(np.maximum(u, 1e-300)) / log_q).astype(np.int64)
 
 
 # dims 1-4, cutoffs from 0.5 down to 1e-300 (|ln q| up to about 690)
@@ -294,11 +329,13 @@ DRAW_SYSTEMS = [(1, math.log(2), 0.4), (2, 0.05, 0.5), (2, 1.2, 1e-3), (2, 3.0, 
 def test_sparse_draw_matches_dense_formula():
     for dim, theta, cutoff in DRAW_SYSTEMS:
         sys = class_system(dim, theta, cutoff)
+        row_of_class = _per_class(sys, np.arange(len(sys.vecs)))
         for seed in range(200):
             mult = _dense_multiplicities(sys, np.random.default_rng(seed).random(sys.ncls))
-            pos, k = _draw(sys, seed)
+            pos, row, k = _draw(sys, seed)
             want = np.flatnonzero(mult > 0)
             assert np.array_equal(pos, want) and np.array_equal(k, mult[want]), (dim, theta, seed)
+            assert np.array_equal(row, row_of_class[pos])
 
 
 class _FixedUniforms:
@@ -315,21 +352,24 @@ def test_sparse_draw_at_uniforms_ulps_around_q(monkeypatch):
     above_q_hits = 0
     for dim, theta, cutoff in DRAW_SYSTEMS:
         sys = class_system(dim, theta, cutoff)
+        q = _per_class(sys, sys.q)
         for ulps in range(-40, 41):
-            u = np.minimum((sys.q.view(np.int64) + ulps).view(np.float64), np.nextafter(1.0, 0.0))
+            u = np.minimum((q.view(np.int64) + ulps).view(np.float64), np.nextafter(1.0, 0.0))
             mult = _dense_multiplicities(sys, u)
             monkeypatch.setattr(np.random, "default_rng", lambda seed, u=u: _FixedUniforms(u))
-            pos, k = _draw(sys, 0)
+            pos, _, k = _draw(sys, 0)
             want = np.flatnonzero(mult > 0)
             assert np.array_equal(pos, want) and np.array_equal(k, mult[want]), (dim, theta, ulps)
-            above_q_hits += np.count_nonzero(mult[u > sys.q] > 0)
+            above_q_hits += np.count_nonzero(mult[u > q] > 0)
     assert above_q_hits > 0
 
 
 def test_index_of_every_class_and_misses():
     for dim, theta, cutoff in [(1, math.log(2), 0.4), (2, 1.2, 1e-3), (3, 0.9, 1e-3), (4, 0.8, 1e-3)]:
         sys = class_system(dim, theta, cutoff)
-        for i, cid in enumerate(_class_list(sys)):
+        ids = _class_list(dim, theta, cutoff)
+        assert sys.ncls == len(ids)
+        for i, cid in enumerate(ids):
             assert sys.index_of(cid) == i
     sys = class_system(2, 1.2, 1e-3)  # l1_max = 5
     for bad in [((1,), 0), ((1, 1, 1), 0),      # wrong length
@@ -342,9 +382,10 @@ def test_index_of_every_class_and_misses():
 
 
 def test_class_system_memory_contract():
-    # the arrays stay within the d + 4 words per class that the class budget charges
+    # one word per class (q_hi) and d + 3 per vector (the vector, ln q, q and
+    # its first visit position, which has one more entry: ncls)
     for dim, theta, cutoff in DRAW_SYSTEMS + [(2, THETA_1E4, 1e-12)]:
         sys = ClassSystem(dim, theta, cutoff)
         held = sum(a.nbytes for a in vars(sys).values() if isinstance(a, np.ndarray))
-        assert held <= sys.ncls * 8 * (dim + 4)
+        assert held <= 8 * (sys.ncls + (len(sys.vecs) + 1) * (dim + 3))
         assert sys.ncls <= math.comb(sys.l1_max + dim, dim) * 2 ** (dim - 1)

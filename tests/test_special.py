@@ -40,8 +40,15 @@ def test_bernoulli_table():
     assert bernoulli(2) == Fraction(1, 6)
     assert bernoulli(3) == 0
     assert bernoulli(12) == Fraction(-691, 2730)
-    with pytest.raises(SpecialFunctionError):
-        bernoulli(65)
+    # up to m = 172, what the asymptotic layer's d <= 172 asks of zeta(-k): odd
+    # indices vanish, signs alternate, and the denominator of B_2k is the product
+    # of the primes p with (p - 1) | 2k (von Staudt-Clausen)
+    assert bernoulli(65) == 0
+    for k in range(1, 87):
+        b = bernoulli(2 * k)
+        assert (b > 0) == (k % 2 == 1)
+        primes = [p for p in range(2, 2 * k + 2) if all(p % q for q in range(2, p))]
+        assert b.denominator == math.prod(p for p in primes if (2 * k) % (p - 1) == 0)
     with pytest.raises(SpecialFunctionError):
         bernoulli(-1)
 
