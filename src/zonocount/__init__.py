@@ -66,7 +66,6 @@ from .sampler import (
     ZonotopeSample,
     boltzmann_sample,
     class_system,
-    expected_directions_truncated,
     expected_endpoint_truncated,
     sample_stats,
     to_polygon,

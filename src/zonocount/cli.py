@@ -39,6 +39,10 @@ def _fmt(value):
 
 
 def _emit(rows: list[dict], command: str, fmt: str, output) -> None:
+    for row in rows:
+        for key, value in row.items():
+            if isinstance(value, float) and not math.isfinite(value):  # not valid JSON
+                raise ValueError(f"{key} is not finite: {value}")
     rows = [{k: _fmt(v) for k, v in row.items()} for row in rows]
     if fmt == "json":
         doc = {"schema_version": SCHEMA_VERSION, "command": command, "rows": rows}
@@ -181,6 +185,8 @@ def cmd_sample(args) -> list[dict]:
         raise ValueError("give exactly one of --n (saddle parameter) or --theta")
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
+    if args.polygon_out and args.dim != 2:
+        raise ValueError(f"--polygon-out needs dim 2, got {args.dim}")
     if args.theta is not None:
         theta = _finite(args.theta, "--theta")
     else:

@@ -11,17 +11,20 @@ PRNG is numpy's PCG64 (period 2^128), one generator per sample seed.
 
 A class system stores each kept primitive vector once (the vector, ln q_v,
 q_v and the visit position of its first class); the filter bound
-q_v (1 + 1e-9) is the one per-class array.  A draw still takes all the
-uniforms, but inverts only those at most the filter bound: the others give
-K = 0 under the same formula (see _draw).  It returns the visit positions
-with K >= 1, their vectors' rows and their multiplicities; rows and
-statistics read them directly, and only boltzmann_sample turns them into
-(class, multiplicity) entries.
+q_v (1 + 1e-9) is the one per-class array.  The kept vectors are exactly the
+primitive ones in the 1-norm ball of radius l1_max, the largest n with
+e^(-theta n) >= cutoff.  class_system keeps the six latest systems in an LRU
+cache.  A draw still takes all the uniforms, but inverts only those at most
+the filter bound: the others give K = 0 under the same formula (see _draw).
+It returns the visit positions with K >= 1, their vectors' rows and their
+multiplicities; rows and statistics read them directly, and only
+boltzmann_sample turns them into (class, multiplicity) entries.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -68,19 +71,20 @@ class ClassSystem:
         if not math.isfinite(radius):
             raise ValueError(f"cutoff {cutoff} at theta {theta} gives a 1-norm radius "
                              f"that is not finite")
+        # the largest norm with e^(-theta n) >= cutoff: int(radius) is at most
+        # one off it, as radius carries a few ulps of rounding
         l1_max = int(radius)
+        if math.exp(-theta * (l1_max + 1)) >= cutoff:
+            l1_max += 1
+        elif math.exp(-theta * l1_max) < cutoff:
+            l1_max -= 1
         # d + 4 words for each of the at most 2^(d-1) classes per lattice point
         # of the simplex ||v||_1 <= l1_max: a bound on the transient of the
         # enumeration below (about 2d + 4 words per lattice point), which
         # exceeds the arrays kept (one word per class, d + 3 per vector)
         _charge(math.comb(l1_max + dim, dim) * 2 ** (dim - 1) * 8 * (dim + 4),
                 f"class system of 1-norm radius {_approx(l1_max)} in dim {dim}")
-        vecs = primitive_array(dim, (l1_max,) * dim, l1_max)
-        norms = vecs.sum(axis=1)
-        # only the norms that occur need the rounding check (at d = 1 that is one)
-        kept = np.array([math.exp(-theta * n) >= cutoff for n in range(norms.max(initial=0) + 1)])
-        self.vecs = vecs[kept[norms]]
-        del vecs, norms, kept  # the unfiltered rows are freed before the per-class array
+        self.vecs = primitive_array(dim, (l1_max,) * dim, l1_max)
         weight = class_weights(self.vecs)
         self.first = np.concatenate(([0], np.cumsum(weight)))
         self.ncls = int(self.first[-1])
@@ -104,18 +108,11 @@ class ClassSystem:
         raise KeyError(f"class {class_id} not within cutoff")
 
 
-_SYSTEM_CACHE: dict[tuple[int, float, float], ClassSystem] = {}
-
-
+@functools.lru_cache(maxsize=6)
 def class_system(dim: int, theta: float, cutoff: float) -> ClassSystem:
-    key = (dim, float(theta), float(cutoff))
-    sys = _SYSTEM_CACHE.get(key)
-    if sys is None:
-        sys = ClassSystem(dim, theta, cutoff)
-        if len(_SYSTEM_CACHE) > 8:
-            _SYSTEM_CACHE.clear()
-        _SYSTEM_CACHE[key] = sys
-    return sys
+    """ClassSystem(dim, theta, cutoff) of the six latest keys; call it
+    positionally, as lru_cache keys keyword calls apart."""
+    return ClassSystem(dim, theta, cutoff)
 
 
 @dataclass(frozen=True)
@@ -161,13 +158,6 @@ def boltzmann_sample(dim: int, theta: float, cutoff: float = 1e-12,
         dim=dim, theta=sys.theta, cutoff=sys.cutoff, seed=seed, entries=entries,
         endpoint=tuple((k @ coords).tolist()), direction_count=len(entries),
     )
-
-
-def expected_directions_truncated(dim: int, theta: float, cutoff: float) -> float:
-    """Exact expected number of used directions over the kept classes:
-    sum of q_v (each class is used with probability q_v)."""
-    sys = class_system(dim, theta, cutoff)
-    return float(np.diff(sys.first) @ sys.q)
 
 
 def expected_endpoint_truncated(dim: int, theta: float, cutoff: float) -> tuple[float, ...]:
@@ -241,31 +231,24 @@ def sample_stats(dim: int, theta: float, cutoff: float, n_samples: int,
     tracked_ids = [(tuple(c), int(j)) for c, j in tracked]
     pos = [sys.index_of(cid) for cid in tracked_ids]  # KeyError beyond cutoff
     q = sys.q[np.searchsorted(sys.first, pos, "right") - 1]
-    data = np.array(list(_rows(sys, n_samples, base_seed, pos)), dtype=np.float64)
-    dirs, ends, omegas = data[:, 1], data[:, 2:2 + dim], data[:, 2 + dim:]
-    ddof = 1 if n_samples > 1 else 0
-    tracked_out = {}
-    for j, cid in enumerate(tracked_ids):
-        col = omegas[:, j]
-        var = float(col.var(ddof=ddof))
-        tracked_out[cid] = TrackedClassStats(
-            class_id=cid,
-            q=float(q[j]),
-            mean=float(col.mean()),
-            variance=var,
-            stderr=math.sqrt(var / n_samples),
-        )
-    dvar = float(dirs.var(ddof=ddof))
-    evar = ends.var(axis=0, ddof=ddof)
+    # one contiguous row per column: direction count, endpoint, tracked K
+    cols = np.array(list(_rows(sys, n_samples, base_seed, pos)), dtype=np.float64)[:, 1:].T.copy()
+    mean = cols.mean(axis=1).tolist()
+    var = cols.var(axis=1, ddof=1 if n_samples > 1 else 0).tolist()
+    stderr = [math.sqrt(v / n_samples) for v in var]
+    tracked_out = {
+        cid: TrackedClassStats(class_id=cid, q=float(q[j]), mean=mean[1 + dim + j],
+                               variance=var[1 + dim + j], stderr=stderr[1 + dim + j])
+        for j, cid in enumerate(tracked_ids)}
     return SampleStats(
         dim=dim, theta=sys.theta, cutoff=sys.cutoff, n_samples=n_samples,
         base_seed=base_seed,
-        direction_mean=float(dirs.mean()),
-        direction_variance=dvar,
-        direction_stderr=math.sqrt(dvar / n_samples),
-        endpoint_mean=tuple(float(x) for x in ends.mean(axis=0)),
-        endpoint_variance=tuple(float(x) for x in evar),
-        endpoint_stderr=tuple(math.sqrt(float(x) / n_samples) for x in evar),
+        direction_mean=mean[0],
+        direction_variance=var[0],
+        direction_stderr=stderr[0],
+        endpoint_mean=tuple(mean[1:1 + dim]),
+        endpoint_variance=tuple(var[1:1 + dim]),
+        endpoint_stderr=tuple(stderr[1:1 + dim]),
         expected_directions=float(np.diff(sys.first) @ sys.q),
         bias_estimate=_truncation_bias(sys),
         tracked=tracked_out,

@@ -300,10 +300,12 @@ def first_zero() -> ZetaZero:
 def load_zeros_file(path) -> list[ZetaZero]:
     """Parse a zeros file (one positive ordinate per line, '#' comments).
 
-    Each entry is checked (|zeta(1/2+it)| < 1e-6), then refined; bad entries
-    raise ZeroVerificationError naming the offending line.
+    Each entry is checked (|zeta(1/2+it)| < 1e-6), then refined; bad entries,
+    and entries that refine to the zero of an earlier line, raise
+    ZeroVerificationError naming the offending line.
     """
     zeros: list[ZetaZero] = []
+    lines: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -320,5 +322,11 @@ def load_zeros_file(path) -> list[ZetaZero]:
             if residual >= _FILE_RESIDUAL:
                 raise ZeroVerificationError(
                     f"{path}:{lineno}: |zeta(1/2 + {t:g}i)| = {residual:.3e} >= 1e-6")
-            zeros.append(refine_zero(t))
+            zero = refine_zero(t)
+            for earlier, other in zip(lines, zeros):
+                if math.isclose(zero.imag, other.imag, rel_tol=1e-9):
+                    raise ZeroVerificationError(
+                        f"{path}:{lineno}: ordinate {t:g} refines to the zero of line {earlier}")
+            zeros.append(zero)
+            lines.append(lineno)
     return zeros

@@ -146,6 +146,15 @@ def test_sample_polygon_out(capsys, tmp_path):
     assert poly.read_text().startswith("x,y")
 
 
+def test_sample_polygon_out_needs_dim_2(capsys, tmp_path):
+    poly = tmp_path / "poly.csv"
+    code, out, err = run_cli(capsys, "sample", "--dim", "3", "--n", "2000", "--samples", "20",
+                             "--polygon-out", str(poly))
+    assert code == 2 and out == ""
+    assert err == "error: --polygon-out needs dim 2, got 3\n"
+    assert not poly.exists()
+
+
 def test_sample_theta_xor_n(capsys):
     code, _, err = run_cli(capsys, "sample", "--dim", "2", "--samples", "1")
     assert code == 2
@@ -291,6 +300,17 @@ def test_asympt_finite_near_float_max(capsys, dim, n):
     row = json.loads(out)["rows"][0]
     assert all(math.isfinite(v) for v in row.values() if isinstance(v, float))
     assert abs(row["assembly_diff"]) < 1e-9 * abs(row["ln_z_hat"])
+
+
+@pytest.mark.parametrize("dim", [140, 160, 171])
+def test_asympt_non_finite_output_is_error(capsys, tmp_path, dim):
+    # q_value overflows at these d: Infinity and NaN are not JSON, so nothing is written
+    target = tmp_path / "out.json"
+    for extra in ((), ("--output", str(target))):
+        code, out, err = run_cli(capsys, "asympt", "--dim", str(dim), "--n", "1e308", *extra)
+        assert code == 2 and out == ""
+        assert err == "error: q_value is not finite: inf\n"
+    assert not target.exists()
 
 
 def test_negative_seed_is_error(capsys):

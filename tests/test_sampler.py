@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,7 +11,6 @@ from zonocount import (
     boltzmann_sample,
     class_system,
     class_weights,
-    expected_directions_truncated,
     expected_endpoint_truncated,
     primitive_array,
     sample_stats,
@@ -29,11 +29,21 @@ THETA_1E4 = theta_tilde(2, 1e4)  # 0.052674712735566642
 def _class_list(dim, theta, cutoff):
     # the kept sign classes in visit order, enumerated without the library: the
     # primitive v >= 0 with e^(-theta ||v||_1) >= cutoff, lex ascending, each
-    # followed by its sign-pattern indices 0 .. 2^(nnz - 1) - 1
-    radius = int(math.log(1 / cutoff) / theta)
+    # followed by its sign-pattern indices 0 .. 2^(nnz - 1) - 1; the rounded
+    # radius can fall one short of the last kept norm
+    radius = int(math.log(1 / cutoff) / theta) + 1
     return [(v, j) for v in itertools.product(range(radius + 1), repeat=dim)
             if sum(v) <= radius and math.gcd(*v) == 1 and math.exp(-theta * sum(v)) >= cutoff
             for j in range(2 ** (sum(map(bool, v)) - 1))]
+
+
+def _expected_directions(dim, theta, cutoff):
+    # each kept class is used with probability q_v
+    return math.fsum(math.exp(-theta * sum(v)) for v, _ in _class_list(dim, theta, cutoff))
+
+
+# int(log(1/cutoff) / theta) is 50 here, yet the norm-51 classes have q_v >= cutoff
+BOUNDARY_SYSTEM = (2, 0.38755633851709226, 2.606198308175496e-09)
 
 
 def _per_class(sys, per_vector):
@@ -52,15 +62,33 @@ def test_signed_representative():
 
 
 def test_class_order_and_weights():
-    sys = class_system(2, 1.0, 1e-3)
-    # lex on folded vector, then sign index
-    ids = _class_list(2, 1.0, 1e-3)
-    assert [sys.index_of(cid) for cid in ids] == list(range(sys.ncls))
-    assert ids == sorted(ids)
-    assert ids[0] == ((0, 1), 0)
-    interior = [(c, j) for c, j in ids if all(x > 0 for x in c)]
-    for coords, _ in interior:
-        assert {(coords, 0), (coords, 1)} <= set(ids)
+    for theta, cutoff in [(1.0, 1e-3), BOUNDARY_SYSTEM[1:]]:
+        sys = class_system(2, theta, cutoff)
+        # lex on folded vector, then sign index
+        ids = _class_list(2, theta, cutoff)
+        assert [sys.index_of(cid) for cid in ids] == list(range(sys.ncls))
+        assert ids == sorted(ids)
+        assert ids[0] == ((0, 1), 0)
+        interior = [(c, j) for c, j in ids if all(x > 0 for x in c)]
+        for coords, _ in interior:
+            assert {(coords, 0), (coords, 1)} <= set(ids)
+
+
+def test_class_system_cache_is_lru_of_six():
+    keys = [(1, math.log(2), 0.4), (2, 1.0, 1e-3), (2, 1.2, 1e-3), (2, 0.5, 0.1),
+            (3, 0.9, 1e-2), (4, 2.0, 1e-2)]
+    class_system.cache_clear()
+    built = [class_system(*key) for key in keys]
+    for _ in range(2):
+        assert [class_system(*key) for key in keys] == built
+    info = class_system.cache_info()
+    assert (info.hits, info.misses, info.maxsize, info.currsize) == (12, 6, 6, 6)
+    seventh = class_system(2, 2.0, 1e-3)  # evicts keys[0], the least recently used
+    assert class_system(2, 2.0, 1e-3) is seventh
+    assert all(class_system(*key) is sys for key, sys in zip(keys[2:], built[2:]))
+    assert class_system.cache_info().misses == 7
+    assert class_system(*keys[0]) is not built[0]
+    assert class_system.cache_info().misses == 8
 
 
 def test_seed_determinism():
@@ -100,7 +128,8 @@ def test_endpoint_consistency():
 def test_huge_theta_gives_empty_sample():
     s = boltzmann_sample(2, 50.0, 0.5, seed=3)
     assert s.entries == () and s.endpoint == (0, 0) and s.direction_count == 0
-    assert expected_directions_truncated(2, 50.0, 0.5) == 0.0
+    assert _class_list(2, 50.0, 0.5) == []
+    assert sample_stats(2, 50.0, 0.5, 1, 3).expected_directions == 0.0
 
 
 def test_dim1_empty_probability():
@@ -145,7 +174,8 @@ def test_tracked_multiplicity_is_geometric():
 
 def test_sample_stats_against_truncated_oracles():
     stats = sample_stats(2, THETA_1E4, 1e-12, 150, base_seed=11, tracked=[((1, 1), 0)])
-    expected_dirs = expected_directions_truncated(2, THETA_1E4, 1e-12)
+    expected_dirs = _expected_directions(2, THETA_1E4, 1e-12)
+    assert stats.expected_directions == pytest.approx(expected_dirs, rel=1e-12)
     assert abs(stats.direction_mean - expected_dirs) < 4 * stats.direction_stderr
     expected_end = expected_endpoint_truncated(2, THETA_1E4, 1e-12)
     for got, want, se in zip(stats.endpoint_mean, expected_end, stats.endpoint_stderr):
@@ -163,13 +193,15 @@ def test_expected_endpoint_near_box_size_at_saddle():
 
 
 def test_expected_directions_monotone_in_theta():
-    values = [expected_directions_truncated(2, th, 1e-9) for th in (0.2, 0.4, 0.8)]
+    values = [_expected_directions(2, th, 1e-9) for th in (0.2, 0.4, 0.8)]
     assert values[0] > values[1] > values[2]
+    for th, want in zip((0.2, 0.4, 0.8), values):
+        assert sample_stats(2, th, 1e-9, 1, 0).expected_directions == pytest.approx(want, rel=1e-12)
 
 
 def test_truncation_bias_is_negligible_at_default_cutoff():
     bias = truncation_bias_estimate(2, THETA_1E4, 1e-12)
-    assert bias < 1e-3 * expected_directions_truncated(2, THETA_1E4, 1e-12)
+    assert bias < 1e-3 * _expected_directions(2, THETA_1E4, 1e-12)
 
 
 @pytest.mark.parametrize("dim, theta, cutoff", [(1, 0.01, 1e-12), (1, 1e-6, 1e-12),
@@ -179,7 +211,6 @@ def test_truncation_bias_matches_mpmath_shell_sum(dim, theta, cutoff):
     # P_d(n) = half the integer vectors of 1-norm n, counted by support size k
     # (independent of pd_poly); the shell sum runs in 40-digit arithmetic.  At
     # d = 1, P_1 = 1 and the sum is geometric: e^(-theta N) / (1 - e^(-theta))
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         radius = int(mpmath.floor(mpmath.log(1 / mpmath.mpf(cutoff)) / theta))
         assert class_system(dim, theta, cutoff).l1_max == radius
@@ -365,7 +396,8 @@ def test_sparse_draw_at_uniforms_ulps_around_q(monkeypatch):
 
 
 def test_index_of_every_class_and_misses():
-    for dim, theta, cutoff in [(1, math.log(2), 0.4), (2, 1.2, 1e-3), (3, 0.9, 1e-3), (4, 0.8, 1e-3)]:
+    for dim, theta, cutoff in [(1, math.log(2), 0.4), (2, 1.2, 1e-3), (3, 0.9, 1e-3),
+                               (4, 0.8, 1e-3), BOUNDARY_SYSTEM]:
         sys = class_system(dim, theta, cutoff)
         ids = _class_list(dim, theta, cutoff)
         assert sys.ncls == len(ids)

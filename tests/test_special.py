@@ -4,6 +4,7 @@ import random
 import re
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 import zonocount.special as special
@@ -287,12 +288,20 @@ def test_zeros_file_rejects_bad_entries(tmp_path):
         load_zeros_file(out_of_range)
 
 
+def test_zeros_file_rejects_a_repeated_zero(tmp_path):
+    # two lines that refine to the same zero would count it twice in I_crit
+    dup = tmp_path / "dup.txt"
+    dup.write_text("14.134725141734693\n# the same zero, fewer digits\n14.13472514173\n"
+                   "21.022039638771555\n")
+    with pytest.raises(ZeroVerificationError, match=r"dup\.txt:3: .* zero of line 1$"):
+        load_zeros_file(dup)
+
+
 # --- independent oracle: mpmath at 30 digits ----------------------------------
 
 
 @pytest.fixture
 def mp():
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         yield mpmath.mp
 
