@@ -14,7 +14,7 @@ print("== exact counts in [0,n]^2 ==")
 table = zc.build_table(2, (6, 6))
 print("n      z_2(n)   cumulative")
 for n in range(7):
-    print(f"{n}   {table.coefficient((n, n)):>8}   {zc.zon_cumulative(2, n):>10}")
+    print(f"{n}   {table.coefficient((n, n)):>8}   {table.total((n, n)):>10}")
 
 print()
 print("== the same table answers every smaller box ==")

@@ -108,7 +108,7 @@ def _finite(value, flag: str):
 
 def cmd_count(args) -> list[dict]:
     ns = _parse_range(args)
-    table = exact.build_table(args.dim, (max(ns),) * args.dim)
+    table = exact.shared_table(args.dim, (max(ns),) * args.dim)
     rows = []
     for n in ns:
         if args.cumulative:
@@ -124,7 +124,7 @@ def cmd_compare(args) -> list[dict]:
         raise ValueError("compare requires dim >= 2")
     ns = _parse_range(args)
     zeros = _load_zeros(args)
-    table = exact.build_table(args.dim, (max(ns),) * args.dim)
+    table = exact.shared_table(args.dim, (max(ns),) * args.dim)
     rows = []
     for n in ns:
         z = table.coefficient((n,) * args.dim)

@@ -48,6 +48,14 @@ numerator is sum_v w_v Z[n - v].  Marking one class's multiplicity with u^k
 (factor 1/(1-u x^v0)) gives the occurrence numerators sum_k Z[n - k v0] and
 sum_k (2k-1) Z[n - k v0].  An independent depth-first multiset enumeration
 serves as the oracle for all of these on small boxes.
+
+Since a table at bound B holds Z[e] for every e <= B, the readers here and
+the CLI's ``count`` and ``compare`` share one table per dimension
+(``shared_table``): the last one they built.  A box inside it is answered
+from it once the memory budget admits that table's limbs and carry buffer
+again; any other box, or a failed charge, drops it and builds the requested
+box exactly, which then takes its place.  ``build_table`` is never cached: each
+call returns a fresh table its caller may change.
 """
 
 from __future__ import annotations
@@ -334,17 +342,47 @@ def build_table(dim: int, bound) -> CoeffTable:
     return _build(table, vecs)
 
 
+# dim -> the last table shared_table built in that dimension
+_SHARED: dict[int, CoeffTable] = {}
+
+
+def shared_table(dim: int, bound) -> CoeffTable:
+    """A table of Zon_d coefficients over a box covering {e <= bound}, shared
+    by every caller in the process: read it, never change it.
+
+    The last table built here for dim answers when its bound covers `bound`
+    on every axis and the memory budget admits its limbs and carry buffer,
+    as a build of it charges them.  Otherwise it is dropped first, so two
+    tables are never held at once, and build_table(dim, bound) takes its
+    place.  The values read at e <= bound are those of build_table(dim, bound).
+    """
+    bt = _validate_vector(bound, dim)
+    table = _SHARED.get(dim)
+    if table is not None and all(c <= b for c, b in zip(bt, table.bound)):
+        try:
+            table._check_memory(len(table.data))
+        except MemoryBudgetError:
+            pass
+        else:
+            return table
+    del table  # drop both references to the old table before the build
+    _SHARED.pop(dim, None)
+    _SHARED[dim] = build_table(dim, bt)
+    return _SHARED[dim]
+
+
 def zon_coefficient(dim: int, n) -> int:
     """Exact number of lattice zonotopes with bounding box exactly n (comp.-wise)."""
     bt = _validate_vector(n, dim)
-    return build_table(dim, bt).coefficient(bt)
+    return shared_table(dim, bt).coefficient(bt)
 
 
 def zon_cumulative(dim: int, n: int) -> int:
     """Exact number of lattice zonotopes whose bounding box fits inside [0,n]^d."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return build_table(dim, (n,) * dim).total()
+    box = (n,) * dim
+    return shared_table(dim, box).total(box)
 
 
 @dataclass(frozen=True)
@@ -377,9 +415,8 @@ def diameter_numerators(dim: int, n: int) -> MomentPair:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    table = CoeffTable(dim, (n,) * dim)  # memory guard first, as in build_table
-    vecs = primitive_array(dim, table.bound, dim * n)
-    z = _build(table, vecs)
+    z = shared_table(dim, n)  # its memory guard runs before the box is enumerated
+    vecs = primitive_array(dim, (n,) * dim, dim * n)
     terms = zip(class_weights(vecs).tolist(), z._read(tuple(n - vecs.T)))
     return MomentPair(count=z.coefficient(n), weighted=sum(w * t for w, t in terms))
 
@@ -403,7 +440,7 @@ def occurrence_numerators(dim: int, n: int, v0: Sequence[int]) -> MomentPair:
         raise ValueError(f"v0 = {v0t} is not primitive")
     if any(c > b for c, b in zip(v0t, bt)):
         raise ValueError(f"v0 = {v0t} exceeds bound {bt}")
-    z = build_table(dim, bt)
+    z = shared_table(dim, bt)
     ks = np.arange(1, min(b // c for b, c in zip(bt, v0t) if c) + 1)
     chain = z._read(tuple(b - ks * c for b, c in zip(bt, v0t)))
     return MomentPair(

@@ -231,6 +231,89 @@ def test_memory_guard_runs_before_enumeration(monkeypatch):
         occurrence_numerators(2, big, (1, 1))
 
 
+def _cold(fn, *args):
+    # fn(*args) from an empty shared cache, which is then put back as it was
+    saved = dict(exact._SHARED)
+    exact._SHARED.clear()
+    try:
+        return fn(*args)
+    finally:
+        exact._SHARED.clear()
+        exact._SHARED.update(saved)
+
+
+_SIDE = {1: 12, 2: 8, 3: 4, 4: 2}  # the largest box side drawn per dimension
+
+
+@st.composite
+def _shared_request(draw):
+    dim = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(("coefficient", "total", "diameter", "occurrence")))
+    side = st.integers(0, _SIDE[dim])
+    if kind == "diameter":
+        return dim, (draw(side.filter(bool)),) * dim, kind, None
+    box = draw(st.tuples(*[side] * dim).filter(lambda b: kind != "occurrence" or any(b)))
+    if kind != "occurrence":
+        return dim, box, kind, None
+    cube = itertools.product(*(range(b + 1) for b in box))
+    return dim, box, kind, draw(st.sampled_from([v for v in cube if math.gcd(*v) == 1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(requests=st.lists(_shared_request(), min_size=1, max_size=8))
+# a smaller box right after a larger one: a bare total() would sum past it
+@example(requests=[(2, (8, 8), "total", None), (2, (3, 5), "total", None),
+                   (3, (4, 4, 4), "coefficient", None), (3, (2, 0, 1), "total", None)])
+# a box outside the last one shrinks the table; the next one grows it again
+@example(requests=[(2, (6, 6), "coefficient", None), (2, (7, 1), "total", None),
+                   (2, (6, 6), "diameter", None), (2, (5, 6), "occurrence", (2, 3)),
+                   (1, (12,), "total", None), (1, (3,), "occurrence", (1,))])
+def test_shared_table_answers_like_a_fresh_build(requests):
+    exact._SHARED.clear()
+    for dim, box, kind, v0 in requests:
+        fresh = build_table(dim, box)
+        if kind == "coefficient":
+            assert zon_coefficient(dim, box) == exact.shared_table(dim, box).coefficient(box) \
+                == fresh.coefficient(box)
+        elif kind == "total":
+            assert exact.shared_table(dim, box).total(box) == fresh.total()
+            if len(set(box)) == 1:
+                assert zon_cumulative(dim, box[0]) == fresh.total()
+        elif kind == "diameter":
+            assert diameter_numerators(dim, box[0]) == _cold(diameter_numerators, dim, box[0])
+        else:
+            assert occurrence_numerators(dim, box, v0) == _cold(occurrence_numerators, dim, box, v0)
+        assert all(c <= b for c, b in zip(box, exact._SHARED[dim].bound))
+        # a build_table result is its caller's own: changing it leaves the shared one alone
+        shared = exact.shared_table(dim, box)
+        before = shared.cells
+        fresh.class_pass((1,) + (0,) * (dim - 1), 1)
+        assert fresh is not shared and shared.cells == before
+
+
+def test_shared_table_hit_is_charged_like_a_build(monkeypatch):
+    # the cached (40, 40) table against a request for (3, 3)
+    exact._SHARED.clear()
+    want = build_table(2, (3, 3)).coefficient((3, 3))
+    big = exact.shared_table(2, (40, 40))
+    charge = 2 * 8 * len(big.data) * 41 * 41
+    # a budget that fits the cached table: a hit
+    monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", str(charge))
+    assert zon_coefficient(2, (3, 3)) == want
+    assert exact.shared_table(2, (3, 3)) is big
+    # one byte less fits only the requested box: it is built and takes the place
+    monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", str(charge - 1))
+    assert zon_coefficient(2, (3, 3)) == want
+    assert exact._SHARED[2] is not big and exact._SHARED[2].bound == (3, 3)
+    # a budget that fits neither: the error of the requested box, and no table kept
+    monkeypatch.delenv("ZONOCOUNT_MEMORY_BUDGET")
+    exact.shared_table(2, (40, 40))
+    monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", "100")
+    with pytest.raises(MemoryBudgetError, match="table of 16 cells"):
+        zon_coefficient(2, (3, 3))
+    assert 2 not in exact._SHARED
+
+
 def test_brute_force_node_budget(monkeypatch):
     # (3, 3) has 16 cells and 16 classes: it passes the up-front bound and is
     # stopped by the node count during the search
