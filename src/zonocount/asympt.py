@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .primitives import is_primitive
+from .primitives import _validate_vector
 from .special import (
     ZetaZero,
     first_zero,
@@ -347,8 +347,8 @@ def mean_occurrence_asympt(d: int, n: float, v0: Sequence[int]) -> tuple[float, 
     x/2 - x^2/12 + ... below 1/x; its exact variance e^x/(e^x - 1)^2 differs
     from 1/x^2 by a relative O(x^2)."""
     _require_dim(d)
-    coords = tuple(int(c) for c in v0)
-    if not is_primitive(coords, d):
+    coords = _validate_vector(v0, d)
+    if math.gcd(*coords) != 1:
         raise ValueError(f"v0 = {coords} is not primitive")
     mean = 1.0 / (theta_tilde(d, n) * sum(coords))
     return mean, mean * mean

@@ -49,13 +49,11 @@ numerator is sum_v w_v Z[n - v].  Marking one class's multiplicity with u^k
 sum_k (2k-1) Z[n - k v0].  An independent depth-first multiset enumeration
 serves as the oracle for all of these on small boxes.
 
-Since a table at bound B holds Z[e] for every e <= B, the readers here and
-the CLI's ``count`` and ``compare`` share one table per dimension
-(``shared_table``): the last one they built.  A box inside it is answered
-from it once the memory budget admits that table's limbs and carry buffer
-again; any other box, or a failed charge, drops it and builds the requested
-box exactly, which then takes its place.  ``build_table`` is never cached: each
-call returns a fresh table its caller may change.
+A build is charged to the memory budget once, up front, from its box alone
+(_plan).  A table at bound B holds Z[e] for every e <= B, so the readers here
+and the CLI's ``count`` and ``compare`` share one table per dimension, the last
+one built (``shared_table``), which answers every box inside it once that box
+is charged; another box replaces it.  ``build_table`` is never cached.
 """
 
 from __future__ import annotations
@@ -75,7 +73,6 @@ from .primitives import (
     _validate_vector,
     class_weights,
     count_classes_moebius,
-    is_primitive,
     primitive_array,
 )
 
@@ -92,6 +89,14 @@ _BRUTE_NODE_BUDGET = 10 ** 7
 
 class EnumerationBudgetError(RuntimeError):
     """Brute-force enumeration exceeded its node budget (oracle is for small boxes)."""
+
+
+def _check_memory(shape: tuple[int, ...], limbs: int, staging: int = 0) -> None:
+    """Charge a table of `shape` in `limbs` limbs, its carry buffer and `staging` bytes."""
+    size = math.prod(shape)
+    extra = " and one-step staging" if staging else ""
+    _charge(2 * 8 * limbs * size + staging,
+            f"table of {_approx(size)} cells in {limbs} limbs with its carry buffer{extra}")
 
 
 class CoeffTable:
@@ -115,18 +120,10 @@ class CoeffTable:
         if growth > 1 << (_LIMB_BITS - 1):
             raise ValueError(f"a pass over bound {self.bound} in dim {dim} may grow entries "
                              f"{growth}-fold, above the limit 2^{_LIMB_BITS - 1}")
-        self._check_memory(1)
+        _check_memory(self.shape, 1)
         self.data = np.zeros((1, *self.shape), dtype=np.uint64)
         self.data[(0,) * (dim + 1)] = 1
         self.ceiling = 1
-
-    def _check_memory(self, limbs: int, staging: int = 0) -> None:
-        """Budget for `limbs` limbs plus the normalization temporary of the same
-        size, plus `staging` bytes of one-step group buffers."""
-        size = math.prod(self.shape)
-        extra = " and one-step staging" if staging else ""
-        _charge(2 * 8 * limbs * size + staging,
-                f"table of {_approx(size)} cells in {limbs} limbs with its carry buffer{extra}")
 
     def _normalize(self) -> None:
         """Push every entry's carry into the limb above, adding a limb if the top one
@@ -140,7 +137,7 @@ class CoeffTable:
         self.ceiling = mask + (self.ceiling >> _LIMB_BITS)
 
     def _add_limb(self) -> None:
-        self._check_memory(len(self.data) + 1)
+        _check_memory(self.shape, len(self.data) + 1)
         self.data = np.concatenate([self.data, np.zeros((1, *self.shape), np.uint64)])
 
     def _read(self, index: tuple) -> list[int]:
@@ -233,11 +230,7 @@ class CoeffTable:
         (1 + sum w_v)-fold (_grow).  Sources and targets are disjoint, so the
         sources are staged once.
         """
-        top = self.shape[a]
-        lo = top // 2 + top % 2  # every k = v_a > n_a / 2 is at least this
-        rows = top - lo  # target hyperplanes lo..n_a, source hyperplanes 0..n_a - lo
-        other = self.shape[:a] + self.shape[a + 1:] or (1,)
-        m = math.prod(other)
+        lo, rows, other, m, inner, cut, pad, _ = _group_geometry(self.shape, a, len(self.data))
         at = vecs[:, a] - lo
         sums = [int(x) for x in np.bincount(at, weights, rows).tolist()]  # weight per k
         if max(sums) * self.ceiling >= _FLOAT_EXACT:
@@ -247,18 +240,7 @@ class CoeffTable:
                                  f"terms per cell, too many for exact float64 products")
         self._grow(1 + sum(sums))  # a normalization here only lowers the sources' bound
         limbs = len(self.data)
-        # The matrix of k is block upper triangular (u >= 0), so the block
-        # columns whose first other coordinate is below c read only the block
-        # rows below c: for d >= 3 two pieces, split along the first other
-        # axis, skip a quarter of the products and halve the matrix held at
-        # once.  At d = 2 the matrix is at most (n + 1)^2 and stays whole.
-        inner = m // other[0]
-        cut = other[0] // 2 if inner > 1 else 0
         pieces = [(c0, c1) for c0, c1 in ((0, cut), (cut, other[0])) if c0 < c1]
-        pad = tuple(2 * n - 1 for n in other)
-        # the kernels, the larger piece, the staged sources, their sums and one product
-        self._check_memory(limbs, 8 * (rows * math.prod(pad) + m * (m - cut * inner)
-                                       + 3 * rows * limbs * m))
         # kern[k - lo] holds w_(k,u) at u + other - 1, so the matrix of k, with
         # entry w_(k, q - r) in row r and column q, is a strided view of it
         kern = np.zeros((rows, *pad))
@@ -306,6 +288,50 @@ class CoeffTable:
                out=view)
 
 
+def _group_geometry(shape: tuple[int, ...], a: int, limbs: int) -> tuple:
+    """The layout and staging bytes of a one-step group product along axis a."""
+    top = shape[a]
+    lo = top // 2 + top % 2  # every k = v_a > n_a / 2 is at least this
+    rows = top - lo  # target hyperplanes lo..n_a, source hyperplanes 0..n_a - lo
+    other = shape[:a] + shape[a + 1:] or (1,)
+    m = math.prod(other)
+    # The matrix of k is block upper triangular (u >= 0), so the block
+    # columns whose first other coordinate is below c read only the block
+    # rows below c: for d >= 3 two pieces, split along the first other
+    # axis, skip a quarter of the products and halve the matrix held at
+    # once.  At d = 2 the matrix is at most (n + 1)^2 and stays whole.
+    inner = m // other[0]
+    cut = other[0] // 2 if inner > 1 else 0
+    pad = tuple(2 * n - 1 for n in other)
+    # the kernels, the larger piece, the staged sources, their sums and one product
+    staging = 8 * (rows * math.prod(pad) + m * (m - cut * inner) + 3 * rows * limbs * m)
+    return lo, rows, other, m, inner, cut, pad, staging
+
+
+def _plan(dim: int, bt: tuple[int, ...]) -> int:
+    """Charge the budget for a build of the box bt from bt alone: one limb, the
+    limbs of the corner, which bounds every partial product, then those with the
+    largest group staging.  Returns the limbs.  Over the d nonzero axes (d <= 1
+    keeps every cell at 1), ln Z[bt] <= t |bt|_1 + sum_k F(e^(-t k))/k for all
+    t > 0, F(e^(-x)) = (coth(x/2)^d - 1)/2 = sum_l P_d(l) e^(-x l); as F(z)/z
+    grows, the terms from k on add up to at most F(e^(-t k))/(k (1 - e^(-t))).
+    """
+    shape = tuple(b + 1 for b in bt)
+    _check_memory(shape, 1)
+    nz = [a for a in range(dim) if bt[a]]
+    d, l1, bits = len(nz), sum(bt), 0.0
+    if d > 1:
+        t = (d * 2 ** (d - 1) / l1) ** (1 / (d + 1))  # minimizes t |bt|_1 + 2^(d-1)/t^d
+        f = [(math.tanh(t * k / 2) ** -d - 1) / 2 / k for k in range(1, int(5 / t) + 2)]
+        bits = (t * l1 + sum(f[:-1]) + f[-1] / -math.expm1(-t)) / math.log(2)
+    limbs = int(bits) // _LIMB_BITS + 1  # _normalize adds a limb once a value reaches 2^(32 k)
+    _check_memory(shape, limbs)
+    # d = 1 has a group (of e_a) at n_a = 1 only; at d > 1 an empty one never stages most
+    if d > 1 or l1 == 1:
+        _check_memory(shape, limbs, max(_group_geometry(shape, a, limbs)[-1] for a in nz))
+    return limbs
+
+
 def _build(table: CoeffTable, vecs: np.ndarray) -> CoeffTable:
     """Multiply the table by the factor (1 - x^v)^(-w_v) of every primitive row
     v of vecs: class_pass for the rows with 2v inside the box, in row order,
@@ -337,9 +363,8 @@ def build_table(dim: int, bound) -> CoeffTable:
     group's product (see _build).
     """
     bt = _validate_vector(bound, dim)
-    table = CoeffTable(dim, bt)  # its memory guard runs before the box is enumerated
-    vecs = primitive_array(dim, bt, sum(bt))
-    return _build(table, vecs)
+    _plan(dim, bt)
+    return _build(CoeffTable(dim, bt), primitive_array(dim, bt, sum(bt)))
 
 
 # dim -> the last table shared_table built in that dimension
@@ -350,21 +375,17 @@ def shared_table(dim: int, bound) -> CoeffTable:
     """A table of Zon_d coefficients over a box covering {e <= bound}, shared
     by every caller in the process: read it, never change it.
 
-    The last table built here for dim answers when its bound covers `bound`
-    on every axis and the memory budget admits its limbs and carry buffer,
-    as a build of it charges them.  Otherwise it is dropped first, so two
-    tables are never held at once, and build_table(dim, bound) takes its
+    Every call is first charged like build_table(dim, bound), so it raises
+    what that build raises.  Then the last table built here for dim answers
+    when its bound covers `bound` on every axis; otherwise it is dropped first,
+    so two tables are never held at once, and build_table(dim, bound) takes its
     place.  The values read at e <= bound are those of build_table(dim, bound).
     """
     bt = _validate_vector(bound, dim)
+    _plan(dim, bt)
     table = _SHARED.get(dim)
     if table is not None and all(c <= b for c, b in zip(bt, table.bound)):
-        try:
-            table._check_memory(len(table.data))
-        except MemoryBudgetError:
-            pass
-        else:
-            return table
+        return table
     del table  # drop both references to the old table before the build
     _SHARED.pop(dim, None)
     _SHARED[dim] = build_table(dim, bt)
@@ -379,8 +400,6 @@ def zon_coefficient(dim: int, n) -> int:
 
 def zon_cumulative(dim: int, n: int) -> int:
     """Exact number of lattice zonotopes whose bounding box fits inside [0,n]^d."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
     box = (n,) * dim
     return shared_table(dim, box).total(box)
 
@@ -435,8 +454,8 @@ def occurrence_numerators(dim: int, n: int, v0: Sequence[int]) -> MomentPair:
     sum_k (2k-1) Z[n - k v0] over k >= 1.
     """
     bt = _validate_vector(n, dim)
-    v0t = tuple(int(c) for c in v0)
-    if not is_primitive(v0t, dim):
+    v0t = _validate_vector(v0, dim)
+    if math.gcd(*v0t) != 1:
         raise ValueError(f"v0 = {v0t} is not primitive")
     if any(c > b for c, b in zip(v0t, bt)):
         raise ValueError(f"v0 = {v0t} exceeds bound {bt}")

@@ -18,6 +18,7 @@ the symmetric box [-b, b] up to sign.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from typing import Sequence
 
@@ -53,10 +54,10 @@ def _charge(need: int, what: str) -> None:
 
 
 def _validate_vector(v: Sequence[int] | int, dim: int) -> tuple[int, ...]:
-    """v as a tuple of dim ints >= 0; an int n stands for (n,) * dim."""
+    """v as a tuple of dim ints >= 0, by operator.index; an integer n stands for (n,) * dim."""
     if dim < 1:
         raise ValueError("dimension must be >= 1")
-    vt = (v,) * dim if isinstance(v, int) else tuple(int(c) for c in v)
+    vt = tuple(map(operator.index, (v,) * dim if isinstance(v, (int, np.integer)) else v))
     if len(vt) != dim:
         raise ValueError(f"expected {dim} coordinates, got {len(vt)}")
     if any(c < 0 for c in vt):

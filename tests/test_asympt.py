@@ -275,3 +275,5 @@ def test_mean_occurrence():
         mean_occurrence_asympt(2, 1e4, (1, 1, 1))
     with pytest.raises(ValueError):
         mean_occurrence_asympt(3, 1e4, (1, 1))
+    with pytest.raises(TypeError):  # not truncated to (1, 1)
+        mean_occurrence_asympt(2, 1e4, (1.5, 1))

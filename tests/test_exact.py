@@ -27,6 +27,7 @@ from zonocount import (
     zon_coefficient,
     zon_cumulative,
 )
+from zonocount.cli import main as cli_main
 
 Z2_DIAG = [1, 3, 10, 34, 109, 331, 965]
 Z3_DIAG = [1, 11, 170, 2458]
@@ -126,6 +127,19 @@ def test_occurrence_validation():
         occurrence_moments(2, 2, (2, 2))  # not primitive
     with pytest.raises(ValueError):
         occurrence_moments(2, 1, (1, 2))  # exceeds bound
+    with pytest.raises(TypeError):  # not truncated to (1, 1)
+        occurrence_numerators(2, (3, 3), (1.5, 1))
+
+
+def test_coordinates_are_integers_not_truncated():
+    # a float is refused rather than read as its floor; numpy integers are integers
+    with pytest.raises(TypeError):
+        zon_coefficient(2, (2.5, 3))
+    with pytest.raises(TypeError):
+        zon_cumulative(2, 2.5)
+    assert zon_coefficient(2, np.int64(3)) == zon_coefficient(2, (np.int64(3), 3)) == Z2_DIAG[3]
+    assert occurrence_numerators(2, np.int64(3), np.array([1, 1])) == \
+        occurrence_numerators(2, 3, (1, 1))
 
 
 def test_brute_force_matches_dp_on_sample_boxes():
@@ -207,10 +221,12 @@ def test_memory_guard(monkeypatch):
     monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", "1000")
     with pytest.raises(MemoryBudgetError):
         CoeffTable(2, (10, 10))
-    # the table and its carry buffer fit, the staging of a one-step group does not
+    # a bare one-limb table fits; the build's plan, its one limb with the
+    # staging of its largest group product, does not
     monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", str(2 * 8 * 11 * 11))
     CoeffTable(2, (10, 10))
-    with pytest.raises(MemoryBudgetError, match="staging"):
+    with pytest.raises(MemoryBudgetError, match="in 1 limbs with its carry buffer and one-step "
+                                                "staging"):
         build_table(2, (10, 10))
     monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", "not-a-number")
     with pytest.raises(ValueError):
@@ -291,27 +307,133 @@ def test_shared_table_answers_like_a_fresh_build(requests):
         assert fresh is not shared and shared.cells == before
 
 
+def _largest_charge(monkeypatch, dim, box):
+    # the largest charge the plan of a build of box makes
+    needs = []
+    with monkeypatch.context() as m:
+        m.setattr(exact, "_charge", lambda need, what: needs.append(need))
+        exact._plan(dim, box)
+    return max(needs)
+
+
 def test_shared_table_hit_is_charged_like_a_build(monkeypatch):
     # the cached (40, 40) table against a request for (3, 3)
     exact._SHARED.clear()
     want = build_table(2, (3, 3)).coefficient((3, 3))
     big = exact.shared_table(2, (40, 40))
-    charge = 2 * 8 * len(big.data) * 41 * 41
-    # a budget that fits the cached table: a hit
+    charge = _largest_charge(monkeypatch, 2, (3, 3))
+    assert charge < 2 * 8 * len(big.data) * 41 * 41
+    # a budget that fits the build of the requested box: a hit, although the
+    # cached table's own build would be refused
     monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", str(charge))
     assert zon_coefficient(2, (3, 3)) == want
     assert exact.shared_table(2, (3, 3)) is big
-    # one byte less fits only the requested box: it is built and takes the place
+    # one byte less: the error a cold build of (3, 3) raises, naming its
+    # staging; nothing is built and the cached table stays
     monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", str(charge - 1))
-    assert zon_coefficient(2, (3, 3)) == want
-    assert exact._SHARED[2] is not big and exact._SHARED[2].bound == (3, 3)
-    # a budget that fits neither: the error of the requested box, and no table kept
-    monkeypatch.delenv("ZONOCOUNT_MEMORY_BUDGET")
-    exact.shared_table(2, (40, 40))
-    monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", "100")
-    with pytest.raises(MemoryBudgetError, match="table of 16 cells"):
+    with pytest.raises(MemoryBudgetError, match="16 cells in 1 limbs .* one-step staging") as hit:
         zon_coefficient(2, (3, 3))
-    assert 2 not in exact._SHARED
+    with pytest.raises(MemoryBudgetError) as cold:
+        _cold(zon_coefficient, 2, (3, 3))
+    assert str(hit.value) == str(cold.value) and exact._SHARED[2] is big
+    # below the one-limb table: its cells are named
+    monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", "100")
+    with pytest.raises(MemoryBudgetError, match="table of 16 cells in 1 limbs with its carry "
+                                                "buffer \\("):
+        zon_coefficient(2, (3, 3))
+    assert exact._SHARED[2] is big
+
+
+def test_shared_hit_raises_like_a_cold_build(monkeypatch):
+    # (10, 10) is refused for its staging under 2,704 bytes, cold or after a
+    # build of (12, 12) that would answer it
+    monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", "2704")
+    with pytest.raises(MemoryBudgetError, match="staging") as cold:
+        _cold(zon_coefficient, 2, (10, 10))
+    monkeypatch.delenv("ZONOCOUNT_MEMORY_BUDGET")
+    exact._SHARED.clear()
+    zon_coefficient(2, (12, 12))
+    monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", "2704")
+    with pytest.raises(MemoryBudgetError) as hit:
+        zon_coefficient(2, (10, 10))
+    assert str(hit.value) == str(cold.value)
+
+
+def _ask(dim, box, kind, v0):
+    if kind == "coefficient":
+        return zon_coefficient(dim, box)
+    if kind == "total":
+        return exact.shared_table(dim, box).total(box)
+    if kind == "diameter":
+        return diameter_numerators(dim, box[0])
+    return occurrence_numerators(dim, box, v0)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except MemoryBudgetError as exc:
+        return f"raised {exc}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(requests=st.lists(st.tuples(_shared_request(), st.none() | st.integers(100, 20000)),
+                         min_size=1, max_size=8))
+def test_shared_table_raises_like_a_cold_build(requests):
+    # whatever came before, a request under any budget raises exactly when a
+    # cold build of its box raises, with the same message
+    exact._SHARED.clear()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for request, budget in requests:
+            if budget is None:
+                monkeypatch.delenv("ZONOCOUNT_MEMORY_BUDGET", raising=False)
+            else:
+                monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", str(budget))
+            assert _outcome(_ask, *request) == _outcome(_cold, _ask, *request)
+
+
+def _refuse_work(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a refused build did work")
+
+    monkeypatch.setattr(exact, "primitive_array", refuse)
+    monkeypatch.setattr(CoeffTable, "class_pass", refuse)
+    monkeypatch.setattr(CoeffTable, "_one_step", refuse)
+
+
+@pytest.mark.parametrize("dim, n", [(3, 24), (4, 10)])
+def test_refused_build_fails_before_any_work(monkeypatch, dim, n):
+    # a budget that fits the planned limbs but not the group staging: refused
+    # before enumeration and before the first pass, built or shared
+    box = (n,) * dim
+    limbs = exact._plan(dim, box)
+    monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", str(2 * 8 * limbs * (n + 1) ** dim))
+    _refuse_work(monkeypatch)
+    for call in (build_table, exact.shared_table):
+        with pytest.raises(MemoryBudgetError, match=f"in {limbs} limbs .* one-step staging"):
+            call(dim, box)
+
+
+def test_default_budget_refuses_staging_up_front(monkeypatch, capsys):
+    # d = 4, n = 28 needs its group staging above the default 2 GB; the plan
+    # refuses it before any work, where a build would run for many minutes
+    monkeypatch.delenv("ZONOCOUNT_MEMORY_BUDGET", raising=False)
+    _refuse_work(monkeypatch)
+    assert cli_main(["count", "--dim", "4", "--n", "28"]) == 2
+    err = capsys.readouterr().err
+    assert "one-step staging" in err and "exceeds budget" in err
+
+
+@pytest.mark.parametrize("dim, box", [
+    *[(2, (n, n)) for n in (16, 24, 32, 64, 96, 128)],
+    *[(3, (n,) * 3) for n in (8, 16, 24)],
+    *[(4, (n,) * 4) for n in (4, 6, 10)],
+    (2, (40, 7)), (3, (9, 4, 2)), (4, (3, 1, 2, 5)), (2, (100, 0)), (1, (100,)), (3, (0, 0, 0))])
+def test_planned_limbs_bound_the_build(dim, box):
+    # the corner bound gives at least the limbs a build adds, and on these
+    # boxes at most one more
+    built = len(build_table(dim, box).data)
+    assert built <= exact._plan(dim, box) <= built + 1
 
 
 def test_brute_force_node_budget(monkeypatch):
@@ -514,10 +636,16 @@ def test_narrow_limbs_grow_and_guard(monkeypatch):
     table = build_table(2, (24, 24))
     assert len(table.data) == 2
     assert table.coefficient(24) == zon_coefficient(2, (24, 24))
-    # one limb fits the budget, the second does not: the guard names the limb count
+    # one limb fits the budget, the second does not: the plan names the limb
+    # count before any work, and so does the limb guard of a table driven by
+    # hand, which no plan charged
     monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", str(2 * 8 * 25 * 25 * 2 - 1))
-    with pytest.raises(MemoryBudgetError, match="2 limbs"):
-        build_table(2, (24, 24))
+    with monkeypatch.context() as m:
+        _refuse_work(m)
+        with pytest.raises(MemoryBudgetError, match="in 2 limbs with its carry buffer \\("):
+            build_table(2, (24, 24))
+    with pytest.raises(MemoryBudgetError, match="in 2 limbs with its carry buffer \\("):
+        exact._build(CoeffTable(2, (24, 24)), primitive_array(2, (24, 24), 48))
     monkeypatch.delenv("ZONOCOUNT_MEMORY_BUDGET")
 
     def refuse(*args):
@@ -525,7 +653,7 @@ def test_narrow_limbs_grow_and_guard(monkeypatch):
 
     # a pass of (1) could outgrow one normalization: refused before the memory
     # charge and the allocation
-    monkeypatch.setattr(CoeffTable, "_check_memory", refuse)
+    monkeypatch.setattr(exact, "_check_memory", refuse)
     with pytest.raises(ValueError, match="2\\^31"):
         CoeffTable(1, (1 << 31,))
 

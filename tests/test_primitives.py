@@ -35,6 +35,9 @@ def test_is_primitive_validation():
         is_primitive((-1, 2), 2)
     with pytest.raises(ValueError):
         is_primitive((1,), 0)
+    # a float coordinate is refused, not truncated to (1, 1)
+    with pytest.raises(TypeError):
+        is_primitive((1.5, 1), 2)
 
 
 def test_enumerate_unit_box():
