@@ -58,6 +58,7 @@ is charged; another box replaces it.  ``build_table`` is never cached.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -308,26 +309,38 @@ def _group_geometry(shape: tuple[int, ...], a: int, limbs: int) -> tuple:
     return lo, rows, other, m, inner, cut, pad, staging
 
 
+@functools.lru_cache(maxsize=256)
+def _corner_limbs(n: tuple[int, ...]) -> int:
+    """Limbs that hold Z[n], and so every partial product, for the nonzero axis
+    lengths n of a box.  Over its d axes (d <= 1 keeps every cell at 1),
+    ln Z[n] <= sum_i t_i n_i + sum_k F(z^k)/k for all z_i = e^(-t_i) < 1, where
+    F(z) = sum_v w_v z^v over every v >= 0, v != 0, is
+    (prod_i coth(t_i/2) - 1)/2.  Each monomial of F(z^(k+1)) is at most
+    e^(-t_min) times its term in F(z^k), so the terms from k on add up to at
+    most F(z^k)/(k (1 - e^(-t_min))).
+    """
+    d, bits = len(n), 0.0
+    if d > 1:
+        # t_i n_i = s on every axis minimizes sum_i t_i n_i + 2^(d-1)/prod_i t_i
+        s = (2 ** (d - 1) * math.prod(n)) ** (1 / (d + 1))
+        t = [s / n_i for n_i in n]
+        f = [(math.prod(1 / math.tanh(k * t_i / 2) for t_i in t) - 1) / 2 / k
+             for k in range(1, int(5 / min(t)) + 2)]
+        bits = (d * s + sum(f[:-1]) + f[-1] / -math.expm1(-min(t))) / math.log(2)
+    return int(bits) // _LIMB_BITS + 1  # _normalize adds a limb once a value reaches 2^(32 k)
+
+
 def _plan(dim: int, bt: tuple[int, ...]) -> int:
     """Charge the budget for a build of the box bt from bt alone: one limb, the
-    limbs of the corner, which bounds every partial product, then those with the
-    largest group staging.  Returns the limbs.  Over the d nonzero axes (d <= 1
-    keeps every cell at 1), ln Z[bt] <= t |bt|_1 + sum_k F(e^(-t k))/k for all
-    t > 0, F(e^(-x)) = (coth(x/2)^d - 1)/2 = sum_l P_d(l) e^(-x l); as F(z)/z
-    grows, the terms from k on add up to at most F(e^(-t k))/(k (1 - e^(-t))).
-    """
+    limbs of the corner (_corner_limbs), then those with the largest group
+    staging.  Returns the limbs."""
     shape = tuple(b + 1 for b in bt)
     _check_memory(shape, 1)
     nz = [a for a in range(dim) if bt[a]]
-    d, l1, bits = len(nz), sum(bt), 0.0
-    if d > 1:
-        t = (d * 2 ** (d - 1) / l1) ** (1 / (d + 1))  # minimizes t |bt|_1 + 2^(d-1)/t^d
-        f = [(math.tanh(t * k / 2) ** -d - 1) / 2 / k for k in range(1, int(5 / t) + 2)]
-        bits = (t * l1 + sum(f[:-1]) + f[-1] / -math.expm1(-t)) / math.log(2)
-    limbs = int(bits) // _LIMB_BITS + 1  # _normalize adds a limb once a value reaches 2^(32 k)
+    limbs = _corner_limbs(tuple(bt[a] for a in nz))
     _check_memory(shape, limbs)
     # d = 1 has a group (of e_a) at n_a = 1 only; at d > 1 an empty one never stages most
-    if d > 1 or l1 == 1:
+    if len(nz) > 1 or sum(bt) == 1:
         _check_memory(shape, limbs, max(_group_geometry(shape, a, limbs)[-1] for a in nz))
     return limbs
 

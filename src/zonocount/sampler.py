@@ -16,9 +16,17 @@ primitive ones in the 1-norm ball of radius l1_max, the largest n with
 e^(-theta n) >= cutoff.  class_system keeps the six latest systems in an LRU
 cache.  A draw still takes all the uniforms, but inverts only those at most
 the filter bound: the others give K = 0 under the same formula (see _draw).
-It returns the visit positions with K >= 1, their vectors' rows and their
-multiplicities; rows and statistics read them directly, and only
+It fills the uniforms in chunks of 2^16 into a buffer reused by its thread
+(512 KB), and returns the visit positions with K >= 1, their vectors' rows
+and their multiplicities; rows and statistics read them directly, and only
 boltzmann_sample turns them into (class, multiplicity) entries.
+
+The samples of one sample_rows or sample_stats request are independent
+draws, one seed each.  On a system of at least 2^16 classes they run on a
+thread pool with one worker per core available to the process (numpy
+releases the GIL while it fills and compares), at most four per worker in
+flight, and come back in seed order; with one core, one sample or fewer
+classes they run one after another.  Either way every output is the same.
 """
 
 from __future__ import annotations
@@ -26,6 +34,8 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -47,6 +57,16 @@ _TINY_UNIFORM = 1e-300
 # K = 1, since ln u / ln q_v rounds to 1; beyond q_v (1 + 1e-9) the ratio is
 # at most 1 - 1e-9/745 (|ln q_v| <= 745 for a double), so K = 0.
 _Q_MARGIN = 1 + 1e-9
+# Uniforms per chunk of a draw: 512 KB of doubles, so each worker's buffer and
+# the slice of q_hi it is compared with stay in cache.
+_CHUNK = 1 << 16
+# Classes from which the draws of one request go to the pool: below this a
+# draw (about 0.2 ms of uniforms) costs less than handing it to a thread.
+_PARALLEL_MIN_CLASSES = 1 << 16
+# Draws in flight per worker.  A finished row waits until the caller takes it,
+# and with two per worker the workers often wait for the caller to queue more.
+_IN_FLIGHT_PER_WORKER = 4
+_buffers = threading.local()
 
 
 class ClassSystem:
@@ -128,18 +148,36 @@ class ZonotopeSample:
     direction_count: int
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
+
+
 def _draw(sys: ClassSystem, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Visit positions with K >= 1, ascending, their vectors' rows and their K.
 
     One uniform per class from default_rng(seed), in visit order; K is
-    floor(ln max(u, 1e-300) / ln q_v), evaluated only where u <= q_hi.
+    floor(ln max(u, 1e-300) / ln q_v), evaluated only where u <= q_hi.  The
+    uniforms are filled _CHUNK at a time into this thread's buffer: a double
+    takes one PCG64 output, so consecutive fills are the stream of one fill.
     """
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
-    u = np.random.default_rng(seed).random(sys.ncls)
-    pos = np.flatnonzero(u <= sys.q_hi)
+    _check_seed(seed)
+    gen = np.random.default_rng(seed)
+    buf = getattr(_buffers, "u", None)
+    if buf is None or buf.size < _CHUNK:
+        buf = _buffers.u = np.empty(_CHUNK)
+    hits, kept = [], []
+    for lo in range(0, sys.ncls or 1, _CHUNK):  # one empty chunk when ncls = 0
+        u = buf[:min(_CHUNK, sys.ncls - lo)]
+        gen.random(out=u)
+        p = np.flatnonzero(u <= sys.q_hi[lo:lo + u.size])
+        kept.append(u[p])
+        if lo:
+            p += lo
+        hits.append(p)
+    # a draw of one chunk (at most 2^16 classes) copies nothing more
+    pos, x = (hits[0], kept[0]) if len(hits) == 1 else (np.concatenate(hits), np.concatenate(kept))
     row = np.searchsorted(sys.first, pos, "right") - 1
-    x = u[pos]
     np.log(np.maximum(x, _TINY_UNIFORM, out=x), out=x)
     k = np.floor(np.divide(x, sys.log_q[row], out=x), out=x).astype(np.int64)
     hit = k > 0
@@ -302,10 +340,57 @@ def sample_rows(dim: int, theta: float, cutoff: float, n_samples: int, base_seed
 def _rows(sys: ClassSystem, n_samples: int, base_seed: int,
           tracked_pos: Sequence[int | None]) -> Iterator[list]:
     """sample_rows without the header; tracked classes given by visit position."""
-    for seed in range(base_seed, base_seed + n_samples):
-        pos, row, k = _draw(sys, seed)
-        yield [seed, pos.size, *(k @ sys.vecs[row]).tolist(),
-               *(_multiplicity_at(pos, k, p) for p in tracked_pos)]
+    _check_seed(base_seed)
+
+    def row(seed: int) -> list:
+        pos, rows, k = _draw(sys, seed)
+        return [seed, pos.size, *(k @ sys.vecs[rows]).tolist(),
+                *(_multiplicity_at(pos, k, p) for p in tracked_pos)]
+
+    seeds = range(base_seed, base_seed + n_samples)
+    pool = _pool() if n_samples > 1 and sys.ncls >= _PARALLEL_MIN_CLASSES else None
+    if pool is None:
+        yield from map(row, seeds)
+        return
+    from concurrent.futures import wait
+
+    window: list = []  # the draws in flight, oldest first
+    try:
+        for seed in seeds:
+            if len(window) == _IN_FLIGHT_PER_WORKER * _cores():
+                yield window.pop(0).result()
+            window.append(pool.submit(row, seed))
+        while window:
+            yield window.pop(0).result()
+    finally:
+        # closed early or failed: drop the draws not started, let the rest end
+        for future in window:
+            future.cancel()
+        wait(window)
+
+
+@functools.cache
+def _cores() -> int:
+    """Cores available to the process."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _pool():
+    """The draw pool, one worker per core, made on first use; None on one core."""
+    if _cores() < 2:
+        return None
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(_cores(), thread_name_prefix="zonocount-draw")
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child has none of the pool's threads: it makes its own
+    os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 def _multiplicity_at(pos: np.ndarray, k: np.ndarray, p: int | None) -> int:

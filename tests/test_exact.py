@@ -436,6 +436,20 @@ def test_planned_limbs_bound_the_build(dim, box):
     assert built <= exact._plan(dim, box) <= built + 1
 
 
+def test_planned_limbs_on_cubes():
+    # the per-axis t_i are one t on a cube: the limbs step up at the n the
+    # single-t bound gave (d = 2 up to 128, d = 3 up to 24, d = 4 up to 10)
+    for dim, top, steps in ((2, 128, [14, 38, 68, 105]), (3, 24, [6, 15]), (4, 10, [4, 9])):
+        limbs = [exact._plan(dim, (n,) * dim) for n in range(1, top + 1)]
+        assert limbs == [1 + sum(n >= s for s in steps) for n in range(1, top + 1)], dim
+
+
+@pytest.mark.parametrize("box, planned", [((1000, 1), 7), ((4000, 1), 17), ((300, 10), 4)])
+def test_planned_limbs_bound_long_boxes(box, planned):
+    # one t_i per axis: a single t for every axis planned 12, 29 and 6 limbs here
+    assert len(build_table(2, box).data) <= exact._plan(2, box) == planned
+
+
 def test_brute_force_node_budget(monkeypatch):
     # (3, 3) has 16 cells and 16 classes: it passes the up-front bound and is
     # stopped by the node count during the search

@@ -1,5 +1,10 @@
 import itertools
 import math
+import multiprocessing
+import threading
+import time
+import warnings
+from sys import getswitchinterval, setswitchinterval
 
 import mpmath
 import numpy as np
@@ -21,6 +26,7 @@ from zonocount import (
     write_polygon_csv,
     write_sample_csv,
 )
+from zonocount import sampler
 from zonocount.sampler import _draw, sample_rows
 
 THETA_1E4 = theta_tilde(2, 1e4)  # 0.052674712735566642
@@ -292,7 +298,7 @@ def test_polygon_dim_guard():
 
 
 def test_negative_seed_is_named():
-    # one check in _draw serves boltzmann_sample, sample_rows and sample_stats
+    # one check serves boltzmann_sample, sample_rows and sample_stats
     for draw in (lambda: boltzmann_sample(2, 1.0, 1e-6, seed=-1),
                  lambda: sample_stats(2, 1.0, 1e-6, 3, base_seed=-2)):
         with pytest.raises(ValueError, match="^seed must be a nonnegative integer$"):
@@ -369,13 +375,29 @@ def test_sparse_draw_matches_dense_formula():
             assert np.array_equal(row, row_of_class[pos])
 
 
+def test_sparse_draw_matches_dense_formula_in_chunks_of_7(monkeypatch):
+    # chunk boundaries then fall inside the classes of one vector
+    monkeypatch.setattr(sampler, "_CHUNK", 7)
+    sys = class_system(4, 0.8, 1e-4)
+    assert set(range(7, sys.ncls, 7)) - set(sys.first.tolist())
+    test_sparse_draw_matches_dense_formula()
+
+
 class _FixedUniforms:
+    # serves u in consecutive slices, as a draw fills its chunks
     def __init__(self, u):
         self.u = u
+        self.at = 0
 
-    def random(self, n):
-        assert n == self.u.size
-        return self.u.copy()
+    def random(self, n=None, out=None):
+        m = n if out is None else out.size
+        assert self.at + m <= self.u.size
+        part = self.u[self.at:self.at + m]
+        self.at += m
+        if out is None:
+            return part.copy()
+        out[...] = part
+        return out
 
 
 def test_sparse_draw_at_uniforms_ulps_around_q(monkeypatch):
@@ -421,3 +443,133 @@ def test_class_system_memory_contract():
         held = sum(a.nbytes for a in vars(sys).values() if isinstance(a, np.ndarray))
         assert held <= 8 * (sys.ncls + (len(sys.vecs) + 1) * (dim + 3))
         assert sys.ncls <= math.comb(sys.l1_max + dim, dim) * 2 ** (dim - 1)
+
+
+def _one_draw_at_a_time(dim, theta, cutoff, n_samples, base_seed, tracked):
+    # the rows of sample_rows, one boltzmann_sample per seed on this thread
+    for seed in range(base_seed, base_seed + n_samples):
+        s = boltzmann_sample(dim, theta, cutoff, seed)
+        mult = dict(s.entries)
+        yield [seed, s.direction_count, *s.endpoint, *(mult.get(cid, 0) for cid in tracked)]
+
+
+def _count_draws(monkeypatch, delay=0.0):
+    # seed and thread name of every draw, each slowed by delay seconds
+    draws = []
+    real = sampler._draw
+
+    def counted(sys, seed):
+        draws.append((seed, threading.current_thread().name))
+        time.sleep(delay)
+        return real(sys, seed)
+
+    monkeypatch.setattr(sampler, "_draw", counted)
+    return draws
+
+
+def _pooled_equals_serial(monkeypatch, dim, theta, cutoff, n_samples, base_seed):
+    draws = _count_draws(monkeypatch)
+    vecs = class_system(dim, theta, cutoff).vecs
+    kept = [(tuple(vecs[0].tolist()), 0), (tuple(vecs[-1].tolist()), 0)]
+    tracked = kept + [((10 ** 6,) + (1,) * (dim - 1), 0)]  # the last is beyond the cutoff
+    rows = list(sample_rows(dim, theta, cutoff, n_samples, base_seed, tracked))[1:]
+    pooled = sample_stats(dim, theta, cutoff, n_samples, base_seed, kept)
+    # every draw ran on the pool, unless the process has one core
+    pool_threads = sampler._cores() > 1
+    assert [name.startswith("zonocount-draw") for _, name in draws] == [pool_threads] * 2 * n_samples
+    assert rows == list(_one_draw_at_a_time(dim, theta, cutoff, n_samples, base_seed, tracked))
+    monkeypatch.setattr(sampler, "_pool", lambda: None)
+    assert sample_stats(dim, theta, cutoff, n_samples, base_seed, kept) == pooled
+
+
+def test_pooled_rows_and_stats_equal_serial_draws(monkeypatch):
+    # d = 2 at the 1e4 saddle has 167,380 classes: its requests use the pool
+    assert class_system(2, THETA_1E4, 1e-12).ncls >= sampler._PARALLEL_MIN_CLASSES
+    _pooled_equals_serial(monkeypatch, 2, THETA_1E4, 1e-12, 24, 5)
+
+
+@pytest.mark.parametrize("dim, theta, cutoff", DRAW_SYSTEMS)
+def test_pooled_rows_equal_serial_draws_on_small_systems(monkeypatch, dim, theta, cutoff):
+    monkeypatch.setattr(sampler, "_PARALLEL_MIN_CLASSES", 1)
+    _pooled_equals_serial(monkeypatch, dim, theta, cutoff, 30, 2)
+
+
+def test_negative_base_seed_is_refused_before_any_draw(monkeypatch):
+    draws = _count_draws(monkeypatch)
+    for n_samples in (1, 40):
+        with pytest.raises(ValueError, match="^seed must be a nonnegative integer$"):
+            sample_stats(2, THETA_1E4, 1e-12, n_samples, base_seed=-3)
+    assert draws == []
+
+
+def test_closing_rows_early_stops_the_draws(monkeypatch):
+    # a million requested samples at 50 ms a draw: at most four per worker are
+    # queued, and closing after two rows drops the queued ones and waits only
+    # for those running, one per worker, plus one more each in a slow spell
+    draws = _count_draws(monkeypatch, delay=0.05)
+    queued = []
+    pool = sampler._pool()
+    if pool is not None:
+        submit = pool.submit
+        monkeypatch.setattr(pool, "submit", lambda fn, seed: queued.append(seed) or submit(fn, seed))
+    rows = sample_rows(2, THETA_1E4, 1e-12, 10 ** 6, 0)
+    next(rows)  # header
+    assert [next(rows)[0], next(rows)[0]] == [0, 1]
+    start = time.perf_counter()
+    rows.close()
+    assert time.perf_counter() - start < 1.0
+    made = len(draws)
+    if pool is None:
+        assert made == 2
+    else:
+        # the first row waited on a full window; taking it queued one more
+        assert queued == list(range(sampler._IN_FLIGHT_PER_WORKER * sampler._cores() + 1))
+        assert 2 <= made <= 2 + 2 * sampler._cores()
+    assert sorted(seed for seed, _ in draws) == list(range(made))
+    time.sleep(0.2)
+    assert len(draws) == made
+
+
+def test_concurrent_requests_keep_their_rows():
+    # eight requests from eight threads at once, each on the pool or, with one
+    # core, drawing in its own thread: a buffer shared between threads would
+    # mix their uniforms
+    want = {seed: list(_one_draw_at_a_time(2, THETA_1E4, 1e-12, 6, seed, ())) for seed in range(8)}
+    got = {}
+    switch = getswitchinterval()
+    setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda s=seed: got.setdefault(
+            s, list(sample_rows(2, THETA_1E4, 1e-12, 6, s))[1:])) for seed in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        setswitchinterval(switch)
+    assert got == want
+
+
+def _rows_in_child(queue):
+    queue.put(list(sample_rows(2, THETA_1E4, 1e-12, 6, 0)))
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+def test_forked_child_makes_its_own_pool():
+    # a child forked once the pool exists has none of its threads: drawing on
+    # the parent's pool it would wait forever
+    want = list(sample_rows(2, THETA_1E4, 1e-12, 6, 0))
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_rows_in_child, args=(queue,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
+        child.start()
+    try:
+        assert queue.get(timeout=60) == want
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
