@@ -20,6 +20,11 @@ values and the constant Pi_d[log(2pi) zeta - zeta'](0), which are checked on
 their own (the last through ln alpha_d), so their gap tests the assembly, not
 those inputs.  The leading-order moment forms (mean diameter, one sign
 class's multiplicity) close the module.
+
+None of kappa_d, ln alpha_d, beta_d, the Q_d coefficients and the zero
+weights W(rho) depends on n, so each is computed once per process: the first
+four are memoized per d, W(rho) for the last 256 (d, zero) pairs.  A warm
+request pays for its own n only; each route still keeps its own formula.
 """
 
 from __future__ import annotations
@@ -98,6 +103,12 @@ def pi_d_zeta_at_zero(d: int) -> Fraction:
 MAX_DIM = 172
 
 
+# Memo of the n-independent constants, keyed by d: _require_dim admits at most
+# MAX_DIM integer d, so every one fits, and the bound caps kappa, which also
+# takes a float d.
+_per_dim = lru_cache(maxsize=256)
+
+
 def _require_dim(d: int) -> None:
     if d < 2:
         raise ValueError("asymptotic formulas require d >= 2")
@@ -106,12 +117,14 @@ def _require_dim(d: int) -> None:
                          f"d <= {MAX_DIM}")
 
 
+@_per_dim
 def kappa(d: int) -> float:
     """kappa_d = 2^(d-1) zeta(d+1)/zeta(d)."""
     _require_dim(d)
     return 2 ** (d - 1) * zeta_real(d + 1) / zeta_real(d)
 
 
+@_per_dim
 def beta_exact(d: int) -> Fraction:
     """Exact power-law exponent beta_d = -(d(d+2) + 4 Pi_d[zeta](0)) / (2(d+1))."""
     _require_dim(d)
@@ -127,6 +140,7 @@ def _pi_d_log_const(d: int) -> float:
     return pi_d_apply(d, lambda s: LOG_2PI * float(zeta_neg_int(-s)) - zeta_deriv_neg_int(-s), 0)
 
 
+@_per_dim
 def alpha_ln(d: int) -> float:
     """ln alpha_d, the constant prefactor of the closed-form estimate:
 
@@ -139,12 +153,15 @@ def alpha_ln(d: int) -> float:
     return acc + 2 * _pi_d_log_const(d) - 0.5 * d * LOG_2PI - 0.5 * math.log(d + 1)
 
 
-def q_poly(d: int) -> list[tuple[int, float]]:
+@_per_dim
+def q_poly(d: int) -> tuple[tuple[int, float], ...]:
     """Coefficients of Q_d as (degree, value), degrees strictly decreasing:
 
     Q_d(X) = (d+1) kappa^(1/(d+1)) X^d
              + sum_{delta=2}^{d-1} p_{d,delta-1} zeta(delta+1)(delta-1)!/zeta(delta)
                                    kappa^(-delta/(d+1)) X^delta.
+
+    Computed once per d and shared by every caller, hence a tuple.
     """
     _require_dim(d)
     kap = kappa(d)
@@ -157,7 +174,7 @@ def q_poly(d: int) -> list[tuple[int, float]]:
         coeff = (float(c) * zeta_real(delta + 1) * math.factorial(delta - 1)
                  / zeta_real(delta) * kap ** (-delta / (d + 1)))
         terms.append((delta, coeff))
-    return terms
+    return tuple(terms)
 
 
 def q_value(d: int, n: float) -> float:
@@ -187,6 +204,7 @@ def _resolve_zeros(zeros: Sequence[ZetaZero] | None) -> Sequence[ZetaZero]:
     return zeros
 
 
+@lru_cache(maxsize=256, typed=True)  # typed: a float d must not read the entry of an int d
 def _zero_weight(d: int, zero: ZetaZero) -> complex:
     """W(rho) = Pi_d[zeta](rho) zeta(rho+1) Gamma(rho) / zeta'(rho)."""
     rho = zero.rho

@@ -253,6 +253,7 @@ def run_self_test() -> int:
     return 0 if failures == 0 else 1
 
 
+@functools.lru_cache(maxsize=None)
 def _poly_recursion_holds(d: int) -> bool:
     pd, pd1, pd2 = (asympt.pd_poly(k).coeffs for k in (d, d + 1, d + 2))
     rhs = [Fraction(0)] * (d + 2)

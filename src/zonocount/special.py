@@ -12,6 +12,10 @@ The complex zeta evaluator is Euler-Maclaurin based,
 
 with N growing linearly in |Im s|.  Left of Re(s) = -1 it switches to the
 functional equation zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s).
+
+refine_zero and the line check of load_zeros_file each remember their last
+256 ordinates, and first_zero is refine_zero's entry for t = 14.1347; a
+zeros file is still read on every call, and no failure is remembered.
 """
 
 from __future__ import annotations
@@ -276,10 +280,12 @@ _FILE_RESIDUAL = 1e-6
 _REFINE_STEPS = 60
 
 
+@lru_cache(maxsize=256)
 def refine_zero(t_guess: float) -> ZetaZero:
     """Polish a zero ordinate by Newton iteration on t -> zeta(1/2 + it).
 
     Raises ZeroVerificationError unless |zeta| < 1e-8 at the refined point.
+    The last 256 guesses that refined are remembered; a failure is not.
     """
     t = float(t_guess)
     for _ in range(_REFINE_STEPS):
@@ -291,10 +297,16 @@ def refine_zero(t_guess: float) -> ZetaZero:
     return ZetaZero(t)
 
 
-@lru_cache(maxsize=1)
 def first_zero() -> ZetaZero:
-    """The first non-trivial zero, located at runtime near t = 14.1347 and cached."""
+    """The first non-trivial zero, located at runtime near t = 14.1347 (refine_zero
+    remembers it)."""
     return refine_zero(FIRST_ZERO_GUESS)
+
+
+@lru_cache(maxsize=256)
+def _line_residual(t: float) -> float:
+    """|zeta(1/2 + it)|, the check load_zeros_file makes of each ordinate."""
+    return abs(zeta_complex(complex(0.5, t)))
 
 
 def load_zeros_file(path) -> list[ZetaZero]:
@@ -302,7 +314,9 @@ def load_zeros_file(path) -> list[ZetaZero]:
 
     Each entry is checked (|zeta(1/2+it)| < 1e-6), then refined; bad entries,
     and entries that refine to the zero of an earlier line, raise
-    ZeroVerificationError naming the offending line.
+    ZeroVerificationError naming the offending line.  The file is read on
+    every call; the check and the refinement of an ordinate are remembered
+    for the last 256 ordinates.
     """
     zeros: list[ZetaZero] = []
     lines: list[int] = []
@@ -318,7 +332,7 @@ def load_zeros_file(path) -> list[ZetaZero]:
             if not 0 < t <= IM_RANGE:
                 raise ZeroVerificationError(
                     f"{path}:{lineno}: ordinate {t:g} outside (0, {IM_RANGE:g}]")
-            residual = abs(zeta_complex(complex(0.5, t)))
+            residual = _line_residual(t)
             if residual >= _FILE_RESIDUAL:
                 raise ZeroVerificationError(
                     f"{path}:{lineno}: |zeta(1/2 + {t:g}i)| = {residual:.3e} >= 1e-6")

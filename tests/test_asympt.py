@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import zonocount.asympt as asympt
 from zonocount import (
     ZetaZero,
     ZeroVerificationError,
@@ -149,6 +150,44 @@ def test_q_poly_values():
     assert dict(q_poly(3)).keys() == {3}
     degrees = [deg for deg, _ in q_poly(6)]
     assert degrees == sorted(degrees, reverse=True)
+
+
+def test_q_poly_is_shared_and_immutable():
+    # memoized per d: a caller that changed the result would change every
+    # later estimate
+    terms = q_poly(4)
+    assert q_poly(4) is terms
+    assert isinstance(terms, tuple) and all(isinstance(t, tuple) for t in terms)
+    with pytest.raises(TypeError):
+        terms[0] = (4, 0.0)
+    with pytest.raises(AttributeError):
+        terms.append((0, 1.0))
+
+
+def test_constants_refuse_on_every_call():
+    # a refused d leaves nothing in a memo for the next call to find
+    for _ in range(2):
+        for const in (kappa, alpha_ln, beta_exact, q_poly):
+            with pytest.raises(ValueError, match="d >= 2"):
+                const(1)
+            with pytest.raises(ValueError, match="d = 173"):
+                const(173)
+    for const in (alpha_ln, beta_exact, q_poly, lambda d: icrit(d, 1e6)):
+        const(2)
+        with pytest.raises(TypeError):  # not answered from the entry of d = 2
+            const(2.0)
+
+
+def test_zero_weight_memo_is_exact_and_bounded():
+    for d in (2, 3, 4):
+        assert asympt._zero_weight(d, first_zero()) == asympt._zero_weight.__wrapped__(
+            d, first_zero())
+    # 300 distinct zeros 1e-12 apart in t, each inside ZetaZero's 1e-8 residual check
+    base = first_zero().imag
+    for k in range(300):
+        asympt._zero_weight(2, ZetaZero(base + k * 1e-12))
+    info = asympt._zero_weight.cache_info()
+    assert info.maxsize == 256 and info.currsize <= 256
 
 
 def test_q_value_at_one_is_coefficient_sum():

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import zonocount.cli as cli
+from zonocount import asympt, special
 from zonocount.cli import COMPARE_COLUMNS, _fmt, main, run_self_test
 
 
@@ -352,6 +354,33 @@ def test_self_test_passes(capsys):
     assert run_self_test() == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def _clear_asymptotic_memos() -> set[str]:
+    cleared = set()
+    for mod in (asympt, special, cli):
+        for name, obj in vars(mod).items():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+                cleared.add(name)
+    return cleared
+
+
+def test_cold_and_warm_memos_print_the_same_bytes(capsys, tmp_path):
+    zeros = tmp_path / "zeros.txt"
+    zeros.write_text("14.134725141734693\n21.022039638771555\n25.010857580145688\n")
+    runs = [("--self-test",)]
+    for d in ("2", "3", "4"):
+        for zero_args in ((), *(("--zeros", str(zeros), "--m", m) for m in "123")):
+            runs += [("asympt", "--dim", d, "--n", "1000", *zero_args),
+                     ("icrit", "--dim", d, "--n", "1e6", *zero_args),
+                     ("compare", "--dim", d, "--n-range", "3:5", *zero_args)]
+    for argv in runs:
+        cleared = _clear_asymptotic_memos()
+        cold = run_cli(capsys, *argv)
+        assert cold[0] == 0 and run_cli(capsys, *argv) == cold, argv
+    assert {"kappa", "alpha_ln", "beta_exact", "q_poly", "_zero_weight", "refine_zero",
+            "_line_residual", "_poly_recursion_holds"} <= cleared
 
 
 def test_big_integers_emitted_as_strings(capsys):

@@ -297,6 +297,54 @@ def test_zeros_file_rejects_a_repeated_zero(tmp_path):
         load_zeros_file(dup)
 
 
+def test_zeros_file_refuses_on_every_load(tmp_path):
+    # a failed check is not remembered: the second load fails the same way
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"{RHO1_T}\n10.0\n")
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ZeroVerificationError, match=r"bad\.txt:2: \|zeta") as exc:
+            load_zeros_file(bad)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
+def test_zeros_file_is_read_on_every_load(tmp_path):
+    path = tmp_path / "zeros.txt"
+    path.write_text(f"{RHO1_T}\n")
+    assert [round(z.imag, 6) for z in load_zeros_file(path)] == [round(RHO1_T, 6)]
+    path.write_text(f"{SECOND_ZERO_T}\n{THIRD_ZERO_T}\n")
+    assert [round(z.imag, 6) for z in load_zeros_file(path)] == [
+        round(SECOND_ZERO_T, 6), round(THIRD_ZERO_T, 6)]
+    path.write_text(f"{RHO1_T}\nfourteen\n")
+    with pytest.raises(ZeroVerificationError, match=r"zeros\.txt:2: not a number"):
+        load_zeros_file(path)
+
+
+def test_repeated_zero_is_caught_between_remembered_ordinates(tmp_path):
+    one = tmp_path / "one.txt"
+    for t in ("14.134725141734693", "14.13472514173"):
+        one.write_text(t + "\n")
+        load_zeros_file(one)
+    dup = tmp_path / "dup.txt"
+    dup.write_text("14.134725141734693\n14.13472514173\n")
+    memos = (special.refine_zero, special._line_residual)
+    misses = [memo.cache_info().misses for memo in memos]
+    with pytest.raises(ZeroVerificationError, match=r"dup\.txt:2: .* zero of line 1$"):
+        load_zeros_file(dup)
+    assert [memo.cache_info().misses for memo in memos] == misses
+
+
+def test_ordinate_memos_are_bounded():
+    for k in range(300):
+        t = RHO1_T + k * 1e-9
+        assert special._line_residual(t) < 1e-6
+        refine_zero(t)
+    for memo in (special.refine_zero, special._line_residual):
+        info = memo.cache_info()
+        assert info.maxsize == 256 and info.currsize <= 256
+
+
 # --- independent oracle: mpmath at 30 digits ----------------------------------
 
 
