@@ -21,9 +21,6 @@ from . import asympt, exact, primitives, sampler, special
 
 SCHEMA_VERSION = 1
 
-COMPARE_COLUMNS = ["n", "ln_z_exact", "ln_alpha", "beta_ln_n", "q_value",
-                   "icrit", "ln_z_hat", "rel_err"]
-
 
 def _fmt(value):
     if isinstance(value, bool) or value is None:
@@ -145,6 +142,8 @@ def cmd_compare(args) -> list[dict]:
 
 def cmd_moments(args) -> list[dict]:
     if args.param == "diameter":
+        if args.v0 is not None:
+            raise ValueError("--v0 applies to --param occurrence only")
         pair = exact.diameter_numerators(args.dim, args.n)
         return [{"dim": args.dim, "n": args.n, "param": "diameter",
                  "count": pair.count, "mean": pair.mean}]

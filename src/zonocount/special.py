@@ -5,13 +5,16 @@ exact Bernoulli numbers, exact zeta values at nonpositive integers, and
 refined non-trivial zeta zeros.  Everything here is double precision except
 the Bernoulli / zeta(-k) layer, which is exact rational.
 
-The complex zeta evaluator is Euler-Maclaurin based,
+One Euler-Maclaurin evaluator gives zeta(s) and zeta'(s) together,
 
     zeta(s) = sum_{n<=N} n^-s + N^(1-s)/(s-1) - N^-s/2
               + sum_{k=1}^{q} B_{2k}/(2k)! * s(s+1)...(s+2k-2) * N^(-s-2k+1),
 
-with N growing linearly in |Im s|.  Left of Re(s) = -1 it switches to the
-functional equation zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s).
+with zeta'(s) its term-by-term derivative and N growing linearly in |Im s|.
+Every zeta and zeta' value below comes from it; a Newton step of refine_zero,
+the check of a ZetaZero and zeta'(-k) for odd k take both from one pass.  Left
+of Re(s) = -1 zeta_complex switches to the functional equation
+zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s).
 
 refine_zero and the line check of load_zeros_file each remember their last
 256 ordinates, and first_zero is refine_zero's entry for t = 14.1347; a
@@ -76,48 +79,37 @@ _B2K_OVER_FACT = [
 ]
 
 
-def _zeta_em_complex(s: complex, n_cut: int) -> complex:
-    """Euler-Maclaurin zeta, valid (with 10 corrections) down to Re(s) > -2."""
+def _zeta_em(s: complex) -> tuple[complex, complex]:
+    """(zeta(s), zeta'(s)) from one Euler-Maclaurin pass with N = max(20, 1.3 |Im s|)
+    and 10 corrections; the derivative is the formula's term by term.  Valid down
+    to Re(s) > -2."""
+    n_cut = max(20, math.ceil(1.3 * abs(s.imag)))
     acc = complex(0.0, 0.0)
+    dacc = complex(0.0, 0.0)
     for n in range(1, n_cut + 1):
-        acc += cmath.exp(-s * math.log(n))
-    log_n = math.log(n_cut)
-    acc += cmath.exp((1 - s) * log_n) / (s - 1)
-    acc -= 0.5 * cmath.exp(-s * log_n)
-    poch = s
-    npow = cmath.exp((-s - 1) * log_n)
-    nsq = math.exp(-2 * log_n)
-    for k in range(_EM_TERMS):
-        acc += _B2K_OVER_FACT[k] * poch * npow
-        poch *= (s + 2 * k + 1) * (s + 2 * k + 2)
-        npow *= nsq
-    return acc
-
-
-def _zeta_em_deriv(s: complex, n_cut: int) -> complex:
-    """Term-by-term derivative of the Euler-Maclaurin formula above."""
-    acc = complex(0.0, 0.0)
-    for n in range(2, n_cut + 1):
         ln = math.log(n)
-        acc -= ln * cmath.exp(-s * ln)
+        term = cmath.exp(-s * ln)
+        acc += term
+        dacc -= ln * term
     log_n = math.log(n_cut)
-    acc += cmath.exp((1 - s) * log_n) * (-log_n / (s - 1) - 1.0 / (s - 1) ** 2)
-    acc += 0.5 * log_n * cmath.exp(-s * log_n)
+    head = cmath.exp((1 - s) * log_n)
+    acc += head / (s - 1)
+    dacc += head * (-log_n / (s - 1) - 1.0 / (s - 1) ** 2)
+    tail = cmath.exp(-s * log_n)
+    acc -= 0.5 * tail
+    dacc += 0.5 * log_n * tail
     poch = s
     dpoch = complex(1.0, 0.0)
     npow = cmath.exp((-s - 1) * log_n)
     nsq = math.exp(-2 * log_n)
     for k in range(_EM_TERMS):
-        acc += _B2K_OVER_FACT[k] * (dpoch - log_n * poch) * npow
+        acc += _B2K_OVER_FACT[k] * poch * npow
+        dacc += _B2K_OVER_FACT[k] * (dpoch - log_n * poch) * npow
         a, b = s + 2 * k + 1, s + 2 * k + 2
         dpoch = dpoch * a * b + poch * (a + b)
         poch *= a * b
         npow *= nsq
-    return acc
-
-
-def _em_cutoff(s: complex) -> int:
-    return max(20, math.ceil(1.3 * abs(s.imag)))
+    return acc, dacc
 
 
 @lru_cache(maxsize=128)
@@ -125,7 +117,7 @@ def zeta_real(s: float) -> float:
     """zeta(s) for real s > 1, absolute error below 1e-14 (Euler-Maclaurin, N = 20)."""
     if s <= 1:
         raise SpecialFunctionError("zeta_real requires s > 1; use zeta_complex for continuation")
-    return _zeta_em_complex(complex(s, 0.0), 20).real
+    return _zeta_em(complex(s, 0.0))[0].real
 
 
 # Lanczos approximation, g = 7, 9 coefficients.
@@ -182,6 +174,16 @@ def gamma_complex(s: complex) -> complex:
     return value
 
 
+def _checked(s) -> complex:
+    """s as a complex number, refused at the pole and beyond |Im s| = IM_RANGE."""
+    s = complex(s)
+    if s == 1:
+        raise SpecialFunctionError("zeta pole at s = 1")
+    if abs(s.imag) > IM_RANGE:
+        raise SpecialFunctionError(f"|Im s| > {IM_RANGE:g} outside configured range")
+    return s
+
+
 def zeta_complex(s: complex) -> complex:
     """zeta(s) for complex s != 1, |Im s| <= 100.
 
@@ -189,28 +191,20 @@ def zeta_complex(s: complex) -> complex:
     functional equation to the left, with relative error below 1e-12 (there
     |zeta| grows like |Im s|^(1/2 - Re s), so the absolute error can reach 1e-8).
     """
-    s = complex(s)
-    if s == 1:
-        raise SpecialFunctionError("zeta pole at s = 1")
-    if abs(s.imag) > IM_RANGE:
-        raise SpecialFunctionError(f"|Im s| > {IM_RANGE:g} outside configured range")
+    s = _checked(s)
     if s.real >= -1.0:
-        return _zeta_em_complex(s, _em_cutoff(s))
+        return _zeta_em(s)[0]
     w = 1 - s
     chi = (2 ** s) * cmath.exp((s - 1) * math.log(math.pi)) * cmath.sin(math.pi * s / 2)
-    return chi * gamma_complex(w) * _zeta_em_complex(w, _em_cutoff(w))
+    return chi * gamma_complex(w) * _zeta_em(w)[0]
 
 
 def zeta_deriv_complex(s: complex) -> complex:
     """zeta'(s) for Re s > 0, s != 1; absolute error below 1e-8."""
     s = complex(s)
-    if s == 1:
-        raise SpecialFunctionError("zeta pole at s = 1")
     if s.real <= 0:
         raise SpecialFunctionError("zeta_deriv_complex requires Re s > 0")
-    if abs(s.imag) > IM_RANGE:
-        raise SpecialFunctionError(f"|Im s| > {IM_RANGE:g} outside configured range")
-    return _zeta_em_deriv(s, _em_cutoff(s))
+    return _zeta_em(_checked(s))[1]
 
 
 def _digamma_positive_int(n: int) -> float:
@@ -234,15 +228,11 @@ def zeta_deriv_neg_int(k: int) -> float:
         return -0.5 * math.log(2 * math.pi)
     sin_k = (0, 1, 0, -1)[k % 4]
     cos_k = (1, 0, -1, 0)[k % 4]
-    zk = zeta_real(k + 1)
     pref = 2.0 ** (-k) * math.pi ** (-k - 1) * math.factorial(k)
-    term = 0.0
-    if sin_k:
-        zdk = _zeta_em_deriv(complex(k + 1, 0.0), 20).real
-        term += -sin_k * ((math.log(2 * math.pi) - _digamma_positive_int(k + 1)) * zk - zdk)
-    if cos_k:
-        term += (math.pi / 2) * cos_k * zk
-    return pref * term
+    if sin_k:  # odd k, so C = 0; one pass gives zeta(k+1) and zeta'(k+1)
+        zk, zdk = (z.real for z in _zeta_em(complex(k + 1, 0.0)))
+        return pref * (-sin_k * ((math.log(2 * math.pi) - _digamma_positive_int(k + 1)) * zk - zdk))
+    return pref * ((math.pi / 2) * cos_k * zeta_real(k + 1))
 
 
 @dataclass(frozen=True)
@@ -257,11 +247,11 @@ class ZetaZero:
     zeta_deriv: complex = field(init=False)
 
     def __post_init__(self):
-        residual = abs(zeta_complex(self.rho))
+        value, deriv = _zeta_em(_checked(self.rho))
+        residual = abs(value)
         if residual >= _ZERO_RESIDUAL:
             raise ZeroVerificationError(
                 f"no zero at t = {self.imag:g}: |zeta(1/2 + it)| = {residual:.3e}")
-        deriv = zeta_deriv_complex(self.rho)
         if deriv == 0:
             raise ZeroVerificationError(f"zero at t = {self.imag:.6f} appears non-simple")
         object.__setattr__(self, "zeta_deriv", deriv)
@@ -289,8 +279,8 @@ def refine_zero(t_guess: float) -> ZetaZero:
     """
     t = float(t_guess)
     for _ in range(_REFINE_STEPS):
-        s = complex(0.5, t)
-        step = (zeta_complex(s) / (1j * zeta_deriv_complex(s))).real
+        value, deriv = _zeta_em(_checked(complex(0.5, t)))
+        step = (value / (1j * deriv)).real
         t -= step
         if abs(step) < 1e-13:
             break

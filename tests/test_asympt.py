@@ -2,6 +2,7 @@ import json
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 import zonocount.asympt as asympt
@@ -16,6 +17,7 @@ from zonocount import (
     icrit,
     icrit_wave_form,
     kappa,
+    log_zon_univariate,
     mean_diameter_asympt,
     mean_occurrence_asympt,
     pd_poly,
@@ -288,6 +290,45 @@ def test_dual_assembly_agreement():
         closed = estimate(d, n).ln_z_hat
         saddle = estimate_saddle_form(d, n)
         assert abs(closed - saddle) < 1e-6, (d, n, closed - saddle)
+
+
+def _shell_weights(d, lmax):
+    """N_d(l) for l <= lmax: the weights 2^(d(v)-1) of the primitive v in N^d with
+    |v|_1 = l, by Moebius inversion of P_d(l) = sum_delta C(d,delta) 2^(delta-1)
+    C(l-1,delta-1), the same sum over all nonzero v (P_d = sum over g | l of N_d(l/g))."""
+    mu = [0, 1] + [0] * (lmax - 1)
+    for g in range(1, lmax + 1):
+        for m in range(2 * g, lmax + 1, g):
+            mu[m] -= mu[g]
+    p_d = [0] + [sum(math.comb(d, k) * 2 ** (k - 1) * math.comb(l - 1, k - 1)
+                     for k in range(1, d + 1)) for l in range(1, lmax + 1)]
+    n_d = [0] * (lmax + 1)
+    for g in range(1, lmax + 1):
+        if mu[g]:
+            for m in range(g, lmax + 1, g):
+                n_d[m] += mu[g] * p_d[m // g]
+    return n_d
+
+
+def test_log_zon_univariate_vs_mpmath_shell_sum():
+    # independent oracle for the saddle route: ln Zon_d(e^-theta) as the shell sum
+    # sum_l N_d(l) (-ln(1 - e^(-theta l))) at 30 digits, cut at l = 80/theta where a
+    # term is below e^-80 l^(d-1).  At d = 2 and 4 the expansion misses no theta
+    # term, only terms of order theta^2 (theta^2 ln theta at d = 2); at d = 3 it
+    # misses the residue at s = -1, c1_M(3) theta = 2/5 theta.
+    with mpmath.workdps(30):
+        for theta in (0.2, 0.1, 0.05):
+            lmax = math.ceil(80 / theta)
+            shells = [-mpmath.log(-mpmath.expm1(-mpmath.mpf(theta) * l))
+                      for l in range(1, lmax + 1)]
+            for d in (2, 3, 4):
+                n_d = _shell_weights(d, lmax)
+                exact = mpmath.fsum(n * term for n, term in zip(n_d[1:], shells))
+                diff = float(exact - log_zon_univariate(d, theta))
+                if d != 3:
+                    assert abs(diff) <= theta ** 2 / 4, (d, theta, diff)
+                elif theta <= 0.1:
+                    assert abs(diff / theta - 0.4) <= 0.005, (theta, diff)
 
 
 def test_mean_diameter_identity_and_value():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import zonocount.cli as cli
 from zonocount import asympt, special
-from zonocount.cli import COMPARE_COLUMNS, _fmt, main, run_self_test
+from zonocount.cli import _fmt, main, run_self_test
 
 
 def run_cli(capsys, *argv):
@@ -53,7 +53,7 @@ def test_compare_header_schema_golden(capsys):
                            "--format", "csv")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == ",".join(COMPARE_COLUMNS)
+    assert lines[0] == "n,ln_z_exact,ln_alpha,beta_ln_n,q_value,icrit,ln_z_hat,rel_err"
     assert len(lines) == 4
     rel_errs = [abs(float(line.split(",")[-1])) for line in lines[1:]]
     assert all(r < 0.05 for r in rel_errs)
@@ -96,6 +96,14 @@ def test_moments_occurrence(capsys):
     code, _, err = run_cli(capsys, "moments", "--dim", "2", "--n", "2",
                            "--param", "occurrence")
     assert code == 2 and "--v0" in err
+
+
+@pytest.mark.parametrize("v0", ["1,1", ""])
+def test_moments_diameter_refuses_v0(capsys, v0):
+    code, out, err = run_cli(capsys, "moments", "--dim", "2", "--n", "2",
+                             "--param", "diameter", "--v0", v0)
+    assert code == 2 and out == ""
+    assert err == "error: --v0 applies to --param occurrence only\n"
 
 
 def test_asympt_includes_both_assembly_routes(capsys):

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -238,6 +239,37 @@ def test_first_zero_refinement():
     assert abs(zeta_complex(z.rho)) < 1e-8
     assert abs(z.zeta_deriv - ZETA_DERIV_RHO1) < 1e-9
     assert abs(abs(z.zeta_deriv) - 0.79316043335650612) < 1e-9
+
+
+def _euler_maclaurin_points(fn) -> list[complex]:
+    """The argument s of every Euler-Maclaurin pass special makes while fn runs."""
+    points = []
+
+    def profile(frame, event, _arg):
+        code = frame.f_code
+        if (event == "call" and code.co_filename == special.__file__
+                and code.co_name.startswith("_zeta_em")):
+            points.append(frame.f_locals["s"])
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return points
+
+
+def test_one_euler_maclaurin_pass_per_point():
+    # a Newton step and the zero's self-check take zeta and zeta' from one pass
+    special.refine_zero.cache_clear()
+    points = _euler_maclaurin_points(first_zero)
+    assert len(points) >= 2 and len(set(points)) == len(points), points
+    assert _euler_maclaurin_points(first_zero) == []  # remembered
+    # zeta'(-k) for odd k needs zeta(k+1) and zeta'(k+1): one pass
+    for k in (1, 3, 5, 11):
+        special.zeta_real.cache_clear()
+        assert _euler_maclaurin_points(lambda: zeta_deriv_neg_int(k)) == [complex(k + 1, 0)], k
 
 
 def test_refine_zero_rejects_non_zero_region(monkeypatch):
