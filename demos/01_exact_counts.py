@@ -34,12 +34,13 @@ print()
 print("== exact first moments at box n*1 ==")
 print("n   mean #generators (= graph diameter)")
 for n in range(1, 7):
-    mu = zc.diameter_moment(2, n)
+    mu = zc.diameter_numerators(2, n).mean
     print(f"{n}   {mu}  ~ {float(mu):.4f}")
 
-mean, var = zc.occurrence_moments(2, 4, (1, 1))
-print(f"\nmultiplicity of one (1,1) sign class at n=4: mean {mean}, variance {var}")
-assert mean == Fraction(*mean.as_integer_ratio())
+pair = zc.occurrence_numerators(2, 4, (1, 1))
+print(f"\nmultiplicity of one (1,1) sign class at n=4: mean {pair.mean}, "
+      f"variance {pair.variance}")
+assert pair.mean == Fraction(*pair.mean.as_integer_ratio())
 
 print()
 print("== three dimensions ==")

@@ -17,7 +17,6 @@ Layers:
 
 from .asympt import (
     AsympEstimate,
-    RationalPoly,
     WaveForm,
     alpha_ln,
     beta_exact,
@@ -45,12 +44,9 @@ from .exact import (
     MomentPair,
     brute_force_count,
     build_table,
-    diameter_moment,
     diameter_numerators,
-    occurrence_moments,
     occurrence_numerators,
     zon_coefficient,
-    zon_cumulative,
 )
 from .primitives import (
     class_weights,

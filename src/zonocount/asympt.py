@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .primitives import _validate_vector
+from .primitives import _primitive
 from .special import (
     ZetaZero,
     first_zero,
@@ -50,20 +50,10 @@ from .special import (
 LOG_2PI = math.log(2 * math.pi)
 
 
-@dataclass(frozen=True)
-class RationalPoly:
-    """Polynomial with exact rational coefficients, index = degree."""
-
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) > 1 and self.coeffs[-1] == 0:
-            raise ValueError("trailing coefficient must be nonzero")
-
-
 @lru_cache(maxsize=None)
-def pd_poly(d: int) -> RationalPoly:
-    """P_d with exact coefficients; degree d-1, leading coefficient 2^(d-1)/(d-1)!.
+def pd_poly(d: int) -> tuple[Fraction, ...]:
+    """The exact coefficients of P_d, index = degree; degree d-1, leading
+    coefficient 2^(d-1)/(d-1)!.
 
     Built by the recursion P_{k+1} = (2X/k) P_k + P_{k-1} from P_0 = 0 and
     P_1 = 1, in O(d^2) operations; only terms of parity d-1 occur.
@@ -76,13 +66,13 @@ def pd_poly(d: int) -> RationalPoly:
         for i, c in enumerate(prev):
             nxt[i] += c
         prev, cur = cur, nxt
-    return RationalPoly(tuple(cur))
+    return tuple(cur)
 
 
 def pi_d_apply(d: int, f: Callable[[complex], complex], s: complex) -> complex:
     """Apply Pi_d to f at s: sum over nonzero p_{d,delta} of p_{d,delta} f(s - delta)."""
     acc: complex = 0
-    for delta, c in enumerate(pd_poly(d).coeffs):
+    for delta, c in enumerate(pd_poly(d)):
         if c != 0:
             acc += float(c) * f(s - delta)
     return acc
@@ -92,7 +82,7 @@ def pi_d_apply(d: int, f: Callable[[complex], complex], s: complex) -> complex:
 def pi_d_zeta_at_zero(d: int) -> Fraction:
     """Exact Pi_d[zeta](0) = sum p_{d,delta} zeta(-delta)."""
     return sum(
-        (c * zeta_neg_int(delta) for delta, c in enumerate(pd_poly(d).coeffs) if c != 0),
+        (c * zeta_neg_int(delta) for delta, c in enumerate(pd_poly(d)) if c != 0),
         Fraction(0),
     )
 
@@ -165,7 +155,7 @@ def q_poly(d: int) -> tuple[tuple[int, float], ...]:
     """
     _require_dim(d)
     kap = kappa(d)
-    pd = pd_poly(d).coeffs
+    pd = pd_poly(d)
     terms = [(d, (d + 1) * kap ** (1.0 / (d + 1)))]
     for delta in range(d - 1, 1, -1):
         c = pd[delta - 1]
@@ -319,7 +309,7 @@ def log_zon_univariate(d: int, theta: float,
     if theta <= 0:
         raise ValueError("theta must be positive")
     const = 2 * _pi_d_log_const(d)  # first: it refuses the d whose (d - 1)! overflows below
-    pd = pd_poly(d).coeffs
+    pd = pd_poly(d)
     acc = 0.0
     for delta in range(1, d):
         c = pd[delta]
@@ -365,8 +355,6 @@ def mean_occurrence_asympt(d: int, n: float, v0: Sequence[int]) -> tuple[float, 
     x/2 - x^2/12 + ... below 1/x; its exact variance e^x/(e^x - 1)^2 differs
     from 1/x^2 by a relative O(x^2)."""
     _require_dim(d)
-    coords = _validate_vector(v0, d)
-    if math.gcd(*coords) != 1:
-        raise ValueError(f"v0 = {coords} is not primitive")
+    coords = _primitive(v0, d, "v0")
     mean = 1.0 / (theta_tilde(d, n) * sum(coords))
     return mean, mean * mean

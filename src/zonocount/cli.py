@@ -17,7 +17,7 @@ import math
 import sys
 from fractions import Fraction
 
-from . import asympt, exact, primitives, sampler, special
+from . import asympt, exact, sampler, special
 
 SCHEMA_VERSION = 1
 
@@ -82,12 +82,16 @@ def _parse_v0(text: str) -> tuple[int, ...]:
         raise ValueError(f"--v0 expects V1,...,Vd, got {text!r}") from None
 
 
-def _parse_class(text: str) -> sampler.ClassId:
+def _parse_class(text: str, dim: int) -> sampler.ClassId:
     coords, sep, idx = text.partition(":")
     try:
-        return (_parse_v0(coords), int(idx) if sep else 0)
+        class_id = (_parse_v0(coords), int(idx) if sep else 0)
     except ValueError:
         raise ValueError(f"--track expects V1,...,Vd[:SIGN], got {text!r}") from None
+    try:
+        return sampler._class_id(dim, class_id)
+    except ValueError as exc:
+        raise ValueError(f"--track {text}: {exc}") from None
 
 
 def _load_zeros(args) -> list[special.ZetaZero]:
@@ -150,9 +154,9 @@ def cmd_moments(args) -> list[dict]:
     if not args.v0:
         raise ValueError("--v0 is required for occurrence moments")
     v0 = _parse_v0(args.v0)
-    mean, variance = exact.occurrence_moments(args.dim, args.n, v0)
+    pair = exact.occurrence_numerators(args.dim, args.n, v0)
     return [{"dim": args.dim, "n": args.n, "param": "occurrence",
-             "v0": ",".join(map(str, v0)), "mean": mean, "variance": variance}]
+             "v0": ",".join(map(str, v0)), "mean": pair.mean, "variance": pair.variance}]
 
 
 def cmd_asympt(args) -> list[dict]:
@@ -190,11 +194,7 @@ def cmd_sample(args) -> list[dict]:
         theta = _finite(args.theta, "--theta")
     else:
         theta = asympt.theta_tilde(args.dim, _finite(args.n, "--n"))
-    tracked = [_parse_class(t) for t in args.track or []]
-    for coords, j in tracked:
-        if len(coords) != args.dim or not primitives.is_primitive(coords, args.dim):
-            raise ValueError(f"--track {coords} is not a primitive vector in dim {args.dim}")
-        primitives.signed_representative(coords, j)  # rejects an out-of-range sign index
+    tracked = [_parse_class(t, args.dim) for t in args.track or []]
     values = sampler.sample_rows(args.dim, theta, args.cutoff, args.samples, args.seed, tracked)
     columns = next(values)
     rows = [dict(zip(columns, row)) for row in values]
@@ -223,8 +223,7 @@ def run_self_test() -> int:
         4: (Fraction(0), Fraction(8, 3), Fraction(0), Fraction(4, 3)),
     }
     for d, coeffs in p_expected.items():
-        check(f"P_{d} coefficients", asympt.pd_poly(d).coeffs == coeffs,
-              f"got {asympt.pd_poly(d).coeffs}")
+        check(f"P_{d} coefficients", asympt.pd_poly(d) == coeffs, f"got {asympt.pd_poly(d)}")
     rec_ok = all(
         _poly_recursion_holds(d) for d in range(1, 13)
     )
@@ -245,7 +244,7 @@ def run_self_test() -> int:
     for dim, n, want in ((2, 1, 3), (2, 2, 10), (3, 1, 11)):
         got = exact.zon_coefficient(dim, n)
         check(f"z_{dim}({n}) = {want}", got == want, f"got {got}")
-    check("diameter mean (2,1) = 4/3", exact.diameter_moment(2, 1) == Fraction(4, 3))
+    check("diameter mean (2,1) = 4/3", exact.diameter_numerators(2, 1).mean == Fraction(4, 3))
     diff = abs(asympt.estimate(2, 10 ** 4).ln_z_hat - asympt.estimate_saddle_form(2, 10 ** 4))
     check("dual assembly at d=2, n=1e4", diff < 1e-6, f"diff {diff:.3e}")
     print("self-test:", "PASS" if failures == 0 else f"{failures} FAILURE(S)")
@@ -254,7 +253,7 @@ def run_self_test() -> int:
 
 @functools.lru_cache(maxsize=None)
 def _poly_recursion_holds(d: int) -> bool:
-    pd, pd1, pd2 = (asympt.pd_poly(k).coeffs for k in (d, d + 1, d + 2))
+    pd, pd1, pd2 = (asympt.pd_poly(k) for k in (d, d + 1, d + 2))
     rhs = [Fraction(0)] * (d + 2)
     for i, c in enumerate(pd1):
         rhs[i + 1] += Fraction(2, d + 1) * c

@@ -71,6 +71,7 @@ from .primitives import (
     MemoryBudgetError,
     _approx,
     _charge,
+    _primitive,
     _validate_vector,
     class_weights,
     count_classes_moebius,
@@ -106,7 +107,7 @@ class CoeffTable:
     ``data`` holds the coefficients as uint64 limbs with lazy carries, shape
     (k, *(bound + 1)) (see the module docstring); ``ceiling`` bounds every
     entry.  Values become Python ints only where they are read
-    (``coefficient``, ``total``, ``cells``).
+    (``coefficient``, ``total`` and the moment numerators).
     """
 
     __slots__ = ("dim", "bound", "shape", "data", "ceiling")
@@ -154,11 +155,6 @@ class CoeffTable:
         if any(c > b for c, b in zip(et, self.bound)):
             raise ValueError(f"index {et} outside bound {self.bound}")
         return et
-
-    @property
-    def cells(self) -> list[int]:
-        """Every coefficient, flat in row-major order."""
-        return self._read(())
 
     def coefficient(self, e) -> int:
         return self._read(self._index(e))[0]
@@ -411,12 +407,6 @@ def zon_coefficient(dim: int, n) -> int:
     return shared_table(dim, bt).coefficient(bt)
 
 
-def zon_cumulative(dim: int, n: int) -> int:
-    """Exact number of lattice zonotopes whose bounding box fits inside [0,n]^d."""
-    box = (n,) * dim
-    return shared_table(dim, box).total(box)
-
-
 @dataclass(frozen=True)
 class MomentPair:
     """Coefficient-level numerators for a marked parameter at one box size."""
@@ -453,11 +443,6 @@ def diameter_numerators(dim: int, n: int) -> MomentPair:
     return MomentPair(count=z.coefficient(n), weighted=sum(w * t for w, t in terms))
 
 
-def diameter_moment(dim: int, n: int) -> Fraction:
-    """Exact mean diameter (= mean number of generators) at box n*1."""
-    return diameter_numerators(dim, n).mean
-
-
 def occurrence_numerators(dim: int, n: int, v0: Sequence[int]) -> MomentPair:
     """First and second moment numerators of the multiplicity of one sign class.
 
@@ -467,9 +452,7 @@ def occurrence_numerators(dim: int, n: int, v0: Sequence[int]) -> MomentPair:
     sum_k (2k-1) Z[n - k v0] over k >= 1.
     """
     bt = _validate_vector(n, dim)
-    v0t = _validate_vector(v0, dim)
-    if math.gcd(*v0t) != 1:
-        raise ValueError(f"v0 = {v0t} is not primitive")
+    v0t = _primitive(v0, dim, "v0")
     if any(c > b for c, b in zip(v0t, bt)):
         raise ValueError(f"v0 = {v0t} exceeds bound {bt}")
     z = shared_table(dim, bt)
@@ -480,12 +463,6 @@ def occurrence_numerators(dim: int, n: int, v0: Sequence[int]) -> MomentPair:
         weighted=sum(chain),
         weighted2=sum((2 * k - 1) * t for k, t in enumerate(chain, 1)),
     )
-
-
-def occurrence_moments(dim: int, n: int, v0: Sequence[int]) -> tuple[Fraction, Fraction]:
-    """Exact (mean, variance) of the multiplicity of sign class v0 at box n*1."""
-    pair = occurrence_numerators(dim, n, v0)
-    return pair.mean, pair.variance
 
 
 @dataclass

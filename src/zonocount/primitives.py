@@ -71,6 +71,14 @@ def is_primitive(v: Sequence[int], dim: int) -> bool:
     return math.gcd(*vt) == 1
 
 
+def _primitive(v: Sequence[int], dim: int, name: str) -> tuple[int, ...]:
+    """v as a tuple of dim ints (_validate_vector), refused by `name` unless primitive."""
+    vt = _validate_vector(v, dim)
+    if math.gcd(*vt) != 1:
+        raise ValueError(f"{name} = {vt} is not primitive")
+    return vt
+
+
 def _concat_aranges(lengths: np.ndarray) -> np.ndarray:
     """arange(n) for each n in lengths, concatenated."""
     starts = np.repeat(np.cumsum(lengths) - lengths, lengths)

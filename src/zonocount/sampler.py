@@ -34,6 +34,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -45,6 +46,7 @@ from .asympt import pd_poly
 from .primitives import (
     _approx,
     _charge,
+    _primitive,
     class_weights,
     primitive_array,
     signed_representative,
@@ -148,6 +150,16 @@ class ZonotopeSample:
     direction_count: int
 
 
+def _class_id(dim: int, class_id: ClassId) -> ClassId:
+    """class_id as (tuple of ints, int), refused with ValueError unless it names
+    a sign class in dim: dim coordinates, primitive, a sign index in range."""
+    coords, j = class_id
+    coords = _primitive(coords, dim, "class vector")
+    j = operator.index(j)
+    signed_representative(coords, j)  # rejects an out-of-range sign index
+    return coords, j
+
+
 def _check_seed(seed: int) -> None:
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
@@ -221,7 +233,7 @@ def _truncation_bias(sys: ClassSystem) -> float:
     # sum_{n >= N} P_d(n) x^n = x^N sum_{k<d} Delta^k P_d(N) x^k / (1 - x)^(k+1).
     # Delta^k P_d(N) >= 0 for N >= 1, so no term cancels another.
     n0 = sys.l1_max + 1
-    coeffs = pd_poly(sys.dim).coeffs
+    coeffs = pd_poly(sys.dim)
     diffs = [sum(c * n ** i for i, c in enumerate(coeffs)) for n in range(n0, n0 + sys.dim)]
     one_minus_x = -math.expm1(-sys.theta)
     acc = 0.0
@@ -262,11 +274,14 @@ class SampleStats:
 
 def sample_stats(dim: int, theta: float, cutoff: float, n_samples: int,
                  base_seed: int, tracked: Sequence[ClassId] = ()) -> SampleStats:
-    """Empirical moments of direction count, endpoint, and tracked multiplicities."""
+    """Empirical moments of direction count, endpoint, and tracked multiplicities.
+
+    A tracked id that names no sign class in dim raises ValueError, a class
+    beyond the cutoff KeyError."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
+    tracked_ids = [_class_id(dim, cid) for cid in tracked]
     sys = class_system(dim, theta, cutoff)
-    tracked_ids = [(tuple(c), int(j)) for c, j in tracked]
     pos = [sys.index_of(cid) for cid in tracked_ids]  # KeyError beyond cutoff
     q = sys.q[np.searchsorted(sys.first, pos, "right") - 1]
     # one contiguous row per column: direction count, endpoint, tracked K
@@ -322,9 +337,10 @@ def sample_rows(dim: int, theta: float, cutoff: float, n_samples: int, base_seed
                 tracked: Sequence[ClassId] = ()) -> Iterator[list]:
     """Header row, then one row per seed base_seed, base_seed+1, ...: seed,
     direction count, endpoint, tracked multiplicities (column omega_<v>_c<j>
-    for class (v, j); 0 for a class beyond the cutoff)."""
+    for class (v, j); 0 for a class beyond the cutoff, and ValueError for an
+    id that names no sign class in dim)."""
+    tracked_ids = [_class_id(dim, cid) for cid in tracked]
     sys = class_system(dim, theta, cutoff)
-    tracked_ids = [(tuple(c), int(j)) for c, j in tracked]
     yield (["seed", "direction_count"]
            + [f"endpoint_{i}" for i in range(dim)]
            + ["omega_" + "_".join(map(str, c)) + f"_c{j}" for c, j in tracked_ids])

@@ -320,6 +320,27 @@ def test_validation_errors():
         ClassSystem(2, 1e-9, 1e-12)
 
 
+def test_tracked_ids_that_name_no_sign_class_are_refused(monkeypatch):
+    # a column of zeros (sample_rows) or "not within cutoff" (sample_stats)
+    # would say nothing about a class that does not exist: both refuse it by
+    # name, before the class system is built
+    def refuse(*args):
+        raise AssertionError("built a class system for a bad tracked id")
+
+    for bad, message in [(((2, 2), 0), "not primitive"), (((0, 0), 0), "not primitive"),
+                         (((1, 1), 5), "sign index"), (((1, 0), 1), "sign index"),
+                         (((1, 1), -1), "sign index"), (((1, 1, 1), 0), "expected 2"),
+                         (((1,), 0), "expected 2"), (((-1, 1), 0), ">= 0")]:
+        with monkeypatch.context() as m:
+            m.setattr(sampler, "class_system", refuse)
+            with pytest.raises(ValueError, match=message):
+                next(sample_rows(2, 0.5, 1e-6, 2, 7, [bad]))
+            with pytest.raises(ValueError, match=message):
+                sample_stats(2, 0.5, 1e-6, 2, 7, tracked=[bad])
+    # a list of coordinates and a numpy sign index name a class as well
+    assert next(sample_rows(2, 1.2, 1e-3, 1, 0, [([1, 1], np.int64(1))]))[-1] == "omega_1_1_c1"
+
+
 def test_csv_outputs(tmp_path):
     sample_path = tmp_path / "samples.csv"
     write_sample_csv(sample_path, 2, 0.5, 1e-6, 5, 7, tracked=[((1, 1), 0)])
@@ -471,7 +492,8 @@ def _pooled_equals_serial(monkeypatch, dim, theta, cutoff, n_samples, base_seed)
     draws = _count_draws(monkeypatch)
     vecs = class_system(dim, theta, cutoff).vecs
     kept = [(tuple(vecs[0].tolist()), 0), (tuple(vecs[-1].tolist()), 0)]
-    tracked = kept + [((10 ** 6,) + (1,) * (dim - 1), 0)]  # the last is beyond the cutoff
+    # and one class beyond the cutoff; in dim 1 (1,) is the only class, and it is kept
+    tracked = kept + ([((10 ** 6,) + (1,) * (dim - 1), 0)] if dim > 1 else [])
     rows = list(sample_rows(dim, theta, cutoff, n_samples, base_seed, tracked))[1:]
     pooled = sample_stats(dim, theta, cutoff, n_samples, base_seed, kept)
     # every draw ran on the pool, unless the process has one core
