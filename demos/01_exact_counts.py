@@ -40,7 +40,13 @@ for n in range(1, 7):
 pair = zc.occurrence_numerators(2, 4, (1, 1))
 print(f"\nmultiplicity of one (1,1) sign class at n=4: mean {pair.mean}, "
       f"variance {pair.variance}")
-assert pair.mean == Fraction(*pair.mean.as_integer_ratio())
+# the brute-force tallies of that class: sum of K and of K^2 over all zonotopes
+brute = zc.brute_force_count(2, (4, 4))
+k_sum, k2_sum = brute.occurrence[((1, 1), 0)]
+mean = Fraction(k_sum, brute.count)
+variance = Fraction(k2_sum, brute.count) - mean * mean
+tag = "ok" if (pair.mean, pair.variance) == (mean, variance) else "MISMATCH"
+print(f"brute force: mean {mean}, variance {variance}  [{tag}]")
 
 print()
 print("== three dimensions ==")

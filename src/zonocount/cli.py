@@ -4,6 +4,13 @@ Subcommands wrap the library layers and emit either JSON (schema-versioned
 envelope, floats at 15 significant digits, big integers and exact rationals
 as strings) or CSV.  `--self-test` runs the embedded golden suite and exits
 nonzero on any mismatch.
+
+A request pays for one argparse pass: when the first argument names a
+subcommand, main parses the rest with that subcommand's parser alone, which
+is what the top-level parser would hand them to.  The JSON text is written
+directly, scalar by scalar with the json module's C string encoder; its bytes
+are those of json.dumps(envelope, indent=2) plus a newline, which with an
+indent would take json's pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -12,10 +19,10 @@ import argparse
 import csv
 import functools
 import io
-import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import asympt, exact, sampler, special
 
@@ -26,30 +33,62 @@ def _fmt(value):
     if isinstance(value, bool) or value is None:
         return value
     if isinstance(value, float):
-        return float(f"{value:.15g}")
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        rounded = float(f"{value:.15g}")
+        # within rounding of the largest double the 15 digits overflow
+        return value if math.isinf(rounded) else rounded
     if isinstance(value, int):
         # big counts do not survive double-precision JSON parsers
         return str(value) if abs(value) >= 2 ** 53 else value
+    if isinstance(value, Fraction):  # after int: an ABC check, the slower one
+        return f"{value.numerator}/{value.denominator}"
     return value
 
 
-def _emit(rows: list[dict], command: str, fmt: str, output) -> None:
+def _cell(key: str, value):
+    """_fmt(value); ValueError for a float that is not finite (not valid JSON)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{key} is not finite: {value}")
+    return _fmt(value)
+
+
+def _json(value) -> str:
+    """A value _fmt returns, as json.dumps writes it."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_envelope(command: str, rows: list[dict]) -> str:
+    """json.dumps of the envelope with indent=2, and a newline."""
+    items = []
     for row in rows:
-        for key, value in row.items():
-            if isinstance(value, float) and not math.isfinite(value):  # not valid JSON
-                raise ValueError(f"{key} is not finite: {value}")
-    rows = [{k: _fmt(v) for k, v in row.items()} for row in rows]
+        fields = ",\n      ".join([f"{_json_str(k)}: {_json(_cell(k, v))}" for k, v in row.items()])
+        items.append("{\n      " + fields + "\n    }" if fields else "{}")
+    listing = "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+    return (f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "command": {_json_str(command)},'
+            f'\n  "rows": {listing}\n}}\n')
+
+
+def _emit(rows: list[dict], command: str, fmt: str, output) -> None:
     if fmt == "json":
-        doc = {"schema_version": SCHEMA_VERSION, "command": command, "rows": rows}
-        text = json.dumps(doc, indent=2) + "\n"
+        text = _json_envelope(command, rows)
     else:
+        table = [[_cell(k, v) for k, v in row.items()] for row in rows]
         buf = io.StringIO()
         if rows:
             writer = csv.writer(buf, lineterminator="\n")
             writer.writerow(rows[0].keys())
-            writer.writerows(row.values() for row in rows)
+            writer.writerows(table)
         text = buf.getvalue()
     if output:
         with open(output, "w", encoding="utf-8") as fh:
@@ -262,8 +301,14 @@ def _poly_recursion_holds(d: int) -> bool:
     return tuple(rhs) == pd2
 
 
-@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The zonocount argument parser, made once per process."""
+    return _parsers()[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser, by name."""
     parser = argparse.ArgumentParser(
         prog="zonocount",
         description="Exact counts, asymptotic estimates, and random sampling of "
@@ -319,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sign class to record, e.g. 1,1:0 (repeatable)")
     p.add_argument("--polygon-out", help="write the first sample's polygon CSV (dim 2)")
     p.set_defaults(format="csv")
-    return parser
+    return parser, sub.choices
 
 
 _HANDLERS = {
@@ -333,8 +378,17 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    parser, subcommands = _parsers()
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] in subcommands:
+        # what parser.parse_args does, without its own pass over the arguments
+        args, extra = subcommands[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(self_test=False, command=argv[0]))
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    else:
+        args = parser.parse_args(argv)
     if args.self_test:
         if args.command is not None:
             parser.error("--self-test does not take a subcommand")

@@ -12,9 +12,10 @@ One Euler-Maclaurin evaluator gives zeta(s) and zeta'(s) together,
 
 with zeta'(s) its term-by-term derivative and N growing linearly in |Im s|.
 Every zeta and zeta' value below comes from it; a Newton step of refine_zero,
-the check of a ZetaZero and zeta'(-k) for odd k take both from one pass.  Left
-of Re(s) = -1 zeta_complex switches to the functional equation
-zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s).
+the check of a ZetaZero and zeta'(-k) for odd k take both from one pass, and
+a refined zero whose last Newton step left t unchanged is checked on that
+step's pass.  Left of Re(s) = -1 zeta_complex switches to the functional
+equation zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s).
 
 refine_zero and the line check of load_zeros_file each remember their last
 256 ordinates, and first_zero is refine_zero's entry for t = 14.1347; a
@@ -247,7 +248,17 @@ class ZetaZero:
     zeta_deriv: complex = field(init=False)
 
     def __post_init__(self):
-        value, deriv = _zeta_em(_checked(self.rho))
+        self._check(*_zeta_em(_checked(self.rho)))
+
+    @classmethod
+    def _at(cls, imag: float, value: complex, deriv: complex) -> ZetaZero:
+        """The zero at imag, checked on zeta and zeta' already evaluated there."""
+        zero = cls.__new__(cls)
+        object.__setattr__(zero, "imag", imag)
+        zero._check(value, deriv)
+        return zero
+
+    def _check(self, value: complex, deriv: complex) -> None:
         residual = abs(value)
         if residual >= _ZERO_RESIDUAL:
             raise ZeroVerificationError(
@@ -279,12 +290,14 @@ def refine_zero(t_guess: float) -> ZetaZero:
     """
     t = float(t_guess)
     for _ in range(_REFINE_STEPS):
+        at = t
         value, deriv = _zeta_em(_checked(complex(0.5, t)))
         step = (value / (1j * deriv)).real
         t -= step
         if abs(step) < 1e-13:
             break
-    return ZetaZero(t)
+    # a last step that left t where it was evaluated zeta and zeta' at t already
+    return ZetaZero._at(t, value, deriv) if t == at else ZetaZero(t)
 
 
 def first_zero() -> ZetaZero:

@@ -302,12 +302,13 @@ def test_asympt_factorial_overflow_is_error(capsys):
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 8, 65, 100])
-@pytest.mark.parametrize("n", ["5e307", "1e308", "1.7e308"])
+@pytest.mark.parametrize("n", ["5e307", "1e308", "1.7e308", "1.7976931348623157e308"])
 def test_asympt_finite_near_float_max(capsys, dim, n):
-    # d n theta must not overflow where n theta = O(n^(d/(d+1))) is finite
+    # d n theta must not overflow where n theta = O(n^(d/(d+1))) is finite;
+    # nor may n, echoed at 15 digits, round past the largest double
     code, out, err = run_cli(capsys, "asympt", "--dim", str(dim), "--n", n)
     assert code == 0 and not err
-    row = json.loads(out)["rows"][0]
+    row = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in the output"))["rows"][0]
     assert all(math.isfinite(v) for v in row.values() if isinstance(v, float))
     assert abs(row["assembly_diff"]) < 1e-9 * abs(row["ln_z_hat"])
 
@@ -356,6 +357,124 @@ def test_subcommand_required(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+class _Parsed(Exception):
+    """Raised in place of a handler or the self-test, with what main parsed."""
+
+
+# every subcommand, --flag=value forms, a missing required flag, unknown and
+# leftover arguments after a subcommand, a bad choice, a bad int, help, and
+# the argv lists that go to the top-level parser
+ARGV_CORPUS = [
+    ["count", "--dim", "2", "--n", "3"],
+    ["count", "--dim=2", "--n-range=1:4", "--cumulative", "--format=csv"],
+    ["count", "--dim", "2", "--n", "3", "--cum"],
+    ["compare", "--dim", "3", "--n-range", "3:5", "--zeros", "zeros.txt", "--m", "2"],
+    ["moments", "--dim", "2", "--n", "4", "--param", "occurrence", "--v0", "1,1"],
+    ["moments", "--dim=3", "--n=2", "--param=diameter", "--output=out.json"],
+    ["asympt", "--dim", "3", "--n", "1e6"],
+    ["icrit", "--dim", "2", "--n", "1e5", "--m", "1", "--format", "csv"],
+    ["sample", "--dim", "2", "--n", "1000", "--track", "1,1:0", "--track", "1,0", "--seed=4"],
+    ["sample", "--dim", "2", "--theta", "0.5", "--format", "json", "--polygon-out", "p.csv"],
+    ["count", "--n", "3"],
+    ["moments", "--dim", "2", "--n", "4"],
+    ["count", "--dim", "2", "--n", "3", "--bogus"],
+    ["count", "--dim", "2", "--n", "3", "--bogus=1", "extra", "words"],
+    ["asympt", "--dim", "2", "--n", "1e4", "--", "--m", "2"],
+    ["count", "--self-test"],
+    ["count", "--dim", "2", "--n", "3", "--self-test"],
+    ["sample", "-h"],
+    ["icrit", "--help"],
+    ["moments", "--dim", "2", "--n", "4", "--param", "mean"],
+    ["count", "--dim", "2", "--n", "3", "--format", "xml"],
+    ["count", "--dim", "2.5", "--n", "3"],
+    ["asympt", "--dim", "2", "--n", "lots"],
+    ["--self-test"],
+    ["--self-test", "count", "--dim", "2", "--n", "3"],
+    ["-h"],
+    [],
+    ["frobnicate", "--dim", "2"],
+    ["--dim", "2", "count"],
+]
+
+
+@pytest.mark.parametrize("argv", ARGV_CORPUS, ids=" ".join)
+def test_main_parses_as_the_top_level_parser(capsys, monkeypatch, argv):
+    # main parses a subcommand's arguments with that subcommand's parser
+    # alone: it must hand on the Namespace, print the text and exit with the
+    # code that one pass of the top-level parser gives
+    try:
+        want, want_code = cli.build_parser().parse_args(argv), None
+    except SystemExit as exc:
+        want, want_code = None, exc.code
+    want_out = capsys.readouterr()
+
+    def parsed(args=None):
+        raise _Parsed(args)
+
+    for name in cli._HANDLERS:
+        monkeypatch.setitem(cli._HANDLERS, name, parsed)
+    monkeypatch.setattr(cli, "run_self_test", parsed)
+    got, code = None, None
+    try:
+        main(argv)
+    except _Parsed as exc:
+        got = exc.args[0]
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    if want is None:
+        assert (code, out.out, out.err) == (want_code, want_out.out, want_out.err)
+        assert got is None
+    elif want.self_test:  # main's own checks of the top-level parse
+        assert code == (2 if want.command else None) and got is None
+        assert ("does not take a subcommand" in out.err) == (code == 2)
+    elif want.command is None:
+        assert code == 2 and "a subcommand is required" in out.err
+    else:
+        assert got == want and (code, out.out, out.err) == (None, "", "")
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    argv = ["count", "--dim", "2", "--n", "3"]
+    monkeypatch.setattr("sys.argv", ["zonocount", *argv])
+    assert main() == 0
+    assert capsys.readouterr().out == run_cli(capsys, *argv)[1]
+
+
+def test_an_ambiguous_option_after_a_subcommand_is_refused(capsys):
+    # "--=x" is a prefix of every long option; the subcommand's parser names
+    # its own options where one top-level pass named --help and --self-test
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--dim", "2", "--=x"])
+    assert exc.value.code == 2
+    assert "zonocount count: error: ambiguous option: --=x could match" in capsys.readouterr().err
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(), st.integers(-2 ** 60, 2 ** 60),
+    st.sampled_from([2 ** 53 - 1, 2 ** 53, -2 ** 53, -2 ** 53 + 1, 2 ** 64]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 1e-320, 5e-324, 1.7976931348623157e308, 1e16, 1e-5, 0.1]),
+    st.fractions(),
+    st.text(), st.text(alphabet=st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600a')),
+)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.one_of(st.sampled_from(sorted(cli._HANDLERS)), st.text()),
+       rows=st.lists(st.dictionaries(st.text(), _JSON_SCALARS, max_size=6), max_size=4))
+@example(command="count", rows=[])
+@example(command="count", rows=[{}])
+@example(command="asympt", rows=[{}, {"n": -0.0, "q": 1.5e300, 'a"\\': "\u00e9\n", "big": 2 ** 53}])
+def test_json_bytes_are_those_of_json_dumps(capsys, command, rows):
+    cli._emit(rows, command, "json", None)
+    doc = {"schema_version": 1, "command": command,
+           "rows": [{k: _fmt(v) for k, v in row.items()} for row in rows]}
+    assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
 
 
 def test_self_test_passes(capsys):

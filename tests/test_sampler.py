@@ -384,24 +384,33 @@ DRAW_SYSTEMS = [(1, math.log(2), 0.4), (2, 0.05, 0.5), (2, 1.2, 1e-3), (2, 3.0, 
                 (3, 0.9, 1e-6), (3, 20.0, 1e-300), (4, 0.8, 1e-4), (4, 100.0, 1e-300)]
 
 
+def _assert_draws_match_dense(dim, theta, cutoff):
+    sys = class_system(dim, theta, cutoff)
+    row_of_class = _per_class(sys, np.arange(len(sys.vecs)))
+    for seed in range(200):
+        mult = _dense_multiplicities(sys, np.random.default_rng(seed).random(sys.ncls))
+        pos, row, k = _draw(sys, seed)
+        want = np.flatnonzero(mult > 0)
+        assert np.array_equal(pos, want) and np.array_equal(k, mult[want]), (dim, theta, seed)
+        assert np.array_equal(row, row_of_class[pos])
+
+
 def test_sparse_draw_matches_dense_formula():
-    for dim, theta, cutoff in DRAW_SYSTEMS:
-        sys = class_system(dim, theta, cutoff)
-        row_of_class = _per_class(sys, np.arange(len(sys.vecs)))
-        for seed in range(200):
-            mult = _dense_multiplicities(sys, np.random.default_rng(seed).random(sys.ncls))
-            pos, row, k = _draw(sys, seed)
-            want = np.flatnonzero(mult > 0)
-            assert np.array_equal(pos, want) and np.array_equal(k, mult[want]), (dim, theta, seed)
-            assert np.array_equal(row, row_of_class[pos])
+    for system in DRAW_SYSTEMS:
+        _assert_draws_match_dense(*system)
 
 
 def test_sparse_draw_matches_dense_formula_in_chunks_of_7(monkeypatch):
-    # chunk boundaries then fall inside the classes of one vector
-    monkeypatch.setattr(sampler, "_CHUNK", 7)
-    sys = class_system(4, 0.8, 1e-4)
-    assert set(range(7, sys.ncls, 7)) - set(sys.first.tolist())
-    test_sparse_draw_matches_dense_formula()
+    # chunk boundaries then fall inside the classes of one vector (in every
+    # dim but 1, which has one class per vector).  The two systems of over
+    # 20,000 classes take chunks of 997, which still split vectors: at 7 a
+    # draw there would take 3,200-4,600 Python-level chunk steps.
+    for dim, theta, cutoff in DRAW_SYSTEMS:
+        sys = class_system(dim, theta, cutoff)
+        chunk = 7 if sys.ncls < 10_000 else 997
+        monkeypatch.setattr(sampler, "_CHUNK", chunk)
+        assert dim == 1 or set(range(chunk, sys.ncls, chunk)) - set(sys.first.tolist())
+        _assert_draws_match_dense(dim, theta, cutoff)
 
 
 class _FixedUniforms:

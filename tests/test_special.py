@@ -272,6 +272,19 @@ def test_one_euler_maclaurin_pass_per_point():
         assert _euler_maclaurin_points(lambda: zeta_deriv_neg_int(k)) == [complex(k + 1, 0)], k
 
 
+def test_refine_zero_reuses_a_last_step_of_zero():
+    # from these guesses the last Newton step is exactly 0.0, so the zero's
+    # check takes zeta and zeta' from that step's pass: 3 passes, not 4
+    for guess in (21.02, 25.01):
+        special.refine_zero.cache_clear()
+        points = _euler_maclaurin_points(lambda: refine_zero(guess))
+        assert len(points) == len(set(points)) == 3, (guess, points)
+        zero = refine_zero(guess)
+        assert points[-1] == zero.rho
+        assert abs(zeta_complex(zero.rho)) < 1e-8 and zero.zeta_deriv != 0
+        assert ZetaZero(zero.imag) == zero
+
+
 def test_refine_zero_rejects_non_zero_region(monkeypatch):
     monkeypatch.setattr(special, "_REFINE_STEPS", 3)
     with pytest.raises(ZeroVerificationError):
