@@ -52,7 +52,6 @@ from .primitives import (
     class_weights,
     count_classes_moebius,
     count_primitive_moebius,
-    is_primitive,
     primitive_array,
     signed_representative,
 )
@@ -80,7 +79,6 @@ from .special import (
     load_zeros_file,
     refine_zero,
     zeta_complex,
-    zeta_deriv_complex,
     zeta_deriv_neg_int,
     zeta_neg_int,
     zeta_real,

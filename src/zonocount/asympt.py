@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -94,12 +95,12 @@ MAX_DIM = 172
 
 
 # Memo of the n-independent constants, keyed by d: _require_dim admits at most
-# MAX_DIM integer d, so every one fits, and the bound caps kappa, which also
-# takes a float d.
+# MAX_DIM integer d, so every one fits.
 _per_dim = lru_cache(maxsize=256)
 
 
 def _require_dim(d: int) -> None:
+    d = operator.index(d)  # a float d is refused, not rounded
     if d < 2:
         raise ValueError("asymptotic formulas require d >= 2")
     if d > MAX_DIM:
@@ -194,7 +195,7 @@ def _resolve_zeros(zeros: Sequence[ZetaZero] | None) -> Sequence[ZetaZero]:
     return zeros
 
 
-@lru_cache(maxsize=256, typed=True)  # typed: a float d must not read the entry of an int d
+@lru_cache(maxsize=256)
 def _zero_weight(d: int, zero: ZetaZero) -> complex:
     """W(rho) = Pi_d[zeta](rho) zeta(rho+1) Gamma(rho) / zeta'(rho)."""
     rho = zero.rho

@@ -97,11 +97,13 @@ def _emit(rows: list[dict], command: str, fmt: str, output) -> None:
         sys.stdout.write(text)
 
 
-def _parse_range(args) -> list[int]:
+def _parse_range(args) -> range:
+    """The box sizes of --n or --n-range, as a range: a huge one is refused by
+    the table's plan, not by the memory of a list."""
     if args.n is not None and args.n_range is not None:
         raise ValueError("give either --n or --n-range, not both")
     if args.n is not None:
-        return [args.n]
+        return range(args.n, args.n + 1)
     if args.n_range is not None:
         lo, _, hi = args.n_range.partition(":")
         try:
@@ -110,7 +112,7 @@ def _parse_range(args) -> list[int]:
             raise ValueError(f"--n-range expects MIN:MAX, got {args.n_range!r}") from None
         if lo_i > hi_i:
             raise ValueError("--n-range expects MIN <= MAX")
-        return list(range(lo_i, hi_i + 1))
+        return range(lo_i, hi_i + 1)
     raise ValueError("one of --n or --n-range is required")
 
 
@@ -148,7 +150,7 @@ def _finite(value, flag: str):
 
 def cmd_count(args) -> list[dict]:
     ns = _parse_range(args)
-    table = exact.shared_table(args.dim, (max(ns),) * args.dim)
+    table = exact.shared_table(args.dim, (ns[-1],) * args.dim)
     rows = []
     for n in ns:
         if args.cumulative:
@@ -164,7 +166,7 @@ def cmd_compare(args) -> list[dict]:
         raise ValueError("compare requires dim >= 2")
     ns = _parse_range(args)
     zeros = _load_zeros(args)
-    table = exact.shared_table(args.dim, (max(ns),) * args.dim)
+    table = exact.shared_table(args.dim, (ns[-1],) * args.dim)
     rows = []
     for n in ns:
         z = table.coefficient((n,) * args.dim)

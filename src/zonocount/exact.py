@@ -366,10 +366,11 @@ def _build(table: CoeffTable, vecs: np.ndarray) -> CoeffTable:
 def build_table(dim: int, bound) -> CoeffTable:
     """DP table of Zon_d coefficients over {e <= bound}.
 
-    Factor order is lexicographic in v.  Each vector is applied once for its
-    w_v = 2^(d(v)-1) sign classes: w_v cumulative passes on one block plan
-    when 2v fits in the box (CoeffTable.class_pass), else as part of its axis
-    group's product (see _build).
+    Each vector is applied once for its w_v = 2^(d(v)-1) sign classes.  The
+    vectors with 2v inside the box (chain length s >= 2) come first, in lex
+    order, each as w_v cumulative passes on one block plan
+    (CoeffTable.class_pass); then one group product per axis a applies the
+    rest, axis 0 first (see _build).
     """
     bt = _validate_vector(bound, dim)
     _plan(dim, bt)

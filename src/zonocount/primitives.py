@@ -65,12 +65,6 @@ def _validate_vector(v: Sequence[int] | int, dim: int) -> tuple[int, ...]:
     return vt
 
 
-def is_primitive(v: Sequence[int], dim: int) -> bool:
-    """True iff v is nonzero with coprime coordinates (gcd(0, x) = x convention)."""
-    vt = _validate_vector(v, dim)
-    return math.gcd(*vt) == 1
-
-
 def _primitive(v: Sequence[int], dim: int, name: str) -> tuple[int, ...]:
     """v as a tuple of dim ints (_validate_vector), refused by `name` unless primitive."""
     vt = _validate_vector(v, dim)

@@ -16,10 +16,12 @@ primitive ones in the 1-norm ball of radius l1_max, the largest n with
 e^(-theta n) >= cutoff.  class_system keeps the six latest systems in an LRU
 cache.  A draw still takes all the uniforms, but inverts only those at most
 the filter bound: the others give K = 0 under the same formula (see _draw).
-It fills the uniforms in chunks of 2^16 into a buffer reused by its thread
-(512 KB), and returns the visit positions with K >= 1, their vectors' rows
+It fills the uniforms in chunks of 2^16 into a buffer of its own (at most
+512 KB), and returns the visit positions with K >= 1, their vectors' rows
 and their multiplicities; rows and statistics read them directly, and only
-boltzmann_sample turns them into (class, multiplicity) entries.
+boltzmann_sample turns them into (class, multiplicity) entries.  A tracked
+class beyond the cutoff is never drawn: its multiplicity is 0 in every
+sample, and its q_v is still e^(-theta ||v||_1).
 
 The samples of one sample_rows or sample_stats request are independent
 draws, one seed each.  On a system of at least 2^16 classes they run on a
@@ -36,7 +38,6 @@ import functools
 import math
 import operator
 import os
-import threading
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -59,7 +60,7 @@ _TINY_UNIFORM = 1e-300
 # K = 1, since ln u / ln q_v rounds to 1; beyond q_v (1 + 1e-9) the ratio is
 # at most 1 - 1e-9/745 (|ln q_v| <= 745 for a double), so K = 0.
 _Q_MARGIN = 1 + 1e-9
-# Uniforms per chunk of a draw: 512 KB of doubles, so each worker's buffer and
+# Uniforms per chunk of a draw: 512 KB of doubles, so the draw's buffer and
 # the slice of q_hi it is compared with stay in cache.
 _CHUNK = 1 << 16
 # Classes from which the draws of one request go to the pool: below this a
@@ -68,7 +69,6 @@ _PARALLEL_MIN_CLASSES = 1 << 16
 # Draws in flight per worker.  A finished row waits until the caller takes it,
 # and with two per worker the workers often wait for the caller to queue more.
 _IN_FLIGHT_PER_WORKER = 4
-_buffers = threading.local()
 
 
 class ClassSystem:
@@ -115,8 +115,10 @@ class ClassSystem:
         self.q_hi = np.repeat(self.q * _Q_MARGIN, weight)
         self.l1_max = l1_max
 
-    def index_of(self, class_id: ClassId) -> int:
-        """Visit position of a class: one binary search per coordinate."""
+    def index_of(self, class_id: ClassId) -> int | None:
+        """Visit position of a class, None for a class the system does not hold
+        (beyond the cutoff, or no sign class at all): one binary search per
+        coordinate."""
         coords, j = class_id
         if len(coords) == self.dim:
             lo, hi = 0, len(self.vecs)
@@ -127,13 +129,12 @@ class ClassSystem:
             # rows lo..hi-1 are the vector, if kept; it has first[hi] - first[lo] classes
             if j in range(self.first[hi] - self.first[lo]):
                 return int(self.first[lo]) + int(j)
-        raise KeyError(f"class {class_id} not within cutoff")
+        return None
 
 
 @functools.lru_cache(maxsize=6)
-def class_system(dim: int, theta: float, cutoff: float) -> ClassSystem:
-    """ClassSystem(dim, theta, cutoff) of the six latest keys; call it
-    positionally, as lru_cache keys keyword calls apart."""
+def class_system(dim: int, theta: float, cutoff: float, /) -> ClassSystem:
+    """ClassSystem(dim, theta, cutoff) of the six latest keys."""
     return ClassSystem(dim, theta, cutoff)
 
 
@@ -170,14 +171,12 @@ def _draw(sys: ClassSystem, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
     One uniform per class from default_rng(seed), in visit order; K is
     floor(ln max(u, 1e-300) / ln q_v), evaluated only where u <= q_hi.  The
-    uniforms are filled _CHUNK at a time into this thread's buffer: a double
+    uniforms are filled _CHUNK at a time into the draw's own buffer: a double
     takes one PCG64 output, so consecutive fills are the stream of one fill.
     """
     _check_seed(seed)
     gen = np.random.default_rng(seed)
-    buf = getattr(_buffers, "u", None)
-    if buf is None or buf.size < _CHUNK:
-        buf = _buffers.u = np.empty(_CHUNK)
+    buf = np.empty(min(_CHUNK, sys.ncls))
     hits, kept = [], []
     for lo in range(0, sys.ncls or 1, _CHUNK):  # one empty chunk when ncls = 0
         u = buf[:min(_CHUNK, sys.ncls - lo)]
@@ -278,21 +277,24 @@ def sample_stats(dim: int, theta: float, cutoff: float, n_samples: int,
                  base_seed: int, tracked: Sequence[ClassId] = ()) -> SampleStats:
     """Empirical moments of direction count, endpoint, and tracked multiplicities.
 
-    A tracked id that names no sign class in dim raises ValueError, a class
-    beyond the cutoff KeyError."""
+    A tracked id that names no sign class in dim raises ValueError.  A class
+    beyond the cutoff is never drawn: mean, variance and stderr 0, with
+    q = e^(-theta ||v||_1)."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
     tracked_ids = [_class_id(dim, cid) for cid in tracked]
     sys = class_system(dim, theta, cutoff)
-    pos = [sys.index_of(cid) for cid in tracked_ids]  # KeyError beyond cutoff
-    q = sys.q[np.searchsorted(sys.first, pos, "right") - 1]
+    pos = [sys.index_of(cid) for cid in tracked_ids]
+    q = [math.exp(-sys.theta * sum(coords)) if p is None
+         else float(sys.q[sys.first.searchsorted(p, "right") - 1])
+         for (coords, _), p in zip(tracked_ids, pos)]
     # one contiguous row per column: direction count, endpoint, tracked K
     cols = np.array(list(_rows(sys, n_samples, base_seed, pos)), dtype=np.float64)[:, 1:].T.copy()
     mean = cols.mean(axis=1).tolist()
     var = cols.var(axis=1, ddof=1 if n_samples > 1 else 0).tolist()
     stderr = [math.sqrt(v / n_samples) for v in var]
     tracked_out = {
-        cid: TrackedClassStats(class_id=cid, q=float(q[j]), mean=mean[1 + dim + j],
+        cid: TrackedClassStats(class_id=cid, q=q[j], mean=mean[1 + dim + j],
                                variance=var[1 + dim + j], stderr=stderr[1 + dim + j])
         for j, cid in enumerate(tracked_ids)}
     return SampleStats(
@@ -339,20 +341,14 @@ def sample_rows(dim: int, theta: float, cutoff: float, n_samples: int, base_seed
                 tracked: Sequence[ClassId] = ()) -> Iterator[list]:
     """Header row, then one row per seed base_seed, base_seed+1, ...: seed,
     direction count, endpoint, tracked multiplicities (column omega_<v>_c<j>
-    for class (v, j); 0 for a class beyond the cutoff, and ValueError for an
-    id that names no sign class in dim)."""
+    for class (v, j); 0 for a class beyond the cutoff, which is never drawn,
+    and ValueError for an id that names no sign class in dim)."""
     tracked_ids = [_class_id(dim, cid) for cid in tracked]
     sys = class_system(dim, theta, cutoff)
     yield (["seed", "direction_count"]
            + [f"endpoint_{i}" for i in range(dim)]
            + ["omega_" + "_".join(map(str, c)) + f"_c{j}" for c, j in tracked_ids])
-    pos = []
-    for cid in tracked_ids:
-        try:
-            pos.append(sys.index_of(cid))
-        except KeyError:
-            pos.append(None)
-    yield from _rows(sys, n_samples, base_seed, pos)
+    yield from _rows(sys, n_samples, base_seed, [sys.index_of(cid) for cid in tracked_ids])
 
 
 def _rows(sys: ClassSystem, n_samples: int, base_seed: int,

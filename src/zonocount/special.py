@@ -1,9 +1,9 @@
 """Numerical special-function stack.
 
-Real and complex Riemann zeta with derivatives, the complex gamma function,
-exact Bernoulli numbers, exact zeta values at nonpositive integers, and
-refined non-trivial zeta zeros.  Everything here is double precision except
-the Bernoulli / zeta(-k) layer, which is exact rational.
+Real and complex Riemann zeta, zeta' at nonpositive integers and at refined
+non-trivial zeta zeros, the complex gamma function, exact Bernoulli numbers
+and exact zeta values at nonpositive integers.  Everything here is double
+precision except the Bernoulli / zeta(-k) layer, which is exact rational.
 
 One Euler-Maclaurin evaluator gives zeta(s) and zeta'(s) together,
 
@@ -198,14 +198,6 @@ def zeta_complex(s: complex) -> complex:
     w = 1 - s
     chi = (2 ** s) * cmath.exp((s - 1) * math.log(math.pi)) * cmath.sin(math.pi * s / 2)
     return chi * gamma_complex(w) * _zeta_em(w)[0]
-
-
-def zeta_deriv_complex(s: complex) -> complex:
-    """zeta'(s) for Re s > 0, s != 1; absolute error below 1e-8."""
-    s = complex(s)
-    if s.real <= 0:
-        raise SpecialFunctionError("zeta_deriv_complex requires Re s > 0")
-    return _zeta_em(_checked(s))[1]
 
 
 def _digamma_positive_int(n: int) -> float:

@@ -174,10 +174,22 @@ def test_constants_refuse_on_every_call():
                 const(1)
             with pytest.raises(ValueError, match="d = 173"):
                 const(173)
-    for const in (alpha_ln, beta_exact, q_poly, lambda d: icrit(d, 1e6)):
+    for const in (kappa, alpha_ln, beta_exact, q_poly, lambda d: theta_tilde(d, 1e4),
+                  lambda d: estimate(d, 1e4), lambda d: icrit(d, 1e6)):
         const(2)
-        with pytest.raises(TypeError):  # not answered from the entry of d = 2
-            const(2.0)
+        for d in (2.0, 2.5):  # refused, not answered from the entry of d = 2
+            with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
+                const(d)
+
+
+def test_n_and_theta_out_of_range_are_refused():
+    for f in (estimate, estimate_saddle_form, mean_diameter_asympt):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            f(2, 0.5)
+    for f in (asympt.icrit_theta, log_zon_univariate):
+        for theta in (0.0, -1.0):
+            with pytest.raises(ValueError, match="^theta must be positive$"):
+                f(2, theta)
 
 
 def test_zero_weight_memo_is_exact_and_bounded():

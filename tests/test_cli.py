@@ -262,6 +262,11 @@ def test_class_budget_past_float_range_is_error(capsys, dim, theta):
     ("count", "--dim", "31", "--n", "1000000000"),
     ("count", "--dim", "33", "--n", "1"),
     ("moments", "--dim", "40", "--n", "1", "--param", "diameter"),
+    # a range stays a range: the plan refuses its largest box before a list
+    # of the sizes is made (10^21 ints do not fit one, 4e8 take gigabytes)
+    ("count", "--dim", "2", "--n-range", "1:1000000000000000000000"),
+    ("compare", "--dim", "2", "--n-range", "1:1000000000000000000000"),
+    ("compare", "--dim", "2", "--n", "1000000000000000000000"),
 ])
 def test_oversized_table_names_the_budget(capsys, monkeypatch, argv):
     # sizes past the float range still format, and no cell count is printed in full
@@ -270,6 +275,23 @@ def test_oversized_table_names_the_budget(capsys, monkeypatch, argv):
     assert code == 2 and out == ""
     assert err.startswith("error:") and "exceeds budget" in err
     assert len(err.splitlines()) == 1 and not re.search(r"\d{21}", err)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("asympt", "--dim", "2", "--n", "1e4", "--m", "2"), "m = 2 outside 1..1"),
+    (("asympt", "--dim", "2", "--n", "1e4", "--m", "0"), "m = 0 outside 1..1"),
+    (("asympt", "--dim", "2", "--n", "1e4", "--m", "4", "--zeros", "zeros.txt"),
+     "m = 4 outside 1..3"),
+    (("sample", "--dim", "2", "--n", "0"), "n must be positive"),
+    (("asympt", "--dim", "2", "--n", "0.5"), "n must be >= 1"),
+])
+def test_out_of_range_numbers_are_refused(capsys, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "zeros.txt").write_text("14.134725141734693\n21.022039638771555\n"
+                                        "25.010857580145688\n")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_icrit_gamma_overflow_is_error(capsys):

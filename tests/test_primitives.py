@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import pytest
 
@@ -9,7 +10,6 @@ from zonocount import (
     class_weights,
     count_classes_moebius,
     count_primitive_moebius,
-    is_primitive,
     primitive_array,
     signed_representative,
 )
@@ -20,24 +20,25 @@ def coords_list(dim, bound):
 
 
 def test_is_primitive_examples():
-    assert is_primitive((1, 0), 2)
-    assert not is_primitive((2, 2), 2)
-    assert is_primitive((3, 5, 0), 3)
-    assert not is_primitive((0, 0), 2)
-    assert is_primitive((1,), 1)
-    assert not is_primitive((4,), 1)
+    # _primitive returns a primitive vector as a tuple and refuses any other by name
+    assert primitives._primitive((1, 0), 2, "v") == (1, 0)
+    assert primitives._primitive((3, 5, 0), 3, "v") == (3, 5, 0)
+    assert primitives._primitive((1,), 1, "v") == (1,)
+    for v, dim in [((2, 2), 2), ((0, 0), 2), ((4,), 1)]:
+        with pytest.raises(ValueError, match=re.escape(f"v = {v} is not primitive")):
+            primitives._primitive(v, dim, "v")
 
 
 def test_is_primitive_validation():
-    with pytest.raises(ValueError):
-        is_primitive((1, 2, 3), 2)
-    with pytest.raises(ValueError):
-        is_primitive((-1, 2), 2)
-    with pytest.raises(ValueError):
-        is_primitive((1,), 0)
+    with pytest.raises(ValueError, match="expected 2 coordinates, got 3"):
+        primitives._primitive((1, 2, 3), 2, "v")
+    with pytest.raises(ValueError, match="coordinates must be >= 0"):
+        primitives._primitive((-1, 2), 2, "v")
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        primitives._primitive((1,), 0, "v")
     # a float coordinate is refused, not truncated to (1, 1)
     with pytest.raises(TypeError):
-        is_primitive((1.5, 1), 2)
+        primitives._primitive((1.5, 1), 2, "v")
 
 
 def test_enumerate_unit_box():

@@ -314,16 +314,45 @@ def test_validation_errors():
         boltzmann_sample(2, 1.0, 1e-6, seed=-1)
     with pytest.raises(ValueError):
         sample_stats(2, 1.0, 1e-6, 0, 0)
-    with pytest.raises(KeyError):
-        sample_stats(2, 1.0, 1e-3, 2, 0, tracked=[((40, 1), 0)])
     with pytest.raises(MemoryBudgetError):
         ClassSystem(2, 1e-9, 1e-12)
 
 
+def test_tracked_class_beyond_the_cutoff_is_never_drawn():
+    # one answer from sample_rows and sample_stats for a class the system does
+    # not hold: multiplicity 0 in every sample, q = e^(-theta ||v||_1)
+    far, kept = ((40, 1), 0), ((1, 1), 1)
+    sys = class_system(2, 1.0, 1e-3)
+    assert sys.index_of(far) is None
+    stats = sample_stats(2, 1.0, 1e-3, 2, 0, tracked=[far, kept])
+    t = stats.tracked[far]
+    assert (t.mean, t.variance, t.stderr) == (0.0, 0.0, 0.0)
+    assert t.q == math.exp(-41.0)
+    # a kept class's q is its row's, bit for bit
+    assert stats.tracked[kept].q == sys.q[sys.vecs.tolist().index([1, 1])]
+    rows = list(sample_rows(2, 1.0, 1e-3, 2, 0, [far, kept]))
+    assert rows[0][-2:] == ["omega_40_1_c0", "omega_1_1_c1"]
+    assert [row[-2] for row in rows[1:]] == [0, 0]
+
+
+def test_class_system_takes_positional_arguments_only():
+    # lru_cache keys a keyword call apart from a positional one: each spelling
+    # would build and hold its own copy of one system
+    class_system.cache_clear()
+    built = class_system(2, 0.5, 1e-3)
+    for call in (lambda: class_system(2, 0.5, cutoff=1e-3),
+                 lambda: class_system(dim=2, theta=0.5, cutoff=1e-3)):
+        with pytest.raises(TypeError):
+            call()
+    assert class_system(2, 0.5, 1e-3) is built
+    info = class_system.cache_info()
+    assert (info.hits, info.currsize) == (1, 1)
+
+
 def test_tracked_ids_that_name_no_sign_class_are_refused(monkeypatch):
-    # a column of zeros (sample_rows) or "not within cutoff" (sample_stats)
-    # would say nothing about a class that does not exist: both refuse it by
-    # name, before the class system is built
+    # a column of zeros, the answer for a class beyond the cutoff, would say
+    # nothing about a class that does not exist: sample_rows and sample_stats
+    # refuse it by name, before the class system is built
     def refuse(*args):
         raise AssertionError("built a class system for a bad tracked id")
 
@@ -461,8 +490,7 @@ def test_index_of_every_class_and_misses():
                 ((5, 1), 0), ((40, 1), 0),      # beyond the cutoff
                 ((-1, 1), 0), ((1, -1), 0),     # negative coordinate
                 ((1, 1), 2), ((1, 0), 1), ((1, 1), -1)]:  # sign index out of range
-        with pytest.raises(KeyError):
-            sys.index_of(bad)
+        assert sys.index_of(bad) is None
 
 
 def test_class_system_memory_contract():
