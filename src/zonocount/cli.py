@@ -165,6 +165,8 @@ def cmd_compare(args) -> list[dict]:
     if args.dim < 2:  # before the table: the estimate needs d >= 2
         raise ValueError("compare requires dim >= 2")
     ns = _parse_range(args)
+    if ns[0] < 1:  # before the table: the estimate needs n >= 1
+        raise ValueError("n must be >= 1")
     zeros = _load_zeros(args)
     table = exact.shared_table(args.dim, (ns[-1],) * args.dim)
     rows = []

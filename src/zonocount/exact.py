@@ -10,9 +10,12 @@ vector v in the box, and w_v = 2^(d(v)-1) its number of sign classes.  When
 s >= 2 the factor (1 - x^v)^(-w_v) is applied as w_v cumulative-sum passes
 T[e] += T[e-v] in ascending index order, as numpy slab adds over blocks of
 hyperplanes, so its Python-level cost is one call per block, not one per
-cell.  These passes run first; factors commute and truncation to the box is a
-ring map, so the order does not change the result.  The table at bound n then
-holds [x^m] Zon_d for every m <= n simultaneously.
+cell.  These passes run first, by descending 1-norm: long vectors have short
+chains and grow the entries least, so most passes run while the table is one
+limb wide, and short vectors such as (1, 0) and (1, 1) come last.  Factors
+commute and truncation to the box is a ring map, so the order does not change
+the result.  The table at bound n then holds [x^m] Zon_d for every m <= n
+simultaneously.
 
 When s = 1 (2v leaves the box: three in four vectors at d=2 n=96, nine in
 ten at d=4 n=6) the factor truncates to 1 + w_v x^v.  Group a holds the
@@ -27,19 +30,22 @@ matrix product (numpy @, BLAS), added to hyperplanes k..n_a.
 The table is one uint64 array of shape (k, *(n + 1)): cell e holds
 sum_i data[i][e] << 32 i, with 32-bit limb payloads and lazy carries.  A
 ceiling bounds every entry.  A cumulative pass of chain length s (at most
-s + 1 entries summed into one) grows entries by the factor s + 1; before it
-the table normalizes if factor * ceiling would reach 2^64 (carry = data >>
-32, data &= 2^32 - 1, data[1:] += carry[:-1], with a new limb when the top
-one carries), which leaves every entry below 2^33, then multiplies the
-ceiling by the factor; no factor may exceed 2^31, so that product stays
-below 2^64.  The sum identity holds whether or not the limbs are
-normalized, so one np.add per slab covers all k limbs and no per-block carry
-is needed.  A group product is exact from two facts.  Each float64 product is
-an exact integer, whatever order BLAS sums in: each limb is multiplied on its
-own, and the table normalizes first when the ceiling times the largest weight
-of one k would reach 2^53.  The products are summed in uint64 and added limb
-by limb, and the group grows entries at most (1 + sum w_v)-fold, which goes
-through the same normalize-and-multiply step as a cumulative pass.
+s + 1 entries summed into one) grows entries by the factor s + 1.  Before it,
+if factor * ceiling would reach 2^64, the ceiling is first read from the
+entries (the compounded bound runs far ahead of them), and only if the
+product still reaches 2^64 does the table normalize (carry = data >> 32,
+data &= 2^32 - 1, data[1:] += carry[:-1], with a new limb when the top one
+carries), which leaves every entry below 2^33; then the ceiling is multiplied
+by the factor.  No factor may exceed 2^31, so that product stays below 2^64.
+The sum identity holds whether or not the limbs are normalized, so one
+np.add per slab covers all k limbs and no per-block carry is needed.  A
+group product is exact from two facts.  Each float64 product is an exact
+integer, whatever order BLAS sums in: each limb is multiplied on its own,
+and when the ceiling times the largest weight of one k would reach 2^53, the
+ceiling is read from the entries, and the table normalizes if it still
+would.  The products are summed in uint64 and added limb by limb, and the
+group grows entries at most (1 + sum w_v)-fold, which goes through the same
+step as a cumulative pass.
 
 Exact first moments are chain sums over that one table.  Marking generator
 presence with u (factor 1 + u x^v/(1-x^v)) and differentiating at u = 1
@@ -172,14 +178,22 @@ class CoeffTable:
             raise ValueError(f"pass vector {vt} is zero")
         return vt
 
+    def _make_room(self, factor: int, limit: int) -> None:
+        """Bring factor * ceiling below limit if it is not: read the ceiling
+        from the entries (the compounded bound runs far ahead of them), and
+        normalize only if that is not enough."""
+        if factor * self.ceiling >= limit:
+            self.ceiling = int(self.data.max())
+            if factor * self.ceiling >= limit:
+                self._normalize()
+
     def _grow(self, factor: int) -> None:
-        """Let every entry grow to `factor` times the ceiling, normalizing first
-        if that could reach 2^(2 * _LIMB_BITS)."""
+        """Let every entry grow to `factor` times the ceiling, making room below
+        2^(2 * _LIMB_BITS) first."""
         if factor > 1 << (_LIMB_BITS - 1):
             raise ValueError(f"a step over bound {self.bound} may grow entries "
                              f"{factor}-fold, above the limit 2^{_LIMB_BITS - 1}")
-        if factor * self.ceiling >= 1 << (2 * _LIMB_BITS):
-            self._normalize()
+        self._make_room(factor, 1 << (2 * _LIMB_BITS))
         self.ceiling *= factor
 
     def class_pass(self, v: Sequence[int], w: int) -> None:
@@ -221,20 +235,20 @@ class CoeffTable:
 
         Per k = v_a, the sources in hyperplanes 0..n_a - k times the Toeplitz
         matrix of the kernel sum_u w_(k,u) y^u over the other axes is one
-        float64 matrix product, exact because the ceiling times the weight of
-        k stays below 2^53.  The products are summed in a uint64 buffer and
-        added to hyperplanes k..n_a; the group grows entries at most
-        (1 + sum w_v)-fold (_grow).  Sources and targets are disjoint, so the
-        sources are staged once.
+        float64 matrix product, exact because the ceiling (read from the
+        entries, then normalized if need be) times the weight of k stays below
+        2^53.  The products are summed in a uint64 buffer and added to
+        hyperplanes k..n_a; the group grows entries at most (1 + sum w_v)-fold
+        (_grow).  Sources and targets are disjoint, so the sources are staged
+        once.
         """
         lo, rows, other, m, inner, cut, pad, _ = _group_geometry(self.shape, a, len(self.data))
         at = vecs[:, a] - lo
         sums = [int(x) for x in np.bincount(at, weights, rows).tolist()]  # weight per k
+        self._make_room(max(sums), _FLOAT_EXACT)
         if max(sums) * self.ceiling >= _FLOAT_EXACT:
-            self._normalize()
-            if max(sums) * self.ceiling >= _FLOAT_EXACT:
-                raise ValueError(f"a one-step group over bound {self.bound} sums {max(sums)} "
-                                 f"terms per cell, too many for exact float64 products")
+            raise ValueError(f"a one-step group over bound {self.bound} sums {max(sums)} "
+                             f"terms per cell, too many for exact float64 products")
         self._grow(1 + sum(sums))  # a normalization here only lowers the sources' bound
         limbs = len(self.data)
         pieces = [(c0, c1) for c0, c1 in ((0, cut), (cut, other[0])) if c0 < c1]
@@ -343,15 +357,16 @@ def _plan(dim: int, bt: tuple[int, ...]) -> int:
 
 def _build(table: CoeffTable, vecs: np.ndarray) -> CoeffTable:
     """Multiply the table by the factor (1 - x^v)^(-w_v) of every primitive row
-    v of vecs: class_pass for the rows with 2v inside the box, in row order,
-    then one group product per axis a for the rest, grouped by the first axis
-    with 2 v_a > n_a."""
+    v of vecs: class_pass for the rows with 2v inside the box, by descending
+    1-norm (ties in row order), then one group product per axis a for the
+    rest, grouped by the first axis with 2 v_a > n_a."""
     weights = class_weights(vecs)
     over = 2 * vecs > np.array(table.bound)  # the axes along which 2v leaves the box
     # the group axis of each row, dim for the rows with 2v inside the box;
-    # a stable sort keeps the row order within each group
+    # within each group by descending 1-norm, ties in row order (lexsort is
+    # stable)
     group = np.where(over.any(axis=1), over.argmax(axis=1), table.dim)
-    order = group.argsort(kind="stable")
+    order = np.lexsort((-vecs.sum(axis=1), group))
     ends = np.bincount(group, minlength=table.dim + 1).cumsum().tolist()
     vecs, weights = vecs[order], weights[order]
     # row by row: a list of every row would hold ~100 bytes per vector
@@ -367,10 +382,10 @@ def build_table(dim: int, bound) -> CoeffTable:
     """DP table of Zon_d coefficients over {e <= bound}.
 
     Each vector is applied once for its w_v = 2^(d(v)-1) sign classes.  The
-    vectors with 2v inside the box (chain length s >= 2) come first, in lex
-    order, each as w_v cumulative passes on one block plan
-    (CoeffTable.class_pass); then one group product per axis a applies the
-    rest, axis 0 first (see _build).
+    vectors with 2v inside the box (chain length s >= 2) come first, by
+    descending 1-norm (ties in lex order), each as w_v cumulative passes on
+    one block plan (CoeffTable.class_pass); then one group product per axis a
+    applies the rest, axis 0 first (see _build).
     """
     bt = _validate_vector(bound, dim)
     _plan(dim, bt)

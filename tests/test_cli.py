@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import zonocount.cli as cli
-from zonocount import asympt, special
+from zonocount import asympt, exact, special
 from zonocount.cli import _fmt, main, run_self_test
 
 
@@ -76,6 +76,21 @@ def test_compare_dim_guard(capsys, monkeypatch):
     # refused before the table is built, which here would take seconds
     code, _, err = run_cli(capsys, "compare", "--dim", "1", "--n-range", "1:2000000")
     assert code == 2 and err.startswith("error:") and "dim >= 2" in err
+
+
+@pytest.mark.parametrize("argv", [("--n-range=0:300",), ("--n", "0")])
+def test_compare_refuses_n_0_before_the_table(capsys, monkeypatch, argv):
+    # the estimate needs n >= 1: refused before the largest box is enumerated
+    # or any pass runs, where the table of 0:300 takes many seconds to build
+    def refuse(*args):
+        raise AssertionError("a refused compare did work")
+
+    monkeypatch.setattr(exact, "_SHARED", {})
+    monkeypatch.setattr(exact, "primitive_array", refuse)
+    monkeypatch.setattr(exact.CoeffTable, "class_pass", refuse)
+    monkeypatch.setattr(exact.CoeffTable, "_one_step", refuse)
+    code, out, err = run_cli(capsys, "compare", "--dim", "2", *argv)
+    assert (code, out, err) == (2, "", "error: n must be >= 1\n")
 
 
 def test_moments_diameter(capsys):

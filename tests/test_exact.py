@@ -547,16 +547,19 @@ def _resaturate(table):
 @example(box=(2, 2, 1, 1), limbs=1, seed=2)
 def test_narrow_limbs_match_brute_force(box, limbs, seed):
     # _build from a table of random entries up to 2^64 - 1 at the ceiling
-    # 2^64 - 1, re-saturated after every step, so that each step normalizes,
-    # carries and adds limbs; the cells must equal the Python-int product of
-    # the start table with Zon_d
+    # 2^64 - 1, one entry of the top limb at 2^64 - 1, re-saturated after
+    # every step: the ceiling read from the entries leaves no room, so the
+    # first step normalizes and adds a limb, and later steps normalize and
+    # carry wherever their entries need it; the cells must equal the
+    # Python-int product of the start table with Zon_d
     dim = len(box)
     table = CoeffTable(dim, box)
     table.data = np.random.default_rng(seed).integers(
         0, _WORD - 1, size=(limbs, *table.shape), dtype=np.uint64, endpoint=True)
+    table.data[(-1,) + (0,) * dim] = _WORD - 1
     table.ceiling = _WORD - 1
     fill = _values(table)
-    normalized = []
+    normalized, steps = [], []
     with pytest.MonkeyPatch.context() as monkeypatch:
         real_normalize = CoeffTable._normalize
 
@@ -565,7 +568,7 @@ def test_narrow_limbs_match_brute_force(box, limbs, seed):
             real_normalize(self)
 
         def check(table):
-            assert normalized, "a step did not normalize"
+            steps.append(len(normalized))
             normalized.clear()
             assert int(table.data.max()) <= table.ceiling < _WORD
             _resaturate(table)
@@ -580,6 +583,7 @@ def test_narrow_limbs_match_brute_force(box, limbs, seed):
 
             monkeypatch.setattr(CoeffTable, name, step)
         exact._build(table, primitive_array(dim, box, sum(box)))
+    assert steps[0], "the first step did not normalize"
     assert len(table.data) > limbs
     zon = _values(build_table(dim, box))
     assert zon[box] == brute_force_count(dim, box).count
@@ -652,19 +656,26 @@ def test_shifted_add_of_itself_equals_adding_a_copy(data, box, full):
 
 def test_narrow_limbs_grow_and_guard(monkeypatch):
     assert len(build_table(2, (16, 16)).data) == 1
+    # Z[24, 24] has 33 bits, which one uint64 entry holds: with the ceiling
+    # read from the entries the build never normalizes, so it keeps one limb
     table = build_table(2, (24, 24))
-    assert len(table.data) == 2
+    assert len(table.data) == 1
     assert table.coefficient(24) == zon_coefficient(2, (24, 24))
+    assert len(build_table(3, (12, 12, 12)).data) == 1
+    box = (13, 13, 13)
+    table = build_table(3, box)
+    assert len(table.data) == exact._plan(3, box) == 2
+    assert table.coefficient(box) == zon_coefficient(3, box)
     # one limb fits the budget, the second does not: the plan names the limb
     # count before any work, and so does the limb guard of a table driven by
     # hand, which no plan charged
-    monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", str(2 * 8 * 25 * 25 * 2 - 1))
+    monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", str(2 * 8 * 14 ** 3 * 2 - 1))
     with monkeypatch.context() as m:
         _refuse_work(m)
         with pytest.raises(MemoryBudgetError, match="in 2 limbs with its carry buffer \\("):
-            build_table(2, (24, 24))
+            build_table(3, box)
     with pytest.raises(MemoryBudgetError, match="in 2 limbs with its carry buffer \\("):
-        exact._build(CoeffTable(2, (24, 24)), primitive_array(2, (24, 24), 48))
+        exact._build(CoeffTable(3, box), primitive_array(3, box, sum(box)))
     monkeypatch.delenv("ZONOCOUNT_MEMORY_BUDGET")
 
     def refuse(*args):
@@ -801,22 +812,102 @@ def test_group_product_sums_in_uint64(monkeypatch):
         assert _cells(table) == want.ravel().tolist()
     assert 22 * fill > 1 << 53 and max(_cells(table)) == 23 * fill
     # the group grows the ceiling through _grow: with the limit above 2^64,
-    # tiny entries under the loose ceiling 2^62 are not normalized for the
-    # products, but the weight-3 group 0 of (1, 1) would take the ceiling to
-    # 4 * 2^62, so _grow normalizes first
+    # the products need no normalization under the ceiling 2^62, but the
+    # weight-3 group 0 of (1, 1) would take it to 4 * 2^62.  Then _grow reads
+    # the ceiling from the entries: entries of 5 leave room and are not
+    # normalized; entries at 2^62 are, first
     monkeypatch.setattr(exact, "_FLOAT_EXACT", 1 << 65)
     vecs = _group((1, 1), 0)
-    normalized.clear()
-    table = CoeffTable(2, (1, 1))
-    table.data = np.full((1, 2, 2), 5, dtype=np.uint64)
-    table.ceiling = 1 << 62
-    table._one_step(0, vecs, class_weights(vecs))
-    assert len(normalized) == 1
-    assert table.ceiling == 4 * (2 ** 32 - 1 + 2 ** 30) < _WORD
-    assert _cells(table) == [5, 5, 10, 20]
+    for fill, normalizes, ceiling in ((5, 0, 4 * 5), (1 << 62, 1, 4 * (2 ** 32 - 1 + 2 ** 30))):
+        normalized.clear()
+        table = CoeffTable(2, (1, 1))
+        table.data = np.full((1, 2, 2), fill, dtype=np.uint64)
+        table.ceiling = 1 << 62
+        table._one_step(0, vecs, class_weights(vecs))
+        assert len(normalized) == normalizes
+        assert table.ceiling == ceiling < _WORD
+        assert int(table.data.max()) <= table.ceiling
+        assert _cells(table) == [fill, fill, 2 * fill, 4 * fill]
     # no growth factor beyond what one normalization leaves room for
     with pytest.raises(ValueError, match="2\\^31"):
         table._grow((1 << 31) + 1)
+
+
+def _build_work(monkeypatch, dim, box):
+    # the limb-weighted cell updates of a build's cumulative passes (w times
+    # the limbs after the call times the cells a pass writes, at least the
+    # work done) and its normalizations
+    work, normalized = [], []
+    real_pass, real_normalize = CoeffTable.class_pass, CoeffTable._normalize
+
+    def spy_pass(self, v, w):
+        real_pass(self, v, w)
+        work.append(w * len(self.data) * math.prod(max(n - c, 0) for n, c in zip(self.shape, v)))
+
+    def spy_normalize(self):
+        normalized.append(self)
+        real_normalize(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(CoeffTable, "class_pass", spy_pass)
+        m.setattr(CoeffTable, "_normalize", spy_normalize)
+        build_table(dim, box)
+    return sum(work), len(normalized)
+
+
+@pytest.mark.parametrize("dim, n, updates, normalizations", [
+    (2, 64, 3_200_000, 5), (3, 16, 4_400_000, 3), (4, 6, 900_000, 2)])
+def test_passes_run_on_few_limbs(monkeypatch, dim, n, updates, normalizations):
+    # long vectors first and a ceiling read from the entries before any
+    # normalization keep most passes at one limb: 3.10 M, 4.21 M and 0.87 M
+    # updates with 2, 1 and 0 normalizations here, where passes in lex order
+    # under the compounded ceiling made 8.32 M, 8.08 M and 1.42 M with 84, 120
+    # and 65
+    work, normalized = _build_work(monkeypatch, dim, (n,) * dim)
+    assert work <= updates
+    assert normalized <= normalizations
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), box=st.lists(st.integers(0, 4), min_size=2, max_size=3).map(tuple),
+       steps=st.integers(1, 4))
+def test_loose_ceiling_steps_equal_python_ints(data, box, steps):
+    # entries far below the loosest ceiling, 2^64 - 1, then random cumulative
+    # passes and group products: the first step that grows entries reads the
+    # ceiling from them, and every step must give the Python-int product
+    assume(any(box))
+    dim = len(box)
+    table = CoeffTable(dim, box)
+    # each limb's entries up to its own top, so the largest may sit in any limb
+    tops = data.draw(st.lists(st.sampled_from([0, 1 << 8, 1 << 32]), min_size=1, max_size=2))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    table.data = np.stack([rng.integers(0, top, size=table.shape, dtype=np.uint64, endpoint=True)
+                           for top in tops])
+    table.ceiling = _WORD - 1
+    want = _values(table)
+    for _ in range(steps):
+        if data.draw(st.booleans()):
+            v = data.draw(st.tuples(*[st.integers(0, 4)] * dim).filter(
+                lambda u: math.gcd(*u) == 1))
+            w = 1 << (sum(1 for c in v if c) - 1)
+            table.class_pass(v, w)
+            s = min([b // c for b, c in zip(box, v) if c])
+            for _ in range(w):
+                old = want.copy()
+                for k in range(1, s + 1):
+                    want[tuple(slice(k * c, None) for c in v)] += old[
+                        tuple(slice(n - k * c) for c, n in zip(v, table.shape))]
+        else:
+            a = data.draw(st.sampled_from([i for i, b in enumerate(box) if b]))
+            group = _group(box, a)
+            keep = data.draw(st.lists(st.booleans(), min_size=len(group), max_size=len(group)))
+            vecs = group[np.array(keep, dtype=bool)]
+            if not len(vecs):
+                continue
+            table._one_step(a, vecs, class_weights(vecs))
+            want = _slab_adds(want, vecs, class_weights(vecs))
+        assert int(table.data.max()) <= table.ceiling < _WORD
+        assert _cells(table) == want.ravel().tolist()
 
 
 _BLAS_SCRIPT = """
@@ -857,7 +948,8 @@ def test_class_pass_checks_its_weight():
 def test_build_table_makes_one_pass_per_vector(monkeypatch):
     # every primitive vector is applied exactly once: by class_pass when 2v
     # fits in the box, else in the group product of the first axis a with
-    # 2 v_a > n_a, in the order build_table visits them
+    # 2 v_a > n_a.  Within each, build_table visits them by descending 1-norm,
+    # ties in row order, so a reversed input reverses the ties
     calls, groups = [], []
     real_pass, real_group = CoeffTable.class_pass, CoeffTable._one_step
 
@@ -882,6 +974,7 @@ def test_build_table_makes_one_pass_per_vector(monkeypatch):
             else:
                 build_table(dim, box)
             want = list(zip(map(tuple, vecs.tolist()), class_weights(vecs).tolist()))
+            want.sort(key=lambda vw: -sum(vw[0]))  # stable
             axis = {v: next((i for i, (c, b) in enumerate(zip(v, box)) if 2 * c > b), None)
                     for v, _ in want}
             assert calls == [(v, w) for v, w in want if axis[v] is None]
