@@ -67,6 +67,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -75,6 +76,7 @@ import numpy as np
 
 from .primitives import (
     MemoryBudgetError,
+    _MEMORY_ENV,
     _approx,
     _charge,
     _primitive,
@@ -396,18 +398,29 @@ def build_table(dim: int, bound) -> CoeffTable:
 _SHARED: dict[int, CoeffTable] = {}
 
 
+@functools.lru_cache(maxsize=256)
+def _planned(dim: int, bt: tuple[int, ...], setting: str | None) -> int:
+    """_plan(dim, bt) once per budget setting (the raw ZONOCOUNT_MEMORY_BUDGET):
+    a plan that passes is remembered, one that raises is not.  Only the exact
+    box is remembered, not the boxes inside it: the charge is not monotone in
+    the box (the corner limbs of (1, 133) exceed those of (2, 133))."""
+    return _plan(dim, bt)
+
+
 def shared_table(dim: int, bound) -> CoeffTable:
     """A table of Zon_d coefficients over a box covering {e <= bound}, shared
     by every caller in the process: read it, never change it.
 
     Every call is first charged like build_table(dim, bound), so it raises
-    what that build raises.  Then the last table built here for dim answers
-    when its bound covers `bound` on every axis; otherwise it is dropped first,
-    so two tables are never held at once, and build_table(dim, bound) takes its
-    place.  The values read at e <= bound are those of build_table(dim, bound).
+    what that build raises; a box already planned under the same budget
+    setting is not planned again (_planned).  Then the last table built here
+    for dim answers when its bound covers `bound` on every axis; otherwise it
+    is dropped first, so two tables are never held at once, and
+    build_table(dim, bound) takes its place.  The values read at e <= bound
+    are those of build_table(dim, bound).
     """
     bt = _validate_vector(bound, dim)
-    _plan(dim, bt)
+    _planned(dim, bt, os.environ.get(_MEMORY_ENV))
     table = _SHARED.get(dim)
     if table is not None and all(c <= b for c, b in zip(bt, table.bound)):
         return table
@@ -454,9 +467,17 @@ def diameter_numerators(dim: int, n: int) -> MomentPair:
     if n < 1:
         raise ValueError("n must be >= 1")
     z = shared_table(dim, n)  # its memory guard runs before the box is enumerated
-    vecs = primitive_array(dim, (n,) * dim, dim * n)
-    terms = zip(class_weights(vecs).tolist(), z._read(tuple(n - vecs.T)))
+    weights, cells = _diameter_terms(dim, n)
+    terms = zip(weights, z._read(cells))
     return MomentPair(count=z.coefficient(n), weighted=sum(w * t for w, t in terms))
+
+
+@functools.lru_cache(maxsize=16)
+def _diameter_terms(dim: int, n: int) -> tuple[list[int], tuple[np.ndarray, ...]]:
+    """The weights w_v and the cells n - v of the primitive v <= n*1, enumerated
+    once per (dim, n)."""
+    vecs = primitive_array(dim, (n,) * dim, dim * n)
+    return class_weights(vecs).tolist(), tuple(n - vecs.T)
 
 
 def occurrence_numerators(dim: int, n: int, v0: Sequence[int]) -> MomentPair:

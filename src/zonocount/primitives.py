@@ -4,9 +4,10 @@ These index the factors of the zonotope generating function: a vector v with
 d(v) nonzero coordinates carries 2^(d(v)-1) sign classes, so its factor weight
 is 2^(d(v)-1).  One numpy enumerator serves every engine: the primitive
 vectors of a box, cut by a 1-norm ball, as lexicographically ascending rows
-(the exact DP and its oracle use the whole box, the sampler an l1 ball); the
-classes of a row are its sign-pattern indices 0 .. 2^(d(v)-1) - 1, visited
-row by row.  The Moebius sieve counts are the independent cross-check,
+(the exact DP and its oracle use the whole box as int64, the sampler an l1
+ball in the narrowest integer type, with each row's 1-norm and nonzero
+count); the classes of a row are its sign-pattern indices
+0 .. 2^(d(v)-1) - 1, visited row by row.  The Moebius sieve counts are the independent cross-check,
 
     #primitive <= b  =  sum_{k>=1} mu(k) (prod_i (floor(b_i/k) + 1) - 1),
     #classes   <= b  =  sum_{k>=1} mu(k) (prod_i (2 floor(b_i/k) + 1) - 1) / 2,
@@ -73,37 +74,64 @@ def _primitive(v: Sequence[int], dim: int, name: str) -> tuple[int, ...]:
     return vt
 
 
-def _concat_aranges(lengths: np.ndarray) -> np.ndarray:
-    """arange(n) for each n in lengths, concatenated."""
-    starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
-    return np.arange(starts.size, dtype=np.int64) - starts
+def _concat_aranges(lengths: np.ndarray, dtype) -> np.ndarray:
+    """arange(n) for each n >= 1 in lengths, concatenated, as `dtype`, which
+    holds max(lengths) - 1: a running sum of ones that steps back to 0 at the
+    start of each range."""
+    steps = np.ones(int(lengths.sum()), dtype=dtype)
+    steps[0] = 0
+    steps[np.cumsum(lengths[:-1])] = 1 - lengths[:-1]
+    return np.cumsum(steps, out=steps)
 
 
 def primitive_array(dim: int, bound: Sequence[int], l1_max: int) -> np.ndarray:
     """Primitive v <= bound with ||v||_1 <= l1_max as rows of an int64 array, lex ascending.
 
     The order is part of the reproducibility contract of the coefficient DP
-    and the sampler.  The lattice points are built one coordinate at a time
-    (each prefix repeated once per value its next coordinate can take, up to
-    min(remaining norm, b_i)), so memory scales with the points of the box
-    inside the ball, not with the cube of the larger of the two.
+    and the sampler (see _primitive_rows).
+    """
+    return _primitive_rows(dim, bound, l1_max, np.int64)[0]
+
+
+def _primitive_rows(dim: int, bound: Sequence[int], l1_max: int,
+                    dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of primitive_array, their 1-norms and their numbers of nonzero
+    coordinates, all three of the signed integer type `dtype`, which must hold
+    l1_max.
+
+    The lattice points are built one coordinate at a time: each prefix is
+    repeated once per value its next coordinate can take, up to
+    min(remaining norm, b_i), and carries its remaining norm, its nonzero count
+    and its gcd.  A point of the last coordinate is kept if its gcd with its
+    prefix's is 1, and only the kept points are written out as rows, so memory
+    scales with the points of the box inside the ball, not with the cube of
+    the larger of the two.
     """
     bt = _validate_vector(bound, dim)
     if l1_max < 0:
         raise ValueError("l1_max must be >= 0")
     if dim == 1:  # only v = (1) is primitive; skip the segment 0..b
-        return np.ones((min(l1_max, bt[0], 1), 1), dtype=np.int64)
-    rows = np.zeros((1, 0), dtype=np.int64)
-    budget = np.array([l1_max], dtype=np.int64)
-    for b in bt:
-        span = np.minimum(budget, b) + 1
-        col = _concat_aranges(span)
+        rows = np.ones((min(l1_max, bt[0], 1), 1), dtype=dtype)
+        return rows, rows[:, 0].copy(), rows[:, 0].copy()
+    rows = np.zeros((1, 0), dtype=dtype)
+    budget = np.full(1, l1_max, dtype=dtype)  # the norm left for the later coordinates
+    nnz = np.zeros(1, dtype=dtype)
+    g = np.zeros(1, dtype=dtype)
+    for b in bt[:-1]:
+        span = np.minimum(budget, min(b, l1_max)).astype(np.int64) + 1
+        col = _concat_aranges(span, dtype)
         rows = np.column_stack([np.repeat(rows, span, axis=0), col])
         budget = np.repeat(budget, span) - col
-    g = np.gcd(rows[:, 0], rows[:, 1])
-    for k in range(2, dim):  # column by column: about twice as fast as np.gcd.reduce(axis=1)
-        np.gcd(g, rows[:, k], out=g)
-    return rows[g == 1]
+        nnz = np.repeat(nnz, span) + (col != 0)
+        g = np.gcd(np.repeat(g, span), col)
+    span = np.minimum(budget, min(bt[-1], l1_max)).astype(np.int64) + 1
+    col = _concat_aranges(span, dtype)
+    kept = np.gcd(np.repeat(g, span), col) == 1
+    prefix = np.repeat(np.arange(span.size), span)[kept]
+    last = col[kept]
+    # take gathers rows several times faster than fancy indexing does
+    return (np.column_stack([rows.take(prefix, 0), last]),
+            (l1_max - budget).take(prefix) + last, nnz.take(prefix) + (last != 0))
 
 
 def class_weights(vecs: np.ndarray) -> np.ndarray:

@@ -9,13 +9,17 @@ uniform per class, and keeps the classes with K >= 1.  The visit order and
 the one-uniform-per-class stream are part of the reproducibility contract;
 PRNG is numpy's PCG64 (period 2^128), one generator per sample seed.
 
-A class system stores each kept primitive vector once (the vector, ln q_v,
-q_v and the visit position of its first class); the filter bound
-q_v (1 + 1e-9) is the one per-class array.  The kept vectors are exactly the
-primitive ones in the 1-norm ball of radius l1_max, the largest n with
-e^(-theta n) >= cutoff.  class_system keeps the six latest systems in an LRU
-cache.  A draw still takes all the uniforms, but inverts only those at most
-the filter bound: the others give K = 0 under the same formula (see _draw).
+A class system stores each kept primitive vector once: its coordinates and
+its 1-norm in the smallest signed integer type that holds l1_max, and the
+visit position of its first class.  ln q_v and q_v depend on the norm only,
+so they are tables over the l1_max + 1 norm shells, read by a gather; the
+filter bound q_v (1 + 1e-9) is the one per-class array.  The kept vectors
+are exactly the primitive ones in the 1-norm ball of radius l1_max, the
+largest n with e^(-theta n) >= cutoff.  At d = 3 and the n = 2e3 saddle
+(l1_max = 134, int16) a system holds 16.3 MB: 8 bytes for each of 1,348,801
+classes and 16 for each of 345,448 vectors.  class_system keeps the six latest systems in an LRU cache.  A
+draw still takes all the uniforms, but inverts only those at most the
+filter bound: the others give K = 0 under the same formula (see _draw).
 It fills the uniforms in chunks of 2^16 into a buffer of its own (at most
 512 KB), and returns the visit positions with K >= 1, their vectors' rows
 and their multiplicities; rows and statistics read them directly, and only
@@ -48,8 +52,7 @@ from .primitives import (
     _approx,
     _charge,
     _primitive,
-    class_weights,
-    primitive_array,
+    _primitive_rows,
     signed_representative,
 )
 
@@ -74,8 +77,11 @@ _IN_FLIGHT_PER_WORKER = 4
 class ClassSystem:
     """All sign classes with q_v >= cutoff at parameter theta, in visit order.
 
-    Each kept primitive vector is one row: vecs holds them lex ascending,
-    log_q and q their ln q_v and q_v.  The classes of row r are the visit
+    Each kept primitive vector is one row: vecs holds them lex ascending and
+    norm their 1-norms, both in the smallest signed integer type that holds
+    l1_max.  q_v depends on ||v||_1 only, so shell_log_q and shell_q hold
+    ln q and q for the norms 0 .. l1_max, and a row's are read by a gather
+    (the log_q and q properties).  The classes of row r are the visit
     positions first[r], first[r] + 1, ..., first[r + 1] - 1, with sign-pattern
     index 0, 1, ...; first ends with ncls.  q_hi, the only per-class array, is
     q_v (1 + 1e-9), the bound beyond which a uniform gives K = 0.
@@ -101,26 +107,41 @@ class ClassSystem:
         elif math.exp(-theta * l1_max) < cutoff:
             l1_max -= 1
         # d + 4 words for each of the at most 2^(d-1) classes per lattice point
-        # of the simplex ||v||_1 <= l1_max: a bound on the transient of the
-        # enumeration below (about 2d + 4 words per lattice point), which
-        # exceeds the arrays kept (one word per class, d + 3 per vector)
+        # of the simplex ||v||_1 <= l1_max: a bound on the build, whose largest
+        # transients are the enumeration's (a few narrow integers and one
+        # int64 prefix index per lattice point) and whose kept arrays are one
+        # word per class and d + 1 narrow integers and one word per vector
         _charge(math.comb(l1_max + dim, dim) * 2 ** (dim - 1) * 8 * (dim + 4),
                 f"class system of 1-norm radius {_approx(l1_max)} in dim {dim}")
-        self.vecs = primitive_array(dim, (l1_max,) * dim, l1_max)
-        weight = class_weights(self.vecs)
-        self.first = np.concatenate(([0], np.cumsum(weight)))
+        coord = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                     if l1_max <= np.iinfo(t).max)
+        self.vecs, self.norm, nnz = _primitive_rows(dim, (l1_max,) * dim, l1_max, coord)
+        weight = np.left_shift(1, nnz - 1, dtype=np.int64)
+        self.first = np.zeros(len(weight) + 1, dtype=np.int64)
+        np.cumsum(weight, out=self.first[1:])
         self.ncls = int(self.first[-1])
-        self.log_q = -self.theta * self.vecs.sum(axis=1).astype(np.float64)
-        self.q = np.exp(self.log_q)
-        self.q_hi = np.repeat(self.q * _Q_MARGIN, weight)
+        self.shell_log_q = -self.theta * np.arange(l1_max + 1, dtype=np.float64)
+        self.shell_q = np.exp(self.shell_log_q)
+        self.q_hi = np.repeat((self.shell_q * _Q_MARGIN)[self.norm], weight)
         self.l1_max = l1_max
+
+    @property
+    def log_q(self) -> np.ndarray:
+        """ln q_v of each row (a gather from shell_log_q)."""
+        return self.shell_log_q[self.norm]
+
+    @property
+    def q(self) -> np.ndarray:
+        """q_v of each row (a gather from shell_q)."""
+        return self.shell_q[self.norm]
 
     def index_of(self, class_id: ClassId) -> int | None:
         """Visit position of a class, None for a class the system does not hold
         (beyond the cutoff, or no sign class at all): one binary search per
         coordinate."""
         coords, j = class_id
-        if len(coords) == self.dim:
+        # kept vectors lie in [0, l1_max]^d; a coordinate outside may not fit vecs
+        if len(coords) == self.dim and all(0 <= c <= self.l1_max for c in coords):
             lo, hi = 0, len(self.vecs)
             for col, c in enumerate(coords):
                 column = self.vecs[lo:hi, col]
@@ -192,7 +213,9 @@ def _draw(sys: ClassSystem, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     # of ends at most pos
     row = sys.first[1:].searchsorted(pos, "right")
     np.log(np.maximum(x, _TINY_UNIFORM, out=x), out=x)
-    k = np.floor(np.divide(x, sys.log_q[row], out=x), out=x).astype(np.int64)
+    # ln u / ln q_v > 0, so the conversion's truncation is the floor; take
+    # gathers by narrow indices several times faster than fancy indexing does
+    k = np.divide(x, sys.shell_log_q.take(sys.norm[row]), out=x).astype(np.int64)
     hit = k > 0
     return pos[hit], row[hit], k[hit]
 
@@ -215,7 +238,8 @@ def expected_endpoint_truncated(dim: int, theta: float, cutoff: float) -> tuple[
     """Exact expected bounding box over the kept classes:
     component i is sum_v v_i q_v/(1-q_v) (geometric means per class)."""
     sys = class_system(dim, theta, cutoff)
-    weights = np.diff(sys.first) * (sys.q / (1.0 - sys.q))
+    q = sys.q
+    weights = np.diff(sys.first) * (q / (1.0 - q))
     return tuple(float(x) for x in weights @ sys.vecs)
 
 
@@ -286,7 +310,7 @@ def sample_stats(dim: int, theta: float, cutoff: float, n_samples: int,
     sys = class_system(dim, theta, cutoff)
     pos = [sys.index_of(cid) for cid in tracked_ids]
     q = [math.exp(-sys.theta * sum(coords)) if p is None
-         else float(sys.q[sys.first.searchsorted(p, "right") - 1])
+         else float(sys.shell_q[sum(coords)])
          for (coords, _), p in zip(tracked_ids, pos)]
     # one contiguous row per column: direction count, endpoint, tracked K
     cols = np.array(list(_rows(sys, n_samples, base_seed, pos)), dtype=np.float64)[:, 1:].T.copy()

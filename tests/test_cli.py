@@ -163,6 +163,16 @@ def test_sample_csv_deterministic(capsys):
     assert len(lines) == 6
 
 
+def test_sample_tracks_a_class_beyond_every_integer_type(capsys):
+    # 2^70 fits no numpy integer type: the class is beyond the cutoff, so its
+    # column is 0, with no traceback
+    code, out, err = run_cli(capsys, "sample", "--dim", "2", "--n", "100", "--samples", "1",
+                             "--track", "1180591620717411303424,1")
+    assert code == 0 and err == ""
+    header, row = out.strip().splitlines()
+    assert header.endswith(",omega_1180591620717411303424_1_c0") and row.split(",")[-1] == "0"
+
+
 def test_sample_polygon_out(capsys, tmp_path):
     poly = tmp_path / "poly.csv"
     code, _, _ = run_cli(capsys, "sample", "--dim", "2", "--n", "50",

@@ -364,6 +364,67 @@ def test_shared_hit_raises_like_a_cold_build(monkeypatch):
     assert str(hit.value) == str(cold.value)
 
 
+def test_shared_hit_plans_once_per_budget_setting(monkeypatch):
+    # a hit under an unchanged budget setting plans nothing; a budget lowered
+    # between two calls raises what a cold build raises; set back, the hit
+    # plans nothing again
+    exact._SHARED.clear()
+    exact._planned.cache_clear()
+    monkeypatch.delenv("ZONOCOUNT_MEMORY_BUDGET", raising=False)
+    plans = []
+    plan = exact._plan
+    monkeypatch.setattr(exact, "_plan", lambda dim, bt: plans.append(bt) or plan(dim, bt))
+    table = exact.shared_table(2, (10, 10))
+    assert plans == [(10, 10)] * 2  # shared_table's plan and build_table's
+    for box in [(10, 10), (10, 10), (3, 3)]:
+        assert exact.shared_table(2, box) is table
+    assert zon_coefficient(2, (3, 3)) == table.coefficient((3, 3))
+    assert plans == [(10, 10)] * 2 + [(3, 3)]
+    monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", "2704")
+    with pytest.raises(MemoryBudgetError, match="staging") as hit:
+        exact.shared_table(2, (10, 10))
+    with pytest.raises(MemoryBudgetError) as cold:
+        _cold(exact.shared_table, 2, (10, 10))
+    assert str(hit.value) == str(cold.value) and exact._SHARED[2] is table
+    monkeypatch.delenv("ZONOCOUNT_MEMORY_BUDGET")
+    del plans[:]
+    assert exact.shared_table(2, (10, 10)) is table and exact.shared_table(2, (3, 3)) is table
+    assert plans == []
+
+
+def test_plan_charge_is_not_monotone_in_the_box(monkeypatch):
+    # the corner limbs of (1, 133) are 3 and those of (2, 133) 2, so the
+    # smaller box charges more: a hit plans its own box, never one that merely
+    # covers it
+    small, big = (1, 133), (2, 133)
+    assert (exact._plan(2, small), exact._plan(2, big)) == (3, 2)
+    assert _largest_charge(monkeypatch, 2, small) == 168296
+    assert _largest_charge(monkeypatch, 2, big) == 165080
+    exact._SHARED.clear()
+    monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", "165080")
+    table = exact.shared_table(2, big)
+    with pytest.raises(MemoryBudgetError) as hit:
+        exact.shared_table(2, small)
+    with pytest.raises(MemoryBudgetError) as cold:
+        _cold(exact.shared_table, 2, small)
+    assert str(hit.value) == str(cold.value) and exact._SHARED[2] is table
+
+
+def test_warm_diameter_call_enumerates_nothing(monkeypatch):
+    # the box's primitive vectors are enumerated once per (dim, n): a warm
+    # call enumerates nothing and gives the same numerators
+    exact._diameter_terms.cache_clear()
+    cold = {(dim, n): diameter_numerators(dim, n) for dim, n in ((2, 8), (3, 4), (1, 5), (2, 3))}
+    assert cold[(2, 3)].weighted == brute_force_count(2, (3, 3)).direction_count_sum
+
+    def refuse(*args):
+        raise AssertionError("a warm diameter call enumerated the box")
+
+    monkeypatch.setattr(exact, "primitive_array", refuse)
+    for (dim, n), pair in cold.items():
+        assert diameter_numerators(dim, n) == pair
+
+
 def _ask(dim, box, kind, v0):
     if kind == "coefficient":
         return zon_coefficient(dim, box)

@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 
+import numpy as np
 import pytest
 
 import zonocount.primitives as primitives
@@ -181,3 +182,20 @@ def test_l1_cut_matches_box_filter():
     # d = 1 at a sampler-sized radius: the one primitive vector, without the segment
     big = primitive_array(1, (10 ** 9,), 10 ** 9)
     assert big.tolist() == [[1]] and big.dtype == "int64"
+
+
+def test_primitive_rows_carry_norm_and_nonzero_count():
+    # the one enumerator in a narrow type: the rows of primitive_array with the
+    # 1-norm and the nonzero count of each, all three of the caller's type,
+    # up to the largest l1_max the type holds (127 for int8)
+    for dim, bound, l1, dtype in ((1, (7,), 7, np.int8), (1, (7,), 0, np.int8),
+                                  (2, (0, 0), 0, np.int8), (2, (9, 9), 9, np.int8),
+                                  (2, (127, 127), 127, np.int8), (2, (3, 8), 6, np.int8),
+                                  (3, (6, 6, 6), 6, np.int16), (3, (300, 2, 1), 300, np.int16),
+                                  (4, (5, 5, 5, 5), 5, np.int8), (3, (4, 4, 4), 20, np.int64)):
+        rows, norm, nnz = primitives._primitive_rows(dim, bound, l1, dtype)
+        want = primitive_array(dim, bound, l1)
+        assert rows.dtype == norm.dtype == nnz.dtype == dtype, (dim, bound, l1)
+        assert rows.shape == want.shape and np.array_equal(rows, want), (dim, bound, l1)
+        assert norm.tolist() == want.sum(axis=1).tolist()
+        assert nnz.tolist() == np.count_nonzero(want, axis=1).tolist()

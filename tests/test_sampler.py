@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import threading
 import time
+import tracemalloc
 import warnings
 from sys import getswitchinterval, setswitchinterval
 
@@ -493,14 +494,89 @@ def test_index_of_every_class_and_misses():
         assert sys.index_of(bad) is None
 
 
+def _coordinate_type(l1_max):
+    # the narrowest signed integer type that holds l1_max
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if l1_max <= np.iinfo(t).max)
+
+
 def test_class_system_memory_contract():
-    # one word per class (q_hi) and d + 3 per vector (the vector, ln q, q and
-    # its first visit position, which has one more entry: ncls)
+    # exactly one word per class (q_hi); per vector one word (its first visit
+    # position; first has one more entry, ncls) and d + 1 integers of the
+    # narrowest type that holds l1_max (the vector and its 1-norm); two words
+    # per norm shell 0 .. l1_max (ln q and q)
     for dim, theta, cutoff in DRAW_SYSTEMS + [(2, THETA_1E4, 1e-12)]:
         sys = ClassSystem(dim, theta, cutoff)
         held = sum(a.nbytes for a in vars(sys).values() if isinstance(a, np.ndarray))
-        assert held <= 8 * (sys.ncls + (len(sys.vecs) + 1) * (dim + 3))
+        coord = np.dtype(_coordinate_type(sys.l1_max)).itemsize
+        rows = len(sys.vecs)
+        assert held == 8 * sys.ncls + 8 * (rows + 1) + coord * (dim + 1) * rows \
+            + 16 * (sys.l1_max + 1), (dim, theta, cutoff)
         assert sys.ncls <= math.comb(sys.l1_max + dim, dim) * 2 ** (dim - 1)
+    with pytest.raises(MemoryBudgetError):
+        ClassSystem(2, 1e-9, 1e-12)
+
+
+@pytest.mark.parametrize("dim, theta, cutoff",
+                         DRAW_SYSTEMS + [(3, theta_tilde(3, 2e3), 1e-12)])
+def test_class_system_charge_bounds_the_traced_build(monkeypatch, dim, theta, cutoff):
+    # the traced peak of a build (numpy's buffers and the interpreter's
+    # objects) stays within what ClassSystem charges the budget, plus 16 KB
+    # for the array headers and ints that no charge counts
+    charged = []
+    monkeypatch.setattr(sampler, "_charge", lambda need, what: charged.append(need))
+    ClassSystem(dim, theta, cutoff)  # a first build also fills numpy's own caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ClassSystem(dim, theta, cutoff)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(charged) == 2 and peak <= charged[-1] + 16 * 1024, (peak, charged)
+
+
+def test_compact_layout_matches_the_per_row_formulas():
+    # the rows, first, the per-row ln q and q, q_hi, the expected endpoint and
+    # the expected direction count, bit for bit, against the formulas over
+    # int64 rows with per-row ln q and q that the compact layout replaced
+    def bits(a):
+        return np.asarray(a, dtype=np.float64).view(np.int64).tolist()
+
+    for dim, theta, cutoff in DRAW_SYSTEMS + [(2, THETA_1E4, 1e-12)]:
+        sys = class_system(dim, theta, cutoff)
+        vecs = primitive_array(dim, (sys.l1_max,) * dim, sys.l1_max)
+        weight = class_weights(vecs)
+        log_q = -float(theta) * vecs.sum(axis=1).astype(np.float64)
+        q = np.exp(log_q)
+        assert sys.vecs.dtype == sys.norm.dtype == _coordinate_type(sys.l1_max)
+        assert np.array_equal(sys.vecs, vecs) and sys.norm.tolist() == vecs.sum(axis=1).tolist()
+        assert sys.first.tolist() == [0, *np.cumsum(weight).tolist()]
+        assert bits(sys.log_q) == bits(log_q) and bits(sys.q) == bits(q)
+        assert bits(sys.q_hi) == bits(np.repeat(q * (1 + 1e-9), weight))
+        want = tuple(float(x) for x in (weight * (q / (1.0 - q))) @ vecs)
+        assert bits(expected_endpoint_truncated(dim, theta, cutoff)) == bits(want)
+        stats = sample_stats(dim, theta, cutoff, 1, 0)
+        assert bits([stats.expected_directions]) == bits([weight @ q])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_tracked_ids_outside_the_coordinate_type(dim):
+    # coordinates that int8 coordinates cannot hold: index_of answers None
+    # without comparing them with vecs, the CSV column is 0 and sample_stats
+    # reports q = e^(-theta ||v||_1)
+    theta, cutoff = 1.2, 1e-3  # l1_max = 5
+    sys = class_system(dim, theta, cutoff)
+    assert sys.vecs.dtype == np.int8
+    far = [((10 ** 6, 1, 1)[:dim], 0), ((2 ** 70, 1, 0)[:dim], 1), ((1, 2 ** 70, 3)[:dim], 0)]
+    for cid in far + [((-2 ** 70,) + (1,) * (dim - 1), 0), ((1,) * dim, 2 ** 70)]:
+        assert sys.index_of(cid) is None
+    rows = list(sample_rows(dim, theta, cutoff, 3, 0, far))
+    assert [row[-3:] for row in rows[1:]] == [[0, 0, 0]] * 3
+    stats = sample_stats(dim, theta, cutoff, 3, 0, tracked=far)
+    for coords, j in far:
+        t = stats.tracked[(coords, j)]
+        assert (t.mean, t.variance, t.stderr) == (0.0, 0.0, 0.0)
+        assert t.q == math.exp(-theta * sum(coords))
 
 
 def _one_draw_at_a_time(dim, theta, cutoff, n_samples, base_seed, tracked):
