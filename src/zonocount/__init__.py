@@ -49,10 +49,9 @@ from .exact import (
     zon_coefficient,
 )
 from .primitives import (
-    class_weights,
     count_classes_moebius,
     count_primitive_moebius,
-    primitive_array,
+    primitive_rows,
     signed_representative,
 )
 from .sampler import (

@@ -150,13 +150,13 @@ def _finite(value, flag: str):
 
 def cmd_count(args) -> list[dict]:
     ns = _parse_range(args)
-    table = exact.shared_table(args.dim, (ns[-1],) * args.dim)
+    table = exact.shared_table(args.dim, ns[-1])
     rows = []
     for n in ns:
         if args.cumulative:
-            z = table.total((n,) * args.dim)
+            z = table.total(n)
         else:
-            z = table.coefficient((n,) * args.dim)
+            z = table.coefficient(n)
         rows.append({"dim": args.dim, "n": n, "z_exact": z, "ln_z": math.log(z)})
     return rows
 
@@ -168,10 +168,10 @@ def cmd_compare(args) -> list[dict]:
     if ns[0] < 1:  # before the table: the estimate needs n >= 1
         raise ValueError("n must be >= 1")
     zeros = _load_zeros(args)
-    table = exact.shared_table(args.dim, (ns[-1],) * args.dim)
+    table = exact.shared_table(args.dim, ns[-1])
     rows = []
     for n in ns:
-        z = table.coefficient((n,) * args.dim)
+        z = table.coefficient(n)
         ln_z = math.log(z)
         est = asympt.estimate(args.dim, n, zeros)
         rows.append({
@@ -303,11 +303,6 @@ def _poly_recursion_holds(d: int) -> bool:
     for i, c in enumerate(pd):
         rhs[i] += c
     return tuple(rhs) == pd2
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The zonocount argument parser, made once per process."""
-    return _parsers()[0]
 
 
 @functools.lru_cache(maxsize=None)

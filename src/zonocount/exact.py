@@ -56,10 +56,11 @@ sum_k (2k-1) Z[n - k v0].  An independent depth-first multiset enumeration
 serves as the oracle for all of these on small boxes.
 
 A build is charged to the memory budget once, up front, from its box alone
-(_plan).  A table at bound B holds Z[e] for every e <= B, so the readers here
-and the CLI's ``count`` and ``compare`` share one table per dimension, the last
-one built (``shared_table``), which answers every box inside it once that box
-is charged; another box replaces it.  ``build_table`` is never cached.
+(_plan, remembered per box and budget setting by _planned).  A table at
+bound B holds Z[e] for every e <= B, so the readers here and the CLI's
+``count`` and ``compare`` share one table per dimension, the last one built
+(``shared_table``), which answers every box inside it once that box is
+charged; another box replaces it.  ``build_table`` is never cached.
 """
 
 from __future__ import annotations
@@ -81,9 +82,8 @@ from .primitives import (
     _charge,
     _primitive,
     _validate_vector,
-    class_weights,
     count_classes_moebius,
-    primitive_array,
+    primitive_rows,
 )
 
 # Payload bits of one limb.  A uint64 entry may hold up to 2 * _LIMB_BITS bits
@@ -321,7 +321,6 @@ def _group_geometry(shape: tuple[int, ...], a: int, limbs: int) -> tuple:
     return lo, rows, other, m, inner, cut, pad, staging
 
 
-@functools.lru_cache(maxsize=256)
 def _corner_limbs(n: tuple[int, ...]) -> int:
     """Limbs that hold Z[n], and so every partial product, for the nonzero axis
     lengths n of a box.  Over its d axes (d <= 1 keeps every cell at 1),
@@ -357,18 +356,19 @@ def _plan(dim: int, bt: tuple[int, ...]) -> int:
     return limbs
 
 
-def _build(table: CoeffTable, vecs: np.ndarray) -> CoeffTable:
+def _build(table: CoeffTable, vecs: np.ndarray, norms: np.ndarray,
+           weights: np.ndarray) -> CoeffTable:
     """Multiply the table by the factor (1 - x^v)^(-w_v) of every primitive row
-    v of vecs: class_pass for the rows with 2v inside the box, by descending
-    1-norm (ties in row order), then one group product per axis a for the
-    rest, grouped by the first axis with 2 v_a > n_a."""
-    weights = class_weights(vecs)
+    v of vecs, with its 1-norm and weight w_v from primitive_rows: class_pass
+    for the rows with 2v inside the box, by descending 1-norm (ties in row
+    order), then one group product per axis a for the rest, grouped by the
+    first axis with 2 v_a > n_a."""
     over = 2 * vecs > np.array(table.bound)  # the axes along which 2v leaves the box
     # the group axis of each row, dim for the rows with 2v inside the box;
     # within each group by descending 1-norm, ties in row order (lexsort is
     # stable)
     group = np.where(over.any(axis=1), over.argmax(axis=1), table.dim)
-    order = np.lexsort((-vecs.sum(axis=1), group))
+    order = np.lexsort((-norms, group))
     ends = np.bincount(group, minlength=table.dim + 1).cumsum().tolist()
     vecs, weights = vecs[order], weights[order]
     # row by row: a list of every row would hold ~100 bytes per vector
@@ -387,11 +387,13 @@ def build_table(dim: int, bound) -> CoeffTable:
     vectors with 2v inside the box (chain length s >= 2) come first, by
     descending 1-norm (ties in lex order), each as w_v cumulative passes on
     one block plan (CoeffTable.class_pass); then one group product per axis a
-    applies the rest, axis 0 first (see _build).
+    applies the rest, axis 0 first (see _build).  The box is charged first
+    (_planned), and not again if it was planned under the same budget
+    setting; the table itself is never cached.
     """
     bt = _validate_vector(bound, dim)
-    _plan(dim, bt)
-    return _build(CoeffTable(dim, bt), primitive_array(dim, bt, sum(bt)))
+    _planned(dim, bt, os.environ.get(_MEMORY_ENV))
+    return _build(CoeffTable(dim, bt), *primitive_rows(dim, bt, sum(bt), np.int64))
 
 
 # dim -> the last table shared_table built in that dimension
@@ -400,10 +402,11 @@ _SHARED: dict[int, CoeffTable] = {}
 
 @functools.lru_cache(maxsize=256)
 def _planned(dim: int, bt: tuple[int, ...], setting: str | None) -> int:
-    """_plan(dim, bt) once per budget setting (the raw ZONOCOUNT_MEMORY_BUDGET):
-    a plan that passes is remembered, one that raises is not.  Only the exact
-    box is remembered, not the boxes inside it: the charge is not monotone in
-    the box (the corner limbs of (1, 133) exceed those of (2, 133))."""
+    """_plan(dim, bt) once per budget setting (the raw ZONOCOUNT_MEMORY_BUDGET),
+    the one way build_table and shared_table charge a box: a plan that passes
+    is remembered, one that raises is not.  Only the exact box is remembered,
+    not the boxes inside it: the charge is not monotone in the box (the
+    corner limbs of (1, 133) exceed those of (2, 133))."""
     return _plan(dim, bt)
 
 
@@ -413,11 +416,12 @@ def shared_table(dim: int, bound) -> CoeffTable:
 
     Every call is first charged like build_table(dim, bound), so it raises
     what that build raises; a box already planned under the same budget
-    setting is not planned again (_planned).  Then the last table built here
-    for dim answers when its bound covers `bound` on every axis; otherwise it
-    is dropped first, so two tables are never held at once, and
-    build_table(dim, bound) takes its place.  The values read at e <= bound
-    are those of build_table(dim, bound).
+    setting is not planned again (_planned), so a cold call plans its box
+    once, build included.  Then the last table built here for dim answers
+    when its bound covers `bound` on every axis; otherwise it is dropped
+    first, so two tables are never held at once, and build_table(dim, bound)
+    takes its place.  The values read at e <= bound are those of
+    build_table(dim, bound).
     """
     bt = _validate_vector(bound, dim)
     _planned(dim, bt, os.environ.get(_MEMORY_ENV))
@@ -476,8 +480,8 @@ def diameter_numerators(dim: int, n: int) -> MomentPair:
 def _diameter_terms(dim: int, n: int) -> tuple[list[int], tuple[np.ndarray, ...]]:
     """The weights w_v and the cells n - v of the primitive v <= n*1, enumerated
     once per (dim, n)."""
-    vecs = primitive_array(dim, (n,) * dim, dim * n)
-    return class_weights(vecs).tolist(), tuple(n - vecs.T)
+    vecs, _, weights = primitive_rows(dim, (n,) * dim, dim * n, np.int64)
+    return weights.tolist(), tuple(n - vecs.T)
 
 
 def occurrence_numerators(dim: int, n: int, v0: Sequence[int]) -> MomentPair:
@@ -526,9 +530,8 @@ def brute_force_count(dim: int, n) -> BruteForceResult:
             or count_classes_moebius(dim, bt) > _BRUTE_NODE_BUDGET):
         raise EnumerationBudgetError(
             f"box {bt} needs more than {_BRUTE_NODE_BUDGET} nodes; oracle is for small boxes")
-    vecs = primitive_array(dim, bt, sum(bt))
-    classes = [(tuple(v), j) for v, w in zip(vecs.tolist(), class_weights(vecs).tolist())
-               for j in range(w)]
+    vecs, _, weights = primitive_rows(dim, bt, sum(bt), np.int64)
+    classes = [(tuple(v), j) for v, w in zip(vecs.tolist(), weights.tolist()) for j in range(w)]
     ncls = len(classes)
 
     occurrence = {cls: [0, 0] for cls in classes}

@@ -2,12 +2,14 @@
 
 These index the factors of the zonotope generating function: a vector v with
 d(v) nonzero coordinates carries 2^(d(v)-1) sign classes, so its factor weight
-is 2^(d(v)-1).  One numpy enumerator serves every engine: the primitive
-vectors of a box, cut by a 1-norm ball, as lexicographically ascending rows
-(the exact DP and its oracle use the whole box as int64, the sampler an l1
-ball in the narrowest integer type, with each row's 1-norm and nonzero
-count); the classes of a row are its sign-pattern indices
-0 .. 2^(d(v)-1) - 1, visited row by row.  The Moebius sieve counts are the independent cross-check,
+is w_v = 2^(d(v)-1).  One numpy enumerator, primitive_rows, serves every
+engine: the primitive vectors of a box, cut by a 1-norm ball, as
+lexicographically ascending rows with their 1-norms and their weights (the
+exact DP, its oracle and the diameter numerators read the whole box as
+int64, the sampler an l1 ball in the narrowest integer type).  The classes
+of a row are its sign-pattern indices 0 .. w_v - 1, visited row by row.
+Dimensions above 63 are refused before anything d-sized is made.  The
+Moebius sieve counts are the independent cross-check,
 
     #primitive <= b  =  sum_{k>=1} mu(k) (prod_i (floor(b_i/k) + 1) - 1),
     #classes   <= b  =  sum_{k>=1} mu(k) (prod_i (2 floor(b_i/k) + 1) - 1) / 2,
@@ -27,6 +29,9 @@ import numpy as np
 
 _DEFAULT_MEMORY_BUDGET = 2 * 1024 ** 3
 _MEMORY_ENV = "ZONOCOUNT_MEMORY_BUDGET"
+# The largest dimension served: a class weight 2^(d(v)-1) is an int64, and a
+# coefficient table has d + 1 numpy axes, of which numpy allows 64.
+_MAX_DIM = 63
 
 
 class MemoryBudgetError(RuntimeError):
@@ -54,10 +59,17 @@ def _charge(need: int, what: str) -> None:
                                 f"{_approx(budget, 9)} GB; raise {_MEMORY_ENV} to override")
 
 
-def _validate_vector(v: Sequence[int] | int, dim: int) -> tuple[int, ...]:
-    """v as a tuple of dim ints >= 0, by operator.index; an integer n stands for (n,) * dim."""
+def _check_dim(dim: int) -> None:
+    """Refuse a dimension below 1 or above _MAX_DIM, before anything d-sized is made."""
     if dim < 1:
         raise ValueError("dimension must be >= 1")
+    if dim > _MAX_DIM:
+        raise ValueError(f"dimension {dim} exceeds the largest supported, {_MAX_DIM}")
+
+
+def _validate_vector(v: Sequence[int] | int, dim: int) -> tuple[int, ...]:
+    """v as a tuple of dim ints >= 0, by operator.index; an integer n stands for (n,) * dim."""
+    _check_dim(dim)
     vt = tuple(map(operator.index, (v,) * dim if isinstance(v, (int, np.integer)) else v))
     if len(vt) != dim:
         raise ValueError(f"expected {dim} coordinates, got {len(vt)}")
@@ -84,35 +96,27 @@ def _concat_aranges(lengths: np.ndarray, dtype) -> np.ndarray:
     return np.cumsum(steps, out=steps)
 
 
-def primitive_array(dim: int, bound: Sequence[int], l1_max: int) -> np.ndarray:
-    """Primitive v <= bound with ||v||_1 <= l1_max as rows of an int64 array, lex ascending.
+def primitive_rows(dim: int, bound: Sequence[int], l1_max: int,
+                   dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Primitive v <= bound with ||v||_1 <= l1_max, lex ascending: the rows
+    and the 1-norms, both of the signed integer type `dtype`, which must hold
+    l1_max, and the int64 class weights w_v = 2^(d(v)-1).
 
     The order is part of the reproducibility contract of the coefficient DP
-    and the sampler (see _primitive_rows).
-    """
-    return _primitive_rows(dim, bound, l1_max, np.int64)[0]
-
-
-def _primitive_rows(dim: int, bound: Sequence[int], l1_max: int,
-                    dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows of primitive_array, their 1-norms and their numbers of nonzero
-    coordinates, all three of the signed integer type `dtype`, which must hold
-    l1_max.
-
-    The lattice points are built one coordinate at a time: each prefix is
-    repeated once per value its next coordinate can take, up to
-    min(remaining norm, b_i), and carries its remaining norm, its nonzero count
-    and its gcd.  A point of the last coordinate is kept if its gcd with its
-    prefix's is 1, and only the kept points are written out as rows, so memory
-    scales with the points of the box inside the ball, not with the cube of
-    the larger of the two.
+    and the sampler.  The lattice points are built one coordinate at a time:
+    each prefix is repeated once per value its next coordinate can take, up
+    to min(remaining norm, b_i), and carries its remaining norm, its nonzero
+    count and its gcd.  A point of the last coordinate is kept if its gcd
+    with its prefix's is 1, and only the kept points are written out as rows,
+    so memory scales with the points of the box inside the ball, not with
+    the cube of the larger of the two.
     """
     bt = _validate_vector(bound, dim)
     if l1_max < 0:
         raise ValueError("l1_max must be >= 0")
     if dim == 1:  # only v = (1) is primitive; skip the segment 0..b
         rows = np.ones((min(l1_max, bt[0], 1), 1), dtype=dtype)
-        return rows, rows[:, 0].copy(), rows[:, 0].copy()
+        return rows, rows[:, 0].copy(), np.ones(len(rows), dtype=np.int64)
     rows = np.zeros((1, 0), dtype=dtype)
     budget = np.full(1, l1_max, dtype=dtype)  # the norm left for the later coordinates
     nnz = np.zeros(1, dtype=dtype)
@@ -131,12 +135,8 @@ def _primitive_rows(dim: int, bound: Sequence[int], l1_max: int,
     last = col[kept]
     # take gathers rows several times faster than fancy indexing does
     return (np.column_stack([rows.take(prefix, 0), last]),
-            (l1_max - budget).take(prefix) + last, nnz.take(prefix) + (last != 0))
-
-
-def class_weights(vecs: np.ndarray) -> np.ndarray:
-    """The factor weight w_v = 2^(d(v)-1) of each primitive row: its number of sign classes."""
-    return 1 << (np.count_nonzero(vecs, axis=1) - 1)
+            (l1_max - budget).take(prefix) + last,
+            np.left_shift(1, nnz.take(prefix) + (last != 0) - 1, dtype=np.int64))
 
 
 def signed_representative(coords: Sequence[int], sign_idx: int) -> tuple[int, ...]:

@@ -11,18 +11,22 @@ PRNG is numpy's PCG64 (period 2^128), one generator per sample seed.
 
 A class system stores each kept primitive vector once: its coordinates and
 its 1-norm in the smallest signed integer type that holds l1_max, and the
-visit position of its first class.  ln q_v and q_v depend on the norm only,
-so they are tables over the l1_max + 1 norm shells, read by a gather; the
-filter bound q_v (1 + 1e-9) is the one per-class array.  The kept vectors
-are exactly the primitive ones in the 1-norm ball of radius l1_max, the
-largest n with e^(-theta n) >= cutoff.  At d = 3 and the n = 2e3 saddle
-(l1_max = 134, int16) a system holds 16.3 MB: 8 bytes for each of 1,348,801
-classes and 16 for each of 345,448 vectors.  class_system keeps the six latest systems in an LRU cache.  A
-draw still takes all the uniforms, but inverts only those at most the
-filter bound: the others give K = 0 under the same formula (see _draw).
-It fills the uniforms in chunks of 2^16 into a buffer of its own (at most
-512 KB), and returns the visit positions with K >= 1, their vectors' rows
-and their multiplicities; rows and statistics read them directly, and only
+visit position of its first class.  The kept vectors are exactly the
+primitive ones in the 1-norm ball of radius l1_max, the largest n with
+e^(-theta n) >= cutoff; primitives.primitive_rows gives them with their
+norms and class weights, whose running sum is the visit positions.  ln q_v
+and q_v depend on the norm only, so they are tables over the l1_max + 1
+norm shells, read by a gather; the filter bound q_v (1 + 1e-9) is the one
+per-class array.  At d = 3 and the n = 2e3 saddle (l1_max = 134, int16) a
+system holds 16.3 MB: 8 bytes for each of 1,348,801 classes and 16 for
+each of 345,448 vectors.  class_system keeps the six latest systems in an
+LRU cache.
+
+A draw takes all the uniforms, but inverts only those at most the filter
+bound: the others give K = 0 under the same formula (see _draw).  It fills
+the uniforms in chunks of 2^16 into a buffer of its own (at most 512 KB),
+and returns the visit positions with K >= 1, their vectors' rows and their
+multiplicities; rows and statistics read them directly, and only
 boltzmann_sample turns them into (class, multiplicity) entries.  A tracked
 class beyond the cutoff is never drawn: its multiplicity is 0 in every
 sample, and its q_v is still e^(-theta ||v||_1).
@@ -51,8 +55,9 @@ from .asympt import pd_poly
 from .primitives import (
     _approx,
     _charge,
+    _check_dim,
     _primitive,
-    _primitive_rows,
+    primitive_rows,
     signed_representative,
 )
 
@@ -88,6 +93,7 @@ class ClassSystem:
     """
 
     def __init__(self, dim: int, theta: float, cutoff: float):
+        _check_dim(dim)  # before the charge's 2^(dim - 1)
         if theta <= 0:
             raise ValueError("theta must be positive")
         if not 0 < cutoff < 1:
@@ -115,8 +121,7 @@ class ClassSystem:
                 f"class system of 1-norm radius {_approx(l1_max)} in dim {dim}")
         coord = next(t for t in (np.int8, np.int16, np.int32, np.int64)
                      if l1_max <= np.iinfo(t).max)
-        self.vecs, self.norm, nnz = _primitive_rows(dim, (l1_max,) * dim, l1_max, coord)
-        weight = np.left_shift(1, nnz - 1, dtype=np.int64)
+        self.vecs, self.norm, weight = primitive_rows(dim, (l1_max,) * dim, l1_max, coord)
         self.first = np.zeros(len(weight) + 1, dtype=np.int64)
         np.cumsum(weight, out=self.first[1:])
         self.ncls = int(self.first[-1])

@@ -240,17 +240,7 @@ class ZetaZero:
     zeta_deriv: complex = field(init=False)
 
     def __post_init__(self):
-        self._check(*_zeta_em(_checked(self.rho)))
-
-    @classmethod
-    def _at(cls, imag: float, value: complex, deriv: complex) -> ZetaZero:
-        """The zero at imag, checked on zeta and zeta' already evaluated there."""
-        zero = cls.__new__(cls)
-        object.__setattr__(zero, "imag", imag)
-        zero._check(value, deriv)
-        return zero
-
-    def _check(self, value: complex, deriv: complex) -> None:
+        value, deriv = _zeta_em(_checked(self.rho))
         residual = abs(value)
         if residual >= _ZERO_RESIDUAL:
             raise ZeroVerificationError(
@@ -282,14 +272,12 @@ def refine_zero(t_guess: float) -> ZetaZero:
     """
     t = float(t_guess)
     for _ in range(_REFINE_STEPS):
-        at = t
         value, deriv = _zeta_em(_checked(complex(0.5, t)))
         step = (value / (1j * deriv)).real
         t -= step
         if abs(step) < 1e-13:
             break
-    # a last step that left t where it was evaluated zeta and zeta' at t already
-    return ZetaZero._at(t, value, deriv) if t == at else ZetaZero(t)
+    return ZetaZero(t)
 
 
 def first_zero() -> ZetaZero:

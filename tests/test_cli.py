@@ -2,8 +2,12 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -86,7 +90,7 @@ def test_compare_refuses_n_0_before_the_table(capsys, monkeypatch, argv):
         raise AssertionError("a refused compare did work")
 
     monkeypatch.setattr(exact, "_SHARED", {})
-    monkeypatch.setattr(exact, "primitive_array", refuse)
+    monkeypatch.setattr(exact, "primitive_rows", refuse)
     monkeypatch.setattr(exact.CoeffTable, "class_pass", refuse)
     monkeypatch.setattr(exact.CoeffTable, "_one_step", refuse)
     code, out, err = run_cli(capsys, "compare", "--dim", "2", *argv)
@@ -340,6 +344,28 @@ def test_large_dim_is_refused_fast(capsys, argv):
     assert len(err.splitlines()) == 1
 
 
+HUGE_DIM = "1000000000000000000000000000000"
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--dim", HUGE_DIM, "--n", "6"),
+    ("compare", "--dim", HUGE_DIM, "--n", "6"),
+    ("moments", "--dim", HUGE_DIM, "--n", "6", "--param", "diameter"),
+    ("count", "--dim", "1000000", "--n", "1"),
+    ("sample", "--dim", HUGE_DIM, "--theta", "1"),
+], ids=" ".join)
+def test_huge_dim_is_refused_by_name(argv):
+    # in a fresh process, as a user runs it: refused before a d-tuple, a
+    # d-axis table or a charge like 2^(d - 1) is made, so neither a
+    # traceback nor a hang
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-m", "zonocount.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr == f"error: dimension {argv[2]} exceeds the largest supported, 63\n"
+
+
 def test_asympt_factorial_overflow_is_error(capsys):
     # I_crit still has a value at d = 172, the estimate's (d - 1)! does not
     code, out, err = run_cli(capsys, "asympt", "--dim", "172", "--n", "1e6")
@@ -452,7 +478,7 @@ def test_main_parses_as_the_top_level_parser(capsys, monkeypatch, argv):
     # alone: it must hand on the Namespace, print the text and exit with the
     # code that one pass of the top-level parser gives
     try:
-        want, want_code = cli.build_parser().parse_args(argv), None
+        want, want_code = cli._parsers()[0].parse_args(argv), None
     except SystemExit as exc:
         want, want_code = None, exc.code
     want_out = capsys.readouterr()

@@ -18,16 +18,21 @@ from zonocount import (
     MomentPair,
     brute_force_count,
     build_table,
-    class_weights,
     diameter_numerators,
     occurrence_numerators,
-    primitive_array,
+    primitive_rows,
     zon_coefficient,
 )
 from zonocount.cli import main as cli_main
 
 Z2_DIAG = [1, 3, 10, 34, 109, 331, 965]
 Z3_DIAG = [1, 11, 170, 2458]
+
+
+def _rows64(dim, box):
+    # the rows, norms and weights of the primitive vectors of the box, as
+    # build_table enumerates them
+    return primitive_rows(dim, box, sum(box), np.int64)
 
 
 def _cells(table):
@@ -70,8 +75,8 @@ def test_symmetry_under_coordinate_permutation():
 
 def test_factor_order_independence():
     for dim, bound in ((2, (4, 4)), (3, (2, 2, 2))):
-        vecs = primitive_array(dim, bound, sum(bound))
-        reversed_table = exact._build(CoeffTable(dim, bound), vecs[::-1])
+        reversed_table = exact._build(CoeffTable(dim, bound),
+                                      *(a[::-1] for a in _rows64(dim, bound)))
         assert _cells(build_table(dim, bound)) == _cells(reversed_table)
 
 
@@ -242,7 +247,7 @@ def test_memory_guard_runs_before_enumeration(monkeypatch):
     def refuse(*args):
         raise AssertionError("enumerated a box the table guard refuses")
 
-    monkeypatch.setattr(exact, "primitive_array", refuse)
+    monkeypatch.setattr(exact, "primitive_rows", refuse)
     big = (10 ** 5, 10 ** 5)
     with pytest.raises(MemoryBudgetError):
         build_table(2, big)
@@ -365,9 +370,10 @@ def test_shared_hit_raises_like_a_cold_build(monkeypatch):
 
 
 def test_shared_hit_plans_once_per_budget_setting(monkeypatch):
-    # a hit under an unchanged budget setting plans nothing; a budget lowered
-    # between two calls raises what a cold build raises; set back, the hit
-    # plans nothing again
+    # a cold call plans its box once, for itself and its build; a hit under
+    # an unchanged budget setting plans nothing, and neither does a build of
+    # a box planned under it; a budget lowered between two calls raises what
+    # a cold build raises; set back, the hit plans nothing again
     exact._SHARED.clear()
     exact._planned.cache_clear()
     monkeypatch.delenv("ZONOCOUNT_MEMORY_BUDGET", raising=False)
@@ -375,17 +381,23 @@ def test_shared_hit_plans_once_per_budget_setting(monkeypatch):
     plan = exact._plan
     monkeypatch.setattr(exact, "_plan", lambda dim, bt: plans.append(bt) or plan(dim, bt))
     table = exact.shared_table(2, (10, 10))
-    assert plans == [(10, 10)] * 2  # shared_table's plan and build_table's
+    assert plans == [(10, 10)]
     for box in [(10, 10), (10, 10), (3, 3)]:
         assert exact.shared_table(2, box) is table
     assert zon_coefficient(2, (3, 3)) == table.coefficient((3, 3))
-    assert plans == [(10, 10)] * 2 + [(3, 3)]
+    assert plans == [(10, 10), (3, 3)]
+    for box in [(10, 10), (3, 3)]:  # planned under this setting: built, never cached
+        built = build_table(2, box)
+        assert built is not table and built.coefficient(box) == table.coefficient(box)
+    assert plans == [(10, 10), (3, 3)]
     monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", "2704")
     with pytest.raises(MemoryBudgetError, match="staging") as hit:
         exact.shared_table(2, (10, 10))
     with pytest.raises(MemoryBudgetError) as cold:
         _cold(exact.shared_table, 2, (10, 10))
-    assert str(hit.value) == str(cold.value) and exact._SHARED[2] is table
+    with pytest.raises(MemoryBudgetError) as built:
+        build_table(2, (10, 10))
+    assert str(hit.value) == str(cold.value) == str(built.value) and exact._SHARED[2] is table
     monkeypatch.delenv("ZONOCOUNT_MEMORY_BUDGET")
     del plans[:]
     assert exact.shared_table(2, (10, 10)) is table and exact.shared_table(2, (3, 3)) is table
@@ -420,7 +432,7 @@ def test_warm_diameter_call_enumerates_nothing(monkeypatch):
     def refuse(*args):
         raise AssertionError("a warm diameter call enumerated the box")
 
-    monkeypatch.setattr(exact, "primitive_array", refuse)
+    monkeypatch.setattr(exact, "primitive_rows", refuse)
     for (dim, n), pair in cold.items():
         assert diameter_numerators(dim, n) == pair
 
@@ -462,7 +474,7 @@ def _refuse_work(monkeypatch):
     def refuse(*args):
         raise AssertionError("a refused build did work")
 
-    monkeypatch.setattr(exact, "primitive_array", refuse)
+    monkeypatch.setattr(exact, "primitive_rows", refuse)
     monkeypatch.setattr(CoeffTable, "class_pass", refuse)
     monkeypatch.setattr(CoeffTable, "_one_step", refuse)
 
@@ -542,7 +554,7 @@ def test_brute_force_refuses_large_boxes_up_front(monkeypatch):
     def refuse(*args):
         raise AssertionError("enumerated a box the node bound refuses")
 
-    monkeypatch.setattr(exact, "primitive_array", refuse)
+    monkeypatch.setattr(exact, "primitive_rows", refuse)
     # (3000, 3000): 9.0e6 cells and 5.5e6 primitive vectors, but 1.09e7 classes
     # (10**9, 0): one class, but 10**9 + 1 cells
     for dim, box in ((2, (3000, 3000)), (2, (10 ** 9, 0)), (3, (300, 300, 300)),
@@ -643,7 +655,7 @@ def test_narrow_limbs_match_brute_force(box, limbs, seed):
                 check(self)
 
             monkeypatch.setattr(CoeffTable, name, step)
-        exact._build(table, primitive_array(dim, box, sum(box)))
+        exact._build(table, *_rows64(dim, box))
     assert steps[0], "the first step did not normalize"
     assert len(table.data) > limbs
     zon = _values(build_table(dim, box))
@@ -736,7 +748,7 @@ def test_narrow_limbs_grow_and_guard(monkeypatch):
         with pytest.raises(MemoryBudgetError, match="in 2 limbs with its carry buffer \\("):
             build_table(3, box)
     with pytest.raises(MemoryBudgetError, match="in 2 limbs with its carry buffer \\("):
-        exact._build(CoeffTable(3, box), primitive_array(3, box, sum(box)))
+        exact._build(CoeffTable(3, box), *_rows64(3, box))
     monkeypatch.delenv("ZONOCOUNT_MEMORY_BUDGET")
 
     def refuse(*args):
@@ -779,10 +791,11 @@ def test_weighted_pass_equals_repeated_class_passes(data, box, full):
 
 
 def _group(box, a):
-    # the primitive vectors whose first axis with 2 v_i > n_i is a
-    vecs = primitive_array(len(box), box, sum(box))
+    # the primitive vectors whose first axis with 2 v_i > n_i is a, and their weights
+    vecs, _, weights = _rows64(len(box), box)
     over = 2 * vecs > np.array(box)
-    return vecs[over.any(axis=1) & (over.argmax(axis=1) == a)]
+    mine = over.any(axis=1) & (over.argmax(axis=1) == a)
+    return vecs[mine], weights[mine]
 
 
 def _slab_adds(values, vecs, weights):
@@ -803,13 +816,12 @@ def test_group_product_equals_sequential_slab_adds(data, box, full, past_limit):
     # so that each product stays below it but the sums across k go beyond it
     dim = len(box)
     a = data.draw(st.sampled_from([i for i, b in enumerate(box) if b] or [0]))
-    group = _group(box, a)
+    vecs, weights = _group(box, a)
     if not past_limit:
-        keep = data.draw(st.lists(st.booleans(), min_size=len(group), max_size=len(group)))
-        group = group[np.array(keep, dtype=bool)] if len(group) else group
-    vecs = group
+        keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(vecs),
+                                           max_size=len(vecs))), dtype=bool)
+        vecs, weights = vecs[keep], weights[keep]
     assume(len(vecs))
-    weights = class_weights(vecs)
     table = CoeffTable(dim, box)
     limbs = data.draw(st.integers(1, 3))
     table.data, table.ceiling = _random_fill(data, (limbs, *table.shape), full)
@@ -827,15 +839,15 @@ def test_group_product_normalizes_at_2_pow_53():
     # group 0 of (1, 1) is (1, 0) and (1, 1), of weights 1 and 2, both at k = 1:
     # a ceiling of ceil(2^53 / 3) makes the product of k reach 2^53, one below
     # does not
-    vecs = _group((1, 1), 0)
+    vecs, weights = _group((1, 1), 0)
     assert vecs.tolist() == [[1, 0], [1, 1]]
     edge = -(-(2 ** 53) // 3)
     for ceiling, limbs in ((edge - 1, 1), (edge, 2)):
         table = CoeffTable(2, (1, 1))
         table.data = np.full((1, 2, 2), ceiling, dtype=np.uint64)
         table.ceiling = ceiling
-        want = _slab_adds(_values(table), vecs, class_weights(vecs))
-        table._one_step(0, vecs, class_weights(vecs))
+        want = _slab_adds(_values(table), vecs, weights)
+        table._one_step(0, vecs, weights)
         assert len(table.data) == limbs  # the edge normalizes first, carrying into a new limb
         assert int(table.data.max()) <= table.ceiling < _WORD
         assert _cells(table) == want.ravel().tolist() == [ceiling, ceiling, 2 * ceiling, 4 * ceiling]
@@ -853,8 +865,8 @@ def test_group_product_sums_in_uint64(monkeypatch):
         real_normalize(self)
 
     monkeypatch.setattr(CoeffTable, "_normalize", normalize)
-    vecs = _group((5, 5), 0)
-    assert np.bincount(vecs[:, 0], class_weights(vecs)).tolist() == [0, 0, 0, 8, 6, 8]
+    vecs, weights = _group((5, 5), 0)
+    assert np.bincount(vecs[:, 0], weights).tolist() == [0, 0, 0, 8, 6, 8]
     # at the limit 2^36, 8 * (2^32 - 1) fits and 8 * (2^64 - 1) does not; at
     # 2^53, 8 * (2^51 + 1) does not, though 23 * (2^51 + 1) fits the word, and
     # 8 * (2^50 - 1) fits but a cell sums 22 * (2^50 - 1) > 2^53, beyond what
@@ -866,8 +878,8 @@ def test_group_product_sums_in_uint64(monkeypatch):
         table = CoeffTable(2, (5, 5))
         table.data = np.full((1, 6, 6), fill, dtype=np.uint64)
         table.ceiling = fill
-        want = _slab_adds(_values(table), vecs, class_weights(vecs))
-        table._one_step(0, vecs, class_weights(vecs))
+        want = _slab_adds(_values(table), vecs, weights)
+        table._one_step(0, vecs, weights)
         assert len(normalized) == normalizes
         assert int(table.data.max()) <= table.ceiling < _WORD
         assert _cells(table) == want.ravel().tolist()
@@ -878,13 +890,13 @@ def test_group_product_sums_in_uint64(monkeypatch):
     # the ceiling from the entries: entries of 5 leave room and are not
     # normalized; entries at 2^62 are, first
     monkeypatch.setattr(exact, "_FLOAT_EXACT", 1 << 65)
-    vecs = _group((1, 1), 0)
+    vecs, weights = _group((1, 1), 0)
     for fill, normalizes, ceiling in ((5, 0, 4 * 5), (1 << 62, 1, 4 * (2 ** 32 - 1 + 2 ** 30))):
         normalized.clear()
         table = CoeffTable(2, (1, 1))
         table.data = np.full((1, 2, 2), fill, dtype=np.uint64)
         table.ceiling = 1 << 62
-        table._one_step(0, vecs, class_weights(vecs))
+        table._one_step(0, vecs, weights)
         assert len(normalized) == normalizes
         assert table.ceiling == ceiling < _WORD
         assert int(table.data.max()) <= table.ceiling
@@ -960,13 +972,14 @@ def test_loose_ceiling_steps_equal_python_ints(data, box, steps):
                         tuple(slice(n - k * c) for c, n in zip(v, table.shape))]
         else:
             a = data.draw(st.sampled_from([i for i, b in enumerate(box) if b]))
-            group = _group(box, a)
-            keep = data.draw(st.lists(st.booleans(), min_size=len(group), max_size=len(group)))
-            vecs = group[np.array(keep, dtype=bool)]
+            vecs, weights = _group(box, a)
+            keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(vecs),
+                                               max_size=len(vecs))), dtype=bool)
+            vecs, weights = vecs[keep], weights[keep]
             if not len(vecs):
                 continue
-            table._one_step(a, vecs, class_weights(vecs))
-            want = _slab_adds(want, vecs, class_weights(vecs))
+            table._one_step(a, vecs, weights)
+            want = _slab_adds(want, vecs, weights)
         assert int(table.data.max()) <= table.ceiling < _WORD
         assert _cells(table) == want.ravel().tolist()
 
@@ -1001,7 +1014,7 @@ def test_class_pass_checks_its_weight():
             table.class_pass((1, 1, 1), w)
     with pytest.raises(TypeError):
         table.class_pass((1, 1, 1), 2.0)
-    table.class_pass((1, 1, 1), np.int64(4))  # numpy ints as from class_weights
+    table.class_pass((1, 1, 1), np.int64(4))  # numpy ints as from primitive_rows
     # (1 - x^v)^(-4) = 1 + 4 x^v + C(5, 2) x^2v + ...
     assert [table.coefficient((k, k, k)) for k in range(3)] == [1, 4, 10]
 
@@ -1025,16 +1038,16 @@ def test_build_table_makes_one_pass_per_vector(monkeypatch):
     monkeypatch.setattr(CoeffTable, "class_pass", spy_pass)
     monkeypatch.setattr(CoeffTable, "_one_step", spy_group)
     for dim, box in ((2, (5, 3)), (3, (2, 2, 2)), (4, (1, 2, 1, 1))):
-        vecs = primitive_array(dim, box, sum(box))
+        vecs, norms, weights = _rows64(dim, box)
         for reverse in (False, True):
             calls.clear()
             groups.clear()
             if reverse:
-                vecs = vecs[::-1]
-                exact._build(CoeffTable(dim, box), vecs)
+                vecs, norms, weights = vecs[::-1], norms[::-1], weights[::-1]
+                exact._build(CoeffTable(dim, box), vecs, norms, weights)
             else:
                 build_table(dim, box)
-            want = list(zip(map(tuple, vecs.tolist()), class_weights(vecs).tolist()))
+            want = list(zip(map(tuple, vecs.tolist()), weights.tolist()))
             want.sort(key=lambda vw: -sum(vw[0]))  # stable
             axis = {v: next((i for i, (c, b) in enumerate(zip(v, box)) if 2 * c > b), None)
                     for v, _ in want}

@@ -8,16 +8,20 @@ import pytest
 import zonocount.primitives as primitives
 from zonocount import (
     MemoryBudgetError,
-    class_weights,
     count_classes_moebius,
     count_primitive_moebius,
-    primitive_array,
+    primitive_rows,
     signed_representative,
 )
 
 
+def rows64(dim, bound, l1_max):
+    """primitive_rows as the exact side calls it: rows, norms and weights, all int64."""
+    return primitive_rows(dim, bound, l1_max, np.int64)
+
+
 def coords_list(dim, bound):
-    return [tuple(v) for v in primitive_array(dim, bound, sum(bound)).tolist()]
+    return [tuple(v) for v in rows64(dim, bound, sum(bound))[0].tolist()]
 
 
 def test_is_primitive_examples():
@@ -43,17 +47,18 @@ def test_is_primitive_validation():
 
 
 def test_enumerate_unit_box():
-    vecs = primitive_array(2, (1, 1), 2)
+    vecs, norms, weights = rows64(2, (1, 1), 2)
     assert vecs.dtype == "int64" and vecs.shape == (3, 2)
     assert vecs.tolist() == [[0, 1], [1, 0], [1, 1]]
-    assert class_weights(vecs).tolist() == [1, 1, 2]
+    assert norms.tolist() == [1, 1, 2]
+    assert weights.dtype == "int64" and weights.tolist() == [1, 1, 2]
 
 
 def test_enumerate_dim1():
-    assert primitive_array(1, (5,), 5).tolist() == [[1]]
-    assert primitive_array(1, (0,), 5).shape == (0, 1)
-    assert primitive_array(1, (5,), 0).shape == (0, 1)
-    assert class_weights(primitive_array(1, (5,), 5)).tolist() == [1]
+    assert rows64(1, (5,), 5)[0].tolist() == [[1]]
+    assert rows64(1, (0,), 5)[0].shape == (0, 1)
+    assert rows64(1, (5,), 0)[0].shape == (0, 1)
+    assert [a.tolist() for a in rows64(1, (5,), 5)[1:]] == [[1], [1]]
 
 
 def test_enumerate_two_two():
@@ -63,13 +68,18 @@ def test_enumerate_two_two():
 
 def test_enumerate_validation():
     with pytest.raises(ValueError):
-        primitive_array(2, (1, 2, 3), 6)
+        rows64(2, (1, 2, 3), 6)
     with pytest.raises(ValueError):
-        primitive_array(2, (-1, 2), 6)
+        rows64(2, (-1, 2), 6)
     with pytest.raises(ValueError):
-        primitive_array(2, (1, 2), -1)
+        rows64(2, (1, 2), -1)
     with pytest.raises(ValueError):
-        primitive_array(0, (), 1)
+        rows64(0, (), 1)
+    # a dimension whose weights or table axes do not fit is refused by name
+    # before a d-tuple is made
+    for dim in (64, 10 ** 30):
+        with pytest.raises(ValueError, match=f"dimension {dim} exceeds the largest supported, 63"):
+            rows64(dim, 1, 1)
 
 
 def test_lexicographic_order():
@@ -80,9 +90,8 @@ def test_lexicographic_order():
 
 
 def test_weights_match_nonzero_count():
-    vecs = primitive_array(3, (3, 3, 3), 9)
-    assert class_weights(vecs).tolist() == [2 ** (sum(1 for c in v if c) - 1)
-                                            for v in vecs.tolist()]
+    vecs, _, weights = rows64(3, (3, 3, 3), 9)
+    assert weights.tolist() == [2 ** (sum(1 for c in v if c) - 1) for v in vecs.tolist()]
     expected = [(tuple(v), j) for v in vecs.tolist()
                 for j in range(2 ** (sum(1 for c in v if c) - 1))]
     # each class has its own signed vector, and a vector's classes are its sign
@@ -156,16 +165,16 @@ def test_memory_budget_must_be_positive(monkeypatch):
 def test_class_count_matches_expansion():
     for dim, top in ((1, 8), (2, 8), (3, 5), (4, 3)):
         for bound in itertools.product(range(top + 1), repeat=dim):
-            vecs = primitive_array(dim, bound, sum(bound))
-            assert count_classes_moebius(dim, bound) == class_weights(vecs).sum()
+            weights = rows64(dim, bound, sum(bound))[2]
+            assert count_classes_moebius(dim, bound) == weights.sum()
 
 
 def test_weight_sum_over_interior_vectors():
     # all-positive vectors have weight 2^(d-1), so the weighted count collapses
     for dim, m in ((2, 5), (3, 4)):
-        vecs = primitive_array(dim, (m,) * dim, dim * m)
-        interior = vecs[(vecs > 0).all(axis=1)]
-        assert class_weights(interior).sum() == 2 ** (dim - 1) * len(interior)
+        vecs, _, weights = rows64(dim, (m,) * dim, dim * m)
+        interior = (vecs > 0).all(axis=1)
+        assert weights[interior].sum() == 2 ** (dim - 1) * interior.sum()
 
 
 def test_l1_cut_matches_box_filter():
@@ -174,28 +183,28 @@ def test_l1_cut_matches_box_filter():
     for dim, bound, l1 in ((1, (7,), 0), (1, (7,), 7), (2, (0, 0), 0), (2, (9, 9), 9),
                            (3, (6, 6, 6), 6), (4, (0, 0, 0, 0), 0), (4, (5, 5, 5, 5), 5),
                            (2, (3, 8), 6), (3, (2, 5, 1), 4), (3, (4, 4, 4), 20)):
-        via_l1 = primitive_array(dim, bound, l1)
+        via_l1 = rows64(dim, bound, l1)[0]
         assert via_l1.shape == (len(via_l1), dim)
         via_box = [v for v in itertools.product(*(range(b + 1) for b in bound))
                    if sum(v) <= l1 and math.gcd(*v) == 1]
         assert [tuple(v) for v in via_l1.tolist()] == via_box
     # d = 1 at a sampler-sized radius: the one primitive vector, without the segment
-    big = primitive_array(1, (10 ** 9,), 10 ** 9)
+    big = rows64(1, (10 ** 9,), 10 ** 9)[0]
     assert big.tolist() == [[1]] and big.dtype == "int64"
 
 
 def test_primitive_rows_carry_norm_and_nonzero_count():
-    # the one enumerator in a narrow type: the rows of primitive_array with the
-    # 1-norm and the nonzero count of each, all three of the caller's type,
-    # up to the largest l1_max the type holds (127 for int8)
+    # the one enumerator in a narrow type: the int64 rows with the 1-norm of
+    # each, both of the caller's type, up to the largest l1_max the type holds
+    # (127 for int8), and the int64 class weight 2^(nnz - 1) of each
     for dim, bound, l1, dtype in ((1, (7,), 7, np.int8), (1, (7,), 0, np.int8),
                                   (2, (0, 0), 0, np.int8), (2, (9, 9), 9, np.int8),
                                   (2, (127, 127), 127, np.int8), (2, (3, 8), 6, np.int8),
                                   (3, (6, 6, 6), 6, np.int16), (3, (300, 2, 1), 300, np.int16),
                                   (4, (5, 5, 5, 5), 5, np.int8), (3, (4, 4, 4), 20, np.int64)):
-        rows, norm, nnz = primitives._primitive_rows(dim, bound, l1, dtype)
-        want = primitive_array(dim, bound, l1)
-        assert rows.dtype == norm.dtype == nnz.dtype == dtype, (dim, bound, l1)
+        rows, norm, weights = primitive_rows(dim, bound, l1, dtype)
+        want = rows64(dim, bound, l1)[0]
+        assert rows.dtype == norm.dtype == dtype and weights.dtype == np.int64, (dim, bound, l1)
         assert rows.shape == want.shape and np.array_equal(rows, want), (dim, bound, l1)
         assert norm.tolist() == want.sum(axis=1).tolist()
-        assert nnz.tolist() == np.count_nonzero(want, axis=1).tolist()
+        assert weights.tolist() == (2 ** (np.count_nonzero(want, axis=1) - 1)).tolist()

@@ -16,9 +16,8 @@ from zonocount import (
     MemoryBudgetError,
     boltzmann_sample,
     class_system,
-    class_weights,
     expected_endpoint_truncated,
-    primitive_array,
+    primitive_rows,
     sample_stats,
     signed_representative,
     theta_tilde,
@@ -243,10 +242,9 @@ def test_truncation_bias_bounds_discarded_primitive_mass(dim, theta, cutoff):
     # the P_d shell sum, which bounds the rest, is below e^-100 * poly(R) / theta^d
     l1_max = class_system(dim, theta, cutoff).l1_max
     radius = l1_max + math.ceil(100 / theta)
-    vecs = primitive_array(dim, (radius,) * dim, radius)
-    norms = vecs.sum(axis=1)
+    _, norms, weights = primitive_rows(dim, (radius,) * dim, radius, np.int64)
     shell = norms > l1_max
-    discarded = float(class_weights(vecs[shell]) @ np.exp(-theta * norms[shell]))
+    discarded = float(weights[shell] @ np.exp(-theta * norms[shell]))
     assert discarded > 0
     assert truncation_bias_estimate(dim, theta, cutoff) >= discarded
 
@@ -492,6 +490,17 @@ def test_index_of_every_class_and_misses():
                 ((-1, 1), 0), ((1, -1), 0),     # negative coordinate
                 ((1, 1), 2), ((1, 0), 1), ((1, 1), -1)]:  # sign index out of range
         assert sys.index_of(bad) is None
+
+
+# The per-row formulas test_compact_layout_matches_the_per_row_formulas checks
+# the compact layout against: the int64 rows, and each row's class weight
+# 2^(d(v)-1) from its own nonzero count rather than from the enumerator.
+def primitive_array(dim, bound, l1_max):
+    return primitive_rows(dim, bound, l1_max, np.int64)[0]
+
+
+def class_weights(vecs):
+    return 1 << (np.count_nonzero(vecs, axis=1) - 1)
 
 
 def _coordinate_type(l1_max):
