@@ -25,13 +25,12 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 
 from . import asympt, exact, sampler, special
+from .primitives import _check_dim
 
 SCHEMA_VERSION = 1
 
 
 def _fmt(value):
-    if isinstance(value, bool) or value is None:
-        return value
     if isinstance(value, float):
         rounded = float(f"{value:.15g}")
         # within rounding of the largest double the 15 digits overflow
@@ -162,12 +161,11 @@ def cmd_count(args) -> list[dict]:
 
 
 def cmd_compare(args) -> list[dict]:
-    if args.dim < 2:  # before the table: the estimate needs d >= 2
-        raise ValueError("compare requires dim >= 2")
     ns = _parse_range(args)
-    if ns[0] < 1:  # before the table: the estimate needs n >= 1
-        raise ValueError("n must be >= 1")
     zeros = _load_zeros(args)
+    # refused before the table: a d it cannot hold, then d < 2 or n < 1
+    _check_dim(args.dim)
+    asympt.estimate(args.dim, ns[0], zeros)
     table = exact.shared_table(args.dim, ns[-1])
     rows = []
     for n in ns:

@@ -14,13 +14,14 @@ its 1-norm in the smallest signed integer type that holds l1_max, and the
 visit position of its first class.  The kept vectors are exactly the
 primitive ones in the 1-norm ball of radius l1_max, the largest n with
 e^(-theta n) >= cutoff; primitives.primitive_rows gives them with their
-norms and class weights, whose running sum is the visit positions.  ln q_v
-and q_v depend on the norm only, so they are tables over the l1_max + 1
-norm shells, read by a gather; the filter bound q_v (1 + 1e-9) is the one
+norms and class weights, whose running sum is the visit positions.  q_v
+depends on the norm only, so it is one table over the l1_max + 1 norm
+shells, read by a gather; the filter bound q_v (1 + 1e-9) is the one
 per-class array.  At d = 3 and the n = 2e3 saddle (l1_max = 134, int16) a
-system holds 16.3 MB: 8 bytes for each of 1,348,801 classes and 16 for
-each of 345,448 vectors.  class_system keeps the six latest systems in an
-LRU cache.
+system holds 16.3 MB: 8 bytes for each of 1,348,801 classes and of 135
+shells, 16 for each of 345,448 vectors.  The budget is charged d + 4 words
+for each class of the 1-norm ball, which the class law counts.
+class_system keeps the six latest systems in an LRU cache.
 
 A draw takes all the uniforms, but inverts only those at most the filter
 bound: the others give K = 0 under the same formula (see _draw).  It fills
@@ -84,16 +85,16 @@ class ClassSystem:
 
     Each kept primitive vector is one row: vecs holds them lex ascending and
     norm their 1-norms, both in the smallest signed integer type that holds
-    l1_max.  q_v depends on ||v||_1 only, so shell_log_q and shell_q hold
-    ln q and q for the norms 0 .. l1_max, and a row's are read by a gather
-    (the log_q and q properties).  The classes of row r are the visit
-    positions first[r], first[r] + 1, ..., first[r + 1] - 1, with sign-pattern
-    index 0, 1, ...; first ends with ncls.  q_hi, the only per-class array, is
-    q_v (1 + 1e-9), the bound beyond which a uniform gives K = 0.
+    l1_max.  q_v depends on ||v||_1 only, so shell_q holds it for the norms
+    0 .. l1_max, and a row's is read by a gather (the q property).  The
+    classes of row r are the visit positions first[r], first[r] + 1, ...,
+    first[r + 1] - 1, with sign-pattern index 0, 1, ...; first ends with
+    ncls.  q_hi, the only per-class array, is q_v (1 + 1e-9), the bound
+    beyond which a uniform gives K = 0.
     """
 
     def __init__(self, dim: int, theta: float, cutoff: float):
-        _check_dim(dim)  # before the charge's 2^(dim - 1)
+        _check_dim(dim)  # before the charge and the enumeration's d-tuple bound
         if theta <= 0:
             raise ValueError("theta must be positive")
         if not 0 < cutoff < 1:
@@ -112,12 +113,14 @@ class ClassSystem:
             l1_max += 1
         elif math.exp(-theta * l1_max) < cutoff:
             l1_max -= 1
-        # d + 4 words for each of the at most 2^(d-1) classes per lattice point
-        # of the simplex ||v||_1 <= l1_max: a bound on the build, whose largest
-        # transients are the enumeration's (a few narrow integers and one
-        # int64 prefix index per lattice point) and whose kept arrays are one
-        # word per class and d + 1 narrow integers and one word per vector
-        _charge(math.comb(l1_max + dim, dim) * 2 ** (dim - 1) * 8 * (dim + 4),
+        # d + 4 words per class of the ball ||v||_1 <= l1_max, whose C(d, j)
+        # C(l1_max, j) points with j nonzero coordinates carry 2^(j-1) classes
+        # each: at least one class per lattice point (Vandermonde), so this
+        # bounds the enumeration's transients (a few narrow integers and one
+        # int64 index per point) and the kept arrays (less than that per class)
+        classes = 1 + sum(math.comb(dim, j) * math.comb(l1_max, j) * 2 ** (j - 1)
+                          for j in range(1, min(dim, l1_max) + 1))
+        _charge(classes * 8 * (dim + 4),
                 f"class system of 1-norm radius {_approx(l1_max)} in dim {dim}")
         coord = next(t for t in (np.int8, np.int16, np.int32, np.int64)
                      if l1_max <= np.iinfo(t).max)
@@ -125,15 +128,9 @@ class ClassSystem:
         self.first = np.zeros(len(weight) + 1, dtype=np.int64)
         np.cumsum(weight, out=self.first[1:])
         self.ncls = int(self.first[-1])
-        self.shell_log_q = -self.theta * np.arange(l1_max + 1, dtype=np.float64)
-        self.shell_q = np.exp(self.shell_log_q)
+        self.shell_q = np.exp(-self.theta * np.arange(l1_max + 1, dtype=np.float64))
         self.q_hi = np.repeat((self.shell_q * _Q_MARGIN)[self.norm], weight)
         self.l1_max = l1_max
-
-    @property
-    def log_q(self) -> np.ndarray:
-        """ln q_v of each row (a gather from shell_log_q)."""
-        return self.shell_log_q[self.norm]
 
     @property
     def q(self) -> np.ndarray:
@@ -142,19 +139,18 @@ class ClassSystem:
 
     def index_of(self, class_id: ClassId) -> int | None:
         """Visit position of a class, None for a class the system does not hold
-        (beyond the cutoff, or no sign class at all): one binary search per
-        coordinate."""
+        (beyond the cutoff, or no sign class at all): one binary search over the
+        rows as records, which compare lexicographically, the rows' order."""
         coords, j = class_id
         # kept vectors lie in [0, l1_max]^d; a coordinate outside may not fit vecs
         if len(coords) == self.dim and all(0 <= c <= self.l1_max for c in coords):
-            lo, hi = 0, len(self.vecs)
-            for col, c in enumerate(coords):
-                column = self.vecs[lo:hi, col]
-                lo, hi = (lo + int(np.searchsorted(column, c, "left")),
-                          lo + int(np.searchsorted(column, c, "right")))
-            # rows lo..hi-1 are the vector, if kept; it has first[hi] - first[lo] classes
-            if j in range(self.first[hi] - self.first[lo]):
-                return int(self.first[lo]) + int(j)
+            records = self.vecs.view([("", self.vecs.dtype)] * self.dim)[:, 0]
+            key = np.array(tuple(coords), dtype=records.dtype)
+            r = int(records.searchsorted(key))
+            # row r is the vector, if kept; it has first[r + 1] - first[r] classes
+            kept = r < len(records) and records[r] == key
+            if kept and j in range(self.first[r + 1] - self.first[r]):
+                return int(self.first[r]) + int(j)
         return None
 
 
@@ -218,9 +214,9 @@ def _draw(sys: ClassSystem, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     # of ends at most pos
     row = sys.first[1:].searchsorted(pos, "right")
     np.log(np.maximum(x, _TINY_UNIFORM, out=x), out=x)
-    # ln u / ln q_v > 0, so the conversion's truncation is the floor; take
-    # gathers by narrow indices several times faster than fancy indexing does
-    k = np.divide(x, sys.shell_log_q.take(sys.norm[row]), out=x).astype(np.int64)
+    # ln q_v is -theta ||v||_1 and ln u / ln q_v > 0, so the conversion's
+    # truncation is the floor; take gathers faster than fancy indexing does
+    k = np.divide(x, sys.norm.take(row) * -sys.theta, out=x).astype(np.int64)
     hit = k > 0
     return pos[hit], row[hit], k[hit]
 
@@ -454,8 +450,6 @@ def write_sample_csv(path, dim: int, theta: float, cutoff: float, n_samples: int
 
 def write_polygon_csv(path, sample: ZonotopeSample) -> None:
     """Vertex list of the planar realization, one vertex per row."""
+    verts = to_polygon(sample)  # before the file is opened: it refuses d != 2
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y"])
-        for x, y in to_polygon(sample):
-            writer.writerow([x, y])
+        csv.writer(fh).writerows([("x", "y"), *verts])

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import zonocount.cli as cli
-from zonocount import asympt, exact, special
+from zonocount import asympt, exact, sampler, special
 from zonocount.cli import _fmt, main, run_self_test
 
 
@@ -79,7 +79,7 @@ def test_compare_dim_guard(capsys, monkeypatch):
     monkeypatch.delenv("ZONOCOUNT_MEMORY_BUDGET")
     # refused before the table is built, which here would take seconds
     code, _, err = run_cli(capsys, "compare", "--dim", "1", "--n-range", "1:2000000")
-    assert code == 2 and err.startswith("error:") and "dim >= 2" in err
+    assert code == 2 and err.startswith("error:") and "d >= 2" in err
 
 
 @pytest.mark.parametrize("argv", [("--n-range=0:300",), ("--n", "0")])
@@ -342,6 +342,26 @@ def test_large_dim_is_refused_fast(capsys, argv):
     assert code == 2 and out == ""
     assert err.startswith(f"error: gamma overflows for d = {argv[2]}:")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("dim, samples", [(30, 1), (40, 2)])
+def test_empty_high_dim_system_is_served(capsys, dim, samples):
+    # at theta = 30 the 1-norm ball has radius 0 and holds no class: the
+    # charge counts the ball's classes, not 2^(d - 1) per lattice point, so
+    # the sample is served with all-zero rows
+    code, out, err = run_cli(capsys, "sample", "--dim", str(dim), "--theta", "30",
+                             "--samples", str(samples))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 1 + samples
+    assert [line.split(",") for line in lines[1:]] == [
+        [str(seed)] + ["0"] * (1 + dim) for seed in range(samples)]
+    # a ball too large for the budget is still refused
+    with pytest.raises(exact.MemoryBudgetError):
+        sampler.ClassSystem(2, 1e-9, 1e-12)
+    code, out, err = run_cli(capsys, "sample", "--dim", "2", "--theta", "1e-300")
+    assert code == 2 and out == ""
+    assert err.startswith("error: class system of 1-norm radius") and len(err.splitlines()) == 1
 
 
 HUGE_DIM = "1000000000000000000000000000000"

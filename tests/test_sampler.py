@@ -296,6 +296,13 @@ def test_polygon_dim_guard():
         to_polygon(s3)
 
 
+def test_refused_polygon_csv_leaves_no_file(tmp_path):
+    path = tmp_path / "poly.csv"
+    with pytest.raises(ValueError, match="dim = 2"):
+        write_polygon_csv(path, boltzmann_sample(3, 0.9, 1e-2, seed=1))
+    assert not path.exists()
+
+
 def test_negative_seed_is_named():
     # one check serves boltzmann_sample, sample_rows and sample_stats
     for draw in (lambda: boltzmann_sample(2, 1.0, 1e-6, seed=-1),
@@ -403,7 +410,7 @@ def test_numpy_rng_contract():
 
 def _dense_multiplicities(sys, u):
     # the inversion formula over every class, as the draw was first written
-    log_q = _per_class(sys, sys.log_q)
+    log_q = _per_class(sys, sys.norm * -sys.theta)
     return np.floor(np.log(np.maximum(u, 1e-300)) / log_q).astype(np.int64)
 
 
@@ -511,16 +518,18 @@ def _coordinate_type(l1_max):
 def test_class_system_memory_contract():
     # exactly one word per class (q_hi); per vector one word (its first visit
     # position; first has one more entry, ncls) and d + 1 integers of the
-    # narrowest type that holds l1_max (the vector and its 1-norm); two words
-    # per norm shell 0 .. l1_max (ln q and q)
+    # narrowest type that holds l1_max (the vector and its 1-norm); one word
+    # per norm shell 0 .. l1_max (q).  The classes held are at most those of
+    # the whole 1-norm ball, which the class law counts
     for dim, theta, cutoff in DRAW_SYSTEMS + [(2, THETA_1E4, 1e-12)]:
         sys = ClassSystem(dim, theta, cutoff)
         held = sum(a.nbytes for a in vars(sys).values() if isinstance(a, np.ndarray))
         coord = np.dtype(_coordinate_type(sys.l1_max)).itemsize
         rows = len(sys.vecs)
         assert held == 8 * sys.ncls + 8 * (rows + 1) + coord * (dim + 1) * rows \
-            + 16 * (sys.l1_max + 1), (dim, theta, cutoff)
-        assert sys.ncls <= math.comb(sys.l1_max + dim, dim) * 2 ** (dim - 1)
+            + 8 * (sys.l1_max + 1), (dim, theta, cutoff)
+        assert sys.ncls <= 1 + sum(math.comb(dim, j) * math.comb(sys.l1_max, j) * 2 ** (j - 1)
+                                   for j in range(1, dim + 1))
     with pytest.raises(MemoryBudgetError):
         ClassSystem(2, 1e-9, 1e-12)
 
@@ -545,9 +554,9 @@ def test_class_system_charge_bounds_the_traced_build(monkeypatch, dim, theta, cu
 
 
 def test_compact_layout_matches_the_per_row_formulas():
-    # the rows, first, the per-row ln q and q, q_hi, the expected endpoint and
-    # the expected direction count, bit for bit, against the formulas over
-    # int64 rows with per-row ln q and q that the compact layout replaced
+    # the rows, first, the per-row q, q_hi, the expected endpoint and the
+    # expected direction count, bit for bit, against the formulas over int64
+    # rows with per-row ln q and q that the compact layout replaced
     def bits(a):
         return np.asarray(a, dtype=np.float64).view(np.int64).tolist()
 
@@ -560,7 +569,7 @@ def test_compact_layout_matches_the_per_row_formulas():
         assert sys.vecs.dtype == sys.norm.dtype == _coordinate_type(sys.l1_max)
         assert np.array_equal(sys.vecs, vecs) and sys.norm.tolist() == vecs.sum(axis=1).tolist()
         assert sys.first.tolist() == [0, *np.cumsum(weight).tolist()]
-        assert bits(sys.log_q) == bits(log_q) and bits(sys.q) == bits(q)
+        assert bits(sys.q) == bits(q)
         assert bits(sys.q_hi) == bits(np.repeat(q * (1 + 1e-9), weight))
         want = tuple(float(x) for x in (weight * (q / (1.0 - q))) @ vecs)
         assert bits(expected_endpoint_truncated(dim, theta, cutoff)) == bits(want)
