@@ -47,13 +47,13 @@ would.  The products are summed in uint64 and added limb by limb, and the
 group grows entries at most (1 + sum w_v)-fold, which goes through the same
 step as a cumulative pass.
 
-Exact first moments are chain sums over that one table.  Marking generator
-presence with u (factor 1 + u x^v/(1-x^v)) and differentiating at u = 1
-multiplies Zon by the sum of x^v over sign classes, so the direction-count
-numerator is sum_v w_v Z[n - v].  Marking one class's multiplicity with u^k
-(factor 1/(1-u x^v0)) gives the occurrence numerators sum_k Z[n - k v0] and
-sum_k (2k-1) Z[n - k v0].  An independent depth-first multiset enumeration
-serves as the oracle for all of these on small boxes.
+Exact first moments are kernel sums sum_f K[f] Z[n - f] over that one table,
+each read by one weighted limb sum (CoeffTable._sum).  Marking generator
+presence with u (factor 1 + u x^v/(1-x^v)) and differentiating at u = 1 gives
+the kernel w_v on primitive v (the direction count).  Marking one class's
+multiplicity with u^k (factor 1/(1-u x^v0)) gives the kernels 1 and 2k - 1 at
+k v0, k >= 1.  An independent depth-first multiset enumeration serves as the
+oracle for all of these on small boxes.
 
 A build is charged to the memory budget once, up front, from its box alone
 (_plan, remembered per box and budget setting by _planned).  A table at
@@ -114,7 +114,7 @@ class CoeffTable:
 
     ``data`` holds the coefficients as uint64 limbs with lazy carries, shape
     (k, *(bound + 1)) (see the module docstring); ``ceiling`` bounds every
-    entry.  Values become Python ints only where they are read
+    entry.  Values become Python ints only where ``_sum`` reads them
     (``coefficient``, ``total`` and the moment numerators).
     """
 
@@ -150,13 +150,14 @@ class CoeffTable:
         _check_memory(self.shape, len(self.data) + 1)
         self.data = np.concatenate([self.data, np.zeros((1, *self.shape), np.uint64)])
 
-    def _read(self, index: tuple) -> list[int]:
-        """Python ints at `index` over the cell axes (ints, slices or index arrays), flat."""
-        limbs = self.data[(slice(None), *index)].reshape(len(self.data), -1)
-        values = limbs[-1].tolist()
-        for row in limbs[-2::-1]:
-            values = [(hi << _LIMB_BITS) + lo for hi, lo in zip(values, row.tolist())]
-        return values
+    def _sum(self, index: tuple, weights: Sequence[int] | None = None) -> int:
+        """Sum of the values at `index` over the cell axes (ints, slices or index
+        arrays), times `weights` (ints, one per cell, flat) if given: one Python
+        int sum per limb, shifted once, exact whether or not limbs are normalized."""
+        limbs = self.data[(slice(None), *index)].reshape(len(self.data), -1).tolist()
+        if weights is not None:
+            limbs = [map(operator.mul, weights, cells) for cells in limbs]
+        return sum(sum(cells) << (_LIMB_BITS * i) for i, cells in enumerate(limbs))
 
     def _index(self, e) -> tuple[int, ...]:
         et = _validate_vector(e, self.dim)
@@ -165,13 +166,12 @@ class CoeffTable:
         return et
 
     def coefficient(self, e) -> int:
-        return self._read(self._index(e))[0]
+        return self._sum(self._index(e))
 
     def total(self, upto=None) -> int:
         """Sum of the coefficients at e <= upto; the whole table by default."""
         box = self.bound if upto is None else self._index(upto)
-        sub = self.data[(slice(None), *(slice(c + 1) for c in box))]
-        return sum(sum(limb.ravel().tolist()) << (_LIMB_BITS * i) for i, limb in enumerate(sub))
+        return self._sum(tuple(slice(c + 1) for c in box))
 
     def _vector(self, v: Sequence[int]) -> tuple[int, ...]:
         """v as a tuple of ints, checked to be a nonzero pass vector of this table."""
@@ -436,8 +436,7 @@ def shared_table(dim: int, bound) -> CoeffTable:
 
 def zon_coefficient(dim: int, n) -> int:
     """Exact number of lattice zonotopes with bounding box exactly n (comp.-wise)."""
-    bt = _validate_vector(n, dim)
-    return shared_table(dim, bt).coefficient(bt)
+    return shared_table(dim, n).coefficient(n)
 
 
 @dataclass(frozen=True)
@@ -472,8 +471,7 @@ def diameter_numerators(dim: int, n: int) -> MomentPair:
         raise ValueError("n must be >= 1")
     z = shared_table(dim, n)  # its memory guard runs before the box is enumerated
     weights, cells = _diameter_terms(dim, n)
-    terms = zip(weights, z._read(cells))
-    return MomentPair(count=z.coefficient(n), weighted=sum(w * t for w, t in terms))
+    return MomentPair(count=z.coefficient(n), weighted=z._sum(cells, weights))
 
 
 @functools.lru_cache(maxsize=16)
@@ -498,11 +496,11 @@ def occurrence_numerators(dim: int, n: int, v0: Sequence[int]) -> MomentPair:
         raise ValueError(f"v0 = {v0t} exceeds bound {bt}")
     z = shared_table(dim, bt)
     ks = np.arange(1, min(b // c for b, c in zip(bt, v0t) if c) + 1)
-    chain = z._read(tuple(b - ks * c for b, c in zip(bt, v0t)))
+    chain = tuple(b - ks * c for b, c in zip(bt, v0t))
     return MomentPair(
         count=z.coefficient(bt),
-        weighted=sum(chain),
-        weighted2=sum((2 * k - 1) * t for k, t in enumerate(chain, 1)),
+        weighted=z._sum(chain),
+        weighted2=z._sum(chain, range(1, 2 * len(ks), 2)),  # 2k - 1
     )
 
 

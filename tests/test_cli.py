@@ -178,11 +178,20 @@ def test_sample_tracks_a_class_beyond_every_integer_type(capsys):
 
 
 def test_sample_polygon_out(capsys, tmp_path):
+    # the polygon is the first row's sample: its bounding box is that row's
+    # endpoint (at these seeds the second row's differs)
     poly = tmp_path / "poly.csv"
-    code, _, _ = run_cli(capsys, "sample", "--dim", "2", "--n", "50",
-                         "--samples", "1", "--seed", "4", "--polygon-out", str(poly))
-    assert code == 0
-    assert poly.read_text().startswith("x,y")
+    for seed in ("4", "11"):
+        code, out, _ = run_cli(capsys, "sample", "--dim", "2", "--n", "50", "--samples", "3",
+                               "--seed", seed, "--polygon-out", str(poly))
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert poly.read_text().startswith("x,y")
+        with open(poly, newline="") as fh:
+            xs, ys = zip(*[map(int, vertex) for vertex in list(csv.reader(fh))[1:]])
+        box = [str(max(xs) - min(xs)), str(max(ys) - min(ys))]
+        assert box == [rows[0]["endpoint_0"], rows[0]["endpoint_1"]]
+        assert box != [rows[1]["endpoint_0"], rows[1]["endpoint_1"]]
 
 
 def test_sample_polygon_out_needs_dim_2(capsys, tmp_path):
@@ -574,6 +583,16 @@ def test_self_test_passes(capsys):
     assert run_self_test() == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_self_test_reports_each_failure(capsys, monkeypatch):
+    monkeypatch.setattr(exact, "zon_coefficient", lambda dim, n: 0)
+    code, out, _ = run_cli(capsys, "--self-test")
+    assert code == 1
+    lines = out.splitlines()
+    assert "FAIL z_2(1) = 3  got 0" in lines
+    assert sum(line.startswith("FAIL ") for line in lines) == 3  # z_2(1), z_2(2), z_3(1)
+    assert lines[-1] == "self-test: 3 FAILURE(S)"
 
 
 def _clear_asymptotic_memos() -> set[str]:

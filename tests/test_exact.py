@@ -36,8 +36,10 @@ def _rows64(dim, box):
 
 
 def _cells(table):
-    # every coefficient of the table, flat in row-major order
-    return table._read(())
+    # every coefficient of the table, flat in row-major order, as Python ints
+    # assembled from the limbs here, independently of CoeffTable._sum
+    limbs = (limb.astype(object) << (32 * i) for i, limb in enumerate(table.data))
+    return sum(limbs).ravel().tolist()
 
 
 def _cumulative(dim, n):
@@ -708,6 +710,33 @@ def test_narrow_limbs_normalize_at_the_word_limit():
     assert _cells(shifted) == [top] + [top + value] * 3
 
 
+def test_sum_reads_unnormalized_limbs_at_the_word_limit():
+    # three limbs, every entry within 2^20 of 2^64 and never normalized: every
+    # way the table is read equals the oracle's Python ints
+    table = CoeffTable(2, (3, 4))
+    rng = np.random.default_rng(7)
+    table.data = rng.integers(_WORD - 2 ** 20, _WORD - 1, size=(3, *table.shape),
+                              dtype=np.uint64, endpoint=True)
+    table.ceiling = _WORD - 1
+    values = _values(table)
+    rows, cols = np.array([3, 0, 2, 2, 1]), np.array([4, 1, 0, 4, 1])
+    picked = [values[e] for e in zip(rows.tolist(), cols.tolist())]
+    for weights in ([1] * 5, [7, 0, 1, 2 ** 40, 3], range(1, 10, 2)):
+        assert table._sum((rows, cols), weights) == sum(w * t for w, t in zip(weights, picked))
+    assert table._sum((rows, cols)) == sum(picked)
+    assert table._sum((slice(1, 3), slice(4))) == values[1:3, :4].sum()
+    assert table._sum(()) == table.total() == values.sum()
+    assert table.total((2, 3)) == values[:3, :4].sum()
+    assert [table.coefficient(e) for e in np.ndindex(table.shape)] == values.ravel().tolist()
+    assert table._sum((2, 3)) == values[2, 3] > 1 << 128
+
+
+def test_shifted_add_refuses_another_bound():
+    table = CoeffTable(2, (3, 3))
+    with pytest.raises(ValueError, match="table bounds differ"):
+        table.shifted_add(CoeffTable(2, (3, 2)), (1, 0))
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), box=st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple),
        full=st.booleans())
@@ -853,6 +882,18 @@ def test_group_product_normalizes_at_2_pow_53():
         assert _cells(table) == want.ravel().tolist() == [ceiling, ceiling, 2 * ceiling, 4 * ceiling]
 
 
+def test_group_product_refuses_a_weight_past_exact_floats():
+    # one vector of weight 2^30 at k = 21 needs a ceiling below 2^53 / 2^30;
+    # a built (40, 40) table's stays above it even normalized, so the product
+    # is refused and the cells keep their values and limbs
+    table = build_table(2, (40, 40))
+    before, limbs = _cells(table), len(table.data)
+    with pytest.raises(ValueError, match="too many for exact float64 products"):
+        table._one_step(0, np.array([[21, 1]]), np.array([2 ** 30]))
+    assert len(table.data) == limbs
+    assert _cells(table) == before
+
+
 def test_group_product_sums_in_uint64(monkeypatch):
     # group 0 of (5, 5) has weights 8, 6 and 8 at k = v_0 = 3, 4, 5: it
     # normalizes only when a product of k could reach the exact-float limit,
@@ -986,9 +1027,12 @@ def test_loose_ceiling_steps_equal_python_ints(data, box, steps):
 
 _BLAS_SCRIPT = """
 import hashlib
+import numpy
 from zonocount import build_table
 for dim, n in ((2, 64), (3, 12)):
-    print(hashlib.sha256(repr(build_table(dim, (n,) * dim)._read(())).encode()).hexdigest())
+    table = build_table(dim, (n,) * dim)
+    cells = [table.coefficient(e) for e in numpy.ndindex(table.shape)]
+    print(hashlib.sha256(repr(cells).encode()).hexdigest())
 """
 
 
@@ -1017,6 +1061,11 @@ def test_class_pass_checks_its_weight():
     table.class_pass((1, 1, 1), np.int64(4))  # numpy ints as from primitive_rows
     # (1 - x^v)^(-4) = 1 + 4 x^v + C(5, 2) x^2v + ...
     assert [table.coefficient((k, k, k)) for k in range(3)] == [1, 4, 10]
+
+
+def test_class_pass_refuses_a_zero_vector():
+    with pytest.raises(ValueError, match=r"pass vector \(0, 0\) is zero"):
+        CoeffTable(2, (3, 3)).class_pass((0, 0), 1)
 
 
 def test_build_table_makes_one_pass_per_vector(monkeypatch):
