@@ -238,6 +238,8 @@ def cmd_sample(args) -> list[dict]:
     tracked = [_parse_class(t, args.dim) for t in args.track or []]
     values = sampler.sample_rows(args.dim, theta, args.cutoff, args.samples, args.seed, tracked)
     columns = next(values)
+    # every row is held until the output is written: charged before the first draw
+    sampler._charge_rows(args.samples, columns)
     rows = [dict(zip(columns, row)) for row in values]
     if args.polygon_out:
         first = sampler.boltzmann_sample(args.dim, theta, args.cutoff, args.seed)

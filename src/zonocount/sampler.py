@@ -11,16 +11,17 @@ PRNG is numpy's PCG64 (period 2^128), one generator per sample seed.
 
 A class system stores each kept primitive vector once: its coordinates and
 its 1-norm in the smallest signed integer type that holds l1_max, and the
-visit position of its first class.  The kept vectors are exactly the
-primitive ones in the 1-norm ball of radius l1_max, the largest n with
-e^(-theta n) >= cutoff; primitives.primitive_rows gives them with their
-norms and class weights, whose running sum is the visit positions.  q_v
-depends on the norm only, so it is one table over the l1_max + 1 norm
-shells, read by a gather; the filter bound q_v (1 + 1e-9) is the one
+visit position of its first class, int32 unless the ball holds 2^31 classes
+or more.  The kept vectors are exactly the primitive ones in the 1-norm ball
+of radius l1_max, the largest n with e^(-theta n) >= cutoff;
+primitives.primitive_rows gives them with their norms and class weights,
+whose running sum is the visit positions.  q_v depends on the norm only, so
+it is one table over the l1_max + 1 norm shells, read by a gather; the
+filter bound, the smallest float32 at least q_v (1 + 1e-9), is the one
 per-class array.  At d = 3 and the n = 2e3 saddle (l1_max = 134, int16) a
-system holds 16.3 MB: 8 bytes for each of 1,348,801 classes and of 135
-shells, 16 for each of 345,448 vectors.  The budget is charged d + 4 words
-for each class of the 1-norm ball, which the class law counts.
+system holds 9.54 MB: 4 bytes for each of 1,348,801 classes, 12 for each
+of 345,448 vectors and 8 for each of 135 shells.  The budget is charged
+d + 4 words for each class of the 1-norm ball, which the class law counts.
 class_system keeps the six latest systems in an LRU cache.
 
 A draw takes all the uniforms, but inverts only those at most the filter
@@ -67,7 +68,9 @@ ClassId = tuple[tuple[int, ...], int]
 _TINY_UNIFORM = 1e-300
 # Filter margin of a draw.  A uniform u a few ulps above q_v can still give
 # K = 1, since ln u / ln q_v rounds to 1; beyond q_v (1 + 1e-9) the ratio is
-# at most 1 - 1e-9/745 (|ln q_v| <= 745 for a double), so K = 0.
+# at most 1 - 1e-9/745 (|ln q_v| <= 745 for a double), so K = 0.  The bound
+# held is rounded up to a float32, which only lets more uniforms through to
+# the inversion: K > 0 still decides, so every draw is the same.
 _Q_MARGIN = 1 + 1e-9
 # Uniforms per chunk of a draw: 512 KB of doubles, so the draw's buffer and
 # the slice of q_hi it is compared with stay in cache.
@@ -78,6 +81,13 @@ _PARALLEL_MIN_CLASSES = 1 << 16
 # Draws in flight per worker.  A finished row waits until the caller takes it,
 # and with two per worker the workers often wait for the caller to queue more.
 _IN_FLIGHT_PER_WORKER = 4
+# Bytes charged for each sample row a request holds: per row, and per column
+# plus per character of the column's name, which the JSON text repeats in
+# every row.  Under tracemalloc, the sample command (its row dicts and its
+# output text) took at most 711 bytes a row at 4 columns of 39 characters,
+# 707 at 6 of 59 and 5,252 at 23 of 1,029, against 1,052, 1,260 and 6,228
+# charged; sample_stats took at most 650 at 37 columns.
+_ROW_BYTES, _CELL_BYTES, _NAME_CHAR_BYTES = 640, 64, 4
 
 
 class ClassSystem:
@@ -89,8 +99,10 @@ class ClassSystem:
     0 .. l1_max, and a row's is read by a gather (the q property).  The
     classes of row r are the visit positions first[r], first[r] + 1, ...,
     first[r + 1] - 1, with sign-pattern index 0, 1, ...; first ends with
-    ncls.  q_hi, the only per-class array, is q_v (1 + 1e-9), the bound
-    beyond which a uniform gives K = 0.
+    ncls, and is int32 when the class law's count fits it.  q_hi, the only
+    per-class array, is the smallest float32 at least q_v (1 + 1e-9), a bound
+    beyond which a uniform gives K = 0: 4 bytes per class, and per vector 4
+    for first and (d + 1) times the coordinate type's size.
     """
 
     def __init__(self, dim: int, theta: float, cutoff: float):
@@ -102,7 +114,8 @@ class ClassSystem:
         self.dim = dim
         self.theta = float(theta)
         self.cutoff = float(cutoff)
-        radius = math.log(1.0 / cutoff) / theta
+        # -ln cutoff, not ln(1 / cutoff): 1 / cutoff overflows for a subnormal cutoff
+        radius = -math.log(cutoff) / theta
         if not math.isfinite(radius):
             raise ValueError(f"cutoff {cutoff} at theta {theta} gives a 1-norm radius "
                              f"that is not finite")
@@ -122,14 +135,17 @@ class ClassSystem:
                           for j in range(1, min(dim, l1_max) + 1))
         _charge(classes * 8 * (dim + 4),
                 f"class system of 1-norm radius {_approx(l1_max)} in dim {dim}")
-        coord = next(t for t in (np.int8, np.int16, np.int32, np.int64)
-                     if l1_max <= np.iinfo(t).max)
+        coord = _narrowest(l1_max, (np.int8, np.int16, np.int32, np.int64))
         self.vecs, self.norm, weight = primitive_rows(dim, (l1_max,) * dim, l1_max, coord)
-        self.first = np.zeros(len(weight) + 1, dtype=np.int64)
-        np.cumsum(weight, out=self.first[1:])
+        # the ball's classes bound ncls, the last visit position
+        self.first = np.zeros(len(weight) + 1, dtype=_position_type(classes))
+        # cast in place, then summed in place: cumsum into a narrower out
+        # would make a whole temporary of the wider type
+        self.first[1:] = weight
+        np.cumsum(self.first[1:], out=self.first[1:])
         self.ncls = int(self.first[-1])
         self.shell_q = np.exp(-self.theta * np.arange(l1_max + 1, dtype=np.float64))
-        self.q_hi = np.repeat((self.shell_q * _Q_MARGIN)[self.norm], weight)
+        self.q_hi = np.repeat(_shell_bounds(self.shell_q)[self.norm], weight)
         self.l1_max = l1_max
 
     @property
@@ -152,6 +168,25 @@ class ClassSystem:
             if kept and j in range(self.first[r + 1] - self.first[r]):
                 return int(self.first[r]) + int(j)
         return None
+
+
+def _narrowest(n: int, types) -> type:
+    """The first of the signed integer types `types` that holds n."""
+    return next(t for t in types if n <= np.iinfo(t).max)
+
+
+def _position_type(classes: int) -> type:
+    """int32 for visit positions up to `classes`, if it holds them, else int64."""
+    return _narrowest(classes, (np.int32, np.int64))
+
+
+def _shell_bounds(shell_q: np.ndarray) -> np.ndarray:
+    """The filter bound of each shell: the smallest float32 at least
+    q (1 + 1e-9), the smallest subnormal below the float32 range."""
+    want = shell_q * _Q_MARGIN
+    bound = want.astype(np.float32)
+    # the cast rounds to nearest: step up where it rounded down
+    return np.nextafter(bound, np.float32(np.inf), out=bound, where=bound < want)
 
 
 @functools.lru_cache(maxsize=6)
@@ -192,7 +227,8 @@ def _draw(sys: ClassSystem, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """Visit positions with K >= 1, ascending, their vectors' rows and their K.
 
     One uniform per class from default_rng(seed), in visit order; K is
-    floor(ln max(u, 1e-300) / ln q_v), evaluated only where u <= q_hi.  The
+    floor(ln max(u, 1e-300) / ln q_v), evaluated only where u <= q_hi (numpy
+    compares the double with the float32 bound exactly, as doubles).  The
     uniforms are filled _CHUNK at a time into the draw's own buffer: a double
     takes one PCG64 output, so consecutive fills are the stream of one fill.
     """
@@ -211,8 +247,9 @@ def _draw(sys: ClassSystem, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     # a draw of one chunk (at most 2^16 classes) copies nothing more
     pos, x = (hits[0], kept[0]) if len(hits) == 1 else (np.concatenate(hits), np.concatenate(kept))
     # first[1:] holds the end of each row's classes: pos's row is the number
-    # of ends at most pos
-    row = sys.first[1:].searchsorted(pos, "right")
+    # of ends at most pos; pos in first's type, or numpy copies all of first
+    # to the wider type on every draw
+    row = sys.first[1:].searchsorted(pos.astype(sys.first.dtype, copy=False), "right")
     np.log(np.maximum(x, _TINY_UNIFORM, out=x), out=x)
     # ln q_v is -theta ||v||_1 and ln u / ln q_v > 0, so the conversion's
     # truncation is the floor; take gathers faster than fancy indexing does
@@ -308,6 +345,7 @@ def sample_stats(dim: int, theta: float, cutoff: float, n_samples: int,
     if n_samples < 1:
         raise ValueError("need at least one sample")
     tracked_ids = [_class_id(dim, cid) for cid in tracked]
+    _charge_rows(n_samples, _header(dim, tracked_ids))
     sys = class_system(dim, theta, cutoff)
     pos = [sys.index_of(cid) for cid in tracked_ids]
     q = [math.exp(-sys.theta * sum(coords)) if p is None
@@ -370,10 +408,21 @@ def sample_rows(dim: int, theta: float, cutoff: float, n_samples: int, base_seed
     and ValueError for an id that names no sign class in dim)."""
     tracked_ids = [_class_id(dim, cid) for cid in tracked]
     sys = class_system(dim, theta, cutoff)
-    yield (["seed", "direction_count"]
-           + [f"endpoint_{i}" for i in range(dim)]
-           + ["omega_" + "_".join(map(str, c)) + f"_c{j}" for c, j in tracked_ids])
+    yield _header(dim, tracked_ids)
     yield from _rows(sys, n_samples, base_seed, [sys.index_of(cid) for cid in tracked_ids])
+
+
+def _header(dim: int, tracked_ids: Sequence[ClassId]) -> list[str]:
+    """The column names of sample_rows."""
+    return (["seed", "direction_count"]
+            + [f"endpoint_{i}" for i in range(dim)]
+            + ["omega_" + "_".join(map(str, c)) + f"_c{j}" for c, j in tracked_ids])
+
+
+def _charge_rows(n_samples: int, header: Sequence[str]) -> None:
+    """Charge the budget for n_samples rows of the columns `header`, held at once."""
+    per_row = _ROW_BYTES + _CELL_BYTES * len(header) + _NAME_CHAR_BYTES * sum(map(len, header))
+    _charge(n_samples * per_row, f"{_approx(n_samples)} sample rows of {len(header)} columns")
 
 
 def _rows(sys: ClassSystem, n_samples: int, base_seed: int,

@@ -440,12 +440,39 @@ def test_diameter_memory_guard_fails_fast(capsys):
     assert err.startswith("error: table of") and "exceeds budget" in err
 
 
-@pytest.mark.parametrize("flags", [("--theta", "0.5", "--cutoff", "1e-320"),
-                                   ("--theta", "1e-310")])
+@pytest.mark.parametrize("flags", [("--theta", "1e-320"), ("--theta", "1e-310")])
 def test_infinite_class_radius_is_error(capsys, flags):
+    # -ln cutoff / theta overflows; a subnormal cutoff alone does not (below)
     code, out, err = run_cli(capsys, "sample", "--dim", "2", *flags)
     assert code == 2 and out == ""
     assert err.startswith("error: cutoff") and "not finite" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_subnormal_cutoff_is_served(capsys):
+    # 1 / 1e-320 overflows, but the radius -ln(1e-320) / 3 is 245.6
+    code, out, err = run_cli(capsys, "sample", "--dim", "2", "--theta", "3",
+                             "--cutoff", "1e-320", "--samples", "2")
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 3
+
+
+@pytest.mark.parametrize("budget, samples, charged", [(str(10 ** 7), "100000", "1e+05"),
+                                                      (None, "100000000000", "1e+11")])
+def test_held_sample_rows_are_charged(capsys, monkeypatch, budget, samples, charged):
+    # the command holds every row until it writes them: rows beyond the
+    # budget are refused by name before the first draw
+    def refuse(*args):
+        raise AssertionError("a refused request drew")
+
+    monkeypatch.setattr(sampler, "_draw", refuse)
+    if budget is None:
+        monkeypatch.delenv("ZONOCOUNT_MEMORY_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", budget)
+    code, out, err = run_cli(capsys, "sample", "--dim", "1", "--theta", "5", "--samples", samples)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {charged} sample rows of 3 columns") and "exceeds budget" in err
     assert len(err.splitlines()) == 1
 
 

@@ -482,6 +482,96 @@ def test_sparse_draw_at_uniforms_ulps_around_q(monkeypatch):
     assert above_q_hits > 0
 
 
+# a subnormal cutoff: 1 / cutoff overflows, -ln cutoff does not; l1_max 245
+SUBNORMAL_CUTOFF_SYSTEM = (2, 3.0, 1e-320)
+
+
+def test_subnormal_cutoff_is_served():
+    # the largest norm with e^(-theta n) >= cutoff, and the dense formula's draws
+    sys = class_system(*SUBNORMAL_CUTOFF_SYSTEM)
+    assert sys.l1_max == 245 and math.exp(-3.0 * 245) >= 1e-320 > math.exp(-3.0 * 246)
+    _assert_draws_match_dense(*SUBNORMAL_CUTOFF_SYSTEM)
+    with pytest.raises(ValueError, match="radius that is not finite"):
+        ClassSystem(2, 1e-320, 1e-12)
+
+
+def test_filter_bound_at_float32_edges(monkeypatch):
+    # each class's bound is the smallest float32 at least q (1 + 1e-9): the
+    # smallest subnormal for a shell below the float32 range.  Uniforms at
+    # float32 ulps around the bound, and at the float64 neighbours of the
+    # midpoints where a float64 -> float32 cast rounds to the bound or away
+    # from it, give the dense formula's draw
+    tiny = np.nextafter(np.float32(0), np.float32(1))
+    below_float32 = 0
+    for dim, theta, cutoff in DRAW_SYSTEMS + [SUBNORMAL_CUTOFF_SYSTEM]:
+        sys = class_system(dim, theta, cutoff)
+        want = _per_class(sys, sys.q) * (1 + 1e-9)
+        hi = sys.q_hi
+        down = np.nextafter(hi, np.float32(0))
+        assert (hi >= want).all() and (down < want).all(), (dim, theta)
+        assert (hi[want <= tiny] == tiny).all()
+        below_float32 += np.count_nonzero(want < tiny)
+        up = np.nextafter(hi, np.float32(np.inf))
+        feeds = [np.maximum(hi.view(np.int32) + ulps, 0).view(np.float32)
+                 for ulps in range(-40, 41)]
+        for side in (down, up):
+            # the sum of two float32 neighbours and its half are exact in float64
+            mid = (hi.astype(np.float64) + side) / 2
+            feeds += [np.nextafter(mid, 0.0), mid, np.nextafter(mid, 1.0)]
+        for u in feeds:
+            u = np.minimum(u.astype(np.float64), np.nextafter(1.0, 0.0))
+            mult = _dense_multiplicities(sys, u)
+            monkeypatch.setattr(np.random, "default_rng", lambda seed, u=u: _FixedUniforms(u))
+            pos, _, k = _draw(sys, 0)
+            want_pos = np.flatnonzero(mult > 0)
+            assert np.array_equal(pos, want_pos) and np.array_equal(k, mult[want_pos]), (dim, theta)
+    assert below_float32 > 0
+
+
+def test_warm_draw_stays_under_one_megabyte():
+    # the chunk buffer, the hits and their rows; a searchsorted of int64
+    # positions in int32 ends would copy all of first (1.4 MB here) each draw
+    sys = class_system(3, theta_tilde(3, 2e3), 1e-12)
+    _draw(sys, 0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _draw(sys, 1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+def test_visit_positions_are_int64_beyond_int32(monkeypatch):
+    # int32 holds the positions of up to 2^31 - 1 classes; the type is chosen
+    # from the class law's count, which bounds ncls
+    assert sampler._position_type(2 ** 31 - 1) is np.int32
+    assert sampler._position_type(2 ** 31) is np.int64
+    counts = []
+    monkeypatch.setattr(sampler, "_position_type", lambda classes: counts.append(classes) or np.int64)
+    wide = ClassSystem(3, 0.9, 1e-6)
+    narrow = class_system(3, 0.9, 1e-6)
+    assert wide.first.dtype == np.int64 and narrow.first.dtype == np.int32
+    assert counts[0] >= wide.ncls and wide.first.tolist() == narrow.first.tolist()
+    for seed in range(20):
+        for a, b in zip(_draw(wide, seed), _draw(narrow, seed)):
+            assert np.array_equal(a, b)
+    assert wide.index_of(((1, 1, 1), 3)) == narrow.index_of(((1, 1, 1), 3)) is not None
+
+
+def test_held_rows_are_charged_before_any_draw(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a refused request drew")
+
+    monkeypatch.setattr(sampler, "_draw", refuse)
+    monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", str(10 ** 7))
+    with pytest.raises(MemoryBudgetError, match="^1e[+]05 sample rows of 4 columns"):
+        sample_stats(2, 1.2, 1e-3, 10 ** 5, 0)
+    with pytest.raises(MemoryBudgetError, match="^1e[+]11 sample rows of 3 columns"):
+        sample_stats(1, 5.0, 1e-12, 10 ** 11, 0)
+
+
 def test_index_of_every_class_and_misses():
     for dim, theta, cutoff in [(1, math.log(2), 0.4), (2, 1.2, 1e-3), (3, 0.9, 1e-3),
                                (4, 0.8, 1e-3), BOUNDARY_SYSTEM]:
@@ -516,8 +606,8 @@ def _coordinate_type(l1_max):
 
 
 def test_class_system_memory_contract():
-    # exactly one word per class (q_hi); per vector one word (its first visit
-    # position; first has one more entry, ncls) and d + 1 integers of the
+    # exactly one float32 per class (q_hi); per vector one int32 (its first
+    # visit position; first has one more entry, ncls) and d + 1 integers of the
     # narrowest type that holds l1_max (the vector and its 1-norm); one word
     # per norm shell 0 .. l1_max (q).  The classes held are at most those of
     # the whole 1-norm ball, which the class law counts
@@ -526,7 +616,8 @@ def test_class_system_memory_contract():
         held = sum(a.nbytes for a in vars(sys).values() if isinstance(a, np.ndarray))
         coord = np.dtype(_coordinate_type(sys.l1_max)).itemsize
         rows = len(sys.vecs)
-        assert held == 8 * sys.ncls + 8 * (rows + 1) + coord * (dim + 1) * rows \
+        assert sys.q_hi.dtype == np.float32 and sys.first.dtype == np.int32
+        assert held == 4 * sys.ncls + 4 * (rows + 1) + coord * (dim + 1) * rows \
             + 8 * (sys.l1_max + 1), (dim, theta, cutoff)
         assert sys.ncls <= 1 + sum(math.comb(dim, j) * math.comb(sys.l1_max, j) * 2 ** (j - 1)
                                    for j in range(1, dim + 1))
@@ -553,10 +644,24 @@ def test_class_system_charge_bounds_the_traced_build(monkeypatch, dim, theta, cu
     assert len(charged) == 2 and peak <= charged[-1] + 16 * 1024, (peak, charged)
 
 
+def _smallest_float32_at_least(x):
+    # bisection over the bit patterns of the float32 values in [0, inf], which
+    # they order: the first pattern whose value is at least x (float64)
+    lo = np.zeros(np.shape(x), dtype=np.int32)
+    hi = np.full(np.shape(x), np.float32(np.inf).view(np.int32))
+    while (lo < hi).any():
+        mid = lo + (hi - lo) // 2
+        ok = mid.view(np.float32) >= x
+        hi = np.where(ok, mid, hi)
+        lo = np.where(ok, lo, mid + 1)
+    return lo.view(np.float32)
+
+
 def test_compact_layout_matches_the_per_row_formulas():
     # the rows, first, the per-row q, q_hi, the expected endpoint and the
     # expected direction count, bit for bit, against the formulas over int64
-    # rows with per-row ln q and q that the compact layout replaced
+    # rows with per-row ln q and q that the compact layout replaced; q_hi is
+    # the smallest float32 at least q (1 + 1e-9)
     def bits(a):
         return np.asarray(a, dtype=np.float64).view(np.int64).tolist()
 
@@ -570,7 +675,8 @@ def test_compact_layout_matches_the_per_row_formulas():
         assert np.array_equal(sys.vecs, vecs) and sys.norm.tolist() == vecs.sum(axis=1).tolist()
         assert sys.first.tolist() == [0, *np.cumsum(weight).tolist()]
         assert bits(sys.q) == bits(q)
-        assert bits(sys.q_hi) == bits(np.repeat(q * (1 + 1e-9), weight))
+        want_hi = np.repeat(_smallest_float32_at_least(q * (1 + 1e-9)), weight)
+        assert sys.q_hi.view(np.int32).tolist() == want_hi.view(np.int32).tolist()
         want = tuple(float(x) for x in (weight * (q / (1.0 - q))) @ vecs)
         assert bits(expected_endpoint_truncated(dim, theta, cutoff)) == bits(want)
         stats = sample_stats(dim, theta, cutoff, 1, 0)
