@@ -6,26 +6,43 @@ The generating function over primitive nonnegative directions v,
 
 is expanded by dynamic programming on a dense table of multi-precision
 integers.  Let s = min_i floor(n_i / v_i) be the chain length of a primitive
-vector v in the box, and w_v = 2^(d(v)-1) its number of sign classes.  When
-s >= 2 the factor (1 - x^v)^(-w_v) is applied as w_v cumulative-sum passes
-T[e] += T[e-v] in ascending index order, as numpy slab adds over blocks of
-hyperplanes, so its Python-level cost is one call per block, not one per
-cell.  These passes run first, by descending 1-norm: long vectors have short
-chains and grow the entries least, so most passes run while the table is one
-limb wide, and short vectors such as (1, 0) and (1, 1) come last.  Factors
-commute and truncation to the box is a ring map, so the order does not change
-the result.  The table at bound n then holds [x^m] Zon_d for every m <= n
-simultaneously.
+vector v in the box, and w_v = 2^(d(v)-1) its number of sign classes.  Factors
+commute and truncation to the box is a ring map, so the order in which they
+are applied does not change the result.  The table at bound n then holds
+[x^m] Zon_d for every m <= n simultaneously.
 
-When s = 1 (2v leaves the box: three in four vectors at d=2 n=96, nine in
-ten at d=4 n=6) the factor truncates to 1 + w_v x^v.  Group a holds the
-vectors whose first axis with 2 v_a > n_a is a; any two of them sum past the
-box on that axis, so every cross term vanishes and the group's whole factor
-is 1 + sum_{v in G_a} w_v x^v.  Its sources (hyperplanes below the smallest
-v_a) and targets are disjoint.  For each k = v_a the sources of hyperplanes
-0..n_a - k, as float64 rows over the other axes, times the Toeplitz
-(block-Toeplitz for d >= 3) matrix of the kernel sum_u w_(k,u) y^u are one
-matrix product (numpy @, BLAS), added to hyperplanes k..n_a.
+When s <= 2 the truncated factor is a short polynomial, and the vectors whose
+first axis of chain length s is a form group a, applied as one product.  For
+s = 1 (2v leaves the box: three in four vectors at d=2 n=96, nine in ten at
+d=4 n=6) the factor is 1 + w_v x^v, and any two members of a group sum past
+the box on axis a, so the group's whole factor is 1 + K1 with
+K1 = sum_v w_v x^v.  For s = 2 (n_a / 3 < v_a <= n_a / 2) the factor is
+1 + w_v x^v + C(w_v + 1, 2) x^(2v), and any three members sum past the box on
+axis a, so the group's factor is 1 + K with
+
+    K = K1 + (K1 K1 + W2) / 2,   W2 = sum_v w_v x^(2v).
+
+The numerator is sum_v (w_v^2 + w_v) x^(2v) + 2 sum_(v < v') w_v w_v' x^(v+v'),
+even because w^2 + w is; and since every member has 2 v_i <= n_i on every
+axis, no term of K is truncated, so 1 + sum K = (S + 1)(S + 2) / 2 at
+S = sum w_v.  Every a-degree of K is at least lo = floor(n_a / (s + 1)) + 1.
+The sources in hyperplanes 0..n_a - lo are staged as float64 rows over the
+other axes; for each a-degree k of K, those in 0..n_a - k times the Toeplitz
+(block-Toeplitz for d >= 3) matrix of K's row k are one matrix product
+(numpy @, BLAS), added to hyperplanes k..n_a.  K1 K1 is computed by the same products, from K1's rows
+as sources; its entries are small integers, so those products are exact.  A
+chain-2 group takes the product only where a cost model, fitted to measured
+builds, finds it cheaper than passes; tiny boxes and boxes of high
+dimension stay on passes.  Chain-1 groups always take it.
+
+The other vectors, s >= 3 and the chain-2 groups left on passes, are applied
+as w_v cumulative-sum passes T[e] += T[e-v] in ascending index order, as
+numpy slab adds over blocks of hyperplanes, so the Python-level cost is one
+call per block, not one per cell.  The chain-2 group products run first, on
+a table one limb wide; then the passes, by descending 1-norm: long vectors
+have short chains and grow the entries least, so most passes run while the
+table is one limb wide, and short vectors such as (1, 0) and (1, 1) come
+last; then the chain-1 group products.
 
 The table is one uint64 array of shape (k, *(n + 1)): cell e holds
 sum_i data[i][e] << 32 i, with 32-bit limb payloads and lazy carries.  A
@@ -41,11 +58,14 @@ The sum identity holds whether or not the limbs are normalized, so one
 np.add per slab covers all k limbs and no per-block carry is needed.  A
 group product is exact from two facts.  Each float64 product is an exact
 integer, whatever order BLAS sums in: each limb is multiplied on its own,
-and when the ceiling times the largest weight of one k would reach 2^53, the
-ceiling is read from the entries, and the table normalizes if it still
-would.  The products are summed in uint64 and added limb by limb, and the
-group grows entries at most (1 + sum w_v)-fold, which goes through the same
-step as a cumulative pass.
+and when the ceiling times the largest row sum of K (of K1 for s = 1) would
+reach 2^53, the ceiling is read from the entries, and the table normalizes
+if it still would.  The products are summed in uint64 and added limb by limb
+after every product is taken, so sources that overlap targets (s = 2) are
+read before any add, and the group grows entries at most (1 + sum K)-fold,
+which goes through the same step as a cumulative pass.  A chain-2 group
+whose products cannot be made exact, or whose factor exceeds 2^31, stays on
+passes.
 
 Exact first moments are kernel sums sum_f K[f] Z[n - f] over that one table,
 each read by one weighted limb sum (CoeffTable._sum).  Marking generator
@@ -102,7 +122,8 @@ class EnumerationBudgetError(RuntimeError):
 
 
 def _check_memory(shape: tuple[int, ...], limbs: int, staging: int = 0) -> None:
-    """Charge a table of `shape` in `limbs` limbs, its carry buffer and `staging` bytes."""
+    """Charge a table of `shape` in `limbs` limbs, its carry buffer and `staging`
+    bytes (the primitive rows and one-step staging of a build)."""
     size = math.prod(shape)
     extra = " and one-step staging" if staging else ""
     _charge(2 * 8 * limbs * size + staging,
@@ -231,54 +252,37 @@ class CoeffTable:
                 block = self.data[dst_idx]
                 np.add(block, self.data[src_idx], out=block)
 
-    def _one_step(self, a: int, vecs: np.ndarray, weights: np.ndarray) -> None:
-        """In place, multiply by 1 + sum_v w_v x^v over the rows v of vecs, which
-        lie in the box and all have 2 v_a > n_a (group a, module docstring).
+    def _exact_room(self, weight: int) -> bool:
+        """Whether entries times a kernel row of total `weight` stay exact
+        float64 integers, making room first (_make_room)."""
+        self._make_room(weight, _FLOAT_EXACT)
+        return weight * self.ceiling < _FLOAT_EXACT
 
-        Per k = v_a, the sources in hyperplanes 0..n_a - k times the Toeplitz
-        matrix of the kernel sum_u w_(k,u) y^u over the other axes is one
-        float64 matrix product, exact because the ceiling (read from the
-        entries, then normalized if need be) times the weight of k stays below
-        2^53.  The products are summed in a uint64 buffer and added to
-        hyperplanes k..n_a; the group grows entries at most (1 + sum w_v)-fold
-        (_grow).  Sources and targets are disjoint, so the sources are staged
-        once.
+    def _one_step(self, a: int, kern: np.ndarray) -> None:
+        """In place, multiply by 1 + K, where kern holds the rows of K at the
+        a-degrees k = n_a - len(kern) + 1 .. n_a, laid out by _kernel.
+
+        The sources in hyperplanes 0..n_a - lo (lo the lowest k) are staged as
+        float64 before any add, since for chain length 2 they overlap the
+        targets lo..n_a.  Their products with the block-Toeplitz matrix of
+        each row of K (_toeplitz_add) are exact because the ceiling (read from
+        the entries, then normalized if need be) times the row's sum stays
+        below 2^53.  The products are summed in a uint64 buffer and added
+        last; entries grow at most (1 + sum K)-fold (_grow).
         """
-        lo, rows, other, m, inner, cut, pad, _ = _group_geometry(self.shape, a, len(self.data))
-        at = vecs[:, a] - lo
-        sums = [int(x) for x in np.bincount(at, weights, rows).tolist()]  # weight per k
-        self._make_room(max(sums), _FLOAT_EXACT)
-        if max(sums) * self.ceiling >= _FLOAT_EXACT:
+        rows = len(kern)
+        sums = [int(x) for x in kern.reshape(rows, -1).sum(axis=1).tolist()]
+        if not self._exact_room(max(sums)):
             raise ValueError(f"a one-step group over bound {self.bound} sums {max(sums)} "
                              f"terms per cell, too many for exact float64 products")
         self._grow(1 + sum(sums))  # a normalization here only lowers the sources' bound
         limbs = len(self.data)
-        pieces = [(c0, c1) for c0, c1 in ((0, cut), (cut, other[0])) if c0 < c1]
-        # kern[k - lo] holds w_(k,u) at u + other - 1, so the matrix of k, with
-        # entry w_(k, q - r) in row r and column q, is a strided view of it
-        kern = np.zeros((rows, *pad))
-        kern[(at, *[vecs[:, i] + (self.shape[i] - 1) for i in range(self.dim) if i != a])] = weights
-        step = kern.strides[1:]
-        matrices = np.ndarray((rows, *other, *other), kern.dtype, kern,
-                              offset=sum((n - 1) * t for n, t in zip(other, step)),
-                              strides=kern.strides[:1] + tuple(-t for t in step) + step)
-        whole = (slice(None),) * (len(other) - 1)
         perm = (a + 1, 0, *range(1, a + 1), *range(a + 2, self.dim + 1))
         view = self.data.transpose(perm)
-        src = np.ascontiguousarray(view[:rows], dtype=np.float64).reshape(rows * limbs, m)
-        acc = np.zeros((rows * limbs, m), dtype=np.uint64)
-        for j, wk in enumerate(sums):
-            if not wk:
-                continue
-            for c0, c1 in pieces:
-                # a copy in C order for d >= 3; at d = 2 matmul copies the view
-                toeplitz = matrices[(j, slice(c1), *whole, slice(c0, c1))].reshape(
-                    c1 * inner, (c1 - c0) * inner)
-                product = src[:(rows - j) * limbs, :c1 * inner] @ toeplitz
-                block = acc[j * limbs:, c0 * inner:c1 * inner]
-                np.add(block, product, out=block, dtype=np.uint64, casting="unsafe")
-                del toeplitz, product  # the next ones are allocated before these names are rebound
-        view = view[lo:]
+        src = np.ascontiguousarray(view[:rows], dtype=np.float64).reshape(rows * limbs, -1)
+        acc = np.zeros(src.shape, dtype=np.uint64)
+        _toeplitz_add(acc, src, kern, limbs, [j for j, x in enumerate(sums) if x])
+        view = view[len(view) - rows:]
         view += acc.reshape(view.shape)
 
     def shifted_add(self, src: "CoeffTable", v: Sequence[int]) -> None:
@@ -301,24 +305,94 @@ class CoeffTable:
                out=view)
 
 
-def _group_geometry(shape: tuple[int, ...], a: int, limbs: int) -> tuple:
-    """The layout and staging bytes of a one-step group product along axis a."""
-    top = shape[a]
-    lo = top // 2 + top % 2  # every k = v_a > n_a / 2 is at least this
-    rows = top - lo  # target hyperplanes lo..n_a, source hyperplanes 0..n_a - lo
-    other = shape[:a] + shape[a + 1:] or (1,)
+def _split(other: tuple[int, ...]) -> tuple[int, int]:
+    """The block side and the cut of a block-Toeplitz product over the axes
+    `other`.  The matrix of a kernel row is block upper triangular (u >= 0),
+    so the block columns whose first coordinate is below cut read only the
+    block rows below it: for d >= 3 two pieces, split along the first other
+    axis, skip a quarter of the products and halve the matrix held at once.
+    At d = 2 the matrix is at most (n + 1)^2 and stays whole."""
+    inner = math.prod(other) // other[0]
+    return inner, other[0] // 2 if inner > 1 else 0
+
+
+def _layout(shape: tuple[int, ...], a: int, chain: int) -> tuple:
+    """The lowest a-degree lo, the kernel rows and the other axes of a group
+    product along axis a for vectors of chain length `chain`."""
+    lo = (shape[a] - 1) // (chain + 1) + 1  # every k = v_a > n_a / (chain + 1) is at least this
+    rows = shape[a] - lo  # target hyperplanes lo..n_a, source hyperplanes 0..n_a - lo
+    return lo, rows, shape[:a] + shape[a + 1:] or (1,)
+
+
+def _staging(shape: tuple[int, ...], a: int, limbs: int, chain: int) -> int:
+    """The bytes a group product along axis a stages: the kernel, a chain-2
+    kernel's pairs, the larger Toeplitz piece, the staged sources, their sums
+    and one product; building a chain-2 kernel holds no more."""
+    _, rows, other = _layout(shape, a, chain)
     m = math.prod(other)
-    # The matrix of k is block upper triangular (u >= 0), so the block
-    # columns whose first other coordinate is below c read only the block
-    # rows below c: for d >= 3 two pieces, split along the first other
-    # axis, skip a quarter of the products and halve the matrix held at
-    # once.  At d = 2 the matrix is at most (n + 1)^2 and stays whole.
-    inner = m // other[0]
-    cut = other[0] // 2 if inner > 1 else 0
-    pad = tuple(2 * n - 1 for n in other)
-    # the kernels, the larger piece, the staged sources, their sums and one product
-    staging = 8 * (rows * math.prod(pad) + m * (m - cut * inner) + 3 * rows * limbs * m)
-    return lo, rows, other, m, inner, cut, pad, staging
+    inner, cut = _split(other)
+    return 8 * (rows * (m + math.prod(2 * n - 1 for n in other)) + m * (m - cut * inner)
+                + 3 * rows * limbs * m)
+
+
+def _toeplitz_add(out: np.ndarray, src: np.ndarray, kern: np.ndarray, limbs: int,
+                  nonzero: Sequence[int]) -> None:
+    """out[i + j] += src[i] M_j for every row j of kern in `nonzero` (its
+    nonzero rows) and row i of src with i + j below the rows of out.  Rows of
+    out and src are blocks of `limbs` flat rows over the other axes; kern is
+    a kernel as _kernel lays it out, and M_j is the (block-)Toeplitz matrix
+    of its row j, with entry K_j[q - r] in row r and column q.  Each product
+    is one float64 matrix product (numpy @, BLAS), exact while its sums stay
+    below 2^53; they are summed into out in uint64.  One Toeplitz piece is
+    copied at a time."""
+    rows, other = len(kern), tuple((n + 1) // 2 for n in kern.shape[1:])
+    inner, cut = _split(other)
+    step = kern.strides[1:]
+    matrices = np.ndarray((rows, *other, *other), kern.dtype, kern,
+                          offset=sum((n - 1) * t for n, t in zip(other, step)),
+                          strides=kern.strides[:1] + tuple(-t for t in step) + step)
+    whole = (slice(None),) * (len(other) - 1)
+    pieces = [(c0, c1) for c0, c1 in ((0, cut), (cut, other[0])) if c0 < c1]
+    targets, sources = len(out) // limbs, len(src) // limbs
+    for j in nonzero:
+        count = min(sources, targets - j)
+        for c0, c1 in pieces:
+            # a copy in C order for d >= 3; at d = 2 matmul copies the view
+            toeplitz = matrices[(j, slice(c1), *whole, slice(c0, c1))].reshape(
+                c1 * inner, (c1 - c0) * inner)
+            product = src[:count * limbs, :c1 * inner] @ toeplitz
+            block = out[j * limbs:(j + count) * limbs, c0 * inner:c1 * inner]
+            np.add(block, product, out=block, dtype=np.uint64, casting="unsafe")
+            del toeplitz, product  # the next ones are allocated before these names are rebound
+
+
+def _kernel(shape: tuple[int, ...], a: int, vecs: np.ndarray, weights: np.ndarray,
+            chain: int) -> np.ndarray:
+    """The truncated factor 1 + K of a group, as _one_step takes it: the rows v
+    of vecs, of weights w_v, all of chain length `chain` (1 or 2) whose first
+    axis of that length is a.  K is K1 = sum_v w_v x^v for chain 1, and
+    K1 + (K1 K1 + W2) / 2 with W2 = sum_v w_v x^(2v) for chain 2 (module
+    docstring).  Row j holds K at a-degree lo + j (_layout), as
+    float64 with its entry at u over the other axes at u + other - 1, so that
+    the matrix of the row is a strided view of it (_toeplitz_add)."""
+    lo, rows, other = _layout(shape, a, chain)
+    # the coordinates of each vector over the other axes (none at d = 1)
+    at = [vecs[:, i] for i in range(len(shape)) if i != a] or [np.zeros_like(weights)]
+    kern = np.zeros((rows, *(2 * n - 1 for n in other)))
+    kern[(vecs[:, a] - lo, *[c + (n - 1) for c, n in zip(at, other)])] = weights
+    if chain == 2:
+        # K1 K1 + W2 at a-degrees 2 lo..n_a, from K1's rows lo..n_a / 2 as
+        # sources: products of small integers, so exact
+        half = (shape[a] - 1) // 2 - lo + 1
+        core = (slice(None), *[slice(n - 1, None) for n in other])
+        pairs = np.zeros((rows - lo, math.prod(other)), np.int64)
+        _toeplitz_add(pairs, np.ascontiguousarray(kern[:half][core]).reshape(half, -1),
+                      kern[:half], 1, sorted(set((vecs[:, a] - lo).tolist())))
+        pairs = pairs.reshape(rows - lo, *other)
+        pairs[(2 * (vecs[:, a] - lo), *[2 * c for c in at])] += weights
+        assert not (pairs & 1).any(), "K1 K1 + W2 is even"
+        kern[lo:][core] += pairs >> 1
+    return kern
 
 
 def _corner_limbs(n: tuple[int, ...]) -> int:
@@ -343,51 +417,151 @@ def _corner_limbs(n: tuple[int, ...]) -> int:
 
 def _plan(dim: int, bt: tuple[int, ...]) -> int:
     """Charge the budget for a build of the box bt from bt alone: one limb, the
-    limbs of the corner (_corner_limbs), then those with the largest group
-    staging.  Returns the limbs."""
+    limbs of the corner (_corner_limbs), then those with the primitive rows
+    and the largest group staging.  Returns the limbs."""
     shape = tuple(b + 1 for b in bt)
     _check_memory(shape, 1)
     nz = [a for a in range(dim) if bt[a]]
     limbs = _corner_limbs(tuple(bt[a] for a in nz))
     _check_memory(shape, limbs)
-    # d = 1 has a group (of e_a) at n_a = 1 only; at d > 1 an empty one never stages most
-    if len(nz) > 1 or sum(bt) == 1:
-        _check_memory(shape, limbs, max(_group_geometry(shape, a, limbs)[-1] for a in nz))
+    # one nonzero axis holds e_a alone, in a group at n_a <= 2 only; at d > 1
+    # an empty group never stages most
+    if len(nz) > 1 or 0 < sum(bt) <= 2:
+        # at most one primitive row per cell, held through the build with the
+        # build's arrays per row: 2 d + 6 int64 in all
+        rows = 8 * (2 * dim + 6) * math.prod(shape)
+        # a chain-2 group along a needs n_a >= 2
+        _check_memory(shape, limbs, rows + max(_staging(shape, a, limbs, chain)
+                                               for a in nz for chain in (1, 2) if bt[a] >= chain))
     return limbs
+
+
+# The cost of a chain-2 group in ns, fitted (least squares in relative error)
+# to the times of _kernel plus _one_step and of the group's class_pass calls
+# inside builds of 128 groups at d = 2 n <= 192, d = 3 n <= 32, d = 4
+# n <= 14, d = 5 n <= 5, d = 6 n <= 4 and d = 7, 8 n = 2 (the products on the
+# 118 whose pieces are within _PIECE_CAP), one BLAS thread, 2-core Xeon.  A
+# product: a fixed cost (fitted 0.11 ms, taken as 0.2 so that near a tie the
+# group stays on passes, which stage nothing), then per matrix (a nonzero
+# row of K1 or K) 7.7 us and per entry 1.3 ns, plus 1.3 ns per axis of the
+# strided copy for each run of other[-1] entries.  Passes: per block 5.9 us,
+# per cell 1.4 ns, plus 2.7 ns per axis for each run of the last axis.
+_PRODUCT_NS = (200_000, 7_700, 1.3, 1.3)
+_PASS_NS = (5_900, 1.4, 2.7)
+# The model holds while one Toeplitz piece stays in cache: a product of
+# larger pieces took 1.7-2x the model (244 ms for 147 at d = 4 n = 14, 95 ms
+# for 58 at d = 6 n = 4, pieces of 49 and 47 MB), so such a group stays on
+# passes.
+_PIECE_CAP = 1 << 22
+
+
+def _passes_at_most(shape: tuple[int, ...], a: int, total: float) -> float:
+    """A bound from the box alone on the modelled cost of the passes of a
+    chain-2 group along axis a whose weights sum to `total`: every v_a is at
+    least lo and every v_i at most n_i / 2, so a pass has at most
+    max(n) // lo blocks, off the lowest lo hyperplanes of axis a, in runs of
+    at least n_last / 2 + 1."""
+    per_block, per_cell, per_row = _PASS_NS
+    lo = (shape[a] - 1) // 3 + 1
+    cells = math.prod(shape) // shape[a] * (shape[a] - lo)
+    return total * (per_block * ((max(shape) - 1) // lo) + cells * (
+        per_cell + per_row * len(shape) / (shape[-1] - (shape[-1] - 1) // 2)))
+
+
+def _product_pays(shape: tuple[int, ...], a: int, vecs: np.ndarray, weights: np.ndarray) -> bool:
+    """Whether the chain-2 group of rows vecs, of weights w_v, along axis a
+    costs less as one group product than as cumulative passes, by the model
+    above, from counts known before any work; never where a Toeplitz piece
+    exceeds _PIECE_CAP or the factor 1 + sum K, which is (S + 1)(S + 2) / 2
+    at S = sum w_v, exceeds what _grow accepts."""
+    total, d = int(weights.sum()), len(shape)
+    other = shape[:a] + shape[a + 1:] or (1,)
+    m = math.prod(other)
+    inner, cut = _split(other)
+    if m * (m - cut * inner) > _PIECE_CAP or (total + 1) * (total + 2) // 2 > 1 << (_LIMB_BITS - 1):
+        return False
+    fixed, per_matrix, per_entry, per_run = _PRODUCT_NS
+    per_block, per_cell, per_row = _PASS_NS
+    sides = np.array(shape) - vecs
+    blocks = (np.array(shape)[vecs.argmax(axis=1)] - 1) // vecs.max(axis=1)
+    passes = weights @ (per_block * blocks + sides.prod(axis=1) * (
+        per_cell + per_row * d / sides[:, -1]))
+    ks = set(vecs[:, a].tolist())
+    # _kernel multiplies by the rows of K1, _one_step by those of K1 and K2
+    matrices = 2 * len(ks) + len({k + j for k in ks for j in ks})
+    entries = m * m - cut * inner * (m - cut * inner)
+    per_matrix += entries * (per_entry + per_run * (d - 1) / other[-1])
+    return fixed + matrices * per_matrix < passes
+
+
+def _chain2_product(table: CoeffTable, a: int, vecs: np.ndarray, weights: np.ndarray) -> bool:
+    """Apply the chain-2 group of rows vecs, of weights w_v, along axis a as one
+    group product if it pays (_product_pays) and its products stay exact
+    (CoeffTable._exact_room); whether it did."""
+    if not _product_pays(table.shape, a, vecs, weights):
+        return False
+    kern = _kernel(table.shape, a, vecs, weights, 2)
+    if not table._exact_room(int(kern.reshape(len(kern), -1).sum(axis=1).max())):
+        return False
+    table._one_step(a, kern)
+    return True
 
 
 def _build(table: CoeffTable, vecs: np.ndarray, norms: np.ndarray,
            weights: np.ndarray) -> CoeffTable:
     """Multiply the table by the factor (1 - x^v)^(-w_v) of every primitive row
-    v of vecs, with its 1-norm and weight w_v from primitive_rows: class_pass
-    for the rows with 2v inside the box, by descending 1-norm (ties in row
-    order), then one group product per axis a for the rest, grouped by the
-    first axis with 2 v_a > n_a."""
-    over = 2 * vecs > np.array(table.bound)  # the axes along which 2v leaves the box
-    # the group axis of each row, dim for the rows with 2v inside the box;
-    # within each group by descending 1-norm, ties in row order (lexsort is
-    # stable)
-    group = np.where(over.any(axis=1), over.argmax(axis=1), table.dim)
-    order = np.lexsort((-norms, group))
-    ends = np.bincount(group, minlength=table.dim + 1).cumsum().tolist()
+    v of vecs, with its 1-norm and weight w_v from primitive_rows.  A row of
+    chain length s = min_i floor(n_i / v_i) belongs to the group of the first
+    axis a that attains s.  First one group product per axis for s = 2 where
+    it pays and stays exact (_chain2_product); then class_pass
+    for the other rows with s >= 2, by descending 1-norm (ties in row order);
+    then one group product per axis for s = 1, axis 0 first."""
+    dim = table.dim
+    # v_i > floor(n_i / 2) means chain length 1 along axis i and
+    # v_i > floor(n_i / 3) at most 2, so the first true entry of the two rows
+    # of comparisons is the group: a for s = 1, dim + a for s = 2; 2 dim for
+    # s >= 3
+    cuts = [[n // k for n in table.bound] for k in (2, 3)]
+    over = (vecs[:, None, :] > np.array(cuts)).reshape(len(vecs), 2 * dim)
+    group = np.where(over.any(axis=1), over.argmax(axis=1), 2 * dim)
+    del over
+    # the chain-1 groups, then one block of every row with s >= 2, each by
+    # descending 1-norm, ties in row order (lexsort is stable): the block is
+    # the order of the passes
+    order = np.lexsort((-norms, np.minimum(group, dim)))
+    ends = [*np.bincount(group, minlength=2 * dim + 1)[:dim].cumsum().tolist(), len(vecs)]
+    totals = np.bincount(group, weights, 2 * dim + 1)[dim:-1].tolist()  # of each chain-2 group
     vecs, weights = vecs[order], weights[order]
+    spans = list(zip([0] + ends, ends))  # the rows of each chain-1 group, then the block
+    rows = slice(*spans[-1])
+    taken = []
+    for a, total in enumerate(totals):
+        if _passes_at_most(table.shape, a, total) > _PRODUCT_NS[0]:
+            mine = np.flatnonzero(group[order[rows]] == dim + a) + rows.start
+            if _chain2_product(table, a, vecs[mine], weights[mine]):
+                taken.append(mine)
+    if taken:
+        keep = np.ones(rows.stop - rows.start, dtype=bool)
+        keep[np.concatenate(taken) - rows.start] = False
+        rows = np.flatnonzero(keep) + rows.start
     # row by row: a list of every row would hold ~100 bytes per vector
-    for v, w in zip(vecs[ends[-2]:], weights[ends[-2]:].tolist()):
+    for v, w in zip(vecs[rows], weights[rows].tolist()):
         table.class_pass(v.tolist(), w)
-    for a, (lo, hi) in enumerate(zip([0] + ends, ends[:-1])):
-        if lo < hi:
-            table._one_step(a, vecs[lo:hi], weights[lo:hi])
+    for a, (start, stop) in enumerate(spans[:dim]):
+        if start < stop:
+            table._one_step(a, _kernel(table.shape, a, vecs[start:stop], weights[start:stop], 1))
     return table
 
 
 def build_table(dim: int, bound) -> CoeffTable:
     """DP table of Zon_d coefficients over {e <= bound}.
 
-    Each vector is applied once for its w_v = 2^(d(v)-1) sign classes.  The
-    vectors with 2v inside the box (chain length s >= 2) come first, by
-    descending 1-norm (ties in lex order), each as w_v cumulative passes on
-    one block plan (CoeffTable.class_pass); then one group product per axis a
-    applies the rest, axis 0 first (see _build).  The box is charged first
+    Each vector is applied once for its w_v = 2^(d(v)-1) sign classes (see
+    _build): the chain-length-2 vectors as one group product per axis where
+    that pays; then the other vectors with 2v inside the box, by descending
+    1-norm (ties in lex order), each as w_v cumulative passes on one block
+    plan (CoeffTable.class_pass); then the vectors with 2v outside the box as
+    one group product per axis, axis 0 first.  The box is charged first
     (_planned), and not again if it was planned under the same budget
     setting; the table itself is never cached.
     """
@@ -405,8 +579,8 @@ def _planned(dim: int, bt: tuple[int, ...], setting: str | None) -> int:
     """_plan(dim, bt) once per budget setting (the raw ZONOCOUNT_MEMORY_BUDGET),
     the one way build_table and shared_table charge a box: a plan that passes
     is remembered, one that raises is not.  Only the exact box is remembered,
-    not the boxes inside it: the charge is not monotone in the box (the
-    corner limbs of (1, 133) exceed those of (2, 133))."""
+    not the boxes inside it: the planned limbs are not monotone in the box
+    (the corner limbs of (1, 133) exceed those of (2, 133))."""
     return _plan(dim, bt)
 
 

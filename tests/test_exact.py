@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -406,22 +407,22 @@ def test_shared_hit_plans_once_per_budget_setting(monkeypatch):
     assert plans == []
 
 
-def test_plan_charge_is_not_monotone_in_the_box(monkeypatch):
-    # the corner limbs of (1, 133) are 3 and those of (2, 133) 2, so the
-    # smaller box charges more: a hit plans its own box, never one that merely
-    # covers it
+def test_plan_limbs_are_not_monotone_in_the_box(monkeypatch):
+    # the corner limbs of (1, 133) are 3 and those of (2, 133) 2, but the
+    # primitive rows the plan charges per cell outweigh the extra limb, so the
+    # larger box charges more; a hit still plans its own box, never one that
+    # merely covers it
     small, big = (1, 133), (2, 133)
     assert (exact._plan(2, small), exact._plan(2, big)) == (3, 2)
-    assert _largest_charge(monkeypatch, 2, small) == 168296
-    assert _largest_charge(monkeypatch, 2, big) == 165080
+    assert _largest_charge(monkeypatch, 2, small) < _largest_charge(monkeypatch, 2, big)
     exact._SHARED.clear()
-    monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", "165080")
+    exact._planned.cache_clear()
+    planned = []
+    real_plan = exact._plan
+    monkeypatch.setattr(exact, "_plan", lambda dim, bt: planned.append(bt) or real_plan(dim, bt))
     table = exact.shared_table(2, big)
-    with pytest.raises(MemoryBudgetError) as hit:
-        exact.shared_table(2, small)
-    with pytest.raises(MemoryBudgetError) as cold:
-        _cold(exact.shared_table, 2, small)
-    assert str(hit.value) == str(cold.value) and exact._SHARED[2] is table
+    assert exact.shared_table(2, small) is table
+    assert planned == [big, small]
 
 
 def test_warm_diameter_call_enumerates_nothing(monkeypatch):
@@ -575,6 +576,53 @@ def test_origin_cell_stays_one():
     table = build_table(3, (2, 2, 2))
     assert table.coefficient((0, 0, 0)) == 1
     assert all(c >= 0 for c in _cells(table))
+
+
+@pytest.mark.parametrize("dim, n", [(2, 96), (3, 16), (4, 6), (3, 24)])
+def test_plan_charges_the_build_peak(monkeypatch, dim, n):
+    # the plan's largest charge, the table in its corner limbs with its carry
+    # buffer and the largest group staging (chain-2 kernels included), is at
+    # least what the build allocates at its peak
+    box = (n,) * dim
+    charge = _largest_charge(monkeypatch, dim, box)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        build_table(dim, box)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= charge
+
+
+def _euler_oracle(box):
+    # Z by the Euler operator, independently of the DP (no primitive
+    # enumeration, factor order, limbs or floats): applying sum_i x_i d/dx_i
+    # to log Zon_d gives |e|_1 Z[e] = sum_{0 < f <= e} H[f] Z[e - f], with
+    # H[f] = w(v) |v|_1 for f = g v, v primitive, g = gcd(f).  Cells are
+    # walked by total degree, in Python ints, and every division is checked
+    shape = tuple(b + 1 for b in box)
+    h, z = np.zeros(shape, dtype=object), np.zeros(shape, dtype=object)
+    for f in np.ndindex(shape):
+        if any(f):
+            h[f] = 2 ** (sum(1 for c in f if c) - 1) * (sum(f) // math.gcd(*f))
+    cells = sorted(np.ndindex(shape), key=sum)
+    z[cells[0]] = 1
+    for e in cells[1:]:
+        terms = (h[tuple(slice(c + 1) for c in e)] * z[tuple(slice(c, None, -1) for c in e)]).sum()
+        value, rest = divmod(terms, sum(e))
+        assert rest == 0, e
+        z[e] = value
+    return z.ravel().tolist()
+
+
+@pytest.mark.parametrize("dim, box", [
+    (2, (64, 64)), (3, (16, 16, 16)), (4, (6, 6, 6, 6)), (2, (9, 25)), (3, (7, 13, 20)),
+    (2, (40, 7))])
+def test_table_equals_the_euler_oracle(dim, box):
+    # boxes brute force cannot reach, where chain-2 group products, passes and
+    # chain-1 group products all run
+    assert _cells(build_table(dim, box)) == _euler_oracle(box)
 
 
 def test_values_beyond_64_bits():
@@ -819,33 +867,45 @@ def test_weighted_pass_equals_repeated_class_passes(data, box, full):
     assert _cells(fused) == _cells(single)
 
 
-def _group(box, a):
-    # the primitive vectors whose first axis with 2 v_i > n_i is a, and their weights
+def _group(box, a, chain=1):
+    # the primitive vectors of chain length min_i floor(n_i / v_i) = chain
+    # whose first axis of that length is a, and their weights
     vecs, _, weights = _rows64(len(box), box)
-    over = 2 * vecs > np.array(box)
-    mine = over.any(axis=1) & (over.argmax(axis=1) == a)
-    return vecs[mine], weights[mine]
+    per_axis = [[n // c if c else max(box) + 1 for n, c in zip(box, v)] for v in vecs.tolist()]
+    mine = np.array([min(s) == chain and s.index(chain) == a for s in per_axis], dtype=bool)
+    return vecs[mine].reshape(-1, len(box)), weights[mine]
+
+
+def _apply(table, a, vecs, weights, chain=1):
+    table._one_step(a, exact._kernel(table.shape, a, vecs, weights, chain))
 
 
 def _slab_adds(values, vecs, weights):
-    # the reference: one slab add T[e] += w T[e - v] per vector, in sequence
+    # the reference: the factor (1 - x^v)^(-w) of each vector in sequence, as
+    # w rounds of T[e] += T[e - k v] over k >= 1, each read before its round
     for v, w in zip(vecs.tolist(), weights.tolist()):
-        dst = tuple(slice(c, None) for c in v)
-        src = tuple(slice(0, n - c) for c, n in zip(v, values.shape))
-        values[dst] += w * values[src]
+        for _ in range(w):
+            old = values.copy()
+            for k in range(1, min(n // c for n, c in zip(values.shape, v) if c) + 1):
+                dst = tuple(slice(k * c, None) for c in v)
+                src = tuple(slice(0, n - k * c) for c, n in zip(v, values.shape))
+                values[dst] += old[src]
     return values
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), box=st.lists(st.integers(0, 4), min_size=2, max_size=4).map(tuple),
-       full=st.booleans(), past_limit=st.booleans())
-def test_group_product_equals_sequential_slab_adds(data, box, full, past_limit):
+@given(data=st.data(), box=st.lists(st.integers(0, 4), min_size=2, max_size=4).map(tuple)
+       | st.lists(st.integers(0, 12), min_size=2, max_size=3).map(tuple),
+       chain=st.sampled_from([1, 2]), full=st.booleans(), past_limit=st.booleans())
+def test_group_product_equals_sequential_slab_adds(data, box, chain, full, past_limit):
     # a random or saturated table of 1-3 limbs, and a random subset of one axis
-    # group; past_limit takes the whole group and lowers the exact-float limit
-    # so that each product stays below it but the sums across k go beyond it
+    # group of chain length 1 or 2; past_limit takes the whole group and
+    # lowers the exact-float limit so that each product stays below it but
+    # the sums across k go beyond it.  A chain-2 group's sources overlap its
+    # targets, and its kernel K holds the cross terms of every pair
     dim = len(box)
     a = data.draw(st.sampled_from([i for i, b in enumerate(box) if b] or [0]))
-    vecs, weights = _group(box, a)
+    vecs, weights = _group(box, a, chain)
     if not past_limit:
         keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(vecs),
                                            max_size=len(vecs))), dtype=bool)
@@ -855,11 +915,12 @@ def test_group_product_equals_sequential_slab_adds(data, box, full, past_limit):
     limbs = data.draw(st.integers(1, 3))
     table.data, table.ceiling = _random_fill(data, (limbs, *table.shape), full)
     want = _slab_adds(_values(table), vecs, weights)
+    kernel = exact._kernel(table.shape, a, vecs, weights, chain)
     with pytest.MonkeyPatch.context() as monkeypatch:
         if past_limit:
-            heaviest = max(int(weights[vecs[:, a] == k].sum()) for k in vecs[:, a].tolist())
+            heaviest = int(kernel.reshape(len(kernel), -1).sum(axis=1).max())
             monkeypatch.setattr(exact, "_FLOAT_EXACT", heaviest << (exact._LIMB_BITS + 1))
-        table._one_step(a, vecs, weights)
+        table._one_step(a, kernel)
     assert int(table.data.max()) <= table.ceiling < _WORD
     assert _cells(table) == want.ravel().tolist()
 
@@ -876,7 +937,7 @@ def test_group_product_normalizes_at_2_pow_53():
         table.data = np.full((1, 2, 2), ceiling, dtype=np.uint64)
         table.ceiling = ceiling
         want = _slab_adds(_values(table), vecs, weights)
-        table._one_step(0, vecs, weights)
+        _apply(table, 0, vecs, weights)
         assert len(table.data) == limbs  # the edge normalizes first, carrying into a new limb
         assert int(table.data.max()) <= table.ceiling < _WORD
         assert _cells(table) == want.ravel().tolist() == [ceiling, ceiling, 2 * ceiling, 4 * ceiling]
@@ -889,7 +950,7 @@ def test_group_product_refuses_a_weight_past_exact_floats():
     table = build_table(2, (40, 40))
     before, limbs = _cells(table), len(table.data)
     with pytest.raises(ValueError, match="too many for exact float64 products"):
-        table._one_step(0, np.array([[21, 1]]), np.array([2 ** 30]))
+        _apply(table, 0, np.array([[21, 1]]), np.array([2 ** 30]))
     assert len(table.data) == limbs
     assert _cells(table) == before
 
@@ -920,7 +981,7 @@ def test_group_product_sums_in_uint64(monkeypatch):
         table.data = np.full((1, 6, 6), fill, dtype=np.uint64)
         table.ceiling = fill
         want = _slab_adds(_values(table), vecs, weights)
-        table._one_step(0, vecs, weights)
+        _apply(table, 0, vecs, weights)
         assert len(normalized) == normalizes
         assert int(table.data.max()) <= table.ceiling < _WORD
         assert _cells(table) == want.ravel().tolist()
@@ -937,7 +998,7 @@ def test_group_product_sums_in_uint64(monkeypatch):
         table = CoeffTable(2, (1, 1))
         table.data = np.full((1, 2, 2), fill, dtype=np.uint64)
         table.ceiling = 1 << 62
-        table._one_step(0, vecs, weights)
+        _apply(table, 0, vecs, weights)
         assert len(normalized) == normalizes
         assert table.ceiling == ceiling < _WORD
         assert int(table.data.max()) <= table.ceiling
@@ -1019,7 +1080,7 @@ def test_loose_ceiling_steps_equal_python_ints(data, box, steps):
             vecs, weights = vecs[keep], weights[keep]
             if not len(vecs):
                 continue
-            table._one_step(a, vecs, weights)
+            _apply(table, a, vecs, weights)
             want = _slab_adds(want, vecs, weights)
         assert int(table.data.max()) <= table.ceiling < _WORD
         assert _cells(table) == want.ravel().tolist()
@@ -1029,7 +1090,7 @@ _BLAS_SCRIPT = """
 import hashlib
 import numpy
 from zonocount import build_table
-for dim, n in ((2, 64), (3, 12)):
+for dim, n in ((2, 64), (3, 12), (3, 16), (4, 6)):
     table = build_table(dim, (n,) * dim)
     cells = [table.coefficient(e) for e in numpy.ndindex(table.shape)]
     print(hashlib.sha256(repr(cells).encode()).hexdigest())
@@ -1047,7 +1108,7 @@ def test_cells_do_not_depend_on_blas_threads():
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         out.append(proc.stdout.split())
-    assert len(out[0]) == 2
+    assert len(out[0]) == 4
     assert out[0] == out[1]
 
 
@@ -1068,40 +1129,84 @@ def test_class_pass_refuses_a_zero_vector():
         CoeffTable(2, (3, 3)).class_pass((0, 0), 1)
 
 
-def test_build_table_makes_one_pass_per_vector(monkeypatch):
-    # every primitive vector is applied exactly once: by class_pass when 2v
-    # fits in the box, else in the group product of the first axis a with
-    # 2 v_a > n_a.  Within each, build_table visits them by descending 1-norm,
-    # ties in row order, so a reversed input reverses the ties
-    calls, groups = [], []
-    real_pass, real_group = CoeffTable.class_pass, CoeffTable._one_step
+def _build_log(monkeypatch, build):
+    # the steps of a build in order: ("pass", v, w) per class_pass and
+    # (chain, a, members) per group kernel
+    log = []
+    real_pass, real_kernel = CoeffTable.class_pass, exact._kernel
 
     def spy_pass(self, v, w):
-        calls.append((tuple(v), w))
+        log.append(("pass", tuple(v), w))
         return real_pass(self, v, w)
 
-    def spy_group(self, a, vecs, weights):
-        groups.append((a, list(zip(map(tuple, vecs.tolist()), weights.tolist()))))
-        return real_group(self, a, vecs, weights)
+    def spy_kernel(shape, a, vecs, weights, chain):
+        log.append((chain, a, list(zip(map(tuple, vecs.tolist()), weights.tolist()))))
+        return real_kernel(shape, a, vecs, weights, chain)
 
-    monkeypatch.setattr(CoeffTable, "class_pass", spy_pass)
-    monkeypatch.setattr(CoeffTable, "_one_step", spy_group)
-    for dim, box in ((2, (5, 3)), (3, (2, 2, 2)), (4, (1, 2, 1, 1))):
+    with monkeypatch.context() as m:
+        m.setattr(CoeffTable, "class_pass", spy_pass)
+        m.setattr(exact, "_kernel", spy_kernel)
+        build()
+    return log
+
+
+def test_build_table_makes_one_pass_per_vector(monkeypatch):
+    # every primitive vector is applied exactly once.  A vector of chain
+    # length 1 or 2 belongs to the group of the first axis a that attains its
+    # chain length.  First the chain-2 groups that take a group product, axis
+    # 0 first; then class_pass for every other vector, by descending 1-norm,
+    # ties in row order, so a reversed input reverses the ties; then the
+    # chain-1 group products, axis 0 first
+    for dim, box in ((2, (5, 3)), (3, (2, 2, 2)), (4, (1, 2, 1, 1)), (2, (32, 32)),
+                     (3, (9, 4, 6)), (4, (4, 4, 4, 4)), (2, (40, 7))):
         vecs, norms, weights = _rows64(dim, box)
         for reverse in (False, True):
-            calls.clear()
-            groups.clear()
             if reverse:
                 vecs, norms, weights = vecs[::-1], norms[::-1], weights[::-1]
-                exact._build(CoeffTable(dim, box), vecs, norms, weights)
+                log = _build_log(monkeypatch, lambda: exact._build(
+                    CoeffTable(dim, box), vecs, norms, weights))
             else:
-                build_table(dim, box)
+                log = _build_log(monkeypatch, lambda: build_table(dim, box))
             want = list(zip(map(tuple, vecs.tolist()), weights.tolist()))
             want.sort(key=lambda vw: -sum(vw[0]))  # stable
-            axis = {v: next((i for i, (c, b) in enumerate(zip(v, box)) if 2 * c > b), None)
-                    for v, _ in want}
-            assert calls == [(v, w) for v, w in want if axis[v] is None]
-            assert groups == [(a, [(v, w) for v, w in want if axis[v] == a])
-                              for a in range(dim) if a in axis.values()]
-            handled = calls + [member for _, members in groups for member in members]
+            per_axis = {v: [n // c if c else max(box) + 1 for n, c in zip(box, v)]
+                        for v, _ in want}
+            group = {v: (min(s), s.index(min(s))) for v, s in per_axis.items()}
+            products = [step for step in log if step[0] != "pass"]
+            taken = {(chain, a) for chain, a, _ in products}
+            assert [(chain, a) for chain, a, _ in products] == sorted(
+                taken, key=lambda ca: (-ca[0], ca[1]))
+            for chain, a, members in products:
+                assert members == [(v, w) for v, w in want if group[v] == (chain, a)]
+            first_pass = next((i for i, step in enumerate(log) if step[0] == "pass"), len(log))
+            assert all(step[0] == 2 for step in log[:first_pass])
+            assert all(step[0] == 1 for step in log[first_pass:] if step[0] != "pass")
+            passes = [(v, w) for _, v, w in (step for step in log if step[0] == "pass")]
+            assert passes == [(v, w) for v, w in want if group[v] not in taken]
+            assert all((1, a) in taken for c, a in group.values() if c == 1)
+            handled = passes + [member for _, _, members in products for member in members]
             assert sorted(handled) == sorted(want)
+
+
+def _chain2_products(monkeypatch, dim, n):
+    # the axes of the chain-2 group products a build of the cube n makes
+    log = _build_log(monkeypatch, lambda: build_table(dim, (n,) * dim))
+    return [a for step in log if step[0] == 2 for a in [step[1]]]
+
+
+def test_chain2_groups_take_the_product_where_it_pays(monkeypatch):
+    # the product's fixed cost and its dense matrices lose to passes on tiny
+    # boxes and at d = 8 n = 2, whose Toeplitz pieces copy in runs of 3; at
+    # d = 7 n = 2 group 0, with 729 of the 2,187 passes of chain length 2,
+    # pays (_product_pays); from d = 2 n = 32, d = 3 n = 8 and d = 4
+    # n = 4 every non-empty group takes it
+    for dim, top in ((2, 12), (3, 5)):
+        for n in range(1, top + 1):
+            assert _chain2_products(monkeypatch, dim, n) == [], (dim, n)
+    assert _chain2_products(monkeypatch, 8, 2) == []
+    assert _chain2_products(monkeypatch, 7, 2) == [0]
+    for dim, n in ((2, 32), (3, 8), (4, 4)):
+        box = (n,) * dim
+        groups = [a for a in range(dim) if len(_group(box, a, 2)[0])]
+        assert groups == list(range(dim))
+        assert _chain2_products(monkeypatch, dim, n) == groups
