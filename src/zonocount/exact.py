@@ -26,14 +26,17 @@ The numerator is sum_v (w_v^2 + w_v) x^(2v) + 2 sum_(v < v') w_v w_v' x^(v+v'),
 even because w^2 + w is; and since every member has 2 v_i <= n_i on every
 axis, no term of K is truncated, so 1 + sum K = (S + 1)(S + 2) / 2 at
 S = sum w_v.  Every a-degree of K is at least lo = floor(n_a / (s + 1)) + 1.
-The sources in hyperplanes 0..n_a - lo are staged as float64 rows over the
-other axes; for each a-degree k of K, those in 0..n_a - k times the Toeplitz
-(block-Toeplitz for d >= 3) matrix of K's row k are one matrix product
-(numpy @, BLAS), added to hyperplanes k..n_a.  K1 K1 is computed by the same products, from K1's rows
-as sources; its entries are small integers, so those products are exact.  A
-chain-2 group takes the product only where a cost model, fitted to measured
-builds, finds it cheaper than passes; tiny boxes and boxes of high
-dimension stay on passes.  Chain-1 groups always take it.
+The sources in hyperplanes 0..n_a - lo are staged as float64 over the other
+axes; for each a-degree k of K, those in 0..n_a - k times the Toeplitz
+matrix of K's row k over the other axes are added to hyperplanes k..n_a.
+Block (r, q) of that matrix is zero unless q >= r on every axis, so the
+other axes are cut into tiles of at most 128 cells, and each tile offset
+where K's row is nonzero is one matrix product (numpy @, BLAS) of every
+source tile it reaches.  K1 K1 is computed by the same products, from K1's
+rows as sources; its entries are small integers, so those products are
+exact.  A chain-2 group takes the product only where a cost model, fitted
+to measured builds, finds it cheaper than passes; tiny boxes and groups of
+a few vectors stay on passes.  Chain-1 groups always take it.
 
 The other vectors, s >= 3 and the chain-2 groups left on passes, are applied
 as w_v cumulative-sum passes T[e] += T[e-v] in ascending index order, as
@@ -86,6 +89,7 @@ charged; another box replaces it.  ``build_table`` is never cached.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import os
@@ -264,8 +268,8 @@ class CoeffTable:
 
         The sources in hyperplanes 0..n_a - lo (lo the lowest k) are staged as
         float64 before any add, since for chain length 2 they overlap the
-        targets lo..n_a.  Their products with the block-Toeplitz matrix of
-        each row of K (_toeplitz_add) are exact because the ceiling (read from
+        targets lo..n_a.  Their products with the Toeplitz matrices of the
+        rows of K (_toeplitz_add) are exact because the ceiling (read from
         the entries, then normalized if need be) times the row's sum stays
         below 2^53.  The products are summed in a uint64 buffer and added
         last; entries grow at most (1 + sum K)-fold (_grow).
@@ -276,14 +280,11 @@ class CoeffTable:
             raise ValueError(f"a one-step group over bound {self.bound} sums {max(sums)} "
                              f"terms per cell, too many for exact float64 products")
         self._grow(1 + sum(sums))  # a normalization here only lowers the sources' bound
-        limbs = len(self.data)
         perm = (a + 1, 0, *range(1, a + 1), *range(a + 2, self.dim + 1))
         view = self.data.transpose(perm)
-        src = np.ascontiguousarray(view[:rows], dtype=np.float64).reshape(rows * limbs, -1)
-        acc = np.zeros(src.shape, dtype=np.uint64)
-        _toeplitz_add(acc, src, kern, limbs, [j for j, x in enumerate(sums) if x])
+        acc = _toeplitz_add(view[:rows], kern, rows, np.uint64, [j for j, x in enumerate(sums) if x])
         view = view[len(view) - rows:]
-        view += acc.reshape(view.shape)
+        view += acc
 
     def shifted_add(self, src: "CoeffTable", v: Sequence[int]) -> None:
         """self[e] += src[e - v] (multiplication of src by x^v, accumulated)."""
@@ -305,65 +306,104 @@ class CoeffTable:
                out=view)
 
 
-def _split(other: tuple[int, ...]) -> tuple[int, int]:
-    """The block side and the cut of a block-Toeplitz product over the axes
-    `other`.  The matrix of a kernel row is block upper triangular (u >= 0),
-    so the block columns whose first coordinate is below cut read only the
-    block rows below it: for d >= 3 two pieces, split along the first other
-    axis, skip a quarter of the products and halve the matrix held at once.
-    At d = 2 the matrix is at most (n + 1)^2 and stays whole."""
-    inner = math.prod(other) // other[0]
-    return inner, other[0] // 2 if inner > 1 else 0
-
-
 def _layout(shape: tuple[int, ...], a: int, chain: int) -> tuple:
     """The lowest a-degree lo, the kernel rows and the other axes of a group
     product along axis a for vectors of chain length `chain`."""
     lo = (shape[a] - 1) // (chain + 1) + 1  # every k = v_a > n_a / (chain + 1) is at least this
     rows = shape[a] - lo  # target hyperplanes lo..n_a, source hyperplanes 0..n_a - lo
-    return lo, rows, shape[:a] + shape[a + 1:] or (1,)
+    return lo, rows, shape[:a] + shape[a + 1:]
+
+
+# The most cells of one tile (_tiling).  Summed over a box's group products,
+# one BLAS thread, 2-core Xeon, caps of 64-512 were timed against the dense
+# matrix of a hyperplane: 128 was never slower, 15-25% faster at d = 3
+# n = 8-16 and d = 4 n = 5, a third at d = 4 n = 6 and d = 3 n = 24, and
+# took 0.17 s for 18.6 s at d = 8 n = 3.  256 and 512 were up to 27% slower
+# at d = 3 n = 14-16 and d = 4 n = 5-6, 64 10-15% slower at d = 3 n = 8-11.
+_TILE_CELLS = 128
+
+
+@functools.lru_cache(maxsize=256)
+def _tiling(other: tuple[int, ...]) -> tuple:
+    """The tiles a group product cuts the other axes into (_toeplitz_add):
+    the first p axes into single hyperplanes, p the fewest for which the
+    rest fits in _TILE_CELLS cells whole, or once its first axis is cut into
+    the fewest equal tiles that fit.  The last axis is never cut, so at
+    d = 2 a hyperplane is one tile.  Returns the cells of a tile, the tiles
+    per cut axis, the axes padded to whole tiles, the index of the unpadded
+    ones, and per tile offset delta the indices of one product: the kernel's
+    window, the source and the target tiles, and the matrix's rows and
+    columns (a last tile may be short)."""
+    sides = (1,) * max(len(other) - 1, 0)
+    for p in range(len(other) - 1):
+        rest = math.prod(other[p + 1:])
+        if rest <= _TILE_CELLS:
+            cut = -(-other[p] // (_TILE_CELLS // rest))  # the fewest tiles that fit
+            sides = (1,) * p + ((-(-other[p] // cut),) if cut > 1 else ())
+            break
+    grid = [-(-n // t) for n, t in zip(other, sides)]
+    whole = [slice(None)] * (len(other) - len(sides))
+    steps = [((slice(None), *[slice(n - t + d * t, n - 1 + t + d * t)  # offsets d t - t + 1 .. d t + t - 1
+                              for n, t, d in zip(other, sides, delta)]),
+              tuple(slice(g - d) for g, d in zip(grid, delta)),
+              tuple(slice(d, g) for g, d in zip(grid, delta)),
+              (*map(slice, sides), *whole, *[slice(d * t, d * t + t) for t, d in zip(sides, delta)]))
+             for delta in itertools.product(*map(range, grid))]
+    padded = (*[g * t for g, t in zip(grid, sides)], *other[len(sides):])
+    inside = (slice(None), slice(None), *map(slice, other[:len(sides)]))
+    return math.prod(padded[len(sides):], start=math.prod(sides)), grid, padded, inside, steps
 
 
 def _staging(shape: tuple[int, ...], a: int, limbs: int, chain: int) -> int:
-    """The bytes a group product along axis a stages: the kernel, a chain-2
-    kernel's pairs, the larger Toeplitz piece, the staged sources, their sums
-    and one product; building a chain-2 kernel holds no more."""
+    """The bytes a group product along axis a stages: the kernel, one tile's
+    matrix, and the sources padded to whole tiles, their sums, one product
+    and, where the axes are cut, one gathered block of sources; building a
+    chain-2 kernel holds no more."""
     _, rows, other = _layout(shape, a, chain)
-    m = math.prod(other)
-    inner, cut = _split(other)
-    return 8 * (rows * (m + math.prod(2 * n - 1 for n in other)) + m * (m - cut * inner)
-                + 3 * rows * limbs * m)
+    cells, grid, padded, _, _ = _tiling(other)
+    return 8 * (rows * math.prod(2 * n - 1 for n in other) + cells * cells
+                + (3 + bool(grid)) * rows * limbs * math.prod(padded))
 
 
-def _toeplitz_add(out: np.ndarray, src: np.ndarray, kern: np.ndarray, limbs: int,
-                  nonzero: Sequence[int]) -> None:
-    """out[i + j] += src[i] M_j for every row j of kern in `nonzero` (its
-    nonzero rows) and row i of src with i + j below the rows of out.  Rows of
-    out and src are blocks of `limbs` flat rows over the other axes; kern is
-    a kernel as _kernel lays it out, and M_j is the (block-)Toeplitz matrix
-    of its row j, with entry K_j[q - r] in row r and column q.  Each product
-    is one float64 matrix product (numpy @, BLAS), exact while its sums stay
-    below 2^53; they are summed into out in uint64.  One Toeplitz piece is
-    copied at a time."""
-    rows, other = len(kern), tuple((n + 1) // 2 for n in kern.shape[1:])
-    inner, cut = _split(other)
+def _toeplitz_add(src: np.ndarray, kern: np.ndarray, targets: int, dtype,
+                  nonzero: Sequence[int]) -> np.ndarray:
+    """The sums out[i + j] = sum src[i] M_j in `dtype`, of shape (targets,
+    *src.shape[1:]), over the rows j of kern in `nonzero` (its nonzero rows)
+    and the hyperplanes i of src, whose first axis holds the limbs.  kern is
+    laid out by _kernel; M_j, the Toeplitz matrix of its row j over the
+    other axes, has entry K_j[q - r] in row r and column q, zero unless
+    q >= r on every axis.  So the axes are cut into tiles (_tiling), the
+    sources padded with zeros to whole tiles, and for each tile offset where
+    K_j is nonzero, every source tile it reaches times the matrix of K_j at
+    that offset is one float64 matrix product (numpy @, BLAS), exact while
+    its sums stay below 2^53, summed in `dtype`."""
+    sources, limbs, *other = src.shape
+    cells, grid, padded, inside, steps = _tiling(src.shape[2:])
+    staged = np.zeros((sources, limbs, *padded))
+    staged[inside] = src
+    out = np.zeros((targets, limbs, *padded), dtype)
+    # a tile is one run of cells: view both as rows of limbs over the tiles
+    src_tiles = staged.reshape(sources * limbs, *grid, cells)
+    out_tiles = out.reshape(targets * limbs, *grid, cells)
     step = kern.strides[1:]
-    matrices = np.ndarray((rows, *other, *other), kern.dtype, kern,
-                          offset=sum((n - 1) * t for n, t in zip(other, step)),
-                          strides=kern.strides[:1] + tuple(-t for t in step) + step)
-    whole = (slice(None),) * (len(other) - 1)
-    pieces = [(c0, c1) for c0, c1 in ((0, cut), (cut, other[0])) if c0 < c1]
-    targets, sources = len(out) // limbs, len(src) // limbs
-    for j in nonzero:
-        count = min(sources, targets - j)
-        for c0, c1 in pieces:
-            # a copy in C order for d >= 3; at d = 2 matmul copies the view
-            toeplitz = matrices[(j, slice(c1), *whole, slice(c0, c1))].reshape(
-                c1 * inner, (c1 - c0) * inner)
-            product = src[:count * limbs, :c1 * inner] @ toeplitz
-            block = out[j * limbs:(j + count) * limbs, c0 * inner:c1 * inner]
-            np.add(block, product, out=block, dtype=np.uint64, casting="unsafe")
-            del toeplitz, product  # the next ones are allocated before these names are rebound
+    matrices = np.ndarray((len(kern), *other, *other), kern.dtype, kern,
+                          offset=sum((n - 1) * s for n, s in zip(other, step)),
+                          strides=kern.strides[:1] + tuple(-s for s in step) + step)
+    for near, reach, land, box in steps:
+        if grid:
+            peaks = kern[near].max(axis=tuple(range(1, kern.ndim))).tolist()
+            nonzero = [j for j, x in enumerate(peaks) if x]
+        for j in nonzero:
+            count = min(sources, targets - j) * limbs
+            matrix = matrices[(j, *box)].reshape(cells, -1)
+            if grid:  # the source tiles delta reaches, gathered as the rows of one matrix
+                block = out_tiles[(slice(j * limbs, j * limbs + count), *land, slice(matrix.shape[1]))]
+                product = (src_tiles[(slice(count), *reach)].reshape(-1, cells) @ matrix).reshape(block.shape)
+            else:
+                block, product = out_tiles[j * limbs:j * limbs + count], src_tiles[:count] @ matrix
+            np.add(block, product, out=block, dtype=dtype, casting="unsafe")
+            del matrix, product  # the next ones are allocated before these names are rebound
+    return out[inside]
 
 
 def _kernel(shape: tuple[int, ...], a: int, vecs: np.ndarray, weights: np.ndarray,
@@ -376,8 +416,7 @@ def _kernel(shape: tuple[int, ...], a: int, vecs: np.ndarray, weights: np.ndarra
     float64 with its entry at u over the other axes at u + other - 1, so that
     the matrix of the row is a strided view of it (_toeplitz_add)."""
     lo, rows, other = _layout(shape, a, chain)
-    # the coordinates of each vector over the other axes (none at d = 1)
-    at = [vecs[:, i] for i in range(len(shape)) if i != a] or [np.zeros_like(weights)]
+    at = [vecs[:, i] for i in range(len(shape)) if i != a]  # coordinates over the other axes
     kern = np.zeros((rows, *(2 * n - 1 for n in other)))
     kern[(vecs[:, a] - lo, *[c + (n - 1) for c, n in zip(at, other)])] = weights
     if chain == 2:
@@ -385,10 +424,8 @@ def _kernel(shape: tuple[int, ...], a: int, vecs: np.ndarray, weights: np.ndarra
         # sources: products of small integers, so exact
         half = (shape[a] - 1) // 2 - lo + 1
         core = (slice(None), *[slice(n - 1, None) for n in other])
-        pairs = np.zeros((rows - lo, math.prod(other)), np.int64)
-        _toeplitz_add(pairs, np.ascontiguousarray(kern[:half][core]).reshape(half, -1),
-                      kern[:half], 1, sorted(set((vecs[:, a] - lo).tolist())))
-        pairs = pairs.reshape(rows - lo, *other)
+        pairs = _toeplitz_add(kern[:half][core][:, None], kern[:half], rows - lo, np.int64,
+                              sorted(set((vecs[:, a] - lo).tolist())))[:, 0]
         pairs[(2 * (vecs[:, a] - lo), *[2 * c for c in at])] += weights
         assert not (pairs & 1).any(), "K1 K1 + W2 is even"
         kern[lo:][core] += pairs >> 1
@@ -439,20 +476,18 @@ def _plan(dim: int, bt: tuple[int, ...]) -> int:
 # The cost of a chain-2 group in ns, fitted (least squares in relative error)
 # to the times of _kernel plus _one_step and of the group's class_pass calls
 # inside builds of 128 groups at d = 2 n <= 192, d = 3 n <= 32, d = 4
-# n <= 14, d = 5 n <= 5, d = 6 n <= 4 and d = 7, 8 n = 2 (the products on the
-# 118 whose pieces are within _PIECE_CAP), one BLAS thread, 2-core Xeon.  A
-# product: a fixed cost (fitted 0.11 ms, taken as 0.2 so that near a tie the
-# group stays on passes, which stage nothing), then per matrix (a nonzero
-# row of K1 or K) 7.7 us and per entry 1.3 ns, plus 1.3 ns per axis of the
-# strided copy for each run of other[-1] entries.  Passes: per block 5.9 us,
-# per cell 1.4 ns, plus 2.7 ns per axis for each run of the last axis.
+# n <= 14, d = 5 n <= 5, d = 6 n <= 4 and d = 7, 8 n = 2, one BLAS thread,
+# 2-core Xeon.  A product: a fixed cost (fitted 0.11 ms, taken as 0.2 so
+# that near a tie the group stays on passes, which stage nothing), then per
+# matrix (a nonzero row of K1 or K) 7.7 us and per entry of its tiles'
+# matrices 1.3 ns, plus 1.3 ns per axis of the strided copy for each run of
+# other[-1] entries.  Passes: per block 5.9 us, per cell 1.4 ns, plus 2.7 ns
+# per axis for each run of the last axis.  The tiled products are cheaper
+# than the model: of 100 groups at d = 2 n <= 64 through d = 9 n = 2, the
+# model sends none to the product that passes apply faster, and keeps 12
+# near a tie on passes.
 _PRODUCT_NS = (200_000, 7_700, 1.3, 1.3)
 _PASS_NS = (5_900, 1.4, 2.7)
-# The model holds while one Toeplitz piece stays in cache: a product of
-# larger pieces took 1.7-2x the model (244 ms for 147 at d = 4 n = 14, 95 ms
-# for 58 at d = 6 n = 4, pieces of 49 and 47 MB), so such a group stays on
-# passes.
-_PIECE_CAP = 1 << 22
 
 
 def _passes_at_most(shape: tuple[int, ...], a: int, total: float) -> float:
@@ -471,14 +506,13 @@ def _passes_at_most(shape: tuple[int, ...], a: int, total: float) -> float:
 def _product_pays(shape: tuple[int, ...], a: int, vecs: np.ndarray, weights: np.ndarray) -> bool:
     """Whether the chain-2 group of rows vecs, of weights w_v, along axis a
     costs less as one group product than as cumulative passes, by the model
-    above, from counts known before any work; never where a Toeplitz piece
-    exceeds _PIECE_CAP or the factor 1 + sum K, which is (S + 1)(S + 2) / 2
-    at S = sum w_v, exceeds what _grow accepts."""
+    above, from counts known before any work; never where the factor
+    1 + sum K, which is (S + 1)(S + 2) / 2 at S = sum w_v, exceeds what
+    _grow accepts."""
     total, d = int(weights.sum()), len(shape)
     other = shape[:a] + shape[a + 1:] or (1,)
     m = math.prod(other)
-    inner, cut = _split(other)
-    if m * (m - cut * inner) > _PIECE_CAP or (total + 1) * (total + 2) // 2 > 1 << (_LIMB_BITS - 1):
+    if (total + 1) * (total + 2) // 2 > 1 << (_LIMB_BITS - 1):
         return False
     fixed, per_matrix, per_entry, per_run = _PRODUCT_NS
     per_block, per_cell, per_row = _PASS_NS
@@ -489,7 +523,7 @@ def _product_pays(shape: tuple[int, ...], a: int, vecs: np.ndarray, weights: np.
     ks = set(vecs[:, a].tolist())
     # _kernel multiplies by the rows of K1, _one_step by those of K1 and K2
     matrices = 2 * len(ks) + len({k + j for k in ks for j in ks})
-    entries = m * m - cut * inner * (m - cut * inner)
+    entries = _tiling(other)[0] * m
     per_matrix += entries * (per_entry + per_run * (d - 1) / other[-1])
     return fixed + matrices * per_matrix < passes
 

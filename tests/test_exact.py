@@ -496,11 +496,12 @@ def test_refused_build_fails_before_any_work(monkeypatch, dim, n):
 
 
 def test_default_budget_refuses_staging_up_front(monkeypatch, capsys):
-    # d = 4, n = 28 needs its group staging above the default 2 GB; the plan
-    # refuses it before any work, where a build would run for many minutes
+    # d = 4, n = 46, the smallest d = 4 cube refused under the default 2 GB,
+    # needs its group staging above it; the plan refuses it before any work,
+    # where a build would run for many minutes
     monkeypatch.delenv("ZONOCOUNT_MEMORY_BUDGET", raising=False)
     _refuse_work(monkeypatch)
-    assert cli_main(["count", "--dim", "4", "--n", "28"]) == 2
+    assert cli_main(["count", "--dim", "4", "--n", "46"]) == 2
     err = capsys.readouterr().err
     assert "one-step staging" in err and "exceeds budget" in err
 
@@ -578,7 +579,7 @@ def test_origin_cell_stays_one():
     assert all(c >= 0 for c in _cells(table))
 
 
-@pytest.mark.parametrize("dim, n", [(2, 96), (3, 16), (4, 6), (3, 24)])
+@pytest.mark.parametrize("dim, n", [(2, 96), (3, 16), (4, 6), (3, 24), (4, 10), (6, 4)])
 def test_plan_charges_the_build_peak(monkeypatch, dim, n):
     # the plan's largest charge, the table in its corner limbs with its carry
     # buffer and the largest group staging (chain-2 kernels included), is at
@@ -618,11 +619,19 @@ def _euler_oracle(box):
 
 @pytest.mark.parametrize("dim, box", [
     (2, (64, 64)), (3, (16, 16, 16)), (4, (6, 6, 6, 6)), (2, (9, 25)), (3, (7, 13, 20)),
-    (2, (40, 7))])
+    (2, (40, 7)), (4, (8,) * 4), (5, (4,) * 5), (6, (3,) * 6)])
 def test_table_equals_the_euler_oracle(dim, box):
     # boxes brute force cannot reach, where chain-2 group products, passes and
-    # chain-1 group products all run
+    # chain-1 group products all run; from d = 4 n = 8 on the products cut
+    # the other axes into tiles of single hyperplanes
     assert _cells(build_table(dim, box)) == _euler_oracle(box)
+
+
+def test_d8_n3_builds_in_a_small_budget(monkeypatch):
+    # the plan charges about 31 MB here; with the dense block-Toeplitz
+    # matrix of a hyperplane it charged 1.09 GB, which this budget refuses
+    monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", str(256 << 20))
+    assert build_table(8, (3,) * 8).coefficient((3,) * 8) == 10006435926204956
 
 
 def test_values_beyond_64_bits():
@@ -895,14 +904,18 @@ def _slab_adds(values, vecs, weights):
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), box=st.lists(st.integers(0, 4), min_size=2, max_size=4).map(tuple)
-       | st.lists(st.integers(0, 12), min_size=2, max_size=3).map(tuple),
-       chain=st.sampled_from([1, 2]), full=st.booleans(), past_limit=st.booleans())
-def test_group_product_equals_sequential_slab_adds(data, box, chain, full, past_limit):
+       | st.lists(st.integers(0, 12), min_size=2, max_size=3).map(tuple)
+       | st.lists(st.integers(0, 3), min_size=5, max_size=5).map(tuple),
+       chain=st.sampled_from([1, 2]), full=st.booleans(), past_limit=st.booleans(),
+       cells=st.sampled_from([1, 2, 3, 4, 6, 8, 12, 16, 24, 128]))
+def test_group_product_equals_sequential_slab_adds(data, box, chain, full, past_limit, cells):
     # a random or saturated table of 1-3 limbs, and a random subset of one axis
     # group of chain length 1 or 2; past_limit takes the whole group and
     # lowers the exact-float limit so that each product stays below it but
     # the sums across k go beyond it.  A chain-2 group's sources overlap its
-    # targets, and its kernel K holds the cross terms of every pair
+    # targets, and its kernel K holds the cross terms of every pair.  Small
+    # tiles cut the other axes of these boxes at every depth, with short
+    # last tiles
     dim = len(box)
     a = data.draw(st.sampled_from([i for i, b in enumerate(box) if b] or [0]))
     vecs, weights = _group(box, a, chain)
@@ -915,12 +928,17 @@ def test_group_product_equals_sequential_slab_adds(data, box, chain, full, past_
     limbs = data.draw(st.integers(1, 3))
     table.data, table.ceiling = _random_fill(data, (limbs, *table.shape), full)
     want = _slab_adds(_values(table), vecs, weights)
-    kernel = exact._kernel(table.shape, a, vecs, weights, chain)
     with pytest.MonkeyPatch.context() as monkeypatch:
-        if past_limit:
-            heaviest = int(kernel.reshape(len(kernel), -1).sum(axis=1).max())
-            monkeypatch.setattr(exact, "_FLOAT_EXACT", heaviest << (exact._LIMB_BITS + 1))
-        table._one_step(a, kernel)
+        monkeypatch.setattr(exact, "_TILE_CELLS", cells)
+        exact._tiling.cache_clear()
+        try:
+            kernel = exact._kernel(table.shape, a, vecs, weights, chain)
+            if past_limit:
+                heaviest = int(kernel.reshape(len(kernel), -1).sum(axis=1).max())
+                monkeypatch.setattr(exact, "_FLOAT_EXACT", heaviest << (exact._LIMB_BITS + 1))
+            table._one_step(a, kernel)
+        finally:
+            exact._tiling.cache_clear()
     assert int(table.data.max()) <= table.ceiling < _WORD
     assert _cells(table) == want.ravel().tolist()
 
@@ -1090,7 +1108,7 @@ _BLAS_SCRIPT = """
 import hashlib
 import numpy
 from zonocount import build_table
-for dim, n in ((2, 64), (3, 12), (3, 16), (4, 6)):
+for dim, n in ((2, 64), (3, 12), (3, 16), (4, 6), (4, 10)):
     table = build_table(dim, (n,) * dim)
     cells = [table.coefficient(e) for e in numpy.ndindex(table.shape)]
     print(hashlib.sha256(repr(cells).encode()).hexdigest())
@@ -1108,7 +1126,7 @@ def test_cells_do_not_depend_on_blas_threads():
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         out.append(proc.stdout.split())
-    assert len(out[0]) == 4
+    assert len(out[0]) == 5
     assert out[0] == out[1]
 
 
@@ -1195,16 +1213,16 @@ def _chain2_products(monkeypatch, dim, n):
 
 
 def test_chain2_groups_take_the_product_where_it_pays(monkeypatch):
-    # the product's fixed cost and its dense matrices lose to passes on tiny
-    # boxes and at d = 8 n = 2, whose Toeplitz pieces copy in runs of 3; at
-    # d = 7 n = 2 group 0, with 729 of the 2,187 passes of chain length 2,
-    # pays (_product_pays); from d = 2 n = 32, d = 3 n = 8 and d = 4
-    # n = 4 every non-empty group takes it
+    # the product's fixed cost loses to passes on tiny boxes; at d = 7, 8
+    # n = 2 groups 0-2 and at d = 9 n = 2 groups 0-3 pay (_product_pays), and
+    # the later, smaller groups stay on passes; from d = 2 n = 32, d = 3 n = 8
+    # and d = 4 n = 4 every non-empty group takes it
     for dim, top in ((2, 12), (3, 5)):
         for n in range(1, top + 1):
             assert _chain2_products(monkeypatch, dim, n) == [], (dim, n)
-    assert _chain2_products(monkeypatch, 8, 2) == []
-    assert _chain2_products(monkeypatch, 7, 2) == [0]
+    assert _chain2_products(monkeypatch, 7, 2) == [0, 1, 2]
+    assert _chain2_products(monkeypatch, 8, 2) == [0, 1, 2]
+    assert _chain2_products(monkeypatch, 9, 2) == [0, 1, 2, 3]
     for dim, n in ((2, 32), (3, 8), (4, 4)):
         box = (n,) * dim
         groups = [a for a in range(dim) if len(_group(box, a, 2)[0])]
