@@ -36,7 +36,9 @@ source tile it reaches.  K1 K1 is computed by the same products, from K1's
 rows as sources; its entries are small integers, so those products are
 exact.  A chain-2 group takes the product only where a cost model, fitted
 to measured builds, finds it cheaper than passes; tiny boxes and groups of
-a few vectors stay on passes.  Chain-1 groups always take it.
+a few vectors stay on passes.  Chain-1 groups always take it, in parts where
+the whole group's products cannot be made exact: any two members sum past
+the box, so the parts' factors multiply to the group's.
 
 The other vectors, s >= 3 and the chain-2 groups left on passes, are applied
 as w_v cumulative-sum passes T[e] += T[e-v] in ascending index order, as
@@ -282,7 +284,7 @@ class CoeffTable:
         self._grow(1 + sum(sums))  # a normalization here only lowers the sources' bound
         perm = (a + 1, 0, *range(1, a + 1), *range(a + 2, self.dim + 1))
         view = self.data.transpose(perm)
-        acc = _toeplitz_add(view[:rows], kern, rows, np.uint64, [j for j, x in enumerate(sums) if x])
+        acc = _toeplitz_add(view[:rows], kern, rows, np.uint64)
         view = view[len(view) - rows:]
         view += acc
 
@@ -332,8 +334,9 @@ def _tiling(other: tuple[int, ...]) -> tuple:
     d = 2 a hyperplane is one tile.  Returns the cells of a tile, the tiles
     per cut axis, the axes padded to whole tiles, the index of the unpadded
     ones, and per tile offset delta the indices of one product: the kernel's
-    window, the source and the target tiles, and the matrix's rows and
-    columns (a last tile may be short)."""
+    window, the source tiles, the target tiles and their columns (a last
+    tile may be short), the number of source tiles, and the matrix's rows
+    and columns."""
     sides = (1,) * max(len(other) - 1, 0)
     for p in range(len(other) - 1):
         rest = math.prod(other[p + 1:])
@@ -343,10 +346,13 @@ def _tiling(other: tuple[int, ...]) -> tuple:
             break
     grid = [-(-n // t) for n, t in zip(other, sides)]
     whole = [slice(None)] * (len(other) - len(sides))
+    uncut = math.prod(other[len(sides):])
     steps = [((slice(None), *[slice(n - t + d * t, n - 1 + t + d * t)  # offsets d t - t + 1 .. d t + t - 1
                               for n, t, d in zip(other, sides, delta)]),
-              tuple(slice(g - d) for g, d in zip(grid, delta)),
-              tuple(slice(d, g) for g, d in zip(grid, delta)),
+              (slice(None), *[slice(g - d) for g, d in zip(grid, delta)]),
+              (slice(None), *[slice(d, g) for g, d in zip(grid, delta)],
+               slice(uncut * math.prod(min(t, n - d * t) for n, t, d in zip(other, sides, delta)))),
+              math.prod(g - d for g, d in zip(grid, delta)),
               (*map(slice, sides), *whole, *[slice(d * t, d * t + t) for t, d in zip(sides, delta)]))
              for delta in itertools.product(*map(range, grid))]
     padded = (*[g * t for g, t in zip(grid, sides)], *other[len(sides):])
@@ -365,18 +371,17 @@ def _staging(shape: tuple[int, ...], a: int, limbs: int, chain: int) -> int:
                 + (3 + bool(grid)) * rows * limbs * math.prod(padded))
 
 
-def _toeplitz_add(src: np.ndarray, kern: np.ndarray, targets: int, dtype,
-                  nonzero: Sequence[int]) -> np.ndarray:
+def _toeplitz_add(src: np.ndarray, kern: np.ndarray, targets: int, dtype) -> np.ndarray:
     """The sums out[i + j] = sum src[i] M_j in `dtype`, of shape (targets,
-    *src.shape[1:]), over the rows j of kern in `nonzero` (its nonzero rows)
-    and the hyperplanes i of src, whose first axis holds the limbs.  kern is
-    laid out by _kernel; M_j, the Toeplitz matrix of its row j over the
-    other axes, has entry K_j[q - r] in row r and column q, zero unless
-    q >= r on every axis.  So the axes are cut into tiles (_tiling), the
-    sources padded with zeros to whole tiles, and for each tile offset where
-    K_j is nonzero, every source tile it reaches times the matrix of K_j at
-    that offset is one float64 matrix product (numpy @, BLAS), exact while
-    its sums stay below 2^53, summed in `dtype`."""
+    *src.shape[1:]), over the rows j of kern and the hyperplanes i of src,
+    whose first axis holds the limbs.  kern is nonnegative and laid out by
+    _kernel; M_j, the Toeplitz matrix of its row j over the other axes, has
+    entry K_j[q - r] in row r and column q, zero unless q >= r on every axis.
+    So the axes are cut into tiles (_tiling), the sources padded with zeros
+    to whole tiles, and for each tile offset where K_j is nonzero, every
+    source tile it reaches times the matrix of K_j at that offset is one
+    float64 matrix product (numpy @, BLAS), exact while its sums stay below
+    2^53, summed in `dtype`."""
     sources, limbs, *other = src.shape
     cells, grid, padded, inside, steps = _tiling(src.shape[2:])
     staged = np.zeros((sources, limbs, *padded))
@@ -389,20 +394,24 @@ def _toeplitz_add(src: np.ndarray, kern: np.ndarray, targets: int, dtype,
     matrices = np.ndarray((len(kern), *other, *other), kern.dtype, kern,
                           offset=sum((n - 1) * s for n, s in zip(other, step)),
                           strides=kern.strides[:1] + tuple(-s for s in step) + step)
-    for near, reach, land, box in steps:
-        if grid:
-            peaks = kern[near].max(axis=tuple(range(1, kern.ndim))).tolist()
-            nonzero = [j for j, x in enumerate(peaks) if x]
+    for near, reach, land, tiles, box in steps:
+        # the rows of K nonzero on this window (on the whole kernel when there
+        # is one tile: a chain-2 kernel has no rows between n_a / 2 and 2 lo)
+        peaks = kern[near].max(axis=tuple(range(1, kern.ndim))).tolist()
+        nonzero = [j for j, x in enumerate(peaks) if x]
+        if not nonzero:
+            continue
+        # the source tiles delta reaches, gathered as the rows of one matrix
+        # (a view when there is one tile), and the tiles they land on
+        gathered, landing = src_tiles[reach].reshape(-1, cells), out_tiles[land]
         for j in nonzero:
             count = min(sources, targets - j) * limbs
             matrix = matrices[(j, *box)].reshape(cells, -1)
-            if grid:  # the source tiles delta reaches, gathered as the rows of one matrix
-                block = out_tiles[(slice(j * limbs, j * limbs + count), *land, slice(matrix.shape[1]))]
-                product = (src_tiles[(slice(count), *reach)].reshape(-1, cells) @ matrix).reshape(block.shape)
-            else:
-                block, product = out_tiles[j * limbs:j * limbs + count], src_tiles[:count] @ matrix
+            block = landing[j * limbs:j * limbs + count]
+            product = (gathered[:count * tiles] @ matrix).reshape(block.shape)
             np.add(block, product, out=block, dtype=dtype, casting="unsafe")
             del matrix, product  # the next ones are allocated before these names are rebound
+        del gathered
     return out[inside]
 
 
@@ -424,8 +433,7 @@ def _kernel(shape: tuple[int, ...], a: int, vecs: np.ndarray, weights: np.ndarra
         # sources: products of small integers, so exact
         half = (shape[a] - 1) // 2 - lo + 1
         core = (slice(None), *[slice(n - 1, None) for n in other])
-        pairs = _toeplitz_add(kern[:half][core][:, None], kern[:half], rows - lo, np.int64,
-                              sorted(set((vecs[:, a] - lo).tolist())))[:, 0]
+        pairs = _toeplitz_add(kern[:half][core][:, None], kern[:half], rows - lo, np.int64)[:, 0]
         pairs[(2 * (vecs[:, a] - lo), *[2 * c for c in at])] += weights
         assert not (pairs & 1).any(), "K1 K1 + W2 is even"
         kern[lo:][core] += pairs >> 1
@@ -476,16 +484,18 @@ def _plan(dim: int, bt: tuple[int, ...]) -> int:
 # The cost of a chain-2 group in ns, fitted (least squares in relative error)
 # to the times of _kernel plus _one_step and of the group's class_pass calls
 # inside builds of 128 groups at d = 2 n <= 192, d = 3 n <= 32, d = 4
-# n <= 14, d = 5 n <= 5, d = 6 n <= 4 and d = 7, 8 n = 2, one BLAS thread,
-# 2-core Xeon.  A product: a fixed cost (fitted 0.11 ms, taken as 0.2 so
-# that near a tie the group stays on passes, which stage nothing), then per
-# matrix (a nonzero row of K1 or K) 7.7 us and per entry of its tiles'
-# matrices 1.3 ns, plus 1.3 ns per axis of the strided copy for each run of
-# other[-1] entries.  Passes: per block 5.9 us, per cell 1.4 ns, plus 2.7 ns
-# per axis for each run of the last axis.  The tiled products are cheaper
-# than the model: of 100 groups at d = 2 n <= 64 through d = 9 n = 2, the
-# model sends none to the product that passes apply faster, and keeps 12
-# near a tie on passes.
+# n <= 14, d = 5 n <= 5, d = 6 n <= 4 and d = 7, 8 n = 2 (the products on the
+# 118 whose dense whole-hyperplane matrices were at most 2^22 entries), one
+# BLAS thread, 2-core Xeon.  A product: a fixed cost (fitted 0.11 ms, taken
+# as 0.2 so that near a tie the group stays on passes, which stage nothing),
+# then per matrix (a nonzero row of K1 or K) 7.7 us and per entry 1.3 ns,
+# plus 1.3 ns per axis of the strided copy for each run of other[-1]
+# entries.  Passes: per block 5.9 us, per cell 1.4 ns, plus 2.7 ns per axis
+# for each run of the last axis.  The entries counted are now those of the
+# tiles' matrices (tile cells times hyperplane cells), with these constants
+# not refitted: timed on 100 groups at d = 2 n <= 64 through d = 9 n = 2,
+# the model sends none to the product that passes apply faster, and keeps
+# 12 near a tie on passes.
 _PRODUCT_NS = (200_000, 7_700, 1.3, 1.3)
 _PASS_NS = (5_900, 1.4, 2.7)
 
@@ -510,8 +520,7 @@ def _product_pays(shape: tuple[int, ...], a: int, vecs: np.ndarray, weights: np.
     1 + sum K, which is (S + 1)(S + 2) / 2 at S = sum w_v, exceeds what
     _grow accepts."""
     total, d = int(weights.sum()), len(shape)
-    other = shape[:a] + shape[a + 1:] or (1,)
-    m = math.prod(other)
+    other = _layout(shape, a, 2)[2]
     if (total + 1) * (total + 2) // 2 > 1 << (_LIMB_BITS - 1):
         return False
     fixed, per_matrix, per_entry, per_run = _PRODUCT_NS
@@ -523,8 +532,8 @@ def _product_pays(shape: tuple[int, ...], a: int, vecs: np.ndarray, weights: np.
     ks = set(vecs[:, a].tolist())
     # _kernel multiplies by the rows of K1, _one_step by those of K1 and K2
     matrices = 2 * len(ks) + len({k + j for k in ks for j in ks})
-    entries = _tiling(other)[0] * m
-    per_matrix += entries * (per_entry + per_run * (d - 1) / other[-1])
+    entries = _tiling(other)[0] * math.prod(other)
+    per_matrix += entries * (per_entry + (per_run * (d - 1) / other[-1] if other else 0))
     return fixed + matrices * per_matrix < passes
 
 
@@ -541,6 +550,27 @@ def _chain2_product(table: CoeffTable, a: int, vecs: np.ndarray, weights: np.nda
     return True
 
 
+def _chain1_products(table: CoeffTable, a: int, vecs: np.ndarray, weights: np.ndarray) -> None:
+    """Apply the chain-1 group of rows vecs, of weights w_v, along axis a as
+    one group product, or, where _one_step refuses that product (not exact,
+    or a factor past 2^31; it refuses before any add), as the products of
+    parts of weight below 2^20, which a normalized table's ceiling (below
+    2^33) keeps below 2^53.  Any two members sum past the box on axis a, so
+    (1 + K1') (1 + K1'') = 1 + K1' + K1'' and the parts give the same table."""
+    kern = _kernel(table.shape, a, vecs, weights, 1)
+    try:
+        table._one_step(a, kern)
+        return
+    except ValueError:
+        del kern
+    # part i: the members whose running weight before them is in
+    # [i, i + 1) * 2^19, less than 2^20 in all while w_v <= 2^19
+    before = np.cumsum(weights) - weights
+    part = before // (_FLOAT_EXACT >> (_LIMB_BITS + 2))
+    for i in range(int(part.max()) + 1):
+        table._one_step(a, _kernel(table.shape, a, vecs[part == i], weights[part == i], 1))
+
+
 def _build(table: CoeffTable, vecs: np.ndarray, norms: np.ndarray,
            weights: np.ndarray) -> CoeffTable:
     """Multiply the table by the factor (1 - x^v)^(-w_v) of every primitive row
@@ -549,7 +579,7 @@ def _build(table: CoeffTable, vecs: np.ndarray, norms: np.ndarray,
     axis a that attains s.  First one group product per axis for s = 2 where
     it pays and stays exact (_chain2_product); then class_pass
     for the other rows with s >= 2, by descending 1-norm (ties in row order);
-    then one group product per axis for s = 1, axis 0 first."""
+    then the group products for s = 1, axis 0 first (_chain1_products)."""
     dim = table.dim
     # v_i > floor(n_i / 2) means chain length 1 along axis i and
     # v_i > floor(n_i / 3) at most 2, so the first true entry of the two rows
@@ -583,7 +613,7 @@ def _build(table: CoeffTable, vecs: np.ndarray, norms: np.ndarray,
         table.class_pass(v.tolist(), w)
     for a, (start, stop) in enumerate(spans[:dim]):
         if start < stop:
-            table._one_step(a, _kernel(table.shape, a, vecs[start:stop], weights[start:stop], 1))
+            _chain1_products(table, a, vecs[start:stop], weights[start:stop])
     return table
 
 

@@ -973,6 +973,34 @@ def test_group_product_refuses_a_weight_past_exact_floats():
     assert _cells(table) == before
 
 
+@pytest.mark.parametrize("dim, box", [(2, (64, 64)), (3, (7, 13, 20)), (3, (12, 12, 12)), (4, (6, 6, 6, 6))])
+def test_chain1_group_past_exact_floats_applies_in_parts(monkeypatch, dim, box):
+    # at the exact-float limit 2^38 _one_step refuses whole chain-1 groups of
+    # these boxes on their built tables, so they are applied in parts whose
+    # weights, and so their kernel rows, sum to less than 2^5 (2^38 over a
+    # normalized ceiling below 2^33); the cells equal those of the build at
+    # 2^53
+    want = _cells(build_table(dim, box))
+    heaviest, groups = [], []
+    real_step, real_products = CoeffTable._one_step, exact._chain1_products
+
+    def one_step(self, a, kern):
+        real_step(self, a, kern)
+        heaviest.append(int(kern.reshape(len(kern), -1).sum(axis=1).max()))
+
+    def products(table, a, vecs, weights):
+        start = len(heaviest)
+        real_products(table, a, vecs, weights)
+        groups.append(heaviest[start:])
+
+    monkeypatch.setattr(CoeffTable, "_one_step", one_step)
+    monkeypatch.setattr(exact, "_chain1_products", products)
+    monkeypatch.setattr(exact, "_FLOAT_EXACT", 1 << 38)
+    assert _cells(build_table(dim, box)) == want
+    parts = [group for group in groups if len(group) > 1]
+    assert parts and all(h < 1 << 5 for group in parts for h in group)
+
+
 def test_group_product_sums_in_uint64(monkeypatch):
     # group 0 of (5, 5) has weights 8, 6 and 8 at k = v_0 = 3, 4, 5: it
     # normalizes only when a product of k could reach the exact-float limit,
