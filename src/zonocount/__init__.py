@@ -4,7 +4,8 @@ Layers:
 
 * ``primitives`` — primitive directions of the nonnegative orthant as numpy
   rows and their sign-class weights (the index set of the generating
-  function, shared by the exact DP, its oracle and the sampler).
+  function, shared by the exact oracles, the diameter numerators and the
+  sampler).
 * ``exact`` — arbitrary-precision coefficient extraction (counts and exact
   first moments), plus an independent brute-force oracle.
 * ``special`` — Riemann zeta / gamma numerics and refined zeta zeros.

@@ -4,73 +4,54 @@ The generating function over primitive nonnegative directions v,
 
     Zon_d(x) = prod_v (1 - x^v)^(-2^(d(v)-1)),
 
-is expanded by dynamic programming on a dense table of multi-precision
-integers.  Let s = min_i floor(n_i / v_i) be the chain length of a primitive
-vector v in the box, and w_v = 2^(d(v)-1) its number of sign classes.  Factors
-commute and truncation to the box is a ring map, so the order in which they
-are applied does not change the result.  The table at bound n then holds
-[x^m] Zon_d for every m <= n simultaneously.
+is expanded on a dense table of multi-precision integers over the box
+{e <= n}.  Truncation to the box is a ring map, so the table holds
+[x^m] Zon_d for every m <= n at once.
 
-When s <= 2 the truncated factor is a short polynomial, and the vectors whose
-first axis of chain length s is a form group a, applied as one product.  For
-s = 1 (2v leaves the box: three in four vectors at d=2 n=96, nine in ten at
-d=4 n=6) the factor is 1 + w_v x^v, and any two members of a group sum past
-the box on axis a, so the group's whole factor is 1 + K1 with
-K1 = sum_v w_v x^v.  For s = 2 (n_a / 3 < v_a <= n_a / 2) the factor is
-1 + w_v x^v + C(w_v + 1, 2) x^(2v), and any three members sum past the box on
-axis a, so the group's factor is 1 + K with
+The table is built by the Euler operator along one axis, called axis 0
+here; the axes are taken shortest first (_axes).  With
+theta_0 = x_0 d/dx_0, theta_0 Zon = H Zon for H = theta_0 log Zon_d, and
+log Zon_d = sum_v w_v sum_(g >= 1) x^(g v) / g gives, for f = g v,
 
-    K = K1 + (K1 K1 + W2) / 2,   W2 = sum_v w_v x^(2v).
+    H[f] = 2^(d(f)-1) f_0 / gcd(f),   0 where f_0 = 0,
 
-The numerator is sum_v (w_v^2 + w_v) x^(2v) + 2 sum_(v < v') w_v w_v' x^(v+v'),
-even because w^2 + w is; and since every member has 2 v_i <= n_i on every
-axis, no term of K is truncated, so 1 + sum K = (S + 1)(S + 2) / 2 at
-S = sum w_v.  Every a-degree of K is at least lo = floor(n_a / (s + 1)) + 1.
-The sources in hyperplanes 0..n_a - lo are staged as float64 over the other
-axes; for each a-degree k of K, those in 0..n_a - k times the Toeplitz
-matrix of K's row k over the other axes are added to hyperplanes k..n_a.
-Block (r, q) of that matrix is zero unless q >= r on every axis, so the
-other axes are cut into tiles of at most 128 cells, and each tile offset
-where K's row is nonzero is one matrix product (numpy @, BLAS) of every
-source tile it reaches.  K1 K1 is computed by the same products, from K1's
-rows as sources; its entries are small integers, so those products are
-exact.  A chain-2 group takes the product only where a cost model, fitted
-to measured builds, finds it cheaper than passes; tiny boxes and groups of
-a few vectors stay on passes.  Chain-1 groups always take it, in parts where
-the whole group's products cannot be made exact: any two members sum past
-the box, so the parts' factors multiply to the group's.
+with no primitive enumeration.  Comparing coefficients hyperplane by
+hyperplane (Z_i the hyperplane e_0 = i, a (d-1)-dimensional table),
 
-The other vectors, s >= 3 and the chain-2 groups left on passes, are applied
-as w_v cumulative-sum passes T[e] += T[e-v] in ascending index order, as
-numpy slab adds over blocks of hyperplanes, so the Python-level cost is one
-call per block, not one per cell.  The chain-2 group products run first, on
-a table one limb wide; then the passes, by descending 1-norm: long vectors
-have short chains and grow the entries least, so most passes run while the
-table is one limb wide, and short vectors such as (1, 0) and (1, 1) come
-last; then the chain-1 group products.
+    i Z_i = sum_(a=1..i) H_a * Z_(i-a),
 
-The table is one uint64 array of shape (k, *(n + 1)): cell e holds
-sum_i data[i][e] << 32 i, with 32-bit limb payloads and lazy carries.  A
-ceiling bounds every entry.  A cumulative pass of chain length s (at most
-s + 1 entries summed into one) grows entries by the factor s + 1.  Before it,
-if factor * ceiling would reach 2^64, the ceiling is first read from the
-entries (the compounded bound runs far ahead of them), and only if the
-product still reaches 2^64 does the table normalize (carry = data >> 32,
-data &= 2^32 - 1, data[1:] += carry[:-1], with a new limb when the top one
-carries), which leaves every entry below 2^33; then the ceiling is multiplied
-by the factor.  No factor may exceed 2^31, so that product stays below 2^64.
-The sum identity holds whether or not the limbs are normalized, so one
-np.add per slab covers all k limbs and no per-block carry is needed.  A
-group product is exact from two facts.  Each float64 product is an exact
-integer, whatever order BLAS sums in: each limb is multiplied on its own,
-and when the ceiling times the largest row sum of K (of K1 for s = 1) would
-reach 2^53, the ceiling is read from the entries, and the table normalizes
-if it still would.  The products are summed in uint64 and added limb by limb
-after every product is taken, so sources that overlap targets (s = 2) are
-read before any add, and the group grows entries at most (1 + sum K)-fold,
-which goes through the same step as a cumulative pass.  A chain-2 group
-whose products cannot be made exact, or whose factor exceeds 2^31, stays on
-passes.
+where * is the convolution over the other axes truncated to the box.  Row 0
+is the table of Zon_(d-1) over the other axes, built the same way one axis
+down; at d = 1 every cell is 1.  The products run online, in the
+semi-relaxed order of van der Hoeven ("Relax, but don't be too lazy", JSC
+2002): once row j is final, for every k = 2^i dividing j + 1, one block
+product (_toeplitz_add) multiplies rows j + 1 - k .. j by kernel rows
+k .. 2k - 1 and adds it to the rows above.  Every (source row, kernel row)
+pair is taken exactly once, before its target row is read (_schedule).
+
+Rows are held in limbs of b bits as uint64, b fixed from the box (_digits):
+a product of a limb row and kernel row a sums at most (2^b - 1) sum H_a,
+and a row's accumulator at most (2^b - 1) sum H, so
+b = min(52 - bitlen(max_a sum H_a), 63 - bitlen(sum H)) keeps every
+float64 product an exact integer below 2^53, whatever order BLAS sums in,
+and every accumulator below 2^63, with room for the carries.  The sums are
+bounded from the box alone, sum H_a <= a prod_(i>0) (1 + 2 n_i), one level
+at a time.  A finished accumulator i Z_i is carried into b-bit digits and
+divided by i exactly, top limb first (a remainder is below i, and
+bitlen(i) <= bitlen(sum H) keeps the next dividend below 2^64); a nonzero
+remainder, or a carry out of the top limb, raises.  The limbs hold i Z_i by
+the corner bound (_corner_bits), and a block product multiplies only the
+limbs in use so far, since Z grows along every axis.
+
+The finished table is one uint64 array of shape (k, *(n + 1)): cell e holds
+sum_i data[i][e] << 32 i, each limb 32 bits but the top one, which holds up
+to 64, and a ceiling bounds every entry.  CoeffTable.class_pass multiplies
+a table by one class factor (1 - x^v)^(-w) with lazy carries: a pass of
+chain length s grows entries by the factor s + 1 and normalizes first
+(carry = data >> 32, data &= 2^32 - 1, data[1:] += carry[:-1], a new limb
+when the top one carries) only if the ceiling, read from the entries, leaves
+no room below 2^64.  No build uses it: over primitive_rows it is the tests'
+second oracle, beside the Euler recurrence in Python ints and brute force.
 
 Exact first moments are kernel sums sum_f K[f] Z[n - f] over that one table,
 each read by one weighted limb sum (CoeffTable._sum).  Marking generator
@@ -116,10 +97,6 @@ from .primitives import (
 # before its carry is pushed into the limb above.
 _LIMB_BITS = 32
 
-# float64 holds every integer below this exactly; each one-step group product
-# stays below it
-_FLOAT_EXACT = 1 << 53
-
 _BRUTE_NODE_BUDGET = 10 ** 7
 
 
@@ -127,13 +104,11 @@ class EnumerationBudgetError(RuntimeError):
     """Brute-force enumeration exceeded its node budget (oracle is for small boxes)."""
 
 
-def _check_memory(shape: tuple[int, ...], limbs: int, staging: int = 0) -> None:
-    """Charge a table of `shape` in `limbs` limbs, its carry buffer and `staging`
-    bytes (the primitive rows and one-step staging of a build)."""
+def _check_memory(shape: tuple[int, ...], limbs: int) -> None:
+    """Charge a table of `shape` in `limbs` limbs with its carry buffer."""
     size = math.prod(shape)
-    extra = " and one-step staging" if staging else ""
-    _charge(2 * 8 * limbs * size + staging,
-            f"table of {_approx(size)} cells in {limbs} limbs with its carry buffer{extra}")
+    _charge(2 * 8 * limbs * size,
+            f"table of {_approx(size)} cells in {limbs} limbs with its carry buffer")
 
 
 class CoeffTable:
@@ -147,7 +122,8 @@ class CoeffTable:
 
     __slots__ = ("dim", "bound", "shape", "data", "ceiling")
 
-    def __init__(self, dim: int, bound):
+    def __init__(self, dim: int, bound, data: np.ndarray | None = None):
+        """The series 1 over the box, or the limbs `data` of shape (k, *shape)."""
         self.bound = _validate_vector(bound, dim)
         self.dim = dim
         self.shape = tuple(b + 1 for b in self.bound)
@@ -157,10 +133,12 @@ class CoeffTable:
         if growth > 1 << (_LIMB_BITS - 1):
             raise ValueError(f"a pass over bound {self.bound} in dim {dim} may grow entries "
                              f"{growth}-fold, above the limit 2^{_LIMB_BITS - 1}")
-        _check_memory(self.shape, 1)
-        self.data = np.zeros((1, *self.shape), dtype=np.uint64)
-        self.data[(0,) * (dim + 1)] = 1
-        self.ceiling = 1
+        if data is None:
+            _check_memory(self.shape, 1)
+            data = np.zeros((1, *self.shape), dtype=np.uint64)
+            data[(0,) * (dim + 1)] = 1
+        self.data = data
+        self.ceiling = int(data.max())
 
     def _normalize(self) -> None:
         """Push every entry's carry into the limb above, adding a limb if the top one
@@ -207,22 +185,19 @@ class CoeffTable:
             raise ValueError(f"pass vector {vt} is zero")
         return vt
 
-    def _make_room(self, factor: int, limit: int) -> None:
-        """Bring factor * ceiling below limit if it is not: read the ceiling
-        from the entries (the compounded bound runs far ahead of them), and
-        normalize only if that is not enough."""
+    def _grow(self, factor: int) -> None:
+        """Let every entry grow to `factor` times the ceiling, making room below
+        2^(2 * _LIMB_BITS) first: read the ceiling from the entries (the
+        compounded bound runs far ahead of them), and normalize only if that
+        is not enough."""
+        if factor > 1 << (_LIMB_BITS - 1):
+            raise ValueError(f"a step over bound {self.bound} may grow entries "
+                             f"{factor}-fold, above the limit 2^{_LIMB_BITS - 1}")
+        limit = 1 << (2 * _LIMB_BITS)
         if factor * self.ceiling >= limit:
             self.ceiling = int(self.data.max())
             if factor * self.ceiling >= limit:
                 self._normalize()
-
-    def _grow(self, factor: int) -> None:
-        """Let every entry grow to `factor` times the ceiling, making room below
-        2^(2 * _LIMB_BITS) first."""
-        if factor > 1 << (_LIMB_BITS - 1):
-            raise ValueError(f"a step over bound {self.bound} may grow entries "
-                             f"{factor}-fold, above the limit 2^{_LIMB_BITS - 1}")
-        self._make_room(factor, 1 << (2 * _LIMB_BITS))
         self.ceiling *= factor
 
     def class_pass(self, v: Sequence[int], w: int) -> None:
@@ -258,36 +233,6 @@ class CoeffTable:
                 block = self.data[dst_idx]
                 np.add(block, self.data[src_idx], out=block)
 
-    def _exact_room(self, weight: int) -> bool:
-        """Whether entries times a kernel row of total `weight` stay exact
-        float64 integers, making room first (_make_room)."""
-        self._make_room(weight, _FLOAT_EXACT)
-        return weight * self.ceiling < _FLOAT_EXACT
-
-    def _one_step(self, a: int, kern: np.ndarray) -> None:
-        """In place, multiply by 1 + K, where kern holds the rows of K at the
-        a-degrees k = n_a - len(kern) + 1 .. n_a, laid out by _kernel.
-
-        The sources in hyperplanes 0..n_a - lo (lo the lowest k) are staged as
-        float64 before any add, since for chain length 2 they overlap the
-        targets lo..n_a.  Their products with the Toeplitz matrices of the
-        rows of K (_toeplitz_add) are exact because the ceiling (read from
-        the entries, then normalized if need be) times the row's sum stays
-        below 2^53.  The products are summed in a uint64 buffer and added
-        last; entries grow at most (1 + sum K)-fold (_grow).
-        """
-        rows = len(kern)
-        sums = [int(x) for x in kern.reshape(rows, -1).sum(axis=1).tolist()]
-        if not self._exact_room(max(sums)):
-            raise ValueError(f"a one-step group over bound {self.bound} sums {max(sums)} "
-                             f"terms per cell, too many for exact float64 products")
-        self._grow(1 + sum(sums))  # a normalization here only lowers the sources' bound
-        perm = (a + 1, 0, *range(1, a + 1), *range(a + 2, self.dim + 1))
-        view = self.data.transpose(perm)
-        acc = _toeplitz_add(view[:rows], kern, rows, np.uint64)
-        view = view[len(view) - rows:]
-        view += acc
-
     def shifted_add(self, src: "CoeffTable", v: Sequence[int]) -> None:
         """self[e] += src[e - v] (multiplication of src by x^v, accumulated)."""
         if src.bound != self.bound:
@@ -308,35 +253,25 @@ class CoeffTable:
                out=view)
 
 
-def _layout(shape: tuple[int, ...], a: int, chain: int) -> tuple:
-    """The lowest a-degree lo, the kernel rows and the other axes of a group
-    product along axis a for vectors of chain length `chain`."""
-    lo = (shape[a] - 1) // (chain + 1) + 1  # every k = v_a > n_a / (chain + 1) is at least this
-    rows = shape[a] - lo  # target hyperplanes lo..n_a, source hyperplanes 0..n_a - lo
-    return lo, rows, shape[:a] + shape[a + 1:]
-
-
-# The most cells of one tile (_tiling).  Summed over a box's group products,
-# one BLAS thread, 2-core Xeon, caps of 64-512 were timed against the dense
-# matrix of a hyperplane: 128 was never slower, 15-25% faster at d = 3
-# n = 8-16 and d = 4 n = 5, a third at d = 4 n = 6 and d = 3 n = 24, and
-# took 0.17 s for 18.6 s at d = 8 n = 3.  256 and 512 were up to 27% slower
-# at d = 3 n = 14-16 and d = 4 n = 5-6, 64 10-15% slower at d = 3 n = 8-11.
+# The most cells of one tile (_tiling).  Whole builds, medians, one BLAS
+# thread, 2-core Xeon, against caps of 64, 256 and 512 from d = 3 n = 8 to
+# d = 8 n = 3: 128 was the fastest or within 2% of it everywhere but d = 3
+# n = 8-12, where 256 was 7-14% faster; 256 and 512 were 23-143% slower
+# from d = 3 n = 24, d = 4 n = 10 and d = 5 n = 5 on, 64 up to 39% slower.
 _TILE_CELLS = 128
 
 
 @functools.lru_cache(maxsize=256)
 def _tiling(other: tuple[int, ...]) -> tuple:
-    """The tiles a group product cuts the other axes into (_toeplitz_add):
+    """The tiles a block product cuts the other axes into (_toeplitz_add):
     the first p axes into single hyperplanes, p the fewest for which the
     rest fits in _TILE_CELLS cells whole, or once its first axis is cut into
     the fewest equal tiles that fit.  The last axis is never cut, so at
     d = 2 a hyperplane is one tile.  Returns the cells of a tile, the tiles
     per cut axis, the axes padded to whole tiles, the index of the unpadded
-    ones, and per tile offset delta the indices of one product: the kernel's
-    window, the source tiles, the target tiles and their columns (a last
-    tile may be short), the number of source tiles, and the matrix's rows
-    and columns."""
+    ones, and per tile offset delta the indices of one product: the source
+    tiles, the target tiles and their columns (a last tile may be short),
+    the number of source tiles, and the matrix's rows and columns."""
     sides = (1,) * max(len(other) - 1, 0)
     for p in range(len(other) - 1):
         rest = math.prod(other[p + 1:])
@@ -347,9 +282,7 @@ def _tiling(other: tuple[int, ...]) -> tuple:
     grid = [-(-n // t) for n, t in zip(other, sides)]
     whole = [slice(None)] * (len(other) - len(sides))
     uncut = math.prod(other[len(sides):])
-    steps = [((slice(None), *[slice(n - t + d * t, n - 1 + t + d * t)  # offsets d t - t + 1 .. d t + t - 1
-                              for n, t, d in zip(other, sides, delta)]),
-              (slice(None), *[slice(g - d) for g, d in zip(grid, delta)]),
+    steps = [((slice(None), *[slice(g - d) for g, d in zip(grid, delta)]),
               (slice(None), *[slice(d, g) for g, d in zip(grid, delta)],
                slice(uncut * math.prod(min(t, n - d * t) for n, t, d in zip(other, sides, delta)))),
               math.prod(g - d for g, d in zip(grid, delta)),
@@ -360,33 +293,33 @@ def _tiling(other: tuple[int, ...]) -> tuple:
     return math.prod(padded[len(sides):], start=math.prod(sides)), grid, padded, inside, steps
 
 
-def _staging(shape: tuple[int, ...], a: int, limbs: int, chain: int) -> int:
-    """The bytes a group product along axis a stages: the kernel, one tile's
-    matrix, and the sources padded to whole tiles, their sums, one product
-    and, where the axes are cut, one gathered block of sources; building a
-    chain-2 kernel holds no more."""
-    _, rows, other = _layout(shape, a, chain)
+def _staging(other: tuple[int, ...], sources: int, targets: int, limbs: int) -> int:
+    """The entries (8 bytes each) one _toeplitz_add over the other axes
+    holds: one tile's matrix, the three buffers numpy adds a product into
+    its targets through (a cast and strided views), and the sources padded
+    to whole tiles, one product and, where the axes are cut, one gathered
+    block of sources, and the targets' sums."""
     cells, grid, padded, _, _ = _tiling(other)
-    return 8 * (rows * math.prod(2 * n - 1 for n in other) + cells * cells
-                + (3 + bool(grid)) * rows * limbs * math.prod(padded))
+    sums, product = (limbs * math.prod(padded) * rows for rows in (targets, sources))
+    return cells * cells + 3 * min(np.getbufsize(), product) + (2 + bool(grid)) * product + sums
 
 
-def _toeplitz_add(src: np.ndarray, kern: np.ndarray, targets: int, dtype) -> np.ndarray:
-    """The sums out[i + j] = sum src[i] M_j in `dtype`, of shape (targets,
+def _toeplitz_add(src: np.ndarray, kern: np.ndarray, targets: int) -> np.ndarray:
+    """The sums out[i + j] = sum src[i] M_j in uint64, of shape (targets,
     *src.shape[1:]), over the rows j of kern and the hyperplanes i of src,
-    whose first axis holds the limbs.  kern is nonnegative and laid out by
-    _kernel; M_j, the Toeplitz matrix of its row j over the other axes, has
-    entry K_j[q - r] in row r and column q, zero unless q >= r on every axis.
-    So the axes are cut into tiles (_tiling), the sources padded with zeros
-    to whole tiles, and for each tile offset where K_j is nonzero, every
-    source tile it reaches times the matrix of K_j at that offset is one
-    float64 matrix product (numpy @, BLAS), exact while its sums stay below
-    2^53, summed in `dtype`."""
+    whose second axis holds the limbs.  kern is nonnegative, with its entry
+    at u over the other axes at u + other - 1 (_euler_kernel); M_j, the
+    Toeplitz matrix of its row j over the other axes, has entry K_j[q - r]
+    in row r and column q, zero unless q >= r on every axis.  So the axes
+    are cut into tiles (_tiling), the sources padded with zeros to whole
+    tiles, and for each tile offset, every source tile it reaches times the
+    matrix of K_j at that offset is one float64 matrix product (numpy @,
+    BLAS), exact while its sums stay below 2^53."""
     sources, limbs, *other = src.shape
     cells, grid, padded, inside, steps = _tiling(src.shape[2:])
     staged = np.zeros((sources, limbs, *padded))
     staged[inside] = src
-    out = np.zeros((targets, limbs, *padded), dtype)
+    out = np.zeros((targets, limbs, *padded), np.uint64)
     # a tile is one run of cells: view both as rows of limbs over the tiles
     src_tiles = staged.reshape(sources * limbs, *grid, cells)
     out_tiles = out.reshape(targets * limbs, *grid, cells)
@@ -394,58 +327,127 @@ def _toeplitz_add(src: np.ndarray, kern: np.ndarray, targets: int, dtype) -> np.
     matrices = np.ndarray((len(kern), *other, *other), kern.dtype, kern,
                           offset=sum((n - 1) * s for n, s in zip(other, step)),
                           strides=kern.strides[:1] + tuple(-s for s in step) + step)
-    for near, reach, land, tiles, box in steps:
-        # the rows of K nonzero on this window (on the whole kernel when there
-        # is one tile: a chain-2 kernel has no rows between n_a / 2 and 2 lo)
-        peaks = kern[near].max(axis=tuple(range(1, kern.ndim))).tolist()
-        nonzero = [j for j, x in enumerate(peaks) if x]
-        if not nonzero:
-            continue
+    for reach, land, tiles, box in steps:
         # the source tiles delta reaches, gathered as the rows of one matrix
         # (a view when there is one tile), and the tiles they land on
         gathered, landing = src_tiles[reach].reshape(-1, cells), out_tiles[land]
-        for j in nonzero:
+        for j in range(len(kern)):
             count = min(sources, targets - j) * limbs
-            matrix = matrices[(j, *box)].reshape(cells, -1)
+            matrix = np.ascontiguousarray(matrices[(j, *box)]).reshape(cells, -1)
             block = landing[j * limbs:j * limbs + count]
             product = (gathered[:count * tiles] @ matrix).reshape(block.shape)
-            np.add(block, product, out=block, dtype=dtype, casting="unsafe")
+            np.add(block, product, out=block, dtype=np.uint64, casting="unsafe")
             del matrix, product  # the next ones are allocated before these names are rebound
         del gathered
     return out[inside]
 
 
-def _kernel(shape: tuple[int, ...], a: int, vecs: np.ndarray, weights: np.ndarray,
-            chain: int) -> np.ndarray:
-    """The truncated factor 1 + K of a group, as _one_step takes it: the rows v
-    of vecs, of weights w_v, all of chain length `chain` (1 or 2) whose first
-    axis of that length is a.  K is K1 = sum_v w_v x^v for chain 1, and
-    K1 + (K1 K1 + W2) / 2 with W2 = sum_v w_v x^(2v) for chain 2 (module
-    docstring).  Row j holds K at a-degree lo + j (_layout), as
-    float64 with its entry at u over the other axes at u + other - 1, so that
-    the matrix of the row is a strided view of it (_toeplitz_add)."""
-    lo, rows, other = _layout(shape, a, chain)
-    at = [vecs[:, i] for i in range(len(shape)) if i != a]  # coordinates over the other axes
-    kern = np.zeros((rows, *(2 * n - 1 for n in other)))
-    kern[(vecs[:, a] - lo, *[c + (n - 1) for c, n in zip(at, other)])] = weights
-    if chain == 2:
-        # K1 K1 + W2 at a-degrees 2 lo..n_a, from K1's rows lo..n_a / 2 as
-        # sources: products of small integers, so exact
-        half = (shape[a] - 1) // 2 - lo + 1
-        core = (slice(None), *[slice(n - 1, None) for n in other])
-        pairs = _toeplitz_add(kern[:half][core][:, None], kern[:half], rows - lo, np.int64)[:, 0]
-        pairs[(2 * (vecs[:, a] - lo), *[2 * c for c in at])] += weights
-        assert not (pairs & 1).any(), "K1 K1 + W2 is even"
-        kern[lo:][core] += pairs >> 1
+def _euler_kernel(shape: tuple[int, ...]) -> np.ndarray:
+    """H = theta_0 log Zon over the box of `shape` as _toeplitz_add takes it,
+    float64: row a holds H[a, u] = 2^(d(f)-1) a / gcd(f), f = (a, u), at
+    u + shape[1:] - 1, and zeros at the negative offsets and in row 0.  Every
+    f here has f_0 = a >= 1, so 2^(d(f)-1) is 2 to the nonzero u_i."""
+    other = shape[1:]
+    kern = np.zeros((shape[0], *(2 * n - 1 for n in other)))
+    a = np.arange(1, shape[0]).reshape(-1, *[1] * len(other))
+    gcd, nonzero = a, 0
+    for i, n in enumerate(other):
+        u = np.arange(n).reshape(-1, *[1] * (len(other) - 1 - i))
+        gcd, nonzero = np.gcd(gcd, u), nonzero + (u > 0)
+    kern[(slice(1, None), *[slice(n - 1, None) for n in other])] = np.ldexp(a / gcd, nonzero)
     return kern
 
 
-def _corner_limbs(n: tuple[int, ...]) -> int:
-    """Limbs that hold Z[n], and so every partial product, for the nonzero axis
-    lengths n of a box.  Over its d axes (d <= 1 keeps every cell at 1),
-    ln Z[n] <= sum_i t_i n_i + sum_k F(z^k)/k for all z_i = e^(-t_i) < 1, where
-    F(z) = sum_v w_v z^v over every v >= 0, v != 0, is
-    (prod_i coth(t_i/2) - 1)/2.  Each monomial of F(z^(k+1)) is at most
+def _schedule(n: int):
+    """The semi-relaxed order of the block products over rows 0..n: once
+    row j is final, for each k = 2^i dividing j + 1, rows j + 1 - k .. times
+    kernel rows k .., m of each, m = min(k, n - j), summed into the targets
+    j + 1 .. j + t, t = min(2m - 1, n - j): the rest would land past row n.
+    Yields (j, [(k, m, t), ...]) for j = 0 .. n - 1."""
+    for j in range(n):
+        low = (j + 1) & -(j + 1)  # the largest power of two dividing j + 1
+        yield j, [(1 << i, min(1 << i, n - j), min(2 << i, n - j + 1) - 1)
+                  for i in range(low.bit_length())]
+
+
+def _divide(row: np.ndarray, t: int, width: int) -> None:
+    """In place, carry the accumulator row (limbs, *cells), which holds
+    t Z_t, into width-bit digits and divide it by t, top limb first; raise
+    unless the top limb keeps its carry and every remainder is 0."""
+    shift = np.uint64(width)
+    for low, high in zip(row[:-1], row[1:]):
+        high += low >> shift
+        low &= np.uint64((1 << width) - 1)
+    if (row[-1] >> shift).any():
+        raise ArithmeticError(f"row {t} overflows its {len(row)} limbs of {width} bits")
+    rest, value = np.zeros_like(row[0]), np.empty_like(row[0])
+    for limb in row[::-1]:
+        np.left_shift(rest, shift, out=value)
+        value |= limb
+        np.divmod(value, t, out=(limb, rest))
+    if rest.any():
+        raise ArithmeticError(f"row {t} is not {t} times an integer row: the build is not exact")
+
+
+def _euler_rows(bt: tuple[int, ...], width: int, limbs: int) -> np.ndarray:
+    """Z over the box bt, by the Euler recurrence one axis at a time, last
+    axis first (module docstring), shaped (n_0 + 1, limbs, *(bt[1:] + 1)) in
+    width-bit digits."""
+    rows = np.zeros((bt[-1] + 1, limbs), np.uint64)
+    rows[:, 0] = 1
+    for m in range(len(bt) - 2, -1, -1):
+        n, other = bt[m], tuple(b + 1 for b in bt[m + 1:])
+        inner, rows = rows, np.zeros((n + 1, limbs, *other), np.uint64)
+        rows[0] = inner.swapaxes(0, 1)
+        del inner
+        kern = _euler_kernel((n + 1, *other)) if n else None
+        # the limbs in use: Z grows along every axis, so the rows so far are
+        # zero above the limbs of the last one
+        used = 1
+        for j, blocks in _schedule(n):
+            while used < limbs and rows[j, used].any():
+                used += 1
+            for k, count, targets in blocks:
+                view = rows[j + 1:j + 1 + targets, :used]
+                view += _toeplitz_add(rows[j + 1 - k:j + 1 - k + count, :used], kern[k:k + count],
+                                      targets)
+            _divide(rows[j + 1], j + 1, width)
+        del kern
+    return rows
+
+
+def _pack(rows: np.ndarray, width: int) -> np.ndarray:
+    """The digits rows of _euler_rows as a table's data: 32-bit limbs, shape
+    (k, n_0 + 1, *other), the top one holding up to 64 bits, k the fewest
+    that hold the largest cell."""
+    top = max(i for i in range(rows.shape[1]) if rows[:, i].any())
+    k = _packed_limbs(width * top + int(rows[:, top].max()).bit_length())
+    data = np.zeros((k, rows.shape[0], *rows.shape[2:]), np.uint64)
+    for i in range(top + 1):
+        start = width * i  # the bit the digit starts at
+        first, last = start // _LIMB_BITS, (start + width - 1) // _LIMB_BITS
+        for j in range(min(first, k - 1), min(last, k - 1) + 1):
+            shift = start - _LIMB_BITS * j
+            digit = rows[:, i]
+            piece = digit << np.uint64(shift) if shift >= 0 else digit >> np.uint64(-shift)
+            if j < k - 1:
+                piece &= np.uint64((1 << _LIMB_BITS) - 1)
+            data[j] |= piece
+    return data
+
+
+def _packed_limbs(bits: int) -> int:
+    """The fewest 32-bit limbs, the top one holding up to 64 bits, that hold
+    a value of `bits` bits."""
+    return max(1, -(-(bits - _LIMB_BITS) // _LIMB_BITS))
+
+
+def _corner_bits(n: tuple[int, ...]) -> float:
+    """A bound on the bits of Z[n], and so of every cell of the box, for the
+    nonzero axis lengths n of a box.  Over its d axes (d <= 1 keeps every
+    cell at 1), ln Z[n] <= sum_i t_i n_i + sum_k F(z^k)/k for all
+    z_i = e^(-t_i) < 1, where F(z) = sum_v w_v z^v over every v >= 0, v != 0,
+    is (prod_i coth(t_i/2) - 1)/2.  Each monomial of F(z^(k+1)) is at most
     e^(-t_min) times its term in F(z^k), so the terms from k on add up to at
     most F(z^k)/(k (1 - e^(-t_min))).
     """
@@ -457,181 +459,81 @@ def _corner_limbs(n: tuple[int, ...]) -> int:
         f = [(math.prod(1 / math.tanh(k * t_i / 2) for t_i in t) - 1) / 2 / k
              for k in range(1, int(5 / min(t)) + 2)]
         bits = (d * s + sum(f[:-1]) + f[-1] / -math.expm1(-min(t))) / math.log(2)
-    return int(bits) // _LIMB_BITS + 1  # _normalize adds a limb once a value reaches 2^(32 k)
+    return bits
+
+
+def _digits(bt: tuple[int, ...]) -> tuple[int, int]:
+    """The limb width b of a build of the box bt and the limbs that hold
+    every i Z_i, from the box alone (module docstring): at the level of axis
+    m, kernel row a sums at most a P with P = prod_(i>m) (1 + 2 n_i), the
+    sum of 2^(d(f)-1) over the cells f with f_m = a, since a / gcd(f) <= a."""
+    width = 52
+    for m, n in enumerate(bt[:-1]):
+        if n:
+            per = math.prod(1 + 2 * c for c in bt[m + 1:])
+            width = min(width, 52 - (n * per).bit_length(),
+                        63 - (n * (n + 1) // 2 * per).bit_length())
+    bits = int(_corner_bits(tuple(b for b in bt if b))) + 1 + max(bt).bit_length()
+    return width, max(1, -(-bits // width))
+
+
+def _axes(bt: tuple[int, ...]) -> list[int]:
+    """The axes of bt by ascending length, the order _euler_rows takes them
+    in: the recurrence runs along the shortest axis, so the fewest rows make
+    the fewest block products, and the longest is the one-dimensional table
+    of ones the levels start from."""
+    return sorted(range(len(bt)), key=bt.__getitem__)
 
 
 def _plan(dim: int, bt: tuple[int, ...]) -> int:
-    """Charge the budget for a build of the box bt from bt alone: one limb, the
-    limbs of the corner (_corner_limbs), then those with the primitive rows
-    and the largest group staging.  Returns the limbs."""
+    """Charge the budget for a build of the box bt from bt alone: the table
+    in one limb, then the build's peak, and return the limbs _pack gives a
+    cell of the corner's bits (_corner_bits).  At the level of each axis m,
+    in _axes order, the peak holds that level's digit rows (_digits) with
+    either the rows of the level below, or the kernel with the arrays that
+    make it, or the kernel with the staging of the largest block product
+    (_staging); at the end the packed table with the rows and two limbs of
+    shifted digits, or with its copy in the box's own axis order."""
+    bt = tuple(bt[i] for i in _axes(bt))
     shape = tuple(b + 1 for b in bt)
     _check_memory(shape, 1)
-    nz = [a for a in range(dim) if bt[a]]
-    limbs = _corner_limbs(tuple(bt[a] for a in nz))
-    _check_memory(shape, limbs)
-    # one nonzero axis holds e_a alone, in a group at n_a <= 2 only; at d > 1
-    # an empty group never stages most
-    if len(nz) > 1 or 0 < sum(bt) <= 2:
-        # at most one primitive row per cell, held through the build with the
-        # build's arrays per row: 2 d + 6 int64 in all
-        rows = 8 * (2 * dim + 6) * math.prod(shape)
-        # a chain-2 group along a needs n_a >= 2
-        _check_memory(shape, limbs, rows + max(_staging(shape, a, limbs, chain)
-                                               for a in nz for chain in (1, 2) if bt[a] >= chain))
+    limbs = _packed_limbs(int(_corner_bits(tuple(b for b in bt if b))) + 1)
+    width, work = _digits(bt)
+    if width < 1:
+        raise ValueError(f"box {bt} in dim {dim}: its kernel rows sum past what float64 "
+                         f"products hold exactly")
+    size = math.prod(shape)
+    peak, below = size * (limbs + max(work + 2, limbs)), shape[-1] * work
+    for m in range(dim - 2, -1, -1):
+        n, other = bt[m], shape[m + 1:]
+        rows, most = work * math.prod(shape[m:]), below
+        if n:
+            kern = (n + 1) * math.prod(2 * c - 1 for c in other)
+            most = max(most, kern + 4 * math.prod(shape[m:]))
+            for k in (1 << i for i in range(n.bit_length())):
+                count = min(k, n + 1 - k)
+                most = max(most, kern + _staging(other, count, min(2 * count - 1, n + 1 - k), work))
+        peak, below = max(peak, rows + most), rows
+    _charge(8 * peak, f"table of {_approx(size)} cells in {limbs} limbs, built in {work} limbs "
+                      f"of {width} bits with its kernel and block staging")
     return limbs
 
 
-# The cost of a chain-2 group in ns, fitted (least squares in relative error)
-# to the times of _kernel plus _one_step and of the group's class_pass calls
-# inside builds of 128 groups at d = 2 n <= 192, d = 3 n <= 32, d = 4
-# n <= 14, d = 5 n <= 5, d = 6 n <= 4 and d = 7, 8 n = 2 (the products on the
-# 118 whose dense whole-hyperplane matrices were at most 2^22 entries), one
-# BLAS thread, 2-core Xeon.  A product: a fixed cost (fitted 0.11 ms, taken
-# as 0.2 so that near a tie the group stays on passes, which stage nothing),
-# then per matrix (a nonzero row of K1 or K) 7.7 us and per entry 1.3 ns,
-# plus 1.3 ns per axis of the strided copy for each run of other[-1]
-# entries.  Passes: per block 5.9 us, per cell 1.4 ns, plus 2.7 ns per axis
-# for each run of the last axis.  The entries counted are now those of the
-# tiles' matrices (tile cells times hyperplane cells), with these constants
-# not refitted: timed on 100 groups at d = 2 n <= 64 through d = 9 n = 2,
-# the model sends none to the product that passes apply faster, and keeps
-# 12 near a tie on passes.
-_PRODUCT_NS = (200_000, 7_700, 1.3, 1.3)
-_PASS_NS = (5_900, 1.4, 2.7)
-
-
-def _passes_at_most(shape: tuple[int, ...], a: int, total: float) -> float:
-    """A bound from the box alone on the modelled cost of the passes of a
-    chain-2 group along axis a whose weights sum to `total`: every v_a is at
-    least lo and every v_i at most n_i / 2, so a pass has at most
-    max(n) // lo blocks, off the lowest lo hyperplanes of axis a, in runs of
-    at least n_last / 2 + 1."""
-    per_block, per_cell, per_row = _PASS_NS
-    lo = (shape[a] - 1) // 3 + 1
-    cells = math.prod(shape) // shape[a] * (shape[a] - lo)
-    return total * (per_block * ((max(shape) - 1) // lo) + cells * (
-        per_cell + per_row * len(shape) / (shape[-1] - (shape[-1] - 1) // 2)))
-
-
-def _product_pays(shape: tuple[int, ...], a: int, vecs: np.ndarray, weights: np.ndarray) -> bool:
-    """Whether the chain-2 group of rows vecs, of weights w_v, along axis a
-    costs less as one group product than as cumulative passes, by the model
-    above, from counts known before any work; never where the factor
-    1 + sum K, which is (S + 1)(S + 2) / 2 at S = sum w_v, exceeds what
-    _grow accepts."""
-    total, d = int(weights.sum()), len(shape)
-    other = _layout(shape, a, 2)[2]
-    if (total + 1) * (total + 2) // 2 > 1 << (_LIMB_BITS - 1):
-        return False
-    fixed, per_matrix, per_entry, per_run = _PRODUCT_NS
-    per_block, per_cell, per_row = _PASS_NS
-    sides = np.array(shape) - vecs
-    blocks = (np.array(shape)[vecs.argmax(axis=1)] - 1) // vecs.max(axis=1)
-    passes = weights @ (per_block * blocks + sides.prod(axis=1) * (
-        per_cell + per_row * d / sides[:, -1]))
-    ks = set(vecs[:, a].tolist())
-    # _kernel multiplies by the rows of K1, _one_step by those of K1 and K2
-    matrices = 2 * len(ks) + len({k + j for k in ks for j in ks})
-    entries = _tiling(other)[0] * math.prod(other)
-    per_matrix += entries * (per_entry + (per_run * (d - 1) / other[-1] if other else 0))
-    return fixed + matrices * per_matrix < passes
-
-
-def _chain2_product(table: CoeffTable, a: int, vecs: np.ndarray, weights: np.ndarray) -> bool:
-    """Apply the chain-2 group of rows vecs, of weights w_v, along axis a as one
-    group product if it pays (_product_pays) and its products stay exact
-    (CoeffTable._exact_room); whether it did."""
-    if not _product_pays(table.shape, a, vecs, weights):
-        return False
-    kern = _kernel(table.shape, a, vecs, weights, 2)
-    if not table._exact_room(int(kern.reshape(len(kern), -1).sum(axis=1).max())):
-        return False
-    table._one_step(a, kern)
-    return True
-
-
-def _chain1_products(table: CoeffTable, a: int, vecs: np.ndarray, weights: np.ndarray) -> None:
-    """Apply the chain-1 group of rows vecs, of weights w_v, along axis a as
-    one group product, or, where _one_step refuses that product (not exact,
-    or a factor past 2^31; it refuses before any add), as the products of
-    parts of weight below 2^20, which a normalized table's ceiling (below
-    2^33) keeps below 2^53.  Any two members sum past the box on axis a, so
-    (1 + K1') (1 + K1'') = 1 + K1' + K1'' and the parts give the same table."""
-    kern = _kernel(table.shape, a, vecs, weights, 1)
-    try:
-        table._one_step(a, kern)
-        return
-    except ValueError:
-        del kern
-    # part i: the members whose running weight before them is in
-    # [i, i + 1) * 2^19, less than 2^20 in all while w_v <= 2^19
-    before = np.cumsum(weights) - weights
-    part = before // (_FLOAT_EXACT >> (_LIMB_BITS + 2))
-    for i in range(int(part.max()) + 1):
-        table._one_step(a, _kernel(table.shape, a, vecs[part == i], weights[part == i], 1))
-
-
-def _build(table: CoeffTable, vecs: np.ndarray, norms: np.ndarray,
-           weights: np.ndarray) -> CoeffTable:
-    """Multiply the table by the factor (1 - x^v)^(-w_v) of every primitive row
-    v of vecs, with its 1-norm and weight w_v from primitive_rows.  A row of
-    chain length s = min_i floor(n_i / v_i) belongs to the group of the first
-    axis a that attains s.  First one group product per axis for s = 2 where
-    it pays and stays exact (_chain2_product); then class_pass
-    for the other rows with s >= 2, by descending 1-norm (ties in row order);
-    then the group products for s = 1, axis 0 first (_chain1_products)."""
-    dim = table.dim
-    # v_i > floor(n_i / 2) means chain length 1 along axis i and
-    # v_i > floor(n_i / 3) at most 2, so the first true entry of the two rows
-    # of comparisons is the group: a for s = 1, dim + a for s = 2; 2 dim for
-    # s >= 3
-    cuts = [[n // k for n in table.bound] for k in (2, 3)]
-    over = (vecs[:, None, :] > np.array(cuts)).reshape(len(vecs), 2 * dim)
-    group = np.where(over.any(axis=1), over.argmax(axis=1), 2 * dim)
-    del over
-    # the chain-1 groups, then one block of every row with s >= 2, each by
-    # descending 1-norm, ties in row order (lexsort is stable): the block is
-    # the order of the passes
-    order = np.lexsort((-norms, np.minimum(group, dim)))
-    ends = [*np.bincount(group, minlength=2 * dim + 1)[:dim].cumsum().tolist(), len(vecs)]
-    totals = np.bincount(group, weights, 2 * dim + 1)[dim:-1].tolist()  # of each chain-2 group
-    vecs, weights = vecs[order], weights[order]
-    spans = list(zip([0] + ends, ends))  # the rows of each chain-1 group, then the block
-    rows = slice(*spans[-1])
-    taken = []
-    for a, total in enumerate(totals):
-        if _passes_at_most(table.shape, a, total) > _PRODUCT_NS[0]:
-            mine = np.flatnonzero(group[order[rows]] == dim + a) + rows.start
-            if _chain2_product(table, a, vecs[mine], weights[mine]):
-                taken.append(mine)
-    if taken:
-        keep = np.ones(rows.stop - rows.start, dtype=bool)
-        keep[np.concatenate(taken) - rows.start] = False
-        rows = np.flatnonzero(keep) + rows.start
-    # row by row: a list of every row would hold ~100 bytes per vector
-    for v, w in zip(vecs[rows], weights[rows].tolist()):
-        table.class_pass(v.tolist(), w)
-    for a, (start, stop) in enumerate(spans[:dim]):
-        if start < stop:
-            _chain1_products(table, a, vecs[start:stop], weights[start:stop])
-    return table
-
-
 def build_table(dim: int, bound) -> CoeffTable:
-    """DP table of Zon_d coefficients over {e <= bound}.
+    """Table of Zon_d coefficients over {e <= bound}.
 
-    Each vector is applied once for its w_v = 2^(d(v)-1) sign classes (see
-    _build): the chain-length-2 vectors as one group product per axis where
-    that pays; then the other vectors with 2v inside the box, by descending
-    1-norm (ties in lex order), each as w_v cumulative passes on one block
-    plan (CoeffTable.class_pass); then the vectors with 2v outside the box as
-    one group product per axis, axis 0 first.  The box is charged first
-    (_planned), and not again if it was planned under the same budget
-    setting; the table itself is never cached.
+    Built by the Euler recurrence along one axis at a time, shortest first
+    (_axes, _euler_rows), and packed into 32-bit limbs (_pack).  The box is
+    charged first (_planned), and not again if it was planned under the same
+    budget setting; the table itself is never cached.
     """
     bt = _validate_vector(bound, dim)
     _planned(dim, bt, os.environ.get(_MEMORY_ENV))
-    return _build(CoeffTable(dim, bt), *primitive_rows(dim, bt, sum(bt), np.int64))
+    order = _axes(bt)
+    box = tuple(bt[i] for i in order)
+    width, limbs = _digits(box)
+    data = _pack(_euler_rows(box, width, limbs), width)
+    return CoeffTable(dim, bt, np.ascontiguousarray(data.transpose(0, *(1 + np.argsort(order)))))
 
 
 # dim -> the last table shared_table built in that dimension
@@ -754,7 +656,7 @@ class BruteForceResult:
 def brute_force_count(dim: int, n) -> BruteForceResult:
     """Depth-first enumeration of all generator multisets with folded sum = n.
 
-    Independent of the DP route; guarded at 10^7 nodes.  Tallies, per sign
+    Independent of the Euler engine; guarded at 10^7 nodes.  Tallies, per sign
     class, the total and squared-total multiplicity across all zonotopes.
     """
     bt = _validate_vector(n, dim)

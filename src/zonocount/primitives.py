@@ -5,8 +5,8 @@ d(v) nonzero coordinates carries 2^(d(v)-1) sign classes, so its factor weight
 is w_v = 2^(d(v)-1).  One numpy enumerator, primitive_rows, serves every
 engine: the primitive vectors of a box, cut by a 1-norm ball, as
 lexicographically ascending rows with their 1-norms and their weights (the
-exact DP, its oracle and the diameter numerators read the whole box as
-int64, the sampler an l1 ball in the narrowest integer type).  The classes
+exact oracles and the diameter numerators read the whole box as int64, the
+sampler an l1 ball in the narrowest integer type).  The classes
 of a row are its sign-pattern indices 0 .. w_v - 1, visited row by row.
 Dimensions above 63 are refused before anything d-sized is made.  The
 Moebius sieve counts are the independent cross-check,
@@ -102,8 +102,8 @@ def primitive_rows(dim: int, bound: Sequence[int], l1_max: int,
     and the 1-norms, both of the signed integer type `dtype`, which must hold
     l1_max, and the int64 class weights w_v = 2^(d(v)-1).
 
-    The order is part of the reproducibility contract of the coefficient DP
-    and the sampler.  The lattice points are built one coordinate at a time:
+    The order is part of the reproducibility contract of the brute-force
+    oracle and the sampler.  The lattice points are built one coordinate at a time:
     each prefix is repeated once per value its next coordinate can take, up
     to min(remaining norm, b_i), and carries its remaining norm, its nonzero
     count and its gcd.  A point of the last coordinate is kept if its gcd

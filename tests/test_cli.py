@@ -84,15 +84,14 @@ def test_compare_dim_guard(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv", [("--n-range=0:300",), ("--n", "0")])
 def test_compare_refuses_n_0_before_the_table(capsys, monkeypatch, argv):
-    # the estimate needs n >= 1: refused before the largest box is enumerated
-    # or any pass runs, where the table of 0:300 takes many seconds to build
+    # the estimate needs n >= 1: refused before the largest box is planned
+    # or built, where the table of 0:300 takes a second to build
     def refuse(*args):
         raise AssertionError("a refused compare did work")
 
     monkeypatch.setattr(exact, "_SHARED", {})
-    monkeypatch.setattr(exact, "primitive_rows", refuse)
-    monkeypatch.setattr(exact.CoeffTable, "class_pass", refuse)
-    monkeypatch.setattr(exact.CoeffTable, "_one_step", refuse)
+    for name in ("_plan", "_euler_rows", "primitive_rows"):
+        monkeypatch.setattr(exact, name, refuse)
     code, out, err = run_cli(capsys, "compare", "--dim", "2", *argv)
     assert (code, out, err) == (2, "", "error: n must be >= 1\n")
 

@@ -36,6 +36,20 @@ def _rows64(dim, box):
     return primitive_rows(dim, box, sum(box), np.int64)
 
 
+def _passes(table, vecs, weights):
+    # the pass DP, the oracle the Euler engine replaced: multiply the table by
+    # the factor (1 - x^v)^(-w_v) of every row v, in the order given
+    for v, w in zip(vecs.tolist(), weights.tolist()):
+        table.class_pass(v, w)
+    return table
+
+
+def _pass_table(dim, box):
+    # Zon_d over the box by the pass DP over the primitive rows
+    vecs, _, weights = _rows64(dim, box)
+    return _passes(CoeffTable(dim, box), vecs, weights)
+
+
 def _cells(table):
     # every coefficient of the table, flat in row-major order, as Python ints
     # assembled from the limbs here, independently of CoeffTable._sum
@@ -77,10 +91,23 @@ def test_symmetry_under_coordinate_permutation():
 
 
 def test_factor_order_independence():
+    # the pass DP in either order of the factors gives the Euler engine's table
     for dim, bound in ((2, (4, 4)), (3, (2, 2, 2))):
-        reversed_table = exact._build(CoeffTable(dim, bound),
-                                      *(a[::-1] for a in _rows64(dim, bound)))
-        assert _cells(build_table(dim, bound)) == _cells(reversed_table)
+        vecs, _, weights = _rows64(dim, bound)
+        want = _cells(build_table(dim, bound))
+        assert _cells(_passes(CoeffTable(dim, bound), vecs, weights)) == want
+        assert _cells(_passes(CoeffTable(dim, bound), vecs[::-1], weights[::-1])) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(box=st.lists(st.integers(0, 12), min_size=1, max_size=2).map(tuple)
+       | st.lists(st.integers(0, 5), min_size=3, max_size=3).map(tuple)
+       | st.lists(st.integers(0, 3), min_size=4, max_size=4).map(tuple))
+@example(box=(0, 7, 0))
+@example(box=(3, 0, 2, 1))
+def test_table_equals_the_pass_oracle(box):
+    # random boxes up to d = 4, zero axes included, in every axis order
+    assert _cells(build_table(len(box), box)) == _cells(_pass_table(len(box), box))
 
 
 def test_cumulative():
@@ -234,12 +261,12 @@ def test_memory_guard(monkeypatch):
     monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", "1000")
     with pytest.raises(MemoryBudgetError):
         CoeffTable(2, (10, 10))
-    # a bare one-limb table fits; the build's plan, its one limb with the
-    # staging of its largest group product, does not
+    # a bare one-limb table fits; the build's plan, its digit rows with the
+    # kernel and the staging of its largest block product, does not
     monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", str(2 * 8 * 11 * 11))
     CoeffTable(2, (10, 10))
-    with pytest.raises(MemoryBudgetError, match="in 1 limbs with its carry buffer and one-step "
-                                                "staging"):
+    with pytest.raises(MemoryBudgetError, match="in 1 limbs, built in 1 limbs of 4[0-9] bits with "
+                                                "its kernel and block staging"):
         build_table(2, (10, 10))
     monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", "not-a-number")
     with pytest.raises(ValueError):
@@ -247,10 +274,13 @@ def test_memory_guard(monkeypatch):
 
 
 def test_memory_guard_runs_before_enumeration(monkeypatch):
+    # neither the build's kernel and rows nor the diameter's primitive
+    # vectors are made for a box the table guard refuses
     def refuse(*args):
-        raise AssertionError("enumerated a box the table guard refuses")
+        raise AssertionError("worked on a box the table guard refuses")
 
-    monkeypatch.setattr(exact, "primitive_rows", refuse)
+    for name in ("primitive_rows", "_euler_kernel", "_euler_rows"):
+        monkeypatch.setattr(exact, name, refuse)
     big = (10 ** 5, 10 ** 5)
     with pytest.raises(MemoryBudgetError):
         build_table(2, big)
@@ -344,7 +374,7 @@ def test_shared_table_hit_is_charged_like_a_build(monkeypatch):
     # one byte less: the error a cold build of (3, 3) raises, naming its
     # staging; nothing is built and the cached table stays
     monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", str(charge - 1))
-    with pytest.raises(MemoryBudgetError, match="16 cells in 1 limbs .* one-step staging") as hit:
+    with pytest.raises(MemoryBudgetError, match="16 cells in 1 limbs, .* block staging") as hit:
         zon_coefficient(2, (3, 3))
     with pytest.raises(MemoryBudgetError) as cold:
         _cold(zon_coefficient, 2, (3, 3))
@@ -408,12 +438,12 @@ def test_shared_hit_plans_once_per_budget_setting(monkeypatch):
 
 
 def test_plan_limbs_are_not_monotone_in_the_box(monkeypatch):
-    # the corner limbs of (1, 133) are 3 and those of (2, 133) 2, but the
-    # primitive rows the plan charges per cell outweigh the extra limb, so the
-    # larger box charges more; a hit still plans its own box, never one that
-    # merely covers it
+    # the corner limbs of (1, 133) are 2 and those of (2, 133) 1, but the
+    # digit rows and kernel the plan charges per cell outweigh the extra
+    # limb, so the larger box charges more; a hit still plans its own box,
+    # never one that merely covers it
     small, big = (1, 133), (2, 133)
-    assert (exact._plan(2, small), exact._plan(2, big)) == (3, 2)
+    assert (exact._plan(2, small), exact._plan(2, big)) == (2, 1)
     assert _largest_charge(monkeypatch, 2, small) < _largest_charge(monkeypatch, 2, big)
     exact._SHARED.clear()
     exact._planned.cache_clear()
@@ -479,31 +509,34 @@ def _refuse_work(monkeypatch):
 
     monkeypatch.setattr(exact, "primitive_rows", refuse)
     monkeypatch.setattr(CoeffTable, "class_pass", refuse)
-    monkeypatch.setattr(CoeffTable, "_one_step", refuse)
+    for name in ("_euler_rows", "_euler_kernel", "_toeplitz_add"):
+        monkeypatch.setattr(exact, name, refuse)
 
 
 @pytest.mark.parametrize("dim, n", [(3, 24), (4, 10)])
 def test_refused_build_fails_before_any_work(monkeypatch, dim, n):
-    # a budget that fits the planned limbs but not the group staging: refused
-    # before enumeration and before the first pass, built or shared
+    # a budget that fits the planned limbs with a carry buffer but not the
+    # build's digit rows, kernel and staging: refused before the kernel and
+    # the first block product, built or shared
     box = (n,) * dim
     limbs = exact._plan(dim, box)
     monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", str(2 * 8 * limbs * (n + 1) ** dim))
     _refuse_work(monkeypatch)
     for call in (build_table, exact.shared_table):
-        with pytest.raises(MemoryBudgetError, match=f"in {limbs} limbs .* one-step staging"):
+        with pytest.raises(MemoryBudgetError, match=f"in {limbs} limbs, built in .* block staging"):
             call(dim, box)
 
 
 def test_default_budget_refuses_staging_up_front(monkeypatch, capsys):
-    # d = 4, n = 46, the smallest d = 4 cube refused under the default 2 GB,
-    # needs its group staging above it; the plan refuses it before any work,
-    # where a build would run for many minutes
+    # d = 4, n = 52, the smallest d = 4 cube refused under the default 2 GB,
+    # needs its digit rows, kernel and block staging above it; the plan
+    # refuses it before any work, where a build would run for many minutes
     monkeypatch.delenv("ZONOCOUNT_MEMORY_BUDGET", raising=False)
+    exact._plan(4, (51,) * 4)
     _refuse_work(monkeypatch)
-    assert cli_main(["count", "--dim", "4", "--n", "46"]) == 2
+    assert cli_main(["count", "--dim", "4", "--n", "52"]) == 2
     err = capsys.readouterr().err
-    assert "one-step staging" in err and "exceeds budget" in err
+    assert "block staging" in err and "exceeds budget" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("dim, box", [
@@ -520,15 +553,17 @@ def test_planned_limbs_bound_the_build(dim, box):
 
 def test_planned_limbs_on_cubes():
     # the per-axis t_i are one t on a cube: the limbs step up at the n the
-    # single-t bound gave (d = 2 up to 128, d = 3 up to 24, d = 4 up to 10)
-    for dim, top, steps in ((2, 128, [14, 38, 68, 105]), (3, 24, [6, 15]), (4, 10, [4, 9])):
+    # single-t bound gave (d = 2 up to 128, d = 3 up to 24, d = 4 up to 10),
+    # one step later than 32 bits a limb would, since the top limb holds 64
+    for dim, top, steps in ((2, 128, [38, 68, 105]), (3, 24, [15]), (4, 10, [9])):
         limbs = [exact._plan(dim, (n,) * dim) for n in range(1, top + 1)]
         assert limbs == [1 + sum(n >= s for s in steps) for n in range(1, top + 1)], dim
 
 
-@pytest.mark.parametrize("box, planned", [((1000, 1), 7), ((4000, 1), 17), ((300, 10), 4)])
+@pytest.mark.parametrize("box, planned", [((1000, 1), 6), ((4000, 1), 16), ((300, 10), 3)])
 def test_planned_limbs_bound_long_boxes(box, planned):
-    # one t_i per axis: a single t for every axis planned 12, 29 and 6 limbs here
+    # one t_i per axis: a single t for every axis planned 12, 29 and 6 limbs
+    # of 32 bits here
     assert len(build_table(2, box).data) <= exact._plan(2, box) == planned
 
 
@@ -579,10 +614,11 @@ def test_origin_cell_stays_one():
     assert all(c >= 0 for c in _cells(table))
 
 
-@pytest.mark.parametrize("dim, n", [(2, 96), (3, 16), (4, 6), (3, 24), (4, 10), (6, 4)])
+@pytest.mark.parametrize("dim, n", [(2, 96), (3, 16), (4, 6), (3, 24), (4, 10), (6, 4), (2, 256),
+                                    (3, 32), (8, 3), (11, 2)])
 def test_plan_charges_the_build_peak(monkeypatch, dim, n):
-    # the plan's largest charge, the table in its corner limbs with its carry
-    # buffer and the largest group staging (chain-2 kernels included), is at
+    # the plan's largest charge, the digit rows with the kernel and the
+    # staging of the largest block product, or with the packed table, is at
     # least what the build allocates at its peak
     box = (n,) * dim
     charge = _largest_charge(monkeypatch, dim, box)
@@ -621,15 +657,88 @@ def _euler_oracle(box):
     (2, (64, 64)), (3, (16, 16, 16)), (4, (6, 6, 6, 6)), (2, (9, 25)), (3, (7, 13, 20)),
     (2, (40, 7)), (4, (8,) * 4), (5, (4,) * 5), (6, (3,) * 6)])
 def test_table_equals_the_euler_oracle(dim, box):
-    # boxes brute force cannot reach, where chain-2 group products, passes and
-    # chain-1 group products all run; from d = 4 n = 8 on the products cut
-    # the other axes into tiles of single hyperplanes
+    # boxes brute force cannot reach, rectangles in any axis order; from
+    # d = 4 n = 8 on the block products cut the other axes into tiles of
+    # single hyperplanes
     assert _cells(build_table(dim, box)) == _euler_oracle(box)
+
+
+def test_schedule_takes_every_pair_once_before_its_target_is_read():
+    # the block products of _schedule as _toeplitz_add takes them: sources
+    # j + 1 - k + i times kernel row k + l land on row j + 1 + i + l while
+    # i + l < t, so each block gives kernel row k + l one run of sources;
+    # every source is final (at most j), every target row lies in the box and
+    # is divided after this step (beyond j), and the runs of each kernel row
+    # a cover the sources 0 .. n - a once each
+    for n in range(301):
+        runs = {a: [] for a in range(1, n + 1)}
+        for j, blocks in exact._schedule(n):
+            for k, m, t in blocks:
+                for l in range(min(m, t)):
+                    first, count = j + 1 - k, min(m, t - l)
+                    assert 0 <= first and first + count - 1 <= j
+                    assert j < first + k + l and first + count - 1 + k + l <= n
+                    runs[k + l].append((first, count))
+        for a, got in runs.items():
+            ends = [0]
+            for first, count in sorted(got):
+                assert first == ends[-1], (n, a)
+                ends.append(first + count)
+            assert ends[-1] == n - a + 1, (n, a)
+
+
+@pytest.mark.parametrize("box", [(9, 12), (4, 5, 6), (2, 2, 3, 3), (64, 64)])
+def test_kernel_rows_sum_within_the_width_bounds(box):
+    # the limb width keeps every product below 2^53 and every accumulator
+    # below 2^63 by a bound on the kernel's row sums: check it on the kernel
+    # of every level (axes in _axes order)
+    width, _ = exact._digits(box)
+    for m, n in enumerate(box[:-1]):
+        kern = exact._euler_kernel(tuple(b + 1 for b in box[m:]))
+        sums = [int(s) for s in kern.reshape(n + 1, -1).sum(axis=1).tolist()]
+        per = math.prod(1 + 2 * c for c in box[m + 1:])
+        assert all(s <= a * per for a, s in enumerate(sums))
+        assert max(sums) << width < 1 << 53 and sum(sums) << width < 1 << 63
+
+
+@pytest.mark.parametrize("width", [3, 5, 8, 17])
+def test_narrow_digits_carry_and_divide_exactly(monkeypatch, width):
+    # limbs of a few bits: every row's accumulator spans many limbs, so the
+    # carries and the top-down divisions cross limbs on small boxes
+    real = exact._digits
+
+    def narrow(box):
+        top, limbs = real(box)
+        return width, -(-top * limbs // width)
+
+    monkeypatch.setattr(exact, "_digits", narrow)
+    for dim, box in ((2, (20, 20)), (3, (5, 3, 6)), (4, (3,) * 4), (2, (1, 40))):
+        assert _cells(build_table(dim, box)) == _euler_oracle(box)
+
+
+@pytest.mark.parametrize("corrupt", ["low digit", "top limb"])
+def test_a_corrupted_accumulator_raises(monkeypatch, corrupt):
+    # an accumulator off by one in a digit is no longer t times an integer
+    # row (rows t >= 2; row 1 divides by 1 and cannot tell); one with a bit
+    # past its top limb overflows: either way the build raises, never
+    # returning a table
+    real = exact._divide
+    for dim, box, t in ((2, (8, 8), 2), (2, (8, 8), 7), (3, (4, 4, 4), 3), (2, (3, 50), 3)):
+        def divide(row, at, width, t=t):
+            if at == t:
+                row[(0 if corrupt == "low digit" else -1, *(0,) * (row.ndim - 1))] += (
+                    1 if corrupt == "low digit" else 1 << 62)
+            real(row, at, width)
+
+        monkeypatch.setattr(exact, "_divide", divide)
+        with pytest.raises(ArithmeticError, match=f"row {t} "):
+            build_table(dim, box)
 
 
 def test_d8_n3_builds_in_a_small_budget(monkeypatch):
     # the plan charges about 31 MB here; with the dense block-Toeplitz
-    # matrix of a hyperplane it charged 1.09 GB, which this budget refuses
+    # matrix of a hyperplane a build charged 1.09 GB, which this budget
+    # refuses
     monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", str(256 << 20))
     assert build_table(8, (3,) * 8).coefficient((3,) * 8) == 10006435926204956
 
@@ -663,7 +772,7 @@ def _values(table):
 def _resaturate(table):
     # move value from each limb into the one below as far as that entry stays
     # below 2^64, so the cells keep their values, and claim the loosest ceiling:
-    # the next class_pass or group product must normalize first
+    # the next class_pass must normalize first
     data = table.data
     for i in range(len(data) - 1, 0, -1):
         moved = np.minimum(data[i], ~data[i - 1] >> 32)
@@ -678,11 +787,11 @@ def _resaturate(table):
 @example(box=(2, 1, 1, 1), limbs=2, seed=1)
 @example(box=(2, 2, 1, 1), limbs=1, seed=2)
 def test_narrow_limbs_match_brute_force(box, limbs, seed):
-    # _build from a table of random entries up to 2^64 - 1 at the ceiling
-    # 2^64 - 1, one entry of the top limb at 2^64 - 1, re-saturated after
-    # every step: the ceiling read from the entries leaves no room, so the
-    # first step normalizes and adds a limb, and later steps normalize and
-    # carry wherever their entries need it; the cells must equal the
+    # the pass DP from a table of random entries up to 2^64 - 1 at the
+    # ceiling 2^64 - 1, one entry of the top limb at 2^64 - 1, re-saturated
+    # after every pass: the ceiling read from the entries leaves no room, so
+    # the first pass normalizes and adds a limb, and later passes normalize
+    # and carry wherever their entries need it; the cells must equal the
     # Python-int product of the start table with Zon_d
     dim = len(box)
     table = CoeffTable(dim, box)
@@ -706,15 +815,15 @@ def test_narrow_limbs_match_brute_force(box, limbs, seed):
             _resaturate(table)
 
         monkeypatch.setattr(CoeffTable, "_normalize", normalize)
-        for name in ("class_pass", "_one_step"):
-            real = getattr(CoeffTable, name)
+        real = CoeffTable.class_pass
 
-            def step(self, *args, _real=real):
-                _real(self, *args)
-                check(self)
+        def step(self, *args):
+            real(self, *args)
+            check(self)
 
-            monkeypatch.setattr(CoeffTable, name, step)
-        exact._build(table, *_rows64(dim, box))
+        monkeypatch.setattr(CoeffTable, "class_pass", step)
+        vecs, _, weights = _rows64(dim, box)
+        _passes(table, vecs, weights)
     assert steps[0], "the first step did not normalize"
     assert len(table.data) > limbs
     zon = _values(build_table(dim, box))
@@ -814,27 +923,32 @@ def test_shifted_add_of_itself_equals_adding_a_copy(data, box, full):
 
 
 def test_narrow_limbs_grow_and_guard(monkeypatch):
-    assert len(build_table(2, (16, 16)).data) == 1
-    # Z[24, 24] has 33 bits, which one uint64 entry holds: with the ceiling
-    # read from the entries the build never normalizes, so it keeps one limb
-    table = build_table(2, (24, 24))
-    assert len(table.data) == 1
-    assert table.coefficient(24) == zon_coefficient(2, (24, 24))
-    assert len(build_table(3, (12, 12, 12)).data) == 1
+    # a built table has the fewest 32-bit limbs that hold its largest cell,
+    # the corner, with up to 64 bits in the top limb: Z[40, 40] and
+    # Z[16, 16, 16] have 48 and 53 bits, Z[64, 64] 69 and Z[128, 128] 113
+    for dim, n, bits, limbs in ((2, 40, 48, 1), (3, 16, 53, 1), (2, 64, 69, 2), (2, 128, 113, 3)):
+        box = (n,) * dim
+        table = build_table(dim, box)
+        assert table.coefficient(box).bit_length() == bits
+        assert len(table.data) == limbs
+        assert exact._plan(dim, box) in (limbs, limbs + 1)
+    # the table and its digit rows fit the budget, the block staging does
+    # not: the plan names the limbs before any work; a table driven by hand,
+    # which no plan charged, is refused by its own limb guard when a pass
+    # needs the second limb (Z[64, 64] has 69 bits)
     box = (13, 13, 13)
-    table = build_table(3, box)
-    assert len(table.data) == exact._plan(3, box) == 2
-    assert table.coefficient(box) == zon_coefficient(3, box)
-    # one limb fits the budget, the second does not: the plan names the limb
-    # count before any work, and so does the limb guard of a table driven by
-    # hand, which no plan charged
-    monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", str(2 * 8 * 14 ** 3 * 2 - 1))
+    with monkeypatch.context() as m:
+        needs = []
+        m.setattr(exact, "_charge", lambda need, what: needs.append(need))
+        exact._plan(3, box)
+    monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", str(max(needs) - 1))
     with monkeypatch.context() as m:
         _refuse_work(m)
-        with pytest.raises(MemoryBudgetError, match="in 2 limbs with its carry buffer \\("):
+        with pytest.raises(MemoryBudgetError, match="in 1 limbs, built in 2 limbs of"):
             build_table(3, box)
+    monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", str(2 * 8 * 65 ** 2 * 2 - 1))
     with pytest.raises(MemoryBudgetError, match="in 2 limbs with its carry buffer \\("):
-        exact._build(CoeffTable(3, box), *_rows64(3, box))
+        _pass_table(2, (64, 64))
     monkeypatch.delenv("ZONOCOUNT_MEMORY_BUDGET")
 
     def refuse(*args):
@@ -876,226 +990,13 @@ def test_weighted_pass_equals_repeated_class_passes(data, box, full):
     assert _cells(fused) == _cells(single)
 
 
-def _group(box, a, chain=1):
-    # the primitive vectors of chain length min_i floor(n_i / v_i) = chain
-    # whose first axis of that length is a, and their weights
-    vecs, _, weights = _rows64(len(box), box)
-    per_axis = [[n // c if c else max(box) + 1 for n, c in zip(box, v)] for v in vecs.tolist()]
-    mine = np.array([min(s) == chain and s.index(chain) == a for s in per_axis], dtype=bool)
-    return vecs[mine].reshape(-1, len(box)), weights[mine]
-
-
-def _apply(table, a, vecs, weights, chain=1):
-    table._one_step(a, exact._kernel(table.shape, a, vecs, weights, chain))
-
-
-def _slab_adds(values, vecs, weights):
-    # the reference: the factor (1 - x^v)^(-w) of each vector in sequence, as
-    # w rounds of T[e] += T[e - k v] over k >= 1, each read before its round
-    for v, w in zip(vecs.tolist(), weights.tolist()):
-        for _ in range(w):
-            old = values.copy()
-            for k in range(1, min(n // c for n, c in zip(values.shape, v) if c) + 1):
-                dst = tuple(slice(k * c, None) for c in v)
-                src = tuple(slice(0, n - k * c) for c, n in zip(v, values.shape))
-                values[dst] += old[src]
-    return values
-
-
-@settings(max_examples=150, deadline=None)
-@given(data=st.data(), box=st.lists(st.integers(0, 4), min_size=2, max_size=4).map(tuple)
-       | st.lists(st.integers(0, 12), min_size=2, max_size=3).map(tuple)
-       | st.lists(st.integers(0, 3), min_size=5, max_size=5).map(tuple),
-       chain=st.sampled_from([1, 2]), full=st.booleans(), past_limit=st.booleans(),
-       cells=st.sampled_from([1, 2, 3, 4, 6, 8, 12, 16, 24, 128]))
-def test_group_product_equals_sequential_slab_adds(data, box, chain, full, past_limit, cells):
-    # a random or saturated table of 1-3 limbs, and a random subset of one axis
-    # group of chain length 1 or 2; past_limit takes the whole group and
-    # lowers the exact-float limit so that each product stays below it but
-    # the sums across k go beyond it.  A chain-2 group's sources overlap its
-    # targets, and its kernel K holds the cross terms of every pair.  Small
-    # tiles cut the other axes of these boxes at every depth, with short
-    # last tiles
-    dim = len(box)
-    a = data.draw(st.sampled_from([i for i, b in enumerate(box) if b] or [0]))
-    vecs, weights = _group(box, a, chain)
-    if not past_limit:
-        keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(vecs),
-                                           max_size=len(vecs))), dtype=bool)
-        vecs, weights = vecs[keep], weights[keep]
-    assume(len(vecs))
-    table = CoeffTable(dim, box)
-    limbs = data.draw(st.integers(1, 3))
-    table.data, table.ceiling = _random_fill(data, (limbs, *table.shape), full)
-    want = _slab_adds(_values(table), vecs, weights)
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(exact, "_TILE_CELLS", cells)
-        exact._tiling.cache_clear()
-        try:
-            kernel = exact._kernel(table.shape, a, vecs, weights, chain)
-            if past_limit:
-                heaviest = int(kernel.reshape(len(kernel), -1).sum(axis=1).max())
-                monkeypatch.setattr(exact, "_FLOAT_EXACT", heaviest << (exact._LIMB_BITS + 1))
-            table._one_step(a, kernel)
-        finally:
-            exact._tiling.cache_clear()
-    assert int(table.data.max()) <= table.ceiling < _WORD
-    assert _cells(table) == want.ravel().tolist()
-
-
-def test_group_product_normalizes_at_2_pow_53():
-    # group 0 of (1, 1) is (1, 0) and (1, 1), of weights 1 and 2, both at k = 1:
-    # a ceiling of ceil(2^53 / 3) makes the product of k reach 2^53, one below
-    # does not
-    vecs, weights = _group((1, 1), 0)
-    assert vecs.tolist() == [[1, 0], [1, 1]]
-    edge = -(-(2 ** 53) // 3)
-    for ceiling, limbs in ((edge - 1, 1), (edge, 2)):
-        table = CoeffTable(2, (1, 1))
-        table.data = np.full((1, 2, 2), ceiling, dtype=np.uint64)
-        table.ceiling = ceiling
-        want = _slab_adds(_values(table), vecs, weights)
-        _apply(table, 0, vecs, weights)
-        assert len(table.data) == limbs  # the edge normalizes first, carrying into a new limb
-        assert int(table.data.max()) <= table.ceiling < _WORD
-        assert _cells(table) == want.ravel().tolist() == [ceiling, ceiling, 2 * ceiling, 4 * ceiling]
-
-
-def test_group_product_refuses_a_weight_past_exact_floats():
-    # one vector of weight 2^30 at k = 21 needs a ceiling below 2^53 / 2^30;
-    # a built (40, 40) table's stays above it even normalized, so the product
-    # is refused and the cells keep their values and limbs
-    table = build_table(2, (40, 40))
-    before, limbs = _cells(table), len(table.data)
-    with pytest.raises(ValueError, match="too many for exact float64 products"):
-        _apply(table, 0, np.array([[21, 1]]), np.array([2 ** 30]))
-    assert len(table.data) == limbs
-    assert _cells(table) == before
-
-
-@pytest.mark.parametrize("dim, box", [(2, (64, 64)), (3, (7, 13, 20)), (3, (12, 12, 12)), (4, (6, 6, 6, 6))])
-def test_chain1_group_past_exact_floats_applies_in_parts(monkeypatch, dim, box):
-    # at the exact-float limit 2^38 _one_step refuses whole chain-1 groups of
-    # these boxes on their built tables, so they are applied in parts whose
-    # weights, and so their kernel rows, sum to less than 2^5 (2^38 over a
-    # normalized ceiling below 2^33); the cells equal those of the build at
-    # 2^53
-    want = _cells(build_table(dim, box))
-    heaviest, groups = [], []
-    real_step, real_products = CoeffTable._one_step, exact._chain1_products
-
-    def one_step(self, a, kern):
-        real_step(self, a, kern)
-        heaviest.append(int(kern.reshape(len(kern), -1).sum(axis=1).max()))
-
-    def products(table, a, vecs, weights):
-        start = len(heaviest)
-        real_products(table, a, vecs, weights)
-        groups.append(heaviest[start:])
-
-    monkeypatch.setattr(CoeffTable, "_one_step", one_step)
-    monkeypatch.setattr(exact, "_chain1_products", products)
-    monkeypatch.setattr(exact, "_FLOAT_EXACT", 1 << 38)
-    assert _cells(build_table(dim, box)) == want
-    parts = [group for group in groups if len(group) > 1]
-    assert parts and all(h < 1 << 5 for group in parts for h in group)
-
-
-def test_group_product_sums_in_uint64(monkeypatch):
-    # group 0 of (5, 5) has weights 8, 6 and 8 at k = v_0 = 3, 4, 5: it
-    # normalizes only when a product of k could reach the exact-float limit,
-    # and sums the products in uint64 whatever the limit
-    normalized = []
-    real_normalize = CoeffTable._normalize
-
-    def normalize(self):
-        normalized.append(self)
-        real_normalize(self)
-
-    monkeypatch.setattr(CoeffTable, "_normalize", normalize)
-    vecs, weights = _group((5, 5), 0)
-    assert np.bincount(vecs[:, 0], weights).tolist() == [0, 0, 0, 8, 6, 8]
-    # at the limit 2^36, 8 * (2^32 - 1) fits and 8 * (2^64 - 1) does not; at
-    # 2^53, 8 * (2^51 + 1) does not, though 23 * (2^51 + 1) fits the word, and
-    # 8 * (2^50 - 1) fits but a cell sums 22 * (2^50 - 1) > 2^53, beyond what
-    # float64 holds exactly
-    for limit, fill, normalizes in ((1 << 36, 2 ** 32 - 1, 0), (1 << 36, _WORD - 1, 1),
-                                    (1 << 53, 2 ** 51 + 1, 1), (1 << 53, 2 ** 50 - 1, 0)):
-        monkeypatch.setattr(exact, "_FLOAT_EXACT", limit)
-        normalized.clear()
-        table = CoeffTable(2, (5, 5))
-        table.data = np.full((1, 6, 6), fill, dtype=np.uint64)
-        table.ceiling = fill
-        want = _slab_adds(_values(table), vecs, weights)
-        _apply(table, 0, vecs, weights)
-        assert len(normalized) == normalizes
-        assert int(table.data.max()) <= table.ceiling < _WORD
-        assert _cells(table) == want.ravel().tolist()
-    assert 22 * fill > 1 << 53 and max(_cells(table)) == 23 * fill
-    # the group grows the ceiling through _grow: with the limit above 2^64,
-    # the products need no normalization under the ceiling 2^62, but the
-    # weight-3 group 0 of (1, 1) would take it to 4 * 2^62.  Then _grow reads
-    # the ceiling from the entries: entries of 5 leave room and are not
-    # normalized; entries at 2^62 are, first
-    monkeypatch.setattr(exact, "_FLOAT_EXACT", 1 << 65)
-    vecs, weights = _group((1, 1), 0)
-    for fill, normalizes, ceiling in ((5, 0, 4 * 5), (1 << 62, 1, 4 * (2 ** 32 - 1 + 2 ** 30))):
-        normalized.clear()
-        table = CoeffTable(2, (1, 1))
-        table.data = np.full((1, 2, 2), fill, dtype=np.uint64)
-        table.ceiling = 1 << 62
-        _apply(table, 0, vecs, weights)
-        assert len(normalized) == normalizes
-        assert table.ceiling == ceiling < _WORD
-        assert int(table.data.max()) <= table.ceiling
-        assert _cells(table) == [fill, fill, 2 * fill, 4 * fill]
-    # no growth factor beyond what one normalization leaves room for
-    with pytest.raises(ValueError, match="2\\^31"):
-        table._grow((1 << 31) + 1)
-
-
-def _build_work(monkeypatch, dim, box):
-    # the limb-weighted cell updates of a build's cumulative passes (w times
-    # the limbs after the call times the cells a pass writes, at least the
-    # work done) and its normalizations
-    work, normalized = [], []
-    real_pass, real_normalize = CoeffTable.class_pass, CoeffTable._normalize
-
-    def spy_pass(self, v, w):
-        real_pass(self, v, w)
-        work.append(w * len(self.data) * math.prod(max(n - c, 0) for n, c in zip(self.shape, v)))
-
-    def spy_normalize(self):
-        normalized.append(self)
-        real_normalize(self)
-
-    with monkeypatch.context() as m:
-        m.setattr(CoeffTable, "class_pass", spy_pass)
-        m.setattr(CoeffTable, "_normalize", spy_normalize)
-        build_table(dim, box)
-    return sum(work), len(normalized)
-
-
-@pytest.mark.parametrize("dim, n, updates, normalizations", [
-    (2, 64, 3_200_000, 5), (3, 16, 4_400_000, 3), (4, 6, 900_000, 2)])
-def test_passes_run_on_few_limbs(monkeypatch, dim, n, updates, normalizations):
-    # long vectors first and a ceiling read from the entries before any
-    # normalization keep most passes at one limb: 3.10 M, 4.21 M and 0.87 M
-    # updates with 2, 1 and 0 normalizations here, where passes in lex order
-    # under the compounded ceiling made 8.32 M, 8.08 M and 1.42 M with 84, 120
-    # and 65
-    work, normalized = _build_work(monkeypatch, dim, (n,) * dim)
-    assert work <= updates
-    assert normalized <= normalizations
-
-
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), box=st.lists(st.integers(0, 4), min_size=2, max_size=3).map(tuple),
        steps=st.integers(1, 4))
 def test_loose_ceiling_steps_equal_python_ints(data, box, steps):
     # entries far below the loosest ceiling, 2^64 - 1, then random cumulative
-    # passes and group products: the first step that grows entries reads the
-    # ceiling from them, and every step must give the Python-int product
+    # passes: the first pass reads the ceiling from the entries, and every
+    # pass must give the Python-int product
     assume(any(box))
     dim = len(box)
     table = CoeffTable(dim, box)
@@ -1107,27 +1008,15 @@ def test_loose_ceiling_steps_equal_python_ints(data, box, steps):
     table.ceiling = _WORD - 1
     want = _values(table)
     for _ in range(steps):
-        if data.draw(st.booleans()):
-            v = data.draw(st.tuples(*[st.integers(0, 4)] * dim).filter(
-                lambda u: math.gcd(*u) == 1))
-            w = 1 << (sum(1 for c in v if c) - 1)
-            table.class_pass(v, w)
-            s = min([b // c for b, c in zip(box, v) if c])
-            for _ in range(w):
-                old = want.copy()
-                for k in range(1, s + 1):
-                    want[tuple(slice(k * c, None) for c in v)] += old[
-                        tuple(slice(n - k * c) for c, n in zip(v, table.shape))]
-        else:
-            a = data.draw(st.sampled_from([i for i, b in enumerate(box) if b]))
-            vecs, weights = _group(box, a)
-            keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(vecs),
-                                               max_size=len(vecs))), dtype=bool)
-            vecs, weights = vecs[keep], weights[keep]
-            if not len(vecs):
-                continue
-            _apply(table, a, vecs, weights)
-            want = _slab_adds(want, vecs, weights)
+        v = data.draw(st.tuples(*[st.integers(0, 4)] * dim).filter(lambda u: math.gcd(*u) == 1))
+        w = 1 << (sum(1 for c in v if c) - 1)
+        table.class_pass(v, w)
+        s = min([b // c for b, c in zip(box, v) if c])
+        for _ in range(w):
+            old = want.copy()
+            for k in range(1, s + 1):
+                want[tuple(slice(k * c, None) for c in v)] += old[
+                    tuple(slice(n - k * c) for c, n in zip(v, table.shape))]
         assert int(table.data.max()) <= table.ceiling < _WORD
         assert _cells(table) == want.ravel().tolist()
 
@@ -1136,7 +1025,7 @@ _BLAS_SCRIPT = """
 import hashlib
 import numpy
 from zonocount import build_table
-for dim, n in ((2, 64), (3, 12), (3, 16), (4, 6), (4, 10)):
+for dim, n in ((2, 64), (2, 96), (3, 12), (3, 16), (4, 6), (4, 10)):
     table = build_table(dim, (n,) * dim)
     cells = [table.coefficient(e) for e in numpy.ndindex(table.shape)]
     print(hashlib.sha256(repr(cells).encode()).hexdigest())
@@ -1144,7 +1033,7 @@ for dim, n in ((2, 64), (3, 12), (3, 16), (4, 6), (4, 10)):
 
 
 def test_cells_do_not_depend_on_blas_threads():
-    # every partial sum of a group product is an integer below 2^53, so the
+    # every partial sum of a block product is an integer below 2^53, so the
     # order BLAS sums in cannot change a bit
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     out = []
@@ -1154,7 +1043,7 @@ def test_cells_do_not_depend_on_blas_threads():
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         out.append(proc.stdout.split())
-    assert len(out[0]) == 5
+    assert len(out[0]) == 6
     assert out[0] == out[1]
 
 
@@ -1173,86 +1062,3 @@ def test_class_pass_checks_its_weight():
 def test_class_pass_refuses_a_zero_vector():
     with pytest.raises(ValueError, match=r"pass vector \(0, 0\) is zero"):
         CoeffTable(2, (3, 3)).class_pass((0, 0), 1)
-
-
-def _build_log(monkeypatch, build):
-    # the steps of a build in order: ("pass", v, w) per class_pass and
-    # (chain, a, members) per group kernel
-    log = []
-    real_pass, real_kernel = CoeffTable.class_pass, exact._kernel
-
-    def spy_pass(self, v, w):
-        log.append(("pass", tuple(v), w))
-        return real_pass(self, v, w)
-
-    def spy_kernel(shape, a, vecs, weights, chain):
-        log.append((chain, a, list(zip(map(tuple, vecs.tolist()), weights.tolist()))))
-        return real_kernel(shape, a, vecs, weights, chain)
-
-    with monkeypatch.context() as m:
-        m.setattr(CoeffTable, "class_pass", spy_pass)
-        m.setattr(exact, "_kernel", spy_kernel)
-        build()
-    return log
-
-
-def test_build_table_makes_one_pass_per_vector(monkeypatch):
-    # every primitive vector is applied exactly once.  A vector of chain
-    # length 1 or 2 belongs to the group of the first axis a that attains its
-    # chain length.  First the chain-2 groups that take a group product, axis
-    # 0 first; then class_pass for every other vector, by descending 1-norm,
-    # ties in row order, so a reversed input reverses the ties; then the
-    # chain-1 group products, axis 0 first
-    for dim, box in ((2, (5, 3)), (3, (2, 2, 2)), (4, (1, 2, 1, 1)), (2, (32, 32)),
-                     (3, (9, 4, 6)), (4, (4, 4, 4, 4)), (2, (40, 7))):
-        vecs, norms, weights = _rows64(dim, box)
-        for reverse in (False, True):
-            if reverse:
-                vecs, norms, weights = vecs[::-1], norms[::-1], weights[::-1]
-                log = _build_log(monkeypatch, lambda: exact._build(
-                    CoeffTable(dim, box), vecs, norms, weights))
-            else:
-                log = _build_log(monkeypatch, lambda: build_table(dim, box))
-            want = list(zip(map(tuple, vecs.tolist()), weights.tolist()))
-            want.sort(key=lambda vw: -sum(vw[0]))  # stable
-            per_axis = {v: [n // c if c else max(box) + 1 for n, c in zip(box, v)]
-                        for v, _ in want}
-            group = {v: (min(s), s.index(min(s))) for v, s in per_axis.items()}
-            products = [step for step in log if step[0] != "pass"]
-            taken = {(chain, a) for chain, a, _ in products}
-            assert [(chain, a) for chain, a, _ in products] == sorted(
-                taken, key=lambda ca: (-ca[0], ca[1]))
-            for chain, a, members in products:
-                assert members == [(v, w) for v, w in want if group[v] == (chain, a)]
-            first_pass = next((i for i, step in enumerate(log) if step[0] == "pass"), len(log))
-            assert all(step[0] == 2 for step in log[:first_pass])
-            assert all(step[0] == 1 for step in log[first_pass:] if step[0] != "pass")
-            passes = [(v, w) for _, v, w in (step for step in log if step[0] == "pass")]
-            assert passes == [(v, w) for v, w in want if group[v] not in taken]
-            assert all((1, a) in taken for c, a in group.values() if c == 1)
-            handled = passes + [member for _, _, members in products for member in members]
-            assert sorted(handled) == sorted(want)
-
-
-def _chain2_products(monkeypatch, dim, n):
-    # the axes of the chain-2 group products a build of the cube n makes
-    log = _build_log(monkeypatch, lambda: build_table(dim, (n,) * dim))
-    return [a for step in log if step[0] == 2 for a in [step[1]]]
-
-
-def test_chain2_groups_take_the_product_where_it_pays(monkeypatch):
-    # the product's fixed cost loses to passes on tiny boxes; at d = 7, 8
-    # n = 2 groups 0-2 and at d = 9 n = 2 groups 0-3 pay (_product_pays), and
-    # the later, smaller groups stay on passes; from d = 2 n = 32, d = 3 n = 8
-    # and d = 4 n = 4 every non-empty group takes it
-    for dim, top in ((2, 12), (3, 5)):
-        for n in range(1, top + 1):
-            assert _chain2_products(monkeypatch, dim, n) == [], (dim, n)
-    assert _chain2_products(monkeypatch, 7, 2) == [0, 1, 2]
-    assert _chain2_products(monkeypatch, 8, 2) == [0, 1, 2]
-    assert _chain2_products(monkeypatch, 9, 2) == [0, 1, 2, 3]
-    for dim, n in ((2, 32), (3, 8), (4, 4)):
-        box = (n,) * dim
-        groups = [a for a in range(dim) if len(_group(box, a, 2)[0])]
-        assert groups == list(range(dim))
-        assert _chain2_products(monkeypatch, dim, n) == groups
