@@ -560,11 +560,13 @@ def test_planned_limbs_on_cubes():
         assert limbs == [1 + sum(n >= s for s in steps) for n in range(1, top + 1)], dim
 
 
-@pytest.mark.parametrize("box, planned", [((1000, 1), 6), ((4000, 1), 16), ((300, 10), 3)])
+@pytest.mark.parametrize("box, planned", [((1000, 1), 7), ((4000, 1), 17), ((300, 10), 4)])
 def test_planned_limbs_bound_long_boxes(box, planned):
-    # one t_i per axis: a single t for every axis planned 12, 29 and 6 limbs
-    # of 32 bits here
-    assert len(build_table(2, box).data) <= exact._plan(2, box) == planned
+    # one t_i per axis: the corner bound takes `planned` words of 32 bits
+    # here, where a single t for every axis took 12, 29 and 6; the packed top
+    # limb holds the last two words
+    assert -(-(int(exact._corner_bits(box)) + 1) // 32) == planned
+    assert len(build_table(2, box).data) <= exact._plan(2, box) == planned - 1
 
 
 def test_brute_force_node_budget(monkeypatch):
@@ -685,6 +687,68 @@ def test_schedule_takes_every_pair_once_before_its_target_is_read():
                 assert first == ends[-1], (n, a)
                 ends.append(first + count)
             assert ends[-1] == n - a + 1, (n, a)
+
+
+def _slab_adds(src, kern, targets):
+    # the reference for _toeplitz_add: out[i + j][e] += K_j[u] src[i][e - u]
+    # for every source row i, kernel row j and offset u >= 0 in the box, one
+    # slab at a time, in Python ints
+    sources, limbs, *other = src.shape
+    out = np.zeros((targets, limbs, *other), dtype=object)
+    for j in range(len(kern)):
+        for i in range(min(sources, targets - j)):
+            for u in np.ndindex(*other):
+                w = int(kern[(j, *(c + n - 1 for c, n in zip(u, other)))])
+                dst = (i + j, slice(None), *[slice(c, None) for c in u])
+                out[dst] += w * src[(i, slice(None), *[slice(n - c) for c, n in zip(u, other)])]
+    return out
+
+
+def _block_product(src, kern, targets, cells=exact._TILE_CELLS):
+    # _toeplitz_add under the tile cap `cells`
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(exact, "_TILE_CELLS", cells)
+        exact._tiling.cache_clear()
+        try:
+            return exact._toeplitz_add(src, kern, targets)
+        finally:
+            exact._tiling.cache_clear()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), other=st.lists(st.integers(1, 5), min_size=1, max_size=3).map(tuple)
+       | st.lists(st.integers(1, 13), min_size=1, max_size=2).map(tuple),
+       sources=st.integers(1, 4), rows=st.integers(1, 4), limbs=st.integers(1, 2),
+       cells=st.sampled_from([1, 2, 3, 4, 6, 8, 12, 16, 24, 128]))
+def test_group_product_equals_sequential_slab_adds(data, other, sources, rows, limbs, cells):
+    # a block product of random digit rows by random kernel rows, zero at
+    # the negative offsets as _euler_kernel lays them out, onto as many
+    # targets as a block of _schedule may have: it equals the slab adds.
+    # Small tiles cut the other axes at every depth, with short last tiles
+    targets = data.draw(st.integers(rows, sources + rows - 1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    src = rng.integers(0, 1 << 30, size=(sources, limbs, *other), dtype=np.uint64)
+    kern = np.zeros((rows, *(2 * n - 1 for n in other)))
+    kern[(slice(None), *[slice(n - 1, None) for n in other])] = rng.integers(
+        0, 1 << 12, size=(rows, *other))
+    out = _block_product(src, kern, targets, cells)
+    assert out.dtype == np.uint64
+    assert out.astype(object).tolist() == _slab_adds(src.astype(object), kern, targets).tolist()
+
+
+def test_group_product_sums_in_uint64():
+    # digits as large as keep each tile's product below 2^53 under a kernel
+    # of ones: the sums over tiles, sources and kernel rows go past 2^53,
+    # beyond what float64 holds exactly, and stay exact in uint64
+    for other in ((40,), (3, 50), (4, 4, 4)):
+        cells = exact._tiling(other)[0]
+        src = np.full((16, 1, *other), ((1 << 53) - 1) // cells, dtype=np.uint64)
+        kern = np.zeros((16, *(2 * n - 1 for n in other)))
+        kern[(slice(None), *[slice(n - 1, None) for n in other])] = 1
+        out = _block_product(src, kern, 31)
+        want = _slab_adds(src.astype(object), kern, 31)
+        assert max(want.ravel()) > 1 << 53, other
+        assert out.astype(object).tolist() == want.tolist(), other
 
 
 @pytest.mark.parametrize("box", [(9, 12), (4, 5, 6), (2, 2, 3, 3), (64, 64)])
