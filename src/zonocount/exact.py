@@ -45,13 +45,9 @@ limbs in use so far, since Z grows along every axis.
 
 The finished table is one uint64 array of shape (k, *(n + 1)): cell e holds
 sum_i data[i][e] << 32 i, each limb 32 bits but the top one, which holds up
-to 64, and a ceiling bounds every entry.  CoeffTable.class_pass multiplies
-a table by one class factor (1 - x^v)^(-w) with lazy carries: a pass of
-chain length s grows entries by the factor s + 1 and normalizes first
-(carry = data >> 32, data &= 2^32 - 1, data[1:] += carry[:-1], a new limb
-when the top one carries) only if the ceiling, read from the entries, leaves
-no room below 2^64.  No build uses it: over primitive_rows it is the tests'
-second oracle, beside the Euler recurrence in Python ints and brute force.
+to 64 (_pack).  CoeffTable.class_pass, the factor (1 - x^v)^(-w) of one
+class in Python ints, is over primitive_rows the tests' second oracle,
+beside the Euler recurrence in Python ints and brute force; no build uses it.
 
 Exact first moments are kernel sums sum_f K[f] Z[n - f] over that one table,
 each read by one weighted limb sum (CoeffTable._sum).  Marking generator
@@ -93,8 +89,7 @@ from .primitives import (
     primitive_rows,
 )
 
-# Payload bits of one limb.  A uint64 entry may hold up to 2 * _LIMB_BITS bits
-# before its carry is pushed into the limb above.
+# Bits of a table's limbs but the top one, which holds up to twice as many.
 _LIMB_BITS = 32
 
 _BRUTE_NODE_BUDGET = 10 ** 7
@@ -104,61 +99,48 @@ class EnumerationBudgetError(RuntimeError):
     """Brute-force enumeration exceeded its node budget (oracle is for small boxes)."""
 
 
-def _check_memory(shape: tuple[int, ...], limbs: int) -> None:
-    """Charge a table of `shape` in `limbs` limbs with its carry buffer."""
+def _check_memory(shape: tuple[int, ...]) -> None:
+    """Charge a table of `shape` in one limb."""
     size = math.prod(shape)
-    _charge(2 * 8 * limbs * size,
-            f"table of {_approx(size)} cells in {limbs} limbs with its carry buffer")
+    _charge(8 * size, f"table of {_approx(size)} cells in 1 limbs")
+
+
+def _check_ints(shape: tuple[int, ...], arrays: int, bits: int) -> None:
+    """Charge the pass oracle's `arrays` object arrays of ints of up to `bits`
+    bits with a copy of one's pointers, an array of 64-bit ints and the limbs."""
+    size = math.prod(shape)
+    per = arrays * (36 + 4 * (bits // 30)) + 52 + 8 * _packed_limbs(bits)
+    _charge(per * size, f"{arrays} arrays of {_approx(size)} Python ints of up to {bits} bits")
 
 
 class CoeffTable:
     """Dense table of nonnegative coefficients of a d-variate series, indexed by e <= bound.
 
-    ``data`` holds the coefficients as uint64 limbs with lazy carries, shape
-    (k, *(bound + 1)) (see the module docstring); ``ceiling`` bounds every
-    entry.  Values become Python ints only where ``_sum`` reads them
-    (``coefficient``, ``total`` and the moment numerators).
+    ``data`` holds them as uint64 limbs, shape (k, *(bound + 1)): cell e is
+    sum_i data[i][e] << 32 i.  Values become Python ints only where ``_sum``
+    reads them and in the pass oracle (``class_pass``, ``shifted_add``).
     """
 
-    __slots__ = ("dim", "bound", "shape", "data", "ceiling")
+    __slots__ = ("dim", "bound", "shape", "data")
 
     def __init__(self, dim: int, bound, data: np.ndarray | None = None):
-        """The series 1 over the box, or the limbs `data` of shape (k, *shape)."""
+        """The series 1 over the box, or the limbs `data`, uint64 of shape (k >= 1, *shape)."""
         self.bound = _validate_vector(bound, dim)
         self.dim = dim
         self.shape = tuple(b + 1 for b in self.bound)
-        # one step of a pass multiplies the ceiling by s + 1 <= max(shape); one
-        # normalization must leave room for it below 2^(2 * _LIMB_BITS)
-        growth = max(self.shape)
-        if growth > 1 << (_LIMB_BITS - 1):
-            raise ValueError(f"a pass over bound {self.bound} in dim {dim} may grow entries "
-                             f"{growth}-fold, above the limit 2^{_LIMB_BITS - 1}")
         if data is None:
-            _check_memory(self.shape, 1)
+            _check_memory(self.shape)
             data = np.zeros((1, *self.shape), dtype=np.uint64)
             data[(0,) * (dim + 1)] = 1
+        elif (getattr(data, "dtype", None) != np.uint64 or data.shape[1:] != self.shape
+              or not len(data)):
+            raise ValueError(f"table data must be a uint64 array of shape (k >= 1, *{self.shape})")
         self.data = data
-        self.ceiling = int(data.max())
-
-    def _normalize(self) -> None:
-        """Push every entry's carry into the limb above, adding a limb if the top one
-        carries.  Values are unchanged; afterwards every entry is below 2^(_LIMB_BITS + 1)."""
-        mask = (1 << _LIMB_BITS) - 1
-        if (self.data[-1] >> _LIMB_BITS).any():
-            self._add_limb()
-        carry = self.data >> _LIMB_BITS
-        self.data &= mask
-        self.data[1:] += carry[:-1]
-        self.ceiling = mask + (self.ceiling >> _LIMB_BITS)
-
-    def _add_limb(self) -> None:
-        _check_memory(self.shape, len(self.data) + 1)
-        self.data = np.concatenate([self.data, np.zeros((1, *self.shape), np.uint64)])
 
     def _sum(self, index: tuple, weights: Sequence[int] | None = None) -> int:
         """Sum of the values at `index` over the cell axes (ints, slices or index
         arrays), times `weights` (ints, one per cell, flat) if given: one Python
-        int sum per limb, shifted once, exact whether or not limbs are normalized."""
+        int sum per limb, shifted once, exact whatever each limb holds."""
         limbs = self.data[(slice(None), *index)].reshape(len(self.data), -1).tolist()
         if weights is not None:
             limbs = [map(operator.mul, weights, cells) for cells in limbs]
@@ -185,72 +167,63 @@ class CoeffTable:
             raise ValueError(f"pass vector {vt} is zero")
         return vt
 
-    def _grow(self, factor: int) -> None:
-        """Let every entry grow to `factor` times the ceiling, making room below
-        2^(2 * _LIMB_BITS) first: read the ceiling from the entries (the
-        compounded bound runs far ahead of them), and normalize only if that
-        is not enough."""
-        if factor > 1 << (_LIMB_BITS - 1):
-            raise ValueError(f"a step over bound {self.bound} may grow entries "
-                             f"{factor}-fold, above the limit 2^{_LIMB_BITS - 1}")
-        limit = 1 << (2 * _LIMB_BITS)
-        if factor * self.ceiling >= limit:
-            self.ceiling = int(self.data.max())
-            if factor * self.ceiling >= limit:
-                self._normalize()
-        self.ceiling *= factor
+    def _ints(self) -> np.ndarray:
+        """The cells as an object array of Python ints, shaped like the box."""
+        cells = self.data[-1].astype(object)
+        for limb in self.data[-2::-1]:
+            cells <<= _LIMB_BITS
+            cells += limb
+        return cells
+
+    def _store(self, cells: np.ndarray) -> None:
+        """Make the Python ints `cells` the table's data, consuming them: the
+        fewest limbs that hold the largest, 32 bits each but the top one (_pack)."""
+        limbs = _packed_limbs(int(cells.max()).bit_length())
+        self.data = data = np.empty((limbs, *self.shape), np.uint64)
+        for limb in data[:-1]:
+            limb[...] = cells & ((1 << _LIMB_BITS) - 1)
+            cells >>= _LIMB_BITS
+        data[-1] = cells
 
     def class_pass(self, v: Sequence[int], w: int) -> None:
         """In place, multiply by (1 - x^v)^(-w), the factor of the w = 2^(d(v)-1)
-        sign classes of v.
+        sign classes of v, in Python ints.
 
-        It runs w times T[e] += T[e - v] in ascending order: along the axis a of
-        largest v_a, blocks of v_a consecutive hyperplanes are added one slab at
-        a time, and a block reads only hyperplanes below it, which are final.
+        It runs w times T[e] += T[e - v] in ascending order, one slab a
+        hyperplane along the axis a of largest v_a: a slab reads only the
+        hyperplane v_a below it, which is final.
         """
         w = operator.index(w)
         if w < 1 or w & (w - 1) or w > 1 << (self.dim - 1):
             raise ValueError(f"class weight {w} is not a power of two up to 2^{self.dim - 1}")
         vt = self._vector(v)
         s = min([b // c for b, c in zip(self.bound, vt) if c])
-        if s:
-            self._cumulate(vt, w, s)
-
-    def _cumulate(self, vt: tuple[int, ...], w: int, s: int) -> None:
-        """w times T[e] += T[e - v] for v = vt of chain length s >= 1 (class_pass)."""
+        if not s:
+            return
+        # a cell of up to 32 (k + 1) + 1 bits grows (s + 1)-fold at most w times
+        _check_ints(self.shape, 1, _LIMB_BITS * (len(self.data) + 1) + 1 + w * s.bit_length())
+        cells = self._ints()
         a = vt.index(max(vt))
-        step, top = vt[a], self.shape[a]
-        dst = [slice(None), *[slice(c, None) for c in vt]]
-        src = [slice(None), *[slice(n - c) for c, n in zip(vt, self.shape)]]
-        blocks = []
-        for lo in range(step, top, step):
-            hi = min(lo + step, top)
-            dst[a + 1], src[a + 1] = slice(lo, hi), slice(lo - step, hi - step)
-            blocks.append((tuple(dst), tuple(src)))
+        dst = [slice(c, None) for c in vt]
+        src = [slice(n - c) for c, n in zip(vt, self.shape)]
         for _ in range(w):
-            self._grow(s + 1)  # an entry becomes a sum of at most s + 1 entries
-            for dst_idx, src_idx in blocks:
-                block = self.data[dst_idx]
-                np.add(block, self.data[src_idx], out=block)
+            for i in range(vt[a], self.shape[a]):
+                dst[a], src[a] = i, i - vt[a]
+                cells[tuple(dst)] += cells[tuple(src)]
+        self._store(cells)
 
     def shifted_add(self, src: "CoeffTable", v: Sequence[int]) -> None:
-        """self[e] += src[e - v] (multiplication of src by x^v, accumulated)."""
+        """self[e] += src[e - v] in Python ints (src times x^v, accumulated)."""
         if src.bound != self.bound:
             raise ValueError("table bounds differ")
         vt = self._vector(v)
         if any(c > b for c, b in zip(vt, self.bound)):
             return
-        if self.ceiling + src.ceiling >= 1 << (2 * _LIMB_BITS):
-            self._normalize()
-            if src is not self:
-                src._normalize()
-        while len(self.data) < len(src.data):
-            self._add_limb()
-        self.ceiling += src.ceiling
-        view = self.data[(slice(len(src.data)), *[slice(c, None) for c in vt])]
-        # one slab; numpy buffers the read when src is self and the slabs overlap
-        np.add(view, src.data[(slice(None), *[slice(n - c) for c, n in zip(vt, self.shape)])],
-               out=view)
+        _check_ints(self.shape, 2, _LIMB_BITS * (max(len(self.data), len(src.data)) + 1) + 2)
+        cells = self._ints()
+        cells[tuple(slice(c, None) for c in vt)] += src._ints()[
+            tuple(slice(n - c) for c, n in zip(vt, self.shape))]
+        self._store(cells)
 
 
 # The most cells of one tile (_tiling).  Whole builds, medians, one BLAS
@@ -496,7 +469,7 @@ def _plan(dim: int, bt: tuple[int, ...]) -> int:
     shifted digits, or with its copy in the box's own axis order."""
     bt = tuple(bt[i] for i in _axes(bt))
     shape = tuple(b + 1 for b in bt)
-    _check_memory(shape, 1)
+    _check_memory(shape)
     limbs = _packed_limbs(int(_corner_bits(tuple(b for b in bt if b))) + 1)
     width, work = _digits(bt)
     if width < 1:

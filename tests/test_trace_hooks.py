@@ -20,10 +20,13 @@ tracer = tracing.Tracer()
 tracing.install(tracer)
 import zonocount.cli
 code = zonocount.cli.main(["count", "--dim", "2", "--n", "3"])
-# builds run no class passes: the pass DP is a test oracle, traced when called
-zonocount.exact.CoeffTable(2, (3, 3)).class_pass((1, 1), 2)
-passes = sum(1 for span in tracer.spans if span[0] == "exact.CoeffTable.class_pass")
-sys.exit(code if passes == 1 else 3)
+# builds run no class passes: the pass oracle is a test oracle, traced when called
+table = zonocount.exact.CoeffTable(2, (3, 3))
+table.class_pass((1, 1), 2)
+table.shifted_add(table, (1, 0))
+spans = [span[0] for span in tracer.spans]
+ok = [spans.count(f"exact.CoeffTable.{name}") for name in ("class_pass", "shifted_add")] == [1, 1]
+sys.exit(code if ok else 3)
 """
 
 
