@@ -41,7 +41,16 @@ divided by i exactly, top limb first (a remainder is below i, and
 bitlen(i) <= bitlen(sum H) keeps the next dividend below 2^64); a nonzero
 remainder, or a carry out of the top limb, raises.  The limbs hold i Z_i by
 the corner bound (_corner_bits), and a block product multiplies only the
-limbs in use so far, since Z grows along every axis.
+limbs in use so far, since Z grows along every axis; a row is carried and
+divided only over those and the limbs their carries reach.
+
+The schedule resumes from rows that are already final (_extend): with rows
+0 .. r final, the block products whose targets all lie at or below r are
+skipped, one that straddles r sums only its targets past r, and only the
+rows past r are divided; r = 0 is a build's level.  So a table grows to a
+larger box (_grow) one axis at a time, each step a full-dimensional Euler
+step along that axis over the other axes as the steps before left them,
+with the rows of the box so far final.
 
 The finished table is one uint64 array of shape (k, *(n + 1)): cell e holds
 sum_i data[i][e] << 32 i, each limb 32 bits but the top one, which holds up
@@ -60,9 +69,12 @@ oracle for all of these on small boxes.
 A build is charged to the memory budget once, up front, from its box alone
 (_plan, remembered per box and budget setting by _planned).  A table at
 bound B holds Z[e] for every e <= B, so the readers here and the CLI's
-``count`` and ``compare`` share one table per dimension, the last one built
+``count`` and ``compare`` share one table per dimension, the last one made
 (``shared_table``), which answers every box inside it once that box is
-charged; another box replaces it.  ``build_table`` is never cached.
+charged.  A box around it grows it where the work counted from the two
+boxes is smaller than a build's and the growth's own peak fits the budget
+(_grows); any other box replaces it by a build.  ``build_table`` is never
+cached.
 """
 
 from __future__ import annotations
@@ -277,25 +289,26 @@ def _staging(other: tuple[int, ...], sources: int, targets: int, limbs: int) -> 
     return cells * cells + 3 * min(np.getbufsize(), product) + (2 + bool(grid)) * product + sums
 
 
-def _toeplitz_add(src: np.ndarray, kern: np.ndarray, targets: int) -> np.ndarray:
-    """The sums out[i + j] = sum src[i] M_j in uint64, of shape (targets,
-    *src.shape[1:]), over the rows j of kern and the hyperplanes i of src,
-    whose second axis holds the limbs.  kern is nonnegative, with its entry
-    at u over the other axes at u + other - 1 (_euler_kernel); M_j, the
-    Toeplitz matrix of its row j over the other axes, has entry K_j[q - r]
-    in row r and column q, zero unless q >= r on every axis.  So the axes
-    are cut into tiles (_tiling), the sources padded with zeros to whole
-    tiles, and for each tile offset, every source tile it reaches times the
-    matrix of K_j at that offset is one float64 matrix product (numpy @,
-    BLAS), exact while its sums stay below 2^53."""
+def _toeplitz_add(src: np.ndarray, kern: np.ndarray, targets: int, first: int) -> np.ndarray:
+    """The sums out[i + j - first] = sum src[i] M_j in uint64, of shape
+    (targets - first, *src.shape[1:]), over the rows j of kern and the
+    hyperplanes i of src, whose second axis holds the limbs, for the targets
+    first <= i + j < targets.  kern is nonnegative, with its entry at u over
+    the other axes at u + other - 1 (_euler_kernel); M_j, the Toeplitz
+    matrix of its row j over the other axes, has entry K_j[q - r] in row r
+    and column q, zero unless q >= r on every axis.  So the axes are cut
+    into tiles (_tiling), the sources padded with zeros to whole tiles, and
+    for each tile offset, every source tile it reaches times the matrix of
+    K_j at that offset is one float64 matrix product (numpy @, BLAS), exact
+    while its sums stay below 2^53."""
     sources, limbs, *other = src.shape
     cells, grid, padded, inside, steps = _tiling(src.shape[2:])
     staged = np.zeros((sources, limbs, *padded))
     staged[inside] = src
-    out = np.zeros((targets, limbs, *padded), np.uint64)
+    out = np.zeros((targets - first, limbs, *padded), np.uint64)
     # a tile is one run of cells: view both as rows of limbs over the tiles
     src_tiles = staged.reshape(sources * limbs, *grid, cells)
-    out_tiles = out.reshape(targets * limbs, *grid, cells)
+    out_tiles = out.reshape((targets - first) * limbs, *grid, cells)
     step = kern.strides[1:]
     matrices = np.ndarray((len(kern), *other, *other), kern.dtype, kern,
                           offset=sum((n - 1) * s for n, s in zip(other, step)),
@@ -305,10 +318,12 @@ def _toeplitz_add(src: np.ndarray, kern: np.ndarray, targets: int) -> np.ndarray
         # (a view when there is one tile), and the tiles they land on
         gathered, landing = src_tiles[reach].reshape(-1, cells), out_tiles[land]
         for j in range(len(kern)):
-            count = min(sources, targets - j) * limbs
+            low, high = max(first - j, 0) * limbs, min(sources, targets - j) * limbs
+            if low >= high:
+                continue
             matrix = np.ascontiguousarray(matrices[(j, *box)]).reshape(cells, -1)
-            block = landing[j * limbs:j * limbs + count]
-            product = (gathered[:count * tiles] @ matrix).reshape(block.shape)
+            block = landing[low + (j - first) * limbs:high + (j - first) * limbs]
+            product = (gathered[low * tiles:high * tiles] @ matrix).reshape(block.shape)
             np.add(block, product, out=block, dtype=np.uint64, casting="unsafe")
             del matrix, product  # the next ones are allocated before these names are rebound
         del gathered
@@ -347,6 +362,7 @@ def _divide(row: np.ndarray, t: int, width: int) -> None:
     """In place, carry the accumulator row (limbs, *cells), which holds
     t Z_t, into width-bit digits and divide it by t, top limb first; raise
     unless the top limb keeps its carry and every remainder is 0."""
+    row = row[..., None]  # every limb an array, where a row is one cell (d = 1)
     shift = np.uint64(width)
     for low, high in zip(row[:-1], row[1:]):
         high += low >> shift
@@ -362,6 +378,35 @@ def _divide(row: np.ndarray, t: int, width: int) -> None:
         raise ArithmeticError(f"row {t} is not {t} times an integer row: the build is not exact")
 
 
+def _extend(rows: np.ndarray, r: int, width: int) -> None:
+    """In place, rows r + 1 .. n of the width-bit digit rows (n + 1, limbs,
+    *other) of Z by the Euler recurrence along their first axis (module
+    docstring), rows 0 .. r being final: the block products of _schedule
+    whose targets all lie at or below r are skipped, one that straddles r
+    sums only its targets past it, and only the rows past r are divided."""
+    n, limbs = len(rows) - 1, rows.shape[1]
+    kern = _euler_kernel(rows.shape[:1] + rows.shape[2:]) if n > r else None
+    # an accumulator of `used` limbs, each below 2^63, carries into at most
+    # `room` more digits: only those are carried and divided
+    room = -(-(64 - width) // width)
+    # the limbs in use: Z grows along every axis, so the rows so far are zero
+    # above the limbs of the last one
+    used = 1
+    for j, blocks in _schedule(n):
+        while used < limbs and rows[j, used].any():
+            used += 1
+        for k, count, targets in blocks:
+            first = max(r - j, 0)  # the targets j + 1 .. r are final
+            if first < targets:
+                # the first c sources and kernel rows reach no target past r
+                c = max(first - count + 1, 0)
+                view = rows[j + 1 + first:j + 1 + targets, :used]
+                view += _toeplitz_add(rows[j + 1 - k + c:j + 1 - k + count, :used],
+                                      kern[k + c:k + count], targets - 2 * c, first - 2 * c)
+        if j >= r:
+            _divide(rows[j + 1, :used + room], j + 1, width)
+
+
 def _euler_rows(bt: tuple[int, ...], width: int, limbs: int) -> np.ndarray:
     """Z over the box bt, by the Euler recurrence one axis at a time, last
     axis first (module docstring), shaped (n_0 + 1, limbs, *(bt[1:] + 1)) in
@@ -369,44 +414,38 @@ def _euler_rows(bt: tuple[int, ...], width: int, limbs: int) -> np.ndarray:
     rows = np.zeros((bt[-1] + 1, limbs), np.uint64)
     rows[:, 0] = 1
     for m in range(len(bt) - 2, -1, -1):
-        n, other = bt[m], tuple(b + 1 for b in bt[m + 1:])
-        inner, rows = rows, np.zeros((n + 1, limbs, *other), np.uint64)
+        inner, rows = rows, np.zeros((bt[m] + 1, limbs, *(b + 1 for b in bt[m + 1:])), np.uint64)
         rows[0] = inner.swapaxes(0, 1)
         del inner
-        kern = _euler_kernel((n + 1, *other)) if n else None
-        # the limbs in use: Z grows along every axis, so the rows so far are
-        # zero above the limbs of the last one
-        used = 1
-        for j, blocks in _schedule(n):
-            while used < limbs and rows[j, used].any():
-                used += 1
-            for k, count, targets in blocks:
-                view = rows[j + 1:j + 1 + targets, :used]
-                view += _toeplitz_add(rows[j + 1 - k:j + 1 - k + count, :used], kern[k:k + count],
-                                      targets)
-            _divide(rows[j + 1], j + 1, width)
-        del kern
+        _extend(rows, 0, width)
     return rows
 
 
-def _pack(rows: np.ndarray, width: int) -> np.ndarray:
-    """The digits rows of _euler_rows as a table's data: 32-bit limbs, shape
-    (k, n_0 + 1, *other), the top one holding up to 64 bits, k the fewest
-    that hold the largest cell."""
-    top = max(i for i in range(rows.shape[1]) if rows[:, i].any())
-    k = _packed_limbs(width * top + int(rows[:, top].max()).bit_length())
-    data = np.zeros((k, rows.shape[0], *rows.shape[2:]), np.uint64)
-    for i in range(top + 1):
-        start = width * i  # the bit the digit starts at
-        first, last = start // _LIMB_BITS, (start + width - 1) // _LIMB_BITS
-        for j in range(min(first, k - 1), min(last, k - 1) + 1):
-            shift = start - _LIMB_BITS * j
-            digit = rows[:, i]
-            piece = digit << np.uint64(shift) if shift >= 0 else digit >> np.uint64(-shift)
-            if j < k - 1:
-                piece &= np.uint64((1 << _LIMB_BITS) - 1)
-            data[j] |= piece
-    return data
+def _relimb(src, src_bits: int, out: np.ndarray, bits: int) -> np.ndarray:
+    """Or into the zeros `out` the values the limbs src (along axis 0) hold,
+    src_bits bits each but the top one, which holds up to 64, as limbs of
+    `bits` bits each but the top one, which holds the rest; return out."""
+    top = len(out) - 1
+    for j, limb in enumerate(src):
+        start = src_bits * j  # the bit the limb starts at
+        end = start + (64 if j == len(src) - 1 else src_bits)
+        for i in range(min(start // bits, top), min((end - 1) // bits, top) + 1):
+            shift = start - bits * i
+            piece = limb << np.uint64(shift) if shift >= 0 else limb >> np.uint64(-shift)
+            if i < top:
+                piece &= np.uint64((1 << bits) - 1)
+            out[i] |= piece
+    return out
+
+
+def _pack(digits: np.ndarray, width: int) -> np.ndarray:
+    """The width-bit digits (limbs, *cells) as a table's data: 32-bit limbs,
+    shape (k, *cells), the top one holding up to 64 bits, k the fewest that
+    hold the largest cell."""
+    top = max(i for i in range(len(digits)) if digits[i].any())
+    k = _packed_limbs(width * top + int(digits[top].max()).bit_length())
+    return _relimb(digits[:top + 1], width, np.zeros((k, *digits.shape[1:]), np.uint64),
+                   _LIMB_BITS)
 
 
 def _packed_limbs(bits: int) -> int:
@@ -435,19 +474,42 @@ def _corner_bits(n: tuple[int, ...]) -> float:
     return bits
 
 
-def _digits(bt: tuple[int, ...]) -> tuple[int, int]:
-    """The limb width b of a build of the box bt and the limbs that hold
-    every i Z_i, from the box alone (module docstring): at the level of axis
-    m, kernel row a sums at most a P with P = prod_(i>m) (1 + 2 n_i), the
-    sum of 2^(d(f)-1) over the cells f with f_m = a, since a / gcd(f) <= a."""
+def _digits(bt: tuple[int, ...], steps=None) -> tuple[int, int]:
+    """The limb width b and the limbs that hold every i Z_i over the box bt,
+    from the box alone (module docstring), for the Euler steps of _extend
+    (_levels), by default those of a build of bt: a step along an axis of
+    rows 0 .. n has kernel rows a that sum at most a P, P the product of
+    1 + 2 c over the lengths c of the other axes, the sum of 2^(d(f)-1) over
+    the cells f with f_0 = a, since a / gcd(f) <= a."""
     width = 52
-    for m, n in enumerate(bt[:-1]):
+    for a, _, now in _levels(bt) if steps is None else steps:
+        n, per = now[a], math.prod(1 + 2 * c for c in now) // (1 + 2 * now[a])
         if n:
-            per = math.prod(1 + 2 * c for c in bt[m + 1:])
             width = min(width, 52 - (n * per).bit_length(),
                         63 - (n * (n + 1) // 2 * per).bit_length())
     bits = int(_corner_bits(tuple(b for b in bt if b))) + 1 + max(bt).bit_length()
     return width, max(1, -(-bits // width))
+
+
+def _levels(bt: tuple[int, ...]) -> list[tuple]:
+    """The Euler steps of a build of the box bt (_euler_rows), each as
+    (a, r, box): along axis a of the box, its rows 0 .. r final; here along
+    the first axis of bt[m:] from row 0, for each m but the last, last
+    first."""
+    return [(0, 0, bt[m:]) for m in range(len(bt) - 2, -1, -1)]
+
+
+def _growth(old: tuple[int, ...], box: tuple[int, ...]) -> list[tuple]:
+    """The steps (a, r, box after it) that grow a table of the box old to
+    the box around it (_grow): one per longer axis, rows 0 .. r = old[a]
+    final, the axes of largest box[a] + old[a] first, which makes the
+    fewest pairs of rows times hyperplane cells."""
+    steps, now = [], list(old)
+    for a in sorted((a for a, (r, n) in enumerate(zip(old, box)) if n > r),
+                    key=lambda a: -box[a] - old[a]):
+        now[a] = box[a]
+        steps.append((a, old[a], tuple(now)))
+    return steps
 
 
 def _axes(bt: tuple[int, ...]) -> list[int]:
@@ -456,6 +518,21 @@ def _axes(bt: tuple[int, ...]) -> list[int]:
     the fewest block products, and the longest is the one-dimensional table
     of ones the levels start from."""
     return sorted(range(len(bt)), key=bt.__getitem__)
+
+
+def _step_peak(n: int, other: tuple[int, ...], work: int) -> int:
+    """The entries (8 bytes each) an Euler step along an axis of rows
+    0 .. n over the other axes of shape `other` holds beside its digit rows
+    of `work` limbs (_extend): the kernel with the arrays that make it, or
+    the kernel with the staging of its largest block product (_staging)."""
+    if not n:
+        return 0
+    kern = (n + 1) * math.prod(2 * c - 1 for c in other)
+    most = kern + 4 * (n + 1) * math.prod(other)
+    for k in (1 << i for i in range(n.bit_length())):
+        count = min(k, n + 1 - k)
+        most = max(most, kern + _staging(other, count, min(2 * count - 1, n + 1 - k), work))
+    return most
 
 
 def _plan(dim: int, bt: tuple[int, ...]) -> int:
@@ -478,15 +555,8 @@ def _plan(dim: int, bt: tuple[int, ...]) -> int:
     size = math.prod(shape)
     peak, below = size * (limbs + max(work + 2, limbs)), shape[-1] * work
     for m in range(dim - 2, -1, -1):
-        n, other = bt[m], shape[m + 1:]
-        rows, most = work * math.prod(shape[m:]), below
-        if n:
-            kern = (n + 1) * math.prod(2 * c - 1 for c in other)
-            most = max(most, kern + 4 * math.prod(shape[m:]))
-            for k in (1 << i for i in range(n.bit_length())):
-                count = min(k, n + 1 - k)
-                most = max(most, kern + _staging(other, count, min(2 * count - 1, n + 1 - k), work))
-        peak, below = max(peak, rows + most), rows
+        rows = work * math.prod(shape[m:])
+        peak, below = max(peak, rows + max(below, _step_peak(bt[m], shape[m + 1:], work))), rows
     _charge(8 * peak, f"table of {_approx(size)} cells in {limbs} limbs, built in {work} limbs "
                       f"of {width} bits with its kernel and block staging")
     return limbs
@@ -505,11 +575,88 @@ def build_table(dim: int, bound) -> CoeffTable:
     order = _axes(bt)
     box = tuple(bt[i] for i in order)
     width, limbs = _digits(box)
-    data = _pack(_euler_rows(box, width, limbs), width)
+    data = _pack(_euler_rows(box, width, limbs).swapaxes(0, 1), width)
     return CoeffTable(dim, bt, np.ascontiguousarray(data.transpose(0, *(1 + np.argsort(order)))))
 
 
-# dim -> the last table shared_table built in that dimension
+def _work(steps) -> tuple[int, int]:
+    """What the Euler steps of _extend (_levels) do, counted from their boxes
+    alone: the (source row, kernel row) pairs they multiply times the cells
+    of a hyperplane, and their block products times the tile offsets of a
+    hyperplane (_tiling), each a loop of small matrix products whose fixed
+    costs rule small boxes.  Along an axis of rows 0 .. n, the blocks with
+    kernel rows k .. sit at the rows j = q k - 1, q = 1 .. n // k, and reach
+    past r once j + 2k - 1 > r, that is from q = (r + 2) // k - 1 on."""
+    cells = products = 0
+    for a, r, now in steps:
+        n, shape = now[a], tuple(c + 1 for i, c in enumerate(now) if i != a)
+        cells += (n * (n + 1) - r * (r + 1)) // 2 * math.prod(shape)
+        blocks = sum(max(0, n // k - max(1, (r + 2) // k - 1) + 1)
+                     for k in (1 << i for i in range(n.bit_length())))
+        products += blocks * len(_tiling(shape)[4])
+    return cells, products
+
+
+def _grows(table: CoeffTable, bt: tuple[int, ...], limbs: int) -> bool:
+    """Whether shared_table grows `table` to the box bt (_grow), planned at
+    `limbs` packed limbs, rather than build bt cold: only when the table's
+    box lies inside bt, the growth's steps do less of both kinds of work
+    _work counts than the levels of a build, and the growth's own peak fits
+    the budget.  That peak is the old table with the digits so far and one
+    shifted copy of a limb, or with the digit rows before and after a step,
+    or after it with the step's kernel and staging (_step_peak), or with
+    the packing a build ends with (_plan)."""
+    if any(o > b for o, b in zip(table.bound, bt)):
+        return False
+    order = _axes(bt)
+    box, old = (tuple(v[i] for i in order) for v in (bt, table.bound))
+    steps = _growth(old, box)
+    grown, cold = _work(steps), _work(_levels(box))
+    if grown[0] >= cold[0] or grown[1] >= cold[1]:
+        return False
+    _, work = _digits(box, steps)
+    before = math.prod(c + 1 for c in old)
+    size = math.prod(b + 1 for b in box)
+    peak = max(before * (work + 2), size * (limbs + max(work + 2, limbs)))
+    for a, r, now in steps:
+        cells = math.prod(c + 1 for c in now)
+        other = tuple(c + 1 for i, c in enumerate(now) if i != a)
+        peak = max(peak, work * (before + cells), work * cells + _step_peak(now[a], other, work))
+        before = cells
+    try:
+        _charge(8 * (table.data.size + peak), f"growth of a table of {table.bound} to {bt}")
+    except MemoryBudgetError:
+        return False
+    return True
+
+
+def _grow(table: CoeffTable, bt: tuple[int, ...]) -> CoeffTable:
+    """The table of build_table(table.dim, bt) from `table`, whose box lies
+    inside bt: its cells unpacked into the digits of bt, then one Euler step
+    per longer axis (_growth) on digit rows with that axis in front, the rows
+    of the box so far copied in and final (_extend), packed as a build packs
+    its digits."""
+    order = _axes(bt)
+    box, old = (tuple(v[i] for i in order) for v in (bt, table.bound))
+    steps = _growth(old, box)
+    width, limbs = _digits(box, steps)
+    # the digits so far, shaped (limbs, *cells) over the axes of box
+    cells = _relimb(table.data.transpose(0, *(1 + np.array(order))), _LIMB_BITS,
+                    np.zeros((limbs, *(c + 1 for c in old)), np.uint64), width)
+    for a, r, now in steps:
+        rows = np.zeros((now[a] + 1, limbs, *(c + 1 for i, c in enumerate(now) if i != a)),
+                        np.uint64)
+        rows[:r + 1] = np.moveaxis(cells, 1 + a, 0)
+        del cells
+        _extend(rows, r, width)
+        cells = np.moveaxis(rows, (0, 1), (1 + a, 0))
+        del rows
+    data = _pack(cells, width)
+    del cells
+    return CoeffTable(table.dim, bt, np.ascontiguousarray(data.transpose(0, *(1 + np.argsort(order)))))
+
+
+# dim -> the last table shared_table made in that dimension
 _SHARED: dict[int, CoeffTable] = {}
 
 
@@ -530,17 +677,23 @@ def shared_table(dim: int, bound) -> CoeffTable:
     Every call is first charged like build_table(dim, bound), so it raises
     what that build raises; a box already planned under the same budget
     setting is not planned again (_planned), so a cold call plans its box
-    once, build included.  Then the last table built here for dim answers
-    when its bound covers `bound` on every axis; otherwise it is dropped
-    first, so two tables are never held at once, and build_table(dim, bound)
-    takes its place.  The values read at e <= bound are those of
-    build_table(dim, bound).
+    once, build included.  Then the last table made here for dim answers
+    when its bound covers `bound` on every axis.  When `bound` covers it
+    instead, and _grows finds the growth cheaper than a build and within
+    the budget, a new table grown from it to `bound` (_grow) takes its
+    place; the old one is left as it was, for any caller still holding it.
+    Otherwise it is dropped first, so two tables are never held at once,
+    and build_table(dim, bound) takes its place.  Either way the table
+    equals build_table(dim, bound), limbs included.
     """
     bt = _validate_vector(bound, dim)
-    _planned(dim, bt, os.environ.get(_MEMORY_ENV))
+    limbs = _planned(dim, bt, os.environ.get(_MEMORY_ENV))
     table = _SHARED.get(dim)
     if table is not None and all(c <= b for c, b in zip(bt, table.bound)):
         return table
+    if table is not None and _grows(table, bt, limbs):
+        _SHARED[dim] = _grow(table, bt)
+        return _SHARED[dim]
     del table  # drop both references to the old table before the build
     _SHARED.pop(dim, None)
     _SHARED[dim] = build_table(dim, bt)

@@ -513,6 +513,96 @@ def test_shared_table_raises_like_a_cold_build(requests):
             assert _outcome(_ask, *request) == _outcome(_cold, _ask, *request)
 
 
+_GROW_SIDE = {1: 30, 2: 12, 3: 6, 4: 3, 5: 2}  # the largest box side drawn per dimension
+
+
+@st.composite
+def _growth_chain(draw):
+    # a box and two to four boxes around it, each around the last, in
+    # dimensions 1-5, rectangles and zero axes included
+    dim = draw(st.integers(1, 5))
+    side = _GROW_SIDE[dim]
+    boxes = [draw(st.tuples(*[st.integers(0, side)] * dim))]
+    for _ in range(draw(st.integers(1, 3))):
+        boxes.append(tuple(draw(st.integers(b, side)) for b in boxes[-1]))
+    return dim, boxes
+
+
+@settings(max_examples=40, deadline=None)
+@given(chain=_growth_chain())
+@example(chain=(2, [(5, 5), (5, 7), (12, 7)]))
+@example(chain=(3, [(0, 0, 0), (0, 3, 0), (4, 3, 2)]))
+def test_grown_tables_equal_cold_builds(chain):
+    # every table of a chain of growths equals a build of its box cell for
+    # cell and in its packed limbs, whatever the work rule would pick
+    dim, boxes = chain
+    table = build_table(dim, boxes[0])
+    for box in boxes[1:]:
+        table = exact._grow(table, box)
+        cold = build_table(dim, box)
+        assert table.bound == cold.bound and table.data.shape == cold.data.shape
+        assert np.array_equal(table.data, cold.data), box
+
+
+def test_growth_leaves_a_handed_out_table_alone():
+    # a table handed out before a growth keeps its box and cells: the
+    # growth makes a new table, which takes its place
+    exact._SHARED.clear()
+    old = exact.shared_table(2, (40, 40))
+    before = _cells(old)
+    grown = exact.shared_table(2, (45, 45))
+    assert grown is not old and exact._SHARED[2] is grown
+    assert old.bound == (40, 40) and _cells(old) == before
+    assert _cells(grown) == _cells(build_table(2, (45, 45)))
+
+
+def test_growth_refused_by_its_charge_builds_cold(monkeypatch):
+    # a budget that fits a cold build of (91, 91) but not the growth from
+    # (80, 80), which holds the old table beside its digit rows: the cached
+    # table is dropped and the box is built, with the same cells
+    exact._SHARED.clear()
+    old = exact.shared_table(2, (80, 80))
+    charge = _growth_charge(monkeypatch, old, (91, 91))
+    plan = _largest_charge(monkeypatch, 2, (91, 91))
+    assert plan < charge
+    monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", str(charge - 1))
+    built = []
+    build = exact.build_table
+    monkeypatch.setattr(exact, "build_table", lambda dim, bt: built.append(bt) or build(dim, bt))
+
+    def refuse(*args):
+        raise AssertionError("a refused growth grew")
+
+    monkeypatch.setattr(exact, "_grow", refuse)
+    table = exact.shared_table(2, (91, 91))
+    assert built == [(91, 91)] and exact._SHARED[2] is table and table.bound == (91, 91)
+    monkeypatch.undo()
+    assert _cells(table) == _cells(build_table(2, (91, 91)))
+    # under the growth's own charge it grows
+    exact._SHARED.clear()
+    exact.shared_table(2, (80, 80))
+    monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", str(charge))
+    assert exact._grows(exact._SHARED[2], (91, 91), exact._plan(2, (91, 91)))
+
+
+def test_work_rule_builds_cold_where_growth_loses():
+    # the growth runs one full-dimensional step per axis: from d = 5 on, and
+    # on the smallest boxes, that is more work than a build; at d = 2 and
+    # d = 3 a growth by a few rows is less.  (3, 3) -> (4, 4) and d = 5
+    # 4 -> 5 multiply fewer pairs times cells than a build but make more
+    # block products; d = 2 50 -> 91 the other way round
+    def grows(old, new):
+        return exact._grows(build_table(len(old), old), new, exact._plan(len(new), new))
+
+    for old, new in [((2,) * 8, (3,) * 8), ((2,) * 6, (3,) * 6), ((3,) * 5, (4,) * 5),
+                     ((1, 1), (2, 2)), ((6, 6), (12, 12)), ((5,) * 3, (16,) * 3), ((3,), (9,)),
+                     ((3, 3), (4, 4)), ((4,) * 5, (5,) * 5), ((50, 50), (91, 91))]:
+        assert not grows(old, new), (old, new)
+    for old, new in [((80, 80), (91, 91)), ((40, 40), (45, 45)), ((14,) * 3, (16,) * 3),
+                     ((300, 10), (300, 40))]:
+        assert grows(old, new), (old, new)
+
+
 def _refuse_work(monkeypatch):
     def refuse(*args):
         raise AssertionError("a refused build did work")
@@ -644,6 +734,33 @@ def test_plan_charges_the_build_peak(monkeypatch, dim, n):
     assert peak <= charge
 
 
+def _growth_charge(monkeypatch, table, box):
+    # the charge _grows makes for growing table to box, which must grow it
+    needs = []
+    with monkeypatch.context() as m:
+        m.setattr(exact, "_charge", lambda need, what: needs.append(need))
+        assert exact._grows(table, box, exact._plan(table.dim, box))
+    return needs[-1]
+
+
+@pytest.mark.parametrize("old, new", [((80, 80), (91, 91)), ((14,) * 3, (16,) * 3),
+                                      ((5,) * 4, (6,) * 4), ((300, 10), (300, 40))])
+def test_growth_charges_its_peak(monkeypatch, old, new):
+    # the charge of a growth, the old table with the digit rows, kernel and
+    # staging of its steps or with the packing, is at least what the growth
+    # allocates at its peak beside the old table
+    table = build_table(len(old), old)
+    charge = _growth_charge(monkeypatch, table, new)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        exact._grow(table, new)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert table.data.nbytes + peak <= charge
+
+
 @pytest.mark.parametrize("dim, box, v, w", [
     (2, (96, 96), (1, 2), 2), (3, (16, 16, 16), (1, 1, 1), 4), (4, (6,) * 4, (0, 1, 1, 1), 4),
     (2, (300, 10), (1, 0), 1)])
@@ -756,13 +873,13 @@ def _slab_adds(src, kern, targets):
     return out
 
 
-def _block_product(src, kern, targets, cells=exact._TILE_CELLS):
+def _block_product(src, kern, targets, cells=exact._TILE_CELLS, first=0):
     # _toeplitz_add under the tile cap `cells`
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(exact, "_TILE_CELLS", cells)
         exact._tiling.cache_clear()
         try:
-            return exact._toeplitz_add(src, kern, targets)
+            return exact._toeplitz_add(src, kern, targets, first)
         finally:
             exact._tiling.cache_clear()
 
@@ -775,17 +892,22 @@ def _block_product(src, kern, targets, cells=exact._TILE_CELLS):
 def test_group_product_equals_sequential_slab_adds(data, other, sources, rows, limbs, cells):
     # a block product of random digit rows by random kernel rows, zero at
     # the negative offsets as _euler_kernel lays them out, onto as many
-    # targets as a block of _schedule may have: it equals the slab adds.
-    # Small tiles cut the other axes at every depth, with short last tiles
+    # targets as a block of _schedule may have, from a first target on as a
+    # block that straddles the final rows of a growth sums them: it equals
+    # the slab adds onto the targets from the first on, and holds no row
+    # for the targets below it, which the caller leaves as they are.  Small
+    # tiles cut the other axes at every depth, with short last tiles
     targets = data.draw(st.integers(rows, sources + rows - 1))
+    first = data.draw(st.integers(0, targets - 1))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     src = rng.integers(0, 1 << 30, size=(sources, limbs, *other), dtype=np.uint64)
     kern = np.zeros((rows, *(2 * n - 1 for n in other)))
     kern[(slice(None), *[slice(n - 1, None) for n in other])] = rng.integers(
         0, 1 << 12, size=(rows, *other))
-    out = _block_product(src, kern, targets, cells)
-    assert out.dtype == np.uint64
-    assert out.astype(object).tolist() == _slab_adds(src.astype(object), kern, targets).tolist()
+    out = _block_product(src, kern, targets, cells, first)
+    assert out.dtype == np.uint64 and len(out) == targets - first
+    want = _slab_adds(src.astype(object), kern, targets)
+    assert out.astype(object).tolist() == want[first:].tolist()
 
 
 def test_group_product_sums_in_uint64():
@@ -817,19 +939,23 @@ def test_kernel_rows_sum_within_the_width_bounds(box):
         assert max(sums) << width < 1 << 53 and sum(sums) << width < 1 << 63
 
 
-@pytest.mark.parametrize("width", [3, 5, 8, 17])
+@pytest.mark.parametrize("width", [3, 5, 8, 17, 24])
 def test_narrow_digits_carry_and_divide_exactly(monkeypatch, width):
     # limbs of a few bits: every row's accumulator spans many limbs, so the
-    # carries and the top-down divisions cross limbs on small boxes
+    # carries and the top-down divisions cross limbs on small boxes, built
+    # or grown; a row is carried and divided over the limbs in use and the
+    # ceil((64 - width) / width) its carries reach, 2 at width 24
     real = exact._digits
 
-    def narrow(box):
-        top, limbs = real(box)
+    def narrow(box, steps=None):
+        top, limbs = real(box, steps)
         return width, -(-top * limbs // width)
 
     monkeypatch.setattr(exact, "_digits", narrow)
-    for dim, box in ((2, (20, 20)), (3, (5, 3, 6)), (4, (3,) * 4), (2, (1, 40))):
+    for dim, box, inner in ((2, (20, 20), (13, 17)), (3, (5, 3, 6), (2, 3, 4)),
+                            (4, (3,) * 4, (2, 1, 3, 2)), (2, (1, 40), (0, 33))):
         assert _cells(build_table(dim, box)) == _euler_oracle(box)
+        assert _cells(exact._grow(build_table(dim, inner), box)) == _euler_oracle(box)
 
 
 @pytest.mark.parametrize("corrupt", ["low digit", "top limb"])
