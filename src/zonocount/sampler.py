@@ -33,8 +33,18 @@ boltzmann_sample turns them into (class, multiplicity) entries.  A tracked
 class beyond the cutoff is never drawn: its multiplicity is 0 in every
 sample, and its q_v is still e^(-theta ||v||_1).
 
+Each thread keeps one PCG64 generator and sets it, for every sample, to the
+state default_rng(seed) starts in.  The states of the 1,024 latest seeds
+are memoized process-wide (an LRU of two 128-bit ints a seed, about 0.3 MB
+when full): setting a remembered state takes about 1.4 us, where
+default_rng(seed) takes about 8, and a seed not remembered costs about 2 us
+more than default_rng.
+
 The samples of one sample_rows or sample_stats request are independent
-draws, one seed each.  On a system of at least 2^16 classes they run on a
+draws, one seed each, taken in runs of consecutive seeds whose uniforms fit
+one chunk: on a system of at most 2^15 classes a run's samples share one
+compare, search, log and divide, and its endpoints one cast of the hit rows.
+On a system of at least 2^16 classes the runs, one seed each, go to a
 thread pool with one worker per core available to the process (numpy
 releases the GIL while it fills and compares), at most four per worker in
 flight, and come back in seed order; with one core, one sample or fewer
@@ -48,6 +58,7 @@ import functools
 import math
 import operator
 import os
+import threading
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -75,6 +86,11 @@ _Q_MARGIN = 1 + 1e-9
 # Uniforms per chunk of a draw: 512 KB of doubles, so the draw's buffer and
 # the slice of q_hi it is compared with stay in cache.
 _CHUNK = 1 << 16
+# Seeds whose PCG64 states are memoized, process-wide: a state is two 128-bit
+# ints, about 310 bytes a seed with the LRU's entry, and a hit sets the
+# thread's generator in about 1.4 us where default_rng(seed) takes about 8.
+# 1,024 holds every seed of a repeated request of up to 1,024 samples.
+_SEED_MEMO = 1024
 # Classes from which the draws of one request go to the pool: below this a
 # draw (about 0.2 ms of uniforms) costs less than handing it to a thread.
 _PARALLEL_MIN_CLASSES = 1 << 16
@@ -218,51 +234,103 @@ def _class_id(dim: int, class_id: ClassId) -> ClassId:
     return coords, j
 
 
-def _check_seed(seed: int) -> None:
+def _check_seed(seed) -> int:
+    """seed as an int; refused by name unless it is a nonnegative integer."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise TypeError(f"seed must be a nonnegative integer, not {type(seed).__name__}") from None
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
+    return seed
 
 
-def _draw(sys: ClassSystem, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Visit positions with K >= 1, ascending, their vectors' rows and their K.
+@functools.lru_cache(maxsize=_SEED_MEMO)
+def _seed_state(seed: int, /) -> tuple[int, int]:
+    """The PCG64 state and increment default_rng(seed) starts from."""
+    state = np.random.PCG64(seed).state["state"]
+    return state["state"], state["inc"]
 
-    One uniform per class from default_rng(seed), in visit order; K is
+
+_thread = threading.local()
+
+
+def _generator(seed: int) -> np.random.Generator:
+    """The calling thread's generator, set to the state default_rng(seed) starts in."""
+    try:
+        gen = _thread.gen
+    except AttributeError:
+        gen = _thread.gen = np.random.Generator(np.random.PCG64(0))
+    state, inc = _seed_state(seed)
+    gen.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+    return gen
+
+
+def _draw(sys: ClassSystem, seed: int, count: int = 1
+          ) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+    """The samples of seeds seed .. seed + count - 1: where each one's hits
+    start, then the hits' visit positions, their vectors' rows and their K.
+
+    The hits of seed + i are [bounds[i]:bounds[i + 1]], visit positions
+    ascending.  Each sample takes one uniform per class, in visit order, from
+    the thread's generator set to the state default_rng(seed + i) starts in
+    (_generator; the states of the 1,024 latest seeds are memoized).  K is
     floor(ln max(u, 1e-300) / ln q_v), evaluated only where u <= q_hi (numpy
     compares the double with the float32 bound exactly, as doubles).  The
-    uniforms are filled _CHUNK at a time into the draw's own buffer: a double
-    takes one PCG64 output, so consecutive fills are the stream of one fill.
+    uniforms are filled into the draw's own buffer of at most _CHUNK.  A run
+    of seeds (count > 1) needs count * ncls <= _CHUNK: its samples fill one
+    buffer one after another and share one compare, search, log and divide,
+    and the K = 0 candidates are dropped only when there are any.  One seed
+    on a larger system fills _CHUNK at a time: a double takes one PCG64
+    output, so consecutive fills are the stream of one fill.
     """
-    _check_seed(seed)
-    gen = np.random.default_rng(seed)
-    buf = np.empty(min(_CHUNK, sys.ncls))
+    seed = _check_seed(seed)
+    n = sys.ncls
+    buf = np.empty(min(_CHUNK, n * count))
     hits, kept = [], []
-    for lo in range(0, sys.ncls or 1, _CHUNK):  # one empty chunk when ncls = 0
-        u = buf[:min(_CHUNK, sys.ncls - lo)]
-        gen.random(out=u)
-        p = (u <= sys.q_hi[lo:lo + u.size]).nonzero()[0]
-        kept.append(u[p])
+    for lo in range(0, n or 1, _CHUNK):  # one empty chunk when ncls = 0
+        width = min(_CHUNK, n - lo)
+        u = buf[:count * width]
+        for i in range(count):  # count > 1 only in the one chunk at lo = 0
+            if not lo:
+                gen = _generator(seed + i)
+            gen.random(out=u[i * width:(i + 1) * width])
+        # flat index i * ncls + position of every candidate; one seed
+        # compares its chunk as the flat slice it is, with no broadcast
+        q = sys.q_hi[lo:lo + width]
+        f = (u <= q if count == 1 else (u.reshape(count, width) <= q).ravel()).nonzero()[0]
+        kept.append(buf.take(f))
         if lo:
-            p += lo
-        hits.append(p)
-    # a draw of one chunk (at most 2^16 classes) copies nothing more
-    pos, x = (hits[0], kept[0]) if len(hits) == 1 else (np.concatenate(hits), np.concatenate(kept))
+            f += lo
+        hits.append(f)
+    # a draw of one chunk copies nothing more
+    f, x = (hits[0], kept[0]) if len(hits) == 1 else (np.concatenate(hits), np.concatenate(kept))
+    # pos in first's type, or the search below copies all of first to the
+    # wider type on every draw; a run's flat index i * ncls + position fits
+    # int32, whose remainder is cheaper than int64's (a copy: f stays flat)
+    pos = f.astype(sys.first.dtype)
+    if count > 1:
+        pos %= n
     # first[1:] holds the end of each row's classes: pos's row is the number
-    # of ends at most pos; pos in first's type, or numpy copies all of first
-    # to the wider type on every draw
-    row = sys.first[1:].searchsorted(pos.astype(sys.first.dtype, copy=False), "right")
+    # of ends at most pos
+    row = sys.first[1:].searchsorted(pos, "right")
     np.log(np.maximum(x, _TINY_UNIFORM, out=x), out=x)
     # ln q_v is -theta ||v||_1 and ln u / ln q_v > 0, so the conversion's
-    # truncation is the floor; take gathers faster than fancy indexing does
+    # truncation is the floor and K >= 0; take gathers faster than fancy
+    # indexing does
     k = np.divide(x, sys.norm.take(row) * -sys.theta, out=x).astype(np.int64)
-    hit = k > 0
-    return pos[hit], row[hit], k[hit]
+    if not k.all():  # a candidate between q_v and its bound: rare
+        hit = k.nonzero()[0]
+        f, pos, row, k = f[hit], pos[hit], row[hit], k[hit]
+    return f.searchsorted(n * np.arange(count + 1)).tolist(), pos, row, k
 
 
 def boltzmann_sample(dim: int, theta: float, cutoff: float = 1e-12,
                      seed: int = 0) -> ZonotopeSample:
     """Draw one zonotope; deterministic for fixed (dim, theta, cutoff, seed)."""
     sys = class_system(dim, theta, cutoff)
-    pos, row, k = _draw(sys, seed)
+    _, pos, row, k = _draw(sys, seed)
     coords = sys.vecs[row]
     entries = tuple(((tuple(c), j), m) for c, j, m in zip(
         coords.tolist(), (pos - sys.first[row]).tolist(), k.tolist()))
@@ -428,31 +496,38 @@ def _charge_rows(n_samples: int, header: Sequence[str]) -> None:
 def _rows(sys: ClassSystem, n_samples: int, base_seed: int,
           tracked_pos: Sequence[int | None]) -> Iterator[list]:
     """sample_rows without the header; tracked classes given by visit position."""
-    _check_seed(base_seed)
+    base_seed = _check_seed(base_seed)
 
-    def row(seed: int) -> list:
-        pos, rows, k = _draw(sys, seed)
+    def run(seed: int, count: int) -> list[list]:
+        bounds, pos, rows, k = _draw(sys, seed, count)
+        # the hits' rows cast to K's type once for the run, not per sample;
         # take gathers rows several times faster than fancy indexing does
-        return [seed, pos.size, *k.dot(sys.vecs.take(rows, 0)).tolist(),
-                *(_multiplicity_at(pos, k, p) for p in tracked_pos)]
+        vecs = sys.vecs.take(rows, 0).astype(np.int64)
+        return [[seed + i, b - a, *k[a:b].dot(vecs[a:b]).tolist(),
+                 *(_multiplicity_at(pos[a:b], k[a:b], p) for p in tracked_pos)]
+                for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
 
-    seeds = range(base_seed, base_seed + n_samples)
+    # runs of seeds whose uniforms fit one chunk; one seed each from 2^15 classes
+    per_run = max(1, _CHUNK // max(sys.ncls, 1))
+    end = base_seed + n_samples
+    runs = ((seed, min(per_run, end - seed)) for seed in range(base_seed, end, per_run))
     pool = _pool() if n_samples > 1 and sys.ncls >= _PARALLEL_MIN_CLASSES else None
     if pool is None:
-        yield from map(row, seeds)
+        for seed, count in runs:
+            yield from run(seed, count)
         return
     from concurrent.futures import wait
 
-    window: list = []  # the draws in flight, oldest first
+    window: list = []  # the runs in flight, oldest first
     try:
-        for seed in seeds:
+        for seed, count in runs:
             if len(window) == _IN_FLIGHT_PER_WORKER * _cores():
-                yield window.pop(0).result()
-            window.append(pool.submit(row, seed))
+                yield from window.pop(0).result()
+            window.append(pool.submit(run, seed, count))
         while window:
-            yield window.pop(0).result()
+            yield from window.pop(0).result()
     finally:
-        # closed early or failed: drop the draws not started, let the rest end
+        # closed early or failed: drop the runs not started, let the rest end
         for future in window:
             future.cancel()
         wait(window)

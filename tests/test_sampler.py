@@ -311,6 +311,27 @@ def test_negative_seed_is_named():
             draw()
 
 
+def test_non_integer_seeds_are_refused_by_name(monkeypatch):
+    # operator.index refuses them before the seed memo is read: a memo keyed
+    # by seed would serve 1.0 from seed 1's entry
+    def refuse(seed):
+        raise AssertionError("read the seed memo for a non-integer seed")
+
+    monkeypatch.setattr(sampler, "_seed_state", refuse)
+    for bad in (1.5, 1.0, np.float64(2.0), "1", None):
+        rows = sample_rows(2, 1.0, 1e-6, 3, bad)
+        next(rows)  # header
+        for draw in (lambda: boltzmann_sample(2, 1.0, 1e-6, seed=bad),
+                     lambda: sample_stats(2, 1.0, 1e-6, 3, bad), lambda: next(rows)):
+            with pytest.raises(TypeError, match="^seed must be a nonnegative integer, not "
+                                                f"{type(bad).__name__}$"):
+                draw()
+    monkeypatch.undo()
+    # an integer of another type is the int it equals
+    assert boltzmann_sample(2, 1.0, 1e-6, seed=np.int64(3)).entries \
+        == boltzmann_sample(2, 1.0, 1e-6, seed=3).entries
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         class_system(2, -1.0, 1e-6)
@@ -424,7 +445,7 @@ def _assert_draws_match_dense(dim, theta, cutoff):
     row_of_class = _per_class(sys, np.arange(len(sys.vecs)))
     for seed in range(200):
         mult = _dense_multiplicities(sys, np.random.default_rng(seed).random(sys.ncls))
-        pos, row, k = _draw(sys, seed)
+        _, pos, row, k = _draw(sys, seed)
         want = np.flatnonzero(mult > 0)
         assert np.array_equal(pos, want) and np.array_equal(k, mult[want]), (dim, theta, seed)
         assert np.array_equal(row, row_of_class[pos])
@@ -474,11 +495,18 @@ def test_sparse_draw_at_uniforms_ulps_around_q(monkeypatch):
         for ulps in range(-40, 41):
             u = np.minimum((q.view(np.int64) + ulps).view(np.float64), np.nextafter(1.0, 0.0))
             mult = _dense_multiplicities(sys, u)
-            monkeypatch.setattr(np.random, "default_rng", lambda seed, u=u: _FixedUniforms(u))
-            pos, _, k = _draw(sys, 0)
+            monkeypatch.setattr(sampler, "_generator", lambda seed, u=u: _FixedUniforms(u))
+            _, pos, _, k = _draw(sys, 0)
             want = np.flatnonzero(mult > 0)
             assert np.array_equal(pos, want) and np.array_equal(k, mult[want]), (dim, theta, ulps)
             above_q_hits += np.count_nonzero(mult[u > q] > 0)
+            if 2 * sys.ncls <= sampler._CHUNK:
+                # a run of two seeds, each given these uniforms, in one pass
+                fixed = _FixedUniforms(np.concatenate([u, u]))
+                monkeypatch.setattr(sampler, "_generator", lambda seed: fixed)
+                bounds, pos, _, k = _draw(sys, 0, 2)
+                assert bounds == [0, want.size, 2 * want.size], (dim, theta, ulps)
+                assert np.array_equal(pos, np.tile(want, 2)) and np.array_equal(k, np.tile(mult[want], 2))
     assert above_q_hits > 0
 
 
@@ -521,8 +549,8 @@ def test_filter_bound_at_float32_edges(monkeypatch):
         for u in feeds:
             u = np.minimum(u.astype(np.float64), np.nextafter(1.0, 0.0))
             mult = _dense_multiplicities(sys, u)
-            monkeypatch.setattr(np.random, "default_rng", lambda seed, u=u: _FixedUniforms(u))
-            pos, _, k = _draw(sys, 0)
+            monkeypatch.setattr(sampler, "_generator", lambda seed, u=u: _FixedUniforms(u))
+            _, pos, _, k = _draw(sys, 0)
             want_pos = np.flatnonzero(mult > 0)
             assert np.array_equal(pos, want_pos) and np.array_equal(k, mult[want_pos]), (dim, theta)
     assert below_float32 > 0
@@ -712,14 +740,15 @@ def _one_draw_at_a_time(dim, theta, cutoff, n_samples, base_seed, tracked):
 
 
 def _count_draws(monkeypatch, delay=0.0):
-    # seed and thread name of every draw, each slowed by delay seconds
+    # seed and thread name of every sample drawn, each run of seeds slowed by
+    # delay seconds
     draws = []
     real = sampler._draw
 
-    def counted(sys, seed):
-        draws.append((seed, threading.current_thread().name))
+    def counted(sys, seed, count=1):
+        draws.extend((s, threading.current_thread().name) for s in range(seed, seed + count))
         time.sleep(delay)
-        return real(sys, seed)
+        return real(sys, seed, count)
 
     monkeypatch.setattr(sampler, "_draw", counted)
     return draws
@@ -770,7 +799,8 @@ def test_closing_rows_early_stops_the_draws(monkeypatch):
     pool = sampler._pool()
     if pool is not None:
         submit = pool.submit
-        monkeypatch.setattr(pool, "submit", lambda fn, seed: queued.append(seed) or submit(fn, seed))
+        monkeypatch.setattr(pool, "submit", lambda fn, seed, count: queued.extend(
+            range(seed, seed + count)) or submit(fn, seed, count))
     rows = sample_rows(2, THETA_1E4, 1e-12, 10 ** 6, 0)
     next(rows)  # header
     assert [next(rows)[0], next(rows)[0]] == [0, 1]
@@ -832,3 +862,118 @@ def test_forked_child_makes_its_own_pool():
         if child.is_alive():
             child.kill()
     assert child.exitcode == 0
+
+
+# seeds past int32, int64 and uint64, and one of 100 bits
+MEMO_SEEDS = [0, 2 ** 32, 2 ** 64 + 1, 10 ** 30]
+
+
+def _assert_starts_as_default_rng(seed):
+    gen = sampler._generator(seed)
+    assert gen.bit_generator.state == np.random.default_rng(seed).bit_generator.state, seed
+    assert gen.random(5).tolist() == np.random.default_rng(seed).random(5).tolist(), seed
+
+
+def test_memoized_generator_equals_default_rng():
+    # the thread's generator, set from the seed memo, starts as
+    # default_rng(seed): on a miss, on a hit, and after the seed was evicted
+    sampler._seed_state.cache_clear()
+    for _ in range(2):
+        for seed in MEMO_SEEDS:
+            _assert_starts_as_default_rng(seed)
+    info = sampler._seed_state.cache_info()
+    assert (info.misses, info.hits) == (4, 4)
+    for seed in range(10 ** 9, 10 ** 9 + sampler._SEED_MEMO):
+        sampler._generator(seed)
+    for seed in MEMO_SEEDS:
+        _assert_starts_as_default_rng(seed)
+    info = sampler._seed_state.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (8 + sampler._SEED_MEMO, 4, sampler._SEED_MEMO)
+
+
+def test_memoized_generators_on_pool_threads(monkeypatch):
+    # concurrent requests whose seeds overlap, on the pool unless the process
+    # has one core: every generator a draw takes starts as default_rng(seed),
+    # whichever thread filled the memo entry, and every row is the serial one
+    requests = [(base + shift, 5) for base in MEMO_SEEDS for shift in (0, 2)]
+    want = {(base, n): list(_one_draw_at_a_time(2, THETA_1E4, 1e-12, n, base, ()))
+            for base, n in requests}
+    sampler._seed_state.cache_clear()
+    seen = []
+    real = sampler._generator
+
+    def recorded(seed):
+        gen = real(seed)
+        seen.append((seed, threading.current_thread().name, gen.bit_generator.state))
+        return gen
+
+    monkeypatch.setattr(sampler, "_generator", recorded)
+    got = {}
+    switch = getswitchinterval()
+    setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda req=req: got.setdefault(
+            req, list(sample_rows(2, THETA_1E4, 1e-12, req[1], req[0]))[1:])) for req in requests]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        setswitchinterval(switch)
+    assert got == want
+    assert len(seen) == 5 * len(requests)
+    assert all(name.startswith("zonocount-draw") for _, name, _ in seen) == (sampler._cores() > 1)
+    for seed, _, state in seen:
+        assert state == np.random.default_rng(seed).bit_generator.state, seed
+
+
+def test_seed_memo_stays_compact():
+    # at most _SEED_MEMO = 1024 seeds, each two 128-bit ints in the cache's
+    # entry: about 310 bytes a seed, under 400 KB across 5,000 fresh seeds
+    sampler._seed_state.cache_clear()
+    sampler._generator(0)  # the thread's generator and numpy's own caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for seed in range(10 ** 12, 10 ** 12 + 5000):
+            sampler._generator(seed)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert sampler._seed_state.cache_info().currsize == sampler._SEED_MEMO == 1024
+    assert held < 400 * 1024, held
+
+
+# (dim, theta, cutoff, n_samples, tracked): 5 classes in dim 5, 256 in dim 2
+# (l1_max 20) and none in dim 40, each with kept classes and one beyond the cutoff
+BATCHED_REQUESTS = [
+    (5, 1.0, 0.3, 13107, [((1, 0, 0, 0, 0), 0), ((0, 0, 0, 0, 1), 0), ((1, 1, 0, 0, 0), 1)]),
+    (2, 1.0, math.exp(-20.5), 256, [((1, 0), 0), ((3, 17), 1), ((20, 1), 0)]),
+    (2, 1.2, 1e-3, 1, [((1, 1), 1), ((40, 1), 0)]),
+    (40, 30.0, 1e-12, 3, [((1,) + (0,) * 39, 0)]),
+]
+
+
+@pytest.mark.parametrize("dim, theta, cutoff, n_samples, tracked", BATCHED_REQUESTS)
+def test_batched_draws_equal_one_at_a_time(dim, theta, cutoff, n_samples, tracked):
+    # the draws of a request share one pass when n_samples * ncls <= 2^16:
+    # 2^16 - 1 and 2^16 here, one sample, and the empty system
+    sys = class_system(dim, theta, cutoff)
+    assert (sys.ncls, n_samples * sys.ncls) in [(5, 2 ** 16 - 1), (256, 2 ** 16), (20, 20), (0, 0)]
+    assert sum(sys.index_of(cid) is None for cid in tracked) == 1
+    rows = list(sample_rows(dim, theta, cutoff, n_samples, 7, tracked))[1:]
+    assert rows == list(_one_draw_at_a_time(dim, theta, cutoff, n_samples, 7, tracked))
+
+
+def test_batched_draws_in_two_runs_equal_the_dense_formula():
+    # dim 1 holds one class, (1,) with q = 1/2: 2^16 + 1 samples are a run of
+    # 2^16 seeds and a run of one, and 2^16 - 1 samples one run; each row is
+    # K = floor(ln u / ln q) of the first uniform of default_rng(seed)
+    theta, tracked = math.log(2), [((1,), 0)]
+    assert class_system(1, theta, 0.4).ncls == 1
+    u = np.array([np.random.default_rng(seed).random() for seed in range(2 ** 16 + 1)])
+    k = _dense_multiplicities(class_system(1, theta, 0.4), u).tolist()
+    want = [[seed, int(m > 0), m, m] for seed, m in enumerate(k)]
+    assert list(sample_rows(1, theta, 0.4, 2 ** 16 + 1, 0, tracked))[1:] == want
+    assert list(sample_rows(1, theta, 0.4, 2 ** 16 - 1, 0, tracked))[1:] == want[:-2]
