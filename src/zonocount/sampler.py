@@ -36,8 +36,8 @@ sample, and its q_v is still e^(-theta ||v||_1).
 Each thread keeps one PCG64 generator and sets it, for every sample, to the
 state default_rng(seed) starts in.  The states of the 1,024 latest seeds
 are memoized process-wide (an LRU of two 128-bit ints a seed, about 0.3 MB
-when full): setting a remembered state takes about 1.4 us, where
-default_rng(seed) takes about 8, and a seed not remembered costs about 2 us
+when full): setting a remembered state takes about 1.5 us, where
+default_rng(seed) takes about 8, and a seed not remembered costs about 3 us
 more than default_rng.
 
 The samples of one sample_rows or sample_stats request are independent
@@ -88,7 +88,7 @@ _Q_MARGIN = 1 + 1e-9
 _CHUNK = 1 << 16
 # Seeds whose PCG64 states are memoized, process-wide: a state is two 128-bit
 # ints, about 310 bytes a seed with the LRU's entry, and a hit sets the
-# thread's generator in about 1.4 us where default_rng(seed) takes about 8.
+# thread's generator in about 1.5 us where default_rng(seed) takes about 8.
 # 1,024 holds every seed of a repeated request of up to 1,024 samples.
 _SEED_MEMO = 1024
 # Classes from which the draws of one request go to the pool: below this a
