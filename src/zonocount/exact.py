@@ -8,10 +8,10 @@ is expanded on a dense table of multi-precision integers over the box
 {e <= n}.  Truncation to the box is a ring map, so the table holds
 [x^m] Zon_d for every m <= n at once.
 
-The table is built by the Euler operator along one axis, called axis 0
-here; the axes are taken shortest first (_axes).  With
-theta_0 = x_0 d/dx_0, theta_0 Zon = H Zon for H = theta_0 log Zon_d, and
-log Zon_d = sum_v w_v sum_(g >= 1) x^(g v) / g gives, for f = g v,
+The table is built by the Euler operator along one axis at a time, called
+axis 0 here.  With theta_0 = x_0 d/dx_0, theta_0 Zon = H Zon for
+H = theta_0 log Zon_d, and log Zon_d = sum_v w_v sum_(g >= 1) x^(g v) / g
+gives, for f = g v,
 
     H[f] = 2^(d(f)-1) f_0 / gcd(f),   0 where f_0 = 0,
 
@@ -20,14 +20,14 @@ hyperplane (Z_i the hyperplane e_0 = i, a (d-1)-dimensional table),
 
     i Z_i = sum_(a=1..i) H_a * Z_(i-a),
 
-where * is the convolution over the other axes truncated to the box.  Row 0
-is the table of Zon_(d-1) over the other axes, built the same way one axis
-down; at d = 1 every cell is 1.  The products run online, in the
-semi-relaxed order of van der Hoeven ("Relax, but don't be too lazy", JSC
-2002): once row j is final, for every k = 2^i dividing j + 1, one block
-product (_toeplitz_add) multiplies rows j + 1 - k .. j by kernel rows
-k .. 2k - 1 and adds it to the rows above.  Every (source row, kernel row)
-pair is taken exactly once, before its target row is read (_schedule).
+where * is the convolution over the other axes truncated to the box, and
+row 0 is the table of Zon_(d-1) over the other axes.  The products run
+online, in the semi-relaxed order of van der Hoeven ("Relax, but don't be
+too lazy", JSC 2002): once row j is final, for every k = 2^i dividing
+j + 1, one block product (_toeplitz_add) multiplies rows j + 1 - k .. j by
+kernel rows k .. 2k - 1 and adds it to the rows above.  Every (source row,
+kernel row) pair is taken exactly once, before its target row is read
+(_schedule).
 
 Rows are held in limbs of b bits as uint64, b fixed from the box (_digits):
 a product of a limb row and kernel row a sums at most (2^b - 1) sum H_a,
@@ -35,7 +35,7 @@ and a row's accumulator at most (2^b - 1) sum H, so
 b = min(52 - bitlen(max_a sum H_a), 63 - bitlen(sum H)) keeps every
 float64 product an exact integer below 2^53, whatever order BLAS sums in,
 and every accumulator below 2^63, with room for the carries.  The sums are
-bounded from the box alone, sum H_a <= a prod_(i>0) (1 + 2 n_i), one level
+bounded from the box alone, sum H_a <= a prod_(i>0) (1 + 2 n_i), one step
 at a time.  A finished accumulator i Z_i is carried into b-bit digits and
 divided by i exactly, top limb first (a remainder is below i, and
 bitlen(i) <= bitlen(sum H) keeps the next dividend below 2^64); a nonzero
@@ -47,10 +47,12 @@ divided only over those and the limbs their carries reach.
 The schedule resumes from rows that are already final (_extend): with rows
 0 .. r final, the block products whose targets all lie at or below r are
 skipped, one that straddles r sums only its targets past r, and only the
-rows past r are divided; r = 0 is a build's level.  So a table grows to a
-larger box (_grow) one axis at a time, each step a full-dimensional Euler
-step along that axis over the other axes as the steps before left them,
-with the rows of the box so far final.
+rows past r are divided.  So a table grows to a larger box (_grow) one
+axis at a time, each step a full-dimensional Euler step along that axis
+over the other axes as the steps before left them, with the rows of the
+box so far final (_growth).  A build is the growth from the seed, the cells
+along the box's longest axis alone, which are all 1 (_seed): one step per
+other axis, longest first, each with row 0 alone final (_axes).
 
 The finished table is one uint64 array of shape (k, *(n + 1)): cell e holds
 sum_i data[i][e] << 32 i, each limb 32 bits but the top one, which holds up
@@ -66,15 +68,16 @@ multiplicity with u^k (factor 1/(1-u x^v0)) gives the kernels 1 and 2k - 1 at
 k v0, k >= 1.  An independent depth-first multiset enumeration serves as the
 oracle for all of these on small boxes.
 
-A build is charged to the memory budget once, up front, from its box alone
-(_plan, remembered per box and budget setting by _planned).  A table at
-bound B holds Z[e] for every e <= B, so the readers here and the CLI's
-``count`` and ``compare`` share one table per dimension, the last one made
-(``shared_table``), which answers every box inside it once that box is
-charged.  A box around it grows it where the work counted from the two
-boxes is smaller than a build's and the growth's own peak fits the budget
-(_grows); any other box replaces it by a build.  ``build_table`` is never
-cached.
+A build is charged to the memory budget once, up front, from its box alone:
+the peak of its growth from the seed (_plan, _peak; remembered per box and
+budget setting by _planned).  A table at bound B holds Z[e] for every
+e <= B, so the readers here and the CLI's ``count`` and ``compare`` share
+one table per dimension, the last one made (``shared_table``), which
+answers every box inside it once that box is charged.  A box around it
+grows it where the growth's steps do less work than the build's steps from
+the seed, counted from their boxes alone (_work), and the old table with
+the growth's own peak fits the budget (_grows); any other box replaces it
+by a build.  ``build_table`` is never cached.
 """
 
 from __future__ import annotations
@@ -379,13 +382,14 @@ def _divide(row: np.ndarray, t: int, width: int) -> None:
 
 
 def _extend(rows: np.ndarray, r: int, width: int) -> None:
-    """In place, rows r + 1 .. n of the width-bit digit rows (n + 1, limbs,
-    *other) of Z by the Euler recurrence along their first axis (module
-    docstring), rows 0 .. r being final: the block products of _schedule
-    whose targets all lie at or below r are skipped, one that straddles r
-    sums only its targets past it, and only the rows past r are divided."""
+    """In place, rows r + 1 .. n, r < n, of the width-bit digit rows
+    (n + 1, limbs, *other) of Z by the Euler recurrence along their first
+    axis (module docstring), rows 0 .. r being final: the block products of
+    _schedule whose targets all lie at or below r are skipped, one that
+    straddles r sums only its targets past it, and only the rows past r are
+    divided."""
     n, limbs = len(rows) - 1, rows.shape[1]
-    kern = _euler_kernel(rows.shape[:1] + rows.shape[2:]) if n > r else None
+    kern = _euler_kernel(rows.shape[:1] + rows.shape[2:])
     # an accumulator of `used` limbs, each below 2^63, carries into at most
     # `room` more digits: only those are carried and divided
     room = -(-(64 - width) // width)
@@ -405,20 +409,6 @@ def _extend(rows: np.ndarray, r: int, width: int) -> None:
                                       kern[k + c:k + count], targets - 2 * c, first - 2 * c)
         if j >= r:
             _divide(rows[j + 1, :used + room], j + 1, width)
-
-
-def _euler_rows(bt: tuple[int, ...], width: int, limbs: int) -> np.ndarray:
-    """Z over the box bt, by the Euler recurrence one axis at a time, last
-    axis first (module docstring), shaped (n_0 + 1, limbs, *(bt[1:] + 1)) in
-    width-bit digits."""
-    rows = np.zeros((bt[-1] + 1, limbs), np.uint64)
-    rows[:, 0] = 1
-    for m in range(len(bt) - 2, -1, -1):
-        inner, rows = rows, np.zeros((bt[m] + 1, limbs, *(b + 1 for b in bt[m + 1:])), np.uint64)
-        rows[0] = inner.swapaxes(0, 1)
-        del inner
-        _extend(rows, 0, width)
-    return rows
 
 
 def _relimb(src, src_bits: int, out: np.ndarray, bits: int) -> np.ndarray:
@@ -474,29 +464,19 @@ def _corner_bits(n: tuple[int, ...]) -> float:
     return bits
 
 
-def _digits(bt: tuple[int, ...], steps=None) -> tuple[int, int]:
+def _digits(bt: tuple[int, ...], steps) -> tuple[int, int]:
     """The limb width b and the limbs that hold every i Z_i over the box bt,
     from the box alone (module docstring), for the Euler steps of _extend
-    (_levels), by default those of a build of bt: a step along an axis of
-    rows 0 .. n has kernel rows a that sum at most a P, P the product of
-    1 + 2 c over the lengths c of the other axes, the sum of 2^(d(f)-1) over
-    the cells f with f_0 = a, since a / gcd(f) <= a."""
+    that reach it (_growth): a step along an axis of rows 0 .. n has kernel
+    rows a that sum at most a P, P the product of 1 + 2 c over the lengths c
+    of the other axes, the sum of 2^(d(f)-1) over the cells f with f_0 = a,
+    since a / gcd(f) <= a."""
     width = 52
-    for a, _, now in _levels(bt) if steps is None else steps:
+    for a, _, now in steps:
         n, per = now[a], math.prod(1 + 2 * c for c in now) // (1 + 2 * now[a])
-        if n:
-            width = min(width, 52 - (n * per).bit_length(),
-                        63 - (n * (n + 1) // 2 * per).bit_length())
+        width = min(width, 52 - (n * per).bit_length(), 63 - (n * (n + 1) // 2 * per).bit_length())
     bits = int(_corner_bits(tuple(b for b in bt if b))) + 1 + max(bt).bit_length()
     return width, max(1, -(-bits // width))
-
-
-def _levels(bt: tuple[int, ...]) -> list[tuple]:
-    """The Euler steps of a build of the box bt (_euler_rows), each as
-    (a, r, box): along axis a of the box, its rows 0 .. r final; here along
-    the first axis of bt[m:] from row 0, for each m but the last, last
-    first."""
-    return [(0, 0, bt[m:]) for m in range(len(bt) - 2, -1, -1)]
 
 
 def _growth(old: tuple[int, ...], box: tuple[int, ...]) -> list[tuple]:
@@ -512,11 +492,17 @@ def _growth(old: tuple[int, ...], box: tuple[int, ...]) -> list[tuple]:
     return steps
 
 
+def _seed(box: tuple[int, ...]) -> tuple[int, ...]:
+    """The box a build of `box`, in _axes order, grows from (build_table):
+    its last and longest axis alone, over which every cell of Zon_d is 1."""
+    return (0,) * (len(box) - 1) + box[-1:]
+
+
 def _axes(bt: tuple[int, ...]) -> list[int]:
-    """The axes of bt by ascending length, the order _euler_rows takes them
-    in: the recurrence runs along the shortest axis, so the fewest rows make
-    the fewest block products, and the longest is the one-dimensional table
-    of ones the levels start from."""
+    """The axes of bt by ascending length, the order a growth to bt holds
+    them in (_grow): a build's steps take them longest first from the seed's
+    (_seed), so its last and largest step runs along the shortest axis, and
+    the fewest rows make the fewest block products."""
     return sorted(range(len(bt)), key=bt.__getitem__)
 
 
@@ -525,8 +511,6 @@ def _step_peak(n: int, other: tuple[int, ...], work: int) -> int:
     0 .. n over the other axes of shape `other` holds beside its digit rows
     of `work` limbs (_extend): the kernel with the arrays that make it, or
     the kernel with the staging of its largest block product (_staging)."""
-    if not n:
-        return 0
     kern = (n + 1) * math.prod(2 * c - 1 for c in other)
     most = kern + 4 * (n + 1) * math.prod(other)
     for k in (1 << i for i in range(n.bit_length())):
@@ -535,52 +519,63 @@ def _step_peak(n: int, other: tuple[int, ...], work: int) -> int:
     return most
 
 
+def _peak(old: tuple[int, ...], box: tuple[int, ...], steps, limbs: int, work: int) -> int:
+    """The entries (8 bytes each) the growth `steps` of a table of the box
+    old to `box` (_grow), in `work` digit limbs packed into `limbs`, holds
+    beside the old table: the digits so far with one shifted copy of a limb
+    (_relimb), or the digit rows before and after a step, or after it with
+    the step's kernel and staging (_step_peak), or at the end the packed
+    table with the rows and two limbs of shifted digits, or with its copy in
+    the box's own axis order."""
+    before = math.prod(c + 1 for c in old)
+    peak = max(before * (work + 2), math.prod(b + 1 for b in box) * (limbs + max(work + 2, limbs)))
+    for a, r, now in steps:
+        cells = math.prod(c + 1 for c in now)
+        other = tuple(c + 1 for i, c in enumerate(now) if i != a)
+        peak = max(peak, work * (before + cells), work * cells + _step_peak(now[a], other, work))
+        before = cells
+    return peak
+
+
 def _plan(dim: int, bt: tuple[int, ...]) -> int:
     """Charge the budget for a build of the box bt from bt alone: the table
-    in one limb, then the build's peak, and return the limbs _pack gives a
-    cell of the corner's bits (_corner_bits).  At the level of each axis m,
-    in _axes order, the peak holds that level's digit rows (_digits) with
-    either the rows of the level below, or the kernel with the arrays that
-    make it, or the kernel with the staging of the largest block product
-    (_staging); at the end the packed table with the rows and two limbs of
-    shifted digits, or with its copy in the box's own axis order."""
-    bt = tuple(bt[i] for i in _axes(bt))
-    shape = tuple(b + 1 for b in bt)
-    _check_memory(shape)
-    limbs = _packed_limbs(int(_corner_bits(tuple(b for b in bt if b))) + 1)
-    width, work = _digits(bt)
+    in one limb, then the peak of the build's growth from the seed (_peak),
+    and return the limbs _pack gives a cell of the corner's bits
+    (_corner_bits)."""
+    box = tuple(bt[i] for i in _axes(bt))
+    size = math.prod(b + 1 for b in box)
+    _check_memory((size,))
+    limbs = _packed_limbs(int(_corner_bits(tuple(b for b in box if b))) + 1)
+    seed = _seed(box)
+    steps = _growth(seed, box)
+    width, work = _digits(box, steps)
     if width < 1:
-        raise ValueError(f"box {bt} in dim {dim}: its kernel rows sum past what float64 "
+        raise ValueError(f"box {box} in dim {dim}: its kernel rows sum past what float64 "
                          f"products hold exactly")
-    size = math.prod(shape)
-    peak, below = size * (limbs + max(work + 2, limbs)), shape[-1] * work
-    for m in range(dim - 2, -1, -1):
-        rows = work * math.prod(shape[m:])
-        peak, below = max(peak, rows + max(below, _step_peak(bt[m], shape[m + 1:], work))), rows
-    _charge(8 * peak, f"table of {_approx(size)} cells in {limbs} limbs, built in {work} limbs "
-                      f"of {width} bits with its kernel and block staging")
+    _charge(8 * _peak(seed, box, steps, limbs, work),
+            f"table of {_approx(size)} cells in {limbs} limbs, built in {work} limbs "
+            f"of {width} bits with its kernel and block staging")
     return limbs
 
 
 def build_table(dim: int, bound) -> CoeffTable:
     """Table of Zon_d coefficients over {e <= bound}.
 
-    Built by the Euler recurrence along one axis at a time, shortest first
-    (_axes, _euler_rows), and packed into 32-bit limbs (_pack).  The box is
-    charged first (_planned), and not again if it was planned under the same
-    budget setting; the table itself is never cached.
+    Grown (_grow) from the seed, the cells along the longest axis alone,
+    which are all 1 (_seed), by the Euler recurrence along each other axis,
+    longest first, and packed into 32-bit limbs (_pack).  The box is charged
+    first (_planned), and not again if it was planned under the same budget
+    setting; the table itself is never cached.
     """
     bt = _validate_vector(bound, dim)
     _planned(dim, bt, os.environ.get(_MEMORY_ENV))
-    order = _axes(bt)
-    box = tuple(bt[i] for i in order)
-    width, limbs = _digits(box)
-    data = _pack(_euler_rows(box, width, limbs).swapaxes(0, 1), width)
-    return CoeffTable(dim, bt, np.ascontiguousarray(data.transpose(0, *(1 + np.argsort(order)))))
+    longest = _axes(bt)[-1]
+    seed = tuple(b if i == longest else 0 for i, b in enumerate(bt))
+    return _grow(CoeffTable(dim, seed, np.ones((1, *(c + 1 for c in seed)), np.uint64)), bt)
 
 
 def _work(steps) -> tuple[int, int]:
-    """What the Euler steps of _extend (_levels) do, counted from their boxes
+    """What the Euler steps of _extend (_growth) do, counted from their boxes
     alone: the (source row, kernel row) pairs they multiply times the cells
     of a hyperplane, and their block products times the tile offsets of a
     hyperplane (_tiling), each a loop of small matrix products whose fixed
@@ -601,41 +596,31 @@ def _grows(table: CoeffTable, bt: tuple[int, ...], limbs: int) -> bool:
     """Whether shared_table grows `table` to the box bt (_grow), planned at
     `limbs` packed limbs, rather than build bt cold: only when the table's
     box lies inside bt, the growth's steps do less of both kinds of work
-    _work counts than the levels of a build, and the growth's own peak fits
-    the budget.  That peak is the old table with the digits so far and one
-    shifted copy of a limb, or with the digit rows before and after a step,
-    or after it with the step's kernel and staging (_step_peak), or with
-    the packing a build ends with (_plan)."""
+    _work counts than a build's steps from the seed, and the old table with
+    the growth's own peak (_peak) fits the budget."""
     if any(o > b for o, b in zip(table.bound, bt)):
         return False
     order = _axes(bt)
     box, old = (tuple(v[i] for i in order) for v in (bt, table.bound))
     steps = _growth(old, box)
-    grown, cold = _work(steps), _work(_levels(box))
+    grown, cold = _work(steps), _work(_growth(_seed(box), box))
     if grown[0] >= cold[0] or grown[1] >= cold[1]:
         return False
     _, work = _digits(box, steps)
-    before = math.prod(c + 1 for c in old)
-    size = math.prod(b + 1 for b in box)
-    peak = max(before * (work + 2), size * (limbs + max(work + 2, limbs)))
-    for a, r, now in steps:
-        cells = math.prod(c + 1 for c in now)
-        other = tuple(c + 1 for i, c in enumerate(now) if i != a)
-        peak = max(peak, work * (before + cells), work * cells + _step_peak(now[a], other, work))
-        before = cells
     try:
-        _charge(8 * (table.data.size + peak), f"growth of a table of {table.bound} to {bt}")
+        _charge(8 * (table.data.size + _peak(old, box, steps, limbs, work)),
+                f"growth of a table of {table.bound} to {bt}")
     except MemoryBudgetError:
         return False
     return True
 
 
 def _grow(table: CoeffTable, bt: tuple[int, ...]) -> CoeffTable:
-    """The table of build_table(table.dim, bt) from `table`, whose box lies
-    inside bt: its cells unpacked into the digits of bt, then one Euler step
-    per longer axis (_growth) on digit rows with that axis in front, the rows
-    of the box so far copied in and final (_extend), packed as a build packs
-    its digits."""
+    """The table of Zon_d over bt, d = table.dim, from `table`, which holds
+    it over a box inside bt: its cells unpacked into the digits of bt, then
+    one Euler step per longer axis (_growth) on digit rows with that axis in
+    front, the rows of the box so far copied in and final (_extend), and
+    the digits packed (_pack)."""
     order = _axes(bt)
     box, old = (tuple(v[i] for i in order) for v in (bt, table.bound))
     steps = _growth(old, box)
@@ -644,12 +629,14 @@ def _grow(table: CoeffTable, bt: tuple[int, ...]) -> CoeffTable:
     cells = _relimb(table.data.transpose(0, *(1 + np.array(order))), _LIMB_BITS,
                     np.zeros((limbs, *(c + 1 for c in old)), np.uint64), width)
     for a, r, now in steps:
+        # axis a in front of the limbs (np.moveaxis, without its per-call cost)
+        front = (1 + a, *(i for i in range(len(now) + 1) if i != 1 + a))
         rows = np.zeros((now[a] + 1, limbs, *(c + 1 for i, c in enumerate(now) if i != a)),
                         np.uint64)
-        rows[:r + 1] = np.moveaxis(cells, 1 + a, 0)
+        rows[:r + 1] = cells.transpose(front)
         del cells
         _extend(rows, r, width)
-        cells = np.moveaxis(rows, (0, 1), (1 + a, 0))
+        cells = rows.transpose(np.argsort(front))
         del rows
     data = _pack(cells, width)
     del cells

@@ -90,7 +90,7 @@ def test_compare_refuses_n_0_before_the_table(capsys, monkeypatch, argv):
         raise AssertionError("a refused compare did work")
 
     monkeypatch.setattr(exact, "_SHARED", {})
-    for name in ("_plan", "_euler_rows", "primitive_rows"):
+    for name in ("_plan", "_extend", "primitive_rows"):
         monkeypatch.setattr(exact, name, refuse)
     code, out, err = run_cli(capsys, "compare", "--dim", "2", *argv)
     assert (code, out, err) == (2, "", "error: n must be >= 1\n")

@@ -290,7 +290,7 @@ def test_memory_guard_runs_before_enumeration(monkeypatch):
     def refuse(*args):
         raise AssertionError("worked on a box the table guard refuses")
 
-    for name in ("primitive_rows", "_euler_kernel", "_euler_rows"):
+    for name in ("primitive_rows", "_euler_kernel", "_extend"):
         monkeypatch.setattr(exact, name, refuse)
     big = (10 ** 5, 10 ** 5)
     with pytest.raises(MemoryBudgetError):
@@ -570,8 +570,13 @@ def test_growth_refused_by_its_charge_builds_cold(monkeypatch):
     build = exact.build_table
     monkeypatch.setattr(exact, "build_table", lambda dim, bt: built.append(bt) or build(dim, bt))
 
-    def refuse(*args):
-        raise AssertionError("a refused growth grew")
+    grow = exact._grow
+
+    def refuse(table, bt):
+        # a build grows too, from its seed: only a growth of the cached table is refused
+        if table is old:
+            raise AssertionError("a refused growth grew")
+        return grow(table, bt)
 
     monkeypatch.setattr(exact, "_grow", refuse)
     table = exact.shared_table(2, (91, 91))
@@ -609,7 +614,7 @@ def _refuse_work(monkeypatch):
 
     monkeypatch.setattr(exact, "primitive_rows", refuse)
     monkeypatch.setattr(CoeffTable, "class_pass", refuse)
-    for name in ("_euler_rows", "_euler_kernel", "_toeplitz_add"):
+    for name in ("_extend", "_euler_kernel", "_toeplitz_add"):
         monkeypatch.setattr(exact, name, refuse)
 
 
@@ -637,6 +642,18 @@ def test_default_budget_refuses_staging_up_front(monkeypatch, capsys):
     assert cli_main(["count", "--dim", "4", "--n", "52"]) == 2
     err = capsys.readouterr().err
     assert "block staging" in err and "exceeds budget" in err and "Traceback" not in err
+
+
+def test_default_budget_refusal_thresholds(monkeypatch):
+    # the first cube the default 2 GB refuses, d = 2 .. 8: refused by the
+    # plan's charge for the build's digit rows, kernel and staging, the cube
+    # one smaller admitted.  A change to the plan or to a step's kernel or
+    # staging that moves one of these must restate it here
+    monkeypatch.delenv("ZONOCOUNT_MEMORY_BUDGET", raising=False)
+    for dim, n in zip(range(2, 9), (1876, 178, 52, 23, 13, 8, 6)):
+        exact._plan(dim, (n - 1,) * dim)
+        with pytest.raises(MemoryBudgetError, match="staging"):
+            exact._plan(dim, (n,) * dim)
 
 
 @pytest.mark.parametrize("dim, box", [
@@ -716,13 +733,16 @@ def test_origin_cell_stays_one():
     assert all(c >= 0 for c in _cells(table))
 
 
-@pytest.mark.parametrize("dim, n", [(2, 96), (3, 16), (4, 6), (3, 24), (4, 10), (6, 4), (2, 256),
-                                    (3, 32), (8, 3), (11, 2)])
-def test_plan_charges_the_build_peak(monkeypatch, dim, n):
+@pytest.mark.parametrize("dim, box", [
+    *[pytest.param(dim, (n,) * dim, id=f"{dim}-{n}")
+      for dim, n in ((2, 96), (3, 16), (4, 6), (3, 24), (4, 10), (6, 4), (2, 256), (3, 32), (8, 3),
+                     (11, 2))],
+    pytest.param(3, (3, 16, 200), id="3-3x16x200"), pytest.param(3, (0, 5, 1000), id="3-0x5x1000")])
+def test_plan_charges_the_build_peak(monkeypatch, dim, box):
     # the plan's largest charge, the digit rows with the kernel and the
     # staging of the largest block product, or with the packed table, is at
-    # least what the build allocates at its peak
-    box = (n,) * dim
+    # least what the build allocates at its peak; on the last two boxes the
+    # first step from the seed runs over length-1 axes
     charge = _largest_charge(monkeypatch, dim, box)
     tracemalloc.start()
     try:
@@ -929,13 +949,17 @@ def test_group_product_sums_in_uint64():
 def test_kernel_rows_sum_within_the_width_bounds(box):
     # the limb width keeps every product below 2^53 and every accumulator
     # below 2^63 by a bound on the kernel's row sums: check it on the kernel
-    # of every level (axes in _axes order)
-    width, _ = exact._digits(box)
-    for m, n in enumerate(box[:-1]):
-        kern = exact._euler_kernel(tuple(b + 1 for b in box[m:]))
+    # of every step of a build, from the seed along the longest axis (axes
+    # in _axes order)
+    steps = exact._growth(exact._seed(box), box)
+    assert len(steps) == len(box) - 1
+    width, _ = exact._digits(box, steps)
+    for a, _, now in steps:
+        n, other = now[a], [c for i, c in enumerate(now) if i != a]
+        kern = exact._euler_kernel((n + 1, *(c + 1 for c in other)))
         sums = [int(s) for s in kern.reshape(n + 1, -1).sum(axis=1).tolist()]
-        per = math.prod(1 + 2 * c for c in box[m + 1:])
-        assert all(s <= a * per for a, s in enumerate(sums))
+        per = math.prod(1 + 2 * c for c in other)
+        assert all(s <= k * per for k, s in enumerate(sums))
         assert max(sums) << width < 1 << 53 and sum(sums) << width < 1 << 63
 
 
