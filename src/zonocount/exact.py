@@ -255,11 +255,12 @@ def _tiling(other: tuple[int, ...]) -> tuple:
     the first p axes into single hyperplanes, p the fewest for which the
     rest fits in _TILE_CELLS cells whole, or once its first axis is cut into
     the fewest equal tiles that fit.  The last axis is never cut, so at
-    d = 2 a hyperplane is one tile.  Returns the cells of a tile, the tiles
-    per cut axis, the axes padded to whole tiles, the index of the unpadded
-    ones, and per tile offset delta the indices of one product: the source
-    tiles, the target tiles and their columns (a last tile may be short),
-    the number of source tiles, and the matrix's rows and columns."""
+    d = 2 a hyperplane is one tile.  Returns a tile's extent on each axis,
+    which lays out the kernel too (_euler_kernel), the tiles per cut axis,
+    the axes padded to whole tiles, the index of the unpadded ones, and per
+    tile offset delta the indices of one product: the source tiles, the
+    target tiles and their columns (a last tile may be short), the number
+    of source tiles, and the matrix's columns on the cut axes."""
     sides = (1,) * max(len(other) - 1, 0)
     for p in range(len(other) - 1):
         rest = math.prod(other[p + 1:])
@@ -268,28 +269,28 @@ def _tiling(other: tuple[int, ...]) -> tuple:
             sides = (1,) * p + ((-(-other[p] // cut),) if cut > 1 else ())
             break
     grid = [-(-n // t) for n, t in zip(other, sides)]
-    whole = [slice(None)] * (len(other) - len(sides))
-    uncut = math.prod(other[len(sides):])
+    tile, uncut = (*sides, *other[len(sides):]), math.prod(other[len(sides):])
     steps = [((slice(None), *[slice(g - d) for g, d in zip(grid, delta)]),
               (slice(None), *[slice(d, g) for g, d in zip(grid, delta)],
                slice(uncut * math.prod(min(t, n - d * t) for n, t, d in zip(other, sides, delta)))),
               math.prod(g - d for g, d in zip(grid, delta)),
-              (*map(slice, sides), *whole, *[slice(d * t, d * t + t) for t, d in zip(sides, delta)]))
+              tuple(slice(d * t, d * t + t) for t, d in zip(sides, delta)))
              for delta in itertools.product(*map(range, grid))]
     padded = (*[g * t for g, t in zip(grid, sides)], *other[len(sides):])
     inside = (slice(None), slice(None), *map(slice, other[:len(sides)]))
-    return math.prod(padded[len(sides):], start=math.prod(sides)), grid, padded, inside, steps
+    return tile, grid, padded, inside, steps
 
 
 def _staging(other: tuple[int, ...], sources: int, targets: int, limbs: int) -> int:
     """The entries (8 bytes each) one _toeplitz_add over the other axes
     holds: one tile's matrix, the three buffers numpy adds a product into
     its targets through (a cast and strided views), and the sources padded
-    to whole tiles, one product and, where the axes are cut, one gathered
-    block of sources, and the targets' sums."""
-    cells, grid, padded, _, _ = _tiling(other)
+    to whole tiles, one product and, from two tiles on (one is a view), one
+    gathered block of sources, and the targets' sums."""
+    tile, grid, padded, _, _ = _tiling(other)
     sums, product = (limbs * math.prod(padded) * rows for rows in (targets, sources))
-    return cells * cells + 3 * min(np.getbufsize(), product) + (2 + bool(grid)) * product + sums
+    gathered = math.prod(grid) > 1
+    return math.prod(tile) ** 2 + 3 * min(np.getbufsize(), product) + (2 + gathered) * product + sums
 
 
 def _toeplitz_add(src: np.ndarray, kern: np.ndarray, targets: int, first: int) -> np.ndarray:
@@ -297,7 +298,7 @@ def _toeplitz_add(src: np.ndarray, kern: np.ndarray, targets: int, first: int) -
     (targets - first, *src.shape[1:]), over the rows j of kern and the
     hyperplanes i of src, whose second axis holds the limbs, for the targets
     first <= i + j < targets.  kern is nonnegative, with its entry at u over
-    the other axes at u + other - 1 (_euler_kernel); M_j, the Toeplitz
+    the other axes at u + tile - 1 (_euler_kernel); M_j, the Toeplitz
     matrix of its row j over the other axes, has entry K_j[q - r] in row r
     and column q, zero unless q >= r on every axis.  So the axes are cut
     into tiles (_tiling), the sources padded with zeros to whole tiles, and
@@ -305,7 +306,8 @@ def _toeplitz_add(src: np.ndarray, kern: np.ndarray, targets: int, first: int) -
     K_j at that offset is one float64 matrix product (numpy @, BLAS), exact
     while its sums stay below 2^53."""
     sources, limbs, *other = src.shape
-    cells, grid, padded, inside, steps = _tiling(src.shape[2:])
+    tile, grid, padded, inside, steps = _tiling(src.shape[2:])
+    cells = math.prod(tile)
     staged = np.zeros((sources, limbs, *padded))
     staged[inside] = src
     out = np.zeros((targets - first, limbs, *padded), np.uint64)
@@ -313,10 +315,11 @@ def _toeplitz_add(src: np.ndarray, kern: np.ndarray, targets: int, first: int) -
     src_tiles = staged.reshape(sources * limbs, *grid, cells)
     out_tiles = out.reshape((targets - first) * limbs, *grid, cells)
     step = kern.strides[1:]
-    matrices = np.ndarray((len(kern), *other, *other), kern.dtype, kern,
-                          offset=sum((n - 1) * s for n, s in zip(other, step)),
+    matrices = np.ndarray((len(kern), *tile, *other), kern.dtype, kern,
+                          offset=sum((t - 1) * s for t, s in zip(tile, step)),
                           strides=kern.strides[:1] + tuple(-s for s in step) + step)
-    for reach, land, tiles, box in steps:
+    rows = (slice(None),) * len(tile)
+    for reach, land, tiles, columns in steps:
         # the source tiles delta reaches, gathered as the rows of one matrix
         # (a view when there is one tile), and the tiles they land on
         gathered, landing = src_tiles[reach].reshape(-1, cells), out_tiles[land]
@@ -324,7 +327,7 @@ def _toeplitz_add(src: np.ndarray, kern: np.ndarray, targets: int, first: int) -
             low, high = max(first - j, 0) * limbs, min(sources, targets - j) * limbs
             if low >= high:
                 continue
-            matrix = np.ascontiguousarray(matrices[(j, *box)]).reshape(cells, -1)
+            matrix = np.ascontiguousarray(matrices[(j, *rows, *columns)]).reshape(cells, -1)
             block = landing[low + (j - first) * limbs:high + (j - first) * limbs]
             product = (gathered[low * tiles:high * tiles] @ matrix).reshape(block.shape)
             np.add(block, product, out=block, dtype=np.uint64, casting="unsafe")
@@ -336,16 +339,13 @@ def _toeplitz_add(src: np.ndarray, kern: np.ndarray, targets: int, first: int) -
 def _euler_kernel(shape: tuple[int, ...]) -> np.ndarray:
     """H = theta_0 log Zon over the box of `shape` as _toeplitz_add takes it,
     float64: row a holds H[a, u] = 2^(d(f)-1) a / gcd(f), f = (a, u), at
-    u + shape[1:] - 1, and zeros at the negative offsets and in row 0.  Every
-    f here has f_0 = a >= 1, so 2^(d(f)-1) is 2 to the nonzero u_i."""
-    other = shape[1:]
-    kern = np.zeros((shape[0], *(2 * n - 1 for n in other)))
-    a = np.arange(1, shape[0]).reshape(-1, *[1] * len(other))
-    gcd, nonzero = a, 0
-    for i, n in enumerate(other):
-        u = np.arange(n).reshape(-1, *[1] * (len(other) - 1 - i))
-        gcd, nonzero = np.gcd(gcd, u), nonzero + (u > 0)
-    kern[(slice(1, None), *[slice(n - 1, None) for n in other])] = np.ldexp(a / gcd, nonzero)
+    u + tile - 1 (_tiling), and zeros at the tile's negative offsets and in
+    row 0.  Every f has f_0 = a >= 1, so 2^(d(f)-1) is 2 to the nonzero u_i."""
+    tile = _tiling(shape[1:])[0]
+    kern = np.zeros((shape[0], *(n + t - 1 for n, t in zip(shape[1:], tile))))
+    a, *u = np.ix_(np.arange(1, shape[0]), *map(np.arange, shape[1:]))
+    kern[(slice(1, None), *[slice(t - 1, None) for t in tile])] = np.ldexp(
+        a / functools.reduce(np.gcd, u, a), sum(c > 0 for c in u))
     return kern
 
 
@@ -509,9 +509,9 @@ def _axes(bt: tuple[int, ...]) -> list[int]:
 def _step_peak(n: int, other: tuple[int, ...], work: int) -> int:
     """The entries (8 bytes each) an Euler step along an axis of rows
     0 .. n over the other axes of shape `other` holds beside its digit rows
-    of `work` limbs (_extend): the kernel with the arrays that make it, or
-    the kernel with the staging of its largest block product (_staging)."""
-    kern = (n + 1) * math.prod(2 * c - 1 for c in other)
+    of `work` limbs (_extend): the kernel (_euler_kernel) with the arrays
+    that make it, or with the staging of its largest block product (_staging)."""
+    kern = (n + 1) * math.prod(c + t - 1 for c, t in zip(other, _tiling(other)[0]))
     most = kern + 4 * (n + 1) * math.prod(other)
     for k in (1 << i for i in range(n.bit_length())):
         count = min(k, n + 1 - k)

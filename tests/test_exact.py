@@ -608,6 +608,40 @@ def test_work_rule_builds_cold_where_growth_loses():
         assert grows(old, new), (old, new)
 
 
+@pytest.mark.parametrize("old, box", [
+    *[(None, (n,) * 2) for n in (1, 2, 3, 4, 8, 16, 24, 32, 33, 48, 64, 96)],
+    *[(None, (n,) * 3) for n in (1, 2, 3, 5, 8, 12, 16)],
+    *[(None, (n,) * 4) for n in (1, 2, 3, 4, 5, 6)], *[(None, (n,) * 5) for n in (2, 4)],
+    (None, (3,) * 6), (None, (0, 5, 1000)), (None, (3, 16, 200)), (None, (1, 133)),
+    (None, (300, 10)), ((30, 30), (50, 50)), ((8, 8), (96, 96)), ((5,) * 3, (8,) * 3),
+    ((4,) * 4, (6,) * 4), ((300, 10), (300, 40)), ((0, 3), (7, 9))],
+    ids=lambda box: "cold" if box is None else "x".join(map(str, box)))
+def test_work_counts_the_block_products_run(monkeypatch, old, box):
+    # _grows weighs a growth against a build by _work's counts, taken from
+    # the boxes alone: they equal the (source row, kernel row) pairs times
+    # the cells of a hyperplane, and the block products times the tile
+    # offsets of a hyperplane, that the steps of a build (old None) or a
+    # growth from old run
+    real, ran = exact._toeplitz_add, [0, 0]
+
+    def counted(src, kern, targets, first):
+        pairs = sum(max(0, min(len(src), targets - j) - max(first - j, 0)) for j in range(len(kern)))
+        ran[0] += pairs * math.prod(src.shape[2:])
+        ran[1] += len(exact._tiling(src.shape[2:])[4])
+        return real(src, kern, targets, first)
+
+    ordered = tuple(box[i] for i in exact._axes(box))
+    table = None if old is None else build_table(len(old), old)
+    monkeypatch.setattr(exact, "_toeplitz_add", counted)
+    if table is None:
+        build_table(len(box), box)
+        start = exact._seed(ordered)
+    else:
+        exact._grow(table, box)
+        start = tuple(old[i] for i in exact._axes(box))
+    assert tuple(ran) == exact._work(exact._growth(start, ordered))
+
+
 def _refuse_work(monkeypatch):
     def refuse(*args):
         raise AssertionError("a refused build did work")
@@ -633,13 +667,13 @@ def test_refused_build_fails_before_any_work(monkeypatch, dim, n):
 
 
 def test_default_budget_refuses_staging_up_front(monkeypatch, capsys):
-    # d = 4, n = 52, the smallest d = 4 cube refused under the default 2 GB,
+    # d = 4, n = 54, the smallest d = 4 cube refused under the default 2 GB,
     # needs its digit rows, kernel and block staging above it; the plan
     # refuses it before any work, where a build would run for many minutes
     monkeypatch.delenv("ZONOCOUNT_MEMORY_BUDGET", raising=False)
-    exact._plan(4, (51,) * 4)
+    exact._plan(4, (53,) * 4)
     _refuse_work(monkeypatch)
-    assert cli_main(["count", "--dim", "4", "--n", "52"]) == 2
+    assert cli_main(["count", "--dim", "4", "--n", "54"]) == 2
     err = capsys.readouterr().err
     assert "block staging" in err and "exceeds budget" in err and "Traceback" not in err
 
@@ -650,10 +684,20 @@ def test_default_budget_refusal_thresholds(monkeypatch):
     # one smaller admitted.  A change to the plan or to a step's kernel or
     # staging that moves one of these must restate it here
     monkeypatch.delenv("ZONOCOUNT_MEMORY_BUDGET", raising=False)
-    for dim, n in zip(range(2, 9), (1876, 178, 52, 23, 13, 8, 6)):
+    for dim, n in zip(range(2, 9), (1876, 180, 54, 25, 14, 10, 7)):
         exact._plan(dim, (n - 1,) * dim)
         with pytest.raises(MemoryBudgetError, match="staging"):
             exact._plan(dim, (n,) * dim)
+
+
+def test_staging_charges_no_gathered_block_for_one_tile():
+    # a hyperplane of one tile is gathered as a view: leading axes of length
+    # 1, each counted as cut into single hyperplanes, add no buffer
+    for c in (129, 1001):
+        for sources, targets, limbs in ((1, 1, 1), (4, 7, 3), (64, 127, 2)):
+            want = exact._staging((c,), sources, targets, limbs)
+            assert exact._staging((1, c), sources, targets, limbs) == want
+            assert exact._staging((1, 1, c), sources, targets, limbs) == want
 
 
 @pytest.mark.parametrize("dim, box", [
@@ -736,7 +780,7 @@ def test_origin_cell_stays_one():
 @pytest.mark.parametrize("dim, box", [
     *[pytest.param(dim, (n,) * dim, id=f"{dim}-{n}")
       for dim, n in ((2, 96), (3, 16), (4, 6), (3, 24), (4, 10), (6, 4), (2, 256), (3, 32), (8, 3),
-                     (11, 2))],
+                     (11, 2), (12, 2))],
     pytest.param(3, (3, 16, 200), id="3-3x16x200"), pytest.param(3, (0, 5, 1000), id="3-0x5x1000")])
 def test_plan_charges_the_build_peak(monkeypatch, dim, box):
     # the plan's largest charge, the digit rows with the kernel and the
@@ -881,25 +925,31 @@ def test_schedule_takes_every_pair_once_before_its_target_is_read():
 def _slab_adds(src, kern, targets):
     # the reference for _toeplitz_add: out[i + j][e] += K_j[u] src[i][e - u]
     # for every source row i, kernel row j and offset u >= 0 in the box, one
-    # slab at a time, in Python ints
+    # slab at a time, in Python ints; kern holds K_j[u] at u, unpadded
     sources, limbs, *other = src.shape
     out = np.zeros((targets, limbs, *other), dtype=object)
     for j in range(len(kern)):
         for i in range(min(sources, targets - j)):
             for u in np.ndindex(*other):
-                w = int(kern[(j, *(c + n - 1 for c, n in zip(u, other)))])
                 dst = (i + j, slice(None), *[slice(c, None) for c in u])
-                out[dst] += w * src[(i, slice(None), *[slice(n - c) for c, n in zip(u, other)])]
+                out[dst] += int(kern[(j, *u)]) * src[
+                    (i, slice(None), *[slice(n - c) for c, n in zip(u, other)])]
     return out
 
 
 def _block_product(src, kern, targets, cells=exact._TILE_CELLS, first=0):
-    # _toeplitz_add under the tile cap `cells`
+    # _toeplitz_add under the tile cap `cells` of the kernel rows K_j[u],
+    # kern of shape (rows, *other), laid out as _euler_kernel lays them out
+    # under that cap: zeros in front of each other axis, one fewer than the
+    # tile has there (_tiling)
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(exact, "_TILE_CELLS", cells)
         exact._tiling.cache_clear()
         try:
-            return exact._toeplitz_add(src, kern, targets, first)
+            tile = exact._tiling(src.shape[2:])[0]
+            padded = np.zeros((len(kern), *(n + t - 1 for n, t in zip(src.shape[2:], tile))))
+            padded[(slice(None), *[slice(t - 1, None) for t in tile])] = kern
+            return exact._toeplitz_add(src, padded, targets, first)
         finally:
             exact._tiling.cache_clear()
 
@@ -910,8 +960,8 @@ def _block_product(src, kern, targets, cells=exact._TILE_CELLS, first=0):
        sources=st.integers(1, 4), rows=st.integers(1, 4), limbs=st.integers(1, 2),
        cells=st.sampled_from([1, 2, 3, 4, 6, 8, 12, 16, 24, 128]))
 def test_group_product_equals_sequential_slab_adds(data, other, sources, rows, limbs, cells):
-    # a block product of random digit rows by random kernel rows, zero at
-    # the negative offsets as _euler_kernel lays them out, onto as many
+    # a block product of random digit rows by random kernel rows, laid out
+    # as _euler_kernel lays them out under each tile cap, onto as many
     # targets as a block of _schedule may have, from a first target on as a
     # block that straddles the final rows of a growth sums them: it equals
     # the slab adds onto the targets from the first on, and holds no row
@@ -921,9 +971,7 @@ def test_group_product_equals_sequential_slab_adds(data, other, sources, rows, l
     first = data.draw(st.integers(0, targets - 1))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     src = rng.integers(0, 1 << 30, size=(sources, limbs, *other), dtype=np.uint64)
-    kern = np.zeros((rows, *(2 * n - 1 for n in other)))
-    kern[(slice(None), *[slice(n - 1, None) for n in other])] = rng.integers(
-        0, 1 << 12, size=(rows, *other))
+    kern = rng.integers(0, 1 << 12, size=(rows, *other)).astype(float)
     out = _block_product(src, kern, targets, cells, first)
     assert out.dtype == np.uint64 and len(out) == targets - first
     want = _slab_adds(src.astype(object), kern, targets)
@@ -935,10 +983,9 @@ def test_group_product_sums_in_uint64():
     # of ones: the sums over tiles, sources and kernel rows go past 2^53,
     # beyond what float64 holds exactly, and stay exact in uint64
     for other in ((40,), (3, 50), (4, 4, 4)):
-        cells = exact._tiling(other)[0]
+        cells = math.prod(exact._tiling(other)[0])
         src = np.full((16, 1, *other), ((1 << 53) - 1) // cells, dtype=np.uint64)
-        kern = np.zeros((16, *(2 * n - 1 for n in other)))
-        kern[(slice(None), *[slice(n - 1, None) for n in other])] = 1
+        kern = np.ones((16, *other))
         out = _block_product(src, kern, 31)
         want = _slab_adds(src.astype(object), kern, 31)
         assert max(want.ravel()) > 1 << 53, other
@@ -999,6 +1046,14 @@ def test_a_corrupted_accumulator_raises(monkeypatch, corrupt):
         monkeypatch.setattr(exact, "_divide", divide)
         with pytest.raises(ArithmeticError, match=f"row {t} "):
             build_table(dim, box)
+
+
+def test_kernel_of_the_tiles_plans_in_small_budgets(monkeypatch):
+    # the kernel holds only the negative offsets a tile's matrix reads, so
+    # d = 8 n = 4 plans about 54 MB and d = 12 n = 2 about 83 MB
+    for dim, n, budget in ((8, 4, 100_000_000), (12, 2, 200_000_000)):
+        monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", str(budget))
+        exact._plan(dim, (n,) * dim)
 
 
 def test_d8_n3_builds_in_a_small_budget(monkeypatch):
