@@ -52,7 +52,9 @@ axis at a time, each step a full-dimensional Euler step along that axis
 over the other axes as the steps before left them, with the rows of the
 box so far final (_growth).  A build is the growth from the seed, the cells
 along the box's longest axis alone, which are all 1 (_seed): one step per
-other axis, longest first, each with row 0 alone final (_axes).
+other axis, longest first, each with row 0 alone final.  A step lays out
+the other axes shortest first by their lengths so far (_others); no box
+or table is permuted beyond one step's rows.
 
 The finished table is one uint64 array of shape (k, *(n + 1)): cell e holds
 sum_i data[i][e] << 32 i, each limb 32 bits but the top one, which holds up
@@ -451,13 +453,14 @@ def _corner_bits(n: tuple[int, ...]) -> float:
     z_i = e^(-t_i) < 1, where F(z) = sum_v w_v z^v over every v >= 0, v != 0,
     is (prod_i coth(t_i/2) - 1)/2.  Each monomial of F(z^(k+1)) is at most
     e^(-t_min) times its term in F(z^k), so the terms from k on add up to at
-    most F(z^k)/(k (1 - e^(-t_min))).
+    most F(z^k)/(k (1 - e^(-t_min))).  The lengths are taken in ascending
+    order, so the float bound is the same in every order of the axes.
     """
     d, bits = len(n), 0.0
     if d > 1:
         # t_i n_i = s on every axis minimizes sum_i t_i n_i + 2^(d-1)/prod_i t_i
         s = (2 ** (d - 1) * math.prod(n)) ** (1 / (d + 1))
-        t = [s / n_i for n_i in n]
+        t = [s / n_i for n_i in sorted(n)]
         f = [(math.prod(1 / math.tanh(k * t_i / 2) for t_i in t) - 1) / 2 / k
              for k in range(1, int(5 / min(t)) + 2)]
         bits = (d * s + sum(f[:-1]) + f[-1] / -math.expm1(-min(t))) / math.log(2)
@@ -483,27 +486,27 @@ def _growth(old: tuple[int, ...], box: tuple[int, ...]) -> list[tuple]:
     """The steps (a, r, box after it) that grow a table of the box old to
     the box around it (_grow): one per longer axis, rows 0 .. r = old[a]
     final, the axes of largest box[a] + old[a] first, which makes the
-    fewest pairs of rows times hyperplane cells."""
+    fewest pairs of rows times hyperplane cells; ties go to the shorter box[a]."""
     steps, now = [], list(old)
     for a in sorted((a for a, (r, n) in enumerate(zip(old, box)) if n > r),
-                    key=lambda a: -box[a] - old[a]):
+                    key=lambda a: (-box[a] - old[a], box[a])):
         now[a] = box[a]
         steps.append((a, old[a], tuple(now)))
     return steps
 
 
 def _seed(box: tuple[int, ...]) -> tuple[int, ...]:
-    """The box a build of `box`, in _axes order, grows from (build_table):
-    its last and longest axis alone, over which every cell of Zon_d is 1."""
-    return (0,) * (len(box) - 1) + box[-1:]
+    """The box a build of `box` grows from (build_table): its first longest
+    axis alone, over which every cell of Zon_d is 1."""
+    a = box.index(max(box))
+    return tuple(b if i == a else 0 for i, b in enumerate(box))
 
 
-def _axes(bt: tuple[int, ...]) -> list[int]:
-    """The axes of bt by ascending length, the order a growth to bt holds
-    them in (_grow): a build's steps take them longest first from the seed's
-    (_seed), so its last and largest step runs along the shortest axis, and
-    the fewest rows make the fewest block products."""
-    return sorted(range(len(bt)), key=bt.__getitem__)
+def _others(a: int, now: tuple[int, ...]) -> list[int]:
+    """The axes but a of the box `now`, in the order an Euler step along a
+    lays them out behind its rows (_extend): shortest first, ties by index,
+    so the axis _tiling never cuts is the longest so far."""
+    return sorted((i for i in range(len(now)) if i != a), key=now.__getitem__)
 
 
 def _step_peak(n: int, other: tuple[int, ...], work: int) -> int:
@@ -524,14 +527,14 @@ def _peak(old: tuple[int, ...], box: tuple[int, ...], steps, limbs: int, work: i
     old to `box` (_grow), in `work` digit limbs packed into `limbs`, holds
     beside the old table: the digits so far with one shifted copy of a limb
     (_relimb), or the digit rows before and after a step, or after it with
-    the step's kernel and staging (_step_peak), or at the end the packed
-    table with the rows and two limbs of shifted digits, or with its copy in
-    the box's own axis order."""
+    the step's kernel and staging (_step_peak) over the other axes as it
+    lays them out (_others), or at the end the packed table with the rows
+    and two limbs of shifted digits."""
     before = math.prod(c + 1 for c in old)
-    peak = max(before * (work + 2), math.prod(b + 1 for b in box) * (limbs + max(work + 2, limbs)))
+    peak = max(before * (work + 2), math.prod(b + 1 for b in box) * (limbs + work + 2))
     for a, r, now in steps:
         cells = math.prod(c + 1 for c in now)
-        other = tuple(c + 1 for i, c in enumerate(now) if i != a)
+        other = tuple(now[i] + 1 for i in _others(a, now))
         peak = max(peak, work * (before + cells), work * cells + _step_peak(now[a], other, work))
         before = cells
     return peak
@@ -542,17 +545,16 @@ def _plan(dim: int, bt: tuple[int, ...]) -> int:
     in one limb, then the peak of the build's growth from the seed (_peak),
     and return the limbs _pack gives a cell of the corner's bits
     (_corner_bits)."""
-    box = tuple(bt[i] for i in _axes(bt))
-    size = math.prod(b + 1 for b in box)
+    size = math.prod(b + 1 for b in bt)
     _check_memory((size,))
-    limbs = _packed_limbs(int(_corner_bits(tuple(b for b in box if b))) + 1)
-    seed = _seed(box)
-    steps = _growth(seed, box)
-    width, work = _digits(box, steps)
+    limbs = _packed_limbs(int(_corner_bits(tuple(b for b in bt if b))) + 1)
+    seed = _seed(bt)
+    steps = _growth(seed, bt)
+    width, work = _digits(bt, steps)
     if width < 1:
-        raise ValueError(f"box {box} in dim {dim}: its kernel rows sum past what float64 "
+        raise ValueError(f"box {bt} in dim {dim}: its kernel rows sum past what float64 "
                          f"products hold exactly")
-    _charge(8 * _peak(seed, box, steps, limbs, work),
+    _charge(8 * _peak(seed, bt, steps, limbs, work),
             f"table of {_approx(size)} cells in {limbs} limbs, built in {work} limbs "
             f"of {width} bits with its kernel and block staging")
     return limbs
@@ -561,16 +563,15 @@ def _plan(dim: int, bt: tuple[int, ...]) -> int:
 def build_table(dim: int, bound) -> CoeffTable:
     """Table of Zon_d coefficients over {e <= bound}.
 
-    Grown (_grow) from the seed, the cells along the longest axis alone,
-    which are all 1 (_seed), by the Euler recurrence along each other axis,
-    longest first, and packed into 32-bit limbs (_pack).  The box is charged
-    first (_planned), and not again if it was planned under the same budget
-    setting; the table itself is never cached.
+    Grown (_grow) in the axes as given from the seed, the cells along the
+    longest axis alone, which are all 1 (_seed), by the Euler recurrence
+    along each other axis, longest first, packed into 32-bit limbs (_pack).
+    The box is charged first (_planned), and not again if it was planned
+    under the same budget setting; the table itself is never cached.
     """
     bt = _validate_vector(bound, dim)
     _planned(dim, bt, os.environ.get(_MEMORY_ENV))
-    longest = _axes(bt)[-1]
-    seed = tuple(b if i == longest else 0 for i, b in enumerate(bt))
+    seed = _seed(bt)
     return _grow(CoeffTable(dim, seed, np.ones((1, *(c + 1 for c in seed)), np.uint64)), bt)
 
 
@@ -584,7 +585,7 @@ def _work(steps) -> tuple[int, int]:
     past r once j + 2k - 1 > r, that is from q = (r + 2) // k - 1 on."""
     cells = products = 0
     for a, r, now in steps:
-        n, shape = now[a], tuple(c + 1 for i, c in enumerate(now) if i != a)
+        n, shape = now[a], tuple(now[i] + 1 for i in _others(a, now))
         cells += (n * (n + 1) - r * (r + 1)) // 2 * math.prod(shape)
         blocks = sum(max(0, n // k - max(1, (r + 2) // k - 1) + 1)
                      for k in (1 << i for i in range(n.bit_length())))
@@ -600,15 +601,13 @@ def _grows(table: CoeffTable, bt: tuple[int, ...], limbs: int) -> bool:
     the growth's own peak (_peak) fits the budget."""
     if any(o > b for o, b in zip(table.bound, bt)):
         return False
-    order = _axes(bt)
-    box, old = (tuple(v[i] for i in order) for v in (bt, table.bound))
-    steps = _growth(old, box)
-    grown, cold = _work(steps), _work(_growth(_seed(box), box))
+    steps = _growth(table.bound, bt)
+    grown, cold = _work(steps), _work(_growth(_seed(bt), bt))
     if grown[0] >= cold[0] or grown[1] >= cold[1]:
         return False
-    _, work = _digits(box, steps)
+    _, work = _digits(bt, steps)
     try:
-        _charge(8 * (table.data.size + _peak(old, box, steps, limbs, work)),
+        _charge(8 * (table.data.size + _peak(table.bound, bt, steps, limbs, work)),
                 f"growth of a table of {table.bound} to {bt}")
     except MemoryBudgetError:
         return False
@@ -619,20 +618,16 @@ def _grow(table: CoeffTable, bt: tuple[int, ...]) -> CoeffTable:
     """The table of Zon_d over bt, d = table.dim, from `table`, which holds
     it over a box inside bt: its cells unpacked into the digits of bt, then
     one Euler step per longer axis (_growth) on digit rows with that axis in
-    front, the rows of the box so far copied in and final (_extend), and
-    the digits packed (_pack)."""
-    order = _axes(bt)
-    box, old = (tuple(v[i] for i in order) for v in (bt, table.bound))
-    steps = _growth(old, box)
-    width, limbs = _digits(box, steps)
-    # the digits so far, shaped (limbs, *cells) over the axes of box
-    cells = _relimb(table.data.transpose(0, *(1 + np.array(order))), _LIMB_BITS,
-                    np.zeros((limbs, *(c + 1 for c in old)), np.uint64), width)
+    front and the others in _others' order, the rows of the box so far
+    copied in and final (_extend), and the digits packed (_pack)."""
+    steps = _growth(table.bound, bt)
+    width, limbs = _digits(bt, steps)
+    # the digits so far, shaped (limbs, *cells)
+    cells = _relimb(table.data, _LIMB_BITS, np.zeros((limbs, *table.shape), np.uint64), width)
     for a, r, now in steps:
-        # axis a in front of the limbs (np.moveaxis, without its per-call cost)
-        front = (1 + a, *(i for i in range(len(now) + 1) if i != 1 + a))
-        rows = np.zeros((now[a] + 1, limbs, *(c + 1 for i, c in enumerate(now) if i != a)),
-                        np.uint64)
+        others = _others(a, now)
+        front = (1 + a, 0, *(1 + i for i in others))
+        rows = np.zeros((now[a] + 1, limbs, *(now[i] + 1 for i in others)), np.uint64)
         rows[:r + 1] = cells.transpose(front)
         del cells
         _extend(rows, r, width)
@@ -640,7 +635,7 @@ def _grow(table: CoeffTable, bt: tuple[int, ...]) -> CoeffTable:
         del rows
     data = _pack(cells, width)
     del cells
-    return CoeffTable(table.dim, bt, np.ascontiguousarray(data.transpose(0, *(1 + np.argsort(order)))))
+    return CoeffTable(table.dim, bt, data)
 
 
 # dim -> the last table shared_table made in that dimension

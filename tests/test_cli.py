@@ -314,6 +314,16 @@ def test_oversized_table_names_the_budget(capsys, monkeypatch, argv):
     assert len(err.splitlines()) == 1 and not re.search(r"\d{21}", err)
 
 
+def test_width_refusal_is_an_error(capsys, monkeypatch):
+    # under a budget that admits its cells, a box whose kernel rows sum past
+    # what float64 products hold exactly is refused by name, with no traceback
+    monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", str(10 ** 30))
+    code, out, err = run_cli(capsys, "count", "--dim", "2", "--n", "67108864")
+    assert code == 2 and out == ""
+    assert err == ("error: box (67108864, 67108864) in dim 2: its kernel rows sum past what "
+                   "float64 products hold exactly\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (("asympt", "--dim", "2", "--n", "1e4", "--m", "2"), "m = 2 outside 1..1"),
     (("asympt", "--dim", "2", "--n", "1e4", "--m", "0"), "m = 0 outside 1..1"),

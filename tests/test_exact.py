@@ -544,6 +544,56 @@ def test_grown_tables_equal_cold_builds(chain):
         assert np.array_equal(table.data, cold.data), box
 
 
+@st.composite
+def _permuted_chain(draw):
+    # a box of two to four axes of length up to 6, zero axes included, and
+    # one or two boxes around it, each around the last
+    dim = draw(st.integers(2, 4))
+    boxes = [draw(st.tuples(*[st.integers(0, 6)] * dim))]
+    for _ in range(draw(st.integers(1, 2))):
+        boxes.append(tuple(draw(st.integers(b, 6)) for b in boxes[-1]))
+    return dim, boxes
+
+
+def _charged(call, *args):
+    # what call(*args) returns, with every charge it makes, none refused
+    needs = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(exact, "_charge", lambda need, what: needs.append(need))
+        return call(*args), needs
+
+
+@settings(max_examples=25, deadline=None)
+@given(chain=_permuted_chain())
+@example(chain=(4, [(5, 5, 5, 5), (6, 6, 6, 6)]))
+@example(chain=(3, [(0, 5, 1), (3, 5, 1), (6, 6, 2)]))
+@example(chain=(2, [(1, 0), (3, 4)]))
+def test_builds_commute_with_axis_permutations(chain):
+    # every box is taken in the axis order it is asked in: for every
+    # permutation p of the axes, the build of p(box) is the build of box
+    # with its axes permuted, byte for byte, its plan makes the same
+    # charges from the same float corner bound, and a chain of growths from
+    # it is weighed, charged and grown alike
+    dim, boxes = chain
+    plans = [_charged(exact._plan, dim, box) for box in boxes]
+    bits = [exact._corner_bits(tuple(b for b in box if b)) for box in boxes]
+    tables, weighed = [build_table(dim, boxes[0])], []
+    for box, (limbs, _) in zip(boxes[1:], plans[1:]):
+        weighed.append(_charged(exact._grows, tables[-1], box, limbs))
+        tables.append(exact._grow(tables[-1], box))
+    for p in itertools.permutations(range(dim)):
+        asked = [tuple(box[i] for i in p) for box in boxes]
+        assert [_charged(exact._plan, dim, box) for box in asked] == plans, p
+        assert [exact._corner_bits(tuple(b for b in box if b)) for box in asked] == bits, p
+        table = build_table(dim, asked[0])
+        for i, want in enumerate(tables):
+            if i:
+                assert _charged(exact._grows, table, asked[i], plans[i][0]) == weighed[i - 1], p
+                table = exact._grow(table, asked[i])
+            want = want.data.transpose(0, *(1 + np.array(p)))
+            assert (table.data.shape, table.data.tobytes()) == (want.shape, want.tobytes()), p
+
+
 def test_growth_leaves_a_handed_out_table_alone():
     # a table handed out before a growth keeps its box and cells: the
     # growth makes a new table, which takes its place
@@ -612,9 +662,10 @@ def test_work_rule_builds_cold_where_growth_loses():
     *[(None, (n,) * 2) for n in (1, 2, 3, 4, 8, 16, 24, 32, 33, 48, 64, 96)],
     *[(None, (n,) * 3) for n in (1, 2, 3, 5, 8, 12, 16)],
     *[(None, (n,) * 4) for n in (1, 2, 3, 4, 5, 6)], *[(None, (n,) * 5) for n in (2, 4)],
-    (None, (3,) * 6), (None, (0, 5, 1000)), (None, (3, 16, 200)), (None, (1, 133)),
-    (None, (300, 10)), ((30, 30), (50, 50)), ((8, 8), (96, 96)), ((5,) * 3, (8,) * 3),
-    ((4,) * 4, (6,) * 4), ((300, 10), (300, 40)), ((0, 3), (7, 9))],
+    (None, (3,) * 6), (None, (0, 5, 1000)), (None, (3, 16, 200)), (None, (200, 16, 3)),
+    (None, (1, 133)), (None, (300, 10)), ((30, 30), (50, 50)), ((8, 8), (96, 96)),
+    ((5,) * 3, (8,) * 3), ((4,) * 4, (6,) * 4), ((5,) * 4, (6,) * 4), ((300, 10), (300, 40)),
+    ((0, 3), (7, 9))],
     ids=lambda box: "cold" if box is None else "x".join(map(str, box)))
 def test_work_counts_the_block_products_run(monkeypatch, old, box):
     # _grows weighs a growth against a build by _work's counts, taken from
@@ -630,16 +681,14 @@ def test_work_counts_the_block_products_run(monkeypatch, old, box):
         ran[1] += len(exact._tiling(src.shape[2:])[4])
         return real(src, kern, targets, first)
 
-    ordered = tuple(box[i] for i in exact._axes(box))
     table = None if old is None else build_table(len(old), old)
     monkeypatch.setattr(exact, "_toeplitz_add", counted)
     if table is None:
         build_table(len(box), box)
-        start = exact._seed(ordered)
     else:
         exact._grow(table, box)
-        start = tuple(old[i] for i in exact._axes(box))
-    assert tuple(ran) == exact._work(exact._growth(start, ordered))
+    start = exact._seed(box) if old is None else old
+    assert tuple(ran) == exact._work(exact._growth(start, box))
 
 
 def _refuse_work(monkeypatch):
@@ -664,6 +713,19 @@ def test_refused_build_fails_before_any_work(monkeypatch, dim, n):
     for call in (build_table, exact.shared_table):
         with pytest.raises(MemoryBudgetError, match=f"in {limbs} limbs, built in .* block staging"):
             call(dim, box)
+
+
+def test_width_refusal_names_the_box_as_given(monkeypatch):
+    # (2^26, 2^25) fits a budget of 10^30 bytes, but its kernel rows sum past
+    # what float64 products hold exactly at any limb width: the plan refuses
+    # it before any kernel or block product, built or shared, and names the
+    # box in the axis order it was asked in
+    monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", str(10 ** 30))
+    _refuse_work(monkeypatch)
+    for call in (build_table, exact.shared_table):
+        with pytest.raises(ValueError, match=r"^box \(67108864, 33554432\) in dim 2: its kernel "
+                                             r"rows sum past what float64 products hold exactly$"):
+            call(2, (2 ** 26, 2 ** 25))
 
 
 def test_default_budget_refuses_staging_up_front(monkeypatch, capsys):
@@ -781,12 +843,14 @@ def test_origin_cell_stays_one():
     *[pytest.param(dim, (n,) * dim, id=f"{dim}-{n}")
       for dim, n in ((2, 96), (3, 16), (4, 6), (3, 24), (4, 10), (6, 4), (2, 256), (3, 32), (8, 3),
                      (11, 2), (12, 2))],
-    pytest.param(3, (3, 16, 200), id="3-3x16x200"), pytest.param(3, (0, 5, 1000), id="3-0x5x1000")])
+    *[pytest.param(3, box, id="3-" + "x".join(map(str, box)))
+      for box in ((3, 16, 200), (200, 16, 3), (0, 5, 1000), (1000, 5, 0))]])
 def test_plan_charges_the_build_peak(monkeypatch, dim, box):
     # the plan's largest charge, the digit rows with the kernel and the
     # staging of the largest block product, or with the packed table, is at
-    # least what the build allocates at its peak; on the last two boxes the
-    # first step from the seed runs over length-1 axes
+    # least what the build allocates at its peak; on the last four boxes the
+    # first step from the seed runs over length-1 axes, and the longest axis
+    # comes last in two of them and first in the other two
     charge = _largest_charge(monkeypatch, dim, box)
     tracemalloc.start()
     try:
@@ -996,8 +1060,7 @@ def test_group_product_sums_in_uint64():
 def test_kernel_rows_sum_within_the_width_bounds(box):
     # the limb width keeps every product below 2^53 and every accumulator
     # below 2^63 by a bound on the kernel's row sums: check it on the kernel
-    # of every step of a build, from the seed along the longest axis (axes
-    # in _axes order)
+    # of every step of a build, from the seed along the longest axis
     steps = exact._growth(exact._seed(box), box)
     assert len(steps) == len(box) - 1
     width, _ = exact._digits(box, steps)
