@@ -33,13 +33,6 @@ boltzmann_sample turns them into (class, multiplicity) entries.  A tracked
 class beyond the cutoff is never drawn: its multiplicity is 0 in every
 sample, and its q_v is still e^(-theta ||v||_1).
 
-Each thread keeps one PCG64 generator and sets it, for every sample, to the
-state default_rng(seed) starts in.  The states of the 1,024 latest seeds
-are memoized process-wide (an LRU of two 128-bit ints a seed, about 0.3 MB
-when full): setting a remembered state takes about 1.5 us, where
-default_rng(seed) takes about 8, and a seed not remembered costs about 3 us
-more than default_rng.
-
 The samples of one sample_rows or sample_stats request are independent
 draws, one seed each, taken in runs of consecutive seeds whose uniforms fit
 one chunk: on a system of at most 2^15 classes a run's samples share one
@@ -49,6 +42,17 @@ thread pool with one worker per core available to the process (numpy
 releases the GIL while it fills and compares), at most four per worker in
 flight, and come back in seed order; with one core, one sample or fewer
 classes they run one after another.  Either way every output is the same.
+
+A class system of fewer than 2^16 classes, whose draws stay on the calling
+thread, keeps its latest draws, keyed by seed (_DrawMemo): each seed's
+direction count, endpoint, and its hits' visit positions and K, which a
+request's rows and tracked columns are built from.  A run of seeds that are
+all held is served from them; any other run is drawn, and its seeds kept.
+At most 1,024 seeds and 2^16 hits in all are kept, the oldest seeds going
+first, under a lock of the memo's own: class_system shares a system between
+threads.  A full memo holds 12 bytes a hit and under 800 a seed, at most
+about 1.6 MB, so the six cached systems at most about 9.6 MB; a memo lives
+and dies with its system.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ import math
 import operator
 import os
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -86,10 +91,11 @@ _Q_MARGIN = 1 + 1e-9
 # Uniforms per chunk of a draw: 512 KB of doubles, so the draw's buffer and
 # the slice of q_hi it is compared with stay in cache.
 _CHUNK = 1 << 16
-# Seeds whose PCG64 states are memoized, process-wide: a state is two 128-bit
-# ints, about 310 bytes a seed with the LRU's entry, and a hit sets the
-# thread's generator in about 1.5 us where default_rng(seed) takes about 8.
-# 1,024 holds every seed of a repeated request of up to 1,024 samples.
+# Seeds whose draws a class system under _PARALLEL_MIN_CLASSES keeps (a
+# _DrawMemo): 1,024 holds every seed of a repeated request of up to 1,024
+# samples.  It also keeps at most _CHUNK hits in all: at theta 1e-4 and
+# cutoff 0.99 in d = 2 a sample hits about 6,050 of 6,088 classes, and 1,024
+# of them would hold 74 MB.
 _SEED_MEMO = 1024
 # Classes from which the draws of one request go to the pool: below this a
 # draw (about 0.2 ms of uniforms) costs less than handing it to a thread.
@@ -118,7 +124,8 @@ class ClassSystem:
     ncls, and is int32 when the class law's count fits it.  q_hi, the only
     per-class array, is the smallest float32 at least q_v (1 + 1e-9), a bound
     beyond which a uniform gives K = 0: 4 bytes per class, and per vector 4
-    for first and (d + 1) times the coordinate type's size.
+    for first and (d + 1) times the coordinate type's size.  draws keeps the
+    latest draws of a request on a system of fewer than 2^16 classes.
     """
 
     def __init__(self, dim: int, theta: float, cutoff: float):
@@ -163,6 +170,7 @@ class ClassSystem:
         self.shell_q = np.exp(-self.theta * np.arange(l1_max + 1, dtype=np.float64))
         self.q_hi = np.repeat(_shell_bounds(self.shell_q)[self.norm], weight)
         self.l1_max = l1_max
+        self.draws = _DrawMemo()
 
     @property
     def q(self) -> np.ndarray:
@@ -245,26 +253,9 @@ def _check_seed(seed) -> int:
     return seed
 
 
-@functools.lru_cache(maxsize=_SEED_MEMO)
-def _seed_state(seed: int, /) -> tuple[int, int]:
-    """The PCG64 state and increment default_rng(seed) starts from."""
-    state = np.random.PCG64(seed).state["state"]
-    return state["state"], state["inc"]
-
-
-_thread = threading.local()
-
-
 def _generator(seed: int) -> np.random.Generator:
-    """The calling thread's generator, set to the state default_rng(seed) starts in."""
-    try:
-        gen = _thread.gen
-    except AttributeError:
-        gen = _thread.gen = np.random.Generator(np.random.PCG64(0))
-    state, inc = _seed_state(seed)
-    gen.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-    return gen
+    """default_rng(seed), the generator of the sample of that seed."""
+    return np.random.default_rng(seed)
 
 
 def _draw(sys: ClassSystem, seed: int, count: int = 1
@@ -274,12 +265,11 @@ def _draw(sys: ClassSystem, seed: int, count: int = 1
 
     The hits of seed + i are [bounds[i]:bounds[i + 1]], visit positions
     ascending.  Each sample takes one uniform per class, in visit order, from
-    the thread's generator set to the state default_rng(seed + i) starts in
-    (_generator; the states of the 1,024 latest seeds are memoized).  K is
-    floor(ln max(u, 1e-300) / ln q_v), evaluated only where u <= q_hi (numpy
-    compares the double with the float32 bound exactly, as doubles).  The
-    uniforms are filled into the draw's own buffer of at most _CHUNK.  A run
-    of seeds (count > 1) needs count * ncls <= _CHUNK: its samples fill one
+    default_rng(seed + i) (_generator).  K is floor(ln max(u, 1e-300) / ln q_v),
+    evaluated only where u <= q_hi (numpy compares the double with the float32
+    bound exactly, as doubles).  The uniforms are filled into the draw's own
+    buffer of at most _CHUNK.  A run of seeds (count > 1) needs
+    count * ncls <= _CHUNK: its samples fill one
     buffer one after another and share one compare, search, log and divide,
     and the K = 0 candidates are dropped only when there are any.  One seed
     on a larger system fills _CHUNK at a time: a double takes one PCG64
@@ -493,19 +483,56 @@ def _charge_rows(n_samples: int, header: Sequence[str]) -> None:
     _charge(n_samples * per_row, f"{_approx(n_samples)} sample rows of {len(header)} columns")
 
 
+class _DrawMemo:
+    """The latest draws of one class system, keyed by seed: direction count,
+    endpoint, and the hits' visit positions and K.  At most _SEED_MEMO seeds
+    and _CHUNK hits in all, oldest out first; locked, as threads share it."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._draws: OrderedDict[int, tuple] = OrderedDict()
+        self._hits = 0
+
+    def get(self, seed: int, count: int) -> list[tuple] | None:
+        """The draws of seeds seed .. seed + count - 1; None unless all are held."""
+        with self._lock:
+            draws = [self._draws.get(s) for s in range(seed, seed + count)]
+        return None if None in draws else draws
+
+    def put(self, seed: int, draws: Sequence[tuple]) -> None:
+        """Keep the draws of seeds seed, seed + 1, ...: a system under the gate
+        has fewer than _CHUNK classes, so the latest seed always stays."""
+        # copies: a view would keep the whole run's hits alive
+        kept = [(n, end, pos.copy(), k.copy()) for n, end, pos, k in draws[-_SEED_MEMO:]]
+        with self._lock:
+            for s, draw in enumerate(kept, seed + len(draws) - len(kept)):
+                old = self._draws.pop(s, None)
+                self._hits += draw[0] - (0 if old is None else old[0])
+                self._draws[s] = draw
+            while len(self._draws) > _SEED_MEMO or self._hits > _CHUNK:
+                self._hits -= self._draws.popitem(last=False)[1][0]
+
+
 def _rows(sys: ClassSystem, n_samples: int, base_seed: int,
           tracked_pos: Sequence[int | None]) -> Iterator[list]:
     """sample_rows without the header; tracked classes given by visit position."""
     base_seed = _check_seed(base_seed)
+    # the draws of a system below the pool's gate are kept, and served again
+    memo = sys.draws if sys.ncls < _PARALLEL_MIN_CLASSES else None
 
     def run(seed: int, count: int) -> list[list]:
-        bounds, pos, rows, k = _draw(sys, seed, count)
-        # the hits' rows cast to K's type once for the run, not per sample;
-        # take gathers rows several times faster than fancy indexing does
-        vecs = sys.vecs.take(rows, 0).astype(np.int64)
-        return [[seed + i, b - a, *k[a:b].dot(vecs[a:b]).tolist(),
-                 *(_multiplicity_at(pos[a:b], k[a:b], p) for p in tracked_pos)]
-                for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+        draws = None if memo is None else memo.get(seed, count)
+        if draws is None:
+            bounds, pos, rows, k = _draw(sys, seed, count)
+            # the hits' rows cast to K's type once for the run, not per sample;
+            # take gathers rows several times faster than fancy indexing does
+            vecs = sys.vecs.take(rows, 0).astype(np.int64)
+            draws = [(b - a, k[a:b].dot(vecs[a:b]).tolist(), pos[a:b], k[a:b])
+                     for a, b in zip(bounds, bounds[1:])]
+            if memo is not None:
+                memo.put(seed, draws)
+        return [[seed + i, n, *end, *(_multiplicity_at(pos, k, p) for p in tracked_pos)]
+                for i, (n, end, pos, k) in enumerate(draws)]
 
     # runs of seeds whose uniforms fit one chunk; one seed each from 2^15 classes
     per_run = max(1, _CHUNK // max(sys.ncls, 1))

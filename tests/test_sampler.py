@@ -312,12 +312,14 @@ def test_negative_seed_is_named():
 
 
 def test_non_integer_seeds_are_refused_by_name(monkeypatch):
-    # operator.index refuses them before the seed memo is read: a memo keyed
-    # by seed would serve 1.0 from seed 1's entry
-    def refuse(seed):
-        raise AssertionError("read the seed memo for a non-integer seed")
+    # operator.index refuses them before the draw memo is read or a generator
+    # is made: the memo, keyed by seed, would serve 1.0 from seed 1's entry
+    list(sample_rows(2, 1.0, 1e-6, 6, 0))  # the system's memo holds seeds 0-5
 
-    monkeypatch.setattr(sampler, "_seed_state", refuse)
+    def refuse(seed):
+        raise AssertionError("made a generator for a non-integer seed")
+
+    monkeypatch.setattr(sampler, "_generator", refuse)
     for bad in (1.5, 1.0, np.float64(2.0), "1", None):
         rows = sample_rows(2, 1.0, 1e-6, 3, bad)
         next(rows)  # header
@@ -330,6 +332,7 @@ def test_non_integer_seeds_are_refused_by_name(monkeypatch):
     # an integer of another type is the int it equals
     assert boltzmann_sample(2, 1.0, 1e-6, seed=np.int64(3)).entries \
         == boltzmann_sample(2, 1.0, 1e-6, seed=3).entries
+    assert list(sample_rows(2, 1.0, 1e-6, 3, np.int64(1))) == list(sample_rows(2, 1.0, 1e-6, 3, 1))
 
 
 def test_validation_errors():
@@ -819,25 +822,48 @@ def test_closing_rows_early_stops_the_draws(monkeypatch):
     assert len(draws) == made
 
 
+def _held(sys):
+    # the seeds and hits a system's draw memo holds, each entry checked
+    # against itself and the hit count against the entries
+    draws = sys.draws._draws
+    assert all(n == pos.size == k.size and len(end) == sys.dim for n, end, pos, k in draws.values())
+    hits = sum(n for n, *_ in draws.values())
+    assert hits == sys.draws._hits
+    return len(draws), hits
+
+
 def test_concurrent_requests_keep_their_rows():
-    # eight requests from eight threads at once, each on the pool or, with one
-    # core, drawing in its own thread: a buffer shared between threads would
-    # mix their uniforms
-    want = {seed: list(_one_draw_at_a_time(2, THETA_1E4, 1e-12, 6, seed, ())) for seed in range(8)}
-    got = {}
-    switch = getswitchinterval()
-    setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=lambda s=seed: got.setdefault(
-            s, list(sample_rows(2, THETA_1E4, 1e-12, 6, s))[1:])) for seed in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-        assert not any(t.is_alive() for t in threads)
-    finally:
-        setswitchinterval(switch)
-    assert got == want
+    # eight requests from eight threads at once, each twice: on the pool or,
+    # with one core, drawing in its own thread, a buffer shared between
+    # threads would mix their uniforms.  The small systems share one draw
+    # memo between the threads, their seeds overlap, and their puts evict:
+    # 6,088 classes hit about 6,050 times a sample (the hit bound), and one
+    # class in 1,800 seeds (the seed bound).  Ten rounds each, since a lost
+    # update of the memo's hit count shows in about one round of three
+    for dim, theta, cutoff, n_samples, rounds in [(2, THETA_1E4, 1e-12, 6, 1),
+                                                  (2, 1e-4, 0.99, 6, 10),
+                                                  (1, math.log(2), 0.4, 400, 10)]:
+        step = n_samples // 2
+        want = {seed: 2 * [list(_one_draw_at_a_time(dim, theta, cutoff, n_samples,
+                                                    seed * step, ()))] for seed in range(8)}
+        for _ in range(rounds):
+            got = {}
+            switch = getswitchinterval()
+            setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=lambda s=seed: got.setdefault(s, [
+                    list(sample_rows(dim, theta, cutoff, n_samples, s * step))[1:]
+                    for _ in range(2)])) for seed in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                assert not any(t.is_alive() for t in threads)
+            finally:
+                setswitchinterval(switch)
+            assert got == want, (dim, theta, cutoff)
+            seeds, hits = _held(class_system(dim, theta, cutoff))
+            assert seeds <= 1024 and hits <= 2 ** 16
 
 
 def _rows_in_child(queue):
@@ -864,85 +890,100 @@ def test_forked_child_makes_its_own_pool():
     assert child.exitcode == 0
 
 
-# seeds past int32, int64 and uint64, and one of 100 bits
-MEMO_SEEDS = [0, 2 ** 32, 2 ** 64 + 1, 10 ** 30]
+@pytest.mark.parametrize("dim, theta, cutoff", DRAW_SYSTEMS)
+def test_held_draws_equal_fresh_draws(monkeypatch, dim, theta, cutoff):
+    # rows and sample_stats of one system, which keeps its draws, against a
+    # fresh system per request: a run whose seeds are all held, one only
+    # partly held, seeds past uint64, tracked classes kept and beyond the
+    # cutoff, and requests after the seeds 0-14 were evicted
+    vecs = class_system(dim, theta, cutoff).vecs
+    kept = [(tuple(vecs[r].tolist()), 0) for r in (0, len(vecs) // 2, -1)]
+    # in dim 1 (1,) is the only class, and it is kept
+    far = [((10 ** 6,) + (1,) * (dim - 1), 0)] if dim > 1 else []
+    big = 2 ** 64 + 1
+    # (base seed, samples, tracked, whether the rows draw)
+    requests = [(0, 10, kept, True), (0, 10, far + kept, False), (5, 10, kept[::-1], True),
+                (big, 3, kept, True), (big, 3, kept + far, False), (10 ** 4, 1100, kept, True),
+                (0, 10, kept + far, True), (10 ** 4 + 1095, 5, far + kept, False)]
+    want = []
+    with monkeypatch.context() as m:
+        m.setattr(sampler, "class_system", ClassSystem)  # one per request, nothing held
+        for base, n, tracked, _ in requests:
+            want.append((list(sample_rows(dim, theta, cutoff, n, base, tracked)),
+                         sample_stats(dim, theta, cutoff, n, base, tracked)))
+    sys = ClassSystem(dim, theta, cutoff)
+    monkeypatch.setattr(sampler, "class_system", lambda *key: sys)
+    draws = _count_draws(monkeypatch)
+    for (base, n, tracked, drawn), (rows, stats) in zip(requests, want):
+        before = len(draws)
+        assert list(sample_rows(dim, theta, cutoff, n, base, tracked)) == rows, (base, n)
+        assert (len(draws) > before) == drawn, (base, n)
+        assert sample_stats(dim, theta, cutoff, n, base, tracked) == stats, (base, n)
+        seeds, hits = _held(sys)
+        assert 0 < seeds <= 1024 and hits <= 2 ** 16
 
 
-def _assert_starts_as_default_rng(seed):
-    gen = sampler._generator(seed)
-    assert gen.bit_generator.state == np.random.default_rng(seed).bit_generator.state, seed
-    assert gen.random(5).tolist() == np.random.default_rng(seed).random(5).tolist(), seed
-
-
-def test_memoized_generator_equals_default_rng():
-    # the thread's generator, set from the seed memo, starts as
-    # default_rng(seed): on a miss, on a hit, and after the seed was evicted
-    sampler._seed_state.cache_clear()
+def test_mutated_rows_leave_the_held_draws():
+    # a caller may change the rows it is given: a drawn request's, then a held one's
+    request = (2, 0.05, 0.5, 6, 3, [((0, 1), 0), ((1, 1), 1)])
+    class_system(*request[:3]).draws = sampler._DrawMemo()  # nothing held
+    want = [list(sample_rows(*request)) for _ in range(2)]
     for _ in range(2):
-        for seed in MEMO_SEEDS:
-            _assert_starts_as_default_rng(seed)
-    info = sampler._seed_state.cache_info()
-    assert (info.misses, info.hits) == (4, 4)
-    for seed in range(10 ** 9, 10 ** 9 + sampler._SEED_MEMO):
-        sampler._generator(seed)
-    for seed in MEMO_SEEDS:
-        _assert_starts_as_default_rng(seed)
-    info = sampler._seed_state.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (8 + sampler._SEED_MEMO, 4, sampler._SEED_MEMO)
+        rows = list(sample_rows(*request))
+        assert rows == want[0]
+        for row in rows[1:]:
+            row[1] = -1
+            row[2] += 5
+            row[-1] = 99
+            row.append(0)
+    assert list(sample_rows(*request)) == want[0]
 
 
-def test_memoized_generators_on_pool_threads(monkeypatch):
-    # concurrent requests whose seeds overlap, on the pool unless the process
-    # has one core: every generator a draw takes starts as default_rng(seed),
-    # whichever thread filled the memo entry, and every row is the serial one
-    requests = [(base + shift, 5) for base in MEMO_SEEDS for shift in (0, 2)]
-    want = {(base, n): list(_one_draw_at_a_time(2, THETA_1E4, 1e-12, n, base, ()))
-            for base, n in requests}
-    sampler._seed_state.cache_clear()
-    seen = []
-    real = sampler._generator
-
-    def recorded(seed):
-        gen = real(seed)
-        seen.append((seed, threading.current_thread().name, gen.bit_generator.state))
-        return gen
-
-    monkeypatch.setattr(sampler, "_generator", recorded)
-    got = {}
-    switch = getswitchinterval()
-    setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=lambda req=req: got.setdefault(
-            req, list(sample_rows(2, THETA_1E4, 1e-12, req[1], req[0]))[1:])) for req in requests]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-        assert not any(t.is_alive() for t in threads)
-    finally:
-        setswitchinterval(switch)
-    assert got == want
-    assert len(seen) == 5 * len(requests)
-    assert all(name.startswith("zonocount-draw") for _, name, _ in seen) == (sampler._cores() > 1)
-    for seed, _, state in seen:
-        assert state == np.random.default_rng(seed).bit_generator.state, seed
+@pytest.mark.parametrize("dim, theta, cutoff, n_samples", [
+    (1, math.log(2), 0.4, 3000),  # the seed bound: one class, under one hit a sample
+    (2, 0.05, 0.5, 2000),  # 116 classes, about 73 hits a sample: the hit bound
+    (2, 1e-4, 0.99, 30),  # 6,088 classes, about 6,050 hits a sample
+    (4, 0.8, 1e-4, 1500),  # about 20 hits a sample, in runs of 11 seeds
+])
+def test_draw_memo_keeps_the_latest_seeds_within_both_bounds(dim, theta, cutoff, n_samples):
+    # at most 1,024 seeds and 2^16 hits: after each request the latest seeds,
+    # as many as fit; a second request overlaps the first by half
+    sys = ClassSystem(dim, theta, cutoff)
+    for base in (0, n_samples // 2):
+        rows = list(sampler._rows(sys, n_samples, base, []))
+        seeds, hits = _held(sys)
+        assert seeds <= 1024 and hits <= 2 ** 16
+        assert list(sys.draws._draws) == list(range(base + n_samples - seeds, base + n_samples))
+        # the next older seed would pass a bound
+        assert seeds == 1024 or hits + rows[-seeds - 1][1] > 2 ** 16, (seeds, hits)
 
 
-def test_seed_memo_stays_compact():
-    # at most _SEED_MEMO = 1024 seeds, each two 128-bit ints in the cache's
-    # entry: about 310 bytes a seed, under 400 KB across 5,000 fresh seeds
-    sampler._seed_state.cache_clear()
-    sampler._generator(0)  # the thread's generator and numpy's own caches
+def test_large_systems_hold_no_draws():
+    # 167,380 classes: draws on the pool, none kept
+    sys = class_system(2, THETA_1E4, 1e-12)
+    assert sys.ncls >= sampler._PARALLEL_MIN_CLASSES
+    list(sample_rows(2, THETA_1E4, 1e-12, 3, 0))
+    sample_stats(2, THETA_1E4, 1e-12, 1, 0)
+    assert _held(sys) == (0, 0)
+
+
+def test_full_draw_memo_stays_within_its_stated_bytes():
+    # 12 bytes a hit and under 800 a seed, at most about 1.6 MB: here about
+    # 890 seeds of 73 hits, numbers past 2^40 for keys
+    sys = ClassSystem(2, 0.05, 0.5)
+    list(sampler._rows(sys, 10, 0, []))  # numpy's own caches
+    sys.draws = sampler._DrawMemo()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        for seed in range(10 ** 12, 10 ** 12 + 5000):
-            sampler._generator(seed)
+        for _ in sampler._rows(sys, 2000, 2 ** 40, []):
+            pass
         held = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    assert sampler._seed_state.cache_info().currsize == sampler._SEED_MEMO == 1024
-    assert held < 400 * 1024, held
+    seeds, hits = _held(sys)
+    assert hits > 2 ** 16 - 100
+    assert held <= 12 * hits + 800 * seeds <= 12 * 2 ** 16 + 800 * 1024, (held, seeds, hits)
 
 
 # (dim, theta, cutoff, n_samples, tracked): 5 classes in dim 5, 256 in dim 2
