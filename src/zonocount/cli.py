@@ -5,12 +5,17 @@ envelope, floats at 15 significant digits, big integers and exact rationals
 as strings) or CSV.  `--self-test` runs the embedded golden suite and exits
 nonzero on any mismatch.
 
-A request pays for one argparse pass: when the first argument names a
-subcommand, main parses the rest with that subcommand's parser alone, which
-is what the top-level parser would hand them to.  The JSON text is written
-directly, scalar by scalar with the json module's C string encoder; its bytes
-are those of json.dumps(envelope, indent=2) plus a newline, which with an
-indent would take json's pure-Python encoder.
+A plain request, each option spelled out in full and its value in the next
+argument, is parsed in one pass over its parser's own argparse actions,
+calling each as argparse would.  argparse parses every other form
+(--opt=value, abbreviations, --, help, a value starting with "-", unknown
+flags and every error), so usage, help and error text are all its own: when
+the first argument names a subcommand, main parses the rest with that
+subcommand's parser alone, which is what the top-level parser would hand
+them to.  The JSON text is written directly, scalar by scalar with the json
+module's C string encoder; its bytes are those of json.dumps(envelope,
+indent=2) plus a newline, which with an indent would take json's pure-Python
+encoder.
 """
 
 from __future__ import annotations
@@ -306,64 +311,72 @@ def _poly_recursion_holds(d: int) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each subcommand's parser, by name."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser],
+                        dict[argparse.ArgumentParser, dict[str, argparse.Action]]]:
+    """The top-level parser, each subcommand's parser by name, and for each of
+    these parsers its actions by option string, as add_argument returned them."""
+    options = {}
+
+    def add(p, *flags, **kwargs):
+        action = p.add_argument(*flags, **kwargs)
+        options.setdefault(p, {}).update(dict.fromkeys(action.option_strings, action))
+
     parser = argparse.ArgumentParser(
         prog="zonocount",
         description="Exact counts, asymptotic estimates, and random sampling of "
                     "lattice zonotopes inscribed in [0,n]^d.",
         epilog="Environment: ZONOCOUNT_MEMORY_BUDGET overrides the ~2 GB memory guard (bytes).",
     )
-    parser.add_argument("--self-test", action="store_true",
-                        help="run the embedded golden suite and exit")
+    add(parser, "--self-test", action="store_true",
+        help="run the embedded golden suite and exit")
     sub = parser.add_subparsers(dest="command")
 
     def common(p, with_range=False, with_zeros=False):
-        p.add_argument("--dim", type=int, required=True, help="ambient dimension d")
+        add(p, "--dim", type=int, required=True, help="ambient dimension d")
         if with_range:
-            p.add_argument("--n", type=int, help="single box size")
-            p.add_argument("--n-range", help="inclusive box-size range MIN:MAX")
+            add(p, "--n", type=int, help="single box size")
+            add(p, "--n-range", help="inclusive box-size range MIN:MAX")
         if with_zeros:
-            p.add_argument("--zeros", help="zeros file (one ordinate per line, # comments)")
-            p.add_argument("--m", type=int, default=1, help="number of zeros to sum (default 1)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--output", help="write to file instead of stdout")
+            add(p, "--zeros", help="zeros file (one ordinate per line, # comments)")
+            add(p, "--m", type=int, default=1, help="number of zeros to sum (default 1)")
+        add(p, "--format", choices=("json", "csv"), default="json")
+        add(p, "--output", help="write to file instead of stdout")
 
     p = sub.add_parser("count", help="exact zonotope counts")
     common(p, with_range=True)
-    p.add_argument("--cumulative", action="store_true",
-                   help="count boxes fitting inside [0,n]^d instead of exact bounding box")
+    add(p, "--cumulative", action="store_true",
+        help="count boxes fitting inside [0,n]^d instead of exact bounding box")
 
     p = sub.add_parser("compare", help="exact vs closed-form estimate, side by side")
     common(p, with_range=True, with_zeros=True)
 
     p = sub.add_parser("moments", help="exact diameter / occurrence moments")
     common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--param", choices=("diameter", "occurrence"), required=True)
-    p.add_argument("--v0", help="sign-class vector for occurrence, e.g. 1,1")
+    add(p, "--n", type=int, required=True)
+    add(p, "--param", choices=("diameter", "occurrence"), required=True)
+    add(p, "--v0", help="sign-class vector for occurrence, e.g. 1,1")
 
     p = sub.add_parser("asympt", help="decomposed closed-form estimate")
     common(p, with_zeros=True)
-    p.add_argument("--n", type=float, required=True)
+    add(p, "--n", type=float, required=True)
 
     p = sub.add_parser("icrit", help="oscillatory zero-sum correction")
     common(p, with_zeros=True)
-    p.add_argument("--n", type=float, required=True)
+    add(p, "--n", type=float, required=True)
 
     p = sub.add_parser("sample", help="Boltzmann samples at the saddle parameter")
     common(p)
-    p.add_argument("--n", type=float, help="box size; theta = (kappa_d/n)^(1/(d+1))")
-    p.add_argument("--theta", type=float, help="explicit Boltzmann parameter")
-    p.add_argument("--samples", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cutoff", type=float, default=1e-12,
-                   help="drop classes with q_v below this (default 1e-12)")
-    p.add_argument("--track", action="append",
-                   help="sign class to record, e.g. 1,1:0 (repeatable)")
-    p.add_argument("--polygon-out", help="write the first sample's polygon CSV (dim 2)")
+    add(p, "--n", type=float, help="box size; theta = (kappa_d/n)^(1/(d+1))")
+    add(p, "--theta", type=float, help="explicit Boltzmann parameter")
+    add(p, "--samples", type=int, default=1)
+    add(p, "--seed", type=int, default=0)
+    add(p, "--cutoff", type=float, default=1e-12,
+        help="drop classes with q_v below this (default 1e-12)")
+    add(p, "--track", action="append",
+        help="sign class to record, e.g. 1,1:0 (repeatable)")
+    add(p, "--polygon-out", help="write the first sample's polygon CSV (dim 2)")
     p.set_defaults(format="csv")
-    return parser, sub.choices
+    return parser, sub.choices, options
 
 
 _HANDLERS = {
@@ -376,17 +389,53 @@ _HANDLERS = {
 }
 
 
+def _plain_args(parser, actions, tokens, command):
+    """The Namespace one top-level parse gives command and tokens, made in
+    one pass that calls the actions of parser (command's own parser, or the
+    top-level one); None for a form left to argparse: a token that is not
+    an exact option string, a value missing or starting with "-", a value
+    its type or choices refuse, or a required option left out."""
+    args = argparse.Namespace(self_test=False, command=command)
+    for action in actions.values():
+        setattr(args, action.dest, action.default)
+    seen = set()
+    tokens = iter(tokens)
+    for option in tokens:
+        action = actions.get(option)
+        if action is None:
+            return None
+        value = []  # what argparse hands a zero-nargs action
+        if action.nargs != 0:
+            text = next(tokens, "-")  # a missing value declines as a "-" one
+            if text.startswith("-"):
+                return None
+            try:
+                value = action.type(text) if action.type else text
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        action(parser, args, value, option)
+        seen.add(action)
+    if any(action.required and action not in seen for action in actions.values()):
+        return None
+    return args
+
+
 def main(argv=None) -> int:
-    parser, subcommands = _parsers()
+    parser, subcommands, options = _parsers()
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] in subcommands:
+    command = argv[0] if argv and argv[0] in subcommands else None
+    own = subcommands[command] if command else parser
+    args = _plain_args(own, options[own], argv[1:] if command else argv, command)
+    if args is None and command:
         # what parser.parse_args does, without its own pass over the arguments
-        args, extra = subcommands[argv[0]].parse_known_args(
-            argv[1:], argparse.Namespace(self_test=False, command=argv[0]))
+        args, extra = own.parse_known_args(
+            argv[1:], argparse.Namespace(self_test=False, command=command))
         if extra:
             parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    else:
+    elif args is None:
         args = parser.parse_args(argv)
     if args.self_test:
         if args.command is not None:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -10,7 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import zonocount.cli as cli
@@ -502,8 +503,11 @@ class _Parsed(Exception):
 
 
 # every subcommand, --flag=value forms, a missing required flag, unknown and
-# leftover arguments after a subcommand, a bad choice, a bad int, help, and
-# the argv lists that go to the top-level parser
+# leftover arguments after a subcommand, a bad choice, a bad int, help, the
+# argv lists that go to the top-level parser, and the forms main's one pass
+# over a parser's actions must decline or parse as argparse does: negative
+# values, a repeated option, an empty value, a value that names an option, an
+# abbreviation, an option left without its value and help after plain options
 ARGV_CORPUS = [
     ["count", "--dim", "2", "--n", "3"],
     ["count", "--dim=2", "--n-range=1:4", "--cumulative", "--format=csv"],
@@ -534,14 +538,22 @@ ARGV_CORPUS = [
     [],
     ["frobnicate", "--dim", "2"],
     ["--dim", "2", "count"],
+    ["asympt", "--dim", "2", "--n", "-5"],
+    ["sample", "--dim", "2", "--n", "1000", "--samples", "2", "--seed", "-1"],
+    ["count", "--dim", "2", "--dim", "3", "--n", "3"],
+    ["count", "--dim", "2", "--n", "3", "--output", ""],
+    ["compare", "--dim", "2", "--n", "3", "--zeros", "--m", "2"],
+    ["sample", "--dim", "2", "--n", "1000", "--samp", "3"],
+    ["count", "--dim", "2", "--n"],
+    ["moments", "--dim", "2", "--n", "4", "--param", "diameter", "--help"],
 ]
 
 
-@pytest.mark.parametrize("argv", ARGV_CORPUS, ids=" ".join)
-def test_main_parses_as_the_top_level_parser(capsys, monkeypatch, argv):
-    # main parses a subcommand's arguments with that subcommand's parser
-    # alone: it must hand on the Namespace, print the text and exit with the
-    # code that one pass of the top-level parser gives
+def _assert_main_parses_as_the_top_level_parser(capsys, monkeypatch, argv):
+    # main parses plain arguments in one pass over a parser's actions, and
+    # others with the subcommand's parser alone: it must hand on the
+    # Namespace, print the text and exit with the code that one pass of the
+    # top-level parser gives
     try:
         want, want_code = cli._parsers()[0].parse_args(argv), None
     except SystemExit as exc:
@@ -572,6 +584,116 @@ def test_main_parses_as_the_top_level_parser(capsys, monkeypatch, argv):
         assert code == 2 and "a subcommand is required" in out.err
     else:
         assert got == want and (code, out.out, out.err) == (None, "", "")
+
+
+@pytest.mark.parametrize("argv", ARGV_CORPUS, ids=" ".join)
+def test_main_parses_as_the_top_level_parser(capsys, monkeypatch, argv):
+    _assert_main_parses_as_the_top_level_parser(capsys, monkeypatch, argv)
+
+
+# values argparse refuses or parses alone: a bad choice or number, negatives
+# (it takes "-1e3" for an option), "-" forms, an empty string, an option's
+# name and a stray subcommand
+_BAD_VALUES = ["xml", "mean", "2.5", "x", "3:1", "-1", "-5", "-2.5", "-1e3", "-1,1", "-", "-h",
+               "--m", "--", "", "count"]
+
+
+@st.composite
+def _argv_forms(draw):
+    """An argv drawn from the parsers' own option strings: its parser's
+    required options (most of the time) and a few others, each with a value
+    it takes, and at most one form argparse alone parses or refuses: a bad
+    value, or an option of any parser as a pair, a --flag=value join, a
+    prefix, a bare flag or a stray value."""
+    parser, subcommands, options = cli._parsers()
+    command = draw(st.sampled_from([None, *sorted(subcommands)]))
+    own = options[subcommands[command] if command else parser]
+    picked = [flag for flag, action in own.items() if action.required and draw(st.integers(0, 9))]
+    picked += draw(st.lists(st.sampled_from(sorted(own)), max_size=6))
+    items = [[flag] if own[flag].nargs == 0
+             else [flag, draw(st.sampled_from(own[flag].choices or ["2", "3"]))]
+             for flag in picked]
+    odd = draw(st.sampled_from(["none"] * 4 + ["value"] * 2
+                               + ["pair", "=", "prefix", "flag", "stray"]))
+    valued = [item for item in items if len(item) == 2]
+    if odd == "value" and valued:
+        draw(st.sampled_from(valued))[1] = draw(st.sampled_from(_BAD_VALUES))
+    elif odd not in ("none", "value"):
+        flags = sorted({flag for actions in options.values() for flag in actions})
+        flag = draw(st.sampled_from(flags + ["--help", "-h", "--"]))
+        value = draw(st.sampled_from(["2", *_BAD_VALUES]))
+        items.append({"pair": [flag, value], "=": [f"{flag}={value}"], "flag": [flag],
+                      "prefix": [flag[:draw(st.integers(2, len(flag)))], value],
+                      "stray": [value]}[odd])
+    head = [command] if command else []
+    return head + [token for item in draw(st.permutations(items)) for token in item]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv_forms())
+@example(argv=["count", "--dim", "2", "--format", "xml"])
+@example(argv=["moments", "--dim", "2", "--n", "4"])
+@example(argv=["sample", "--dim", "2", "--track", "1,1:0"])
+@example(argv=["count", "--dim", "2", "--output", "-1,1"])
+@example(argv=["count", "--dim", "2", "--output", "--cumulative"])
+def test_main_parses_drawn_argv_as_the_top_level_parser(capsys, monkeypatch, argv):
+    # a "--=" token is ambiguous to both parsers, which name different
+    # candidates (test_an_ambiguous_option_after_a_subcommand_is_refused)
+    assume(not any(token.startswith("--=") for token in argv))
+    _assert_main_parses_as_the_top_level_parser(capsys, monkeypatch, argv)
+
+
+_PLAIN_REQUESTS = [
+    ("count", "--dim", "2", "--n-range", "1:6", "--cumulative"),
+    ("count", "--dim", "3", "--n", "2", "--format", "csv"),
+    ("compare", "--dim", "2", "--n-range", "8:10", "--zeros", "zeros.txt", "--m", "2"),
+    ("moments", "--dim", "2", "--n", "3", "--param", "occurrence", "--v0", "1,1"),
+    ("moments", "--dim", "2", "--n", "3", "--param", "diameter"),
+    ("asympt", "--dim", "3", "--n", "1e6", "--zeros", "zeros.txt", "--m", "2"),
+    ("icrit", "--dim", "2", "--n", "1e5"),
+    ("sample", "--dim", "2", "--n", "1000", "--cutoff", "1e-3", "--samples", "3",
+     "--seed", "5", "--track", "1,1:0", "--track", "1,0"),
+    ("--self-test",),
+]
+
+
+def _equals_spelling(argv):
+    """argv with each --flag value pair joined as --flag=value."""
+    out = []
+    for token in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and not token.startswith("--"):
+            out[-1] += f"={token}"
+        else:
+            out.append(token)
+    return out
+
+
+def test_plain_requests_are_served_without_argparse_parsing(capsys, monkeypatch, tmp_path):
+    # every kind of plain request the benchmark's workloads make runs with
+    # argparse's parse disabled, and prints what the --flag=value spelling,
+    # which argparse parses, prints
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "zeros.txt").write_text("14.134725141734693\n21.022039638771555\n")
+    want = [run_cli(capsys, *_equals_spelling(argv)) for argv in _PLAIN_REQUESTS]
+    assert all(code == 0 and out and not err for code, out, err in want)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed a plain request")
+
+    for name in ("parse_known_args", "parse_args"):
+        monkeypatch.setattr(argparse.ArgumentParser, name, refuse)
+    assert [run_cli(capsys, *argv) for argv in _PLAIN_REQUESTS] == want
+
+
+def test_importing_the_cli_builds_no_parser():
+    # the parsers are built by the first request, not at import
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code = "import zonocount.cli as cli; print(cli._parsers.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
 
 def test_main_reads_sys_argv(capsys, monkeypatch):
