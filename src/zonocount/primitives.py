@@ -20,9 +20,12 @@ the symmetric box [-b, b] up to sign.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
+import threading
+from collections import OrderedDict, namedtuple
 from typing import Sequence
 
 import numpy as np
@@ -57,6 +60,86 @@ def _charge(need: int, what: str) -> None:
     if need > budget:
         raise MemoryBudgetError(f"{what} (~{_approx(need, 9)} GB) exceeds budget "
                                 f"{_approx(budget, 9)} GB; raise {_MEMORY_ENV} to override")
+
+
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+def _lru_one_large(maxsize: int, large):
+    """Memoize a function of positional arguments as functools.lru_cache(maxsize)
+    does, but hold at most one value that large(value) calls large: the
+    latest, in a slot of its own, which every miss empties before it calls
+    the function.  So two large values are never held here at once, and one
+    no longer asked for goes before the next is made, unless a caller still
+    holds it.  The small values stay in an LRU of maxsize.
+
+    A hit takes no lock.  A miss takes one lock, looks again and calls the
+    function under it, so threads build one value at a time.  cache_info()
+    and cache_clear() are lru_cache's; currsize counts the large slot, and a
+    hit racing another thread's hit may go uncounted."""
+    def decorate(fn):
+        small: OrderedDict = OrderedDict()  # least recently used first
+        held = None  # (key, value) of the large value kept, or None
+        hits = misses = 0
+        lock = threading.Lock()
+
+        def miss(key):
+            nonlocal held, hits, misses
+            with lock:
+                value = small.get(key, small)  # the dict itself stands for no entry
+                if value is small and held is not None and held[0] == key:
+                    value = held[1]
+                if value is not small:  # made by another thread while this one waited
+                    hits += 1
+                    return value
+                misses += 1
+                held = None  # let the large value go before the next is made
+                value = fn(*key)
+                if large(value):
+                    held = (key, value)
+                else:
+                    small[key] = value
+                    if len(small) > maxsize:
+                        small.popitem(last=False)
+                return value
+
+        def cached(*key):
+            nonlocal hits
+            value = small.get(key, small)
+            if value is not small:
+                try:
+                    small.move_to_end(key)
+                except KeyError:  # evicted by another thread's miss since the get
+                    pass
+            else:
+                entry = held
+                if entry is None or entry[0] != key:
+                    entry = None  # the miss must not keep the large value alive
+                    return miss(key)
+                value = entry[1]
+            hits += 1
+            return value
+
+        def cache_info() -> _CacheInfo:
+            return _CacheInfo(hits, misses, maxsize, len(small) + (held is not None))
+
+        def cache_clear() -> None:
+            nonlocal held, hits, misses
+            with lock:
+                small.clear()
+                held = None
+                hits = misses = 0
+
+        def after_fork() -> None:  # a lock held by a thread the child lacks stays held
+            nonlocal lock
+            lock = threading.Lock()
+
+        if hasattr(os, "register_at_fork"):
+            os.register_at_fork(after_in_child=after_fork)
+        cached.cache_info, cached.cache_clear = cache_info, cache_clear
+        return functools.update_wrapper(cached, fn)
+
+    return decorate
 
 
 def _check_dim(dim: int) -> None:

@@ -22,7 +22,10 @@ per-class array.  At d = 3 and the n = 2e3 saddle (l1_max = 134, int16) a
 system holds 9.54 MB: 4 bytes for each of 1,348,801 classes, 12 for each
 of 345,448 vectors and 8 for each of 135 shells.  The budget is charged
 d + 4 words for each class of the 1-norm ball, which the class law counts.
-class_system keeps the six latest systems in an LRU cache.
+class_system keeps the six latest systems of fewer than 2^16 classes in an
+LRU cache, and of the larger ones only the latest, which any miss lets go
+before it builds: two large systems are never held there at once, and one
+that no caller holds goes before the next is built (_lru_one_large).
 
 A draw takes all the uniforms, but inverts only those at most the filter
 bound: the others give K = 0 under the same formula (see _draw).  It fills
@@ -51,8 +54,8 @@ all held is served from them; any other run is drawn, and its seeds kept.
 At most 1,024 seeds and 2^16 hits in all are kept, the oldest seeds going
 first, under a lock of the memo's own: class_system shares a system between
 threads.  A full memo holds 12 bytes a hit and under 800 a seed, at most
-about 1.6 MB, so the six cached systems at most about 9.6 MB; a memo lives
-and dies with its system.
+about 1.6 MB, so the memos of the six small cached systems at most about
+9.6 MB; a memo lives and dies with its system.
 """
 
 from __future__ import annotations
@@ -74,6 +77,7 @@ from .primitives import (
     _approx,
     _charge,
     _check_dim,
+    _lru_one_large,
     _primitive,
     primitive_rows,
     signed_representative,
@@ -213,9 +217,11 @@ def _shell_bounds(shell_q: np.ndarray) -> np.ndarray:
     return np.nextafter(bound, np.float32(np.inf), out=bound, where=bound < want)
 
 
-@functools.lru_cache(maxsize=6)
+@_lru_one_large(6, lambda sys: sys.ncls >= _PARALLEL_MIN_CLASSES)
 def class_system(dim: int, theta: float, cutoff: float, /) -> ClassSystem:
-    """ClassSystem(dim, theta, cutoff) of the six latest keys."""
+    """ClassSystem(dim, theta, cutoff), kept for the six latest keys of
+    systems under 2^16 classes and for the latest of the larger ones only:
+    any miss lets that one go before it builds (_lru_one_large)."""
     return ClassSystem(dim, theta, cutoff)
 
 

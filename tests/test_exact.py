@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -478,6 +479,58 @@ def test_warm_diameter_call_enumerates_nothing(monkeypatch):
     monkeypatch.setattr(exact, "primitive_rows", refuse)
     for (dim, n), pair in cold.items():
         assert diameter_numerators(dim, n) == pair
+
+
+def test_diameter_terms_hold_one_large_box_at_a_time():
+    # the terms of boxes of 2^16 primitive vectors or more are kept one box
+    # at a time, every miss letting the latest go first; the smaller boxes
+    # keep their LRU of 16
+    exact._diameter_terms.cache_clear()
+    small = exact._diameter_terms(2, 8)
+    previous = None
+    for n in (330, 335, 340, 345):
+        weights, cells = exact._diameter_terms(2, n)
+        assert len(weights) >= 1 << 16
+        latest = weakref.ref(cells[0])
+        del weights, cells
+        assert previous is None or previous() is None, n
+        previous = latest
+    assert exact._diameter_terms(2, 345)[1][0] is previous()
+    assert exact._diameter_terms(2, 8) is small
+    info = exact._diameter_terms.cache_info()
+    assert (info.hits, info.misses, info.maxsize, info.currsize) == (2, 5, 16, 2)
+
+
+def test_diameter_enumeration_is_charged_before_it_runs(monkeypatch):
+    # 3d + 2 words per cell of the box (one row at d = 1): a budget one byte
+    # short refuses the enumeration by name before it starts
+    def refuse(*args):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(exact, "primitive_rows", refuse)
+    for dim, n, need in ((2, 3, 8 * 8 * 4 ** 2), (3, 2, 8 * 11 * 3 ** 3), (1, 10 ** 9, 8 * 5)):
+        exact._diameter_terms.cache_clear()
+        monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", str(need - 1))
+        with pytest.raises(MemoryBudgetError, match=rf"primitive vectors of \[0, {n}\]\^{dim} "):
+            exact._diameter_terms(dim, n)
+        monkeypatch.setenv("ZONOCOUNT_MEMORY_BUDGET", str(need))
+        with pytest.raises(AssertionError, match="enumerated"):
+            exact._diameter_terms(dim, n)
+
+
+@pytest.mark.parametrize("dim, n", [(2, 300), (3, 40), (4, 16), (6, 5), (8, 3), (10, 2)])
+def test_diameter_charge_bounds_the_enumeration_peak(monkeypatch, dim, n):
+    # what the enumeration holds at its peak, measured, is within its charge
+    charged = []
+    monkeypatch.setattr(exact, "_charge", lambda need, what: charged.append(need))
+    exact._diameter_terms.__wrapped__(dim, n)  # a first run also fills numpy's own caches
+    tracemalloc.start()
+    try:
+        exact._diameter_terms.__wrapped__(dim, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(charged) == 2 and peak <= charged[-1] + 16 * 1024, (peak, charged)
 
 
 def _ask(dim, box, kind, v0):

@@ -1,10 +1,12 @@
 import itertools
 import math
 import multiprocessing
+import random
 import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 from sys import getswitchinterval, setswitchinterval
 
 import mpmath
@@ -26,7 +28,7 @@ from zonocount import (
     write_polygon_csv,
     write_sample_csv,
 )
-from zonocount import sampler
+from zonocount import cli, sampler
 from zonocount.sampler import _draw, sample_rows
 
 THETA_1E4 = theta_tilde(2, 1e4)  # 0.052674712735566642
@@ -377,6 +379,110 @@ def test_class_system_takes_positional_arguments_only():
     assert class_system(2, 0.5, 1e-3) is built
     info = class_system.cache_info()
     assert (info.hits, info.currsize) == (1, 1)
+
+
+def test_class_system_holds_one_large_system_at_a_time():
+    # systems of 2^16 classes or more are kept one at a time: every miss lets
+    # the latest go before it builds, so a run of large keys that no caller
+    # holds leaves one system's arrays alive, while the small systems keep
+    # their LRU of six
+    keys = [(2, theta, 1e-12) for theta in (0.069, 0.07, 0.071, 0.072, 0.073)]
+    slack = 64 * 1024  # the system's objects, its memo and the cache's entry
+    class_system.cache_clear()
+    small = class_system(2, 1.0, 1e-3)
+    ClassSystem(*keys[0])  # a first build also fills numpy's own caches
+    previous = None
+    tracemalloc.start()
+    try:
+        for key in keys:
+            sys = class_system(*key)
+            assert sys.ncls >= sampler._PARALLEL_MIN_CLASSES
+            arrays = sum(a.nbytes for a in (sys.vecs, sys.norm, sys.first, sys.shell_q, sys.q_hi))
+            latest = weakref.ref(sys)
+            del sys
+            held = tracemalloc.get_traced_memory()[0]
+            assert held <= arrays + slack, (key, held, arrays)
+            assert previous is None or previous() is None, key
+            previous = latest
+    finally:
+        tracemalloc.stop()
+    assert class_system(*keys[-1]) is previous()
+    assert class_system(2, 1.0, 1e-3) is small
+    info = class_system.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 1 + len(keys), 2)
+
+
+def test_threads_sharing_the_class_system_cache(monkeypatch):
+    # a miss looks again under the cache's lock: eight threads that miss one
+    # key at once build it once and share it.  A hit takes no lock: threads
+    # that ask at random for more small keys than the LRU holds, and for two
+    # large ones, each get the system of their own key
+    builds = []
+    init = ClassSystem.__init__
+    monkeypatch.setattr(ClassSystem, "__init__",
+                        lambda self, *key: builds.append(key) or init(self, *key))
+    small = [(2, 1.0 + i / 10, 1e-3) for i in range(8)]
+    large = [(2, 0.075, 1e-12), (2, 0.076, 1e-12)]
+    class_system.cache_clear()
+    got, wrong = [], []
+    start = threading.Barrier(8)
+
+    def at_once(key):
+        start.wait()
+        got.append(class_system(*key))
+
+    def at_random(i):
+        rng = random.Random(i)
+        for _ in range(150):
+            key = rng.choice(large) if rng.random() < 0.1 else rng.choice(small)
+            try:
+                sys = class_system(*key)
+            except Exception as exc:  # a thread's exception would not fail the test
+                wrong.append((key, exc))
+            else:
+                if (sys.dim, sys.theta, sys.cutoff) != key:
+                    wrong.append((key, sys))
+
+    switch = getswitchinterval()
+    setswitchinterval(1e-6)
+    try:
+        for target, args in [(at_once, small[0]), (at_once, large[0]), (at_random, None)]:
+            threads = [threading.Thread(target=target, args=(args or i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            if target is at_once:
+                assert builds[-1] == args and len(set(map(id, got))) == 1 and len(got) == 8
+                assert (got[0].ncls >= sampler._PARALLEL_MIN_CLASSES) == (args in large)
+                del got[:]
+    finally:
+        setswitchinterval(switch)
+    assert not wrong
+    assert builds[:2] == [small[0], large[0]]
+    info = class_system.cache_info()
+    assert info.misses == len(builds) and info.currsize <= 7
+
+
+def test_polygon_path_builds_its_large_system_once(capsys, tmp_path, monkeypatch):
+    # sample --polygon-out draws the rows, then the first sample again on the
+    # same key: the large system's slot serves the second call
+    builds = []
+    init = ClassSystem.__init__
+    monkeypatch.setattr(ClassSystem, "__init__",
+                        lambda self, *key: builds.append(key) or init(self, *key))
+    class_system.cache_clear()
+    polygon = tmp_path / "polygon.csv"
+    assert cli.main(["sample", "--dim", "2", "--n", "1e4", "--samples", "3", "--seed", "5",
+                     "--polygon-out", str(polygon)]) == 0
+    assert builds == [(2, THETA_1E4, 1e-12)]
+    assert class_system(2, THETA_1E4, 1e-12).ncls >= sampler._PARALLEL_MIN_CLASSES
+    first = boltzmann_sample(2, THETA_1E4, 1e-12, 5)
+    assert len(builds) == 1
+    assert polygon.read_text().count("\n") == 1 + len(to_polygon(first))
+    assert capsys.readouterr().out.splitlines()[1] == "5,%d,%d,%d" % (
+        first.direction_count, *first.endpoint)
 
 
 def test_tracked_ids_that_name_no_sign_class_are_refused(monkeypatch):
